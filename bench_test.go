@@ -119,7 +119,7 @@ func BenchmarkOutsets(b *testing.B) {
 				b.ResetTimer()
 				var visits int64
 				for i := 0; i < b.N; i++ {
-					res := tracer.Run(h, tbl, 3, algo)
+					res := new(tracer.Tracer).Run(h, tbl, 3, algo)
 					visits += res.Stats.OutsetVisits
 				}
 				b.ReportMetric(float64(visits)/float64(b.N), "objvisits/op")
@@ -232,10 +232,11 @@ func BenchmarkLocalTrace(b *testing.B) {
 				tbl.SetSourceDistance(refsArr[n/2+i].Obj, 2, 100)
 				addSuspectOutref(h, tbl, refsArr[n-1-i])
 			}
+			var tr tracer.Tracer
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res := tracer.Run(h, tbl, 3, tracer.AlgoBottomUp)
+				res := tr.Run(h, tbl, 3, tracer.AlgoBottomUp)
 				if len(res.Dead) != 0 {
 					b.Fatal("unexpected garbage")
 				}
@@ -448,11 +449,10 @@ func BenchmarkDistancePropagation(b *testing.B) {
 }
 
 // BenchmarkParallelSites (experiment C12) measures one churn+collect round
-// on a 4-site cluster under the two per-site concurrency architectures: the
-// single-mutex baseline (locked traces, serial round driver) versus the
-// pipelined architecture (mailbox executors, off-lock traces, goroutine per
-// site). Same heaps, same churn, same network — the ratio of the two ns/op
-// figures is the multi-core speedup of the refactor.
+// on a 4-site cluster under the two round drivers: sites stepped serially
+// versus the pipelined architecture (mailbox executors, goroutine per site).
+// Same heaps, same churn, same network, same off-lock local trace — the
+// ratio of the two ns/op figures is the multi-core speedup of the driver.
 func BenchmarkParallelSites(b *testing.B) {
 	const (
 		numSites     = 4
@@ -460,7 +460,7 @@ func BenchmarkParallelSites(b *testing.B) {
 		churnPerSite = 500   // objects allocated and orphaned per round
 	)
 	for _, pipelined := range []bool{false, true} {
-		name := "locked-serial"
+		name := "serial"
 		if pipelined {
 			name = "pipelined-parallel"
 		}
@@ -469,7 +469,6 @@ func BenchmarkParallelSites(b *testing.B) {
 				NumSites:           numSites,
 				Async:              true,
 				Parallel:           pipelined,
-				LockedTrace:        !pipelined,
 				SuspicionThreshold: 3,
 				BackThreshold:      1 << 20, // no back traces: isolate trace+churn cost
 			})
@@ -531,108 +530,97 @@ func BenchmarkParallelSites(b *testing.B) {
 	}
 }
 
-// BenchmarkOffLockTrace measures mutator latency on a site whose collector
-// is continuously tracing a large heap. With LockedTrace the mutator waits
-// out every full trace computation; with the off-lock snapshot design it
-// only waits for the short snapshot and commit critical sections. The
-// headline metric is stalled-pct — the share of mutator wall time spent in
-// operations that blocked for at least a millisecond, which in locked mode
-// means waiting out whole traces and in off-lock mode only the critical
-// sections (plus scheduler noise). max-stall-ms is the worst single
-// operation; trace-ms reports the mean tracer.Run wall time, which the
-// off-lock design takes off the mutator's critical path.
+// BenchmarkOffLockTrace (experiment C12) measures mutator latency on a site
+// whose collector is continuously tracing a large heap. The trace computes
+// off the site lock, so the mutator only waits for the short snapshot and
+// commit critical sections. The headline metric is stalled-pct — the share
+// of mutator wall time spent in operations that blocked for at least a
+// millisecond (critical sections plus scheduler noise). max-stall-ms is the
+// worst single operation; trace-ms reports the mean trace computation time,
+// which is what stays off the mutator's critical path.
 func BenchmarkOffLockTrace(b *testing.B) {
 	const liveObjs = 20000
-	for _, locked := range []bool{true, false} {
-		name := "locked"
-		if !locked {
-			name = "offlock"
+	net := transport.NewNet(transport.Options{})
+	defer net.Close()
+	s := site.New(site.Config{
+		ID:                 1,
+		Network:            net,
+		SuspicionThreshold: 3,
+		BackThreshold:      1 << 20,
+	})
+	defer s.Close()
+	root := s.NewRootObject()
+	prev := root
+	for j := 0; j < liveObjs; j++ {
+		o := s.NewObject()
+		if err := s.AddReference(prev.Obj, o); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			net := transport.NewNet(transport.Options{})
-			defer net.Close()
-			s := site.New(site.Config{
-				ID:                 1,
-				Network:            net,
-				SuspicionThreshold: 3,
-				BackThreshold:      1 << 20,
-				LockedTrace:        locked,
-			})
-			defer s.Close()
-			root := s.NewRootObject()
-			prev := root
-			for j := 0; j < liveObjs; j++ {
-				o := s.NewObject()
-				if err := s.AddReference(prev.Obj, o); err != nil {
-					b.Fatal(err)
-				}
-				prev = o
-			}
-			// The mutator toggles an extra edge to an always-live object;
-			// allocation is kept out of the op because an object is only
-			// safe from the sweep once it is linked or held.
-			target, err := s.Fields(root.Obj)
-			if err != nil || len(target) == 0 {
-				b.Fatal("root has no fields")
-			}
+		prev = o
+	}
+	// The mutator toggles an extra edge to an always-live object;
+	// allocation is kept out of the op because an object is only
+	// safe from the sweep once it is linked or held.
+	target, err := s.Fields(root.Obj)
+	if err != nil || len(target) == 0 {
+		b.Fatal("root has no fields")
+	}
 
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			var traces, traceNanos int64
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					rep := s.RunLocalTrace()
-					atomic.AddInt64(&traces, 1)
-					atomic.AddInt64(&traceNanos, int64(rep.Stats.Duration))
-				}
-			}()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var traces, traceNanos int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rep := s.RunLocalTrace()
+			atomic.AddInt64(&traces, 1)
+			atomic.AddInt64(&traceNanos, int64(rep.Stats.Duration))
+		}
+	}()
 
-			var maxStall, stalled, elapsed time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				opStart := time.Now()
-				if err := s.AddReference(root.Obj, target[0]); err != nil {
-					b.Fatal(err)
-				}
-				if err := s.RemoveReference(root.Obj, target[0]); err != nil {
-					b.Fatal(err)
-				}
-				d := time.Since(opStart)
-				elapsed += d
-				if d > maxStall {
-					maxStall = d
-				}
-				if d >= time.Millisecond {
-					stalled += d
-				}
-			}
-			b.StopTimer()
-			close(stop)
-			wg.Wait()
-			if elapsed > 0 {
-				b.ReportMetric(float64(stalled)/float64(elapsed)*100, "stalled-pct")
-			}
-			b.ReportMetric(float64(maxStall)/1e6, "max-stall-ms")
-			if n := atomic.LoadInt64(&traces); n > 0 {
-				b.ReportMetric(float64(traceNanos)/float64(n)/1e6, "trace-ms")
-			}
-		})
+	var maxStall, stalled, elapsed time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opStart := time.Now()
+		if err := s.AddReference(root.Obj, target[0]); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.RemoveReference(root.Obj, target[0]); err != nil {
+			b.Fatal(err)
+		}
+		d := time.Since(opStart)
+		elapsed += d
+		if d > maxStall {
+			maxStall = d
+		}
+		if d >= time.Millisecond {
+			stalled += d
+		}
+	}
+	b.StopTimer()
+	close(stop)
+	wg.Wait()
+	if elapsed > 0 {
+		b.ReportMetric(float64(stalled)/float64(elapsed)*100, "stalled-pct")
+	}
+	b.ReportMetric(float64(maxStall)/1e6, "max-stall-ms")
+	if n := atomic.LoadInt64(&traces); n > 0 {
+		b.ReportMetric(float64(traceNanos)/float64(n)/1e6, "trace-ms")
 	}
 }
 
 // BenchmarkIncrementalTrace (experiment C15) measures the steady-state cost
 // of one local trace round on a 20k-object heap of which ≤1% mutates per
-// round (monotone edge adds on a rotating window of 200 objects): the
-// full-snapshot path deep-copies and re-marks all 20k objects every round,
-// the incremental path patches the shadow snapshot and remarks only from the
-// 200 dirty seeds.
+// round (monotone edge adds on a rotating window of 200 objects): both
+// modes patch the shadow snapshot from the dirty set; the full mode then
+// re-marks all 20k objects every round, the incremental mode remarks only
+// from the 200 dirty seeds.
 func BenchmarkIncrementalTrace(b *testing.B) {
 	const (
 		liveObjs        = 20000
@@ -695,14 +683,13 @@ func BenchmarkIncrementalTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelTrace (experiment C16) measures the work-stealing
-// parallel mark against the sequential tracer on a million-object sharded
-// heap: a wide 8-ary live tree (parallelism for the mark to harvest), a
-// garbage tail (the dead sweep runs), suspected inrefs and outrefs (the
-// outset and distance phases run). The parallel results are checked
-// content-identical to the sequential ones before timing starts. The
-// speedup at 8 workers is the headline number recorded in BENCH_PR7.json;
-// it requires ≥8 hardware threads to show its full effect.
+// BenchmarkParallelTrace (experiment C16) measures the full local trace on a
+// million-object sharded heap at 1, 2, 4 and 8 mark workers: a wide 8-ary
+// live tree (parallelism for the mark to harvest), a garbage tail (the dead
+// sweep runs), suspected inrefs and outrefs (the outset and distance phases
+// run). One worker is the sequential trace, run inline; every worker count
+// is checked content-identical to it before timing starts. Worker counts
+// above the host's hardware threads measure scheduling, not parallelism.
 func BenchmarkParallelTrace(b *testing.B) {
 	const objects = 1 << 20
 	h := heap.NewSharded(1, 8)
@@ -733,26 +720,17 @@ func BenchmarkParallelTrace(b *testing.B) {
 		addSuspectOutref(h, tbl, objs[live-1-i])
 	}
 
-	baseline := tracer.Run(h, tbl, 3, tracer.AlgoBottomUp)
+	baseline := new(tracer.Tracer).Run(h, tbl, 3, tracer.AlgoBottomUp)
 	for _, workers := range []int{1, 2, 4, 8} {
-		name := fmt.Sprintf("workers-%d", workers)
-		if workers == 1 {
-			name = "sequential"
-		}
-		b.Run(name, func(b *testing.B) {
-			if workers > 1 {
-				if !tracer.EqualResults(tracer.RunParallel(h, tbl, 3, tracer.AlgoBottomUp, workers), baseline) {
-					b.Fatal("parallel result diverges from sequential")
-				}
+		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+			tr := tracer.Tracer{Workers: workers}
+			if !tracer.EqualResults(tr.Run(h, tbl, 3, tracer.AlgoBottomUp), baseline) {
+				b.Fatal("result diverges from the one-worker trace")
 			}
 			b.ResetTimer()
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var res *tracer.Result
-				if workers > 1 {
-					res = tracer.RunParallel(h, tbl, 3, tracer.AlgoBottomUp, workers)
-				} else {
-					res = tracer.Run(h, tbl, 3, tracer.AlgoBottomUp)
-				}
+				res := tr.Run(h, tbl, 3, tracer.AlgoBottomUp)
 				if len(res.Dead) != objects-live {
 					b.Fatalf("dead %d, want %d", len(res.Dead), objects-live)
 				}

@@ -15,16 +15,15 @@
 //	dgcbench -exp telemetry     # C13: 2E+P re-verified via the typed registry
 //	dgcbench -exp hypertext     # intro workload end to end
 //	dgcbench -exp trace         # C15: incremental local tracing cost
-//	dgcbench -exp shard         # C16: sharded heap + parallel mark latency
 //	dgcbench -exp wire          # C17: binary wire codec + link batching
 //	dgcbench -exp backtrace     # C18: trace-traffic engine vs storm baseline
 //
 // -json FILE additionally writes the tables as JSON to FILE; -check (with
-// -exp trace, shard, wire, or all) exits nonzero if the idle-heap
-// incremental trace is more than 10% slower than the full trace, if any
-// parallel trace configuration diverges from the sequential baseline, if
-// the binary codec bloats frames or allocations past its absolute budget,
-// or if batching changes any logical message count or collection outcome.
+// -exp trace, wire, backtrace, or all) exits nonzero if the idle-heap
+// incremental trace is more than 10% slower than the full trace, if the
+// binary codec bloats frames or allocations past its absolute budget, if
+// batching changes any logical message count or collection outcome, or if
+// the trace-traffic engine stops beating the trace-storm baseline.
 package main
 
 import (
@@ -40,11 +39,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, messages, distance, insets, space, threshold, timeline, locality, baselines, overlap, telemetry, hypertext, trace, shard, wire, backtrace)")
+	exp := flag.String("exp", "all", "experiment to run (all, messages, distance, insets, space, threshold, timeline, locality, baselines, overlap, telemetry, hypertext, trace, wire, backtrace)")
 	scale := flag.Int("scale", 20, "size multiplier for the inset experiment")
 	format := flag.String("format", "text", "output format: text or json")
 	jsonOut := flag.String("json", "", "also write the tables as JSON to this file")
-	check := flag.Bool("check", false, "with -exp trace/shard/wire: fail if incremental idle tracing regresses past full by >10%, a parallel trace diverges from the sequential baseline, the binary codec exceeds its frame-size or allocation budget, or batching changes logical counts")
+	check := flag.Bool("check", false, "with -exp trace/wire/backtrace: fail if incremental idle tracing regresses past full by >10%, the binary codec exceeds its frame-size or allocation budget, batching changes logical counts, or the engine stops beating the trace-storm baseline")
 	// Shared transport surface (same flags as dgcnode/dgcsim). Applied
 	// to every standard experiment cluster; stepped experiments map
 	// -batch to deterministic piggybacking. The wire experiment pins its
@@ -69,14 +68,11 @@ func main() {
 			err = writeJSON(*jsonOut, res.tables)
 		}
 		if err == nil && *check {
-			if res.traceRows == nil && res.shardRows == nil && res.wireCodecRows == nil && res.backtraceRows == nil {
-				err = fmt.Errorf("-check requires a checkable experiment (-exp trace, shard, wire, backtrace, or all)")
+			if res.traceRows == nil && res.wireCodecRows == nil && res.backtraceRows == nil {
+				err = fmt.Errorf("-check requires a checkable experiment (-exp trace, wire, backtrace, or all)")
 			}
 			if err == nil && res.traceRows != nil {
 				err = experiments.CheckIncremental(res.traceRows)
-			}
-			if err == nil && res.shardRows != nil {
-				err = experiments.CheckShard(res.shardRows)
 			}
 			if err == nil && res.wireCodecRows != nil {
 				err = experiments.CheckWire(res.wireCodecRows, res.wireBatchRows)
@@ -129,7 +125,6 @@ func render(w io.Writer, format string, tables []*experiments.Table) error {
 type results struct {
 	tables        []*experiments.Table
 	traceRows     []experiments.IncrementalRow
-	shardRows     []experiments.ShardRow
 	wireCodecRows []experiments.WireCodecRow
 	wireBatchRows []experiments.WireBatchRow
 	backtraceRows []experiments.BacktraceRow
@@ -140,7 +135,6 @@ func run(exp string, scale int) (results, error) {
 	ran := false
 	var tables []*experiments.Table
 	var traceRows []experiments.IncrementalRow
-	var shardRows []experiments.ShardRow
 	var wireCodecRows []experiments.WireCodecRow
 	var wireBatchRows []experiments.WireBatchRow
 	var backtraceRows []experiments.BacktraceRow
@@ -258,16 +252,6 @@ func run(exp string, scale int) (results, error) {
 		tables = append(tables, experiments.IncrementalTable(rows))
 	}
 
-	if all || exp == "shard" {
-		ran = true
-		rows, err := experiments.ShardTrace(120000, 3)
-		if err != nil {
-			return results{}, err
-		}
-		shardRows = rows
-		tables = append(tables, experiments.ShardTable(rows))
-	}
-
 	if all || exp == "wire" {
 		ran = true
 		codecRows, err := experiments.WireCodecBench(2000)
@@ -300,7 +284,6 @@ func run(exp string, scale int) (results, error) {
 	return results{
 		tables:        tables,
 		traceRows:     traceRows,
-		shardRows:     shardRows,
 		wireCodecRows: wireCodecRows,
 		wireBatchRows: wireBatchRows,
 		backtraceRows: backtraceRows,

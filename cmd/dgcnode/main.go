@@ -48,7 +48,7 @@ func main() {
 		reliable = flag.Bool("reliable", false, "interpose the ack/retransmit session layer over TCP")
 		inbox    = flag.Int("inbox", 0, "mailbox executor inbox capacity (0 = apply messages on the delivery thread)")
 		shards   = flag.Int("shards", 0, "heap/ref-table shards per site (0 = GOMAXPROCS; result-invariant)")
-		workers  = flag.Int("trace-workers", 0, "mark workers per local trace (>1 enables the work-stealing parallel marker; result-invariant)")
+		workers  = flag.Int("trace-workers", 0, "mark workers per local trace (0 or 1 marks inline; more share the same marker by work stealing; result-invariant)")
 		inflight = flag.Int("max-inflight-traces", 0, "cap concurrently initiated back traces per site; excess suspects queue by distance priority (0 = unlimited)")
 		batchSz  = flag.Int("trace-batch", 0, "group up to this many overlapping-inset suspects into one multi-suspect back trace (<=1 = one trace per suspect)")
 		memoize  = flag.Bool("memoize-live", false, "memoize Live back-trace verdicts per ioref until the next local-trace commit")

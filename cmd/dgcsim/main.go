@@ -48,7 +48,7 @@ func main() {
 		parallel = flag.Bool("parallel", false, "run sites on goroutines with mailbox executors (disables stepped determinism)")
 		incr     = flag.Bool("incremental", false, "incremental local tracing: dirty-set remark over copy-on-write snapshots")
 		shards   = flag.Int("shards", 0, "heap/ref-table shards per site (0 = GOMAXPROCS; result-invariant)")
-		workers  = flag.Int("trace-workers", 0, "mark workers per local trace (>1 enables the work-stealing parallel marker; result-invariant)")
+		workers  = flag.Int("trace-workers", 0, "mark workers per local trace (0 or 1 marks inline; more share the same marker by work stealing; result-invariant)")
 		inflight = flag.Int("max-inflight-traces", 0, "cap concurrent back traces per site (0 = unlimited legacy trigger)")
 		batchSz  = flag.Int("trace-batch", 0, "group up to N overlapping suspects into one multi-suspect back trace (0/1 = single-suspect)")
 		memoize  = flag.Bool("memoize-live", false, "memoize Live verdicts per ioref until the next local-trace commit")

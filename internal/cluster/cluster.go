@@ -70,23 +70,15 @@ type Options struct {
 	// InboxSize, when positive, gives every site a bounded mailbox of this
 	// capacity (site.Config.InboxSize); it forces asynchronous delivery.
 	InboxSize int
-	// LockedTrace makes every site compute local traces under its lock
-	// (site.Config.LockedTrace) — the baseline the off-lock benchmarks
-	// compare against.
-	LockedTrace bool
-	// Incremental enables incremental local tracing on every site
-	// (site.Config.Incremental): write-barrier-maintained dirty deltas,
-	// copy-on-write trace snapshots, and dirty-set remarks.
+	// Incremental makes every site attempt a dirty-set remark before the
+	// full mark of each local trace (site.Config.Incremental).
 	Incremental bool
-	// MaxDirtyRatio tunes the incremental tracer's full-trace fallback
-	// (site.Config.MaxDirtyRatio); zero means the tracer default.
-	MaxDirtyRatio float64
 	// Shards requests a minimum heap/ioref-table shard count on every
 	// site (site.Config.Shards); sites use max(GOMAXPROCS, Shards).
 	Shards int
 	// TraceWorkers sets the mark-worker count for every site's local
-	// traces (site.Config.TraceWorkers); above one, traces run the
-	// work-stealing parallel marker.
+	// traces (site.Config.TraceWorkers); zero or one runs the marker
+	// inline.
 	TraceWorkers int
 	// SuspicionThreshold, BackThreshold, ThresholdBump, OutsetAlgorithm,
 	// AutoBackTrace, AdaptiveThreshold, CallTimeout, ReportTimeout are
@@ -222,9 +214,7 @@ func New(opts Options) *Cluster {
 			TraceBatch:                opts.TraceBatch,
 			MemoizeLive:               opts.MemoizeLive,
 			InboxSize:                 opts.InboxSize,
-			LockedTrace:               opts.LockedTrace,
 			Incremental:               opts.Incremental,
-			MaxDirtyRatio:             opts.MaxDirtyRatio,
 			Shards:                    opts.Shards,
 			TraceWorkers:              opts.TraceWorkers,
 			Clock:                     opts.Clock,

@@ -25,7 +25,7 @@ type IncrementalRow struct {
 }
 
 // IncrementalTrace measures experiment C15: the per-round cost of a local
-// trace on a heap of the given size, in full-snapshot and incremental mode,
+// trace on a heap of the given size, with and without the incremental remark,
 // for an idle heap and for a heap where `dirty` objects gain a monotone edge
 // each round. One warmup trace runs before measurement so the incremental
 // mode's mandatory first full trace is excluded from the steady state.
@@ -113,8 +113,8 @@ func IncrementalTable(rows []IncrementalRow) *Table {
 	t := &Table{
 		Title:  "C15: incremental local tracing (steady-state trace cost)",
 		Header: []string{"scenario", "mode", "objects", "dirty/round", "rounds", "ns/round", "allocs/round", "remarks", "outsets-reused"},
-		Caption: "full mode deep-copies and re-marks the whole heap every round; " +
-			"incremental mode patches a shadow snapshot and remarks only from the dirty set",
+		Caption: "both modes patch a shadow snapshot from the dirty set; full mode re-marks " +
+			"the whole heap every round, incremental mode remarks only from the dirty set",
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{

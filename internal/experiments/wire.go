@@ -73,7 +73,7 @@ func wireMix() []msg.Envelope {
 // full passes of encode+decode per codec. Alloc counts come from the
 // runtime's Mallocs counter, so the measurement loop must not be concurrent
 // with other work (dgcbench runs it alone). Binary is the only codec since
-// the gob fallback's removal; historical gob numbers are in BENCH_PR8.json.
+// the gob fallback's removal; historical gob numbers are in EXPERIMENTS.md C17.
 func WireCodecBench(iters int) ([]WireCodecRow, error) {
 	if iters <= 0 {
 		iters = 2000

@@ -196,9 +196,9 @@ func (h *Heap) ShardOf(obj ids.ObjID) int {
 func (h *Heap) shardFor(obj ids.ObjID) *shard { return h.shards[h.ShardOf(obj)] }
 
 // EnableDeltaTracking turns on the write barrier that records dirty
-// objects and roots for TraceSnapshot. Sites configured for incremental
-// tracing call this once at construction; it requires whole-heap exclusion
-// (no concurrent shard operations).
+// objects and roots for TraceSnapshot. Sites call this once at
+// construction; it requires whole-heap exclusion (no concurrent shard
+// operations).
 func (h *Heap) EnableDeltaTracking() {
 	if h.tracking {
 		return
@@ -480,9 +480,9 @@ func (h *Heap) Install(id ids.ObjID, fields []ids.Ref, size int, root bool) erro
 // slices), persistent roots, application roots, and the allocation
 // high-water mark. Shards are copied concurrently, each under its own read
 // lock. The copy shares nothing with the original, so a local trace can
-// read it while mutators keep modifying the live heap — the
-// short-critical-section snapshot that lets tracer.Run execute outside the
-// site lock (Section 6.2).
+// read it while mutators keep modifying the live heap. Sites reach it only
+// through TraceSnapshot, whose first cut it is; tests also use it as an
+// independent copy to run their reference trace on.
 func (h *Heap) Snapshot() *Heap {
 	cp := NewSharded(h.site, len(h.shards))
 	cp.next.Store(h.next.Load())
@@ -667,7 +667,7 @@ func (h *Heap) ResetTraceSnapshot() {
 
 // MaxShardDirtyRatio returns the largest per-shard ratio of dirty entities
 // to shard objects since the last TraceSnapshot (0 when tracking is off or
-// the heap is empty). Incremental sites export it as the
+// the heap is empty). Sites export it as the
 // localtrace.parallel.shard_dirty_ratio gauge: a ratio near 1 on one shard
 // while others idle shows mutation skew that per-shard snapshot patching
 // absorbs and a global deep copy would not.

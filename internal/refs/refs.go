@@ -324,8 +324,8 @@ func (t *Table) InrefShardRebuilds(i int) int {
 }
 
 // EnableDeltaTracking turns on the write barrier that records dirty
-// entries for TraceSnapshot. Sites configured for incremental tracing call
-// this once at construction; it requires whole-table exclusion.
+// entries for TraceSnapshot. Sites call this once at construction; it
+// requires whole-table exclusion.
 func (t *Table) EnableDeltaTracking() {
 	if t.tracking {
 		return
@@ -709,10 +709,10 @@ func (t *Table) eachShardConcurrent(fn func(i int)) {
 	wg.Wait()
 }
 
-// Snapshot returns a deep copy of both tables for use by an off-lock local
-// trace; shards are copied concurrently. Everything the tracer reads is
-// copied — source lists with distances, barrier and garbage flags, pins,
-// distances, back thresholds. The per-trace Visited marks are deliberately
+// Snapshot returns a deep copy of both tables — TraceSnapshot's first cut,
+// and the tests' independent reference; shards are copied concurrently.
+// Everything the tracer reads is copied — source lists with distances,
+// barrier and garbage flags, pins, distances, back thresholds. The per-trace Visited marks are deliberately
 // NOT carried over: they belong to the live table (the back-tracing engine
 // mutates them under the site lock) and the tracer never reads them.
 func (t *Table) Snapshot() *Table {

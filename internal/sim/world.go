@@ -46,11 +46,11 @@ type Config struct {
 	// invalidation against the same safety/completeness oracles.
 	Incremental bool `json:"incremental,omitempty"`
 	// Shards requests a minimum heap/ioref-table shard count per site;
-	// TraceWorkers runs local traces on a work-stealing parallel marker.
-	// Both are result-invariant (parallel traces are bit-identical to
-	// sequential ones), so the model checker can exercise the sharded
-	// snapshot and parallel mark paths under the same deterministic
-	// schedules and oracles.
+	// TraceWorkers shares each local trace's mark between that many
+	// work-stealing workers. Both are result-invariant (traces are
+	// bit-identical at every worker count), so the model checker can
+	// exercise the sharded snapshot and the multi-worker mark under the
+	// same deterministic schedules and oracles.
 	Shards       int `json:"shards,omitempty"`
 	TraceWorkers int `json:"trace_workers,omitempty"`
 	// Codec names a wire codec ("binary") that every message

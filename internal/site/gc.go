@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"backtrace/internal/event"
-	"backtrace/internal/heap"
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
 	"backtrace/internal/msg"
@@ -49,109 +48,59 @@ func (s *Site) RunLocalTrace() TraceReport {
 // copy; transfer barriers applied before the commit are recorded and
 // replayed onto the new copy (Section 6.2).
 //
-// The computation itself runs OUTSIDE the site lock, on a snapshot of the
-// heap and ioref tables taken under a short critical section. This is
-// exactly what Section 6.2's double buffering buys: the live state may
-// keep changing during the computation, because back traces still use the
-// old back information, garbage stays garbage (no root or message can name
-// an unreachable object), and barriers that fire meanwhile are recorded
-// (s.tracing) and replayed at commit. Config.LockedTrace restores the old
-// whole-computation-under-the-lock behaviour for baseline measurements.
+// There is one path. Under a short critical section the site cuts a
+// copy-on-write snapshot of the heap and ioref tables: the retained shadow
+// copy patched with the dirty set, O(changes) rather than O(heap). The
+// computation then runs OUTSIDE the site lock on that snapshot, which shares
+// no structures with the live state (traceMu guarantees the previous trace
+// is done with it). This is exactly what Section 6.2's double buffering
+// buys: the live state may keep changing during the computation, because
+// back traces still use the old back information, garbage stays garbage (no
+// root or message can name an unreachable object), and barriers that fire
+// meanwhile are recorded (s.tracing) and replayed at commit.
+// Config.Incremental decides one thing only: whether a dirty-set remark is
+// attempted before the full mark.
 func (s *Site) BeginLocalTrace() {
 	s.traceMu.Lock()
 	defer s.traceMu.Unlock()
 	s.localTraceT0 = s.clk.Now()
 
-	if s.cfg.LockedTrace {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.startTraceLocked()
-		s.installPendingLocked(s.computeTrace(s.heap, s.table, s.threshold))
-		return
-	}
-
 	s.mu.Lock()
-	// Incremental sites snapshot by patching the retained shadow copy with
-	// the dirty set — O(changes), not O(heap). The shadow copy shares no
-	// structures with the live state, so the off-lock read below stays
-	// safe; traceMu guarantees the previous trace is done with it.
-	var h *heap.Heap
-	var tbl *refs.Table
-	var hd *heap.Delta
-	var td *refs.Delta
-	if s.cfg.Incremental {
-		s.gaugeDirty.Set(int64(100 * s.heap.MaxShardDirtyRatio()))
-		h, hd = s.heap.TraceSnapshot()
-		tbl, td = s.table.TraceSnapshot()
-	} else {
-		h = s.heap.Snapshot()
-		tbl = s.table.Snapshot()
-	}
+	s.gaugeDirty.Set(int64(100 * s.heap.MaxShardDirtyRatio()))
+	h, hd := s.heap.TraceSnapshot()
+	tbl, td := s.table.TraceSnapshot()
 	threshold := s.threshold
 	epoch := s.traceEpoch
-	s.startTraceLocked()
+	// Open the trace window: barriers applied from here to the commit are
+	// recorded for replay onto the new back information.
+	s.tracing = true
+	s.pending = nil
+	s.pendingBarrierInrefs = nil
+	s.pendingBarrierOutrefs = nil
 	s.mu.Unlock()
 
 	var res *tracer.Result
 	if s.cfg.Incremental {
 		res = s.incr.Run(h, tbl, hd, td, threshold, s.cfg.OutsetAlgorithm)
 	} else {
-		res = s.runFull(h, tbl, threshold)
+		res = s.incr.Full.Run(h, tbl, threshold, s.cfg.OutsetAlgorithm)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.traceEpoch != epoch || !s.tracing {
 		// The state this result was computed from was replaced wholesale
-		// (e.g. a checkpoint restore) while we traced: drop the result
-		// rather than install conclusions about a heap that no longer
-		// exists. traceMu makes this unreachable for ordinary
-		// Begin/Commit interleavings.
-		if s.cfg.Incremental {
-			// The snapshot consumed the dirty sets but its result was
-			// dropped: forget both lineages so the next trace starts full.
-			s.incr.Reset()
-			s.heap.ResetTraceSnapshot()
-			s.table.ResetTraceSnapshot()
-		}
+		// while we traced: drop the result rather than install conclusions
+		// about a heap that no longer exists. traceMu makes this
+		// unreachable for ordinary Begin/Commit interleavings. The
+		// snapshot consumed the dirty sets but its result was dropped, so
+		// forget both lineages: the next trace starts full.
+		s.incr.Reset()
+		s.heap.ResetTraceSnapshot()
+		s.table.ResetTraceSnapshot()
 		return
 	}
 	s.installPendingLocked(res)
-}
-
-// computeTrace runs the tracer under the site lock (LockedTrace mode),
-// routing through the incremental state or the scratch buffers according
-// to configuration.
-func (s *Site) computeTrace(h *heap.Heap, tbl *refs.Table, threshold int) *tracer.Result {
-	if s.cfg.Incremental {
-		// Even under the lock, incremental mode traces the patched
-		// snapshot: the remark's previous-result lineage must refer to one
-		// consistent sequence of states.
-		s.gaugeDirty.Set(int64(100 * s.heap.MaxShardDirtyRatio()))
-		sh, hd := s.heap.TraceSnapshot()
-		stbl, td := s.table.TraceSnapshot()
-		return s.incr.Run(sh, stbl, hd, td, threshold, s.cfg.OutsetAlgorithm)
-	}
-	return s.runFull(h, tbl, threshold)
-}
-
-// runFull computes a non-incremental trace: the work-stealing parallel
-// tracer when Config.TraceWorkers exceeds one, the sequential
-// scratch-buffered tracer otherwise. Results are bit-identical.
-func (s *Site) runFull(h *heap.Heap, tbl *refs.Table, threshold int) *tracer.Result {
-	if s.cfg.TraceWorkers > 1 {
-		return tracer.RunParallel(h, tbl, threshold, s.cfg.OutsetAlgorithm, s.cfg.TraceWorkers)
-	}
-	return tracer.RunWithScratch(h, tbl, threshold, s.cfg.OutsetAlgorithm, s.scratch)
-}
-
-// startTraceLocked opens the trace window: barriers applied from here to
-// the commit are recorded for replay onto the new back information.
-func (s *Site) startTraceLocked() {
-	s.tracing = true
-	s.pending = nil
-	s.pendingBarrierInrefs = nil
-	s.pendingBarrierOutrefs = nil
 }
 
 // installPendingLocked stages a computed trace result for commit and

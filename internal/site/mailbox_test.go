@@ -94,28 +94,3 @@ func TestMailboxCloseUnblocksAndDropsQueued(t *testing.T) {
 		t.Fatalf("inbox depth %d after close", b.InboxDepth())
 	}
 }
-
-// TestOffLockTraceMatchesLockedTrace commits the same heap through the
-// off-lock snapshot path and the LockedTrace baseline and expects identical
-// sweeps.
-func TestOffLockTraceMatchesLockedTrace(t *testing.T) {
-	for _, locked := range []bool{false, true} {
-		net := transport.NewNet(transport.Options{Stepped: true})
-		s := New(Config{ID: 1, Network: net, SuspicionThreshold: 3, BackThreshold: 7, LockedTrace: locked})
-		root := s.NewRootObject()
-		kept := s.NewObject()
-		if err := s.AddReference(root.Obj, kept); err != nil {
-			t.Fatal(err)
-		}
-		s.NewObject() // unreferenced: garbage
-		s.NewObject()
-		rep := s.RunLocalTrace()
-		if rep.Collected != 2 {
-			t.Fatalf("locked=%v: collected %d, want 2", locked, rep.Collected)
-		}
-		if !s.ContainsObject(kept.Obj) || !s.ContainsObject(root.Obj) {
-			t.Fatalf("locked=%v: live objects swept", locked)
-		}
-		net.Close()
-	}
-}

@@ -23,18 +23,19 @@
 //     touch iorefs or send messages, and all message handlers, remain
 //     short critical sections under the write lock, matching the
 //     paper's model.
-//   - The local trace computation (tracer.Run: forward mark + outset
-//     computation) runs entirely OUTSIDE the lock, on a snapshot of the
-//     heap and ioref tables taken under a short critical section —
-//     shards are snapshotted concurrently, and with Config.TraceWorkers
-//     above one the forward mark itself runs as a work-stealing
-//     parallel trace with results bit-identical to the sequential
-//     tracer. The
-//     Section 6.2 double-buffered back information makes this safe: back
-//     traces keep using the old copy, and transfer barriers that fire
-//     during the computation are recorded and replayed onto the new copy
-//     at commit. Config.LockedTrace restores the old
-//     whole-trace-under-the-lock behaviour for baseline benchmarks.
+//   - The local trace has one path (BeginLocalTrace). A short critical
+//     section cuts a copy-on-write snapshot of the heap and ioref tables
+//     — each shard's retained shadow copy patched from its dirty set,
+//     concurrently across shards — and the computation (tracer.Tracer:
+//     the dense CAS-min forward mark, then the outset pass) runs entirely
+//     OUTSIDE the lock on that snapshot. Config.TraceWorkers only splits
+//     the mark across workers (one worker is the sequential trace, run
+//     inline) and Config.Incremental only puts a dirty-set remark in front
+//     of it; neither changes the committed result. The Section 6.2
+//     double-buffered back information makes the off-lock computation
+//     safe: back traces keep using the old copy, and transfer barriers
+//     that fire meanwhile are recorded and replayed onto the new copy at
+//     commit.
 //   - Introspection (Inrefs, Outrefs, counters, heap size, audits) takes
 //     only the read lock, so tools and experiments never stall collectors.
 //   - With Config.InboxSize > 0 the site runs a mailbox executor: network
@@ -126,24 +127,14 @@ type Config struct {
 	// message on the caller's thread — required for the deterministic
 	// stepped replays. Sites with an inbox must be Close()d.
 	InboxSize int
-	// LockedTrace, when true, computes local traces entirely under the
-	// site lock (the pre-mailbox design). It exists as the baseline for
-	// the off-lock benchmarks; leave it false otherwise.
-	LockedTrace bool
-	// Incremental enables incremental local tracing: mutator write
-	// barriers track dirty objects and iorefs, BeginLocalTrace takes
-	// O(dirty) patched snapshots instead of deep copies, and the tracer
-	// remarks from the dirty set — reusing the previous trace's marks,
-	// distances, and back information — whenever every change since the
-	// last trace was monotone, falling back to a full trace otherwise.
-	// Results are identical to full traces either way; see
-	// docs/ALGORITHM.md.
+	// Incremental makes each local trace attempt a dirty-set remark
+	// first — reusing the previous trace's marks, distances, and back
+	// information — which applies whenever every change since the last
+	// trace was monotone and small against the heap; otherwise, and
+	// always when this is false, the trace runs the full mark. It selects
+	// nothing else: snapshots, locking and the full marker are the same
+	// either way, and so are the results; see docs/ALGORITHM.md.
 	Incremental bool
-	// MaxDirtyRatio bounds the incremental remark: when changed entities
-	// exceed this fraction of the heap, the trace runs full (a remark
-	// would touch most of the heap anyway, with worse constants). Zero
-	// means tracer.DefaultMaxDirtyRatio. Only meaningful with Incremental.
-	MaxDirtyRatio float64
 	// Shards requests a minimum shard count for the heap and ioref table.
 	// The site always uses max(GOMAXPROCS, Shards) shards, so mutator
 	// operations on distinct objects contend on distinct locks and trace
@@ -151,10 +142,10 @@ type Config struct {
 	// observable results — only lock granularity and snapshot parallelism.
 	Shards int
 	// TraceWorkers is the number of mark workers local traces run with.
-	// Above one, full traces use the work-stealing parallel marker and
-	// incremental remarks relax dirty seeds on a worker pool; results are
-	// bit-identical to the sequential tracer. Zero or one keeps the
-	// sequential path.
+	// Zero or one runs the marker inline on the tracing goroutine; above
+	// one, the same marker shares its work between that many goroutines
+	// and incremental remarks relax dirty seeds on a worker pool. Results
+	// are bit-identical at every count.
 	TraceWorkers int
 	// Clock supplies every timestamp the site takes: span start/end times,
 	// mailbox queue-delay accounting, and the engine's timeout deadlines.
@@ -246,12 +237,12 @@ type Site struct {
 	pendingBarrierInrefs  []ids.ObjID
 	pendingBarrierOutrefs []ids.Ref
 
-	// incr carries trace-to-trace state for incremental local traces
-	// (Config.Incremental); scratch holds the reusable full-trace buffers
-	// used otherwise. Both are guarded by traceMu, not mu: they are
-	// touched only inside a local-trace lifecycle.
-	incr    *tracer.Incremental
-	scratch *tracer.Scratch
+	// incr is the site's tracer: incr.Full runs every full mark and owns
+	// the dense mark table they reuse, and incr itself carries the
+	// trace-to-trace state of the remark Config.Incremental puts in front
+	// of it. Guarded by traceMu, not mu: it is touched only inside a
+	// local-trace lifecycle.
+	incr tracer.Incremental
 
 	liveStreak int // consecutive Live outcomes, for AdaptiveThreshold
 
@@ -358,16 +349,9 @@ func New(cfg Config) *Site {
 		partStart:      make(map[ids.TraceID]time.Time),
 		traceQueueWait: make(map[ids.TraceID]time.Duration),
 	}
-	if cfg.Incremental {
-		s.heap.EnableDeltaTracking()
-		s.table.EnableDeltaTracking()
-		s.incr = &tracer.Incremental{
-			MaxDirtyRatio: cfg.MaxDirtyRatio,
-			Workers:       cfg.TraceWorkers,
-		}
-	} else {
-		s.scratch = &tracer.Scratch{}
-	}
+	s.heap.EnableDeltaTracking()
+	s.table.EnableDeltaTracking()
+	s.incr.Full.Workers = cfg.TraceWorkers
 	reg := cfg.Counters.Registry()
 	s.histRTT = reg.Histogram(obs.MetricBackTraceRTT,
 		"wall-clock duration of back traces initiated by this site", nil)

@@ -6,10 +6,11 @@ import "backtrace/internal/ids"
 // collector outcome: identical marks and mark distances, outref distances,
 // dead/untraced/missing sets, and back information. Stats are excluded —
 // they carry cost and scheduling counters (durations, worker and steal
-// counts) that legitimately differ between the sequential, parallel, and
-// incremental paths. The comparison is content-based: nil compares equal
-// to empty (the paths differ in which they produce for absent sets), and
-// mark sets compare equal across different shard partitionings.
+// counts, remark rescans) that legitimately differ between worker counts
+// and between a remark and a full mark. The comparison is content-based:
+// nil compares equal to empty (a remark and a full mark differ in which
+// they produce for absent sets), and mark sets compare equal across
+// different shard partitionings.
 func EqualResults(a, b *Result) bool {
 	if a == nil || b == nil {
 		return a == b

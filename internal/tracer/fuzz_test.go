@@ -70,8 +70,8 @@ func FuzzOutsetAlgorithmsAgree(f *testing.F) {
 			tbl.SetSourceDistance(obj.Obj, src, int(next()%12))
 		}
 
-		ind := Run(h, tbl, threshold, AlgoIndependent)
-		bu := Run(h, tbl, threshold, AlgoBottomUp)
+		ind := new(Tracer).Run(h, tbl, threshold, AlgoIndependent)
+		bu := new(Tracer).Run(h, tbl, threshold, AlgoBottomUp)
 
 		if !reflect.DeepEqual(ind.Marked, bu.Marked) {
 			t.Fatalf("mark phases differ")

@@ -48,12 +48,11 @@ type Incremental struct {
 	// DefaultMaxDirtyRatio.
 	MaxDirtyRatio float64
 
-	// Workers selects the mark parallelism: above one, full-trace
-	// fallbacks run the work-stealing RunParallel and remarks relax their
-	// seeds on a work-stealing pool over the shard-partitioned mark set.
-	// The committed result is identical either way; see parallel.go for
-	// the fixpoint argument.
-	Workers int
+	// Full is the tracer every fallback runs on. Its Workers also sizes
+	// the remark: above one, remarks relax their seeds on a work-stealing
+	// pool over the shard-partitioned mark set. The committed result is
+	// identical either way; see parallel.go for the fixpoint argument.
+	Full Tracer
 
 	prevRes *Result
 	algo    OutsetAlgorithm
@@ -80,9 +79,9 @@ func (inc *Incremental) Reset() {
 
 // Run performs a local trace on the snapshot (h, tbl), using the deltas to
 // remark incrementally when possible and falling back to a full trace
-// otherwise. The result is identical to Run(h, tbl, threshold, algo) either
-// way. The previous Run's Result and the maps inside it are reused and must
-// no longer be read by the caller.
+// otherwise. The result is identical to Full.Run(h, tbl, threshold, algo)
+// either way. The previous Run's Result and the maps inside it are reused
+// and must no longer be read by the caller.
 func (inc *Incremental) Run(h *heap.Heap, tbl *refs.Table, hd *heap.Delta, td *refs.Delta, threshold int, algo OutsetAlgorithm) *Result {
 	inc.Runs++
 	reason := inc.fallbackReason(h, hd, td, threshold, algo)
@@ -93,7 +92,7 @@ func (inc *Incremental) Run(h *heap.Heap, tbl *refs.Table, hd *heap.Delta, td *r
 		return res
 	}
 	inc.FullTraces++
-	res := RunParallel(h, tbl, threshold, algo, inc.Workers)
+	res := inc.Full.Run(h, tbl, threshold, algo)
 	res.Stats.FallbackReason = reason
 	inc.prevRes, inc.algo = res, algo
 	return res
@@ -139,6 +138,7 @@ func (inc *Incremental) remark(h *heap.Heap, tbl *refs.Table, hd *heap.Delta, td
 		OutrefDist: outrefDist,
 	}
 	res.Stats.Incremental = true
+	res.Stats.Workers = max(1, inc.Full.Workers)
 
 	// touched becomes true when any change could have altered a suspected
 	// inref's cone: a mark or outref-distance transition with the old or
@@ -217,7 +217,7 @@ func (inc *Incremental) remark(h *heap.Heap, tbl *refs.Table, hd *heap.Delta, td
 	}
 	res.Stats.DirtySeeds = seeds
 
-	if inc.Workers > 1 && len(queue) > 0 {
+	if inc.Full.Workers > 1 && len(queue) > 0 {
 		// Work-stealing relaxation over the shard-partitioned mark set;
 		// outrefDist stays a stable base the workers only read, with
 		// per-worker minima merged below it afterwards.
@@ -262,16 +262,7 @@ func (inc *Incremental) remark(h *heap.Heap, tbl *refs.Table, hd *heap.Delta, td
 	}
 
 	// Untraced and suspected-outref stats are O(outrefs), not O(heap).
-	for _, o := range tbl.Outrefs() {
-		if _, ok := outrefDist[o.Target]; !ok {
-			res.Untraced = append(res.Untraced, o.Target)
-		}
-	}
-	for _, d := range outrefDist {
-		if d > threshold+1 {
-			res.Stats.SuspectedOutrefs++
-		}
-	}
+	res.Untraced, res.Stats.SuspectedOutrefs = outrefSummary(tbl, outrefDist, threshold)
 
 	if !touched {
 		res.Back = prev.Back
@@ -280,16 +271,7 @@ func (inc *Incremental) remark(h *heap.Heap, tbl *refs.Table, hd *heap.Delta, td
 		inc.OutsetReuses++
 	} else {
 		env := &outsetEnv{h: h, tbl: tbl, mr: &markResult{marked: marked, outrefDist: outrefDist}, threshold: threshold}
-		var (
-			outsets map[ids.ObjID][]ids.Ref
-			ost     outsetStats
-		)
-		switch algo {
-		case AlgoIndependent:
-			outsets, ost = outsetsIndependent(env)
-		default:
-			outsets, ost = outsetsBottomUp(env)
-		}
+		outsets, ost := computeOutsets(env, algo)
 		res.Back = NewBackInfo(outsets)
 		res.Stats.OutsetVisits = ost.objectsVisited
 		res.Stats.OutsetRetraced = ost.objectsRetraced
@@ -327,7 +309,7 @@ func (inc *Incremental) remarkParallel(h *heap.Heap, tbl *refs.Table, res *Resul
 	var touchedA atomic.Bool
 	site := h.Site()
 
-	eng := newParEngine(inc.Workers, func(w *parWorker, obj ids.ObjID) {
+	eng := newParEngine(inc.Full.Workers, func(w *parWorker, obj ids.ObjID) {
 		w.scanned++
 		si := marked.ShardOf(obj)
 		locks[si].Lock()
@@ -399,6 +381,5 @@ func (inc *Incremental) remarkParallel(h *heap.Heap, tbl *refs.Table, res *Resul
 	if touchedA.Load() {
 		*touched = true
 	}
-	res.Stats.Workers = inc.Workers
 	res.Stats.Steals = eng.steals.Load()
 }

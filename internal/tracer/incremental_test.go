@@ -53,10 +53,11 @@ func sameResult(t *testing.T, ctx string, inc, full *Result) {
 // TestIncrementalEquivalence is the exactness property test: over seeded
 // randomized mutation sequences (mirroring the legal site flows — monotone
 // mutations most rounds, occasional invalidating ones to exercise the
-// fallback), every Incremental.Run result must be identical to a full
-// tracer.Run on a deep snapshot of the same state. Dead objects are swept
-// after each trace, as the site's commit does, which is what makes the
-// incremental dead-set rule exact.
+// fallback), every Incremental.Run result must be identical to the
+// reference trace of a deep snapshot of the same state, at every worker
+// count in {1, 2, 4, 8}. Dead objects are swept after each trace, as the
+// site's commit does, which is what makes the incremental dead-set rule
+// exact.
 func TestIncrementalEquivalence(t *testing.T) {
 	const (
 		numSeeds  = 30
@@ -73,7 +74,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 			tbl.EnableDeltaTracking()
 			// Tiny property-test heaps would constantly trip the dirty-ratio
 			// knob; the point here is exactness of the remark, so disable it.
-			inc := &Incremental{MaxDirtyRatio: 1e9}
+			inc := &Incremental{MaxDirtyRatio: 1e9, Full: Tracer{Workers: []int{1, 2, 4, 8}[seed%4]}}
 
 			var objs []ids.Ref
 			for i := 0; i < 4; i++ {
@@ -150,8 +151,8 @@ func TestIncrementalEquivalence(t *testing.T) {
 					mutate(allowInvalidating)
 				}
 
-				// Full trace on an independent deep copy of the same state.
-				want := Run(h.Snapshot(), tbl.Snapshot(), threshold, AlgoBottomUp)
+				// Reference trace on an independent deep copy of the same state.
+				want := referenceTrace(h.Snapshot(), tbl.Snapshot(), threshold, AlgoBottomUp)
 
 				sh, hd := h.TraceSnapshot()
 				stbl, td := tbl.TraceSnapshot()

@@ -1,43 +1,62 @@
 package tracer
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"backtrace/internal/heap"
 	"backtrace/internal/ids"
 	"backtrace/internal/refs"
 )
 
-// This file implements the parallel local trace: a work-stealing mark whose
-// result is bit-identical to the sequential tracer's.
+// This file implements the forward mark of every full local trace: a
+// work-stealing relaxation over a dense mark table. With one worker it runs
+// inline on the caller's goroutine and is the sequential trace; more workers
+// only split the same work.
 //
-// Why the results agree: the sequential forward mark of Sections 2–3
+// Why it computes the paper's trace: the forward mark of Sections 2–3
 // processes roots in ascending distance order with single marking, so an
 // object's mark is the MINIMUM root distance over the roots that reach it,
 // and an outref's distance is one plus the minimum final mark over the
 // objects holding it (folded with the distance-1 application-root seeds).
 // Both are minimum fixpoints of improve-only relaxation, and a fixpoint
-// does not care about evaluation order: the parallel mark runs the same
-// relaxation with a compare-and-swap minimum per object and re-queues an
-// object whenever its mark improves, so every object is eventually scanned
-// at its final mark and every outref sees one-plus-that. The merge then
-// sorts everything the sequential path sorts (dead objects, untraced and
-// missing outrefs) and partitions marks by the same heap-shard hash, so
-// maps and slices compare DeepEqual against a sequential run on the same
-// snapshot. Scheduling-dependent quantities (scan counts, steals) live only
-// in Stats, which equivalence deliberately ignores.
+// does not care about evaluation order: the mark runs that relaxation with
+// a compare-and-swap minimum per object and re-queues an object whenever its
+// mark improves, so every object is eventually scanned at its final mark and
+// every outref sees one-plus-that. The merge sorts dead objects and missing
+// outrefs and partitions marks by the heap-shard hash, so the Result is the
+// same at every worker count and DeepEqual to the literal ascending-distance
+// trace the tests keep as their oracle (reference_test.go). Only
+// Stats.Steals depends on scheduling.
 //
 // The mark table is a dense []int64 indexed by object id (the heap's
 // allocation high-water mark bounds it), storing distance+1 so the zero
-// value means "unmarked" and no sentinel fill pass is needed. Workers CAS
+// value means "unmarked" and clearing it is the only reset. Workers CAS
 // ids without checking heap membership first — marking a deleted or absent
 // id is harmless, because scans look the object up (and skip it) and
 // materialization walks heap shards, never the dense array, so phantom
 // marks can't leak into the result.
+
+// markResult is the outcome of the forward marking phase.
+type markResult struct {
+	// marked maps every reached object to the minimum distance over the
+	// roots that reach it.
+	marked *MarkSet
+	// outrefDist is the new estimated distance of each outref the trace
+	// reached: one plus the minimum mark over the objects holding it
+	// (Section 3).
+	outrefDist map[ids.Ref]int
+	// missingOutrefs lists remote references encountered in reachable
+	// objects for which the outref table has no entry — a protocol
+	// invariant violation surfaced for tests.
+	missingOutrefs []ids.Ref
+	// dead lists the heap objects the trace did not reach, ascending.
+	dead []ids.ObjID
+}
 
 // parChunk is the granularity of work stealing: workers keep a private
 // LIFO stack for locality and expose surplus in chunks of this size.
@@ -91,8 +110,12 @@ func (e *parEngine) seed(objs []ids.ObjID) {
 }
 
 // run executes the relaxation to fixpoint and blocks until all workers
-// exit.
+// exit. A single worker runs on the caller's goroutine.
 func (e *parEngine) run() {
+	if len(e.workers) == 1 {
+		e.workers[0].run()
+		return
+	}
 	var wg sync.WaitGroup
 	for _, w := range e.workers {
 		wg.Add(1)
@@ -105,10 +128,11 @@ func (e *parEngine) run() {
 }
 
 // push adds a work item to the worker's private stack, publishing a
-// stealable chunk when the stack grows past four chunks' worth.
+// stealable chunk when the stack grows past four chunks' worth (a lone
+// worker has nobody to publish to and keeps a plain stack).
 func (w *parWorker) push(obj ids.ObjID) {
 	w.local = append(w.local, obj)
-	if len(w.local) >= 4*parChunk {
+	if len(w.local) >= 4*parChunk && len(w.eng.workers) > 1 {
 		n := len(w.local)
 		c := make([]ids.ObjID, parChunk)
 		copy(c, w.local[n-parChunk:])
@@ -202,68 +226,10 @@ func casMin(addr *int64, v int64) bool {
 	}
 }
 
-// RunParallel performs the same local trace as Run with the given number of
-// mark workers, producing a bit-identical Result (Stats excepted). Workers
-// of one or less delegate to the sequential path. Like Run it does not
-// modify the heap or tables; unlike Run it requires that nothing else
-// mutates them while it executes (the site guarantees this by tracing
-// snapshots).
-func RunParallel(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlgorithm, workers int) *Result {
-	if workers <= 1 {
-		return Run(h, tbl, threshold, algo)
-	}
-	start := time.Now()
-	mr, steals := parallelMark(h, tbl, workers)
-
-	env := &outsetEnv{h: h, tbl: tbl, mr: mr, threshold: threshold}
-	var (
-		outsets map[ids.ObjID][]ids.Ref
-		ost     outsetStats
-	)
-	switch algo {
-	case AlgoIndependent:
-		outsets, ost = outsetsIndependent(env)
-	default:
-		outsets, ost = outsetsBottomUp(env)
-	}
-
-	res := &Result{
-		Threshold:  threshold,
-		Marked:     mr.marked,
-		OutrefDist: mr.outrefDist,
-		Missing:    mr.missingOutrefs,
-		Back:       NewBackInfo(outsets),
-		Stats: Stats{
-			ObjectsTraced:   mr.objectsTraced,
-			OutsetVisits:    ost.objectsVisited,
-			OutsetRetraced:  ost.objectsRetraced,
-			Unions:          ost.unions,
-			MemoHits:        ost.memoHits,
-			SuspectedInrefs: len(outsets),
-			Workers:         workers,
-			Steals:          steals,
-		},
-	}
-
-	res.Dead = parallelDead(h, mr.marked)
-	for _, o := range tbl.Outrefs() {
-		if _, ok := mr.outrefDist[o.Target]; !ok {
-			res.Untraced = append(res.Untraced, o.Target)
-		}
-	}
-	for _, d := range mr.outrefDist {
-		if d > threshold+1 {
-			res.Stats.SuspectedOutrefs++
-		}
-	}
-	res.Stats.Duration = time.Since(start)
-	return res
-}
-
 // parallelMark runs the work-stealing relaxation and returns the merged
 // mark result plus the steal count.
-func parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*markResult, int64) {
-	marks := make([]int64, uint64(h.NextID())+1)
+func (t *Tracer) parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*markResult, int64) {
+	marks := t.clearedMarks(int(h.NextID()) + 1)
 	site := h.Site()
 
 	// Collect roots and seed the dense mark table; duplicate seeds of one
@@ -280,8 +246,9 @@ func parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*markResult, int6
 	for _, obj := range h.PersistentRoots() {
 		seedMark(obj, 0)
 	}
-	// Remote application roots seed outref distances at 1, exactly like
-	// the sequential path; they participate in the final minimum merge.
+	// A variable holding a remote reference is a root one inter-site hop
+	// from its target: it seeds the outref's distance at 1, folded into the
+	// final minimum merge.
 	appSeeds := make(map[ids.Ref]int)
 	for _, r := range h.AppRoots() {
 		if r.Site == site {
@@ -298,7 +265,6 @@ func parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*markResult, int6
 	}
 
 	eng := newParEngine(workers, func(w *parWorker, obj ids.ObjID) {
-		w.scanned++
 		enc := atomic.LoadInt64(&marks[obj])
 		o, ok := h.Get(obj)
 		if !ok {
@@ -325,6 +291,12 @@ func parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*markResult, int6
 			}
 		}
 	})
+	// Workers pop their stacks from the end, so seeding in descending
+	// distance order traces the roots in ascending order — the paper's
+	// order. One worker then finishes each root's cone before the next
+	// root, so an object's first mark is its final one and nothing is
+	// re-queued; more workers re-queue only where their cones overlap.
+	slices.SortFunc(seeds, func(a, b ids.ObjID) int { return cmp.Compare(marks[b], marks[a]) })
 	eng.seed(seeds)
 	eng.run()
 
@@ -333,7 +305,6 @@ func parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*markResult, int6
 		res.outrefDist[r] = d
 	}
 	for _, w := range eng.workers {
-		res.objectsTraced += w.scanned
 		for r, d := range w.outMin {
 			if cur, ok := res.outrefDist[r]; !ok || d < cur {
 				res.outrefDist[r] = d
@@ -349,73 +320,57 @@ func parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*markResult, int6
 		return res.missingOutrefs[i].Less(res.missingOutrefs[j])
 	})
 
-	// Materialize per-shard mark maps concurrently from the dense array;
-	// only objects actually in the heap are consulted, which filters the
-	// phantom marks.
-	res.marked = NewMarkSet(h.NumShards())
-	var wg sync.WaitGroup
-	for i := 0; i < h.NumShards(); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Pre-size to the shard's population: marks are the common case,
-			// and a too-large hint only wastes buckets, never correctness
-			// (map capacity is invisible to DeepEqual).
-			m := make(map[ids.ObjID]int, h.ShardLen(i))
-			res.marked.shards[i] = m
-			h.EachObjectInShard(i, func(id ids.ObjID, _ *heap.Object) {
-				if enc := atomic.LoadInt64(&marks[id]); enc != 0 {
-					m[id] = int(enc - 1)
-				}
-			})
-		}(i)
+	// Materialize the result from the dense array one heap shard at a time
+	// (inline for one worker, else a goroutine per shard): marked objects go
+	// into the shard's mark map, unmarked ones are the dead. Only objects
+	// actually in the heap are consulted, which filters the phantom marks.
+	res.marked = &MarkSet{shards: make([]map[ids.ObjID]int, h.NumShards())}
+	dead := make([][]ids.ObjID, h.NumShards())
+	materialize := func(i int) {
+		// Pre-size to the shard's population: marks are the common case,
+		// and a too-large hint only wastes buckets, never correctness
+		// (map capacity is invisible to DeepEqual).
+		m := make(map[ids.ObjID]int, h.ShardLen(i))
+		res.marked.shards[i] = m
+		h.EachObjectInShard(i, func(id ids.ObjID, _ *heap.Object) {
+			if enc := marks[id]; enc != 0 {
+				m[id] = int(enc - 1)
+			} else {
+				dead[i] = append(dead[i], id)
+			}
+		})
 	}
-	wg.Wait()
+	if workers == 1 {
+		for i := range dead {
+			materialize(i)
+		}
+	} else {
+		var wg sync.WaitGroup
+		for i := range dead {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				materialize(i)
+			}(i)
+		}
+		wg.Wait()
+	}
+	for _, part := range dead {
+		res.dead = append(res.dead, part...)
+	}
+	slices.Sort(res.dead)
 	return res, eng.steals.Load()
 }
 
-// parallelDead collects the unmarked heap objects: per-shard collection and
-// sort on one goroutine per shard, then a k-way merge into the globally
-// ascending order the sequential path produces.
-func parallelDead(h *heap.Heap, ms *MarkSet) []ids.ObjID {
-	parts := make([][]ids.ObjID, h.NumShards())
-	var wg sync.WaitGroup
-	for i := 0; i < h.NumShards(); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m := ms.Shard(i)
-			h.EachObjectInShard(i, func(id ids.ObjID, _ *heap.Object) {
-				if _, ok := m[id]; !ok {
-					parts[i] = append(parts[i], id)
-				}
-			})
-			sort.Slice(parts[i], func(a, b int) bool { return parts[i][a] < parts[i][b] })
-		}(i)
+// clearedMarks returns the tracer's mark table zeroed at length n. The
+// backing array is reused from trace to trace and grows by a quarter beyond
+// need, so a site whose ids creep upwards does not reallocate every trace.
+func (t *Tracer) clearedMarks(n int) []int64 {
+	if cap(t.marks) < n {
+		t.marks = make([]int64, n, n+n/4)
+		return t.marks
 	}
-	wg.Wait()
-
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		return nil
-	}
-	dead := make([]ids.ObjID, 0, total)
-	heads := make([]int, len(parts))
-	for len(dead) < total {
-		best := -1
-		for i, p := range parts {
-			if heads[i] >= len(p) {
-				continue
-			}
-			if best < 0 || p[heads[i]] < parts[best][heads[best]] {
-				best = i
-			}
-		}
-		dead = append(dead, parts[best][heads[best]])
-		heads[best]++
-	}
-	return dead
+	t.marks = t.marks[:n]
+	clear(t.marks)
+	return t.marks
 }

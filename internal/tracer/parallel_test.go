@@ -67,9 +67,12 @@ func mutateState(rng *rand.Rand, h *heap.Heap, tbl *refs.Table, objs *[]ids.Ref,
 }
 
 // TestParallelEquivalence is the bit-identical property for full traces:
-// over seeded randomized states on varying shard counts, RunParallel must
-// match sequential Run on every comparable result field, for every worker
-// count in {1, 2, 4, 8} and both outset algorithms.
+// over seeded randomized states on varying shard counts, Tracer.Run must
+// match the literal Sections 2–3 trace (referenceTrace) on every comparable
+// result field, for every worker count in {1, 2, 4, 8} and both outset
+// algorithms, and report the same deterministic stats at each of them. One
+// Tracer per worker count lives across the rounds, so the reused mark table
+// is cleared between traces or the test fails.
 func TestParallelEquivalence(t *testing.T) {
 	const (
 		numSeeds  = 30
@@ -88,6 +91,8 @@ func TestParallelEquivalence(t *testing.T) {
 			h := heap.NewSharded(1, shards)
 			tbl := refs.NewTableSharded(1, threshold+2, shards)
 
+			tracers := []*Tracer{{Workers: 1}, {Workers: 2}, {Workers: 4}, {Workers: 8}}
+
 			var objs []ids.Ref
 			for i := 0; i < 4; i++ {
 				objs = append(objs, h.AllocRoot())
@@ -96,14 +101,18 @@ func TestParallelEquivalence(t *testing.T) {
 				for step := 0; step < 25; step++ {
 					mutateState(rng, h, tbl, &objs, threshold, round%4 == 3)
 				}
-				want := Run(h, tbl, threshold, algo)
-				for _, workers := range []int{1, 2, 4, 8} {
-					got := RunParallel(h, tbl, threshold, algo, workers)
+				want := referenceTrace(h, tbl, threshold, algo)
+				for _, tr := range tracers {
+					got := tr.Run(h, tbl, threshold, algo)
 					sameResult(t, fmt.Sprintf("seed %d round %d shards %d workers %d algo %v",
-						seed, round, shards, workers, algo), got, want)
+						seed, round, shards, tr.Workers, algo), got, want)
 					if !EqualResults(got, want) {
 						t.Fatalf("seed %d round %d workers %d: EqualResults disagrees with field comparison",
-							seed, round, workers)
+							seed, round, tr.Workers)
+					}
+					if got.Stats.ObjectsTraced != int64(want.Marked.Len()) || got.Stats.Workers != tr.Workers {
+						t.Fatalf("seed %d round %d workers %d: ObjectsTraced %d Workers %d, want %d objects marked once each",
+							seed, round, tr.Workers, got.Stats.ObjectsTraced, got.Stats.Workers, want.Marked.Len())
 					}
 				}
 				// Sweep as the site's commit would.
@@ -116,12 +125,12 @@ func TestParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelIncrementalEquivalence covers the parallel remark: an
-// Incremental tracer with Workers > 1 (parallel full-trace fallbacks AND
-// work-stealing dirty-seed remarks) must stay identical to a sequential
-// full trace of the same state. Every fifth round is idle, which must take
-// the memoized back-info reuse path (zero seeds relaxed, previous outsets
-// carried over) and still compare equal.
+// TestParallelIncrementalEquivalence covers the remark at every worker
+// count: an Incremental tracer with Full.Workers in {1, 2, 4, 8} (dense-mark
+// fallbacks, and above one worker work-stealing dirty-seed remarks) must stay
+// identical to the reference trace of the same state. Every fifth round is
+// idle, which must take the memoized back-info reuse path (zero seeds
+// relaxed, previous outsets carried over) and still compare equal.
 func TestParallelIncrementalEquivalence(t *testing.T) {
 	const (
 		numSeeds  = 30
@@ -132,13 +141,13 @@ func TestParallelIncrementalEquivalence(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			workers := []int{2, 4, 8}[seed%3]
+			workers := []int{1, 2, 4, 8}[seed%4]
 			shards := []int{1, 2, 8}[seed%3]
 			h := heap.NewSharded(1, shards)
 			tbl := refs.NewTableSharded(1, threshold+2, shards)
 			h.EnableDeltaTracking()
 			tbl.EnableDeltaTracking()
-			inc := &Incremental{MaxDirtyRatio: 1e9, Workers: workers}
+			inc := &Incremental{MaxDirtyRatio: 1e9, Full: Tracer{Workers: workers}}
 
 			var objs []ids.Ref
 			for i := 0; i < 4; i++ {
@@ -152,7 +161,7 @@ func TestParallelIncrementalEquivalence(t *testing.T) {
 						mutateState(rng, h, tbl, &objs, threshold, round%4 == 3)
 					}
 				}
-				want := Run(h.Snapshot(), tbl.Snapshot(), threshold, AlgoBottomUp)
+				want := referenceTrace(h.Snapshot(), tbl.Snapshot(), threshold, AlgoBottomUp)
 
 				sh, hd := h.TraceSnapshot()
 				stbl, td := tbl.TraceSnapshot()

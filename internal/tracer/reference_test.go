@@ -8,30 +8,19 @@ import (
 	"backtrace/internal/refs"
 )
 
+// This file is the tests' oracle: the local trace written the way Sections
+// 2–3 state it — roots traced one at a time in ascending distance order,
+// every object marked once by the first root that reaches it — with none of
+// the production marker's machinery (no dense table, no relaxation, no
+// workers). The equivalence tests compare Tracer.Run and Incremental.Run
+// against it at every worker count.
+
 // root is one starting point of the forward trace: a local object together
 // with the distance of the root it represents (0 for persistent and
 // application roots, the inref distance otherwise).
 type root struct {
 	obj  ids.ObjID
 	dist int
-}
-
-// markResult is the outcome of the forward marking phase.
-type markResult struct {
-	// marked maps every reached object to the distance of the root whose
-	// trace first reached it (the minimum, because roots are processed in
-	// ascending distance order with single marking).
-	marked *MarkSet
-	// outrefDist is the new estimated distance of each outref the trace
-	// reached: one plus the distance of the inref being traced when first
-	// reached (Section 3).
-	outrefDist map[ids.Ref]int
-	// missingOutrefs lists remote references encountered in reachable
-	// objects for which the outref table has no entry — a protocol
-	// invariant violation surfaced for tests.
-	missingOutrefs []ids.Ref
-	// objectsTraced counts objects scanned (each exactly once).
-	objectsTraced int64
 }
 
 // forwardMark performs the distance-ordered local trace of Sections 2–3:
@@ -44,26 +33,12 @@ type markResult struct {
 //
 // Remote references held directly in application-root variables mark the
 // corresponding outrefs at distance 1.
-func forwardMark(h *heap.Heap, tbl *refs.Table, sc *Scratch) *markResult {
-	res := &markResult{}
-	var roots []root
-	var stack []ids.ObjID
-	if sc != nil {
-		if sc.marked == nil || sc.marked.NumShards() != h.NumShards() {
-			sc.marked = NewMarkSet(h.NumShards())
-			sc.outrefDist = make(map[ids.Ref]int)
-		}
-		sc.marked.Clear()
-		clear(sc.outrefDist)
-		res.marked = sc.marked
-		res.outrefDist = sc.outrefDist
-		roots = sc.roots[:0]
-		stack = sc.stack[:0]
-	} else {
-		res.marked = NewMarkSet(h.NumShards())
-		res.outrefDist = make(map[ids.Ref]int)
+func forwardMark(h *heap.Heap, tbl *refs.Table) *markResult {
+	res := &markResult{
+		marked:     NewMarkSet(h.NumShards()),
+		outrefDist: make(map[ids.Ref]int),
 	}
-
+	var roots []root
 	for _, obj := range h.PersistentRoots() {
 		roots = append(roots, root{obj: obj, dist: 0})
 	}
@@ -96,6 +71,7 @@ func forwardMark(h *heap.Heap, tbl *refs.Table, sc *Scratch) *markResult {
 		return roots[i].obj < roots[j].obj
 	})
 
+	var stack []ids.ObjID
 	for _, rt := range roots {
 		if !h.Contains(rt.obj) {
 			continue
@@ -108,7 +84,6 @@ func forwardMark(h *heap.Heap, tbl *refs.Table, sc *Scratch) *markResult {
 		for len(stack) > 0 {
 			obj := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			res.objectsTraced++
 			o, ok := h.Get(obj)
 			if !ok {
 				continue
@@ -140,9 +115,33 @@ func forwardMark(h *heap.Heap, tbl *refs.Table, sc *Scratch) *markResult {
 			}
 		}
 	}
-	if sc != nil {
-		sc.roots = roots
-		sc.stack = stack
+	return res
+}
+
+// referenceTrace is the whole local trace over forwardMark: what a commit
+// consumes, computed by plain loops over the sorted heap and table. Only
+// the Section 5 outset pass is shared with production — the two outset
+// algorithms are checked against each other elsewhere.
+func referenceTrace(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlgorithm) *Result {
+	mr := forwardMark(h, tbl)
+	outsets, _ := computeOutsets(&outsetEnv{h: h, tbl: tbl, mr: mr, threshold: threshold}, algo)
+	res := &Result{
+		Threshold:  threshold,
+		Marked:     mr.marked,
+		OutrefDist: mr.outrefDist,
+		Missing:    mr.missingOutrefs,
+		Back:       NewBackInfo(outsets),
 	}
+	for _, obj := range h.Objects() {
+		if _, ok := mr.marked.Get(obj); !ok {
+			res.Dead = append(res.Dead, obj)
+		}
+	}
+	for _, o := range tbl.Outrefs() {
+		if _, ok := mr.outrefDist[o.Target]; !ok {
+			res.Untraced = append(res.Untraced, o.Target)
+		}
+	}
+	sort.Slice(res.Missing, func(i, j int) bool { return res.Missing[i].Less(res.Missing[j]) })
 	return res
 }

@@ -2,7 +2,6 @@ package tracer
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"backtrace/internal/heap"
@@ -36,8 +35,9 @@ func (a OutsetAlgorithm) String() string {
 
 // Stats reports the cost of one local trace.
 type Stats struct {
-	// ObjectsTraced counts objects scanned by the forward marking phase
-	// (each exactly once).
+	// ObjectsTraced counts the objects the forward mark reached, each
+	// exactly once whatever the worker count. For an incremental remark it
+	// counts the rescans the relaxation made instead.
 	ObjectsTraced int64
 	// OutsetVisits counts object scans during outset computation.
 	OutsetVisits int64
@@ -69,25 +69,11 @@ type Stats struct {
 	// unchanged from the previous trace instead of being recomputed.
 	OutsetsReused bool
 
-	// Workers is the number of mark workers the trace ran with (1 for the
-	// sequential path); Steals counts work-stealing events between their
-	// deques. Scheduling-dependent, so excluded from result equivalence.
+	// Workers is the number of mark workers the trace ran with, always at
+	// least 1. Steals counts work-stealing events between their deques; it
+	// is the one scheduling-dependent counter, zero with one worker.
 	Workers int
 	Steals  int64
-}
-
-// Scratch holds reusable trace buffers so consecutive full traces stop
-// allocating fresh mark and distance maps every round. A Result produced
-// with a Scratch aliases its maps and slices: it is valid only until the
-// next Run with the same Scratch. The owning Site commits each result
-// before starting the next trace, which provides exactly that lifetime.
-type Scratch struct {
-	marked     *MarkSet
-	outrefDist map[ids.Ref]int
-	roots      []root
-	stack      []ids.ObjID
-	dead       []ids.ObjID
-	untraced   []ids.Ref
 }
 
 // Result is the outcome of one local trace, computed without mutating the
@@ -133,75 +119,80 @@ func (r *Result) IsLiveObj(obj ids.ObjID) bool {
 	return ok
 }
 
+// Tracer runs one site's full local traces. The zero value is ready to
+// use. It owns the only state a full trace keeps between runs — the dense
+// mark table, cleared and reused so steady-state traces stop allocating it —
+// and is therefore not safe for concurrent use; the owning site's trace
+// mutex already serializes local traces. Results never alias the table.
+type Tracer struct {
+	// Workers is the number of mark workers. One (or less) is the
+	// sequential case: the same marker, run inline on the caller's
+	// goroutine. The result is identical at every worker count.
+	Workers int
+
+	// marks is the dense mark table, indexed by object id. It is sized by
+	// the heap's allocation high-water mark, so it grows with the ids ever
+	// allocated rather than with the live objects.
+	marks []int64
+}
+
 // Run performs a local trace of the heap at the given suspicion threshold:
 // the distance-ordered forward mark of Sections 2–3 followed by the
 // Section 5 computation of back information with the selected algorithm.
-// It does not modify the heap or the tables, so it may run on a Snapshot
-// of both while the live site state keeps changing — the off-lock local
-// trace enabled by the Section 6.2 double buffering.
-func Run(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlgorithm) *Result {
-	return RunWithScratch(h, tbl, threshold, algo, nil)
-}
-
-// RunWithScratch is Run reusing the buffers in sc (which may be nil). See
-// Scratch for the aliasing contract.
-func RunWithScratch(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlgorithm, sc *Scratch) *Result {
+// It does not modify the heap or the tables but requires that nothing else
+// mutates them meanwhile; the site guarantees this by tracing a snapshot of
+// both while the live state keeps changing — the off-lock local trace
+// enabled by the Section 6.2 double buffering.
+func (t *Tracer) Run(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlgorithm) *Result {
 	start := time.Now()
-	mr := forwardMark(h, tbl, sc)
-
-	env := &outsetEnv{h: h, tbl: tbl, mr: mr, threshold: threshold}
-	var (
-		outsets map[ids.ObjID][]ids.Ref
-		ost     outsetStats
-	)
-	switch algo {
-	case AlgoIndependent:
-		outsets, ost = outsetsIndependent(env)
-	default:
-		outsets, ost = outsetsBottomUp(env)
-	}
+	workers := max(1, t.Workers)
+	mr, steals := t.parallelMark(h, tbl, workers)
+	outsets, ost := computeOutsets(&outsetEnv{h: h, tbl: tbl, mr: mr, threshold: threshold}, algo)
 
 	res := &Result{
 		Threshold:  threshold,
 		Marked:     mr.marked,
+		Dead:       mr.dead,
 		OutrefDist: mr.outrefDist,
 		Missing:    mr.missingOutrefs,
 		Back:       NewBackInfo(outsets),
 		Stats: Stats{
-			ObjectsTraced:   mr.objectsTraced,
+			ObjectsTraced:   int64(mr.marked.Len()),
 			OutsetVisits:    ost.objectsVisited,
 			OutsetRetraced:  ost.objectsRetraced,
 			Unions:          ost.unions,
 			MemoHits:        ost.memoHits,
 			SuspectedInrefs: len(outsets),
+			Workers:         workers,
+			Steals:          steals,
 		},
 	}
-	if sc != nil {
-		res.Dead = sc.dead[:0]
-		res.Untraced = sc.untraced[:0]
-	}
-
-	for _, obj := range h.Objects() {
-		if _, ok := mr.marked.Get(obj); !ok {
-			res.Dead = append(res.Dead, obj)
-		}
-	}
-	for _, o := range tbl.Outrefs() {
-		if _, ok := mr.outrefDist[o.Target]; !ok {
-			res.Untraced = append(res.Untraced, o.Target)
-		}
-	}
-	for _, d := range mr.outrefDist {
-		if d > threshold+1 {
-			res.Stats.SuspectedOutrefs++
-		}
-	}
-	sort.Slice(res.Untraced, func(i, j int) bool { return res.Untraced[i].Less(res.Untraced[j]) })
-	sort.Slice(res.Missing, func(i, j int) bool { return res.Missing[i].Less(res.Missing[j]) })
-	if sc != nil {
-		sc.dead = res.Dead
-		sc.untraced = res.Untraced
-	}
+	res.Untraced, res.Stats.SuspectedOutrefs = outrefSummary(tbl, mr.outrefDist, threshold)
 	res.Stats.Duration = time.Since(start)
 	return res
+}
+
+// computeOutsets runs the selected Section 5 algorithm over the marks in
+// env.
+func computeOutsets(env *outsetEnv, algo OutsetAlgorithm) (map[ids.ObjID][]ids.Ref, outsetStats) {
+	if algo == AlgoIndependent {
+		return outsetsIndependent(env)
+	}
+	return outsetsBottomUp(env)
+}
+
+// outrefSummary lists the outrefs a trace did not reach (ascending, the
+// table's order) and counts the reached ones that are suspected.
+func outrefSummary(tbl *refs.Table, outrefDist map[ids.Ref]int, threshold int) (untraced []ids.Ref, suspected int) {
+	for _, o := range tbl.Outrefs() {
+		if _, ok := outrefDist[o.Target]; !ok {
+			untraced = append(untraced, o.Target)
+		}
+	}
+	for _, d := range outrefDist {
+		if d > threshold+1 {
+			suspected++
+		}
+	}
+	return untraced, suspected
 }

@@ -52,7 +52,7 @@ func TestMarkSweepBasics(t *testing.T) {
 	f.edge(root, a)
 	f.edge(a, b)
 
-	res := Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
 	if !res.IsLiveObj(root.Obj) || !res.IsLiveObj(a.Obj) || !res.IsLiveObj(b.Obj) {
 		t.Fatal("reachable objects not marked")
 	}
@@ -74,7 +74,7 @@ func TestInrefIsRoot(t *testing.T) {
 	f.edge(a, b)
 	f.inref(a, 2, 1)
 
-	res := Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
 	if !res.IsLiveObj(a.Obj) || !res.IsLiveObj(b.Obj) {
 		t.Fatal("objects reachable from inref must survive")
 	}
@@ -92,7 +92,7 @@ func TestGarbageFlaggedInrefIsNotRoot(t *testing.T) {
 	in, _ := f.tbl.Inref(a.Obj)
 	in.Garbage = true
 
-	res := Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
 	if res.IsLiveObj(a.Obj) || res.IsLiveObj(b.Obj) {
 		t.Fatal("objects behind a garbage-flagged inref must die (Section 4.5)")
 	}
@@ -112,7 +112,7 @@ func TestAppRootsAreRoots(t *testing.T) {
 	f.tbl.EnsureOutref(remote)
 	f.h.AddAppRoot(remote) // mutator variable holds a remote ref
 
-	res := Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
 	if !res.IsCleanObj(a.Obj) || !res.IsCleanObj(b.Obj) {
 		t.Fatal("objects held by application roots must be clean (Section 6.3)")
 	}
@@ -139,7 +139,7 @@ func TestDistancePropagation(t *testing.T) {
 	root := f.rootObj()
 	f.edge(root, s)
 
-	res := Run(f.h, f.tbl, 0, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl, 0, AlgoBottomUp)
 	if d := res.OutrefDist[r]; d != 2 {
 		t.Fatalf("outref r distance = %d, want 1+min(1,3)=2", d)
 	}
@@ -155,7 +155,7 @@ func TestDistanceSaturation(t *testing.T) {
 	r := ids.MakeRef(3, 1)
 	f.edge(a, r)
 
-	res := Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
 	if d := res.OutrefDist[r]; d != refs.DistInfinity {
 		t.Fatalf("distance = %d, want saturation at infinity", d)
 	}
@@ -169,7 +169,7 @@ func TestUntracedOutrefsListed(t *testing.T) {
 	stale := ids.MakeRef(3, 9)
 	f.tbl.EnsureOutref(stale) // no object references it at all
 
-	res := Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
 	want := refSlice(ids.MakeRef(2, 5), ids.MakeRef(3, 9))
 	if !reflect.DeepEqual(res.Untraced, want) {
 		t.Fatalf("Untraced = %v, want %v", res.Untraced, want)
@@ -184,7 +184,7 @@ func TestMissingOutrefDetected(t *testing.T) {
 	if err := f.h.AddField(root.Obj, r); err != nil {
 		t.Fatal(err)
 	}
-	res := Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
 	if len(res.Missing) != 1 || res.Missing[0] != r {
 		t.Fatalf("Missing = %v, want [%v]", res.Missing, r)
 	}
@@ -207,7 +207,7 @@ func TestFigure2Insets(t *testing.T) {
 			f.edge(b, c)
 			f.edge(b, d)
 
-			res := Run(f.h, f.tbl, 2, algo)
+			res := new(Tracer).Run(f.h, f.tbl, 2, algo)
 			if got := res.Back.Inset(c); !reflect.DeepEqual(got, []ids.ObjID{a.Obj, b.Obj}) {
 				t.Errorf("inset of c = %v, want [a b] = [%v %v]", got, a.Obj, b.Obj)
 			}
@@ -247,7 +247,7 @@ func TestFigure4SharedTail(t *testing.T) {
 			f.edge(y, z)
 			f.edge(y, d)
 
-			res := Run(f.h, f.tbl, 2, algo)
+			res := new(Tracer).Run(f.h, f.tbl, 2, algo)
 			if got := res.Back.Inset(c); !reflect.DeepEqual(got, []ids.ObjID{a.Obj, b.Obj}) {
 				t.Errorf("inset of c = %v, want {a,b}", got)
 			}
@@ -276,7 +276,7 @@ func TestFigure4BackEdgeSCC(t *testing.T) {
 			f.edge(z, x) // back edge forming the SCC
 			f.edge(x, c)
 
-			res := Run(f.h, f.tbl, 2, algo)
+			res := new(Tracer).Run(f.h, f.tbl, 2, algo)
 			if got := res.Back.Outset(x.Obj); !reflect.DeepEqual(got, refSlice(c)) {
 				t.Errorf("outset of x = %v, want {c}", got)
 			}
@@ -306,7 +306,7 @@ func TestOutsetStopsAtCleanObjects(t *testing.T) {
 	f.edge(sus, mid)
 	f.inref(sus, 2, 10) // suspected at threshold 2
 
-	res := Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
 	if got := res.Back.Outset(sus.Obj); len(got) != 0 {
 		t.Fatalf("outset = %v, want empty (path goes through clean object)", got)
 	}
@@ -327,7 +327,7 @@ func TestSuspectedInrefWithCleanObjectHasEmptyOutset(t *testing.T) {
 	f.edge(a, r)
 	f.inref(a, 2, 10)
 
-	res := Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
 	if got := res.Back.Outset(a.Obj); len(got) != 0 {
 		t.Fatalf("outset = %v, want empty", got)
 	}
@@ -357,7 +357,7 @@ func TestOutsetSharingInChainAndSCC(t *testing.T) {
 		f.inref(o, 2, 10+i)
 	}
 
-	res := Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
 	first := res.Back.Outset(objs[0].Obj)
 	if len(first) != 1 || first[0] != r {
 		t.Fatalf("outset of chain head = %v, want {r}", first)
@@ -396,8 +396,8 @@ func TestIndependentRetracesButBottomUpDoesNot(t *testing.T) {
 	r := ids.MakeRef(2, 5)
 	f.edge(prev, r)
 
-	ind := Run(f.h, f.tbl, 2, AlgoIndependent)
-	bu := Run(f.h, f.tbl, 2, AlgoBottomUp)
+	ind := new(Tracer).Run(f.h, f.tbl, 2, AlgoIndependent)
+	bu := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
 	if ind.Stats.OutsetRetraced == 0 {
 		t.Error("independent algorithm reported zero retraced objects on a shared tail")
 	}
@@ -449,8 +449,8 @@ func TestOutsetAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 		nObjs := 1 + rng.Intn(40)
 		h, tbl := buildRandomSite(rng, nObjs, rng.Intn(3*nObjs), rng.Intn(nObjs+1), rng.Intn(10))
 		threshold := rng.Intn(6)
-		ind := Run(h, tbl, threshold, AlgoIndependent)
-		bu := Run(h, tbl, threshold, AlgoBottomUp)
+		ind := new(Tracer).Run(h, tbl, threshold, AlgoIndependent)
+		bu := new(Tracer).Run(h, tbl, threshold, AlgoBottomUp)
 
 		if len(ind.Back.Outsets) != len(bu.Back.Outsets) {
 			t.Fatalf("iter %d: outset counts differ: %d vs %d", iter, len(ind.Back.Outsets), len(bu.Back.Outsets))
@@ -475,7 +475,7 @@ func TestBackInfoInsetsMatchOutsets(t *testing.T) {
 	for iter := 0; iter < 100; iter++ {
 		nObjs := 1 + rng.Intn(30)
 		h, tbl := buildRandomSite(rng, nObjs, rng.Intn(3*nObjs), rng.Intn(nObjs+1), rng.Intn(8))
-		res := Run(h, tbl, rng.Intn(5), AlgoBottomUp)
+		res := new(Tracer).Run(h, tbl, rng.Intn(5), AlgoBottomUp)
 		// Every (inref, outref) pair must appear in both views.
 		pairs := 0
 		for in, outs := range res.Back.Outsets {
@@ -509,7 +509,7 @@ func TestEmptyBackInfo(t *testing.T) {
 func TestRunOnEmptySite(t *testing.T) {
 	h := heap.New(1)
 	tbl := refs.NewTable(1, 100)
-	res := Run(h, tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(h, tbl, 2, AlgoBottomUp)
 	if len(res.Dead) != 0 || res.Marked.Len() != 0 || res.Back.Entries() != 0 {
 		t.Fatal("empty site produced non-empty trace result")
 	}
