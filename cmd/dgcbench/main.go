@@ -12,7 +12,7 @@
 //	dgcbench -exp locality      # C7: locality with a crashed site
 //	dgcbench -exp baselines     # C8: comparison with related-work schemes
 //	dgcbench -exp overlap       # C9: concurrent back traces on one cycle
-//	dgcbench -exp telemetry     # C13: 2E+P re-verified via the typed registry
+//	dgcbench -exp telemetry     # C13: 2W+P re-verified via the typed registry and span trees
 //	dgcbench -exp hypertext     # intro workload end to end
 //	dgcbench -exp trace         # C15: incremental local tracing cost
 //	dgcbench -exp wire          # C17: binary wire codec + link batching
@@ -219,8 +219,10 @@ func run(exp string, scale int) (results, error) {
 	if all || exp == "telemetry" {
 		ran = true
 		var rows []experiments.TelemetryRow
-		for _, sites := range []int{3, 6, 12} {
-			row, err := experiments.TelemetryComplexity(sites)
+		for _, spec := range []workload.Spec{
+			workload.Ring(3), workload.Ring(6), workload.Ring(12), workload.ParallelPair(4),
+		} {
+			row, err := experiments.TelemetryComplexity(spec)
 			if err != nil {
 				return results{}, err
 			}

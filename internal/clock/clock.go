@@ -18,21 +18,38 @@ import (
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
-	// After returns a channel that receives the clock's time once, when at
-	// least d has elapsed. For Wall this is time.After; for Virtual the
-	// channel fires when Advance moves the clock past the deadline.
-	After(d time.Duration) <-chan time.Time
+	// NewTimer returns a timer whose channel receives the clock's time
+	// once, when at least d has elapsed. For Wall this is time.NewTimer;
+	// for Virtual the channel fires when Advance moves the clock past the
+	// deadline. A wait that ends early stops its timer, so the clock
+	// releases it instead of holding it until it fires.
+	NewTimer(d time.Duration) *Timer
 	// Sleep blocks until at least d has elapsed on this clock.
 	Sleep(d time.Duration)
 }
+
+// Timer is a one-shot timer from Clock.NewTimer: C receives the clock's time
+// once when it fires.
+type Timer struct {
+	C    <-chan time.Time
+	stop func() bool
+}
+
+// Stop prevents the timer from firing and releases it. It reports whether
+// the call stopped the timer (false if it had already fired or stopped).
+func (t *Timer) Stop() bool { return t.stop() }
 
 // --- wall clock ----------------------------------------------------------
 
 type wallClock struct{}
 
-func (wallClock) Now() time.Time                         { return time.Now() }
-func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-func (wallClock) Sleep(d time.Duration)                  { time.Sleep(d) }
+func (wallClock) Now() time.Time        { return time.Now() }
+func (wallClock) Sleep(d time.Duration) { time.Sleep(d) }
+
+func (wallClock) NewTimer(d time.Duration) *Timer {
+	t := time.NewTimer(d)
+	return &Timer{C: t.C, stop: t.Stop}
+}
 
 // Wall is the real-time clock backed by the time package.
 var Wall Clock = wallClock{}
@@ -49,7 +66,7 @@ func OrWall(c Clock) Clock {
 // --- virtual clock -------------------------------------------------------
 
 // Virtual is a manually advanced clock. Now returns the virtual time, which
-// moves only through Advance (or Set). Timers created with After fire when
+// moves only through Advance (or Set). Timers created with NewTimer fire when
 // an Advance carries the clock to or past their deadline, in deadline order.
 //
 // Virtual is safe for concurrent use, but the deterministic simulation uses
@@ -86,17 +103,32 @@ func (v *Virtual) Now() time.Time {
 	return v.now
 }
 
-// After implements Clock. A non-positive d fires immediately.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
+// NewTimer implements Clock. A non-positive d fires immediately; Stop drops
+// the timer from the clock's pending set, so NextTimer no longer reports it.
+func (v *Virtual) NewTimer(d time.Duration) *Timer {
 	ch := make(chan time.Time, 1)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if d <= 0 {
 		ch <- v.now
-		return ch
+		return &Timer{C: ch, stop: func() bool { return false }}
 	}
-	v.waiters = append(v.waiters, &virtualWaiter{at: v.now.Add(d), ch: ch})
-	return ch
+	w := &virtualWaiter{at: v.now.Add(d), ch: ch}
+	v.waiters = append(v.waiters, w)
+	return &Timer{C: ch, stop: func() bool { return v.drop(w) }}
+}
+
+// drop removes a pending timer, reporting whether it was still pending.
+func (v *Virtual) drop(w *virtualWaiter) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for i, x := range v.waiters {
+		if x == w {
+			v.waiters = append(v.waiters[:i], v.waiters[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // Sleep implements Clock: it blocks until another goroutine advances the
@@ -106,7 +138,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	<-v.After(d)
+	<-v.NewTimer(d).C
 }
 
 // Advance moves the clock forward by d and fires every timer whose deadline

@@ -12,9 +12,9 @@ func TestWallBasics(t *testing.T) {
 		t.Fatalf("Wall.Now() = %v, far before time.Now() = %v", got, before)
 	}
 	select {
-	case <-Wall.After(time.Millisecond):
+	case <-Wall.NewTimer(time.Millisecond).C:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Wall.After(1ms) never fired")
+		t.Fatal("Wall.NewTimer(1ms) never fired")
 	}
 }
 
@@ -45,7 +45,7 @@ func TestVirtualNowAndAdvance(t *testing.T) {
 
 func TestVirtualAfterFiresOnAdvance(t *testing.T) {
 	v := NewVirtual(time.Time{})
-	ch := v.After(100 * time.Millisecond)
+	ch := v.NewTimer(100 * time.Millisecond).C
 	select {
 	case <-ch:
 		t.Fatal("timer fired before any Advance")
@@ -71,14 +71,14 @@ func TestVirtualAfterFiresOnAdvance(t *testing.T) {
 func TestVirtualAfterNonPositive(t *testing.T) {
 	v := NewVirtual(time.Time{})
 	select {
-	case <-v.After(0):
+	case <-v.NewTimer(0).C:
 	default:
-		t.Fatal("After(0) did not fire immediately")
+		t.Fatal("NewTimer(0) did not fire immediately")
 	}
 	select {
-	case <-v.After(-time.Second):
+	case <-v.NewTimer(-time.Second).C:
 	default:
-		t.Fatal("After(-1s) did not fire immediately")
+		t.Fatal("NewTimer(-1s) did not fire immediately")
 	}
 }
 
@@ -87,8 +87,8 @@ func TestVirtualNextTimer(t *testing.T) {
 	if _, ok := v.NextTimer(); ok {
 		t.Fatal("fresh clock reports a pending timer")
 	}
-	v.After(200 * time.Millisecond)
-	v.After(100 * time.Millisecond)
+	v.NewTimer(200 * time.Millisecond)
+	v.NewTimer(100 * time.Millisecond)
 	at, ok := v.NextTimer()
 	if !ok || !at.Equal(Epoch.Add(100*time.Millisecond)) {
 		t.Fatalf("NextTimer = %v, %v; want %v, true", at, ok, Epoch.Add(100*time.Millisecond))
@@ -117,5 +117,41 @@ func TestVirtualSleepWakesOnAdvance(t *testing.T) {
 			t.Fatal("virtual Sleep never woke")
 		case <-time.After(time.Millisecond):
 		}
+	}
+}
+
+// TestTimerStop: a stopped timer never fires and, on a virtual clock, leaves
+// the pending set; stopping a fired or already stopped timer reports false.
+func TestTimerStop(t *testing.T) {
+	v := NewVirtual(time.Time{})
+	stopped := v.NewTimer(100 * time.Millisecond)
+	kept := v.NewTimer(200 * time.Millisecond)
+	if !stopped.Stop() {
+		t.Fatal("Stop of a pending timer reported false")
+	}
+	if stopped.Stop() {
+		t.Fatal("second Stop reported true")
+	}
+	if at, ok := v.NextTimer(); !ok || !at.Equal(Epoch.Add(200*time.Millisecond)) {
+		t.Fatalf("NextTimer = %v, %v; want only the kept timer", at, ok)
+	}
+	v.Advance(time.Second)
+	select {
+	case <-stopped.C:
+		t.Fatal("stopped timer fired")
+	case <-kept.C:
+	default:
+		t.Fatal("kept timer did not fire")
+	}
+	if kept.Stop() {
+		t.Fatal("Stop of a fired timer reported true")
+	}
+	if now := v.NewTimer(0); now.Stop() {
+		t.Fatal("Stop of an immediate timer reported true")
+	}
+
+	w := Wall.NewTimer(time.Hour)
+	if !w.Stop() {
+		t.Fatal("Stop of a pending wall timer reported false")
 	}
 }

@@ -276,10 +276,6 @@ func (c *Cluster) Sites() []*site.Site {
 // Net exposes the underlying network for crash/partition/step control.
 func (c *Cluster) Net() *transport.Net { return c.net }
 
-// ReliableLayer returns the session layer, or nil when Options.Reliable is
-// off.
-func (c *Cluster) ReliableLayer() *transport.Reliable { return c.rel }
-
 // Counters returns the cluster-wide metrics counters (shared by all sites
 // and the network observer).
 //

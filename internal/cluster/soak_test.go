@@ -47,7 +47,10 @@ func TestSoakLargeCluster(t *testing.T) {
 	t.Logf("built %d objects, %d initially garbage", before, garbageBefore)
 
 	// Churn: random edge insertions/removals across the whole store,
-	// interleaved with rounds.
+	// interleaved with rounds. A mutator can only reach live objects, so
+	// an insertion targets a globally live object: linking to garbage
+	// would resurrect a cycle the collector may already have flagged and
+	// partly swept, leaving a dangling reference no collector could avoid.
 	allRefs := func() []ids.Ref {
 		var out []ids.Ref
 		for _, s := range c.Sites() {
@@ -64,7 +67,7 @@ func TestSoakLargeCluster(t *testing.T) {
 		case 0:
 			from := refs[rng.Intn(len(refs))]
 			to := refs[rng.Intn(len(refs))]
-			if c.Site(from.Site).ContainsObject(from.Obj) && c.Site(to.Site).ContainsObject(to.Obj) {
+			if _, live := c.GlobalLive()[to]; live && c.Site(from.Site).ContainsObject(from.Obj) {
 				_ = c.Link(from, to)
 			}
 		case 1:

@@ -14,11 +14,14 @@
 // Section 4.4, realized here as a distributed state machine: every call
 // creates an *activation frame* holding the caller's identity, the ioref
 // the call is active on, a count of pending inner calls, and the result to
-// return when the count reaches zero. Remote steps travel as BackCall
-// messages and come back as BackReply messages; local steps are direct
-// calls within the site. A trace therefore costs two messages per
-// inter-site reference traversed plus one report per participant — the
-// paper's 2E+P message complexity (Section 4.6).
+// return when the count reaches zero. Local steps are direct calls within
+// the site. The local steps a site asks of its inrefs' source sites travel
+// as BackCall messages and come back as BackReply messages — one call per
+// destination site for everything one handled call (or trace start) fans
+// out to, each carrying one BackStep per inter-site reference. A trace
+// therefore costs two messages per (handled call, destination site)
+// crossing plus one report per participant: 2W+P, which is the paper's
+// 2E+P (Section 4.6) whenever every hop crosses a distinct site pair.
 //
 // The engine also implements:
 //
@@ -110,14 +113,12 @@ type Config struct {
 // the ioref it is active on, a count of pending inner calls to BackStep,
 // and a result value to return when the count becomes zero."
 type frame struct {
-	id         ids.FrameID
-	trace      ids.TraceID
-	initiator  ids.SiteID
-	caller     ids.FrameID // zero for the outermost call
-	callerSite ids.SiteID
-	// The ioref the frame is active on: exactly one of onInref/onOutref
-	// is meaningful, selected by kind.
-	kind     msg.StepKind
+	id    ids.FrameID
+	trace ids.TraceID
+	ret   ret
+	// The ioref the frame is active on: onOutref for a BackStepLocal frame
+	// (local set), onInref for a BackStepRemote frame.
+	local    bool
 	onInref  ids.ObjID
 	onOutref ids.Ref
 	pending  int
@@ -139,6 +140,37 @@ type frame struct {
 	// always including this site.
 	participants map[ids.SiteID]struct{}
 	deadline     time.Time
+}
+
+// ret is where a back step returns its verdict: entry `entry` of the
+// BackReply answering a remote caller's BackCall (reply set) or of a batch
+// root (batch set), else a frame on this site — the zero frame being the
+// outermost call of a single-suspect trace.
+type ret struct {
+	frame ids.FrameID
+	reply *pendingReply
+	batch *batchRoot
+	entry int
+}
+
+// pendingReply is the BackReply to one handled BackCall; it is sent when
+// the last of the call's steps has returned.
+type pendingReply struct {
+	to      ids.SiteID
+	msg     msg.BackReply
+	pending int
+}
+
+// outMsg is one message queued by the current entry point; callKey names
+// the BackCall it queued for one (destination site, trace).
+type outMsg struct {
+	to ids.SiteID
+	m  msg.Message
+}
+
+type callKey struct {
+	to    ids.SiteID
+	trace ids.TraceID
 }
 
 // inrefMark / outrefMark record one visit mark together with the batch
@@ -164,25 +196,18 @@ type traceMarks struct {
 
 // batchRoot is the initiator-side state of a multi-suspect batched trace:
 // one trace id, several suspected outrefs, one verdict per suspect. Each
-// suspect's outermost call reports back through a root slot; when all have
+// suspect's outermost call returns to its entry of the root; when all have
 // answered, the demotion fixpoint decides which Garbage verdicts are
 // trustworthy and one report phase resolves the whole batch (Section 4.5).
 type batchRoot struct {
-	trace    ids.TraceID
-	suspects []ids.Ref
-	results  []msg.Verdict
-	done     []bool
-	deps     []map[uint32]struct{}
-	pending  int
+	trace   ids.TraceID
+	results []msg.Verdict
+	done    []bool
+	deps    []map[uint32]struct{}
+	pending int
 	// participants accumulates the union of every suspect subtree's
 	// participant set for the report phase.
 	participants map[ids.SiteID]struct{}
-}
-
-// rootSlot routes a suspect's outermost reply to its batch root.
-type rootSlot struct {
-	trace   ids.TraceID
-	suspect uint32
 }
 
 // traceActivity tracks one trace's live engagement at this site for the
@@ -209,11 +234,6 @@ type Engine struct {
 	// participant-span hooks.
 	activity map[ids.TraceID]*traceActivity
 
-	// batches holds the multi-suspect traces this site initiated that are
-	// still in flight; rootSlots routes each suspect's outermost reply.
-	batches   map[ids.TraceID]*batchRoot
-	rootSlots map[ids.FrameID]rootSlot
-
 	// gen is the local-trace commit generation (bumped by CommitLocalTrace
 	// via BumpGeneration); memoIn/memoOut record the generation at which an
 	// ioref was last proven Live. An entry is valid only while its stamp
@@ -221,6 +241,12 @@ type Engine struct {
 	gen     uint64
 	memoIn  map[ids.ObjID]uint64
 	memoOut map[ids.Ref]uint64
+
+	// out holds the messages the current entry point sends, in send order;
+	// calls indexes its BackCall per (destination, trace) so later steps
+	// join it. flush ships them when the entry point returns.
+	out   []outMsg
+	calls map[callKey]int
 }
 
 // NewEngine creates an engine for a site.
@@ -229,17 +255,48 @@ func NewEngine(cfg Config) *Engine {
 		cfg.Now = time.Now
 	}
 	return &Engine{
-		cfg:       cfg,
-		frames:    make(map[ids.FrameID]*frame),
-		byInref:   make(map[ids.ObjID]map[ids.FrameID]struct{}),
-		byOutref:  make(map[ids.Ref]map[ids.FrameID]struct{}),
-		marks:     make(map[ids.TraceID]*traceMarks),
-		activity:  make(map[ids.TraceID]*traceActivity),
-		batches:   make(map[ids.TraceID]*batchRoot),
-		rootSlots: make(map[ids.FrameID]rootSlot),
-		memoIn:    make(map[ids.ObjID]uint64),
-		memoOut:   make(map[ids.Ref]uint64),
+		cfg:      cfg,
+		frames:   make(map[ids.FrameID]*frame),
+		byInref:  make(map[ids.ObjID]map[ids.FrameID]struct{}),
+		byOutref: make(map[ids.Ref]map[ids.FrameID]struct{}),
+		marks:    make(map[ids.TraceID]*traceMarks),
+		activity: make(map[ids.TraceID]*traceActivity),
+		memoIn:   make(map[ids.ObjID]uint64),
+		memoOut:  make(map[ids.Ref]uint64),
+		calls:    make(map[callKey]int),
 	}
+}
+
+// send queues a message for the end of the current entry point.
+func (e *Engine) send(to ids.SiteID, m msg.Message) {
+	e.out = append(e.out, outMsg{to: to, m: m})
+}
+
+// sendStep queues one back step for a source site, joining the BackCall
+// this entry point already queued for the same (destination, trace).
+// Joining an earlier call only ever moves a step ahead of messages queued
+// after that call, never a reply ahead of a call.
+func (e *Engine) sendStep(to ids.SiteID, t ids.TraceID, initiator ids.SiteID, step msg.BackStep) {
+	k := callKey{to: to, trace: t}
+	if i, ok := e.calls[k]; ok {
+		c := e.out[i].m.(msg.BackCall)
+		c.Steps = append(c.Steps, step)
+		e.out[i].m = c
+		return
+	}
+	e.calls[k] = len(e.out)
+	e.send(to, msg.BackCall{Trace: t, Initiator: initiator, Steps: []msg.BackStep{step}})
+}
+
+// flush ships the current entry point's messages in send order. Every
+// exported method that can send defers it.
+func (e *Engine) flush() {
+	for _, o := range e.out {
+		e.cfg.Send(o.to, o.m)
+	}
+	clear(e.out)
+	e.out = e.out[:0]
+	clear(e.calls)
 }
 
 // --- participant-activity tracking (observability) -------------------------
@@ -275,9 +332,6 @@ func (e *Engine) maybeEndActivity(t ids.TraceID) {
 // SetThreshold updates the suspicion threshold (used by the adaptive
 // threshold controller).
 func (e *Engine) SetThreshold(t int) { e.cfg.Threshold = t }
-
-// Threshold returns the current suspicion threshold.
-func (e *Engine) Threshold() int { return e.cfg.Threshold }
 
 // ActiveFrames returns the number of live activation frames (for tests and
 // introspection).
@@ -369,6 +423,7 @@ func (e *Engine) StartTrace(target ids.Ref) (ids.TraceID, bool) {
 	if !ok || o.IsClean(e.cfg.Threshold) {
 		return ids.NilTrace, false
 	}
+	defer e.flush()
 	e.nextTrace++
 	t := ids.TraceID{Initiator: e.cfg.Site, Seq: e.nextTrace}
 	e.count(metrics.BackTracesStarted)
@@ -376,7 +431,7 @@ func (e *Engine) StartTrace(target ids.Ref) (ids.TraceID, bool) {
 	// outermost call so even a synchronous completion emits a span pair.
 	e.ensureActivity(t)
 	// The outermost call: caller is the nil frame on this site.
-	e.stepLocal(t, e.cfg.Site, ids.NilFrame, e.cfg.Site, target, 0)
+	e.stepLocal(t, e.cfg.Site, ret{}, target, 0)
 	e.maybeEndActivity(t)
 	return t, true
 }
@@ -406,6 +461,7 @@ func (e *Engine) StartBatchTrace(targets []ids.Ref) (ids.TraceID, bool) {
 	case 1:
 		return e.StartTrace(viable[0])
 	}
+	defer e.flush()
 	e.nextTrace++
 	t := ids.TraceID{Initiator: e.cfg.Site, Seq: e.nextTrace}
 	e.count(metrics.BackTracesStarted)
@@ -414,25 +470,20 @@ func (e *Engine) StartBatchTrace(targets []ids.Ref) (ids.TraceID, bool) {
 	}
 	b := &batchRoot{
 		trace:        t,
-		suspects:     viable,
 		results:      make([]msg.Verdict, len(viable)),
 		done:         make([]bool, len(viable)),
 		deps:         make([]map[uint32]struct{}, len(viable)),
 		pending:      len(viable),
 		participants: map[ids.SiteID]struct{}{e.cfg.Site: {}},
 	}
-	e.batches[t] = b
 	// The batch root counts as an open frame so the initiator's activity
 	// (and root span) stays open until the batch resolves.
 	e.ensureActivity(t).frames++
 	for i, target := range viable {
-		// Each suspect's outermost call replies to a root slot instead of
-		// the nil frame; overlap shows up as an immediate revisit answer
-		// with a dependency on the first-visiting suspect.
-		e.nextFrame++
-		slot := ids.FrameID{Site: e.cfg.Site, Seq: e.nextFrame}
-		e.rootSlots[slot] = rootSlot{trace: t, suspect: uint32(i)}
-		e.stepLocal(t, e.cfg.Site, slot, e.cfg.Site, target, uint32(i))
+		// Each suspect's outermost call returns to its entry of the root;
+		// overlap shows up as an immediate revisit answer with a
+		// dependency on the first-visiting suspect.
+		e.stepLocal(t, e.cfg.Site, ret{batch: b, entry: i}, target, uint32(i))
 	}
 	e.maybeEndActivity(t)
 	return t, true
@@ -440,24 +491,33 @@ func (e *Engine) StartBatchTrace(targets []ids.Ref) (ids.TraceID, bool) {
 
 // --- message entry points --------------------------------------------------
 
-// HandleBackCall processes a BackCall message from another site.
+// HandleBackCall processes a BackCall message from another site: one
+// BackStepLocal per step, each with its own frame, visit marks and verdict,
+// answered together by one BackReply once every step has returned.
 func (e *Engine) HandleBackCall(from ids.SiteID, c msg.BackCall) {
+	defer e.flush()
 	e.count(metrics.BackTraceCalls)
 	// Open (or extend) this trace's activity even when the call is answered
 	// without creating a frame, so every engagement yields a span pair.
 	e.ensureActivity(c.Trace).hops++
-	switch c.Kind {
-	case msg.StepLocal:
-		e.stepLocal(c.Trace, c.Initiator, c.Caller, from, c.Outref, c.Suspect)
-	case msg.StepRemote:
-		e.stepRemote(c.Trace, c.Initiator, c.Caller, from, c.Inref, c.Suspect)
+	p := &pendingReply{
+		to:      from,
+		msg:     msg.BackReply{Trace: c.Trace, Results: make([]msg.BackResult, len(c.Steps))},
+		pending: len(c.Steps),
+	}
+	for i, s := range c.Steps {
+		e.stepLocal(c.Trace, c.Initiator, ret{frame: s.Caller, reply: p, entry: i}, s.Outref, s.Suspect)
 	}
 	e.maybeEndActivity(c.Trace)
 }
 
-// HandleBackReply processes a BackReply from another site.
+// HandleBackReply processes a BackReply from another site, folding each
+// step's verdict into its caller frame.
 func (e *Engine) HandleBackReply(from ids.SiteID, r msg.BackReply) {
-	e.applyReply(r.Caller, r.Result, r.Participants, r.Deps)
+	defer e.flush()
+	for _, res := range r.Results {
+		e.applyReply(res.Caller, res.Result, res.Participants, res.Deps)
+	}
 }
 
 // HandleReport processes the report phase at a participant (Section 4.5):
@@ -470,7 +530,7 @@ func (e *Engine) HandleReport(from ids.SiteID, r msg.Report) {
 
 // finishTraceLocally clears the trace's visit marks and, on a Garbage
 // outcome, flags the visited inrefs. garbage is the batch form's set of
-// garbage-confirmed suspects; nil means the single-suspect form, which
+// garbage-confirmed suspects; empty means the single-suspect form, which
 // flags every visited inref.
 func (e *Engine) finishTraceLocally(t ids.TraceID, outcome msg.Verdict, garbage []uint32) {
 	tm, ok := e.marks[t]
@@ -479,7 +539,7 @@ func (e *Engine) finishTraceLocally(t ids.TraceID, outcome msg.Verdict, garbage 
 	}
 	delete(e.marks, t)
 	var gset map[uint32]struct{}
-	if garbage != nil {
+	if len(garbage) > 0 {
 		gset = make(map[uint32]struct{}, len(garbage))
 		for _, s := range garbage {
 			gset[s] = struct{}{}
@@ -530,36 +590,36 @@ func revisitDeps(owner, suspect uint32) []uint32 {
 
 // stepLocal is BackStepLocal (Section 4.4): examine the outref for a
 // remote reference on this site and fan out to the inrefs in its inset.
-func (e *Engine) stepLocal(t ids.TraceID, initiator ids.SiteID, caller ids.FrameID, callerSite ids.SiteID, target ids.Ref, suspect uint32) {
+func (e *Engine) stepLocal(t ids.TraceID, initiator ids.SiteID, r ret, target ids.Ref, suspect uint32) {
 	o, ok := e.cfg.Table.Outref(target)
 	if !ok {
 		// "its ioref must have been deleted by the garbage collector".
-		e.replyTo(caller, callerSite, t, msg.VerdictGarbage, e.selfParticipants(), nil)
+		e.replyTo(r, t, msg.VerdictGarbage, e.selfParticipants(), nil)
 		return
 	}
 	if o.IsClean(e.cfg.Threshold) {
-		e.replyTo(caller, callerSite, t, msg.VerdictLive, e.selfParticipants(), nil)
+		e.replyTo(r, t, msg.VerdictLive, e.selfParticipants(), nil)
 		return
 	}
 	if e.cfg.MemoizeLive {
 		if g, ok := e.memoOut[target]; ok && g == e.gen {
 			// Proven Live at this generation: answer without fanning out.
 			e.count(metrics.BackTraceMemoHits)
-			e.replyTo(caller, callerSite, t, msg.VerdictLive, e.selfParticipants(), nil)
+			e.replyTo(r, t, msg.VerdictLive, e.selfParticipants(), nil)
 			return
 		}
 	}
 	if owner, already := o.MarkVisited(t, suspect); already {
 		// Already visited by this trace: avoid loops and revisits. In a
 		// batched trace the answer leans on the owning suspect's verdict.
-		e.replyTo(caller, callerSite, t, msg.VerdictGarbage, e.selfParticipants(), revisitDeps(owner, suspect))
+		e.replyTo(r, t, msg.VerdictGarbage, e.selfParticipants(), revisitDeps(owner, suspect))
 		return
 	}
 	e.recordOutrefMark(t, target, suspect)
 	o.BackThreshold += e.cfg.ThresholdBump // Section 4.3
 
-	f := e.newFrame(t, initiator, caller, callerSite, suspect)
-	f.kind = msg.StepLocal
+	f := e.newFrame(t, r, suspect)
+	f.local = true
 	f.onOutref = target
 	e.indexFrame(f)
 
@@ -580,39 +640,39 @@ func (e *Engine) stepLocal(t ids.TraceID, initiator ids.SiteID, caller ids.Frame
 		if _, alive := e.frames[fid]; !alive {
 			return
 		}
-		e.stepRemote(t, initiator, fid, e.cfg.Site, inrefObj, suspect)
+		e.stepRemote(t, initiator, ret{frame: fid}, inrefObj, suspect)
 	}
 }
 
 // stepRemote is BackStepRemote (Section 4.4): examine the inref for a
 // local object and fan out to the corresponding outrefs on its source
-// sites.
-func (e *Engine) stepRemote(t ids.TraceID, initiator ids.SiteID, caller ids.FrameID, callerSite ids.SiteID, inrefObj ids.ObjID, suspect uint32) {
+// sites, as one step of the BackCall each source site gets from this entry
+// point.
+func (e *Engine) stepRemote(t ids.TraceID, initiator ids.SiteID, r ret, inrefObj ids.ObjID, suspect uint32) {
 	in, ok := e.cfg.Table.Inref(inrefObj)
 	if !ok {
-		e.replyTo(caller, callerSite, t, msg.VerdictGarbage, e.selfParticipants(), nil)
+		e.replyTo(r, t, msg.VerdictGarbage, e.selfParticipants(), nil)
 		return
 	}
 	if in.IsClean(e.cfg.Threshold) {
-		e.replyTo(caller, callerSite, t, msg.VerdictLive, e.selfParticipants(), nil)
+		e.replyTo(r, t, msg.VerdictLive, e.selfParticipants(), nil)
 		return
 	}
 	if e.cfg.MemoizeLive {
 		if g, ok := e.memoIn[inrefObj]; ok && g == e.gen {
 			e.count(metrics.BackTraceMemoHits)
-			e.replyTo(caller, callerSite, t, msg.VerdictLive, e.selfParticipants(), nil)
+			e.replyTo(r, t, msg.VerdictLive, e.selfParticipants(), nil)
 			return
 		}
 	}
 	if owner, already := in.MarkVisited(t, suspect); already {
-		e.replyTo(caller, callerSite, t, msg.VerdictGarbage, e.selfParticipants(), revisitDeps(owner, suspect))
+		e.replyTo(r, t, msg.VerdictGarbage, e.selfParticipants(), revisitDeps(owner, suspect))
 		return
 	}
 	e.recordInrefMark(t, inrefObj, suspect)
 	in.BackThreshold += e.cfg.ThresholdBump
 
-	f := e.newFrame(t, initiator, caller, callerSite, suspect)
-	f.kind = msg.StepRemote
+	f := e.newFrame(t, r, suspect)
 	f.onInref = inrefObj
 	e.indexFrame(f)
 
@@ -622,33 +682,20 @@ func (e *Engine) stepRemote(t ids.TraceID, initiator ids.SiteID, caller ids.Fram
 		e.completeFrame(f, msg.VerdictGarbage)
 		return
 	}
-	target := ids.MakeRef(e.cfg.Site, inrefObj)
-	fid := f.id
+	step := msg.BackStep{Caller: f.id, Outref: ids.MakeRef(e.cfg.Site, inrefObj), Suspect: suspect}
 	for _, src := range sources {
-		if _, alive := e.frames[fid]; !alive {
-			return // short-circuited while fanning out
-		}
-		e.cfg.Send(src, msg.BackCall{
-			Trace:     t,
-			Caller:    fid,
-			Initiator: initiator,
-			Kind:      msg.StepLocal,
-			Outref:    target,
-			Suspect:   suspect,
-		})
+		e.sendStep(src, t, initiator, step)
 	}
 }
 
 // --- frame bookkeeping -------------------------------------------------------
 
-func (e *Engine) newFrame(t ids.TraceID, initiator ids.SiteID, caller ids.FrameID, callerSite ids.SiteID, suspect uint32) *frame {
+func (e *Engine) newFrame(t ids.TraceID, r ret, suspect uint32) *frame {
 	e.nextFrame++
 	f := &frame{
 		id:           ids.FrameID{Site: e.cfg.Site, Seq: e.nextFrame},
 		trace:        t,
-		initiator:    initiator,
-		caller:       caller,
-		callerSite:   callerSite,
+		ret:          r,
 		suspect:      suspect,
 		gen:          e.gen,
 		participants: map[ids.SiteID]struct{}{e.cfg.Site: {}},
@@ -662,39 +709,36 @@ func (e *Engine) newFrame(t ids.TraceID, initiator ids.SiteID, caller ids.FrameI
 }
 
 func (e *Engine) indexFrame(f *frame) {
-	switch f.kind {
-	case msg.StepLocal:
-		set := e.byOutref[f.onOutref]
-		if set == nil {
-			set = make(map[ids.FrameID]struct{})
-			e.byOutref[f.onOutref] = set
-		}
-		set[f.id] = struct{}{}
-	case msg.StepRemote:
-		set := e.byInref[f.onInref]
-		if set == nil {
-			set = make(map[ids.FrameID]struct{})
-			e.byInref[f.onInref] = set
-		}
-		set[f.id] = struct{}{}
+	if f.local {
+		addFrame(e.byOutref, f.onOutref, f.id)
+	} else {
+		addFrame(e.byInref, f.onInref, f.id)
 	}
 }
 
 func (e *Engine) unindexFrame(f *frame) {
-	switch f.kind {
-	case msg.StepLocal:
-		if set := e.byOutref[f.onOutref]; set != nil {
-			delete(set, f.id)
-			if len(set) == 0 {
-				delete(e.byOutref, f.onOutref)
-			}
-		}
-	case msg.StepRemote:
-		if set := e.byInref[f.onInref]; set != nil {
-			delete(set, f.id)
-			if len(set) == 0 {
-				delete(e.byInref, f.onInref)
-			}
+	if f.local {
+		removeFrame(e.byOutref, f.onOutref, f.id)
+	} else {
+		removeFrame(e.byInref, f.onInref, f.id)
+	}
+}
+
+// addFrame and removeFrame maintain an ioref → active-frames index.
+func addFrame[K comparable](index map[K]map[ids.FrameID]struct{}, k K, id ids.FrameID) {
+	set := index[k]
+	if set == nil {
+		set = make(map[ids.FrameID]struct{})
+		index[k] = set
+	}
+	set[id] = struct{}{}
+}
+
+func removeFrame[K comparable](index map[K]map[ids.FrameID]struct{}, k K, id ids.FrameID) {
+	if set := index[k]; set != nil {
+		delete(set, id)
+		if len(set) == 0 {
+			delete(index, k)
 		}
 	}
 }
@@ -704,10 +748,6 @@ func (e *Engine) unindexFrame(f *frame) {
 // replies to it are ignored (their frame is gone). Garbage replies merge
 // the subtree's suspect dependencies into the frame for forwarding.
 func (e *Engine) applyReply(fid ids.FrameID, result msg.Verdict, participants []ids.SiteID, deps []uint32) {
-	if slot, ok := e.rootSlots[fid]; ok {
-		e.applyBatchReply(fid, slot, result, participants, deps)
-		return
-	}
 	f, ok := e.frames[fid]
 	if !ok {
 		return // frame already completed (short-circuit, clean rule, timeout)
@@ -746,74 +786,67 @@ func (e *Engine) completeFrame(f *frame, verdict msg.Verdict) {
 	}
 	defer e.maybeEndActivity(f.trace)
 	if verdict == msg.VerdictLive && e.cfg.MemoizeLive && !f.noMemo && f.gen == e.gen {
-		switch f.kind {
-		case msg.StepLocal:
+		if f.local {
 			e.memoOut[f.onOutref] = e.gen
-		case msg.StepRemote:
+		} else {
 			e.memoIn[f.onInref] = e.gen
 		}
 	}
-	parts := make([]ids.SiteID, 0, len(f.participants))
-	for p := range f.participants {
-		parts = append(parts, p)
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i] < parts[j] })
-
 	var deps []uint32
-	if verdict == msg.VerdictGarbage && len(f.deps) > 0 {
-		deps = make([]uint32, 0, len(f.deps))
-		for d := range f.deps {
-			deps = append(deps, d)
-		}
-		sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
+	if verdict == msg.VerdictGarbage {
+		deps = sortedKeys(f.deps)
 	}
-
-	if f.caller.IsZero() && f.callerSite == e.cfg.Site {
-		e.finishAtInitiator(f.trace, verdict, parts)
-		return
-	}
-	e.replyTo(f.caller, f.callerSite, f.trace, verdict, parts, deps)
+	e.replyTo(f.ret, f.trace, verdict, sortedKeys(f.participants), deps)
 }
 
-// replyTo delivers a call's result to the caller frame, locally or by
-// message.
-func (e *Engine) replyTo(caller ids.FrameID, callerSite ids.SiteID, t ids.TraceID, verdict msg.Verdict, participants []ids.SiteID, deps []uint32) {
-	if callerSite == e.cfg.Site {
-		if caller.IsZero() {
-			// Outermost synchronous failure (e.g. StartTrace raced with
-			// trimming): finish the trace at the initiator.
-			e.finishAtInitiator(t, verdict, participants)
-			return
-		}
-		e.applyReply(caller, verdict, participants, deps)
-		return
+// sortedKeys returns a set's members in ascending order, nil when empty.
+func sortedKeys[K ~uint32](set map[K]struct{}) []K {
+	if len(set) == 0 {
+		return nil
 	}
-	e.cfg.Send(callerSite, msg.BackReply{
-		Trace:        t,
-		Caller:       caller,
-		Result:       verdict,
-		Participants: participants,
-		Deps:         deps,
-	})
+	out := make([]K, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// replyTo delivers a call's result where r points: into the BackReply
+// being assembled for a remote caller (sent once its last step returns),
+// to a frame on this site, or — for the outermost call — into the report
+// phase.
+func (e *Engine) replyTo(r ret, t ids.TraceID, verdict msg.Verdict, participants []ids.SiteID, deps []uint32) {
+	switch p := r.reply; {
+	case p != nil:
+		p.msg.Results[r.entry] = msg.BackResult{Caller: r.frame, Result: verdict, Participants: participants, Deps: deps}
+		p.pending--
+		if p.pending == 0 {
+			e.send(p.to, p.msg)
+		}
+	case r.batch != nil:
+		e.applyBatchReply(r.batch, r.entry, verdict, participants, deps)
+	case r.frame.IsZero():
+		e.finishAtInitiator(t, verdict, participants, nil)
+	default:
+		e.applyReply(r.frame, verdict, participants, deps)
+	}
 }
 
 // applyBatchReply folds one suspect's outermost result into its batch
 // root; the last reply resolves the batch.
-func (e *Engine) applyBatchReply(fid ids.FrameID, slot rootSlot, result msg.Verdict, participants []ids.SiteID, deps []uint32) {
-	delete(e.rootSlots, fid)
-	b, ok := e.batches[slot.trace]
-	if !ok || b.done[slot.suspect] {
+func (e *Engine) applyBatchReply(b *batchRoot, i int, result msg.Verdict, participants []ids.SiteID, deps []uint32) {
+	if b.done[i] {
 		return
 	}
 	for _, p := range participants {
 		b.participants[p] = struct{}{}
 	}
-	i := slot.suspect
 	b.results[i] = result
 	b.done[i] = true
 	if result == msg.VerdictGarbage {
 		for _, d := range deps {
-			if d == i {
+			if d == uint32(i) {
 				continue
 			}
 			if b.deps[i] == nil {
@@ -834,8 +867,7 @@ func (e *Engine) applyBatchReply(fid ids.FrameID, slot rootSlot, result msg.Verd
 // is also Garbage — the fixpoint demotes the rest to Live, which is always
 // safe (the suspect stays suspected and retries later, Section 4.3).
 func (e *Engine) resolveBatch(b *batchRoot) {
-	delete(e.batches, b.trace)
-	garbage := make([]bool, len(b.suspects))
+	garbage := make([]bool, len(b.results))
 	for i := range garbage {
 		garbage[i] = b.results[i] == msg.VerdictGarbage
 	}
@@ -864,36 +896,18 @@ func (e *Engine) resolveBatch(b *batchRoot) {
 	if len(gs) > 0 {
 		outcome = msg.VerdictGarbage
 	}
-	if outcome == msg.VerdictGarbage {
-		e.count(metrics.BackTracesGarbage)
-	} else {
-		e.count(metrics.BackTracesLive)
-	}
-	parts := make([]ids.SiteID, 0, len(b.participants))
-	for p := range b.participants {
-		parts = append(parts, p)
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i] < parts[j] })
-	for _, p := range parts {
-		if p == e.cfg.Site {
-			continue
-		}
-		e.cfg.Send(p, msg.Report{Trace: b.trace, Outcome: outcome, GarbageSuspects: gs})
-	}
-	e.finishTraceLocally(b.trace, outcome, gs)
 	if a, ok := e.activity[b.trace]; ok {
 		a.frames-- // release the batch root's hold on the activity
 	}
 	defer e.maybeEndActivity(b.trace)
-	if e.cfg.Completed != nil {
-		e.cfg.Completed(b.trace, outcome, parts)
-	}
+	e.finishAtInitiator(b.trace, outcome, sortedKeys(b.participants), gs)
 }
 
 // finishAtInitiator runs the report phase (Section 4.5): deliver the
 // outcome to every participant. The initiator's own marks are processed
-// inline; remote participants get Report messages.
-func (e *Engine) finishAtInitiator(t ids.TraceID, outcome msg.Verdict, participants []ids.SiteID) {
+// inline; remote participants get Report messages. garbage is a batch's
+// set of garbage-confirmed suspects (nil for a single-suspect trace).
+func (e *Engine) finishAtInitiator(t ids.TraceID, outcome msg.Verdict, participants []ids.SiteID, garbage []uint32) {
 	if outcome == msg.VerdictGarbage {
 		e.count(metrics.BackTracesGarbage)
 	} else {
@@ -903,9 +917,9 @@ func (e *Engine) finishAtInitiator(t ids.TraceID, outcome msg.Verdict, participa
 		if p == e.cfg.Site {
 			continue
 		}
-		e.cfg.Send(p, msg.Report{Trace: t, Outcome: outcome})
+		e.send(p, msg.Report{Trace: t, Outcome: outcome, GarbageSuspects: garbage})
 	}
-	e.finishTraceLocally(t, outcome, nil)
+	e.finishTraceLocally(t, outcome, garbage)
 	if e.cfg.Completed != nil {
 		e.cfg.Completed(t, outcome, participants)
 	}
@@ -955,9 +969,6 @@ func (e *Engine) BumpGeneration() {
 	}
 }
 
-// Generation returns the current local-trace commit generation.
-func (e *Engine) Generation() uint64 { return e.gen }
-
 // --- the clean rule (Section 6.4) ----------------------------------------------
 
 // NotifyCleanedInref implements the clean rule for an inref: every trace
@@ -966,12 +977,14 @@ func (e *Engine) Generation() uint64 { return e.gen }
 // Section 6.4 clean events are the memo's point invalidations between
 // generation bumps.
 func (e *Engine) NotifyCleanedInref(obj ids.ObjID) {
+	defer e.flush()
 	e.forceLive(e.byInref[obj])
 	delete(e.memoIn, obj)
 }
 
 // NotifyCleanedOutref implements the clean rule for an outref.
 func (e *Engine) NotifyCleanedOutref(target ids.Ref) {
+	defer e.flush()
 	e.forceLive(e.byOutref[target])
 	delete(e.memoOut, target)
 }
@@ -1003,6 +1016,7 @@ func (e *Engine) forceLive(set map[ids.FrameID]struct{}) {
 // returned Live) and overdue visit marks (assuming the trace's outcome was
 // Live). The site calls this periodically.
 func (e *Engine) CheckTimeouts() {
+	defer e.flush()
 	now := e.cfg.Now()
 	if e.cfg.CallTimeout > 0 {
 		var overdue []*frame

@@ -62,10 +62,6 @@ func TestBatchTraceMixedVerdicts(t *testing.T) {
 		if e.ActiveFrames() != 0 || e.PendingMarks() != 0 {
 			t.Errorf("site %v: frames=%d marks=%d left", s, e.ActiveFrames(), e.PendingMarks())
 		}
-		if len(e.batches) != 0 || len(e.rootSlots) != 0 {
-			t.Errorf("site %v: batch bookkeeping left (%d batches, %d slots)",
-				s, len(e.batches), len(e.rootSlots))
-		}
 	}
 }
 
@@ -132,8 +128,8 @@ func TestBatchTraceSingleViableDegenerates(t *testing.T) {
 	if !started {
 		t.Fatal("degenerate batch did not start")
 	}
-	if len(r.engines[1].batches) != 0 {
-		t.Fatal("degenerate batch left batch bookkeeping")
+	if got := r.counters.Get(metrics.BackTraceBatchSize); got != 0 {
+		t.Fatalf("degenerate batch ran as a %d-suspect batch", got)
 	}
 	r.pump()
 	if len(r.done) != 1 || r.done[0].outcome != msg.VerdictGarbage {

@@ -673,40 +673,12 @@ func TestIorefDeletedWhileAnotherTraceActive(t *testing.T) {
 	}
 }
 
-func TestRemoteStepRemoteCall(t *testing.T) {
-	// The engine accepts StepRemote calls from remote sites too (our own
-	// traces only send StepLocal across the wire, but the message shape
-	// supports both directions).
-	r := newRig(t, 1, 2)
-	r.buildRing(2, 40)
-	r.engines[1].HandleBackCall(2, msg.BackCall{
-		Trace:     ids.TraceID{Initiator: 2, Seq: 1},
-		Caller:    ids.FrameID{Site: 2, Seq: 7},
-		Initiator: 2,
-		Kind:      msg.StepRemote,
-		Inref:     1,
-	})
-	// Site 1's inref 1 is suspected with source {2}: the call fans a
-	// StepLocal back to site 2 and a frame waits.
-	if r.engines[1].ActiveFrames() != 1 {
-		t.Fatalf("frames = %d, want 1", r.engines[1].ActiveFrames())
-	}
-	if len(r.queue) != 1 {
-		t.Fatalf("queue = %d messages, want the StepLocal call", len(r.queue))
-	}
-	call, ok := r.queue[0].M.(msg.BackCall)
-	if !ok || call.Kind != msg.StepLocal || call.Outref != ids.MakeRef(1, 1) {
-		t.Fatalf("unexpected outbound call: %+v", r.queue[0])
-	}
-}
-
 func TestLateReplyToFinishedFrameIgnored(t *testing.T) {
 	r := newRig(t, 1)
 	// A reply for a frame that never existed must be a no-op.
 	r.engines[1].HandleBackReply(2, msg.BackReply{
-		Trace:  ids.TraceID{Initiator: 2, Seq: 9},
-		Caller: ids.FrameID{Site: 1, Seq: 999},
-		Result: msg.VerdictLive,
+		Trace:   ids.TraceID{Initiator: 2, Seq: 9},
+		Results: []msg.BackResult{{Caller: ids.FrameID{Site: 1, Seq: 999}, Result: msg.VerdictLive}},
 	})
 	if len(r.done) != 0 || r.engines[1].ActiveFrames() != 0 {
 		t.Fatal("stray reply had an effect")

@@ -199,6 +199,29 @@ func TestOverlapShape(t *testing.T) {
 	_ = OverlapTable(rows).String()
 }
 
+// TestTelemetryParallelEdgesGroupCalls: on a site pair crossed by k
+// parallel references, the k back steps that cross it in one direction
+// share one BackCall, so W < E; the span tree's handled-call count agrees
+// with the BackCall counter and the trace costs exactly 2W+P−1.
+func TestTelemetryParallelEdgesGroupCalls(t *testing.T) {
+	row, err := TelemetryComplexity(workload.ParallelPair(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.InterSite != 5 || row.Sites != 2 {
+		t.Fatalf("pair-4 has E = %d, P = %d; want 5, 2", row.InterSite, row.Sites)
+	}
+	if row.Crossings != 2 || int64(row.Crossings) != row.BackCalls {
+		t.Errorf("span tree W = %d, BackCalls = %d; want both 2", row.Crossings, row.BackCalls)
+	}
+	if row.Total != row.Predicted || row.Total != 5 {
+		t.Errorf("total = %d, 2W+P-1 = %d, want 5 (2E+P-1 would be %d)", row.Total, row.Predicted, row.PaperBound)
+	}
+	if row.Participants != 2 {
+		t.Errorf("span tree has %d participants, want 2", row.Participants)
+	}
+}
+
 func TestHypertextRuns(t *testing.T) {
 	row, err := Hypertext(8, 5, 42)
 	if err != nil {
@@ -214,17 +237,20 @@ func TestHypertextRuns(t *testing.T) {
 }
 
 func TestTelemetryComplexityMatchesPaperFormula(t *testing.T) {
-	row, err := TelemetryComplexity(6)
+	row, err := TelemetryComplexity(workload.Ring(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 6-site ring: E = 6, P = 6 → 6 calls, 6 replies, 5 reports, 17 total.
+	// 6-site ring: E = W = 6, P = 6 → 6 calls, 6 replies, 5 reports, 17 total.
 	if row.BackCalls != 6 || row.BackReplies != 6 || row.Reports != 5 {
 		t.Errorf("counts = calls %d replies %d reports %d, want 6/6/5",
 			row.BackCalls, row.BackReplies, row.Reports)
 	}
-	if row.Total != row.Predicted || row.Total != 17 {
-		t.Errorf("total = %d, predicted %d, want 17", row.Total, row.Predicted)
+	if row.Total != row.Predicted || row.Total != row.PaperBound || row.Total != 17 {
+		t.Errorf("total = %d, 2W+P-1 = %d, 2E+P-1 = %d, want 17", row.Total, row.Predicted, row.PaperBound)
+	}
+	if row.Crossings != row.InterSite {
+		t.Errorf("span tree W = %d, want E = %d on a ring", row.Crossings, row.InterSite)
 	}
 	// The span tree independently reports the same participant set.
 	if row.Participants != row.Sites {

@@ -11,8 +11,8 @@ import (
 
 // TelemetryRow is one row of the registry-based complexity experiment: the
 // per-type message counts read from the typed metrics snapshot, and the
-// participant count read from the assembled span tree, for one back trace
-// over an n-site garbage ring.
+// participant and crossing counts read from the assembled span tree, for
+// one back trace over a garbage cycle.
 type TelemetryRow struct {
 	Workload     string
 	Sites        int   // P: participant sites
@@ -21,20 +21,24 @@ type TelemetryRow struct {
 	BackReplies  int64 // from snapshot counter msg.BackReply
 	Reports      int64 // from snapshot counter msg.Report
 	Total        int64
-	Predicted    int64 // 2E + (P-1)
+	PaperBound   int64 // 2E + (P-1)
+	Predicted    int64 // 2W + (P-1)
 	Participants int   // closed participant spans in the trace's tree
+	Crossings    int   // W: BackCalls handled, summed over the tree's participant spans
 	RTTSamples   int64 // backtrace.rtt_seconds observations for the trace
 }
 
-// TelemetryComplexity repeats the C1 measurement for a garbage ring, but
+// TelemetryComplexity repeats the C1 measurement for a garbage cycle, but
 // through the redesigned telemetry surface: message counts come from typed
 // registry snapshots (Cluster.Metrics) rather than the legacy counter map,
-// and the participant count P is cross-checked against the back trace's
-// assembled span tree rather than trusted from the workload spec. Both
-// views must agree with the paper's 2E+P bound (2E + P−1 on the wire,
-// since the initiator reports to itself locally).
-func TelemetryComplexity(sites int) (TelemetryRow, error) {
-	spec := workload.Ring(sites)
+// and the participant count P and the crossing count W — one per
+// (handled call, destination site) pair, since a site sends one BackCall
+// per destination for all the steps one call fans out to — are read off
+// the back trace's assembled span tree rather than trusted from the
+// workload spec. The trace must cost exactly 2W+P−1 messages (the
+// initiator reports to itself locally); on a ring every hop crosses a
+// distinct site pair, so W = E and that is the paper's 2E+P−1.
+func TelemetryComplexity(spec workload.Spec) (TelemetryRow, error) {
 	c := clusterFor(spec.Sites, false)
 	defer c.Close()
 	if _, err := workload.Build(c, spec); err != nil {
@@ -58,7 +62,7 @@ func TelemetryComplexity(sites int) (TelemetryRow, error) {
 		}
 	}
 	if !started {
-		return TelemetryRow{}, fmt.Errorf("telemetry: no suspected outref on the %d-site ring", sites)
+		return TelemetryRow{}, fmt.Errorf("telemetry: no suspected outref on %s", spec.Name)
 	}
 	c.Settle()
 	after := c.Metrics()
@@ -72,20 +76,25 @@ func TelemetryComplexity(sites int) (TelemetryRow, error) {
 		BackCalls:   after.Get("msg.BackCall") - before.Get("msg.BackCall"),
 		BackReplies: after.Get("msg.BackReply") - before.Get("msg.BackReply"),
 		Reports:     after.Get("msg.Report") - before.Get("msg.Report"),
-		Predicted:   int64(2*e + p - 1),
+		PaperBound:  int64(2*e + p - 1),
 		RTTSamples: after.Histograms[obs.MetricBackTraceRTT].Count -
 			before.Histograms[obs.MetricBackTraceRTT].Count,
 	}
 	row.Total = row.BackCalls + row.BackReplies + row.Reports
 
-	// Cross-check P against the span tree the collector assembled for the
+	// Read P and W off the span tree the collector assembled for the
 	// garbage trace (distance propagation may have run earlier Live traces,
 	// so pick the complete garbage-verdict tree).
 	for _, tree := range c.Spans().Trees() {
 		if tree.Root != nil && tree.Complete() && tree.Root.Verdict == 0 /* garbage */ {
 			row.Participants = len(tree.Participants)
+			row.Crossings = 0
+			for _, sp := range tree.Participants {
+				row.Crossings += sp.Hops
+			}
 		}
 	}
+	row.Predicted = int64(2*row.Crossings + p - 1)
 	return row, nil
 }
 
@@ -94,15 +103,16 @@ func TelemetryTable(rows []TelemetryRow) *Table {
 	t := &Table{
 		Title: "C13: message complexity via the typed registry and span trees",
 		Header: []string{"workload", "P(sites)", "E(refs)", "calls", "replies",
-			"reports", "total", "2E+P-1", "span-participants", "rtt-samples"},
-		Caption: "typed Cluster.Metrics() diffs; P cross-checked against the assembled span tree",
+			"reports", "total", "2E+P-1", "span W", "2W+P-1", "span-participants", "rtt-samples"},
+		Caption: "typed Cluster.Metrics() diffs; P and W (BackCalls handled) read off the assembled span tree",
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{
 			r.Workload,
 			fmt.Sprint(r.Sites), fmt.Sprint(r.InterSite),
 			fmt.Sprint(r.BackCalls), fmt.Sprint(r.BackReplies), fmt.Sprint(r.Reports),
-			fmt.Sprint(r.Total), fmt.Sprint(r.Predicted),
+			fmt.Sprint(r.Total), fmt.Sprint(r.PaperBound),
+			fmt.Sprint(r.Crossings), fmt.Sprint(r.Predicted),
 			fmt.Sprint(r.Participants), fmt.Sprint(r.RTTSamples),
 		})
 	}

@@ -44,17 +44,14 @@ func wireMix() []msg.Envelope {
 		}),
 		mk(msg.BackCall{
 			Trace:     ids.TraceID{Initiator: 6, Seq: 21},
-			Caller:    ids.FrameID{Site: 2, Seq: 19},
 			Initiator: 6,
-			Kind:      msg.StepLocal,
-			Inref:     ids.ObjID(88),
-			Outref:    ids.MakeRef(5, 42),
+			Steps:     []msg.BackStep{{Caller: ids.FrameID{Site: 2, Seq: 19}, Outref: ids.MakeRef(2, 42)}},
 		}),
 		mk(msg.BackReply{
-			Trace:        ids.TraceID{Initiator: 6, Seq: 7},
-			Caller:       ids.FrameID{Site: 2, Seq: 19},
-			Result:       msg.VerdictLive,
-			Participants: []ids.SiteID{1, 5, 9},
+			Trace: ids.TraceID{Initiator: 6, Seq: 7},
+			Results: []msg.BackResult{
+				{Caller: ids.FrameID{Site: 2, Seq: 19}, Result: msg.VerdictLive, Participants: []ids.SiteID{1, 5, 9}},
+			},
 		}),
 		mk(msg.Report{Trace: ids.TraceID{Initiator: 1, Seq: 2}, Outcome: msg.VerdictGarbage}),
 		mk(msg.LinkBatch{

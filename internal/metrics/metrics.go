@@ -190,10 +190,10 @@ const (
 
 // Back-trace and tracer counter names used across the harness.
 const (
-	BackTracesStarted   = "backtrace.started"
-	BackTracesGarbage   = "backtrace.outcome.garbage"
-	BackTracesLive      = "backtrace.outcome.live"
-	BackTraceCalls      = "backtrace.calls"
+	BackTracesStarted = "backtrace.started"
+	BackTracesGarbage = "backtrace.outcome.garbage"
+	BackTracesLive    = "backtrace.outcome.live"
+	BackTraceCalls    = "backtrace.calls"
 	// BackTraceInflight is the high-water mark of concurrently in-flight
 	// traces initiated by a site (a gauge recorded with Max; bounded by
 	// Config.MaxInflightTraces when the admission controller is on).
@@ -209,7 +209,7 @@ const (
 	BackTraceJoined = "backtrace.joined"
 	// BackTraceDeferred counts suspects parked in the admission queue
 	// because the in-flight cap was reached.
-	BackTraceDeferred = "backtrace.deferred"
+	BackTraceDeferred   = "backtrace.deferred"
 	LocalTraces         = "localtrace.runs"
 	ObjectsTraced       = "localtrace.objects"
 	ObjectsRetraced     = "localtrace.objects.retraced"
@@ -219,6 +219,9 @@ const (
 	BackInfoEntries     = "backinfo.entries"
 	BackInfoPeak        = "backinfo.peak"
 	InrefsFlagged       = "inrefs.flagged.garbage"
+	// CompletionsDropped counts trace outcomes a site's bounded completion
+	// log evicted before anyone drained them.
+	CompletionsDropped = "site.completions_dropped"
 )
 
 // Incremental-tracing counter names (site.Config.Incremental).

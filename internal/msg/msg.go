@@ -11,8 +11,9 @@
 //     (Section 2, Section 6.1.2).
 //   - Update — after a local trace, a site reports dropped outrefs and new
 //     outref distances to the target sites (Section 2, Section 3).
-//   - BackCall / BackReply — the remote and local back steps of a back trace
-//     with their activation-frame return information (Section 4.4).
+//   - BackCall / BackReply — the local back steps a back trace asks of one
+//     source site, with their activation-frame return information, and the
+//     answers to them (Section 4.4).
 //   - Report — the report phase delivering a completed trace's outcome to
 //     every participant (Section 4.5).
 //
@@ -49,30 +50,6 @@ func (v Verdict) String() string {
 		return "Live"
 	default:
 		return fmt.Sprintf("Verdict(%d)", int(v))
-	}
-}
-
-// StepKind distinguishes the two kinds of back steps (Section 4.1).
-type StepKind int
-
-const (
-	// StepRemote asks the owner site to run BackStepRemote on one of its
-	// inrefs: the trace then fans out to the inref's source sites.
-	StepRemote StepKind = iota + 1
-	// StepLocal asks a source site to run BackStepLocal on one of its
-	// outrefs: the trace then fans out to the inrefs in the outref's inset.
-	StepLocal
-)
-
-// String returns "remote" or "local".
-func (k StepKind) String() string {
-	switch k {
-	case StepRemote:
-		return "remote"
-	case StepLocal:
-		return "local"
-	default:
-		return fmt.Sprintf("StepKind(%d)", int(k))
 	}
 }
 
@@ -152,36 +129,47 @@ type Update struct {
 	Holds     []ids.ObjID
 }
 
-// BackCall carries one back step of a back trace (Section 4.4).
+// BackCall carries the back steps one handled call (or one trace start)
+// asks of a single source site (Section 4.4): every inref the sender's
+// frames fanned out to whose source list names the receiver becomes one
+// BackStep, so the sender pays one message per destination site rather
+// than one per inter-site reference. A call with one step is the paper's
+// single-reference form.
 //
-// For Kind == StepRemote the receiver is the owner of inref Inref and runs
-// BackStepRemote. For Kind == StepLocal the receiver is a source site that
-// holds an outref for Outref and runs BackStepLocal.
-//
-// Caller identifies the activation frame to reply to; it is the zero frame
-// for the outermost call, in which case the reply completes the whole trace
-// at the initiator. Initiator lets participants know where the report phase
-// will originate.
+// Initiator lets participants know where the report phase will originate.
+type BackCall struct {
+	Trace     ids.TraceID
+	Initiator ids.SiteID
+	Steps     []BackStep
+}
+
+// BackStep asks the receiver to run BackStepLocal on its outref for Outref
+// (an object owned by the sender) and return the verdict to the sender's
+// activation frame Caller.
 //
 // Suspect identifies which suspected outref of a multi-suspect batched
-// trace this call belongs to (an index into the initiator's suspect set).
+// trace this step belongs to (an index into the initiator's suspect set).
 // Visit marks record the owning suspect, so the report phase can flag
 // exactly the iorefs visited on behalf of suspects confirmed garbage.
 // Single-suspect traces always carry suspect 0.
-type BackCall struct {
-	Trace     ids.TraceID
-	Caller    ids.FrameID
-	Initiator ids.SiteID
-	Kind      StepKind
-	Inref     ids.ObjID
-	Outref    ids.Ref
-	Suspect   uint32
+type BackStep struct {
+	Caller  ids.FrameID
+	Outref  ids.Ref
+	Suspect uint32
 }
 
-// BackReply answers a BackCall. Participants accumulates the set of sites
-// reached in the subtree of the call, so the initiator learns the full
-// participant set for the report phase (Section 4.5: "each participant
-// appends its id to the response of a call").
+// BackReply answers a BackCall with one BackResult per step, in step
+// order. The receiver sends it once every step's subtree has returned.
+type BackReply struct {
+	Trace   ids.TraceID
+	Results []BackResult
+}
+
+// BackResult is the verdict of one BackStep, addressed to its Caller frame.
+// Participants accumulates the set of sites reached in the step's subtree,
+// so the initiator learns the full participant set for the report phase
+// (Section 4.5: "each participant appends its id to the response of a
+// call").
 //
 // Deps accumulates, for a Garbage result in a batched trace, the suspects
 // whose visit marks this subtree's verdict relied on: a revisit of an
@@ -189,8 +177,7 @@ type BackCall struct {
 // only trustworthy if that suspect's own subtree also concludes Garbage.
 // The initiator demotes any suspect transitively depending on a Live one.
 // Empty for Live results and for single-suspect traces.
-type BackReply struct {
-	Trace        ids.TraceID
+type BackResult struct {
 	Caller       ids.FrameID
 	Result       Verdict
 	Participants []ids.SiteID
@@ -203,8 +190,9 @@ type BackReply struct {
 //
 // For a multi-suspect batched trace, GarbageSuspects lists the suspects
 // confirmed garbage: the participant flags only the inrefs whose visit
-// marks those suspects own, and clears everything else. A nil list with a
-// Garbage outcome is the single-suspect form and flags every visited inref.
+// marks those suspects own, and clears everything else. An empty list with
+// a Garbage outcome is the single-suspect form and flags every visited
+// inref (a batch resolves Garbage only when some suspect is garbage).
 type Report struct {
 	Trace           ids.TraceID
 	Outcome         Verdict

@@ -24,15 +24,6 @@ func TestVerdictZeroValueIsGarbage(t *testing.T) {
 	}
 }
 
-func TestStepKindString(t *testing.T) {
-	if StepRemote.String() != "remote" || StepLocal.String() != "local" {
-		t.Fatal("step kind names wrong")
-	}
-	if StepKind(9).String() == "" {
-		t.Fatal("unknown step kind empty")
-	}
-}
-
 func TestNameUnknownType(t *testing.T) {
 	type weird struct{ Batch }
 	if got := Name(weird{}); got == "" {
@@ -46,7 +37,7 @@ func TestLeavesDescendsWrappers(t *testing.T) {
 		Items: []Message{
 			Batch{Items: []Message{
 				Update{Holds: []ids.ObjID{1, 2}},
-				BackCall{Trace: ids.TraceID{Initiator: 1, Seq: 9}, Kind: StepLocal, Outref: ids.MakeRef(2, 3)},
+				BackCall{Trace: ids.TraceID{Initiator: 1, Seq: 9}, Steps: []BackStep{{Outref: ids.MakeRef(2, 3)}}},
 			}},
 			LinkData{Epoch: 1, Seq: 6, Payload: Report{Outcome: VerdictLive}},
 		},

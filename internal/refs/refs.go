@@ -575,17 +575,6 @@ func (t *Table) EachInref(fn func(*Inref)) {
 	}
 }
 
-// EachInrefInShard invokes fn for every inref in one shard, in unspecified
-// order, holding the shard read lock (for the parallel tracer's root scan).
-func (t *Table) EachInrefInShard(i int, fn func(*Inref)) {
-	sh := t.ins[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for _, in := range sh.inrefs {
-		fn(in)
-	}
-}
-
 // --- outrefs -------------------------------------------------------------
 
 // Outref returns the outref for a remote target, if present.
@@ -658,17 +647,6 @@ func (t *Table) NumOutrefs() int {
 		sh.mu.RUnlock()
 	}
 	return n
-}
-
-// EachOutrefInShard invokes fn for every outref in one shard, in
-// unspecified order, holding the shard read lock.
-func (t *Table) EachOutrefInShard(i int, fn func(*Outref)) {
-	sh := t.outs[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for _, o := range sh.outrefs {
-		fn(o)
-	}
 }
 
 // Pin increments the insert-barrier pin count of the outref for target,

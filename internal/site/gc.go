@@ -610,38 +610,6 @@ func (s *Site) StartBackTrace(target ids.Ref) (ids.TraceID, bool) {
 	return t, ok
 }
 
-// StartBatchBackTrace starts one multi-suspect batched back trace from the
-// given outrefs, bypassing the back-threshold policy (used by tests and
-// experiments). It reports whether a trace started.
-func (s *Site) StartBatchBackTrace(targets []ids.Ref) (ids.TraceID, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.flushOutbox()
-	t, ok := s.startBatchAdmitted(targets)
-	if ok {
-		s.emit(event.Event{Kind: event.TraceStarted, Trace: t, Ref: targets[0]})
-	}
-	return t, ok
-}
-
-// InflightTraces returns the number of back traces this site currently has
-// in flight as initiator (for tests and introspection).
-func (s *Site) InflightTraces() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.assertOutboxFlushed()
-	return s.inflight
-}
-
-// PendingAdmissions returns the number of suspects parked in the admission
-// queue (for tests and introspection).
-func (s *Site) PendingAdmissions() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.assertOutboxFlushed()
-	return len(s.pendingTraces)
-}
-
 // GarbageFlaggedInrefs returns the local objects whose inrefs a completed
 // back trace has flagged as garbage.
 func (s *Site) GarbageFlaggedInrefs() []ids.ObjID {

@@ -148,12 +148,14 @@ func (mb *mailbox) awaitIdle(timeout time.Duration) error {
 		if remaining <= 0 {
 			return fmt.Errorf("site %v: inbox not idle after %v (depth %d)", mb.s.cfg.ID, timeout, depth)
 		}
+		timer := clk.NewTimer(remaining)
 		select {
 		case <-idle:
-		case <-clk.After(remaining):
+		case <-timer.C:
 			// Deadline reached; the next loop iteration reports the error
 			// (or success, if the inbox drained at the last instant).
 		}
+		timer.Stop()
 	}
 }
 

@@ -283,6 +283,9 @@ type Site struct {
 	// we no longer hold outrefs for, so a lost removal update heals.
 	farewell map[ids.SiteID]int
 
+	// completions holds the outcomes of the most recent maxCompletions
+	// traces this site initiated, oldest first, until Completions drains
+	// them; metrics.CompletionsDropped counts the outcomes evicted unread.
 	completions []TraceOutcome
 
 	// --- observability state (guarded by mu, like everything above) ---
@@ -318,6 +321,10 @@ type pendingTrace struct {
 	dist   int    // outref distance at enqueue time (farther = more suspect)
 	seq    uint64 // enqueue order, for age tie-breaking
 }
+
+// maxCompletions bounds the completion log, so a site whose outcomes
+// nobody drains keeps only the most recent ones, like event.Log.
+const maxCompletions = 256
 
 // TraceOutcome records one completed back trace initiated by this site.
 type TraceOutcome struct {
@@ -558,6 +565,10 @@ func (s *Site) onTraceCompleted(t ids.TraceID, outcome msg.Verdict, participants
 		// admission is deferred to the entry path's next safe point.
 		s.admitPending = true
 	}
+	if len(s.completions) == maxCompletions {
+		s.completions = s.completions[1:]
+		s.cfg.Counters.Inc(metrics.CompletionsDropped)
+	}
 	s.completions = append(s.completions, TraceOutcome{Trace: t, Outcome: outcome, Participants: participants})
 	s.emit(event.Event{Kind: event.TraceCompleted, Trace: t, Verdict: outcome, N: len(participants)})
 	// Close the root span. The initiator's activity opened with the trace
@@ -595,9 +606,10 @@ func (s *Site) onTraceCompleted(t ids.TraceID, outcome msg.Verdict, participants
 }
 
 // Completions drains and returns the outcomes of back traces initiated by
-// this site since the previous call. Draining is a write, and engine
-// callbacks may have queued piggybacked messages, so it flushes the outbox
-// like every other write entry point.
+// this site since the previous call, at most the most recent
+// maxCompletions. Draining is a write, and engine callbacks may have queued
+// piggybacked messages, so it flushes the outbox like every other write
+// entry point.
 func (s *Site) Completions() []TraceOutcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()

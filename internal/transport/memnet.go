@@ -329,10 +329,12 @@ func (n *Net) Quiesce(timeout time.Duration) error {
 		if remaining <= 0 {
 			return fmt.Errorf("network quiesce: %d messages still in flight after %v", in, timeout)
 		}
+		timer := n.clk.NewTimer(remaining)
 		select {
 		case <-quiet:
-		case <-n.clk.After(remaining):
+		case <-timer.C:
 		}
+		timer.Stop()
 		n.mu.Lock()
 	}
 	n.mu.Unlock()

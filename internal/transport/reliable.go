@@ -221,9 +221,6 @@ func NewReliable(inner Network, opts ReliableOptions) *Reliable {
 // batching reports whether link-level batching is enabled.
 func (r *Reliable) batching() bool { return r.opts.BatchMax > 0 }
 
-// Inner returns the wrapped network (for fault injection in tests).
-func (r *Reliable) Inner() Network { return r.inner }
-
 // Register implements Network: h receives the deduplicated, reordered
 // payload stream for site.
 func (r *Reliable) Register(site ids.SiteID, h Handler) {
@@ -381,10 +378,12 @@ func (r *Reliable) AwaitIdle(timeout time.Duration) error {
 		if remaining <= 0 {
 			return fmt.Errorf("reliable: %d frames unacknowledged after %v", n, timeout)
 		}
+		timer := r.clk.NewTimer(remaining)
 		select {
 		case <-idle:
-		case <-r.clk.After(remaining):
+		case <-timer.C:
 		}
+		timer.Stop()
 		r.mu.Lock()
 	}
 	r.mu.Unlock()
@@ -501,7 +500,7 @@ func (r *Reliable) flushLoop() {
 		select {
 		case <-r.done:
 			return
-		case <-r.clk.After(r.opts.FlushInterval):
+		case <-r.clk.NewTimer(r.opts.FlushInterval).C:
 		}
 		r.flushAll()
 	}
@@ -770,7 +769,7 @@ func (r *Reliable) retransmitLoop() {
 		select {
 		case <-r.done:
 			return
-		case <-r.clk.After(r.opts.Tick):
+		case <-r.clk.NewTimer(r.opts.Tick).C:
 		}
 		r.retransmitDue(r.clk.Now())
 	}

@@ -506,18 +506,20 @@ func TestReliableCrossCodecEquivalence(t *testing.T) {
 		case 1:
 			return msg.BackCall{
 				Trace:     ids.TraceID{Initiator: 1, Seq: i},
-				Caller:    ids.FrameID{Site: 1, Seq: i},
 				Initiator: 1,
-				Kind:      msg.StepRemote,
-				Inref:     ids.ObjID(i),
-				Outref:    ids.MakeRef(2, ids.ObjID(i*7)),
+				Steps: []msg.BackStep{
+					{Caller: ids.FrameID{Site: 1, Seq: i}, Outref: ids.MakeRef(1, ids.ObjID(i*7))},
+					{Caller: ids.FrameID{Site: 1, Seq: i + 1}, Outref: ids.MakeRef(1, ids.ObjID(i)), Suspect: 1},
+				},
 			}
 		case 2:
 			return msg.BackReply{
-				Trace:        ids.TraceID{Initiator: 1, Seq: i},
-				Caller:       ids.FrameID{Site: 1, Seq: i},
-				Result:       msg.VerdictLive,
-				Participants: []ids.SiteID{1, 2, ids.SiteID(i%9 + 1)},
+				Trace: ids.TraceID{Initiator: 1, Seq: i},
+				Results: []msg.BackResult{{
+					Caller:       ids.FrameID{Site: 1, Seq: i},
+					Result:       msg.VerdictLive,
+					Participants: []ids.SiteID{1, 2, ids.SiteID(i%9 + 1)},
+				}},
 			}
 		default:
 			return msg.RefTransfer{Payload: ids.MakeRef(2, ids.ObjID(i)), Pinner: 1}

@@ -27,29 +27,31 @@ import (
 
 // Message tags. Appending a type is fine; renumbering is a version bump.
 //
-// Tags 14-16 are the batched-trace extensions of BackCall/BackReply/Report
-// (suspect index, dependency set, garbage-suspect set). The encoder picks
-// the extended tag only when one of the new fields is set, so single-
-// suspect traffic stays byte-identical to the pre-batching format and old
-// goldens remain exact; decoders accept both forms.
+// Tags 6-8 (one back step per BackCall, with a kind byte and an inref
+// field) and 14-16 (their batched-trace extensions: suspect index,
+// dependency set, garbage-suspect set) are retired: a BackCall now carries
+// a vector of steps, and a vector of one is the single-step form. Retired
+// tags are never reassigned; decoders reject them like any unknown tag.
 const (
 	tagRefTransfer = 1
 	tagInsert      = 2
 	tagInsertAck   = 3
 	tagReleasePin  = 4
 	tagUpdate      = 5
-	tagBackCall    = 6
-	tagBackReply   = 7
-	tagReport      = 8
 	tagBatch       = 9
 	tagLinkData    = 10
 	tagLinkAck     = 11
 	tagLinkReset   = 12
 	tagLinkBatch   = 13
-	tagBackCallB   = 14 // BackCall + suspect index
-	tagBackReplyB  = 15 // BackReply + dependency suspects
-	tagReportB     = 16 // Report + garbage-suspect set
+	tagBackCall    = 17 // trace, initiator, steps
+	tagBackReply   = 18 // trace, one result per step
+	tagReport      = 19 // trace, outcome, garbage suspects
 )
+
+// listFollows is set in a verdict byte when a list (a result's deps, a
+// report's garbage suspects) follows it, so the common empty case costs no
+// length byte.
+const listFollows = 0x80
 
 // maxNest bounds wrapper recursion when decoding. Legitimate traffic nests
 // at most three levels (LinkBatch > LinkData payload > Batch > protocol
@@ -109,12 +111,22 @@ func appendFrame(buf []byte, f ids.FrameID) []byte {
 	return binary.AppendUvarint(buf, f.Seq)
 }
 
-func appendObjIDs(buf []byte, objs []ids.ObjID) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(objs)))
-	for _, obj := range objs {
-		buf = binary.AppendUvarint(buf, uint64(obj))
+// appendUvarints appends a length-prefixed list of unsigned varints.
+func appendUvarints[T ~uint32 | ~uint64](buf []byte, xs []T) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(xs)))
+	for _, x := range xs {
+		buf = binary.AppendUvarint(buf, uint64(x))
 	}
 	return buf
+}
+
+// appendVerdict appends a verdict byte and, when list is non-empty, the
+// list it announces.
+func appendVerdict(buf []byte, v msg.Verdict, list []uint32) []byte {
+	if len(list) == 0 {
+		return append(buf, byte(v))
+	}
+	return appendUvarints(append(buf, byte(v)|listFollows), list)
 }
 
 func appendMessage(buf []byte, m msg.Message) ([]byte, error) {
@@ -137,63 +149,36 @@ func appendMessage(buf []byte, m msg.Message) ([]byte, error) {
 		buf = appendRef(buf, mm.Target)
 	case msg.Update:
 		buf = append(buf, tagUpdate)
-		buf = appendObjIDs(buf, mm.Removals)
+		buf = appendUvarints(buf, mm.Removals)
 		buf = binary.AppendUvarint(buf, uint64(len(mm.Distances)))
 		for _, du := range mm.Distances {
 			buf = binary.AppendUvarint(buf, uint64(du.Obj))
 			buf = binary.AppendVarint(buf, int64(du.Distance))
 		}
-		buf = appendObjIDs(buf, mm.Holds)
+		buf = appendUvarints(buf, mm.Holds)
 	case msg.BackCall:
-		if mm.Suspect != 0 {
-			buf = append(buf, tagBackCallB)
-		} else {
-			buf = append(buf, tagBackCall)
-		}
+		buf = append(buf, tagBackCall)
 		buf = appendTrace(buf, mm.Trace)
-		buf = appendFrame(buf, mm.Caller)
 		buf = binary.AppendUvarint(buf, uint64(mm.Initiator))
-		buf = append(buf, byte(mm.Kind))
-		buf = binary.AppendUvarint(buf, uint64(mm.Inref))
-		buf = appendRef(buf, mm.Outref)
-		if mm.Suspect != 0 {
-			buf = binary.AppendUvarint(buf, uint64(mm.Suspect))
+		buf = binary.AppendUvarint(buf, uint64(len(mm.Steps)))
+		for _, st := range mm.Steps {
+			buf = appendFrame(buf, st.Caller)
+			buf = appendRef(buf, st.Outref)
+			buf = binary.AppendUvarint(buf, uint64(st.Suspect))
 		}
 	case msg.BackReply:
-		extended := len(mm.Deps) > 0
-		if extended {
-			buf = append(buf, tagBackReplyB)
-		} else {
-			buf = append(buf, tagBackReply)
-		}
+		buf = append(buf, tagBackReply)
 		buf = appendTrace(buf, mm.Trace)
-		buf = appendFrame(buf, mm.Caller)
-		buf = append(buf, byte(mm.Result))
-		buf = binary.AppendUvarint(buf, uint64(len(mm.Participants)))
-		for _, p := range mm.Participants {
-			buf = binary.AppendUvarint(buf, uint64(p))
-		}
-		if extended {
-			buf = binary.AppendUvarint(buf, uint64(len(mm.Deps)))
-			for _, d := range mm.Deps {
-				buf = binary.AppendUvarint(buf, uint64(d))
-			}
+		buf = binary.AppendUvarint(buf, uint64(len(mm.Results)))
+		for _, res := range mm.Results {
+			buf = appendFrame(buf, res.Caller)
+			buf = appendVerdict(buf, res.Result, res.Deps)
+			buf = appendUvarints(buf, res.Participants)
 		}
 	case msg.Report:
-		extended := mm.GarbageSuspects != nil
-		if extended {
-			buf = append(buf, tagReportB)
-		} else {
-			buf = append(buf, tagReport)
-		}
+		buf = append(buf, tagReport)
 		buf = appendTrace(buf, mm.Trace)
-		buf = append(buf, byte(mm.Outcome))
-		if extended {
-			buf = binary.AppendUvarint(buf, uint64(len(mm.GarbageSuspects)))
-			for _, g := range mm.GarbageSuspects {
-				buf = binary.AppendUvarint(buf, uint64(g))
-			}
-		}
+		buf = appendVerdict(buf, mm.Outcome, mm.GarbageSuspects)
 	case msg.Batch:
 		buf = append(buf, tagBatch)
 		buf = binary.AppendUvarint(buf, uint64(len(mm.Items)))
@@ -292,14 +277,14 @@ func (r *reader) varint() int64 {
 }
 
 // count reads a collection length and rejects values that could not fit in
-// the remaining bytes (each element takes at least one byte), so a corrupt
-// length cannot trigger a huge allocation.
-func (r *reader) count() int {
+// the remaining bytes, given that each element takes at least min bytes, so
+// a corrupt length cannot trigger a huge allocation.
+func (r *reader) count(min int) int {
 	n := r.uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if n > uint64(len(r.b)-r.off) {
+	if n > uint64((len(r.b)-r.off)/min) {
 		r.fail("collection length %d exceeds remaining %d bytes", n, len(r.b)-r.off)
 		return 0
 	}
@@ -324,16 +309,27 @@ func (r *reader) frame() ids.FrameID {
 	return ids.FrameID{Site: site, Seq: seq}
 }
 
-func (r *reader) objIDs() []ids.ObjID {
-	n := r.count()
+// uvarints reads a list written by appendUvarints; an empty list decodes
+// as nil.
+func uvarints[T ~uint32 | ~uint64](r *reader) []T {
+	n := r.count(1)
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]ids.ObjID, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = ids.ObjID(r.uvarint())
+		out[i] = T(r.uvarint())
 	}
 	return out
+}
+
+// verdict reads a byte written by appendVerdict and the list it announces.
+func (r *reader) verdict() (msg.Verdict, []uint32) {
+	b := r.byte()
+	if b&listFollows == 0 {
+		return msg.Verdict(b), nil
+	}
+	return msg.Verdict(b &^ listFollows), uvarints[uint32](r)
 }
 
 func (r *reader) message(depth int) msg.Message {
@@ -355,67 +351,44 @@ func (r *reader) message(depth int) msg.Message {
 		return msg.ReleasePin{Target: r.ref()}
 	case tagUpdate:
 		var u msg.Update
-		u.Removals = r.objIDs()
-		if n := r.count(); n > 0 && r.err == nil {
+		u.Removals = uvarints[ids.ObjID](r)
+		if n := r.count(2); n > 0 && r.err == nil {
 			u.Distances = make([]msg.DistanceUpdate, n)
 			for i := range u.Distances {
 				u.Distances[i].Obj = ids.ObjID(r.uvarint())
 				u.Distances[i].Distance = int(r.varint())
 			}
 		}
-		u.Holds = r.objIDs()
+		u.Holds = uvarints[ids.ObjID](r)
 		return u
-	case tagBackCall, tagBackCallB:
-		c := msg.BackCall{
-			Trace:     r.trace(),
-			Caller:    r.frame(),
-			Initiator: ids.SiteID(r.uvarint()),
-			Kind:      msg.StepKind(r.byte()),
-			Inref:     ids.ObjID(r.uvarint()),
-			Outref:    r.ref(),
-		}
-		if tag == tagBackCallB {
-			c.Suspect = uint32(r.uvarint())
-		}
-		return c
-	case tagBackReply, tagBackReplyB:
-		rep := msg.BackReply{
-			Trace:  r.trace(),
-			Caller: r.frame(),
-			Result: msg.Verdict(r.byte()),
-		}
-		if n := r.count(); n > 0 && r.err == nil {
-			rep.Participants = make([]ids.SiteID, n)
-			for i := range rep.Participants {
-				rep.Participants[i] = ids.SiteID(r.uvarint())
+	case tagBackCall:
+		c := msg.BackCall{Trace: r.trace(), Initiator: ids.SiteID(r.uvarint())}
+		if n := r.count(5); n > 0 && r.err == nil {
+			c.Steps = make([]msg.BackStep, n)
+			for i := range c.Steps {
+				c.Steps[i] = msg.BackStep{Caller: r.frame(), Outref: r.ref(), Suspect: uint32(r.uvarint())}
 			}
 		}
-		if tag == tagBackReplyB {
-			if n := r.count(); n > 0 && r.err == nil {
-				rep.Deps = make([]uint32, n)
-				for i := range rep.Deps {
-					rep.Deps[i] = uint32(r.uvarint())
-				}
+		return c
+	case tagBackReply:
+		rep := msg.BackReply{Trace: r.trace()}
+		if n := r.count(4); n > 0 && r.err == nil {
+			rep.Results = make([]msg.BackResult, n)
+			for i := range rep.Results {
+				res := &rep.Results[i]
+				res.Caller = r.frame()
+				res.Result, res.Deps = r.verdict()
+				res.Participants = uvarints[ids.SiteID](r)
 			}
 		}
 		return rep
 	case tagReport:
-		return msg.Report{Trace: r.trace(), Outcome: msg.Verdict(r.byte())}
-	case tagReportB:
-		rep := msg.Report{Trace: r.trace(), Outcome: msg.Verdict(r.byte())}
-		n := r.count()
-		if r.err == nil {
-			// Non-nil even when empty: the extended tag means the batch
-			// form, whose semantics differ from the nil flag-all form.
-			rep.GarbageSuspects = make([]uint32, n)
-			for i := range rep.GarbageSuspects {
-				rep.GarbageSuspects[i] = uint32(r.uvarint())
-			}
-		}
+		rep := msg.Report{Trace: r.trace()}
+		rep.Outcome, rep.GarbageSuspects = r.verdict()
 		return rep
 	case tagBatch:
 		var b msg.Batch
-		if n := r.count(); n > 0 && r.err == nil {
+		if n := r.count(1); n > 0 && r.err == nil {
 			b.Items = make([]msg.Message, n)
 			for i := range b.Items {
 				b.Items[i] = r.message(depth + 1)
@@ -440,7 +413,7 @@ func (r *reader) message(depth int) msg.Message {
 			AckCum:   r.uvarint(),
 			AckInc:   r.uvarint(),
 		}
-		if n := r.count(); n > 0 && r.err == nil {
+		if n := r.count(1); n > 0 && r.err == nil {
 			lb.Items = make([]msg.Message, n)
 			for i := range lb.Items {
 				lb.Items[i] = r.message(depth + 1)

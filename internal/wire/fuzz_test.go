@@ -11,12 +11,12 @@ import (
 
 // FuzzRoundTrip checks decode(encode(m)) == m for every message type under
 // the binary codec. The fuzzer drives a structured generator: tag selects
-// the message type (wrapped into range), seed the field values, so coverage
-// spans all thirteen types — including nested wrappers and the batched-trace
-// extended forms of BackCall/BackReply/Report.
+// the message type (an index into allTags, wrapped into range), seed the
+// field values, so coverage spans all thirteen types — including nested
+// wrappers and back-trace vectors of zero to four entries.
 func FuzzRoundTrip(f *testing.F) {
-	for tag := 1; tag <= 13; tag++ {
-		f.Add(int64(tag), uint8(tag))
+	for i := range allTags {
+		f.Add(int64(i+1), uint8(i))
 	}
 	bin := Binary{}
 	f.Fuzz(func(t *testing.T, seed int64, tag uint8) {
@@ -24,7 +24,7 @@ func FuzzRoundTrip(f *testing.F) {
 		env := msg.Envelope{
 			From: 1 + ids.SiteID(rng.Intn(1<<16)),
 			To:   1 + ids.SiteID(rng.Intn(1<<16)),
-			M:    randMessage(rng, int(tag)%13+1, 0),
+			M:    randMessage(rng, allTags[int(tag)%len(allTags)], 0),
 		}
 		frame, err := bin.Encode(&env, nil)
 		if err != nil {
@@ -54,6 +54,11 @@ func FuzzDecodeAny(f *testing.F) {
 	f.Add(bin)
 	f.Add([]byte{VersionGob, 0x01, 0x02}) // reserved gob version: must reject
 	f.Add([]byte{VersionBinary, 1, 2, tagBatch, 0xFF, 0xFF, 0x7F})
+	for _, m := range backTraceVectors() {
+		env := msg.Envelope{From: 1, To: 2, M: m}
+		frame, _ := (Binary{}).Encode(&env, nil)
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := DecodeAny(data)
 		if err == nil && env.M == nil {

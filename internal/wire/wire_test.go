@@ -13,7 +13,7 @@ import (
 // field populated away from its zero value so an encoding that drops or
 // reorders a field cannot round-trip.
 func exemplars() []msg.Message {
-	return []msg.Message{
+	all := []msg.Message{
 		msg.RefTransfer{Payload: ids.MakeRef(3, 77), Pinner: 2},
 		msg.Insert{Target: ids.MakeRef(4, 1005), Holder: 3, Pinner: 2},
 		msg.InsertAck{Target: ids.MakeRef(4, 1005)},
@@ -27,38 +27,7 @@ func exemplars() []msg.Message {
 			},
 			Holds: []ids.ObjID{1, 2, 3},
 		},
-		msg.BackCall{
-			Trace:     ids.TraceID{Initiator: 6, Seq: 1 << 21},
-			Caller:    ids.FrameID{Site: 2, Seq: 19},
-			Initiator: 6,
-			Kind:      msg.StepLocal,
-			Inref:     ids.ObjID(88),
-			Outref:    ids.MakeRef(5, 42),
-		},
-		msg.BackReply{
-			Trace:        ids.TraceID{Initiator: 6, Seq: 7},
-			Caller:       ids.FrameID{Site: 2, Seq: 19},
-			Result:       msg.VerdictLive,
-			Participants: []ids.SiteID{1, 5, 9},
-		},
 		msg.Report{Trace: ids.TraceID{Initiator: 1, Seq: 2}, Outcome: msg.VerdictGarbage},
-		// The batched-trace extended forms (tags 14-16).
-		msg.BackCall{
-			Trace:     ids.TraceID{Initiator: 6, Seq: 1 << 21},
-			Caller:    ids.FrameID{Site: 2, Seq: 19},
-			Initiator: 6,
-			Kind:      msg.StepRemote,
-			Inref:     ids.ObjID(88),
-			Outref:    ids.MakeRef(5, 42),
-			Suspect:   3,
-		},
-		msg.BackReply{
-			Trace:        ids.TraceID{Initiator: 6, Seq: 7},
-			Caller:       ids.FrameID{Site: 2, Seq: 19},
-			Result:       msg.VerdictGarbage,
-			Participants: []ids.SiteID{1, 5},
-			Deps:         []uint32{0, 2, 1 << 18},
-		},
 		msg.Report{
 			Trace:           ids.TraceID{Initiator: 1, Seq: 2},
 			Outcome:         msg.VerdictGarbage,
@@ -76,9 +45,37 @@ func exemplars() []msg.Message {
 			AckEpoch: 5, AckCum: 1044, AckInc: 1,
 			Items: []msg.Message{
 				msg.Update{Holds: []ids.ObjID{1}},
-				msg.BackCall{Trace: ids.TraceID{Initiator: 1, Seq: 1}, Kind: msg.StepRemote, Inref: 5},
+				msg.BackCall{Trace: ids.TraceID{Initiator: 1, Seq: 1}, Steps: []msg.BackStep{{Outref: ids.MakeRef(2, 5)}}},
 			},
 		},
+	}
+	return append(all, backTraceVectors()...)
+}
+
+// backTraceVectors returns BackCalls and BackReplies with no, one and
+// several entries, the several-entry forms mixing suspects, verdicts and
+// dependency sets; they are round-trip exemplars and fuzz seeds.
+func backTraceVectors() []msg.Message {
+	trace := ids.TraceID{Initiator: 6, Seq: 1 << 21}
+	return []msg.Message{
+		msg.BackCall{Trace: trace, Initiator: 6},
+		msg.BackCall{Trace: trace, Initiator: 6, Steps: []msg.BackStep{
+			{Caller: ids.FrameID{Site: 2, Seq: 19}, Outref: ids.MakeRef(2, 42)},
+		}},
+		msg.BackCall{Trace: trace, Initiator: 6, Steps: []msg.BackStep{
+			{Caller: ids.FrameID{Site: 2, Seq: 19}, Outref: ids.MakeRef(2, 42)},
+			{Caller: ids.FrameID{Site: 2, Seq: 20}, Outref: ids.MakeRef(2, 1<<40), Suspect: 3},
+			{Caller: ids.FrameID{Site: 2, Seq: 1 << 30}, Outref: ids.MakeRef(2, 7), Suspect: 1 << 18},
+		}},
+		msg.BackReply{Trace: trace},
+		msg.BackReply{Trace: trace, Results: []msg.BackResult{
+			{Caller: ids.FrameID{Site: 2, Seq: 19}, Result: msg.VerdictLive, Participants: []ids.SiteID{1, 5, 9}},
+		}},
+		msg.BackReply{Trace: trace, Results: []msg.BackResult{
+			{Caller: ids.FrameID{Site: 2, Seq: 19}, Result: msg.VerdictGarbage, Participants: []ids.SiteID{1, 5}, Deps: []uint32{0, 2, 1 << 18}},
+			{Caller: ids.FrameID{Site: 2, Seq: 20}, Result: msg.VerdictLive, Participants: []ids.SiteID{5}},
+			{Caller: ids.FrameID{Site: 2, Seq: 21}, Result: msg.VerdictGarbage},
+		}},
 	}
 }
 
@@ -171,6 +168,9 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 		"truncated":      frame[:len(frame)/2],
 		"trailing bytes": append(append([]byte(nil), frame...), 0x00),
 		"unknown tag":    {VersionBinary, 1, 2, 0xEE},
+		// Retired single-step back-trace tags (6-8, 14-16) are never
+		// reassigned, so a frame from the old layout fails loudly.
+		"retired tag": {VersionBinary, 1, 2, 6, 1, 1, 1, 1, 1, 2, 0, 2, 1},
 		// Collection length far beyond the remaining bytes must error, not
 		// allocate.
 		"bomb length": {VersionBinary, 1, 2, tagUpdate, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
@@ -200,6 +200,14 @@ func TestDecodeRejectsDeepNesting(t *testing.T) {
 	}
 }
 
+// allTags lists the live message tags; LinkBatch comes last so a LinkData
+// payload can draw from every tag but it.
+var allTags = []int{
+	tagRefTransfer, tagInsert, tagInsertAck, tagReleasePin, tagUpdate,
+	tagBackCall, tagBackReply, tagReport, tagBatch, tagLinkData, tagLinkAck,
+	tagLinkReset, tagLinkBatch,
+}
+
 // randMessage builds a random message of the given tag; depth bounds
 // wrapper nesting. Shared by the fuzz targets and the randomized round-trip
 // test. Slices are left nil when empty so decode output compares equal.
@@ -227,10 +235,23 @@ func randMessage(rng *rand.Rand, tag, depth int) msg.Message {
 		}
 		out := make([]msg.Message, n)
 		for i := range out {
-			out[i] = randMessage(rng, rng.Intn(13)+1, depth+1)
+			out[i] = randMessage(rng, allTags[rng.Intn(len(allTags))], depth+1)
 		}
 		return out
 	}
+	u32s := func() []uint32 {
+		n := rng.Intn(4)
+		if n == 0 {
+			return nil
+		}
+		out := make([]uint32, n)
+		for i := range out {
+			out[i] = rng.Uint32() >> rng.Intn(32)
+		}
+		return out
+	}
+	frame := func() ids.FrameID { return ids.FrameID{Site: site(), Seq: rng.Uint64() >> rng.Intn(64)} }
+	trace := func() ids.TraceID { return ids.TraceID{Initiator: site(), Seq: rng.Uint64() >> rng.Intn(64)} }
 	switch tag {
 	case tagRefTransfer:
 		return msg.RefTransfer{Payload: ref(), Pinner: site()}
@@ -253,55 +274,41 @@ func randMessage(rng *rand.Rand, tag, depth int) msg.Message {
 		}
 		return u
 	case tagBackCall:
-		return msg.BackCall{
-			Trace:     ids.TraceID{Initiator: site(), Seq: rng.Uint64() >> rng.Intn(64)},
-			Caller:    ids.FrameID{Site: site(), Seq: rng.Uint64() >> rng.Intn(64)},
-			Initiator: site(),
-			Kind:      msg.StepKind(rng.Intn(2) + 1),
-			Inref:     ids.ObjID(rng.Uint64() >> rng.Intn(64)),
-			Outref:    ref(),
-			Suspect:   uint32(rng.Intn(3)) * uint32(rng.Intn(1<<10)), // often 0 → legacy tag
-		}
-	case tagBackReply:
-		rep := msg.BackReply{
-			Trace:  ids.TraceID{Initiator: site(), Seq: rng.Uint64() >> rng.Intn(64)},
-			Caller: ids.FrameID{Site: site(), Seq: rng.Uint64() >> rng.Intn(64)},
-			Result: msg.Verdict(rng.Intn(2)),
-		}
-		if n := rng.Intn(4); n > 0 {
-			rep.Participants = make([]ids.SiteID, n)
-			for i := range rep.Participants {
-				rep.Participants[i] = site()
+		// No, one or several steps; suspects are often 0 (single-suspect
+		// traces) and otherwise mixed.
+		c := msg.BackCall{Trace: trace(), Initiator: site()}
+		if n := rng.Intn(5); n > 0 {
+			c.Steps = make([]msg.BackStep, n)
+			for i := range c.Steps {
+				c.Steps[i] = msg.BackStep{Caller: frame(), Outref: ref(), Suspect: uint32(rng.Intn(3)) * uint32(rng.Intn(1<<10))}
 			}
 		}
-		// Nil or non-empty: an empty non-nil Deps slice would take the
-		// legacy tag and decode back to nil.
-		if n := rng.Intn(4); n > 0 {
-			rep.Deps = make([]uint32, n)
-			for i := range rep.Deps {
-				rep.Deps[i] = rng.Uint32() >> rng.Intn(32)
+		return c
+	case tagBackReply:
+		rep := msg.BackReply{Trace: trace()}
+		if n := rng.Intn(5); n > 0 {
+			rep.Results = make([]msg.BackResult, n)
+			for i := range rep.Results {
+				res := msg.BackResult{Caller: frame(), Result: msg.Verdict(rng.Intn(2)), Deps: u32s()}
+				if n := rng.Intn(4); n > 0 {
+					res.Participants = make([]ids.SiteID, n)
+					for j := range res.Participants {
+						res.Participants[j] = site()
+					}
+				}
+				rep.Results[i] = res
 			}
 		}
 		return rep
 	case tagReport:
-		rep := msg.Report{
-			Trace:   ids.TraceID{Initiator: site(), Seq: rng.Uint64() >> rng.Intn(64)},
-			Outcome: msg.Verdict(rng.Intn(2)),
-		}
-		if n := rng.Intn(4); n > 0 {
-			rep.GarbageSuspects = make([]uint32, n)
-			for i := range rep.GarbageSuspects {
-				rep.GarbageSuspects[i] = rng.Uint32() >> rng.Intn(32)
-			}
-		}
-		return rep
+		return msg.Report{Trace: trace(), Outcome: msg.Verdict(rng.Intn(2)), GarbageSuspects: u32s()}
 	case tagBatch:
 		return msg.Batch{Items: items()}
 	case tagLinkData:
 		return msg.LinkData{
 			Epoch:   rng.Uint64() >> rng.Intn(64),
 			Seq:     rng.Uint64() >> rng.Intn(64),
-			Payload: randMessage(rng, rng.Intn(12)+1, depth+1),
+			Payload: randMessage(rng, allTags[rng.Intn(len(allTags)-1)], depth+1),
 		}
 	case tagLinkAck:
 		return msg.LinkAck{Epoch: rng.Uint64() >> rng.Intn(64), Cum: rng.Uint64() >> rng.Intn(64), Inc: rng.Uint64() >> rng.Intn(64)}
@@ -326,11 +333,10 @@ func TestRandomizedRoundTrip(t *testing.T) {
 	for _, c := range codecs(t) {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < 2000; i++ {
-			tag := rng.Intn(13) + 1
 			env := msg.Envelope{
 				From: ids.SiteID(rng.Intn(1 << 16)),
 				To:   ids.SiteID(rng.Intn(1 << 16)),
-				M:    randMessage(rng, tag, 0),
+				M:    randMessage(rng, allTags[rng.Intn(len(allTags))], 0),
 			}
 			frame, err := c.Encode(&env, GetBuffer())
 			if err != nil {

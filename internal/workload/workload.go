@@ -118,6 +118,24 @@ func Ring(n int) Spec {
 	return s
 }
 
+// ParallelPair builds a garbage cycle whose references cross one pair of
+// sites k times in parallel: on site 1, h references a_1..a_k and each a_i
+// references b_i on site 2; on site 2 every b_i references g, and g
+// references h. That is E = k+1 inter-site references, but a back trace
+// crosses the site pair once in each direction: the k parallel steps
+// share one BackCall.
+func ParallelPair(k int) Spec {
+	s := Spec{Name: fmt.Sprintf("pair-%d", k), Sites: 2}
+	s.Objects = []ObjSpec{{Site: 1}, {Site: 2}} // h, g
+	s.Edges = [][2]int{{1, 0}}                  // g → h
+	for i := 0; i < k; i++ {
+		a, b := len(s.Objects), len(s.Objects)+1
+		s.Objects = append(s.Objects, ObjSpec{Site: 1}, ObjSpec{Site: 2})
+		s.Edges = append(s.Edges, [2]int{0, a}, [2]int{a, b}, [2]int{b, 1})
+	}
+	return s
+}
+
 // RootedRing is Ring plus a persistent root on site 1 referencing the
 // first ring member — a live cycle for safety experiments.
 func RootedRing(n int) Spec {
