@@ -615,74 +615,6 @@ func BenchmarkOffLockTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalTrace (experiment C15) measures the steady-state cost
-// of one local trace round on a 20k-object heap of which ≤1% mutates per
-// round (monotone edge adds on a rotating window of 200 objects): both
-// modes patch the shadow snapshot from the dirty set; the full mode then
-// re-marks all 20k objects every round, the incremental mode remarks only
-// from the 200 dirty seeds.
-func BenchmarkIncrementalTrace(b *testing.B) {
-	const (
-		liveObjs        = 20000
-		mutatedPerRound = 200 // 1% of the heap
-	)
-	for _, incremental := range []bool{false, true} {
-		name := "full"
-		if incremental {
-			name = "incremental"
-		}
-		b.Run(name, func(b *testing.B) {
-			net := transport.NewNet(transport.Options{})
-			defer net.Close()
-			s := site.New(site.Config{
-				ID:                 1,
-				Network:            net,
-				SuspicionThreshold: 3,
-				BackThreshold:      1 << 20,
-				Incremental:        incremental,
-			})
-			defer s.Close()
-			root := s.NewRootObject()
-			objs := make([]ids.Ref, 0, liveObjs)
-			prev := root
-			for j := 0; j < liveObjs; j++ {
-				o := s.NewObject()
-				if err := s.AddReference(prev.Obj, o); err != nil {
-					b.Fatal(err)
-				}
-				prev = o
-				objs = append(objs, o)
-			}
-			target := objs[0] // fixed live target for the monotone adds
-			s.RunLocalTrace() // first trace is full in both modes
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			idx := 0
-			for i := 0; i < b.N; i++ {
-				for k := 0; k < mutatedPerRound; k++ {
-					if err := s.AddReference(objs[idx%len(objs)].Obj, target); err != nil {
-						b.Fatal(err)
-					}
-					idx++
-				}
-				s.RunLocalTrace()
-			}
-			b.StopTimer()
-			if incremental {
-				// The steady-state rounds must actually have taken the remark
-				// path; a silent fallback would invalidate the comparison.
-				snap := s.Counters().Snapshot()
-				if snap["localtrace.incremental.remarks"] < int64(b.N) {
-					b.Fatalf("only %d/%d rounds remarked (fallbacks: %d)",
-						snap["localtrace.incremental.remarks"], b.N,
-						snap["localtrace.incremental.fallbacks"])
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkParallelTrace (experiment C16) measures the full local trace on a
 // million-object sharded heap at 1, 2, 4 and 8 mark workers: a wide 8-ary
 // live tree (parallelism for the mark to harvest), a garbage tail (the dead

@@ -14,16 +14,14 @@
 //	dgcbench -exp overlap       # C9: concurrent back traces on one cycle
 //	dgcbench -exp telemetry     # C13: 2W+P re-verified via the typed registry and span trees
 //	dgcbench -exp hypertext     # intro workload end to end
-//	dgcbench -exp trace         # C15: incremental local tracing cost
 //	dgcbench -exp wire          # C17: binary wire codec + link batching
 //	dgcbench -exp backtrace     # C18: trace-traffic engine vs storm baseline
 //
 // -json FILE additionally writes the tables as JSON to FILE; -check (with
-// -exp trace, wire, backtrace, or all) exits nonzero if the idle-heap
-// incremental trace is more than 10% slower than the full trace, if the
-// binary codec bloats frames or allocations past its absolute budget, if
-// batching changes any logical message count or collection outcome, or if
-// the trace-traffic engine stops beating the trace-storm baseline.
+// -exp wire, backtrace, or all) exits nonzero if the binary codec bloats
+// frames or allocations past its absolute budget, if batching changes any
+// logical message count or collection outcome, or if the trace-traffic
+// engine stops beating the trace-storm baseline.
 package main
 
 import (
@@ -39,11 +37,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, messages, distance, insets, space, threshold, timeline, locality, baselines, overlap, telemetry, hypertext, trace, wire, backtrace)")
+	exp := flag.String("exp", "all", "experiment to run (all, messages, distance, insets, space, threshold, timeline, locality, baselines, overlap, telemetry, hypertext, wire, backtrace)")
 	scale := flag.Int("scale", 20, "size multiplier for the inset experiment")
 	format := flag.String("format", "text", "output format: text or json")
 	jsonOut := flag.String("json", "", "also write the tables as JSON to this file")
-	check := flag.Bool("check", false, "with -exp trace/wire/backtrace: fail if incremental idle tracing regresses past full by >10%, the binary codec exceeds its frame-size or allocation budget, batching changes logical counts, or the engine stops beating the trace-storm baseline")
+	check := flag.Bool("check", false, "with -exp wire/backtrace: fail if the binary codec exceeds its frame-size or allocation budget, batching changes logical counts, or the engine stops beating the trace-storm baseline")
 	// Shared transport surface (same flags as dgcnode/dgcsim). Applied
 	// to every standard experiment cluster; stepped experiments map
 	// -batch to deterministic piggybacking. The wire experiment pins its
@@ -68,11 +66,8 @@ func main() {
 			err = writeJSON(*jsonOut, res.tables)
 		}
 		if err == nil && *check {
-			if res.traceRows == nil && res.wireCodecRows == nil && res.backtraceRows == nil {
-				err = fmt.Errorf("-check requires a checkable experiment (-exp trace, wire, backtrace, or all)")
-			}
-			if err == nil && res.traceRows != nil {
-				err = experiments.CheckIncremental(res.traceRows)
+			if res.wireCodecRows == nil && res.backtraceRows == nil {
+				err = fmt.Errorf("-check requires a checkable experiment (-exp wire, backtrace, or all)")
 			}
 			if err == nil && res.wireCodecRows != nil {
 				err = experiments.CheckWire(res.wireCodecRows, res.wireBatchRows)
@@ -124,7 +119,6 @@ func render(w io.Writer, format string, tables []*experiments.Table) error {
 // re-examine.
 type results struct {
 	tables        []*experiments.Table
-	traceRows     []experiments.IncrementalRow
 	wireCodecRows []experiments.WireCodecRow
 	wireBatchRows []experiments.WireBatchRow
 	backtraceRows []experiments.BacktraceRow
@@ -134,7 +128,6 @@ func run(exp string, scale int) (results, error) {
 	all := exp == "all"
 	ran := false
 	var tables []*experiments.Table
-	var traceRows []experiments.IncrementalRow
 	var wireCodecRows []experiments.WireCodecRow
 	var wireBatchRows []experiments.WireBatchRow
 	var backtraceRows []experiments.BacktraceRow
@@ -244,16 +237,6 @@ func run(exp string, scale int) (results, error) {
 		tables = append(tables, experiments.HypertextTable(rows))
 	}
 
-	if all || exp == "trace" {
-		ran = true
-		rows, err := experiments.IncrementalTrace(20000, 200, 20)
-		if err != nil {
-			return results{}, err
-		}
-		traceRows = rows
-		tables = append(tables, experiments.IncrementalTable(rows))
-	}
-
 	if all || exp == "wire" {
 		ran = true
 		codecRows, err := experiments.WireCodecBench(2000)
@@ -285,7 +268,6 @@ func run(exp string, scale int) (results, error) {
 	}
 	return results{
 		tables:        tables,
-		traceRows:     traceRows,
 		wireCodecRows: wireCodecRows,
 		wireBatchRows: wireBatchRows,
 		backtraceRows: backtraceRows,

@@ -46,7 +46,6 @@ func main() {
 		drop     = flag.Float64("drop", 0, "message drop probability")
 		algo     = flag.String("outsets", "bottom-up", "outset algorithm: bottom-up or independent")
 		parallel = flag.Bool("parallel", false, "run sites on goroutines with mailbox executors (disables stepped determinism)")
-		incr     = flag.Bool("incremental", false, "incremental local tracing: dirty-set remark over copy-on-write snapshots")
 		shards   = flag.Int("shards", 0, "heap/ref-table shards per site (0 = GOMAXPROCS; result-invariant)")
 		workers  = flag.Int("trace-workers", 0, "mark workers per local trace (0 or 1 marks inline; more share the same marker by work stealing; result-invariant)")
 		inflight = flag.Int("max-inflight-traces", 0, "cap concurrent back traces per site (0 = unlimited legacy trigger)")
@@ -86,7 +85,6 @@ func main() {
 			Sites:               *simSites,
 			Faults:              *faults,
 			SkipTransferBarrier: *skipBarrier,
-			Incremental:         *incr,
 			Shards:              *shards,
 			TraceWorkers:        *workers,
 			Codec:               simCodec,
@@ -108,7 +106,7 @@ func main() {
 	}
 
 	if err := run(*kind, *sites, *objects, *docs, *seed, *rounds, *thresh, *backT,
-		*latency, *jitter, *drop, *algo, *parallel, *incr, *shards, *workers,
+		*latency, *jitter, *drop, *algo, *parallel, *shards, *workers,
 		*inflight, *batchSz, *memoize, tcfg,
 		*verbose, *events, *dotPath, *traceOut); err != nil {
 		fmt.Fprintln(os.Stderr, "dgcsim:", err)
@@ -117,7 +115,7 @@ func main() {
 }
 
 func run(kind string, sites, objects, docs int, seed int64, rounds, thresh, backT int,
-	latency, jitter time.Duration, drop float64, algoName string, parallel, incremental bool,
+	latency, jitter time.Duration, drop float64, algoName string, parallel bool,
 	shards, traceWorkers, maxInflight, traceBatch int, memoizeLive bool,
 	tcfg cluster.TransportConfig, verbose bool, eventTail int, dotPath, traceOut string) error {
 
@@ -160,7 +158,6 @@ func run(kind string, sites, objects, docs int, seed int64, rounds, thresh, back
 		OutsetAlgorithm:    algo,
 		AutoBackTrace:      true,
 		Parallel:           parallel,
-		Incremental:        incremental,
 		Shards:             shards,
 		TraceWorkers:       traceWorkers,
 		MaxInflightTraces:  maxInflight,
@@ -223,9 +220,9 @@ func run(kind string, sites, objects, docs int, seed int64, rounds, thresh, back
 	fmt.Printf("\nback traces: %d started, %d garbage, %d live\n",
 		snap["backtrace.started"], snap["backtrace.outcome.garbage"], snap["backtrace.outcome.live"])
 	if maxInflight > 0 || traceBatch > 1 || memoizeLive {
-		fmt.Printf("scheduler:   peak inflight %d, peak batch %d, %d joined, %d deferred, %d memo hits\n",
+		fmt.Printf("scheduler:   peak inflight %d, peak batch %d, %d deferred, %d memo hits\n",
 			snap["backtrace.inflight"], snap["backtrace.batch_size"],
-			snap["backtrace.joined"], snap["backtrace.deferred"], snap["backtrace.memo_hits"])
+			snap["backtrace.deferred"], snap["backtrace.memo_hits"])
 	}
 	fmt.Printf("messages:    %d total (BackCall %d, BackReply %d, Report %d, Update %d, dropped %d)\n",
 		snap["msg.total"], snap["msg.BackCall"], snap["msg.BackReply"],

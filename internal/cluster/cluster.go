@@ -70,9 +70,6 @@ type Options struct {
 	// InboxSize, when positive, gives every site a bounded mailbox of this
 	// capacity (site.Config.InboxSize); it forces asynchronous delivery.
 	InboxSize int
-	// Incremental makes every site attempt a dirty-set remark before the
-	// full mark of each local trace (site.Config.Incremental).
-	Incremental bool
 	// Shards requests a minimum heap/ioref-table shard count on every
 	// site (site.Config.Shards); sites use max(GOMAXPROCS, Shards).
 	Shards int
@@ -214,7 +211,6 @@ func New(opts Options) *Cluster {
 			TraceBatch:                opts.TraceBatch,
 			MemoizeLive:               opts.MemoizeLive,
 			InboxSize:                 opts.InboxSize,
-			Incremental:               opts.Incremental,
 			Shards:                    opts.Shards,
 			TraceWorkers:              opts.TraceWorkers,
 			Clock:                     opts.Clock,

@@ -63,7 +63,7 @@ func TestConcurrentStress(t *testing.T) {
 }
 
 // runConcurrentStress is the body of TestConcurrentStress, shared with the
-// incremental-mode variant.
+// sharded variant.
 func runConcurrentStress(t *testing.T, opts Options) {
 	const (
 		numSites = 4

@@ -20,20 +20,6 @@ func TestShardedConcurrentStress(t *testing.T) {
 	runConcurrentStress(t, opts)
 }
 
-// TestShardedIncrementalConcurrentStress layers incremental tracing on top
-// of the sharded stress: write barriers touch per-shard dirty sets from
-// many mutator goroutines while split traces patch per-shard snapshots and
-// the parallel remark relaxes dirty seeds.
-func TestShardedIncrementalConcurrentStress(t *testing.T) {
-	opts := defaultOpts(4)
-	opts.Parallel = true
-	opts.InboxSize = 8
-	opts.Incremental = true
-	opts.Shards = 8
-	opts.TraceWorkers = 4
-	runConcurrentStress(t, opts)
-}
-
 // TestShardedRoundMatchesSerial re-runs the cross-site ring collection with
 // sharded sites and parallel marking: results must match the unsharded
 // collectors exactly — every garbage object reclaimed, the live chain

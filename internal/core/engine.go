@@ -366,8 +366,8 @@ func (e *Engine) count(name string) {
 
 // Eligible reports whether an outref satisfies the distance policy for
 // triggering a back trace: it exists, it is suspected, and its distance has
-// crossed its personal back threshold (Section 4.3). It does not consider
-// traces already in flight; see ShouldStart and TraceVisiting.
+// crossed its personal back threshold (Section 4.3). It considers neither
+// traces already in flight nor memoized verdicts; ShouldStart adds both.
 func (e *Engine) Eligible(target ids.Ref) bool {
 	o, ok := e.cfg.Table.Outref(target)
 	if !ok || o.IsClean(e.cfg.Threshold) {
@@ -388,17 +388,6 @@ func (e *Engine) MemoizedLive(target ids.Ref) bool {
 		return true
 	}
 	return false
-}
-
-// TraceVisiting reports whether some in-flight back trace holds a visit
-// mark on the outref. Such a suspect needs no trace of its own: if the
-// visiting trace concludes Garbage its report phase flags every ioref it
-// visited (Section 4.5), and if it concludes Live the suspect's raised
-// back threshold defers the retry — so the scheduler joins the suspect to
-// the active trace instead of launching a duplicate.
-func (e *Engine) TraceVisiting(target ids.Ref) bool {
-	o, ok := e.cfg.Table.Outref(target)
-	return ok && len(o.Visited) > 0
 }
 
 // ShouldStart reports whether a back trace should be triggered from the

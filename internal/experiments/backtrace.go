@@ -15,7 +15,6 @@ type BacktraceRow struct {
 	TracesStarted int64   `json:"traces_started"`
 	BackCalls     int64   `json:"back_calls"`
 	MemoHits      int64   `json:"memo_hits"`
-	Joined        int64   `json:"joined"`
 	Deferred      int64   `json:"deferred"`
 	PeakInflight  int64   `json:"peak_inflight"`
 	PeakBatch     int64   `json:"peak_batch"`
@@ -114,7 +113,6 @@ func BacktraceTraffic(sites, hub, petals, liveDepth int) ([]BacktraceRow, error)
 			TracesStarted: snap[metrics.BackTracesStarted],
 			BackCalls:     snap["msg.BackCall"],
 			MemoHits:      snap[metrics.BackTraceMemoHits],
-			Joined:        snap[metrics.BackTraceJoined],
 			Deferred:      snap[metrics.BackTraceDeferred],
 			PeakInflight:  snap[metrics.BackTraceInflight],
 			PeakBatch:     snap[metrics.BackTraceBatchSize],
@@ -137,7 +135,7 @@ func BacktraceTable(rows []BacktraceRow) *Table {
 		Title: "C18: back-trace traffic engine vs trace-storm baseline " +
 			"(batching + memoization + admission cap)",
 		Header: []string{"mode", "traces", "backcalls", "traces/cyc", "calls/cyc",
-			"memo", "joined", "deferred", "peak batch", "collected"},
+			"memo", "deferred", "peak batch", "collected"},
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{
@@ -147,7 +145,6 @@ func BacktraceTable(rows []BacktraceRow) *Table {
 			fmt.Sprintf("%.2f", r.TracesPerCyc),
 			fmt.Sprintf("%.2f", r.CallsPerCyc),
 			fmt.Sprint(r.MemoHits),
-			fmt.Sprint(r.Joined),
 			fmt.Sprint(r.Deferred),
 			fmt.Sprint(r.PeakBatch),
 			fmt.Sprint(r.Collected),

@@ -15,6 +15,7 @@ package heap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,6 +47,11 @@ func (o *Object) Fields() []ids.Ref {
 	return out
 }
 
+// clone returns a copy of the object that shares no field storage with it.
+func (o *Object) clone() *Object {
+	return &Object{id: o.id, fields: slices.Clone(o.fields), size: o.size}
+}
+
 // NumFields returns the number of reference fields.
 func (o *Object) NumFields() int { return len(o.fields) }
 
@@ -69,7 +75,7 @@ type shard struct {
 	// outrefs live and clean. Sharded by the reference's object id.
 	appRoots map[ids.Ref]int
 
-	// --- incremental-trace write barrier (see TraceSnapshot) ---
+	// --- trace-snapshot write barrier (see TraceSnapshot) ---
 
 	// dirtyObjs names objects whose existence or fields may differ from
 	// the shadow shard (allocated, deleted, or field-mutated since the
@@ -96,7 +102,7 @@ type Heap struct {
 
 	// tracking, when true, makes every mutator operation record what it
 	// touched in its shard's dirty set so TraceSnapshot can produce an
-	// O(dirty) snapshot and Delta instead of an O(heap) deep copy. Off by
+	// O(dirty) snapshot instead of an O(heap) deep copy. Off by
 	// default: the bookkeeping is pure overhead for sites that run full
 	// traces. Written only while whole-heap exclusion holds (construction
 	// or the site write lock).
@@ -106,61 +112,6 @@ type Heap struct {
 	// It shares no Object structs with the live heap, so a local trace
 	// may read it off-lock while mutators keep writing here.
 	snap *Heap
-}
-
-// Delta describes how the heap changed between two TraceSnapshot calls, in
-// the terms the incremental tracer consumes. Classification happens at
-// snapshot time by diffing against the shadow copy, so operations that
-// cancel out (an edge added and removed again, a variable taken and
-// dropped) produce no entries at all.
-//
-// FieldsAdded lists objects that only gained fields — a monotone change the
-// incremental remark handles by rescanning the object. FieldsRemoved lists
-// objects that lost at least one field — an invalidating change that forces
-// a full trace. Root transitions are split the same way; remote roots are
-// the mutator variables holding references owned elsewhere (they seed
-// outref distances rather than object marks).
-type Delta struct {
-	// Full marks the first snapshot (or one taken after tracking was
-	// enabled mid-life): no previous state to diff against, so the caller
-	// must run a full trace.
-	Full bool
-
-	FieldsAdded   []ids.ObjID
-	FieldsRemoved []ids.ObjID
-	Allocated     []ids.ObjID
-	Deleted       []ids.ObjID
-
-	LocalRootsAdded    []ids.ObjID
-	LocalRootsRemoved  []ids.ObjID
-	RemoteRootsAdded   []ids.Ref
-	RemoteRootsRemoved []ids.Ref
-}
-
-// Empty reports whether the delta records no change at all.
-func (d *Delta) Empty() bool {
-	return !d.Full &&
-		len(d.FieldsAdded) == 0 && len(d.FieldsRemoved) == 0 &&
-		len(d.Allocated) == 0 && len(d.Deleted) == 0 &&
-		len(d.LocalRootsAdded) == 0 && len(d.LocalRootsRemoved) == 0 &&
-		len(d.RemoteRootsAdded) == 0 && len(d.RemoteRootsRemoved) == 0
-}
-
-// Invalidating reports whether the delta contains a change that can revoke
-// reachability or raise a distance — the changes the monotone incremental
-// remark cannot absorb exactly.
-func (d *Delta) Invalidating() bool {
-	return len(d.FieldsRemoved) > 0 ||
-		len(d.LocalRootsRemoved) > 0 || len(d.RemoteRootsRemoved) > 0
-}
-
-// Size returns the number of changed entities, the quantity the dirty-ratio
-// fallback knob compares against the heap size.
-func (d *Delta) Size() int {
-	return len(d.FieldsAdded) + len(d.FieldsRemoved) +
-		len(d.Allocated) + len(d.Deleted) +
-		len(d.LocalRootsAdded) + len(d.LocalRootsRemoved) +
-		len(d.RemoteRootsAdded) + len(d.RemoteRootsRemoved)
 }
 
 // New creates an empty single-shard heap for the given site. Library tests
@@ -243,14 +194,6 @@ func (h *Heap) Len() int {
 		sh.mu.RUnlock()
 	}
 	return n
-}
-
-// ShardLen returns the number of objects in one shard.
-func (h *Heap) ShardLen(i int) int {
-	sh := h.shards[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.objects)
 }
 
 // Alloc creates a new object with no fields and DefaultObjectSize payload,
@@ -492,9 +435,7 @@ func (h *Heap) Snapshot() *Heap {
 		defer src.mu.RUnlock()
 		dst.objects = make(map[ids.ObjID]*Object, len(src.objects))
 		for id, o := range src.objects {
-			fields := make([]ids.Ref, len(o.fields))
-			copy(fields, o.fields)
-			dst.objects[id] = &Object{id: o.id, fields: fields, size: o.size}
+			dst.objects[id] = o.clone()
 		}
 		dst.persistentRoots = make(map[ids.ObjID]struct{}, len(src.persistentRoots))
 		for o := range src.persistentRoots {
@@ -526,20 +467,18 @@ func (h *Heap) eachShardConcurrent(fn func(i int)) {
 	wg.Wait()
 }
 
-// TraceSnapshot returns a read-only snapshot of the heap plus the Delta of
-// changes since the previous TraceSnapshot call. The first call (and any
-// call before EnableDeltaTracking) deep-copies the whole heap and returns a
-// Full delta; subsequent calls patch each shard of the retained shadow copy
-// from that shard's dirty set — concurrently across shards, O(dirty) in
-// total — and diff each dirty entity against its shadow state, so an idle
-// heap snapshots in O(1) regardless of size.
+// TraceSnapshot returns a read-only snapshot of the heap. The first call
+// (and any call before EnableDeltaTracking) deep-copies the whole heap;
+// subsequent calls patch each shard of the retained shadow copy from that
+// shard's dirty set — concurrently across shards, O(dirty) in total — so an
+// idle heap snapshots in O(1) regardless of size.
 //
 // The returned heap is the shadow copy itself: it shares no Object structs
 // with the live heap (an off-lock trace may read it while mutators write
 // here), but it is patched in place by the NEXT TraceSnapshot call — the
 // caller must be done with it by then. The site's trace mutex provides
 // exactly that serialization.
-func (h *Heap) TraceSnapshot() (*Heap, *Delta) {
+func (h *Heap) TraceSnapshot() *Heap {
 	if !h.tracking {
 		h.EnableDeltaTracking()
 	}
@@ -552,96 +491,44 @@ func (h *Heap) TraceSnapshot() (*Heap, *Delta) {
 			clear(sh.dirtyAppRoots)
 			sh.mu.Unlock()
 		}
-		return h.snap, &Delta{Full: true}
+		return h.snap
 	}
-	parts := make([]Delta, len(h.shards))
 	h.eachShardConcurrent(func(i int) {
-		h.patchShard(h.shards[i], h.snap.shards[i], &parts[i])
+		h.patchShard(h.shards[i], h.snap.shards[i])
 	})
 	h.snap.next.Store(h.next.Load())
-	d := &Delta{}
-	for i := range parts {
-		p := &parts[i]
-		d.FieldsAdded = append(d.FieldsAdded, p.FieldsAdded...)
-		d.FieldsRemoved = append(d.FieldsRemoved, p.FieldsRemoved...)
-		d.Allocated = append(d.Allocated, p.Allocated...)
-		d.Deleted = append(d.Deleted, p.Deleted...)
-		d.LocalRootsAdded = append(d.LocalRootsAdded, p.LocalRootsAdded...)
-		d.LocalRootsRemoved = append(d.LocalRootsRemoved, p.LocalRootsRemoved...)
-		d.RemoteRootsAdded = append(d.RemoteRootsAdded, p.RemoteRootsAdded...)
-		d.RemoteRootsRemoved = append(d.RemoteRootsRemoved, p.RemoteRootsRemoved...)
-	}
-	d.sort()
-	return h.snap, d
+	return h.snap
 }
 
 // patchShard brings one shadow shard up to date from the live shard's dirty
-// set, accumulating the shard's contribution to the Delta. It locks the
-// live shard; the shadow shard is owned exclusively by the snapshot
-// lineage (the site's trace mutex).
-func (h *Heap) patchShard(live, snap *shard, d *Delta) {
+// set, leaving it exactly what Snapshot would copy. It locks the live
+// shard; the shadow shard is owned exclusively by the snapshot lineage (the
+// site's trace mutex).
+func (h *Heap) patchShard(live, snap *shard) {
 	live.mu.Lock()
 	defer live.mu.Unlock()
 	for obj := range live.dirtyObjs {
 		liveO, liveOK := live.objects[obj]
 		snapO, snapOK := snap.objects[obj]
 		switch {
-		case liveOK && !snapOK:
-			fields := make([]ids.Ref, len(liveO.fields))
-			copy(fields, liveO.fields)
-			snap.objects[obj] = &Object{id: liveO.id, fields: fields, size: liveO.size}
-			d.Allocated = append(d.Allocated, obj)
-		case !liveOK && snapOK:
+		case !liveOK:
 			delete(snap.objects, obj)
-			d.Deleted = append(d.Deleted, obj)
-		case liveOK && snapOK:
-			added, removed := fieldDiff(snapO.fields, liveO.fields)
-			if added || removed {
-				fields := make([]ids.Ref, len(liveO.fields))
-				copy(fields, liveO.fields)
-				snapO.fields = fields
-				if removed {
-					d.FieldsRemoved = append(d.FieldsRemoved, obj)
-				} else {
-					d.FieldsAdded = append(d.FieldsAdded, obj)
-				}
-			}
+		case !snapOK || !slices.Equal(snapO.fields, liveO.fields):
+			snap.objects[obj] = liveO.clone()
 		}
 	}
 	for obj := range live.dirtyPersist {
-		_, liveRoot := live.persistentRoots[obj]
-		_, snapRoot := snap.persistentRoots[obj]
-		switch {
-		case liveRoot && !snapRoot:
+		if _, ok := live.persistentRoots[obj]; ok {
 			snap.persistentRoots[obj] = struct{}{}
-			d.LocalRootsAdded = append(d.LocalRootsAdded, obj)
-		case !liveRoot && snapRoot:
+		} else {
 			delete(snap.persistentRoots, obj)
-			d.LocalRootsRemoved = append(d.LocalRootsRemoved, obj)
 		}
 	}
 	for r := range live.dirtyAppRoots {
-		liveN := live.appRoots[r]
-		snapN := snap.appRoots[r]
-		if liveN > 0 {
-			snap.appRoots[r] = liveN
+		if n := live.appRoots[r]; n > 0 {
+			snap.appRoots[r] = n
 		} else {
 			delete(snap.appRoots, r)
-		}
-		held, was := liveN > 0, snapN > 0
-		switch {
-		case held && !was:
-			if r.Site == h.site {
-				d.LocalRootsAdded = append(d.LocalRootsAdded, r.Obj)
-			} else {
-				d.RemoteRootsAdded = append(d.RemoteRootsAdded, r)
-			}
-		case !held && was:
-			if r.Site == h.site {
-				d.LocalRootsRemoved = append(d.LocalRootsRemoved, r.Obj)
-			} else {
-				d.RemoteRootsRemoved = append(d.RemoteRootsRemoved, r)
-			}
 		}
 	}
 	clear(live.dirtyObjs)
@@ -650,8 +537,9 @@ func (h *Heap) patchShard(live, snap *shard, d *Delta) {
 }
 
 // ResetTraceSnapshot discards the shadow copy so the next TraceSnapshot is
-// Full. Used when a trace built on the snapshot lineage was abandoned (the
-// delta it consumed is gone) and after wholesale state replacement.
+// a fresh deep copy. Used when a trace built on the snapshot lineage was
+// abandoned (the dirty sets it consumed are gone) and after wholesale state
+// replacement.
 func (h *Heap) ResetTraceSnapshot() {
 	h.snap = nil
 	if h.tracking {
@@ -689,47 +577,6 @@ func (h *Heap) MaxShardDirtyRatio() float64 {
 		}
 	}
 	return max
-}
-
-func (d *Delta) sort() {
-	objs := func(s []ids.ObjID) {
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	}
-	refs := func(s []ids.Ref) {
-		sort.Slice(s, func(i, j int) bool { return s[i].Less(s[j]) })
-	}
-	objs(d.FieldsAdded)
-	objs(d.FieldsRemoved)
-	objs(d.Allocated)
-	objs(d.Deleted)
-	objs(d.LocalRootsAdded)
-	objs(d.LocalRootsRemoved)
-	refs(d.RemoteRootsAdded)
-	refs(d.RemoteRootsRemoved)
-}
-
-// fieldDiff compares two field multisets: added reports a reference present
-// more times in new than old, removed the reverse. An edge added and then
-// removed again between snapshots reports neither.
-func fieldDiff(old, new []ids.Ref) (added, removed bool) {
-	if len(old) == 0 || len(new) == 0 {
-		return len(new) > len(old), len(old) > len(new)
-	}
-	counts := make(map[ids.Ref]int, len(old))
-	for _, f := range old {
-		counts[f]++
-	}
-	for _, f := range new {
-		counts[f]--
-	}
-	for _, n := range counts {
-		if n > 0 {
-			removed = true
-		} else if n < 0 {
-			added = true
-		}
-	}
-	return added, removed
 }
 
 // NextID returns the allocation high-water mark (for checkpointing).

@@ -71,6 +71,7 @@ func TestTraceSnapshotEquivalence(t *testing.T) {
 			objs = append(objs, h.AllocRoot())
 		}
 
+		var prev *Heap
 		for round := 0; round < 12; round++ {
 			for step := 0; step < 30; step++ {
 				switch rng.Intn(8) {
@@ -118,125 +119,80 @@ func TestTraceSnapshotEquivalence(t *testing.T) {
 					}
 				}
 			}
-			snap, d := h.TraceSnapshot()
-			if round == 0 && !d.Full {
-				t.Fatalf("seed %d: first delta not Full", seed)
+			snap := h.TraceSnapshot()
+			if round > 0 && snap != prev {
+				t.Fatalf("seed %d round %d: snapshot not patched in place", seed, round)
 			}
-			if round > 0 && d.Full {
-				t.Fatalf("seed %d round %d: unexpected Full delta", seed, round)
-			}
+			prev = snap
 			sameTracerView(t, h, snap)
 		}
 	}
 }
 
 // TestTraceSnapshotCancellingOps checks that operations undone before the
-// snapshot produce no delta entries at all.
+// snapshot leave it equal to the live heap, and that a field removed and
+// added back — same multiset, new order — reaches the snapshot in the live
+// order.
 func TestTraceSnapshotCancellingOps(t *testing.T) {
 	h := New(1)
 	h.EnableDeltaTracking()
 	a := h.AllocRoot()
 	b := h.Alloc()
-	if _, d := h.TraceSnapshot(); !d.Full {
-		t.Fatal("first delta not Full")
+	c := h.Alloc()
+	for _, to := range []ids.Ref{b, c} {
+		if err := h.AddField(a.Obj, to); err != nil {
+			t.Fatal(err)
+		}
 	}
+	h.TraceSnapshot()
 
-	// Edge added then removed again: no field delta.
-	if err := h.AddField(a.Obj, b); err != nil {
+	// Edge added then removed again.
+	remote := ids.Ref{Site: 9, Obj: 4}
+	if err := h.AddField(b.Obj, remote); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.RemoveField(a.Obj, b); err != nil {
+	if _, err := h.RemoveField(b.Obj, remote); err != nil {
 		t.Fatal(err)
 	}
-	// Variable taken then dropped: no root delta.
+	// Variables taken then dropped, a persistent root toggled back, an
+	// object allocated and deleted.
 	h.AddAppRoot(b)
 	h.RemoveAppRoot(b)
-	// Remote variable taken then dropped.
-	remote := ids.Ref{Site: 9, Obj: 4}
 	h.AddAppRoot(remote)
 	h.RemoveAppRoot(remote)
-	// Persistent root toggled back.
 	if err := h.MarkPersistentRoot(b.Obj); err != nil {
 		t.Fatal(err)
 	}
 	h.UnmarkPersistentRoot(b.Obj)
-
-	if _, d := h.TraceSnapshot(); !d.Empty() {
-		t.Fatalf("cancelling ops left a delta: %+v", d)
-	}
-}
-
-// TestTraceSnapshotClassification checks each delta bucket on targeted
-// mutations.
-func TestTraceSnapshotClassification(t *testing.T) {
-	h := New(1)
-	h.EnableDeltaTracking()
-	a := h.AllocRoot()
-	h.TraceSnapshot()
-
-	b := h.Alloc()
-	if err := h.AddField(a.Obj, b); err != nil {
-		t.Fatal(err)
-	}
-	remote := ids.Ref{Site: 2, Obj: 7}
-	h.AddAppRoot(remote)
-	h.AddAppRoot(b)
-	_, d := h.TraceSnapshot()
-	if len(d.Allocated) != 1 || d.Allocated[0] != b.Obj {
-		t.Fatalf("Allocated = %v, want [%v]", d.Allocated, b.Obj)
-	}
-	if len(d.FieldsAdded) != 1 || d.FieldsAdded[0] != a.Obj {
-		t.Fatalf("FieldsAdded = %v, want [%v]", d.FieldsAdded, a.Obj)
-	}
-	if len(d.RemoteRootsAdded) != 1 || d.RemoteRootsAdded[0] != remote {
-		t.Fatalf("RemoteRootsAdded = %v, want [%v]", d.RemoteRootsAdded, remote)
-	}
-	if len(d.LocalRootsAdded) != 1 || d.LocalRootsAdded[0] != b.Obj {
-		t.Fatalf("LocalRootsAdded = %v, want [%v]", d.LocalRootsAdded, b.Obj)
-	}
-	if d.Invalidating() {
-		t.Fatalf("monotone delta reported Invalidating: %+v", d)
-	}
-
-	// Now the invalidating buckets.
+	gone := h.Alloc()
+	h.Delete(gone.Obj)
+	// a's fields go from [b c] to [c b].
 	if _, err := h.RemoveField(a.Obj, b); err != nil {
 		t.Fatal(err)
 	}
-	h.RemoveAppRoot(remote)
-	h.RemoveAppRoot(b)
-	c := h.Alloc()
-	h.Delete(c.Obj)
-	_, d = h.TraceSnapshot()
-	if len(d.FieldsRemoved) != 1 || d.FieldsRemoved[0] != a.Obj {
-		t.Fatalf("FieldsRemoved = %v, want [%v]", d.FieldsRemoved, a.Obj)
+	if err := h.AddField(a.Obj, b); err != nil {
+		t.Fatal(err)
 	}
-	if len(d.RemoteRootsRemoved) != 1 || d.RemoteRootsRemoved[0] != remote {
-		t.Fatalf("RemoteRootsRemoved = %v, want [%v]", d.RemoteRootsRemoved, remote)
-	}
-	if len(d.LocalRootsRemoved) != 1 || d.LocalRootsRemoved[0] != b.Obj {
-		t.Fatalf("LocalRootsRemoved = %v, want [%v]", d.LocalRootsRemoved, b.Obj)
-	}
-	// c was allocated and deleted between snapshots: no trace of it.
-	if len(d.Allocated) != 0 || len(d.Deleted) != 0 {
-		t.Fatalf("alloc+delete between snapshots leaked: %+v", d)
-	}
-	if !d.Invalidating() {
-		t.Fatalf("removals not Invalidating: %+v", d)
+
+	snap := h.TraceSnapshot()
+	sameTracerView(t, h, snap)
+	if snap.Contains(gone.Obj) {
+		t.Fatal("object allocated and deleted between snapshots is in the snapshot")
 	}
 }
 
-// TestTraceSnapshotReset checks that ResetTraceSnapshot forces the next
-// snapshot to be Full again.
+// TestTraceSnapshotReset checks that ResetTraceSnapshot makes the next
+// snapshot a fresh deep copy.
 func TestTraceSnapshotReset(t *testing.T) {
 	h := New(1)
 	h.EnableDeltaTracking()
 	h.AllocRoot()
-	h.TraceSnapshot()
+	old := h.TraceSnapshot()
 	h.Alloc()
 	h.ResetTraceSnapshot()
-	snap, d := h.TraceSnapshot()
-	if !d.Full {
-		t.Fatal("delta after reset not Full")
+	snap := h.TraceSnapshot()
+	if snap == old {
+		t.Fatal("snapshot after reset reused the old shadow copy")
 	}
 	sameTracerView(t, h, snap)
 }

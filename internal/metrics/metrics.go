@@ -204,8 +204,10 @@ const (
 	// BackTraceBatchSize is the high-water mark of suspects carried by one
 	// batched trace (recorded with Max).
 	BackTraceBatchSize = "backtrace.batch_size"
-	// BackTraceJoined counts suspects that joined an active trace already
-	// visiting their cone instead of launching a duplicate.
+	// BackTraceJoined counts suspects joined to an active trace instead of
+	// launching their own. The scheduler never joins (ShouldStart keeps a
+	// suspect from starting while a trace is active on it), so it stays
+	// declared at zero.
 	BackTraceJoined = "backtrace.joined"
 	// BackTraceDeferred counts suspects parked in the admission queue
 	// because the in-flight cap was reached.
@@ -224,18 +226,21 @@ const (
 	CompletionsDropped = "site.completions_dropped"
 )
 
-// Incremental-tracing counter names (site.Config.Incremental).
+// Incremental-tracing counter names. Every local trace is a full mark, so
+// IncrementalFallbacks counts every trace (it equals LocalTraces) and the
+// other three stay at zero; all four remain for consumers that read them.
 const (
-	// IncrementalRemarks counts local traces that took the dirty-set remark
-	// path instead of a full forward mark.
+	// IncrementalRemarks counts local traces that took a dirty-set remark
+	// instead of a full forward mark: always zero.
 	IncrementalRemarks = "localtrace.incremental.remarks"
-	// IncrementalFallbacks counts incremental-mode traces that fell back to
-	// a full trace (first trace, invalidating mutation, dirty ratio, ...).
+	// IncrementalFallbacks counts local traces that ran a full forward
+	// mark: every trace.
 	IncrementalFallbacks = "localtrace.incremental.fallbacks"
-	// IncrementalOutsetsReused counts remarks that carried the previous back
-	// information over verbatim instead of recomputing outsets.
+	// IncrementalOutsetsReused counts traces that carried the previous back
+	// information over instead of recomputing outsets: always zero.
 	IncrementalOutsetsReused = "localtrace.incremental.outsets_reused"
-	// IncrementalDirtySeeds totals the changed entities remarks relaxed from.
+	// IncrementalDirtySeeds totals the changed entities remarks relaxed
+	// from: always zero.
 	IncrementalDirtySeeds = "localtrace.incremental.dirty_seeds"
 )
 
@@ -251,7 +256,7 @@ const (
 	ParallelSteals = "localtrace.parallel.steals"
 	// ParallelShardDirtyRatio is the percentage of objects mutated in the
 	// dirtiest heap shard since the last trace snapshot, observed at the
-	// most recent snapshot (incremental sites only).
+	// most recent snapshot.
 	ParallelShardDirtyRatio = "localtrace.parallel.shard_dirty_ratio"
 )
 

@@ -221,7 +221,7 @@ type Table struct {
 	merged      []*Inref
 	mergedValid atomic.Bool
 
-	// --- incremental-trace write barrier (see TraceSnapshot) ---
+	// --- trace-snapshot write barrier (see TraceSnapshot) ---
 
 	// tracking is written only while whole-table exclusion holds
 	// (construction or the site write lock). dirtyIn/dirtyOut live on the
@@ -230,46 +230,6 @@ type Table struct {
 	// BackThreshold, Visited) are not tracked.
 	tracking bool
 	snap     *Table
-}
-
-// Delta describes how the tracer-visible table state changed between two
-// TraceSnapshot calls. Like heap.Delta, classification happens at snapshot
-// time against the shadow copy, so changes that cancel out produce no
-// entries.
-//
-// An inref is "improved" when its effective root distance decreased: a new
-// inref appeared, a source distance dropped, or the minimum over sources
-// fell. It is "worsened" when the distance rose, the inref vanished, or it
-// was flagged garbage — changes that can only be absorbed by a full trace.
-// Outref removals are likewise treated as invalidating (the missing-outref
-// check of a full trace could newly fire); additions only extend the
-// untraced scan and are monotone.
-type Delta struct {
-	Full bool
-
-	InrefsImproved []ids.ObjID
-	InrefsWorsened []ids.ObjID
-	OutrefsAdded   []ids.Ref
-	OutrefsRemoved []ids.Ref
-}
-
-// Empty reports whether the delta records no tracer-visible change.
-func (d *Delta) Empty() bool {
-	return !d.Full &&
-		len(d.InrefsImproved) == 0 && len(d.InrefsWorsened) == 0 &&
-		len(d.OutrefsAdded) == 0 && len(d.OutrefsRemoved) == 0
-}
-
-// Invalidating reports whether the delta contains a change the monotone
-// incremental remark cannot absorb exactly.
-func (d *Delta) Invalidating() bool {
-	return len(d.InrefsWorsened) > 0 || len(d.OutrefsRemoved) > 0
-}
-
-// Size returns the number of changed entries (for the dirty-ratio knob).
-func (d *Delta) Size() int {
-	return len(d.InrefsImproved) + len(d.InrefsWorsened) +
-		len(d.OutrefsAdded) + len(d.OutrefsRemoved)
 }
 
 // NewTable creates empty single-shard tables for a site. backThreshold is
@@ -467,7 +427,7 @@ func (t *Table) RemoveInref(obj ids.ObjID) {
 
 // FlagGarbage sets the inref's garbage flag (a back trace confirmed it
 // garbage in its report phase, Section 4.5). Routed through the table so
-// incremental tracing sees the root disappear.
+// the trace snapshot sees the root disappear.
 func (t *Table) FlagGarbage(obj ids.ObjID) {
 	sh := t.inShardFor(obj)
 	sh.mu.Lock()
@@ -731,16 +691,15 @@ func (t *Table) Snapshot() *Table {
 	return cp
 }
 
-// TraceSnapshot returns a read-only snapshot of the tables plus the Delta
-// of tracer-visible changes since the previous TraceSnapshot call,
-// mirroring heap.TraceSnapshot: the first call deep-copies, later calls
-// patch each shard of the retained shadow copy concurrently, in O(dirty)
-// total. The snapshot is faithful only for what the tracer reads — inref
-// existence, source distances, garbage flags, and outref existence;
-// tracer-invisible fields (Barrier, Pins, outref Distance) may be stale in
-// patched entries. The returned table is patched in place by the next
-// call; the site's trace mutex serializes.
-func (t *Table) TraceSnapshot() (*Table, *Delta) {
+// TraceSnapshot returns a read-only snapshot of the tables, mirroring
+// heap.TraceSnapshot: the first call deep-copies, later calls patch each
+// shard of the retained shadow copy concurrently, in O(dirty) total. The
+// snapshot is faithful only for what the tracer reads — inref existence,
+// source distances, garbage flags, and outref existence; tracer-invisible
+// fields (Barrier, Pins, outref Distance) may be stale in patched entries.
+// The returned table is patched in place by the next call; the site's
+// trace mutex serializes.
+func (t *Table) TraceSnapshot() *Table {
 	if !t.tracking {
 		t.EnableDeltaTracking()
 	}
@@ -754,54 +713,21 @@ func (t *Table) TraceSnapshot() (*Table, *Delta) {
 			clear(t.outs[i].dirtyOut)
 			t.outs[i].mu.Unlock()
 		}
-		return t.snap, &Delta{Full: true}
+		return t.snap
 	}
-	parts := make([]Delta, len(t.ins))
-	t.eachShardConcurrent(func(i int) {
-		t.patchShard(i, &parts[i])
-	})
-	d := &Delta{}
-	for i := range parts {
-		p := &parts[i]
-		d.InrefsImproved = append(d.InrefsImproved, p.InrefsImproved...)
-		d.InrefsWorsened = append(d.InrefsWorsened, p.InrefsWorsened...)
-		d.OutrefsAdded = append(d.OutrefsAdded, p.OutrefsAdded...)
-		d.OutrefsRemoved = append(d.OutrefsRemoved, p.OutrefsRemoved...)
-	}
-	sort.Slice(d.InrefsImproved, func(i, j int) bool { return d.InrefsImproved[i] < d.InrefsImproved[j] })
-	sort.Slice(d.InrefsWorsened, func(i, j int) bool { return d.InrefsWorsened[i] < d.InrefsWorsened[j] })
-	sort.Slice(d.OutrefsAdded, func(i, j int) bool { return d.OutrefsAdded[i].Less(d.OutrefsAdded[j]) })
-	sort.Slice(d.OutrefsRemoved, func(i, j int) bool { return d.OutrefsRemoved[i].Less(d.OutrefsRemoved[j]) })
-	return t.snap, d
+	t.eachShardConcurrent(t.patchShard)
+	return t.snap
 }
 
 // patchShard brings shard i of the shadow tables up to date from the live
-// shard's dirty sets, accumulating the shard's Delta contribution. It
-// locks the live shard; the shadow is owned by the snapshot lineage.
-func (t *Table) patchShard(i int, d *Delta) {
+// shard's dirty sets. It locks the live shard; the shadow is owned by the
+// snapshot lineage.
+func (t *Table) patchShard(i int) {
 	sh, snapSh := t.ins[i], t.snap.ins[i]
 	sh.mu.Lock()
 	for obj := range sh.dirtyIn {
 		liveIn, liveOK := sh.inrefs[obj]
 		snapIn, snapOK := snapSh.inrefs[obj]
-		// An inref acts as a trace root iff it exists and is not flagged
-		// garbage; its root distance is the minimum over sources.
-		oldRoot := snapOK && !snapIn.Garbage
-		newRoot := liveOK && !liveIn.Garbage
-		oldDist := 0
-		if oldRoot {
-			oldDist = snapIn.Distance()
-		}
-		newDist := 0
-		if newRoot {
-			newDist = liveIn.Distance()
-		}
-		switch {
-		case newRoot && (!oldRoot || newDist < oldDist):
-			d.InrefsImproved = append(d.InrefsImproved, obj)
-		case oldRoot && (!newRoot || newDist > oldDist):
-			d.InrefsWorsened = append(d.InrefsWorsened, obj)
-		}
 		if liveOK {
 			srcs := make(map[ids.SiteID]int, len(liveIn.Sources))
 			for s, sd := range liveIn.Sources {
@@ -838,15 +764,7 @@ func (t *Table) patchShard(i int, d *Delta) {
 	osh, snapOsh := t.outs[i], t.snap.outs[i]
 	osh.mu.Lock()
 	for target := range osh.dirtyOut {
-		liveO, liveOK := osh.outrefs[target]
-		_, snapOK := snapOsh.outrefs[target]
-		switch {
-		case liveOK && !snapOK:
-			d.OutrefsAdded = append(d.OutrefsAdded, target)
-		case !liveOK && snapOK:
-			d.OutrefsRemoved = append(d.OutrefsRemoved, target)
-		}
-		if liveOK {
+		if liveO, ok := osh.outrefs[target]; ok {
 			snapOsh.outrefs[target] = &Outref{
 				Target:        liveO.Target,
 				Distance:      liveO.Distance,
@@ -863,7 +781,8 @@ func (t *Table) patchShard(i int, d *Delta) {
 }
 
 // ResetTraceSnapshot discards the shadow copy so the next TraceSnapshot is
-// Full (used after an abandoned trace consumed the delta).
+// a fresh deep copy (used after an abandoned trace consumed the dirty
+// sets).
 func (t *Table) ResetTraceSnapshot() {
 	t.snap = nil
 	if t.tracking {

@@ -101,6 +101,7 @@ func TestTableTraceSnapshotEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tbl := NewTable(1, 7)
 		tbl.EnableDeltaTracking()
+		var prev *Table
 		for round := 0; round < 12; round++ {
 			for step := 0; step < 25; step++ {
 				obj := ids.ObjID(rng.Intn(12) + 1)
@@ -120,74 +121,12 @@ func TestTableTraceSnapshotEquivalence(t *testing.T) {
 					tbl.RemoveOutref(ids.Ref{Site: src, Obj: obj})
 				}
 			}
-			snap, d := tbl.TraceSnapshot()
-			if (round == 0) != d.Full {
-				t.Fatalf("seed %d round %d: Full = %v", seed, round, d.Full)
+			snap := tbl.TraceSnapshot()
+			if round > 0 && snap != prev {
+				t.Fatalf("seed %d round %d: snapshot not patched in place", seed, round)
 			}
+			prev = snap
 			sameTableView(t, tbl, snap)
 		}
-	}
-}
-
-// TestTableTraceSnapshotClassification checks the delta buckets on targeted
-// mutations.
-func TestTableTraceSnapshotClassification(t *testing.T) {
-	tbl := NewTable(1, 7)
-	tbl.EnableDeltaTracking()
-	tbl.AddSource(10, 2)
-	tbl.SetSourceDistance(10, 2, 5)
-	out := ids.Ref{Site: 2, Obj: 99}
-	tbl.EnsureOutref(out)
-	if _, d := tbl.TraceSnapshot(); !d.Full {
-		t.Fatal("first delta not Full")
-	}
-
-	// Monotone changes: new inref, lowered distance, new outref.
-	tbl.AddSource(20, 3)
-	tbl.SetSourceDistance(10, 2, 3)
-	out2 := ids.Ref{Site: 3, Obj: 50}
-	tbl.EnsureOutref(out2)
-	_, d := tbl.TraceSnapshot()
-	if len(d.InrefsImproved) != 2 || d.InrefsImproved[0] != 10 || d.InrefsImproved[1] != 20 {
-		t.Fatalf("InrefsImproved = %v, want [10 20]", d.InrefsImproved)
-	}
-	if len(d.OutrefsAdded) != 1 || d.OutrefsAdded[0] != out2 {
-		t.Fatalf("OutrefsAdded = %v, want [%v]", d.OutrefsAdded, out2)
-	}
-	if d.Invalidating() {
-		t.Fatalf("monotone delta reported Invalidating: %+v", d)
-	}
-
-	// No-op distance write produces no delta at all.
-	tbl.SetSourceDistance(10, 2, 3)
-	if _, d := tbl.TraceSnapshot(); !d.Empty() {
-		t.Fatalf("no-op distance write left a delta: %+v", d)
-	}
-
-	// Invalidating changes: raised distance, garbage flag, removed inref,
-	// removed outref.
-	tbl.SetSourceDistance(10, 2, 8)
-	tbl.FlagGarbage(20)
-	tbl.RemoveOutref(out)
-	_, d = tbl.TraceSnapshot()
-	if len(d.InrefsWorsened) != 2 || d.InrefsWorsened[0] != 10 || d.InrefsWorsened[1] != 20 {
-		t.Fatalf("InrefsWorsened = %v, want [10 20]", d.InrefsWorsened)
-	}
-	if len(d.OutrefsRemoved) != 1 || d.OutrefsRemoved[0] != out {
-		t.Fatalf("OutrefsRemoved = %v, want [%v]", d.OutrefsRemoved, out)
-	}
-	if !d.Invalidating() {
-		t.Fatalf("worsening delta not Invalidating: %+v", d)
-	}
-
-	// Cancelling ops: outref added and removed again, inref source added
-	// and removed again.
-	out3 := ids.Ref{Site: 4, Obj: 1}
-	tbl.EnsureOutref(out3)
-	tbl.RemoveOutref(out3)
-	tbl.AddSource(30, 4)
-	tbl.RemoveSource(30, 4)
-	if _, d := tbl.TraceSnapshot(); !d.Empty() {
-		t.Fatalf("cancelling ops left a delta: %+v", d)
 	}
 }

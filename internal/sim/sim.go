@@ -54,7 +54,7 @@ type Result struct {
 	Delivered int
 	Dropped   int
 	// Counters is the cluster's final counter snapshot (collector activity:
-	// traces run, remarks vs fallbacks, back traces, messages). Not part of
+	// traces run, back traces, messages). Not part of
 	// the digest.
 	Counters map[string]int64
 }

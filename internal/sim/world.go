@@ -41,10 +41,6 @@ type Config struct {
 	// SkipTransferBarrier disables the Section 6.1.1 transfer barrier in
 	// every site — the injected regression the model checker must catch.
 	SkipTransferBarrier bool `json:"skip_transfer_barrier,omitempty"`
-	// Incremental enables incremental local tracing on every site, so the
-	// model checker exercises the dirty-set remark and its write-barrier
-	// invalidation against the same safety/completeness oracles.
-	Incremental bool `json:"incremental,omitempty"`
 	// Shards requests a minimum heap/ioref-table shard count per site;
 	// TraceWorkers shares each local trace's mark between that many
 	// work-stealing workers. Both are result-invariant (traces are
@@ -222,7 +218,6 @@ func newWorld(cfg Config) *world {
 		CallTimeout:               simCallTimeout,
 		ReportTimeout:             simReportTimeout,
 		SkipTransferBarrierUnsafe: cfg.SkipTransferBarrier,
-		Incremental:               cfg.Incremental,
 		Shards:                    cfg.Shards,
 		TraceWorkers:              cfg.TraceWorkers,
 		Codec:                     cfg.codec(),
@@ -409,7 +404,6 @@ func (w *world) restoreConfig(s ids.SiteID) site.Config {
 		Clock:                     w.clk,
 		SkipTransferBarrierUnsafe: w.cfg.SkipTransferBarrier,
 		Piggyback:                 w.cfg.Batch,
-		Incremental:               w.cfg.Incremental,
 		Shards:                    w.cfg.Shards,
 		TraceWorkers:              w.cfg.TraceWorkers,
 		MaxInflightTraces:         w.cfg.MaxInflightTraces,

@@ -58,8 +58,6 @@ func (s *Site) RunLocalTrace() TraceReport {
 // back traces still use the old back information, garbage stays garbage (no
 // root or message can name an unreachable object), and barriers that fire
 // meanwhile are recorded (s.tracing) and replayed at commit.
-// Config.Incremental decides one thing only: whether a dirty-set remark is
-// attempted before the full mark.
 func (s *Site) BeginLocalTrace() {
 	s.traceMu.Lock()
 	defer s.traceMu.Unlock()
@@ -67,8 +65,8 @@ func (s *Site) BeginLocalTrace() {
 
 	s.mu.Lock()
 	s.gaugeDirty.Set(int64(100 * s.heap.MaxShardDirtyRatio()))
-	h, hd := s.heap.TraceSnapshot()
-	tbl, td := s.table.TraceSnapshot()
+	h := s.heap.TraceSnapshot()
+	tbl := s.table.TraceSnapshot()
 	threshold := s.threshold
 	epoch := s.traceEpoch
 	// Open the trace window: barriers applied from here to the commit are
@@ -79,12 +77,7 @@ func (s *Site) BeginLocalTrace() {
 	s.pendingBarrierOutrefs = nil
 	s.mu.Unlock()
 
-	var res *tracer.Result
-	if s.cfg.Incremental {
-		res = s.incr.Run(h, tbl, hd, td, threshold, s.cfg.OutsetAlgorithm)
-	} else {
-		res = s.incr.Full.Run(h, tbl, threshold, s.cfg.OutsetAlgorithm)
-	}
+	res := s.tracer.Run(h, tbl, threshold, s.cfg.OutsetAlgorithm)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -94,8 +87,7 @@ func (s *Site) BeginLocalTrace() {
 		// about a heap that no longer exists. traceMu makes this
 		// unreachable for ordinary Begin/Commit interleavings. The
 		// snapshot consumed the dirty sets but its result was dropped, so
-		// forget both lineages: the next trace starts full.
-		s.incr.Reset()
+		// forget both lineages: the next snapshot is a fresh deep copy.
 		s.heap.ResetTraceSnapshot()
 		s.table.ResetTraceSnapshot()
 		return
@@ -115,17 +107,8 @@ func (s *Site) installPendingLocked(res *tracer.Result) {
 	if res.Stats.Steals > 0 {
 		s.cfg.Counters.Add(metrics.ParallelSteals, res.Stats.Steals)
 	}
-	if s.cfg.Incremental {
-		if res.Stats.Incremental {
-			s.cfg.Counters.Inc(metrics.IncrementalRemarks)
-			s.cfg.Counters.Add(metrics.IncrementalDirtySeeds, int64(res.Stats.DirtySeeds))
-			if res.Stats.OutsetsReused {
-				s.cfg.Counters.Inc(metrics.IncrementalOutsetsReused)
-			}
-		} else {
-			s.cfg.Counters.Inc(metrics.IncrementalFallbacks)
-		}
-	}
+	// Every trace is a full trace, so every trace counts as a fallback.
+	s.cfg.Counters.Inc(metrics.IncrementalFallbacks)
 }
 
 // CommitLocalTrace atomically installs the most recent BeginLocalTrace:
@@ -394,7 +377,7 @@ func (s *Site) TriggerBackTraces() int {
 }
 
 // schedulerOn reports whether the trace-traffic scheduler (admission cap,
-// batching, join detection, round-robin scan) is configured; off, the
+// batching, round-robin scan) is configured; off, the
 // trigger keeps the legacy one-trace-per-suspect single-pass behaviour.
 func (s *Site) schedulerOn() bool {
 	return s.cfg.MaxInflightTraces > 0 || s.cfg.TraceBatch > 1
@@ -418,8 +401,9 @@ func (s *Site) triggerBackTracesLocked() int {
 
 // scheduleBackTracesLocked is the trace-traffic scheduler's trigger scan:
 // it walks the outref table round-robin from where the previous scan
-// stopped, joins suspects already covered by an in-flight trace's visit
-// marks, groups the rest into multi-suspect batches by inset overlap, and
+// stopped, takes the suspects ShouldStart admits (eligible, no trace from
+// this engine already active on them, not memoized Live) and not already
+// parked, groups them into multi-suspect batches by inset overlap, and
 // starts batches while the admission cap allows — parking the overflow in
 // the distance-priority queue instead of flooding the network.
 func (s *Site) scheduleBackTracesLocked() int {
@@ -435,18 +419,10 @@ func (s *Site) scheduleBackTracesLocked() int {
 	}
 	var cands []ids.Ref
 	for _, o := range outs {
-		if !s.engine.Eligible(o.Target) || s.engine.MemoizedLive(o.Target) {
+		if !s.engine.ShouldStart(o.Target) {
 			continue
 		}
 		if _, queued := s.pendingSet[o.Target]; queued {
-			continue
-		}
-		if s.engine.TraceVisiting(o.Target) {
-			// An in-flight trace already holds a visit mark on this
-			// suspect: its report phase will resolve it (flag on Garbage,
-			// raised back threshold on Live), so the suspect joins that
-			// trace instead of launching a duplicate.
-			s.cfg.Counters.Inc(metrics.BackTraceJoined)
 			continue
 		}
 		cands = append(cands, o.Target)
@@ -558,10 +534,6 @@ func (s *Site) drainAdmissionsLocked() {
 		// Revalidate: the suspect may have been cleaned, trimmed, proven
 		// Live, or covered by another trace while parked.
 		if !s.engine.ShouldStart(p.target) {
-			continue
-		}
-		if s.engine.TraceVisiting(p.target) {
-			s.cfg.Counters.Inc(metrics.BackTraceJoined)
 			continue
 		}
 		if t, ok := s.startTraceAdmitted(p.target); ok {

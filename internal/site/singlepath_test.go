@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"backtrace/internal/ids"
+	"backtrace/internal/metrics"
 	"backtrace/internal/tracer"
 	"backtrace/internal/transport"
 )
@@ -16,8 +17,9 @@ import (
 type scriptRun struct {
 	reports []TraceReport
 	audits  []Audit
-	// remarks counts the commits whose trace was a dirty-set remark.
-	remarks int
+	// traces and fallbacks total the sites' localtrace.runs and
+	// localtrace.incremental.fallbacks counters.
+	traces, fallbacks int64
 }
 
 // runMutationScript drives three sites through a seeded script of the legal
@@ -86,10 +88,9 @@ func runMutationScript(t *testing.T, seed int64, incremental bool, workers int) 
 		if round%10 == 0 {
 			plantRing()
 		}
-		// Every third round only adds (allocations, references, transfers),
-		// so incremental sites get deltas a remark can absorb; the others
-		// also remove references and drop roots, which makes garbage —
-		// cross-site cycles included — and forces the full mark.
+		// Every third round only adds (allocations, references, transfers);
+		// the others also remove references and drop roots, which makes
+		// garbage — cross-site cycles included.
 		ops := 10
 		if round%3 == 2 {
 			ops = 6
@@ -128,11 +129,12 @@ func runMutationScript(t *testing.T, seed int64, incremental bool, workers int) 
 		net.DeliverAll()
 		for _, s := range sites {
 			rep := s.RunLocalTrace()
-			// Cost counters legitimately differ between a remark and a
-			// full mark; everything a commit did must not.
-			if rep.Stats.Incremental {
-				run.remarks++
+			if rep.Stats.Incremental || rep.Stats.FallbackReason != tracer.FullTrace {
+				t.Fatalf("trace reported Incremental=%v FallbackReason=%q, want a full trace",
+					rep.Stats.Incremental, rep.Stats.FallbackReason)
 			}
+			// Cost counters legitimately differ between worker counts;
+			// everything a commit did must not.
 			rep.Stats = tracer.Stats{}
 			run.reports = append(run.reports, rep)
 			net.DeliverAll()
@@ -141,39 +143,45 @@ func runMutationScript(t *testing.T, seed int64, incremental bool, workers int) 
 			run.audits = append(run.audits, s.AuditSnapshot())
 		}
 	}
+	for _, s := range sites {
+		snap := s.Counters().Snapshot()
+		run.traces += snap[metrics.LocalTraces]
+		run.fallbacks += snap[metrics.IncrementalFallbacks]
+	}
 	return run
 }
 
 // TestSinglePathCommitsSameTraces is the site-level equivalence of the one
-// local-trace path: the same mutation script must commit identical trace
-// reports and leave identical audits whether or not a remark runs in front
-// of the full mark, at one mark worker and at four.
+// local-trace path: Config.Incremental is accepted and ignored, so the same
+// mutation script must commit identical trace reports and leave identical
+// audits with it on and off, at one mark worker and at four. Every trace is
+// a full mark, so each run counts one incremental fallback per local trace.
 func TestSinglePathCommitsSameTraces(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		want := runMutationScript(t, seed, false, 0)
+		want := runMutationScript(t, seed, false, 1)
 		collected, backTraces := 0, 0
 		for _, rep := range want.reports {
 			collected += rep.Collected
 			backTraces += rep.BackTracesStarted
 		}
-		if collected == 0 || backTraces == 0 || want.remarks != 0 {
-			t.Fatalf("seed %d: script swept %d objects, started %d back traces and ran %d remarks; want both of the first and no remark",
-				seed, collected, backTraces, want.remarks)
+		if collected == 0 || backTraces == 0 {
+			t.Fatalf("seed %d: script swept %d objects and started %d back traces; want both",
+				seed, collected, backTraces)
 		}
 		for _, cfg := range []struct {
 			incremental bool
 			workers     int
-		}{{true, 0}, {false, 4}, {true, 4}} {
+		}{{false, 1}, {true, 1}, {false, 4}, {true, 4}} {
 			got := runMutationScript(t, seed, cfg.incremental, cfg.workers)
 			ctx := fmt.Sprintf("seed %d incremental=%v workers=%d", seed, cfg.incremental, cfg.workers)
-			if (got.remarks > 0) != cfg.incremental {
-				t.Fatalf("%s: %d traces were remarks", ctx, got.remarks)
-			}
 			if !reflect.DeepEqual(got.reports, want.reports) {
 				t.Fatalf("%s: trace reports diverge\n got %+v\nwant %+v", ctx, got.reports, want.reports)
 			}
 			if !reflect.DeepEqual(got.audits, want.audits) {
 				t.Fatalf("%s: audits diverge", ctx)
+			}
+			if got.traces == 0 || got.fallbacks != got.traces {
+				t.Fatalf("%s: %d fallbacks over %d local traces, want one per trace", ctx, got.fallbacks, got.traces)
 			}
 		}
 	}

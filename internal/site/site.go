@@ -30,8 +30,7 @@
 //     the dense CAS-min forward mark, then the outset pass) runs entirely
 //     OUTSIDE the lock on that snapshot. Config.TraceWorkers only splits
 //     the mark across workers (one worker is the sequential trace, run
-//     inline) and Config.Incremental only puts a dirty-set remark in front
-//     of it; neither changes the committed result. The Section 6.2
+//     inline); it never changes the committed result. The Section 6.2
 //     double-buffered back information makes the off-lock computation
 //     safe: back traces keep using the old copy, and transfer barriers
 //     that fire meanwhile are recorded and replayed onto the new copy at
@@ -127,13 +126,12 @@ type Config struct {
 	// message on the caller's thread — required for the deterministic
 	// stepped replays. Sites with an inbox must be Close()d.
 	InboxSize int
-	// Incremental makes each local trace attempt a dirty-set remark
-	// first — reusing the previous trace's marks, distances, and back
-	// information — which applies whenever every change since the last
-	// trace was monotone and small against the heap; otherwise, and
-	// always when this is false, the trace runs the full mark. It selects
-	// nothing else: snapshots, locking and the full marker are the same
-	// either way, and so are the results; see docs/ALGORITHM.md.
+	// Incremental is accepted and ignored: every local trace is the same
+	// full mark over the copy-on-write snapshot. A dirty-set remark can
+	// only absorb changes that lower distances, while every ioref on a
+	// garbage cycle gains distance each round, so on any site collecting
+	// a cycle it never ran (docs/ALGORITHM.md). The field stays because
+	// existing configurations set it.
 	Incremental bool
 	// Shards requests a minimum shard count for the heap and ioref table.
 	// The site always uses max(GOMAXPROCS, Shards) shards, so mutator
@@ -143,9 +141,8 @@ type Config struct {
 	Shards int
 	// TraceWorkers is the number of mark workers local traces run with.
 	// Zero or one runs the marker inline on the tracing goroutine; above
-	// one, the same marker shares its work between that many goroutines
-	// and incremental remarks relax dirty seeds on a worker pool. Results
-	// are bit-identical at every count.
+	// one, the same marker shares its work between that many goroutines.
+	// Results are bit-identical at every count.
 	TraceWorkers int
 	// Clock supplies every timestamp the site takes: span start/end times,
 	// mailbox queue-delay accounting, and the engine's timeout deadlines.
@@ -237,12 +234,10 @@ type Site struct {
 	pendingBarrierInrefs  []ids.ObjID
 	pendingBarrierOutrefs []ids.Ref
 
-	// incr is the site's tracer: incr.Full runs every full mark and owns
-	// the dense mark table they reuse, and incr itself carries the
-	// trace-to-trace state of the remark Config.Incremental puts in front
-	// of it. Guarded by traceMu, not mu: it is touched only inside a
+	// tracer runs every local trace and owns the dense mark table they
+	// reuse. Guarded by traceMu, not mu: it is touched only inside a
 	// local-trace lifecycle.
-	incr tracer.Incremental
+	tracer tracer.Tracer
 
 	liveStreak int // consecutive Live outcomes, for AdaptiveThreshold
 
@@ -358,7 +353,7 @@ func New(cfg Config) *Site {
 	}
 	s.heap.EnableDeltaTracking()
 	s.table.EnableDeltaTracking()
-	s.incr.Full.Workers = cfg.TraceWorkers
+	s.tracer.Workers = cfg.TraceWorkers
 	reg := cfg.Counters.Registry()
 	s.histRTT = reg.Histogram(obs.MetricBackTraceRTT,
 		"wall-clock duration of back traces initiated by this site", nil)
@@ -387,7 +382,7 @@ func New(cfg Config) *Site {
 	reg.Counter(metrics.BackTraceMemoHits,
 		"back steps and trigger scans answered from a memoized Live verdict")
 	reg.Counter(metrics.BackTraceJoined,
-		"suspects absorbed into an active back trace already visiting their cone")
+		"suspects joined to an active back trace instead of starting one (the scheduler never joins: always zero)")
 	reg.Counter(metrics.BackTraceDeferred,
 		"suspects parked in the admission queue because the in-flight cap was reached")
 	s.engine = core.NewEngine(core.Config{

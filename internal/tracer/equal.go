@@ -3,41 +3,20 @@ package tracer
 import "backtrace/internal/ids"
 
 // EqualResults reports whether two trace results describe the same
-// collector outcome: identical marks and mark distances, outref distances,
-// dead/untraced/missing sets, and back information. Stats are excluded —
-// they carry cost and scheduling counters (durations, worker and steal
-// counts, remark rescans) that legitimately differ between worker counts
-// and between a remark and a full mark. The comparison is content-based:
-// nil compares equal to empty (a remark and a full mark differ in which
-// they produce for absent sets), and mark sets compare equal across
-// different shard partitionings.
+// collector outcome: identical outref distances, dead/untraced/missing
+// sets, and back information. Stats are excluded — they carry cost and
+// scheduling counters (durations, worker and steal counts) that
+// legitimately differ between worker counts. The comparison is
+// content-based: nil compares equal to empty.
 func EqualResults(a, b *Result) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	return equalMarks(a.Marked, b.Marked) &&
-		equalRefDists(a.OutrefDist, b.OutrefDist) &&
+	return equalRefDists(a.OutrefDist, b.OutrefDist) &&
 		equalObjIDs(a.Dead, b.Dead) &&
 		equalRefs(a.Untraced, b.Untraced) &&
 		equalRefs(a.Missing, b.Missing) &&
 		equalBack(a.Back, b.Back)
-}
-
-func equalMarks(a, b *MarkSet) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.Len() != b.Len() {
-		return false
-	}
-	for _, sh := range a.shards {
-		for obj, d := range sh {
-			if bd, ok := b.Get(obj); !ok || bd != d {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func equalRefDists(a, b map[ids.Ref]int) bool {

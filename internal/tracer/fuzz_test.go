@@ -70,12 +70,11 @@ func FuzzOutsetAlgorithmsAgree(f *testing.F) {
 			tbl.SetSourceDistance(obj.Obj, src, int(next()%12))
 		}
 
-		ind := new(Tracer).Run(h, tbl, threshold, AlgoIndependent)
-		bu := new(Tracer).Run(h, tbl, threshold, AlgoBottomUp)
+		indTr, buTr := new(Tracer), new(Tracer)
+		ind := indTr.Run(h, tbl, threshold, AlgoIndependent)
+		bu := buTr.Run(h, tbl, threshold, AlgoBottomUp)
 
-		if !reflect.DeepEqual(ind.Marked, bu.Marked) {
-			t.Fatalf("mark phases differ")
-		}
+		sameMarks(t, "mark phases", h, indTr, buTr)
 		if !reflect.DeepEqual(ind.OutrefDist, bu.OutrefDist) {
 			t.Fatalf("outref distances differ")
 		}

@@ -11,10 +11,13 @@ import (
 // outsetEnv bundles what both outset algorithms need to classify graph
 // nodes during the computation of back information (Section 5).
 type outsetEnv struct {
-	h         *heap.Heap
-	tbl       *refs.Table
-	mr        *markResult
-	threshold int
+	h   *heap.Heap
+	tbl *refs.Table
+	// marks is the forward mark's dense table (distance+1 per object id,
+	// zero when unmarked); outrefDist its outref distances.
+	marks      []int64
+	outrefDist map[ids.Ref]int
+	threshold  int
 }
 
 // suspectedObj reports whether a local object is suspected: reached by the
@@ -22,10 +25,14 @@ type outsetEnv struct {
 // ("objects and outrefs traced from [clean inrefs] are said to be clean;
 // the remaining are said to be suspected", Section 3). Unmarked objects are
 // garbage, not suspected; the traversal skips them because they are about
-// to be swept.
+// to be swept. So are phantom marks — ids the mark reached through a field
+// but the heap does not hold.
 func (e *outsetEnv) suspectedObj(obj ids.ObjID) bool {
-	d, ok := e.mr.marked.Get(obj)
-	return ok && d > e.threshold
+	if uint64(obj) >= uint64(len(e.marks)) {
+		return false
+	}
+	enc := e.marks[obj]
+	return enc != 0 && int(enc-1) > e.threshold && e.h.Contains(obj)
 }
 
 // suspectedOutref reports whether a remote reference should appear in
@@ -38,7 +45,7 @@ func (e *outsetEnv) suspectedObj(obj ids.ObjID) bool {
 // cleanliness before using the inset), and it keeps the back information
 // valid when the pin or barrier mark expires.
 func (e *outsetEnv) suspectedOutref(r ids.Ref) bool {
-	d, ok := e.mr.outrefDist[r]
+	d, ok := e.outrefDist[r]
 	return ok && d > e.threshold+1
 }
 

@@ -35,17 +35,17 @@ import (
 //
 // The mark table is a dense []int64 indexed by object id (the heap's
 // allocation high-water mark bounds it), storing distance+1 so the zero
-// value means "unmarked" and clearing it is the only reset. Workers CAS
-// ids without checking heap membership first — marking a deleted or absent
-// id is harmless, because scans look the object up (and skip it) and
-// materialization walks heap shards, never the dense array, so phantom
+// value means "unmarked" and clearing it is the only reset. It is never
+// copied out: the outset pass reads it in place, and the per-shard pass
+// below emits only the dead objects and the marked count. Workers CAS ids
+// without checking heap membership first — marking a deleted or absent id
+// is harmless, because scans look the object up (and skip it), the
+// per-shard pass walks heap shards rather than the dense array, and the
+// outset pass never suspects an id the heap does not hold, so phantom
 // marks can't leak into the result.
 
 // markResult is the outcome of the forward marking phase.
 type markResult struct {
-	// marked maps every reached object to the minimum distance over the
-	// roots that reach it.
-	marked *MarkSet
 	// outrefDist is the new estimated distance of each outref the trace
 	// reached: one plus the minimum mark over the objects holding it
 	// (Section 3).
@@ -56,6 +56,8 @@ type markResult struct {
 	missingOutrefs []ids.Ref
 	// dead lists the heap objects the trace did not reach, ascending.
 	dead []ids.ObjID
+	// objectsTraced counts the heap objects the trace reached.
+	objectsTraced int64
 }
 
 // parChunk is the granularity of work stealing: workers keep a private
@@ -88,8 +90,7 @@ type parWorker struct {
 
 	// outMin is the worker's running minimum of outref distances; the
 	// merge folds all workers' minima together.
-	outMin  map[ids.Ref]int
-	scanned int64
+	outMin map[ids.Ref]int
 }
 
 func newParEngine(workers int, scan func(w *parWorker, obj ids.ObjID)) *parEngine {
@@ -320,21 +321,16 @@ func (t *Tracer) parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*mark
 		return res.missingOutrefs[i].Less(res.missingOutrefs[j])
 	})
 
-	// Materialize the result from the dense array one heap shard at a time
-	// (inline for one worker, else a goroutine per shard): marked objects go
-	// into the shard's mark map, unmarked ones are the dead. Only objects
-	// actually in the heap are consulted, which filters the phantom marks.
-	res.marked = &MarkSet{shards: make([]map[ids.ObjID]int, h.NumShards())}
+	// Walk the heap one shard at a time (inline for one worker, else a
+	// goroutine per shard): unmarked objects are the dead, marked ones are
+	// only counted. Only objects actually in the heap are consulted, which
+	// filters the phantom marks.
 	dead := make([][]ids.ObjID, h.NumShards())
-	materialize := func(i int) {
-		// Pre-size to the shard's population: marks are the common case,
-		// and a too-large hint only wastes buckets, never correctness
-		// (map capacity is invisible to DeepEqual).
-		m := make(map[ids.ObjID]int, h.ShardLen(i))
-		res.marked.shards[i] = m
+	traced := make([]int64, h.NumShards())
+	tally := func(i int) {
 		h.EachObjectInShard(i, func(id ids.ObjID, _ *heap.Object) {
-			if enc := marks[id]; enc != 0 {
-				m[id] = int(enc - 1)
+			if marks[id] != 0 {
+				traced[i]++
 			} else {
 				dead[i] = append(dead[i], id)
 			}
@@ -342,7 +338,7 @@ func (t *Tracer) parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*mark
 	}
 	if workers == 1 {
 		for i := range dead {
-			materialize(i)
+			tally(i)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -350,10 +346,13 @@ func (t *Tracer) parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*mark
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				materialize(i)
+				tally(i)
 			}(i)
 		}
 		wg.Wait()
+	}
+	for _, n := range traced {
+		res.objectsTraced += n
 	}
 	for _, part := range dead {
 		res.dead = append(res.dead, part...)

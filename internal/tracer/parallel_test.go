@@ -3,6 +3,7 @@ package tracer
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"backtrace/internal/heap"
@@ -11,15 +12,11 @@ import (
 )
 
 // mutateState applies one weighted random mutation to the heap/table pair,
-// mirroring the legal site flows (the same mix the incremental equivalence
-// test uses). With allowInvalidating false the op is remapped into the
-// monotone range.
-func mutateState(rng *rand.Rand, h *heap.Heap, tbl *refs.Table, objs *[]ids.Ref, threshold int, allowInvalidating bool) {
-	op := rng.Intn(20)
-	if !allowInvalidating && op >= 17 {
-		op = rng.Intn(10)
-	}
-	switch op {
+// mirroring the legal site flows: allocation, local and remote edges,
+// arriving and improving inrefs, variables, and — less often — field
+// removal, inref loss or garbage flagging, and variable drops.
+func mutateState(rng *rand.Rand, h *heap.Heap, tbl *refs.Table, objs *[]ids.Ref, threshold int) {
+	switch rng.Intn(20) {
 	case 0, 1, 2, 3:
 		*objs = append(*objs, h.Alloc())
 	case 4, 5, 6, 7, 8, 9:
@@ -66,13 +63,39 @@ func mutateState(rng *rand.Rand, h *heap.Heap, tbl *refs.Table, objs *[]ids.Ref,
 	}
 }
 
-// TestParallelEquivalence is the bit-identical property for full traces:
+// sameResult fails unless got matches the reference trace on every field a
+// commit consumes: outref distances, dead set, untraced set, missing set,
+// and back information.
+func sameResult(t *testing.T, ctx string, got, want *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.OutrefDist, want.OutrefDist) {
+		t.Fatalf("%s: OutrefDist diverges:\ngot  %v\nwant %v", ctx, got.OutrefDist, want.OutrefDist)
+	}
+	if !reflect.DeepEqual(got.Dead, want.Dead) {
+		t.Fatalf("%s: Dead diverges:\ngot  %v\nwant %v", ctx, got.Dead, want.Dead)
+	}
+	if !reflect.DeepEqual(got.Untraced, want.Untraced) {
+		t.Fatalf("%s: Untraced diverges:\ngot  %v\nwant %v", ctx, got.Untraced, want.Untraced)
+	}
+	if !reflect.DeepEqual(got.Missing, want.Missing) {
+		t.Fatalf("%s: Missing diverges:\ngot  %v\nwant %v", ctx, got.Missing, want.Missing)
+	}
+	if !reflect.DeepEqual(got.Back.Outsets, want.Back.Outsets) {
+		t.Fatalf("%s: Back.Outsets diverges:\ngot  %v\nwant %v", ctx, got.Back.Outsets, want.Back.Outsets)
+	}
+	if !reflect.DeepEqual(got.Back.Insets, want.Back.Insets) {
+		t.Fatalf("%s: Back.Insets diverges:\ngot  %v\nwant %v", ctx, got.Back.Insets, want.Back.Insets)
+	}
+}
+
+// TestParallelEquivalence is the bit-identical property for local traces:
 // over seeded randomized states on varying shard counts, Tracer.Run must
 // match the literal Sections 2–3 trace (referenceTrace) on every comparable
-// result field, for every worker count in {1, 2, 4, 8} and both outset
-// algorithms, and report the same deterministic stats at each of them. One
-// Tracer per worker count lives across the rounds, so the reused mark table
-// is cleared between traces or the test fails.
+// result field and on the mark of every heap object, for every worker count
+// in {1, 2, 4, 8} and both outset algorithms, and report the same
+// deterministic stats at each of them. One Tracer per worker count lives
+// across the rounds, so the reused mark table is cleared between traces or
+// the test fails.
 func TestParallelEquivalence(t *testing.T) {
 	const (
 		numSeeds  = 30
@@ -99,20 +122,28 @@ func TestParallelEquivalence(t *testing.T) {
 			}
 			for round := 0; round < rounds; round++ {
 				for step := 0; step < 25; step++ {
-					mutateState(rng, h, tbl, &objs, threshold, round%4 == 3)
+					mutateState(rng, h, tbl, &objs, threshold)
 				}
-				want := referenceTrace(h, tbl, threshold, algo)
+				want, wantMarks := referenceTrace(h, tbl, threshold, algo)
 				for _, tr := range tracers {
 					got := tr.Run(h, tbl, threshold, algo)
-					sameResult(t, fmt.Sprintf("seed %d round %d shards %d workers %d algo %v",
-						seed, round, shards, tr.Workers, algo), got, want)
+					ctx := fmt.Sprintf("seed %d round %d shards %d workers %d algo %v",
+						seed, round, shards, tr.Workers, algo)
+					sameResult(t, ctx, got, want)
+					for _, obj := range h.Objects() {
+						d, ok := tr.markOf(h, obj)
+						wd, wok := wantMarks[obj]
+						if d != wd || ok != wok {
+							t.Fatalf("%s: mark of %v = (%d,%v), want (%d,%v)", ctx, obj, d, ok, wd, wok)
+						}
+					}
 					if !EqualResults(got, want) {
 						t.Fatalf("seed %d round %d workers %d: EqualResults disagrees with field comparison",
 							seed, round, tr.Workers)
 					}
-					if got.Stats.ObjectsTraced != int64(want.Marked.Len()) || got.Stats.Workers != tr.Workers {
+					if got.Stats.ObjectsTraced != int64(len(wantMarks)) || got.Stats.Workers != tr.Workers {
 						t.Fatalf("seed %d round %d workers %d: ObjectsTraced %d Workers %d, want %d objects marked once each",
-							seed, round, tr.Workers, got.Stats.ObjectsTraced, got.Stats.Workers, want.Marked.Len())
+							seed, round, tr.Workers, got.Stats.ObjectsTraced, got.Stats.Workers, len(wantMarks))
 					}
 				}
 				// Sweep as the site's commit would.
@@ -120,75 +151,6 @@ func TestParallelEquivalence(t *testing.T) {
 					h.Delete(obj)
 					tbl.RemoveInref(obj)
 				}
-			}
-		})
-	}
-}
-
-// TestParallelIncrementalEquivalence covers the remark at every worker
-// count: an Incremental tracer with Full.Workers in {1, 2, 4, 8} (dense-mark
-// fallbacks, and above one worker work-stealing dirty-seed remarks) must stay
-// identical to the reference trace of the same state. Every fifth round is
-// idle, which must take the memoized back-info reuse path (zero seeds
-// relaxed, previous outsets carried over) and still compare equal.
-func TestParallelIncrementalEquivalence(t *testing.T) {
-	const (
-		numSeeds  = 30
-		rounds    = 10
-		threshold = 2
-	)
-	for seed := int64(1); seed <= numSeeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			workers := []int{1, 2, 4, 8}[seed%4]
-			shards := []int{1, 2, 8}[seed%3]
-			h := heap.NewSharded(1, shards)
-			tbl := refs.NewTableSharded(1, threshold+2, shards)
-			h.EnableDeltaTracking()
-			tbl.EnableDeltaTracking()
-			inc := &Incremental{MaxDirtyRatio: 1e9, Full: Tracer{Workers: workers}}
-
-			var objs []ids.Ref
-			for i := 0; i < 4; i++ {
-				objs = append(objs, h.AllocRoot())
-			}
-			remarks, reused := 0, 0
-			for round := 0; round < rounds; round++ {
-				idle := round > 0 && round%5 == 4
-				if !idle {
-					for step := 0; step < 15; step++ {
-						mutateState(rng, h, tbl, &objs, threshold, round%4 == 3)
-					}
-				}
-				want := referenceTrace(h.Snapshot(), tbl.Snapshot(), threshold, AlgoBottomUp)
-
-				sh, hd := h.TraceSnapshot()
-				stbl, td := tbl.TraceSnapshot()
-				got := inc.Run(sh, stbl, hd, td, threshold, AlgoBottomUp)
-				if got.Stats.Incremental {
-					remarks++
-				}
-				if got.Stats.OutsetsReused {
-					reused++
-				}
-				if idle && !got.Stats.OutsetsReused {
-					t.Errorf("seed %d round %d: idle round did not reuse back info (incremental=%v reason=%q)",
-						seed, round, got.Stats.Incremental, got.Stats.FallbackReason)
-				}
-				sameResult(t, fmt.Sprintf("seed %d round %d workers %d shards %d (incremental=%v reason=%q)",
-					seed, round, workers, shards, got.Stats.Incremental, got.Stats.FallbackReason), got, want)
-
-				for _, obj := range got.Dead {
-					h.Delete(obj)
-					tbl.RemoveInref(obj)
-				}
-			}
-			if remarks == 0 {
-				t.Errorf("seed %d: no round took the incremental path", seed)
-			}
-			if reused == 0 {
-				t.Errorf("seed %d: no round reused the memoized back info", seed)
 			}
 		})
 	}

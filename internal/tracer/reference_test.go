@@ -12,8 +12,8 @@ import (
 // 2–3 state it — roots traced one at a time in ascending distance order,
 // every object marked once by the first root that reaches it — with none of
 // the production marker's machinery (no dense table, no relaxation, no
-// workers). The equivalence tests compare Tracer.Run and Incremental.Run
-// against it at every worker count.
+// workers, marks kept in a plain map). The equivalence tests compare
+// Tracer.Run and its dense mark table against it at every worker count.
 
 // root is one starting point of the forward trace: a local object together
 // with the distance of the root it represents (0 for persistent and
@@ -33,11 +33,9 @@ type root struct {
 //
 // Remote references held directly in application-root variables mark the
 // corresponding outrefs at distance 1.
-func forwardMark(h *heap.Heap, tbl *refs.Table) *markResult {
-	res := &markResult{
-		marked:     NewMarkSet(h.NumShards()),
-		outrefDist: make(map[ids.Ref]int),
-	}
+func forwardMark(h *heap.Heap, tbl *refs.Table) (map[ids.ObjID]int, *markResult) {
+	marked := make(map[ids.ObjID]int)
+	res := &markResult{outrefDist: make(map[ids.Ref]int)}
 	var roots []root
 	for _, obj := range h.PersistentRoots() {
 		roots = append(roots, root{obj: obj, dist: 0})
@@ -76,10 +74,10 @@ func forwardMark(h *heap.Heap, tbl *refs.Table) *markResult {
 		if !h.Contains(rt.obj) {
 			continue
 		}
-		if _, ok := res.marked.Get(rt.obj); ok {
+		if _, ok := marked[rt.obj]; ok {
 			continue
 		}
-		res.marked.Set(rt.obj, rt.dist)
+		marked[rt.obj] = rt.dist
 		stack = append(stack[:0], rt.obj)
 		for len(stack) > 0 {
 			obj := stack[len(stack)-1]
@@ -97,8 +95,8 @@ func forwardMark(h *heap.Heap, tbl *refs.Table) *markResult {
 					if !h.Contains(f.Obj) {
 						continue
 					}
-					if _, seen := res.marked.Get(f.Obj); !seen {
-						res.marked.Set(f.Obj, rt.dist)
+					if _, seen := marked[f.Obj]; !seen {
+						marked[f.Obj] = rt.dist
 						stack = append(stack, f.Obj)
 					}
 					continue
@@ -115,25 +113,29 @@ func forwardMark(h *heap.Heap, tbl *refs.Table) *markResult {
 			}
 		}
 	}
-	return res
+	return marked, res
 }
 
 // referenceTrace is the whole local trace over forwardMark: what a commit
-// consumes, computed by plain loops over the sorted heap and table. Only
-// the Section 5 outset pass is shared with production — the two outset
-// algorithms are checked against each other elsewhere.
-func referenceTrace(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlgorithm) *Result {
-	mr := forwardMark(h, tbl)
-	outsets, _ := computeOutsets(&outsetEnv{h: h, tbl: tbl, mr: mr, threshold: threshold}, algo)
+// consumes, computed by plain loops over the sorted heap and table, plus
+// the mark of every reached object. Only the Section 5 outset pass is
+// shared with production — the two outset algorithms are checked against
+// each other elsewhere — and it reads the marks through a dense table
+// built from the map, as Tracer.Run hands it its own.
+func referenceTrace(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlgorithm) (*Result, map[ids.ObjID]int) {
+	marked, mr := forwardMark(h, tbl)
+	dense := make([]int64, h.NextID()+1)
+	for obj, d := range marked {
+		dense[obj] = int64(d) + 1
+	}
+	outsets, _ := computeOutsets(&outsetEnv{h: h, tbl: tbl, marks: dense, outrefDist: mr.outrefDist, threshold: threshold}, algo)
 	res := &Result{
-		Threshold:  threshold,
-		Marked:     mr.marked,
 		OutrefDist: mr.outrefDist,
 		Missing:    mr.missingOutrefs,
 		Back:       NewBackInfo(outsets),
 	}
 	for _, obj := range h.Objects() {
-		if _, ok := mr.marked.Get(obj); !ok {
+		if _, ok := marked[obj]; !ok {
 			res.Dead = append(res.Dead, obj)
 		}
 	}
@@ -143,5 +145,15 @@ func referenceTrace(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlg
 		}
 	}
 	sort.Slice(res.Missing, func(i, j int) bool { return res.Missing[i].Less(res.Missing[j]) })
-	return res
+	return res, marked
+}
+
+// markOf returns the mark the tracer's last Run gave a heap object: its
+// distance, and whether the trace reached it. Ids absent from the heap
+// report unmarked, whatever the dense table holds for them.
+func (t *Tracer) markOf(h *heap.Heap, obj ids.ObjID) (int, bool) {
+	if uint64(obj) >= uint64(len(t.marks)) || t.marks[obj] == 0 || !h.Contains(obj) {
+		return 0, false
+	}
+	return int(t.marks[obj] - 1), true
 }

@@ -36,8 +36,7 @@ func (a OutsetAlgorithm) String() string {
 // Stats reports the cost of one local trace.
 type Stats struct {
 	// ObjectsTraced counts the objects the forward mark reached, each
-	// exactly once whatever the worker count. For an incremental remark it
-	// counts the rescans the relaxation made instead.
+	// exactly once whatever the worker count.
 	ObjectsTraced int64
 	// OutsetVisits counts object scans during outset computation.
 	OutsetVisits int64
@@ -57,17 +56,11 @@ type Stats struct {
 	// computation runs off the site lock.
 	Duration time.Duration
 
-	// Incremental reports whether the result was produced by the dirty-set
-	// remark rather than a full forward mark.
-	Incremental bool
-	// FallbackReason names why an incremental-mode trace ran full; empty
-	// when the remark ran (or the tracer was not in incremental mode).
+	// Incremental is always false and FallbackReason always FullTrace:
+	// every local trace is a full mark. Both stay because external
+	// consumers of Stats read them per trace.
+	Incremental    bool
 	FallbackReason string
-	// DirtySeeds counts the changed entities the remark relaxed from.
-	DirtySeeds int
-	// OutsetsReused reports whether the back information was carried over
-	// unchanged from the previous trace instead of being recomputed.
-	OutsetsReused bool
 
 	// Workers is the number of mark workers the trace ran with, always at
 	// least 1. Steals counts work-stealing events between their deques; it
@@ -82,12 +75,6 @@ type Stats struct {
 // commit time; see Section 6.2 for why computation and installation are
 // separated.
 type Result struct {
-	// Threshold is the suspicion threshold the trace classified with.
-	Threshold int
-	// Marked maps every object reached from a root (persistent roots,
-	// application roots, and non-garbage-flagged inrefs) to the distance
-	// of the first root that reached it, partitioned by heap shard.
-	Marked *MarkSet
 	// Dead lists the objects that were present and unreached — garbage to
 	// sweep, in ascending order.
 	Dead []ids.ObjID
@@ -106,24 +93,14 @@ type Result struct {
 	Stats Stats
 }
 
-// IsCleanObj reports whether the trace classified a local object as clean
-// (reached from a root at distance ≤ threshold).
-func (r *Result) IsCleanObj(obj ids.ObjID) bool {
-	d, ok := r.Marked.Get(obj)
-	return ok && d <= r.Threshold
-}
+// FullTrace is the FallbackReason every trace reports.
+const FullTrace = "full-trace"
 
-// IsLiveObj reports whether the trace reached the object at all.
-func (r *Result) IsLiveObj(obj ids.ObjID) bool {
-	_, ok := r.Marked.Get(obj)
-	return ok
-}
-
-// Tracer runs one site's full local traces. The zero value is ready to
-// use. It owns the only state a full trace keeps between runs — the dense
-// mark table, cleared and reused so steady-state traces stop allocating it —
-// and is therefore not safe for concurrent use; the owning site's trace
-// mutex already serializes local traces. Results never alias the table.
+// Tracer runs one site's local traces. The zero value is ready to use. It
+// owns the only state a trace keeps between runs — the dense mark table,
+// cleared and reused so steady-state traces stop allocating it — and is
+// therefore not safe for concurrent use; the owning site's trace mutex
+// already serializes local traces. Results never alias the table.
 type Tracer struct {
 	// Workers is the number of mark workers. One (or less) is the
 	// sequential case: the same marker, run inline on the caller's
@@ -147,17 +124,15 @@ func (t *Tracer) Run(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAl
 	start := time.Now()
 	workers := max(1, t.Workers)
 	mr, steals := t.parallelMark(h, tbl, workers)
-	outsets, ost := computeOutsets(&outsetEnv{h: h, tbl: tbl, mr: mr, threshold: threshold}, algo)
+	outsets, ost := computeOutsets(&outsetEnv{h: h, tbl: tbl, marks: t.marks, outrefDist: mr.outrefDist, threshold: threshold}, algo)
 
 	res := &Result{
-		Threshold:  threshold,
-		Marked:     mr.marked,
 		Dead:       mr.dead,
 		OutrefDist: mr.outrefDist,
 		Missing:    mr.missingOutrefs,
 		Back:       NewBackInfo(outsets),
 		Stats: Stats{
-			ObjectsTraced:   int64(mr.marked.Len()),
+			ObjectsTraced:   mr.objectsTraced,
 			OutsetVisits:    ost.objectsVisited,
 			OutsetRetraced:  ost.objectsRetraced,
 			Unions:          ost.unions,
@@ -165,6 +140,7 @@ func (t *Tracer) Run(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAl
 			SuspectedInrefs: len(outsets),
 			Workers:         workers,
 			Steals:          steals,
+			FallbackReason:  FullTrace,
 		},
 	}
 	res.Untraced, res.Stats.SuspectedOutrefs = outrefSummary(tbl, mr.outrefDist, threshold)

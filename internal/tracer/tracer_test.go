@@ -1,6 +1,7 @@
 package tracer
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -43,6 +44,31 @@ func (f *fixture) inref(obj ids.Ref, src ids.SiteID, dist int) {
 
 func refSlice(rs ...ids.Ref) []ids.Ref { return rs }
 
+// isLive reports whether tr's last trace of h reached obj; isClean whether
+// it reached obj from a root at distance <= threshold.
+func isLive(tr *Tracer, h *heap.Heap, obj ids.ObjID) bool {
+	_, ok := tr.markOf(h, obj)
+	return ok
+}
+
+func isClean(tr *Tracer, h *heap.Heap, obj ids.ObjID, threshold int) bool {
+	d, ok := tr.markOf(h, obj)
+	return ok && d <= threshold
+}
+
+// sameMarks fails unless two tracers' last traces of h marked every heap
+// object alike.
+func sameMarks(t *testing.T, ctx string, h *heap.Heap, a, b *Tracer) {
+	t.Helper()
+	for _, obj := range h.Objects() {
+		da, oka := a.markOf(h, obj)
+		db, okb := b.markOf(h, obj)
+		if da != db || oka != okb {
+			t.Fatalf("%s: mark of %v differs: (%d,%v) vs (%d,%v)", ctx, obj, da, oka, db, okb)
+		}
+	}
+}
+
 func TestMarkSweepBasics(t *testing.T) {
 	f := newFixture(t, 1)
 	root := f.rootObj()
@@ -52,17 +78,18 @@ func TestMarkSweepBasics(t *testing.T) {
 	f.edge(root, a)
 	f.edge(a, b)
 
-	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
-	if !res.IsLiveObj(root.Obj) || !res.IsLiveObj(a.Obj) || !res.IsLiveObj(b.Obj) {
+	tr := new(Tracer)
+	res := tr.Run(f.h, f.tbl, 2, AlgoBottomUp)
+	if !isLive(tr, f.h, root.Obj) || !isLive(tr, f.h, a.Obj) || !isLive(tr, f.h, b.Obj) {
 		t.Fatal("reachable objects not marked")
 	}
-	if res.IsLiveObj(dead.Obj) {
+	if isLive(tr, f.h, dead.Obj) {
 		t.Fatal("unreachable object marked")
 	}
 	if len(res.Dead) != 1 || res.Dead[0] != dead.Obj {
 		t.Fatalf("Dead = %v, want [%v]", res.Dead, dead.Obj)
 	}
-	if !res.IsCleanObj(b.Obj) {
+	if !isClean(tr, f.h, b.Obj, 2) {
 		t.Fatal("object reachable from persistent root should be clean")
 	}
 }
@@ -74,11 +101,12 @@ func TestInrefIsRoot(t *testing.T) {
 	f.edge(a, b)
 	f.inref(a, 2, 1)
 
-	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
-	if !res.IsLiveObj(a.Obj) || !res.IsLiveObj(b.Obj) {
+	tr := new(Tracer)
+	tr.Run(f.h, f.tbl, 2, AlgoBottomUp)
+	if !isLive(tr, f.h, a.Obj) || !isLive(tr, f.h, b.Obj) {
 		t.Fatal("objects reachable from inref must survive")
 	}
-	if !res.IsCleanObj(b.Obj) {
+	if !isClean(tr, f.h, b.Obj, 2) {
 		t.Fatal("object reachable from clean inref (dist 1 <= threshold 2) should be clean")
 	}
 }
@@ -92,8 +120,9 @@ func TestGarbageFlaggedInrefIsNotRoot(t *testing.T) {
 	in, _ := f.tbl.Inref(a.Obj)
 	in.Garbage = true
 
-	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
-	if res.IsLiveObj(a.Obj) || res.IsLiveObj(b.Obj) {
+	tr := new(Tracer)
+	res := tr.Run(f.h, f.tbl, 2, AlgoBottomUp)
+	if isLive(tr, f.h, a.Obj) || isLive(tr, f.h, b.Obj) {
 		t.Fatal("objects behind a garbage-flagged inref must die (Section 4.5)")
 	}
 	if len(res.Dead) != 2 {
@@ -112,8 +141,9 @@ func TestAppRootsAreRoots(t *testing.T) {
 	f.tbl.EnsureOutref(remote)
 	f.h.AddAppRoot(remote) // mutator variable holds a remote ref
 
-	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
-	if !res.IsCleanObj(a.Obj) || !res.IsCleanObj(b.Obj) {
+	tr := new(Tracer)
+	res := tr.Run(f.h, f.tbl, 2, AlgoBottomUp)
+	if !isClean(tr, f.h, a.Obj, 2) || !isClean(tr, f.h, b.Obj, 2) {
 		t.Fatal("objects held by application roots must be clean (Section 6.3)")
 	}
 	if d, ok := res.OutrefDist[remote]; !ok || d != 1 {
@@ -187,6 +217,52 @@ func TestMissingOutrefDetected(t *testing.T) {
 	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
 	if len(res.Missing) != 1 || res.Missing[0] != r {
 		t.Fatalf("Missing = %v, want [%v]", res.Missing, r)
+	}
+}
+
+// TestPhantomMarkNeverSuspected covers the outset pass reading the dense
+// mark table: a marked, suspected object whose field names a local id the
+// heap no longer holds leaves a phantom mark on that id. The phantom must
+// not be swept (it is not in the heap), suspected, or reached by any
+// outset; the suspect's real outset is unaffected.
+func TestPhantomMarkNeverSuspected(t *testing.T) {
+	for _, algo := range []OutsetAlgorithm{AlgoBottomUp, AlgoIndependent} {
+		t.Run(algo.String(), func(t *testing.T) {
+			f := newFixture(t, 1)
+			a := f.obj()
+			gone := f.obj()
+			f.edge(a, gone)
+			r := ids.MakeRef(2, 5)
+			f.edge(a, r)
+			f.inref(a, 2, 10) // suspected at threshold 2
+			f.h.Delete(gone.Obj)
+
+			tr := new(Tracer)
+			res := tr.Run(f.h, f.tbl, 2, algo)
+			if tr.marks[gone.Obj] == 0 {
+				t.Fatal("setup: the mark did not reach the absent id")
+			}
+			env := &outsetEnv{h: f.h, tbl: f.tbl, marks: tr.marks, outrefDist: res.OutrefDist, threshold: 2}
+			if env.suspectedObj(gone.Obj) {
+				t.Fatal("an id absent from the heap is suspected")
+			}
+			if !env.suspectedObj(a.Obj) {
+				t.Fatal("the suspected inref's object is not suspected")
+			}
+			for _, obj := range res.Dead {
+				if obj == gone.Obj {
+					t.Fatal("an id absent from the heap is listed dead")
+				}
+			}
+			if len(res.Back.Outsets) != 1 || !reflect.DeepEqual(res.Back.Outset(a.Obj), refSlice(r)) {
+				t.Fatalf("outsets = %v, want only %v -> [%v]", res.Back.Outsets, a.Obj, r)
+			}
+			for out, inset := range res.Back.Insets {
+				if !reflect.DeepEqual(inset, []ids.ObjID{a.Obj}) {
+					t.Fatalf("inset of %v = %v, want [%v]", out, inset, a.Obj)
+				}
+			}
+		})
 	}
 }
 
@@ -449,8 +525,9 @@ func TestOutsetAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 		nObjs := 1 + rng.Intn(40)
 		h, tbl := buildRandomSite(rng, nObjs, rng.Intn(3*nObjs), rng.Intn(nObjs+1), rng.Intn(10))
 		threshold := rng.Intn(6)
-		ind := new(Tracer).Run(h, tbl, threshold, AlgoIndependent)
-		bu := new(Tracer).Run(h, tbl, threshold, AlgoBottomUp)
+		indTr, buTr := new(Tracer), new(Tracer)
+		ind := indTr.Run(h, tbl, threshold, AlgoIndependent)
+		bu := buTr.Run(h, tbl, threshold, AlgoBottomUp)
 
 		if len(ind.Back.Outsets) != len(bu.Back.Outsets) {
 			t.Fatalf("iter %d: outset counts differ: %d vs %d", iter, len(ind.Back.Outsets), len(bu.Back.Outsets))
@@ -464,9 +541,7 @@ func TestOutsetAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 				t.Fatalf("iter %d: outset of inref %v differs: independent=%v bottom-up=%v", iter, in, want, got)
 			}
 		}
-		if !reflect.DeepEqual(ind.Marked, bu.Marked) {
-			t.Fatalf("iter %d: mark phases differ", iter)
-		}
+		sameMarks(t, fmt.Sprintf("iter %d", iter), h, indTr, buTr)
 	}
 }
 
@@ -510,7 +585,7 @@ func TestRunOnEmptySite(t *testing.T) {
 	h := heap.New(1)
 	tbl := refs.NewTable(1, 100)
 	res := new(Tracer).Run(h, tbl, 2, AlgoBottomUp)
-	if len(res.Dead) != 0 || res.Marked.Len() != 0 || res.Back.Entries() != 0 {
+	if len(res.Dead) != 0 || res.Stats.ObjectsTraced != 0 || res.Back.Entries() != 0 {
 		t.Fatal("empty site produced non-empty trace result")
 	}
 }
