@@ -9,6 +9,7 @@ package backtrace_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -670,6 +671,104 @@ func BenchmarkParallelTrace(b *testing.B) {
 			b.ReportMetric(float64(objects), "objects")
 		})
 	}
+}
+
+// BenchmarkSnapshotTrace (experiment C16) times the local trace a site
+// actually runs: TraceSnapshot patches the shadow copy from the dirty set,
+// then one mark worker traces the copy; mark-ms and outsets-ms split the
+// trace as tracer.Stats does. The heap is one hypertext-edit site
+// on two shards: a root directory over 100 tables of contents, each over 499
+// pages chained page to page and citing 5 remote documents, plus 8 garbage
+// documents (a table of contents and 32 pages pointing back at it, the last
+// citing a remote document) held only by suspected inrefs. Every iteration
+// first applies, untimed, a batch of 200 link edits between random pages,
+// the benchmark mutator's edit: add a link, and once 256 are outstanding
+// remove the oldest one as well.
+func BenchmarkSnapshotTrace(b *testing.B) {
+	const (
+		docs, pages, cites = 100, 499, 5
+		garbageDocs        = 8
+		edits, linksKept   = 200, 256
+	)
+	h := heap.NewSharded(1, 2)
+	tbl := refs.NewTableSharded(1, 1<<20, 2)
+	h.EnableDeltaTracking()
+	tbl.EnableDeltaTracking()
+	rng := rand.New(rand.NewSource(1))
+	link := func(from, to backtrace.Ref) {
+		if err := h.AddField(from.Obj, to); err != nil {
+			b.Fatal(err)
+		}
+		if to.Site != 1 {
+			tbl.EnsureOutref(to)
+		}
+	}
+	cite := func() backtrace.Ref {
+		return backtrace.MakeRef(ids.SiteID(2+rng.Intn(3)), ids.ObjID(1+rng.Intn(docs*(pages+1))))
+	}
+	dir := h.AllocRoot()
+	var editable []backtrace.Ref
+	for d := 0; d < docs; d++ {
+		toc := h.Alloc()
+		link(dir, toc)
+		var prev backtrace.Ref
+		for p := 0; p < pages; p++ {
+			page := h.Alloc()
+			link(toc, page)
+			if !prev.IsZero() {
+				link(prev, page)
+			}
+			prev = page
+			editable = append(editable, page)
+		}
+		for c := 0; c < cites; c++ {
+			link(toc, cite())
+		}
+	}
+	for g := 0; g < garbageDocs; g++ {
+		toc := h.Alloc()
+		tbl.AddSource(toc.Obj, 2)
+		tbl.SetSourceDistance(toc.Obj, 2, 5)
+		var last backtrace.Ref
+		for p := 0; p < 32; p++ {
+			last = h.Alloc()
+			link(toc, last)
+			link(last, toc)
+		}
+		link(last, cite())
+	}
+	var tr tracer.Tracer
+	tr.Run(h.TraceSnapshot(), tbl.TraceSnapshot(), 3, tracer.AlgoBottomUp)
+
+	var added [][2]backtrace.Ref
+	var mark, outsets time.Duration
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for e := 0; e < edits; e++ {
+			if len(added) >= linksKept {
+				l := added[0]
+				added = added[1:]
+				if _, err := h.RemoveField(l[0].Obj, l[1]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			l := [2]backtrace.Ref{editable[rng.Intn(len(editable))], editable[rng.Intn(len(editable))]}
+			link(l[0], l[1])
+			added = append(added, l)
+		}
+		b.StartTimer()
+		res := tr.Run(h.TraceSnapshot(), tbl.TraceSnapshot(), 3, tracer.AlgoBottomUp)
+		if len(res.Dead) != 0 {
+			b.Fatalf("dead %d, want 0: the garbage documents are held by inrefs", len(res.Dead))
+		}
+		mark += res.Stats.MarkDuration
+		outsets += res.Stats.OutsetsDuration
+	}
+	b.ReportMetric(float64(h.Len()), "objects")
+	b.ReportMetric(float64(mark)/1e6/float64(b.N), "mark-ms/op")
+	b.ReportMetric(float64(outsets)/1e6/float64(b.N), "outsets-ms/op")
 }
 
 // BenchmarkReliableLinkOverhead (experiment C11) measures what the

@@ -2,19 +2,32 @@
 // reference fields, persistent roots, and application roots (the mutator's
 // local variables, Section 2 and Section 6.3 of the paper).
 //
-// The store is split into N shards keyed by object-identifier hash. Each
-// shard owns its own lock, its own maps, its own write-barrier dirty set,
-// and its own slice of the copy-on-write trace snapshot, so mutator
-// operations touching distinct shards do not contend and trace snapshots
-// patch shards concurrently. Single-key operations are safe for concurrent
-// use; whole-heap operations (Snapshot, TraceSnapshot, Objects, audits)
-// still rely on the owning Site to exclude concurrent mutators — the Site
-// takes its write lock for those, and its read lock plus the per-shard
-// locks for the short mutator critical sections the paper's model assumes.
+// The store is split into N shards by object id (id % N). A shard keeps its
+// objects in fixed pages of PageSlots slots indexed by the id's position
+// within the shard (id / N): a slot holds the object's fields, size and
+// presence inline, so finding an object is a division, a shift and a mask,
+// not a hash. A page is allocated when its first object arrives and freed
+// when its last one goes, and the shard's page directory spans only the
+// pages between its lowest and highest live page: one pointer per
+// PageSlots·N ids of that span. Object ids are never recycled — remote
+// outrefs name them — so a long-lived site's ids keep climbing while its
+// directory follows the live ids.
+//
+// Each shard owns its own lock, its own root maps, its own write-barrier
+// dirty set, and its own pages of the copy-on-write trace snapshot, so
+// mutator operations touching distinct shards do not contend and trace
+// snapshots patch shards concurrently. Single-key operations are safe for
+// concurrent use; whole-heap operations (Snapshot, TraceSnapshot,
+// EachObject) rely on the owning Site to exclude concurrent
+// mutators — the Site takes its write lock for those, and its read lock plus
+// the per-shard locks for the short mutator critical sections the paper's
+// model assumes. The local trace reads its snapshot through SlotFields,
+// which takes no lock at all (see there).
 package heap
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -23,50 +36,72 @@ import (
 	"backtrace/internal/ids"
 )
 
-// Object is one object in a site's store: an identifier, reference fields,
-// and a nominal payload size in bytes (used only for accounting, e.g. the
-// bytes moved by the migration baseline).
-type Object struct {
-	id     ids.ObjID
-	fields []ids.Ref
-	size   int
-}
-
-// ID returns the object's identifier within its owning site.
-func (o *Object) ID() ids.ObjID { return o.id }
-
-// Size returns the object's nominal payload size in bytes.
-func (o *Object) Size() int { return o.size }
-
-// Fields returns a copy of the object's reference fields. It is safe only
-// when field mutators are excluded (snapshot heaps, or the site write
-// lock); concurrent introspection should use Heap.FieldsOf.
-func (o *Object) Fields() []ids.Ref {
-	out := make([]ids.Ref, len(o.fields))
-	copy(out, o.fields)
-	return out
-}
-
-// clone returns a copy of the object that shares no field storage with it.
-func (o *Object) clone() *Object {
-	return &Object{id: o.id, fields: slices.Clone(o.fields), size: o.size}
-}
-
-// NumFields returns the number of reference fields.
-func (o *Object) NumFields() int { return len(o.fields) }
-
-// Field returns the i'th reference field.
-func (o *Object) Field(i int) ids.Ref { return o.fields[i] }
+// PageBits sets the page size, PageSlots slots of 32 bytes. The trace only
+// needs a page to span many cache lines; memory wants it small, because a
+// site pays a page per shard for every id window holding a live object,
+// twice (live heap and trace snapshot) plus a page of marks. At 256 slots
+// (8 KB) a ring-churn site, 1 000 objects on 2 shards with ids spread by
+// garbage churn, stays near its map-based footprint; 4 096-slot pages would
+// add megabytes across a cluster.
+const (
+	PageBits  = 8
+	PageSlots = 1 << PageBits
+	pageMask  = PageSlots - 1
+)
 
 // DefaultObjectSize is the nominal payload size of objects allocated
 // without an explicit size.
 const DefaultObjectSize = 64
 
-// shard is one hash partition of the store. The mutex guards every map in
-// the shard; the dirty sets exist only while delta tracking is enabled.
+// slot is one object's storage: its reference fields, its nominal payload
+// size in bytes (accounting only, e.g. the bytes the migration baseline
+// moves), and whether the slot holds an object at all.
+type slot struct {
+	fields []ids.Ref
+	size   int32
+	live   bool
+}
+
+// page is PageSlots consecutive slots of one shard and the count of live
+// ones among them.
+type page struct {
+	slots [PageSlots]slot
+	n     int
+}
+
+// clone copies the page, packing the fields of its objects into one array
+// in slot order, so a trace over the copy reads fields in id order. Each
+// slot's fields are capped at their length: appending to one reallocates
+// instead of overwriting its neighbour's.
+func (p *page) clone() *page {
+	total := 0
+	for i := range p.slots {
+		total += len(p.slots[i].fields)
+	}
+	arena := make([]ids.Ref, 0, total)
+	cp := &page{n: p.n}
+	for i := range p.slots {
+		s := &p.slots[i]
+		if !s.live {
+			continue
+		}
+		start := len(arena)
+		arena = append(arena, s.fields...)
+		cp.slots[i] = slot{fields: arena[start:len(arena):len(arena)], size: s.size, live: true}
+	}
+	return cp
+}
+
+// shard is one partition of the store. The mutex guards everything in the
+// shard; the dirty sets exist only while delta tracking is enabled.
 type shard struct {
-	mu      sync.RWMutex
-	objects map[ids.ObjID]*Object
+	mu sync.RWMutex
+	// pages[i] holds the slots of shard-local indexes [(base+i)*PageSlots,
+	// (base+i+1)*PageSlots); it is nil when that range holds no object. The
+	// first and last entries are never nil.
+	base  int
+	pages []*page
+	count int // live objects
 
 	persistentRoots map[ids.ObjID]struct{}
 	// appRoots counts mutator variables holding each reference; the
@@ -88,9 +123,77 @@ type shard struct {
 
 func newShard() *shard {
 	return &shard{
-		objects:         make(map[ids.ObjID]*Object),
 		persistentRoots: make(map[ids.ObjID]struct{}),
 		appRoots:        make(map[ids.Ref]int),
+	}
+}
+
+// page returns the page with page number pn, or nil.
+func (sh *shard) page(pn int) *page {
+	i := pn - sh.base
+	if uint(i) >= uint(len(sh.pages)) {
+		return nil
+	}
+	return sh.pages[i]
+}
+
+// get returns the live slot at a shard-local index, or nil.
+func (sh *shard) get(local uint64) *slot {
+	p := sh.page(int(local >> PageBits))
+	if p == nil || !p.slots[local&pageMask].live {
+		return nil
+	}
+	return &p.slots[local&pageMask]
+}
+
+// put stores an object at a shard-local index, allocating its page (and
+// widening the directory) if needed; fields become the slot's own.
+func (sh *shard) put(local uint64, fields []ids.Ref, size int32) {
+	pn := int(local >> PageBits)
+	switch {
+	case len(sh.pages) == 0:
+		sh.base, sh.pages = pn, []*page{nil}
+	case pn < sh.base:
+		sh.pages = append(make([]*page, sh.base-pn, sh.base-pn+len(sh.pages)), sh.pages...)
+		sh.base = pn
+	}
+	for pn-sh.base >= len(sh.pages) {
+		sh.pages = append(sh.pages, nil)
+	}
+	p := sh.pages[pn-sh.base]
+	if p == nil {
+		p = new(page)
+		sh.pages[pn-sh.base] = p
+	}
+	s := &p.slots[local&pageMask]
+	if !s.live {
+		p.n++
+		sh.count++
+	}
+	*s = slot{fields: fields, size: size, live: true}
+}
+
+// remove deletes the object at a shard-local index, freeing its page when
+// it was the last one there and trimming empty pages off the directory's
+// ends.
+func (sh *shard) remove(local uint64) {
+	pn := int(local >> PageBits)
+	p := sh.page(pn)
+	if p == nil || !p.slots[local&pageMask].live {
+		return
+	}
+	p.slots[local&pageMask] = slot{}
+	sh.count--
+	if p.n--; p.n > 0 {
+		return
+	}
+	sh.pages[pn-sh.base] = nil
+	for len(sh.pages) > 0 && sh.pages[0] == nil {
+		sh.pages = sh.pages[1:]
+		sh.base++
+	}
+	for len(sh.pages) > 0 && sh.pages[len(sh.pages)-1] == nil {
+		sh.pages = sh.pages[:len(sh.pages)-1]
 	}
 }
 
@@ -103,14 +206,14 @@ type Heap struct {
 	// tracking, when true, makes every mutator operation record what it
 	// touched in its shard's dirty set so TraceSnapshot can produce an
 	// O(dirty) snapshot instead of an O(heap) deep copy. Off by
-	// default: the bookkeeping is pure overhead for sites that run full
-	// traces. Written only while whole-heap exclusion holds (construction
-	// or the site write lock).
+	// default: the bookkeeping is pure overhead for sites that never
+	// snapshot. Written only while whole-heap exclusion holds
+	// (construction or the site write lock).
 	tracking bool
 	// snap is the shadow copy maintained by TraceSnapshot: a second Heap
 	// (same shard count) that mirrors this one as of the last snapshot.
-	// It shares no Object structs with the live heap, so a local trace
-	// may read it off-lock while mutators keep writing here.
+	// It shares no pages or field arrays with the live heap, so a local
+	// trace may read it off-lock while mutators keep writing here.
 	snap *Heap
 }
 
@@ -144,7 +247,67 @@ func (h *Heap) ShardOf(obj ids.ObjID) int {
 	return int(uint64(obj) % uint64(len(h.shards)))
 }
 
-func (h *Heap) shardFor(obj ids.ObjID) *shard { return h.shards[h.ShardOf(obj)] }
+// Locate splits an object id, with one division by the shard count, into its
+// shard (ShardOf) and its index within the shard, whose high bits select a
+// page (local >> PageBits) and low bits a slot in it.
+func (h *Heap) Locate(obj ids.ObjID) (shard int, local uint64) {
+	n := uint64(len(h.shards))
+	q := uint64(obj) / n
+	return int(uint64(obj) - q*n), q
+}
+
+// lookup returns the shard owning obj and obj's index within it.
+func (h *Heap) lookup(obj ids.ObjID) (*shard, uint64) {
+	s, local := h.Locate(obj)
+	return h.shards[s], local
+}
+
+// idAt is Locate's inverse.
+func (h *Heap) idAt(shard int, local uint64) ids.ObjID {
+	return ids.ObjID(local*uint64(len(h.shards)) + uint64(shard))
+}
+
+// SlotFields returns the fields of the object at a Locate position, and
+// whether an object is there. It takes no lock and returns the heap's own
+// field array, so it is legal only while nothing mutates the heap: on the
+// snapshot TraceSnapshot returned, which belongs to the local trace until
+// the next TraceSnapshot (the owning site's trace mutex orders the two), or
+// on a heap nobody else is using. The caller must not modify the fields.
+func (h *Heap) SlotFields(shard int, local uint64) ([]ids.Ref, bool) {
+	s := h.shards[shard].get(local)
+	if s == nil {
+		return nil, false
+	}
+	return s.fields, true
+}
+
+// PageSpan returns the page numbers [base, base+n) that shard i's directory
+// spans. Like SlotFields it takes no lock.
+func (h *Heap) PageSpan(i int) (base, n int) {
+	sh := h.shards[i]
+	return sh.base, len(sh.pages)
+}
+
+// HasPage reports whether shard i holds a page numbered pn. Like SlotFields
+// it takes no lock.
+func (h *Heap) HasPage(i, pn int) bool { return h.shards[i].page(pn) != nil }
+
+// EachObjectInShard calls fn with the id and shard-local index of every
+// object in shard i, in ascending order. Like SlotFields it takes no lock.
+func (h *Heap) EachObjectInShard(i int, fn func(obj ids.ObjID, local uint64)) {
+	sh := h.shards[i]
+	for j, p := range sh.pages {
+		if p == nil {
+			continue
+		}
+		first := uint64(sh.base+j) << PageBits
+		for k := range p.slots {
+			if p.slots[k].live {
+				fn(h.idAt(i, first+uint64(k)), first+uint64(k))
+			}
+		}
+	}
+}
 
 // EnableDeltaTracking turns on the write barrier that records dirty
 // objects and roots for TraceSnapshot. Sites call this once at
@@ -190,7 +353,7 @@ func (h *Heap) Len() int {
 	n := 0
 	for _, sh := range h.shards {
 		sh.mu.RLock()
-		n += len(sh.objects)
+		n += sh.count
 		sh.mu.RUnlock()
 	}
 	return n
@@ -200,28 +363,26 @@ func (h *Heap) Len() int {
 // returning its fully qualified reference.
 func (h *Heap) Alloc() ids.Ref { return h.AllocSized(DefaultObjectSize) }
 
-// AllocSized creates a new object with the given nominal payload size.
+// AllocSized creates a new object with the given nominal payload size (at
+// most math.MaxInt32).
 func (h *Heap) AllocSized(size int) ids.Ref {
-	id := ids.ObjID(h.next.Add(1))
-	o := &Object{id: id, size: size}
-	sh := h.shardFor(id)
-	sh.mu.Lock()
-	sh.objects[id] = o
-	h.touchObj(sh, id)
-	sh.mu.Unlock()
-	return ids.MakeRef(h.site, id)
+	return h.create(nil, size, false)
 }
 
 // AllocRoot creates a new object and marks it a persistent root.
-func (h *Heap) AllocRoot() ids.Ref {
+func (h *Heap) AllocRoot() ids.Ref { return h.create(nil, DefaultObjectSize, true) }
+
+// create stores a new object under a fresh id.
+func (h *Heap) create(fields []ids.Ref, size int, root bool) ids.Ref {
 	id := ids.ObjID(h.next.Add(1))
-	o := &Object{id: id, size: DefaultObjectSize}
-	sh := h.shardFor(id)
+	sh, local := h.lookup(id)
 	sh.mu.Lock()
-	sh.objects[id] = o
-	sh.persistentRoots[id] = struct{}{}
+	sh.put(local, fields, int32(size))
 	h.touchObj(sh, id)
-	h.touchPersist(sh, id)
+	if root {
+		sh.persistentRoots[id] = struct{}{}
+		h.touchPersist(sh, id)
+	}
 	sh.mu.Unlock()
 	return ids.MakeRef(h.site, id)
 }
@@ -229,10 +390,10 @@ func (h *Heap) AllocRoot() ids.Ref {
 // MarkPersistentRoot designates an existing local object as a persistent
 // root (an entry point into the store, such as a name server or directory).
 func (h *Heap) MarkPersistentRoot(obj ids.ObjID) error {
-	sh := h.shardFor(obj)
+	sh, local := h.lookup(obj)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.objects[obj]; !ok {
+	if sh.get(local) == nil {
 		return fmt.Errorf("heap %v: mark root: no object %v", h.site, obj)
 	}
 	sh.persistentRoots[obj] = struct{}{}
@@ -242,20 +403,11 @@ func (h *Heap) MarkPersistentRoot(obj ids.ObjID) error {
 
 // UnmarkPersistentRoot removes root status from a local object.
 func (h *Heap) UnmarkPersistentRoot(obj ids.ObjID) {
-	sh := h.shardFor(obj)
+	sh := h.shards[h.ShardOf(obj)]
 	sh.mu.Lock()
 	delete(sh.persistentRoots, obj)
 	h.touchPersist(sh, obj)
 	sh.mu.Unlock()
-}
-
-// IsPersistentRoot reports whether a local object is a persistent root.
-func (h *Heap) IsPersistentRoot(obj ids.ObjID) bool {
-	sh := h.shardFor(obj)
-	sh.mu.RLock()
-	_, ok := sh.persistentRoots[obj]
-	sh.mu.RUnlock()
-	return ok
 }
 
 // PersistentRoots returns the local persistent roots in ascending order.
@@ -268,82 +420,84 @@ func (h *Heap) PersistentRoots() []ids.ObjID {
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
-}
-
-// Get returns the object with the given identifier. The returned Object's
-// fields must only be read when field mutators are excluded (snapshot
-// heaps, or the site write lock); use FieldsOf for concurrent
-// introspection.
-func (h *Heap) Get(obj ids.ObjID) (*Object, bool) {
-	sh := h.shardFor(obj)
-	sh.mu.RLock()
-	o, ok := sh.objects[obj]
-	sh.mu.RUnlock()
-	return o, ok
 }
 
 // FieldsOf returns a copy of an object's reference fields, taken under the
 // shard lock so it is safe against concurrent field mutation.
 func (h *Heap) FieldsOf(obj ids.ObjID) ([]ids.Ref, bool) {
-	sh := h.shardFor(obj)
+	sh, local := h.lookup(obj)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	o, ok := sh.objects[obj]
-	if !ok {
+	s := sh.get(local)
+	if s == nil {
 		return nil, false
 	}
-	return o.Fields(), true
+	return append(make([]ids.Ref, 0, len(s.fields)), s.fields...), true
 }
 
 // Contains reports whether the heap holds the object.
 func (h *Heap) Contains(obj ids.ObjID) bool {
-	sh := h.shardFor(obj)
+	sh, local := h.lookup(obj)
 	sh.mu.RLock()
-	_, ok := sh.objects[obj]
+	ok := sh.get(local) != nil
 	sh.mu.RUnlock()
 	return ok
 }
 
-// Objects returns all object identifiers in ascending order.
-func (h *Heap) Objects() []ids.ObjID {
-	out := make([]ids.ObjID, 0, h.Len())
+// EachObject calls fn for every object in ascending id order with its
+// fields, size and persistent-root status: one walk over the pages of all
+// shards in step, since id = local*N + shard. Page numbers where no shard
+// holds a page cost one directory check each, so the slot scan covers live
+// pages only. fields is the heap's own array, valid only during the call.
+// Like Snapshot, it requires that nothing mutates the heap meanwhile (the
+// site write lock).
+func (h *Heap) EachObject(fn func(obj ids.ObjID, fields []ids.Ref, size int, root bool)) {
+	lo, hi := 0, 0
 	for _, sh := range h.shards {
-		sh.mu.RLock()
-		for o := range sh.objects {
-			out = append(out, o)
+		if len(sh.pages) == 0 {
+			continue
 		}
-		sh.mu.RUnlock()
+		if hi == 0 || sh.base < lo {
+			lo = sh.base
+		}
+		hi = max(hi, sh.base+len(sh.pages))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// EachObjectInShard invokes fn for every object in one shard, in
-// unspecified order, holding the shard read lock. The parallel tracer uses
-// it to partition heap scans without allocating id slices; fn must not
-// mutate the heap.
-func (h *Heap) EachObjectInShard(i int, fn func(ids.ObjID, *Object)) {
-	sh := h.shards[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for id, o := range sh.objects {
-		fn(id, o)
+	pages := make([]*page, len(h.shards))
+	for pn := lo; pn < hi; pn++ {
+		held := false
+		for i, sh := range h.shards {
+			pages[i] = sh.page(pn)
+			held = held || pages[i] != nil
+		}
+		if !held {
+			continue
+		}
+		for k := 0; k < PageSlots; k++ {
+			for i, p := range pages {
+				if p == nil || !p.slots[k].live {
+					continue
+				}
+				id := h.idAt(i, uint64(pn)<<PageBits|uint64(k))
+				_, root := h.shards[i].persistentRoots[id]
+				fn(id, p.slots[k].fields, int(p.slots[k].size), root)
+			}
+		}
 	}
 }
 
 // AddField appends a reference field to a local object (reference
 // creation: "copying a reference z into object y", Section 6.1).
 func (h *Heap) AddField(obj ids.ObjID, target ids.Ref) error {
-	sh := h.shardFor(obj)
+	sh, local := h.lookup(obj)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	o, ok := sh.objects[obj]
-	if !ok {
+	s := sh.get(local)
+	if s == nil {
 		return fmt.Errorf("heap %v: add field: no object %v", h.site, obj)
 	}
-	o.fields = append(o.fields, target)
+	s.fields = append(s.fields, target)
 	h.touchObj(sh, obj)
 	return nil
 }
@@ -351,33 +505,32 @@ func (h *Heap) AddField(obj ids.ObjID, target ids.Ref) error {
 // RemoveField deletes the first field of obj equal to target (reference
 // deletion). It reports whether a field was removed.
 func (h *Heap) RemoveField(obj ids.ObjID, target ids.Ref) (bool, error) {
-	sh := h.shardFor(obj)
+	sh, local := h.lookup(obj)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	o, ok := sh.objects[obj]
-	if !ok {
+	s := sh.get(local)
+	if s == nil {
 		return false, fmt.Errorf("heap %v: remove field: no object %v", h.site, obj)
 	}
-	for i, f := range o.fields {
-		if f == target {
-			o.fields = append(o.fields[:i], o.fields[i+1:]...)
-			h.touchObj(sh, obj)
-			return true, nil
-		}
+	i := slices.Index(s.fields, target)
+	if i < 0 {
+		return false, nil
 	}
-	return false, nil
+	s.fields = slices.Delete(s.fields, i, i+1)
+	h.touchObj(sh, obj)
+	return true, nil
 }
 
 // ClearFields removes every reference field of obj.
 func (h *Heap) ClearFields(obj ids.ObjID) error {
-	sh := h.shardFor(obj)
+	sh, local := h.lookup(obj)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	o, ok := sh.objects[obj]
-	if !ok {
+	s := sh.get(local)
+	if s == nil {
 		return fmt.Errorf("heap %v: clear fields: no object %v", h.site, obj)
 	}
-	o.fields = nil
+	s.fields = nil
 	h.touchObj(sh, obj)
 	return nil
 }
@@ -385,9 +538,9 @@ func (h *Heap) ClearFields(obj ids.ObjID) error {
 // Delete removes an object from the heap (called by the collector when the
 // object is garbage, and by the migration baseline after moving it).
 func (h *Heap) Delete(obj ids.ObjID) {
-	sh := h.shardFor(obj)
+	sh, local := h.lookup(obj)
 	sh.mu.Lock()
-	delete(sh.objects, obj)
+	sh.remove(local)
 	delete(sh.persistentRoots, obj)
 	h.touchObj(sh, obj)
 	h.touchPersist(sh, obj)
@@ -395,21 +548,22 @@ func (h *Heap) Delete(obj ids.ObjID) {
 }
 
 // Install recreates an object under a specific identifier (checkpoint
-// recovery). It fails if the identifier is already in use.
+// recovery). It fails if the identifier is already in use or the size does
+// not fit a slot.
 func (h *Heap) Install(id ids.ObjID, fields []ids.Ref, size int, root bool) error {
 	if id == ids.NoObj {
 		return fmt.Errorf("heap %v: install: zero object id", h.site)
 	}
-	sh := h.shardFor(id)
+	if size < 0 || size > math.MaxInt32 {
+		return fmt.Errorf("heap %v: install: object %v has size %d", h.site, id, size)
+	}
+	sh, local := h.lookup(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.objects[id]; ok {
+	if sh.get(local) != nil {
 		return fmt.Errorf("heap %v: install: object %v already exists", h.site, id)
 	}
-	o := &Object{id: id, size: size}
-	o.fields = make([]ids.Ref, len(fields))
-	copy(o.fields, fields)
-	sh.objects[id] = o
+	sh.put(local, slices.Clone(fields), int32(size))
 	h.touchObj(sh, id)
 	if root {
 		sh.persistentRoots[id] = struct{}{}
@@ -420,12 +574,13 @@ func (h *Heap) Install(id ids.ObjID, fields []ids.Ref, size int, root bool) erro
 }
 
 // Snapshot returns a deep copy of the heap: objects (with copied field
-// slices), persistent roots, application roots, and the allocation
+// arrays), persistent roots, application roots, and the allocation
 // high-water mark. Shards are copied concurrently, each under its own read
-// lock. The copy shares nothing with the original, so a local trace can
-// read it while mutators keep modifying the live heap. Sites reach it only
-// through TraceSnapshot, whose first cut it is; tests also use it as an
-// independent copy to run their reference trace on.
+// lock, page by page, so the copy's fields lie in id order. The copy shares
+// nothing with the original, so a local trace can read it while mutators
+// keep modifying the live heap. Sites reach it only through TraceSnapshot,
+// whose first cut it is; tests also use it as an independent copy to run
+// their reference trace on.
 func (h *Heap) Snapshot() *Heap {
 	cp := NewSharded(h.site, len(h.shards))
 	cp.next.Store(h.next.Load())
@@ -433,9 +588,12 @@ func (h *Heap) Snapshot() *Heap {
 		src, dst := h.shards[i], cp.shards[i]
 		src.mu.RLock()
 		defer src.mu.RUnlock()
-		dst.objects = make(map[ids.ObjID]*Object, len(src.objects))
-		for id, o := range src.objects {
-			dst.objects[id] = o.clone()
+		dst.base, dst.count = src.base, src.count
+		dst.pages = make([]*page, len(src.pages))
+		for j, p := range src.pages {
+			if p != nil {
+				dst.pages[j] = p.clone()
+			}
 		}
 		dst.persistentRoots = make(map[ids.ObjID]struct{}, len(src.persistentRoots))
 		for o := range src.persistentRoots {
@@ -473,11 +631,11 @@ func (h *Heap) eachShardConcurrent(fn func(i int)) {
 // shard's dirty set — concurrently across shards, O(dirty) in total — so an
 // idle heap snapshots in O(1) regardless of size.
 //
-// The returned heap is the shadow copy itself: it shares no Object structs
-// with the live heap (an off-lock trace may read it while mutators write
-// here), but it is patched in place by the NEXT TraceSnapshot call — the
-// caller must be done with it by then. The site's trace mutex provides
-// exactly that serialization.
+// The returned heap is the shadow copy itself: it shares no pages or field
+// arrays with the live heap (an off-lock trace may read it while mutators
+// write here), but it is patched in place by the NEXT TraceSnapshot call —
+// the caller must be done with it by then. The site's trace mutex provides
+// exactly that serialization, and is what makes SlotFields legal on it.
 func (h *Heap) TraceSnapshot() *Heap {
 	if !h.tracking {
 		h.EnableDeltaTracking()
@@ -508,13 +666,13 @@ func (h *Heap) patchShard(live, snap *shard) {
 	live.mu.Lock()
 	defer live.mu.Unlock()
 	for obj := range live.dirtyObjs {
-		liveO, liveOK := live.objects[obj]
-		snapO, snapOK := snap.objects[obj]
+		_, local := h.Locate(obj)
+		ls, ss := live.get(local), snap.get(local)
 		switch {
-		case !liveOK:
-			delete(snap.objects, obj)
-		case !snapOK || !slices.Equal(snapO.fields, liveO.fields):
-			snap.objects[obj] = liveO.clone()
+		case ls == nil:
+			snap.remove(local)
+		case ss == nil || ss.size != ls.size || !slices.Equal(ss.fields, ls.fields):
+			snap.put(local, slices.Clone(ls.fields), ls.size)
 		}
 	}
 	for obj := range live.dirtyPersist {
@@ -567,7 +725,7 @@ func (h *Heap) MaxShardDirtyRatio() float64 {
 	for _, sh := range h.shards {
 		sh.mu.RLock()
 		dirty := len(sh.dirtyObjs) + len(sh.dirtyPersist) + len(sh.dirtyAppRoots)
-		n := len(sh.objects)
+		n := sh.count
 		sh.mu.RUnlock()
 		if n == 0 {
 			n = 1
@@ -597,16 +755,7 @@ func (h *Heap) SetNextID(n ids.ObjID) {
 // identifier (used by the migration baseline) and returns its new local
 // reference. The object's fields are supplied by the caller.
 func (h *Heap) Adopt(fields []ids.Ref, size int) ids.Ref {
-	id := ids.ObjID(h.next.Add(1))
-	o := &Object{id: id, size: size}
-	o.fields = make([]ids.Ref, len(fields))
-	copy(o.fields, fields)
-	sh := h.shardFor(id)
-	sh.mu.Lock()
-	sh.objects[id] = o
-	h.touchObj(sh, id)
-	sh.mu.Unlock()
-	return ids.MakeRef(h.site, id)
+	return h.create(slices.Clone(fields), size, false)
 }
 
 // --- application roots --------------------------------------------------
@@ -614,7 +763,7 @@ func (h *Heap) Adopt(fields []ids.Ref, size int) ids.Ref {
 // AddAppRoot records that a mutator variable on this site holds the given
 // reference (local or remote). Multiple holds are counted.
 func (h *Heap) AddAppRoot(r ids.Ref) {
-	sh := h.shardFor(r.Obj)
+	sh := h.shards[h.ShardOf(r.Obj)]
 	sh.mu.Lock()
 	sh.appRoots[r]++
 	h.touchAppRoot(sh, r)
@@ -624,7 +773,7 @@ func (h *Heap) AddAppRoot(r ids.Ref) {
 // RemoveAppRoot releases one mutator-variable hold on the reference. It
 // reports whether a hold existed.
 func (h *Heap) RemoveAppRoot(r ids.Ref) bool {
-	sh := h.shardFor(r.Obj)
+	sh := h.shards[h.ShardOf(r.Obj)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	n, ok := sh.appRoots[r]
@@ -657,81 +806,9 @@ func (h *Heap) AppRoots() []ids.Ref {
 
 // HoldsAppRoot reports whether any mutator variable holds the reference.
 func (h *Heap) HoldsAppRoot(r ids.Ref) bool {
-	sh := h.shardFor(r.Obj)
+	sh := h.shards[h.ShardOf(r.Obj)]
 	sh.mu.RLock()
 	n := sh.appRoots[r]
 	sh.mu.RUnlock()
 	return n > 0
-}
-
-// --- reachability helpers (used by local tracing and by tests) ----------
-
-// lockAllRead takes every shard's read lock in index order; the returned
-// function releases them.
-func (h *Heap) lockAllRead() func() {
-	for _, sh := range h.shards {
-		sh.mu.RLock()
-	}
-	return func() {
-		for _, sh := range h.shards {
-			sh.mu.RUnlock()
-		}
-	}
-}
-
-// LocalReachable computes the set of local objects reachable from the given
-// starting references by following only local references (remote fields are
-// not followed). Starting references owned by other sites are ignored.
-func (h *Heap) LocalReachable(starts []ids.Ref) map[ids.ObjID]struct{} {
-	defer h.lockAllRead()()
-	seen := make(map[ids.ObjID]struct{})
-	var stack []ids.ObjID
-	push := func(r ids.Ref) {
-		if r.Site != h.site {
-			return
-		}
-		if _, ok := h.shardFor(r.Obj).objects[r.Obj]; !ok {
-			return
-		}
-		if _, ok := seen[r.Obj]; ok {
-			return
-		}
-		seen[r.Obj] = struct{}{}
-		stack = append(stack, r.Obj)
-	}
-	for _, s := range starts {
-		push(s)
-	}
-	for len(stack) > 0 {
-		obj := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, f := range h.shardFor(obj).objects[obj].fields {
-			push(f)
-		}
-	}
-	return seen
-}
-
-// RemoteRefsFrom returns, in ascending order, the distinct remote references
-// held in the fields of the given set of local objects.
-func (h *Heap) RemoteRefsFrom(objs map[ids.ObjID]struct{}) []ids.Ref {
-	defer h.lockAllRead()()
-	set := make(map[ids.Ref]struct{})
-	for obj := range objs {
-		o, ok := h.shardFor(obj).objects[obj]
-		if !ok {
-			continue
-		}
-		for _, f := range o.fields {
-			if f.Site != h.site && !f.IsZero() {
-				set[f] = struct{}{}
-			}
-		}
-	}
-	out := make([]ids.Ref, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }

@@ -7,6 +7,12 @@ import (
 	"backtrace/internal/ids"
 )
 
+// slotOf returns the slot holding obj, or nil.
+func slotOf(h *Heap, obj ids.ObjID) *slot {
+	sh, local := h.lookup(obj)
+	return sh.get(local)
+}
+
 func TestAllocAssignsUniqueIDs(t *testing.T) {
 	h := New(1)
 	seen := make(map[ids.ObjID]bool)
@@ -73,21 +79,21 @@ func TestAddRemoveField(t *testing.T) {
 	if err := h.AddField(a.Obj, b); err != nil {
 		t.Fatal(err)
 	}
-	obj, _ := h.Get(a.Obj)
-	if obj.NumFields() != 3 {
-		t.Fatalf("NumFields = %d, want 3", obj.NumFields())
+	fields, _ := h.FieldsOf(a.Obj)
+	if len(fields) != 3 {
+		t.Fatalf("fields = %v, want 3", fields)
 	}
 
 	removed, err := h.RemoveField(a.Obj, b)
 	if err != nil || !removed {
 		t.Fatalf("RemoveField = %v, %v", removed, err)
 	}
-	obj, _ = h.Get(a.Obj)
-	if obj.NumFields() != 2 {
-		t.Fatalf("NumFields after remove = %d, want 2 (only first occurrence removed)", obj.NumFields())
+	fields, _ = h.FieldsOf(a.Obj)
+	if len(fields) != 2 {
+		t.Fatalf("fields after remove = %v, want 2 (only first occurrence removed)", fields)
 	}
-	if obj.Field(0) != remote || obj.Field(1) != b {
-		t.Fatalf("fields after remove = %v", obj.Fields())
+	if fields[0] != remote || fields[1] != b {
+		t.Fatalf("fields after remove = %v", fields)
 	}
 
 	removed, err = h.RemoveField(a.Obj, ids.MakeRef(9, 9))
@@ -128,11 +134,10 @@ func TestFieldsReturnsCopy(t *testing.T) {
 	if err := h.AddField(a.Obj, b); err != nil {
 		t.Fatal(err)
 	}
-	o, _ := h.Get(a.Obj)
-	fields := o.Fields()
+	fields, _ := h.FieldsOf(a.Obj)
 	fields[0] = ids.MakeRef(9, 9)
-	if o.Field(0) != b {
-		t.Fatal("Fields() exposed internal storage")
+	if slotOf(h, a.Obj).fields[0] != b {
+		t.Fatal("FieldsOf exposed internal storage")
 	}
 }
 
@@ -242,15 +247,15 @@ func TestAdopt(t *testing.T) {
 	h := New(1)
 	fields := []ids.Ref{ids.MakeRef(2, 1), ids.MakeRef(1, 1)}
 	r := h.Adopt(fields, 128)
-	o, ok := h.Get(r.Obj)
-	if !ok {
+	o := slotOf(h, r.Obj)
+	if o == nil {
 		t.Fatal("adopted object missing")
 	}
-	if o.Size() != 128 || o.NumFields() != 2 {
-		t.Fatalf("adopted object wrong: size=%d fields=%d", o.Size(), o.NumFields())
+	if o.size != 128 || len(o.fields) != 2 {
+		t.Fatalf("adopted object wrong: size=%d fields=%d", o.size, len(o.fields))
 	}
 	fields[0] = ids.MakeRef(9, 9)
-	if o.Field(0) == fields[0] {
+	if o.fields[0] == fields[0] {
 		t.Fatal("Adopt aliased caller's slice")
 	}
 }

@@ -23,9 +23,12 @@ func TestShardOfPartition(t *testing.T) {
 	total := 0
 	for i := 0; i < shards; i++ {
 		n := 0
-		h.EachObjectInShard(i, func(obj ids.ObjID, _ *Object) {
+		h.EachObjectInShard(i, func(obj ids.ObjID, local uint64) {
 			if got := h.ShardOf(obj); got != i {
 				t.Fatalf("object %v iterated in shard %d but ShardOf = %d", obj, i, got)
+			}
+			if gotShard, gotLocal := h.Locate(obj); gotShard != i || gotLocal != local {
+				t.Fatalf("object %v iterated at (%d, %d) but Locate = (%d, %d)", obj, i, local, gotShard, gotLocal)
 			}
 			seen[obj]++
 			n++
@@ -67,7 +70,7 @@ func TestShardedObjectsSorted(t *testing.T) {
 }
 
 // TestFieldsOfMatchesGet checks the single-lock FieldsOf fast path returns
-// the same view as Get().Fields().
+// the same view as the lock-free SlotFields, as a copy.
 func TestFieldsOfMatchesGet(t *testing.T) {
 	h := NewSharded(1, 4)
 	a := h.AllocRoot()
@@ -82,9 +85,12 @@ func TestFieldsOfMatchesGet(t *testing.T) {
 	if !ok {
 		t.Fatal("FieldsOf reported object missing")
 	}
-	o, _ := h.Get(a.Obj)
-	if want := o.Fields(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("FieldsOf = %v, Get().Fields() = %v", got, want)
+	want, _ := h.SlotFields(h.Locate(a.Obj))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("FieldsOf = %v, SlotFields = %v", got, want)
+	}
+	if &got[0] == &want[0] {
+		t.Fatal("FieldsOf returned the heap's own array")
 	}
 	if _, ok := h.FieldsOf(999); ok {
 		t.Fatal("FieldsOf found a nonexistent object")

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"backtrace/internal/ids"
@@ -20,18 +21,12 @@ func sameTracerView(t *testing.T, live, snap *Heap) {
 		if snapObjs[i] != obj {
 			t.Fatalf("object set diverges at %d: live %v snap %v", i, obj, snapObjs[i])
 		}
-		lo, _ := live.Get(obj)
-		so, _ := snap.Get(obj)
-		if lo.NumFields() != so.NumFields() {
-			t.Fatalf("obj %v: field count live %d snap %d", obj, lo.NumFields(), so.NumFields())
+		lo, so := slotOf(live, obj), slotOf(snap, obj)
+		if !slices.Equal(lo.fields, so.fields) || lo.size != so.size {
+			t.Fatalf("obj %v: live %v (size %d) snap %v (size %d)", obj, lo.fields, lo.size, so.fields, so.size)
 		}
-		for f := 0; f < lo.NumFields(); f++ {
-			if lo.Field(f) != so.Field(f) {
-				t.Fatalf("obj %v field %d: live %v snap %v", obj, f, lo.Field(f), so.Field(f))
-			}
-		}
-		if lo == so {
-			t.Fatalf("obj %v: snapshot shares the live *Object", obj)
+		if len(lo.fields) > 0 && &lo.fields[0] == &so.fields[0] {
+			t.Fatalf("obj %v: snapshot shares the live field array", obj)
 		}
 	}
 	lp, sp := live.PersistentRoots(), snap.PersistentRoots()

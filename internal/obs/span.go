@@ -19,6 +19,11 @@ const (
 	// MetricLocalTraceDuration is the latency histogram of one local trace
 	// from snapshot to committed (seconds).
 	MetricLocalTraceDuration = "localtrace.duration_seconds"
+	// MetricLocalTraceMark and MetricLocalTraceOutsets split a local
+	// trace's off-lock computation (tracer.Stats.Duration) into the forward
+	// mark and the outset pass that follows it (seconds).
+	MetricLocalTraceMark    = "localtrace.mark_seconds"
+	MetricLocalTraceOutsets = "localtrace.outsets_seconds"
 	// MetricMailboxQueueDelay is the latency histogram of the time an
 	// inbound message spends queued in a site mailbox before dispatch.
 	MetricMailboxQueueDelay = "mailbox.queue_delay_seconds"

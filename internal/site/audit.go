@@ -39,10 +39,9 @@ func (s *Site) AuditSnapshot() Audit {
 		Outrefs:         make(map[ids.Ref]struct{}, s.table.NumOutrefs()),
 		InrefSources:    make(map[ids.ObjID][]ids.SiteID, s.table.NumInrefs()),
 	}
-	for _, obj := range s.heap.Objects() {
-		o, _ := s.heap.Get(obj)
-		a.Objects[obj] = o.Fields()
-	}
+	s.heap.EachObject(func(obj ids.ObjID, fields []ids.Ref, _ int, _ bool) {
+		a.Objects[obj] = append(make([]ids.Ref, 0, len(fields)), fields...)
+	})
 	for _, o := range s.table.Outrefs() {
 		a.Outrefs[o.Target] = struct{}{}
 	}

@@ -99,6 +99,8 @@ func (s *Site) BeginLocalTrace() {
 // records its cost.
 func (s *Site) installPendingLocked(res *tracer.Result) {
 	s.pending = res
+	s.histMark.ObserveDuration(res.Stats.MarkDuration)
+	s.histOutsets.ObserveDuration(res.Stats.OutsetsDuration)
 	s.cfg.Counters.Inc(metrics.LocalTraces)
 	s.cfg.Counters.Add(metrics.ObjectsTraced, res.Stats.ObjectsTraced)
 	s.cfg.Counters.Add(metrics.ObjectsRetraced, res.Stats.OutsetRetraced)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"backtrace/internal/event"
@@ -148,15 +149,9 @@ func (s *Site) WriteCheckpoint(w io.Writer) error {
 		rec.Incarnation = sn.Incarnation(s.cfg.ID)
 	}
 	rec.NextTrace = s.engine.TraceSeq()
-	for _, obj := range s.heap.Objects() {
-		o, _ := s.heap.Get(obj)
-		rec.Objects = append(rec.Objects, objectRec{
-			ID:     obj,
-			Fields: o.Fields(),
-			Size:   o.Size(),
-			Root:   s.heap.IsPersistentRoot(obj),
-		})
-	}
+	s.heap.EachObject(func(obj ids.ObjID, fields []ids.Ref, size int, root bool) {
+		rec.Objects = append(rec.Objects, objectRec{ID: obj, Fields: slices.Clone(fields), Size: size, Root: root})
+	})
 	for _, in := range s.table.Inrefs() {
 		ir := inrefRec{Obj: in.Obj, Garbage: in.Garbage, BackThreshold: in.BackThreshold}
 		for _, src := range in.SourceSites() {
@@ -232,6 +227,11 @@ func Restore(cfg Config, r io.Reader) (*Site, error) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		for _, o := range rec.Objects {
+			// An id past the allocation mark is corrupt, and would make the
+			// heap widen its page directory out to it.
+			if o.ID > rec.NextObj {
+				return fmt.Errorf("restore site %v: object %v is past the allocation mark %v", cfg.ID, o.ID, rec.NextObj)
+			}
 			if err := s.heap.Install(o.ID, o.Fields, o.Size, o.Root); err != nil {
 				return fmt.Errorf("restore site %v: %w", cfg.ID, err)
 			}

@@ -27,7 +27,7 @@
 //     section cuts a copy-on-write snapshot of the heap and ioref tables
 //     — each shard's retained shadow copy patched from its dirty set,
 //     concurrently across shards — and the computation (tracer.Tracer:
-//     the dense CAS-min forward mark, then the outset pass) runs entirely
+//     the paged CAS-min forward mark, then the outset pass) runs entirely
 //     OUTSIDE the lock on that snapshot. Config.TraceWorkers only splits
 //     the mark across workers (one worker is the sequential trace, run
 //     inline); it never changes the committed result. The Section 6.2
@@ -234,7 +234,7 @@ type Site struct {
 	pendingBarrierInrefs  []ids.ObjID
 	pendingBarrierOutrefs []ids.Ref
 
-	// tracer runs every local trace and owns the dense mark table they
+	// tracer runs every local trace and owns the paged mark table they
 	// reuse. Guarded by traceMu, not mu: it is touched only inside a
 	// local-trace lifecycle.
 	tracer tracer.Tracer
@@ -305,6 +305,8 @@ type Site struct {
 	// registry so the hot paths never take the registry lock.
 	histRTT      *obs.Histogram
 	histLocalDur *obs.Histogram
+	histMark     *obs.Histogram
+	histOutsets  *obs.Histogram
 	histQueue    *obs.Histogram
 	gaugeDepth   *obs.Gauge
 	gaugeDirty   *obs.Gauge
@@ -359,6 +361,10 @@ func New(cfg Config) *Site {
 		"wall-clock duration of back traces initiated by this site", nil)
 	s.histLocalDur = reg.Histogram(obs.MetricLocalTraceDuration,
 		"wall-clock duration of local traces (begin through commit)", nil)
+	s.histMark = reg.Histogram(obs.MetricLocalTraceMark,
+		"wall-clock duration of a local trace's forward mark", nil)
+	s.histOutsets = reg.Histogram(obs.MetricLocalTraceOutsets,
+		"wall-clock duration of a local trace's outset pass", nil)
 	s.histQueue = reg.Histogram(obs.MetricMailboxQueueDelay,
 		"time inbound messages spent queued in a site mailbox", nil)
 	s.gaugeDepth = reg.Gauge(obs.MetricMailboxDepth,

@@ -288,8 +288,8 @@ func TestTCPEndToEndCycleCollection(t *testing.T) {
 
 // TestTraceEngineInstrumentsDeclared pins the /metrics contract the CI
 // smoke scrape greps for: site.New declares the trace-traffic instruments
-// up front, so they render (at zero) before any back trace runs and with
-// the engine knobs off.
+// and the local trace's mark/outsets split up front, so they render (at
+// zero) before any trace runs and with the engine knobs off.
 func TestTraceEngineInstrumentsDeclared(t *testing.T) {
 	net := transport.NewNet(transport.Options{Stepped: true})
 	t.Cleanup(net.Close)
@@ -308,6 +308,8 @@ func TestTraceEngineInstrumentsDeclared(t *testing.T) {
 		"\nbacktrace_batch_size 0\n",
 		"\nbacktrace_joined 0\n",
 		"\nbacktrace_deferred 0\n",
+		"\nlocaltrace_mark_seconds_count 0\n",
+		"\nlocaltrace_outsets_seconds_count 0\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", strings.TrimSpace(want))

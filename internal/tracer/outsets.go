@@ -13,9 +13,9 @@ import (
 type outsetEnv struct {
 	h   *heap.Heap
 	tbl *refs.Table
-	// marks is the forward mark's dense table (distance+1 per object id,
-	// zero when unmarked); outrefDist its outref distances.
-	marks      []int64
+	// marks is the forward mark's table (distance+1 per object, zero when
+	// unmarked); outrefDist its outref distances.
+	marks      *markTable
 	outrefDist map[ids.Ref]int
 	threshold  int
 }
@@ -28,11 +28,12 @@ type outsetEnv struct {
 // to be swept. So are phantom marks — ids the mark reached through a field
 // but the heap does not hold.
 func (e *outsetEnv) suspectedObj(obj ids.ObjID) bool {
-	if uint64(obj) >= uint64(len(e.marks)) {
+	shard, local := e.h.Locate(obj)
+	if p := e.marks.at(shard, local); p == nil || *p == 0 || int(*p-1) <= e.threshold {
 		return false
 	}
-	enc := e.marks[obj]
-	return enc != 0 && int(enc-1) > e.threshold && e.h.Contains(obj)
+	_, ok := e.h.SlotFields(shard, local)
+	return ok
 }
 
 // suspectedOutref reports whether a remote reference should appear in
@@ -100,12 +101,8 @@ func outsetsIndependent(e *outsetEnv) (map[ids.ObjID][]ids.Ref, outsetStats) {
 				stats.objectsRetraced++
 			}
 			everVisited[obj] = true
-			o, ok := e.h.Get(obj)
-			if !ok {
-				continue
-			}
-			for i := 0; i < o.NumFields(); i++ {
-				z := o.Field(i)
+			fields, _ := e.h.SlotFields(e.h.Locate(obj))
+			for _, z := range fields {
 				if z.IsZero() {
 					continue
 				}
@@ -215,9 +212,9 @@ func (st *bottomUpState) trace(start ids.ObjID) {
 		}
 
 		descended := false
-		if o, ok := e.h.Get(x); ok {
-			for f.next < o.NumFields() {
-				z := o.Field(f.next)
+		if fields, ok := e.h.SlotFields(e.h.Locate(x)); ok {
+			for f.next < len(fields) {
+				z := fields[f.next]
 				f.next++
 				if z.IsZero() {
 					continue

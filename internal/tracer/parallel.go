@@ -14,7 +14,7 @@ import (
 )
 
 // This file implements the forward mark of every full local trace: a
-// work-stealing relaxation over a dense mark table. With one worker it runs
+// work-stealing relaxation over a paged mark table. With one worker it runs
 // inline on the caller's goroutine and is the sequential trace; more workers
 // only split the same work.
 //
@@ -33,16 +33,17 @@ import (
 // trace the tests keep as their oracle (reference_test.go). Only
 // Stats.Steals depends on scheduling.
 //
-// The mark table is a dense []int64 indexed by object id (the heap's
-// allocation high-water mark bounds it), storing distance+1 so the zero
-// value means "unmarked" and clearing it is the only reset. It is never
-// copied out: the outset pass reads it in place, and the per-shard pass
-// below emits only the dead objects and the marked count. Workers CAS ids
-// without checking heap membership first — marking a deleted or absent id
-// is harmless, because scans look the object up (and skip it), the
-// per-shard pass walks heap shards rather than the dense array, and the
-// outset pass never suspects an id the heap does not hold, so phantom
-// marks can't leak into the result.
+// The mark table (markTable) is paged like the heap it marks: one page of
+// int64 per heap page, at the same shard and page number, storing
+// distance+1 so the zero value means "unmarked". It is never copied out: the
+// outset pass reads it in place, and the per-shard pass below emits only the
+// dead objects and the marked count. Workers read the heap through its
+// lock-free SlotFields, and CAS ids without checking heap membership first —
+// marking a deleted or absent id in a page that exists is harmless, because
+// scans look the object up (and skip it), the per-shard pass walks heap
+// slots rather than marks, and the outset pass never suspects an id the heap
+// does not hold, so phantom marks can't leak into the result. An id whose
+// page does not exist has no mark slot at all and is skipped.
 
 // markResult is the outcome of the forward marking phase.
 type markResult struct {
@@ -230,17 +231,15 @@ func casMin(addr *int64, v int64) bool {
 // parallelMark runs the work-stealing relaxation and returns the merged
 // mark result plus the steal count.
 func (t *Tracer) parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*markResult, int64) {
-	marks := t.clearedMarks(int(h.NextID()) + 1)
+	marks := &t.marks
+	marks.reset(h)
 	site := h.Site()
 
-	// Collect roots and seed the dense mark table; duplicate seeds of one
-	// object are fine (rescans are idempotent).
+	// Collect roots and seed the mark table; duplicate seeds of one object
+	// are fine (rescans are idempotent).
 	var seeds []ids.ObjID
 	seedMark := func(obj ids.ObjID, dist int) {
-		if uint64(obj) >= uint64(len(marks)) {
-			return
-		}
-		if casMin(&marks[obj], int64(dist)+1) {
+		if p := marks.at(h.Locate(obj)); p != nil && casMin(p, int64(dist)+1) {
 			seeds = append(seeds, obj)
 		}
 	}
@@ -266,22 +265,19 @@ func (t *Tracer) parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*mark
 	}
 
 	eng := newParEngine(workers, func(w *parWorker, obj ids.ObjID) {
-		enc := atomic.LoadInt64(&marks[obj])
-		o, ok := h.Get(obj)
+		shard, local := h.Locate(obj)
+		fields, ok := h.SlotFields(shard, local)
 		if !ok {
 			return // phantom mark: id not (or no longer) in the heap
 		}
+		enc := atomic.LoadInt64(marks.at(shard, local))
 		d := int(enc - 1)
-		for i := 0; i < o.NumFields(); i++ {
-			f := o.Field(i)
+		for _, f := range fields {
 			if f.IsZero() {
 				continue
 			}
 			if f.Site == site {
-				if uint64(f.Obj) >= uint64(len(marks)) {
-					continue
-				}
-				if casMin(&marks[f.Obj], enc) {
+				if p := marks.at(h.Locate(f.Obj)); p != nil && casMin(p, enc) {
 					w.push(f.Obj)
 				}
 				continue
@@ -297,7 +293,7 @@ func (t *Tracer) parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*mark
 	// order. One worker then finishes each root's cone before the next
 	// root, so an object's first mark is its final one and nothing is
 	// re-queued; more workers re-queue only where their cones overlap.
-	slices.SortFunc(seeds, func(a, b ids.ObjID) int { return cmp.Compare(marks[b], marks[a]) })
+	slices.SortFunc(seeds, func(a, b ids.ObjID) int { return cmp.Compare(marks.load(h, b), marks.load(h, a)) })
 	eng.seed(seeds)
 	eng.run()
 
@@ -321,15 +317,15 @@ func (t *Tracer) parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*mark
 		return res.missingOutrefs[i].Less(res.missingOutrefs[j])
 	})
 
-	// Walk the heap one shard at a time (inline for one worker, else a
-	// goroutine per shard): unmarked objects are the dead, marked ones are
-	// only counted. Only objects actually in the heap are consulted, which
-	// filters the phantom marks.
+	// Walk the heap's pages one shard at a time (inline for one worker,
+	// else a goroutine per shard): unmarked objects are the dead, marked
+	// ones are only counted. Only slots holding objects are consulted,
+	// which filters the phantom marks.
 	dead := make([][]ids.ObjID, h.NumShards())
 	traced := make([]int64, h.NumShards())
 	tally := func(i int) {
-		h.EachObjectInShard(i, func(id ids.ObjID, _ *heap.Object) {
-			if marks[id] != 0 {
+		h.EachObjectInShard(i, func(id ids.ObjID, local uint64) {
+			if *marks.at(i, local) != 0 {
 				traced[i]++
 			} else {
 				dead[i] = append(dead[i], id)
@@ -361,15 +357,69 @@ func (t *Tracer) parallelMark(h *heap.Heap, tbl *refs.Table, workers int) (*mark
 	return res, eng.steals.Load()
 }
 
-// clearedMarks returns the tracer's mark table zeroed at length n. The
-// backing array is reused from trace to trace and grows by a quarter beyond
-// need, so a site whose ids creep upwards does not reallocate every trace.
-func (t *Tracer) clearedMarks(n int) []int64 {
-	if cap(t.marks) < n {
-		t.marks = make([]int64, n, n+n/4)
-		return t.marks
+// markTable is a trace's mark table, paged like the heap it marks: per heap
+// shard, a directory of mark pages with the heap shard's base and length,
+// holding a page exactly where the heap holds one. Its size follows the
+// heap's directory (live pages plus a pointer per page number of live
+// span), not the ids ever allocated.
+type markTable struct {
+	shards []markShard
+}
+
+type markShard struct {
+	base  int
+	pages []*markPage
+}
+
+type markPage [heap.PageSlots]int64
+
+// reset fits the table to h's pages and zeroes it. A page the heap still
+// holds keeps its mark page, cleared; a page the heap no longer holds loses
+// its mark page, uncleared.
+func (m *markTable) reset(h *heap.Heap) {
+	if len(m.shards) != h.NumShards() {
+		m.shards = make([]markShard, h.NumShards())
 	}
-	t.marks = t.marks[:n]
-	clear(t.marks)
-	return t.marks
+	for i := range m.shards {
+		ms := &m.shards[i]
+		base, n := h.PageSpan(i)
+		if base != ms.base || n != len(ms.pages) {
+			pages := make([]*markPage, n)
+			for j, p := range ms.pages {
+				if k := ms.base + j - base; k >= 0 && k < n {
+					pages[k] = p
+				}
+			}
+			ms.base, ms.pages = base, pages
+		}
+		for j, p := range ms.pages {
+			switch {
+			case !h.HasPage(i, base+j):
+				ms.pages[j] = nil
+			case p == nil:
+				ms.pages[j] = new(markPage)
+			default:
+				clear(p[:])
+			}
+		}
+	}
+}
+
+// at returns the mark slot of the object at a heap.Locate position, or nil
+// when the heap has no page there.
+func (m *markTable) at(shard int, local uint64) *int64 {
+	ms := &m.shards[shard]
+	j := int(local>>heap.PageBits) - ms.base
+	if uint(j) >= uint(len(ms.pages)) || ms.pages[j] == nil {
+		return nil
+	}
+	return &ms.pages[j][local&(heap.PageSlots-1)]
+}
+
+// load returns obj's mark (distance+1, or zero when unmarked).
+func (m *markTable) load(h *heap.Heap, obj ids.ObjID) int64 {
+	if p := m.at(h.Locate(obj)); p != nil {
+		return *p
+	}
+	return 0
 }

@@ -47,9 +47,8 @@ func mutateState(rng *rand.Rand, h *heap.Heap, tbl *refs.Table, objs *[]ids.Ref,
 		tbl.EnsureOutref(remote)
 	case 17:
 		src := (*objs)[rng.Intn(len(*objs))]
-		o, ok := h.Get(src.Obj)
-		if ok && o.NumFields() > 0 {
-			_, _ = h.RemoveField(src.Obj, o.Field(rng.Intn(o.NumFields())))
+		if fields, _ := h.FieldsOf(src.Obj); len(fields) > 0 {
+			_, _ = h.RemoveField(src.Obj, fields[rng.Intn(len(fields))])
 		}
 	case 18:
 		obj := (*objs)[rng.Intn(len(*objs))]
@@ -130,7 +129,7 @@ func TestParallelEquivalence(t *testing.T) {
 					ctx := fmt.Sprintf("seed %d round %d shards %d workers %d algo %v",
 						seed, round, shards, tr.Workers, algo)
 					sameResult(t, ctx, got, want)
-					for _, obj := range h.Objects() {
+					for _, obj := range heapObjects(h) {
 						d, ok := tr.markOf(h, obj)
 						wd, wok := wantMarks[obj]
 						if d != wd || ok != wok {

@@ -11,9 +11,9 @@ import (
 // This file is the tests' oracle: the local trace written the way Sections
 // 2–3 state it — roots traced one at a time in ascending distance order,
 // every object marked once by the first root that reaches it — with none of
-// the production marker's machinery (no dense table, no relaxation, no
+// the production marker's machinery (no paged table, no relaxation, no
 // workers, marks kept in a plain map). The equivalence tests compare
-// Tracer.Run and its dense mark table against it at every worker count.
+// Tracer.Run and its mark table against it at every worker count.
 
 // root is one starting point of the forward trace: a local object together
 // with the distance of the root it represents (0 for persistent and
@@ -82,12 +82,8 @@ func forwardMark(h *heap.Heap, tbl *refs.Table) (map[ids.ObjID]int, *markResult)
 		for len(stack) > 0 {
 			obj := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			o, ok := h.Get(obj)
-			if !ok {
-				continue
-			}
-			for i := 0; i < o.NumFields(); i++ {
-				f := o.Field(i)
+			fields, _ := h.FieldsOf(obj)
+			for _, f := range fields {
 				if f.IsZero() {
 					continue
 				}
@@ -120,21 +116,22 @@ func forwardMark(h *heap.Heap, tbl *refs.Table) (map[ids.ObjID]int, *markResult)
 // consumes, computed by plain loops over the sorted heap and table, plus
 // the mark of every reached object. Only the Section 5 outset pass is
 // shared with production — the two outset algorithms are checked against
-// each other elsewhere — and it reads the marks through a dense table
-// built from the map, as Tracer.Run hands it its own.
+// each other elsewhere — and it reads the marks through a mark table built
+// from the map, as Tracer.Run hands it its own.
 func referenceTrace(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlgorithm) (*Result, map[ids.ObjID]int) {
 	marked, mr := forwardMark(h, tbl)
-	dense := make([]int64, h.NextID()+1)
+	var marks markTable
+	marks.reset(h)
 	for obj, d := range marked {
-		dense[obj] = int64(d) + 1
+		*marks.at(h.Locate(obj)) = int64(d) + 1
 	}
-	outsets, _ := computeOutsets(&outsetEnv{h: h, tbl: tbl, marks: dense, outrefDist: mr.outrefDist, threshold: threshold}, algo)
+	outsets, _ := computeOutsets(&outsetEnv{h: h, tbl: tbl, marks: &marks, outrefDist: mr.outrefDist, threshold: threshold}, algo)
 	res := &Result{
 		OutrefDist: mr.outrefDist,
 		Missing:    mr.missingOutrefs,
 		Back:       NewBackInfo(outsets),
 	}
-	for _, obj := range h.Objects() {
+	for _, obj := range heapObjects(h) {
 		if _, ok := marked[obj]; !ok {
 			res.Dead = append(res.Dead, obj)
 		}
@@ -150,10 +147,18 @@ func referenceTrace(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlg
 
 // markOf returns the mark the tracer's last Run gave a heap object: its
 // distance, and whether the trace reached it. Ids absent from the heap
-// report unmarked, whatever the dense table holds for them.
+// report unmarked, whatever the mark table holds for them.
 func (t *Tracer) markOf(h *heap.Heap, obj ids.ObjID) (int, bool) {
-	if uint64(obj) >= uint64(len(t.marks)) || t.marks[obj] == 0 || !h.Contains(obj) {
+	enc := t.marks.load(h, obj)
+	if enc == 0 || !h.Contains(obj) {
 		return 0, false
 	}
-	return int(t.marks[obj] - 1), true
+	return int(enc - 1), true
+}
+
+// heapObjects returns h's object ids in ascending order.
+func heapObjects(h *heap.Heap) []ids.ObjID {
+	var out []ids.ObjID
+	h.EachObject(func(obj ids.ObjID, _ []ids.Ref, _ int, _ bool) { out = append(out, obj) })
+	return out
 }

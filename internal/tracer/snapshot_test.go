@@ -48,7 +48,7 @@ func checkSnapshotLineage(t *testing.T, seed int64, shards, workers, rounds, idl
 		got := tr.Run(sh, tbl.TraceSnapshot(), threshold, AlgoBottomUp)
 		ctx := fmt.Sprintf("seed %d round %d shards %d workers %d", seed, round, shards, workers)
 		sameResult(t, ctx, got, want)
-		for _, obj := range sh.Objects() {
+		for _, obj := range heapObjects(sh) {
 			d, ok := tr.markOf(sh, obj)
 			wd, wok := wantMarks[obj]
 			if d != wd || ok != wok {
@@ -110,4 +110,88 @@ func TestIncrementalFallbackReasons(t *testing.T) {
 	check("removal", 2, AlgoBottomUp)
 	check("threshold change", 3, AlgoBottomUp)
 	check("algorithm change", 3, AlgoIndependent)
+}
+
+// TestSparseIDMarkPages checks that the mark table follows the heap's live
+// pages, not the ids ever allocated: a site that allocated and swept 3 000
+// objects, then jumped its id counter to 10 million (ids are never
+// recycled), traces its 10 remaining objects with one mark page per shard.
+func TestSparseIDMarkPages(t *testing.T) {
+	const threshold = 2
+	h := heap.NewSharded(1, 2)
+	tbl := refs.NewTableSharded(1, threshold+2, 2)
+	var tr Tracer
+	trace := func() *Result {
+		res := tr.Run(h.TraceSnapshot(), tbl.TraceSnapshot(), threshold, AlgoBottomUp)
+		for _, obj := range res.Dead {
+			h.Delete(obj)
+		}
+		return res
+	}
+	chain := func(n int) ids.Ref {
+		root := h.AllocRoot()
+		prev := root
+		for i := 1; i < n; i++ {
+			o := h.Alloc()
+			if err := h.AddField(prev.Obj, o); err != nil {
+				t.Fatal(err)
+			}
+			prev = o
+		}
+		return root
+	}
+
+	old := chain(3000)
+	if res := trace(); res.Stats.ObjectsTraced != 3000 {
+		t.Fatalf("first trace reached %d objects, want 3000", res.Stats.ObjectsTraced)
+	}
+	h.UnmarkPersistentRoot(old.Obj)
+	if res := trace(); len(res.Dead) != 3000 {
+		t.Fatalf("second trace found %d dead, want 3000", len(res.Dead))
+	}
+	h.SetNextID(10_000_000)
+	chain(10)
+	res := trace()
+	if res.Stats.ObjectsTraced != 10 || len(res.Dead) != 0 {
+		t.Fatalf("sparse trace: %d traced, %d dead; want 10 and 0", res.Stats.ObjectsTraced, len(res.Dead))
+	}
+	for s, ms := range tr.marks.shards {
+		if len(ms.pages) != 1 || ms.pages[0] == nil {
+			t.Fatalf("shard %d: mark directory holds %d entries, want the one page its 5 objects share", s, len(ms.pages))
+		}
+	}
+
+	// Live roots that keep the low ids stretch every directory across an id
+	// gap: one pointer per PageSlots·N ids of live span (here 10M ids over 2
+	// shards), but mark pages only where the heap holds pages, and the
+	// id-order walk still visits just the live objects, in order.
+	h.SetNextID(20_000_000)
+	chain(10)
+	if res := trace(); res.Stats.ObjectsTraced != 20 {
+		t.Fatalf("gapped trace reached %d objects, want 20", res.Stats.ObjectsTraced)
+	}
+	for s, ms := range tr.marks.shards {
+		base, n := h.PageSpan(s)
+		if base != ms.base || n != len(ms.pages) || n != 10_000_000/(2*heap.PageSlots)+1 {
+			t.Fatalf("shard %d: mark directory [%d,+%d), heap directory [%d,+%d)", s, ms.base, len(ms.pages), base, n)
+		}
+		held := 0
+		for _, p := range ms.pages {
+			if p != nil {
+				held++
+			}
+		}
+		if held != 2 {
+			t.Fatalf("shard %d: %d mark pages across the gap, want 2", s, held)
+		}
+	}
+	walked := heapObjects(h)
+	if len(walked) != 20 || walked[0] != 10_000_001 || walked[19] != 20_000_010 {
+		t.Fatalf("id-order walk visited %d objects from %v to %v", len(walked), walked[0], walked[len(walked)-1])
+	}
+	for i := 1; i < len(walked); i++ {
+		if walked[i] <= walked[i-1] {
+			t.Fatalf("id-order walk out of order at %d: %v after %v", i, walked[i], walked[i-1])
+		}
+	}
 }

@@ -51,10 +51,14 @@ type Stats struct {
 	// this trace (ni and no in the paper's space bound).
 	SuspectedInrefs  int
 	SuspectedOutrefs int
-	// Duration is the wall-clock time of the trace computation (forward
-	// mark + outset computation), used to report trace latency when the
-	// computation runs off the site lock.
-	Duration time.Duration
+	// MarkDuration is the wall-clock time of the forward mark (seeding,
+	// marking, and the dead tally); OutsetsDuration that of the rest (the
+	// Section 5 outsets, back information and outref summary). Duration is
+	// their sum: the whole trace computation, used to report trace latency
+	// when the computation runs off the site lock.
+	MarkDuration    time.Duration
+	OutsetsDuration time.Duration
+	Duration        time.Duration
 
 	// Incremental is always false and FallbackReason always FullTrace:
 	// every local trace is a full mark. Both stay because external
@@ -97,20 +101,22 @@ type Result struct {
 const FullTrace = "full-trace"
 
 // Tracer runs one site's local traces. The zero value is ready to use. It
-// owns the only state a trace keeps between runs — the dense mark table,
-// cleared and reused so steady-state traces stop allocating it — and is
-// therefore not safe for concurrent use; the owning site's trace mutex
-// already serializes local traces. Results never alias the table.
+// owns the only state a trace keeps between runs — the mark table, whose
+// pages are cleared and reused so steady-state traces stop allocating them
+// — and is therefore not safe for concurrent use; the owning site's trace
+// mutex already serializes local traces. Results never alias the table.
 type Tracer struct {
 	// Workers is the number of mark workers. One (or less) is the
 	// sequential case: the same marker, run inline on the caller's
 	// goroutine. The result is identical at every worker count.
 	Workers int
 
-	// marks is the dense mark table, indexed by object id. It is sized by
-	// the heap's allocation high-water mark, so it grows with the ids ever
-	// allocated rather than with the live objects.
-	marks []int64
+	// marks is the mark table, paged like the traced heap: a page of
+	// heap.PageSlots marks for each heap page, so it grows with the pages
+	// holding live objects (and a directory pointer per page number
+	// between them), not with the ids ever allocated. Pages the heap
+	// dropped are dropped here too; the rest are cleared per trace.
+	marks markTable
 }
 
 // Run performs a local trace of the heap at the given suspicion threshold:
@@ -124,7 +130,8 @@ func (t *Tracer) Run(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAl
 	start := time.Now()
 	workers := max(1, t.Workers)
 	mr, steals := t.parallelMark(h, tbl, workers)
-	outsets, ost := computeOutsets(&outsetEnv{h: h, tbl: tbl, marks: t.marks, outrefDist: mr.outrefDist, threshold: threshold}, algo)
+	markEnd := time.Now()
+	outsets, ost := computeOutsets(&outsetEnv{h: h, tbl: tbl, marks: &t.marks, outrefDist: mr.outrefDist, threshold: threshold}, algo)
 
 	res := &Result{
 		Dead:       mr.dead,
@@ -144,7 +151,9 @@ func (t *Tracer) Run(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAl
 		},
 	}
 	res.Untraced, res.Stats.SuspectedOutrefs = outrefSummary(tbl, mr.outrefDist, threshold)
-	res.Stats.Duration = time.Since(start)
+	res.Stats.MarkDuration = markEnd.Sub(start)
+	res.Stats.OutsetsDuration = time.Since(markEnd)
+	res.Stats.Duration = res.Stats.MarkDuration + res.Stats.OutsetsDuration
 	return res
 }
 

@@ -60,7 +60,7 @@ func isClean(tr *Tracer, h *heap.Heap, obj ids.ObjID, threshold int) bool {
 // object alike.
 func sameMarks(t *testing.T, ctx string, h *heap.Heap, a, b *Tracer) {
 	t.Helper()
-	for _, obj := range h.Objects() {
+	for _, obj := range heapObjects(h) {
 		da, oka := a.markOf(h, obj)
 		db, okb := b.markOf(h, obj)
 		if da != db || oka != okb {
@@ -220,8 +220,8 @@ func TestMissingOutrefDetected(t *testing.T) {
 	}
 }
 
-// TestPhantomMarkNeverSuspected covers the outset pass reading the dense
-// mark table: a marked, suspected object whose field names a local id the
+// TestPhantomMarkNeverSuspected covers the outset pass reading the mark
+// table: a marked, suspected object whose field names a local id the
 // heap no longer holds leaves a phantom mark on that id. The phantom must
 // not be swept (it is not in the heap), suspected, or reached by any
 // outset; the suspect's real outset is unaffected.
@@ -239,10 +239,10 @@ func TestPhantomMarkNeverSuspected(t *testing.T) {
 
 			tr := new(Tracer)
 			res := tr.Run(f.h, f.tbl, 2, algo)
-			if tr.marks[gone.Obj] == 0 {
+			if tr.marks.load(f.h, gone.Obj) == 0 {
 				t.Fatal("setup: the mark did not reach the absent id")
 			}
-			env := &outsetEnv{h: f.h, tbl: f.tbl, marks: tr.marks, outrefDist: res.OutrefDist, threshold: 2}
+			env := &outsetEnv{h: f.h, tbl: f.tbl, marks: &tr.marks, outrefDist: res.OutrefDist, threshold: 2}
 			if env.suspectedObj(gone.Obj) {
 				t.Fatal("an id absent from the heap is suspected")
 			}
