@@ -41,12 +41,14 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
 	"backtrace/internal/msg"
+	"backtrace/internal/obs"
 	"backtrace/internal/refs"
 )
 
@@ -111,11 +113,16 @@ type Config struct {
 // frame is an activation frame (Section 4.4): "A frame contains the
 // identity of the frame to return to (including the caller site, etc.),
 // the ioref it is active on, a count of pending inner calls to BackStep,
-// and a result value to return when the count becomes zero."
+// and a result value to return when the count becomes zero." Frames are
+// recycled through the engine's free list; seq is zeroed on release, so a
+// holder can tell its frame completed by seq no longer matching.
 type frame struct {
-	id    ids.FrameID
-	trace ids.TraceID
-	ret   ret
+	// seq is the frame's FrameID.Seq (its site is always this engine's).
+	seq uint64
+	// ts is the trace's record; it stays in the trace index while the frame
+	// lives, because a live frame holds the trace's activity open.
+	ts  *traceState
+	ret ret
 	// The ioref the frame is active on: onOutref for a BackStepLocal frame
 	// (local set), onInref for a BackStepRemote frame.
 	local    bool
@@ -125,10 +132,11 @@ type frame struct {
 	// suspect is the batch suspect index this frame works on behalf of
 	// (always 0 in a single-suspect trace).
 	suspect uint32
-	// deps accumulates the suspects whose visit marks this frame's
-	// Garbage verdict relied on (revisit answers, Section 4.4); forwarded
-	// in the reply so the initiator can run the demotion fixpoint.
-	deps map[uint32]struct{}
+	// deps accumulates, in ascending order, the suspects whose visit marks
+	// this frame's Garbage verdict relied on (revisit answers, Section
+	// 4.4); forwarded in the reply so the initiator can run the demotion
+	// fixpoint.
+	deps []uint32
 	// gen is the commit generation at frame creation; a Live completion
 	// is memoized only if the generation has not moved since, so a
 	// concurrent CommitLocalTrace invalidates the proof automatically.
@@ -136,9 +144,11 @@ type frame struct {
 	// noMemo suppresses memoization for verdicts assumed rather than
 	// proven (timeout expiry, Section 4.6).
 	noMemo bool
-	// participants accumulates the sites reached in this frame's subtree,
-	// always including this site.
-	participants map[ids.SiteID]struct{}
+	// participants accumulates, in ascending order, the sites reached in
+	// this frame's subtree, always including this site. It starts in
+	// partBuf: P is at most a handful of sites in every shape.
+	participants []ids.SiteID
+	partBuf      [4]ids.SiteID
 	deadline     time.Time
 }
 
@@ -154,23 +164,29 @@ type ret struct {
 }
 
 // pendingReply is the BackReply to one handled BackCall; it is sent when
-// the last of the call's steps has returned.
+// the last of the call's steps has returned. sites backs the results'
+// participant lists, which outlive the frames they were collected in.
 type pendingReply struct {
 	to      ids.SiteID
 	msg     msg.BackReply
 	pending int
+	sites   []ids.SiteID
 }
 
-// outMsg is one message queued by the current entry point; callKey names
-// the BackCall it queued for one (destination site, trace).
+// outMsg is one message queued by the current entry point. A BackCall is
+// queued as an index into Engine.calls (m nil), so later steps join it
+// without re-boxing the message.
 type outMsg struct {
-	to ids.SiteID
-	m  msg.Message
+	to   ids.SiteID
+	m    msg.Message
+	call int
 }
 
-type callKey struct {
-	to    ids.SiteID
-	trace ids.TraceID
+// queuedCall is the BackCall the current entry point is assembling for one
+// destination site.
+type queuedCall struct {
+	to   ids.SiteID
+	call msg.BackCall
 }
 
 // inrefMark / outrefMark record one visit mark together with the batch
@@ -185,13 +201,30 @@ type outrefMark struct {
 	suspect uint32
 }
 
-// traceMarks records, per trace, the iorefs this site has marked visited,
-// so the report phase can flag or unmark them (Section 4.5). expiry
-// implements the lost-report timeout.
-type traceMarks struct {
+// traceState is everything this site keeps about one trace, found with one
+// lookup per message:
+//
+//   - the visit marks it set here, so the report phase can flag or unmark
+//     them (Section 4.5); marked is true while they are held, and expiry
+//     implements the lost-report timeout;
+//   - its live engagement for the participant-span hooks: whether an
+//     active period is open, how many activation frames exist, and how
+//     many BackCall messages were handled since the period began.
+//
+// A record that holds neither marks nor an active period is idle; it is
+// removed from the index when the current entry point returns, so records
+// handed down an entry point's call chain stay valid until then.
+type traceState struct {
+	id      ids.TraceID
+	marked  bool
 	inrefs  []inrefMark
 	outrefs []outrefMark
 	expiry  time.Time
+	active  bool
+	frames  int
+	hops    int
+	// retiring is set while the record sits in Engine.idle.
+	retiring bool
 }
 
 // batchRoot is the initiator-side state of a multi-suspect batched trace:
@@ -200,39 +233,40 @@ type traceMarks struct {
 // answered, the demotion fixpoint decides which Garbage verdicts are
 // trustworthy and one report phase resolves the whole batch (Section 4.5).
 type batchRoot struct {
-	trace   ids.TraceID
+	ts      *traceState
 	results []msg.Verdict
 	done    []bool
-	deps    []map[uint32]struct{}
+	// deps[i] holds, ascending, the suspects suspect i's verdict relied on.
+	deps    [][]uint32
 	pending int
-	// participants accumulates the union of every suspect subtree's
-	// participant set for the report phase.
-	participants map[ids.SiteID]struct{}
-}
-
-// traceActivity tracks one trace's live engagement at this site for the
-// participant-span observability hooks: how many activation frames exist
-// and how many BackCall messages were handled since the activity began.
-type traceActivity struct {
-	frames int
-	hops   int
+	// participants accumulates, ascending, the union of every suspect
+	// subtree's participant set for the report phase.
+	participants []ids.SiteID
 }
 
 // Engine is one site's back-tracing engine.
 type Engine struct {
 	cfg Config
+	ctr counters
 
 	nextTrace uint64
-	nextFrame uint64
-	frames    map[ids.FrameID]*frame
-	// byInref/byOutref index the frames active on each ioref, for the
-	// clean rule (Section 6.4).
-	byInref  map[ids.ObjID]map[ids.FrameID]struct{}
-	byOutref map[ids.Ref]map[ids.FrameID]struct{}
-	marks    map[ids.TraceID]*traceMarks
-	// activity tracks the traces currently active at this site, for the
-	// participant-span hooks.
-	activity map[ids.TraceID]*traceActivity
+	// nextFrame is the last FrameID.Seq issued. Seqs only grow, so a seq
+	// names one frame forever: a reply to a completed frame finds nothing
+	// in frames, even after the frame's struct was reused.
+	nextFrame  uint64
+	frames     map[uint64]*frame
+	freeFrames []*frame
+	// byInref/byOutref index the frames active on each ioref, ascending by
+	// seq, for the clean rule (Section 6.4). Emptied lists go to seqPool.
+	byInref  map[ids.ObjID][]uint64
+	byOutref map[ids.Ref][]uint64
+	seqPool  [][]uint64
+	// traces holds the per-trace records; idle lists the records to drop
+	// when the current entry point returns, and freeTraces the dropped ones
+	// kept for reuse.
+	traces     map[ids.TraceID]*traceState
+	idle       []*traceState
+	freeTraces []*traceState
 
 	// gen is the local-trace commit generation (bumped by CommitLocalTrace
 	// via BumpGeneration); memoIn/memoOut record the generation at which an
@@ -243,10 +277,21 @@ type Engine struct {
 	memoOut map[ids.Ref]uint64
 
 	// out holds the messages the current entry point sends, in send order;
-	// calls indexes its BackCall per (destination, trace) so later steps
-	// join it. flush ships them when the entry point returns.
+	// calls holds its BackCalls, one per (destination, trace), so later
+	// steps join them. flush ships them when the entry point returns.
 	out   []outMsg
-	calls map[callKey]int
+	calls []queuedCall
+	// self is the one-site participant list of an answer given without a
+	// frame; sources is stepRemote's scratch list of source sites. Both
+	// are only read by the code they are handed to.
+	self    []ids.SiteID
+	sources []ids.SiteID
+}
+
+// counters are the engine's metric instruments, resolved once.
+type counters struct {
+	started, calls, garbage, live, flagged, memoHits *obs.Counter
+	batchSize                                        *obs.Gauge
 }
 
 // NewEngine creates an engine for a site.
@@ -254,16 +299,28 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	reg := obs.NewRegistry() // discards the counts when cfg.Counters is nil
+	if cfg.Counters != nil {
+		reg = cfg.Counters.Registry()
+	}
 	return &Engine{
-		cfg:      cfg,
-		frames:   make(map[ids.FrameID]*frame),
-		byInref:  make(map[ids.ObjID]map[ids.FrameID]struct{}),
-		byOutref: make(map[ids.Ref]map[ids.FrameID]struct{}),
-		marks:    make(map[ids.TraceID]*traceMarks),
-		activity: make(map[ids.TraceID]*traceActivity),
+		cfg: cfg,
+		ctr: counters{
+			started:   reg.Counter(metrics.BackTracesStarted, ""),
+			calls:     reg.Counter(metrics.BackTraceCalls, ""),
+			garbage:   reg.Counter(metrics.BackTracesGarbage, ""),
+			live:      reg.Counter(metrics.BackTracesLive, ""),
+			flagged:   reg.Counter(metrics.InrefsFlagged, ""),
+			memoHits:  reg.Counter(metrics.BackTraceMemoHits, ""),
+			batchSize: reg.Gauge(metrics.BackTraceBatchSize, ""),
+		},
+		frames:   make(map[uint64]*frame),
+		byInref:  make(map[ids.ObjID][]uint64),
+		byOutref: make(map[ids.Ref][]uint64),
+		traces:   make(map[ids.TraceID]*traceState),
 		memoIn:   make(map[ids.ObjID]uint64),
 		memoOut:  make(map[ids.Ref]uint64),
-		calls:    make(map[callKey]int),
+		self:     []ids.SiteID{cfg.Site},
 	}
 }
 
@@ -277,55 +334,96 @@ func (e *Engine) send(to ids.SiteID, m msg.Message) {
 // Joining an earlier call only ever moves a step ahead of messages queued
 // after that call, never a reply ahead of a call.
 func (e *Engine) sendStep(to ids.SiteID, t ids.TraceID, initiator ids.SiteID, step msg.BackStep) {
-	k := callKey{to: to, trace: t}
-	if i, ok := e.calls[k]; ok {
-		c := e.out[i].m.(msg.BackCall)
-		c.Steps = append(c.Steps, step)
-		e.out[i].m = c
-		return
+	for i := range e.calls {
+		if c := &e.calls[i]; c.to == to && c.call.Trace == t {
+			c.call.Steps = append(c.call.Steps, step)
+			return
+		}
 	}
-	e.calls[k] = len(e.out)
-	e.send(to, msg.BackCall{Trace: t, Initiator: initiator, Steps: []msg.BackStep{step}})
+	e.out = append(e.out, outMsg{to: to, call: len(e.calls)})
+	e.calls = append(e.calls, queuedCall{to: to, call: msg.BackCall{Trace: t, Initiator: initiator, Steps: []msg.BackStep{step}}})
 }
 
-// flush ships the current entry point's messages in send order. Every
-// exported method that can send defers it.
+// flush ships the current entry point's messages in send order, then drops
+// the trace records that went idle. Every exported method that can send or
+// change a trace record defers it.
 func (e *Engine) flush() {
 	for _, o := range e.out {
-		e.cfg.Send(o.to, o.m)
+		if o.m == nil {
+			e.cfg.Send(o.to, e.calls[o.call].call)
+		} else {
+			e.cfg.Send(o.to, o.m)
+		}
 	}
 	clear(e.out)
 	e.out = e.out[:0]
 	clear(e.calls)
+	e.calls = e.calls[:0]
+	for _, ts := range e.idle {
+		ts.retiring = false
+		if ts.active || ts.marked {
+			continue
+		}
+		delete(e.traces, ts.id)
+		e.freeTraces = append(e.freeTraces, ts)
+	}
+	clear(e.idle)
+	e.idle = e.idle[:0]
+}
+
+// --- per-trace records --------------------------------------------------------
+
+// trace returns the trace's record, creating an idle one if absent.
+func (e *Engine) trace(t ids.TraceID) *traceState {
+	if ts, ok := e.traces[t]; ok {
+		return ts
+	}
+	var ts *traceState
+	if n := len(e.freeTraces); n > 0 {
+		ts = e.freeTraces[n-1]
+		e.freeTraces = e.freeTraces[:n-1]
+		*ts = traceState{id: t, inrefs: ts.inrefs[:0], outrefs: ts.outrefs[:0]}
+	} else {
+		ts = &traceState{id: t}
+	}
+	e.traces[t] = ts
+	e.retire(ts) // dropped at flush unless marks or activity claim it
+	return ts
+}
+
+// retire queues an idle record for removal when the entry point returns.
+func (e *Engine) retire(ts *traceState) {
+	if !ts.retiring && !ts.active && !ts.marked {
+		ts.retiring = true
+		e.idle = append(e.idle, ts)
+	}
 }
 
 // --- participant-activity tracking (observability) -------------------------
 
-// ensureActivity opens (or returns) the trace's activity record, firing
+// ensureActivity opens the trace's active period if none is open, firing
 // OnParticipantStart on the opening edge.
-func (e *Engine) ensureActivity(t ids.TraceID) *traceActivity {
-	a, ok := e.activity[t]
-	if !ok {
-		a = &traceActivity{}
-		e.activity[t] = a
-		if e.cfg.OnParticipantStart != nil {
-			e.cfg.OnParticipantStart(t)
-		}
+func (e *Engine) ensureActivity(ts *traceState) {
+	if ts.active {
+		return
 	}
-	return a
+	ts.active, ts.frames, ts.hops = true, 0, 0
+	if e.cfg.OnParticipantStart != nil {
+		e.cfg.OnParticipantStart(ts.id)
+	}
 }
 
 // maybeEndActivity fires OnParticipantEnd once the trace has no live
-// frames left at this site. Safe to call repeatedly; the activity record
-// is removed on the closing edge.
-func (e *Engine) maybeEndActivity(t ids.TraceID) {
-	a, ok := e.activity[t]
-	if !ok || a.frames > 0 {
+// frames left at this site. Safe to call repeatedly; the period closes on
+// the closing edge.
+func (e *Engine) maybeEndActivity(ts *traceState) {
+	if !ts.active || ts.frames > 0 {
 		return
 	}
-	delete(e.activity, t)
+	ts.active = false
+	e.retire(ts)
 	if e.cfg.OnParticipantEnd != nil {
-		e.cfg.OnParticipantEnd(t, a.hops)
+		e.cfg.OnParticipantEnd(ts.id, ts.hops)
 	}
 }
 
@@ -339,7 +437,15 @@ func (e *Engine) ActiveFrames() int { return len(e.frames) }
 
 // PendingMarks returns the number of traces whose visit marks this site
 // still holds.
-func (e *Engine) PendingMarks() int { return len(e.marks) }
+func (e *Engine) PendingMarks() int {
+	n := 0
+	for _, ts := range e.traces {
+		if ts.marked {
+			n++
+		}
+	}
+	return n
+}
 
 // TraceSeq returns the last trace sequence number this engine assigned.
 // Checkpointing persists it so a restored incarnation never reissues a
@@ -353,12 +459,6 @@ func (e *Engine) TraceSeq() uint64 { return e.nextTrace }
 func (e *Engine) SeedTraceSeq(n uint64) {
 	if n > e.nextTrace {
 		e.nextTrace = n
-	}
-}
-
-func (e *Engine) count(name string) {
-	if e.cfg.Counters != nil {
-		e.cfg.Counters.Inc(name)
 	}
 }
 
@@ -384,7 +484,7 @@ func (e *Engine) MemoizedLive(target ids.Ref) bool {
 		return false
 	}
 	if g, ok := e.memoOut[target]; ok && g == e.gen {
-		e.count(metrics.BackTraceMemoHits)
+		e.ctr.memoHits.Inc()
 		return true
 	}
 	return false
@@ -415,13 +515,14 @@ func (e *Engine) StartTrace(target ids.Ref) (ids.TraceID, bool) {
 	defer e.flush()
 	e.nextTrace++
 	t := ids.TraceID{Initiator: e.cfg.Site, Seq: e.nextTrace}
-	e.count(metrics.BackTracesStarted)
+	e.ctr.started.Inc()
 	// The initiator is itself a participant: open its activity before the
 	// outermost call so even a synchronous completion emits a span pair.
-	e.ensureActivity(t)
+	ts := e.trace(t)
+	e.ensureActivity(ts)
 	// The outermost call: caller is the nil frame on this site.
-	e.stepLocal(t, e.cfg.Site, ret{}, target, 0)
-	e.maybeEndActivity(t)
+	e.stepLocal(ts, e.cfg.Site, ret{}, target, 0)
+	e.maybeEndActivity(ts)
 	return t, true
 }
 
@@ -453,28 +554,28 @@ func (e *Engine) StartBatchTrace(targets []ids.Ref) (ids.TraceID, bool) {
 	defer e.flush()
 	e.nextTrace++
 	t := ids.TraceID{Initiator: e.cfg.Site, Seq: e.nextTrace}
-	e.count(metrics.BackTracesStarted)
-	if e.cfg.Counters != nil {
-		e.cfg.Counters.Max(metrics.BackTraceBatchSize, int64(len(viable)))
-	}
+	e.ctr.started.Inc()
+	e.ctr.batchSize.Max(int64(len(viable)))
+	ts := e.trace(t)
 	b := &batchRoot{
-		trace:        t,
+		ts:           ts,
 		results:      make([]msg.Verdict, len(viable)),
 		done:         make([]bool, len(viable)),
-		deps:         make([]map[uint32]struct{}, len(viable)),
+		deps:         make([][]uint32, len(viable)),
 		pending:      len(viable),
-		participants: map[ids.SiteID]struct{}{e.cfg.Site: {}},
+		participants: []ids.SiteID{e.cfg.Site},
 	}
 	// The batch root counts as an open frame so the initiator's activity
 	// (and root span) stays open until the batch resolves.
-	e.ensureActivity(t).frames++
+	e.ensureActivity(ts)
+	ts.frames++
 	for i, target := range viable {
 		// Each suspect's outermost call returns to its entry of the root;
 		// overlap shows up as an immediate revisit answer with a
 		// dependency on the first-visiting suspect.
-		e.stepLocal(t, e.cfg.Site, ret{batch: b, entry: i}, target, uint32(i))
+		e.stepLocal(ts, e.cfg.Site, ret{batch: b, entry: i}, target, uint32(i))
 	}
-	e.maybeEndActivity(t)
+	e.maybeEndActivity(ts)
 	return t, true
 }
 
@@ -485,19 +586,21 @@ func (e *Engine) StartBatchTrace(targets []ids.Ref) (ids.TraceID, bool) {
 // answered together by one BackReply once every step has returned.
 func (e *Engine) HandleBackCall(from ids.SiteID, c msg.BackCall) {
 	defer e.flush()
-	e.count(metrics.BackTraceCalls)
+	e.ctr.calls.Inc()
 	// Open (or extend) this trace's activity even when the call is answered
 	// without creating a frame, so every engagement yields a span pair.
-	e.ensureActivity(c.Trace).hops++
+	ts := e.trace(c.Trace)
+	e.ensureActivity(ts)
+	ts.hops++
 	p := &pendingReply{
 		to:      from,
 		msg:     msg.BackReply{Trace: c.Trace, Results: make([]msg.BackResult, len(c.Steps))},
 		pending: len(c.Steps),
 	}
 	for i, s := range c.Steps {
-		e.stepLocal(c.Trace, c.Initiator, ret{frame: s.Caller, reply: p, entry: i}, s.Outref, s.Suspect)
+		e.stepLocal(ts, c.Initiator, ret{frame: s.Caller, reply: p, entry: i}, s.Outref, s.Suspect)
 	}
-	e.maybeEndActivity(c.Trace)
+	e.maybeEndActivity(ts)
 }
 
 // HandleBackReply processes a BackReply from another site, folding each
@@ -514,55 +617,48 @@ func (e *Engine) HandleBackReply(from ids.SiteID, r msg.BackReply) {
 // visit marks. For a batched trace the report's garbage-suspect set
 // restricts flagging to marks owned by suspects confirmed garbage.
 func (e *Engine) HandleReport(from ids.SiteID, r msg.Report) {
-	e.finishTraceLocally(r.Trace, r.Outcome, r.GarbageSuspects)
+	if ts, ok := e.traces[r.Trace]; ok {
+		defer e.flush()
+		e.finishTraceLocally(ts, r.Outcome, r.GarbageSuspects)
+	}
 }
 
 // finishTraceLocally clears the trace's visit marks and, on a Garbage
 // outcome, flags the visited inrefs. garbage is the batch form's set of
 // garbage-confirmed suspects; empty means the single-suspect form, which
 // flags every visited inref.
-func (e *Engine) finishTraceLocally(t ids.TraceID, outcome msg.Verdict, garbage []uint32) {
-	tm, ok := e.marks[t]
-	if !ok {
+func (e *Engine) finishTraceLocally(ts *traceState, outcome msg.Verdict, garbage []uint32) {
+	if !ts.marked {
 		return
 	}
-	delete(e.marks, t)
-	var gset map[uint32]struct{}
-	if len(garbage) > 0 {
-		gset = make(map[uint32]struct{}, len(garbage))
-		for _, s := range garbage {
-			gset[s] = struct{}{}
-		}
-	}
+	ts.marked = false
+	e.retire(ts)
 	flags := func(suspect uint32) bool {
 		if outcome != msg.VerdictGarbage {
 			return false
 		}
-		if gset == nil {
-			return true
-		}
-		_, ok := gset[suspect]
-		return ok
+		return len(garbage) == 0 || slices.Contains(garbage, suspect)
 	}
-	for _, m := range tm.inrefs {
+	for _, m := range ts.inrefs {
 		in, ok := e.cfg.Table.Inref(m.obj)
 		if !ok {
 			continue
 		}
-		in.ClearVisited(t)
+		in.ClearVisited(ts.id)
 		if flags(m.suspect) && !in.Garbage {
 			e.cfg.Table.FlagGarbage(m.obj)
-			e.count(metrics.InrefsFlagged)
+			e.ctr.flagged.Inc()
 			if e.cfg.OnFlagged != nil {
 				e.cfg.OnFlagged(m.obj)
 			}
 		}
 	}
-	for _, m := range tm.outrefs {
+	for _, m := range ts.outrefs {
 		if o, ok := e.cfg.Table.Outref(m.target); ok {
-			o.ClearVisited(t)
+			o.ClearVisited(ts.id)
 		}
 	}
+	ts.inrefs, ts.outrefs = ts.inrefs[:0], ts.outrefs[:0]
 }
 
 // --- the two back steps -----------------------------------------------------
@@ -579,38 +675,39 @@ func revisitDeps(owner, suspect uint32) []uint32 {
 
 // stepLocal is BackStepLocal (Section 4.4): examine the outref for a
 // remote reference on this site and fan out to the inrefs in its inset.
-func (e *Engine) stepLocal(t ids.TraceID, initiator ids.SiteID, r ret, target ids.Ref, suspect uint32) {
+func (e *Engine) stepLocal(ts *traceState, initiator ids.SiteID, r ret, target ids.Ref, suspect uint32) {
 	o, ok := e.cfg.Table.Outref(target)
 	if !ok {
 		// "its ioref must have been deleted by the garbage collector".
-		e.replyTo(r, t, msg.VerdictGarbage, e.selfParticipants(), nil)
+		e.replyTo(r, ts, msg.VerdictGarbage, e.self, nil)
 		return
 	}
 	if o.IsClean(e.cfg.Threshold) {
-		e.replyTo(r, t, msg.VerdictLive, e.selfParticipants(), nil)
+		e.replyTo(r, ts, msg.VerdictLive, e.self, nil)
 		return
 	}
 	if e.cfg.MemoizeLive {
 		if g, ok := e.memoOut[target]; ok && g == e.gen {
 			// Proven Live at this generation: answer without fanning out.
-			e.count(metrics.BackTraceMemoHits)
-			e.replyTo(r, t, msg.VerdictLive, e.selfParticipants(), nil)
+			e.ctr.memoHits.Inc()
+			e.replyTo(r, ts, msg.VerdictLive, e.self, nil)
 			return
 		}
 	}
-	if owner, already := o.MarkVisited(t, suspect); already {
+	if owner, already := o.MarkVisited(ts.id, suspect); already {
 		// Already visited by this trace: avoid loops and revisits. In a
 		// batched trace the answer leans on the owning suspect's verdict.
-		e.replyTo(r, t, msg.VerdictGarbage, e.selfParticipants(), revisitDeps(owner, suspect))
+		e.replyTo(r, ts, msg.VerdictGarbage, e.self, revisitDeps(owner, suspect))
 		return
 	}
-	e.recordOutrefMark(t, target, suspect)
+	e.markHeld(ts)
+	ts.outrefs = append(ts.outrefs, outrefMark{target: target, suspect: suspect})
 	o.BackThreshold += e.cfg.ThresholdBump // Section 4.3
 
-	f := e.newFrame(t, r, suspect)
+	f := e.newFrame(ts, r, suspect)
 	f.local = true
 	f.onOutref = target
-	e.indexFrame(f)
+	e.byOutref[target] = e.indexAdd(e.byOutref[target], f.seq)
 
 	inset := e.cfg.Inset(target)
 	// Fan out to every inref in the inset; these are local calls on this
@@ -621,15 +718,16 @@ func (e *Engine) stepLocal(t ids.TraceID, initiator ids.SiteID, r ret, target id
 		e.completeFrame(f, msg.VerdictGarbage)
 		return
 	}
-	fid := f.id
+	seq := f.seq
 	for _, inrefObj := range inset {
 		// The frame may complete (via Live short-circuit or the clean
 		// rule) while iterating; further calls then have no effect
-		// beyond marking, which is harmless.
-		if _, alive := e.frames[fid]; !alive {
+		// beyond marking, which is harmless. A completed frame's seq no
+		// longer matches, even if its struct was reused meanwhile.
+		if f.seq != seq {
 			return
 		}
-		e.stepRemote(t, initiator, ret{frame: fid}, inrefObj, suspect)
+		e.stepRemote(ts, initiator, ret{frame: ids.FrameID{Site: e.cfg.Site, Seq: seq}}, inrefObj, suspect)
 	}
 }
 
@@ -637,112 +735,130 @@ func (e *Engine) stepLocal(t ids.TraceID, initiator ids.SiteID, r ret, target id
 // local object and fan out to the corresponding outrefs on its source
 // sites, as one step of the BackCall each source site gets from this entry
 // point.
-func (e *Engine) stepRemote(t ids.TraceID, initiator ids.SiteID, r ret, inrefObj ids.ObjID, suspect uint32) {
+func (e *Engine) stepRemote(ts *traceState, initiator ids.SiteID, r ret, inrefObj ids.ObjID, suspect uint32) {
 	in, ok := e.cfg.Table.Inref(inrefObj)
 	if !ok {
-		e.replyTo(r, t, msg.VerdictGarbage, e.selfParticipants(), nil)
+		e.replyTo(r, ts, msg.VerdictGarbage, e.self, nil)
 		return
 	}
 	if in.IsClean(e.cfg.Threshold) {
-		e.replyTo(r, t, msg.VerdictLive, e.selfParticipants(), nil)
+		e.replyTo(r, ts, msg.VerdictLive, e.self, nil)
 		return
 	}
 	if e.cfg.MemoizeLive {
 		if g, ok := e.memoIn[inrefObj]; ok && g == e.gen {
-			e.count(metrics.BackTraceMemoHits)
-			e.replyTo(r, t, msg.VerdictLive, e.selfParticipants(), nil)
+			e.ctr.memoHits.Inc()
+			e.replyTo(r, ts, msg.VerdictLive, e.self, nil)
 			return
 		}
 	}
-	if owner, already := in.MarkVisited(t, suspect); already {
-		e.replyTo(r, t, msg.VerdictGarbage, e.selfParticipants(), revisitDeps(owner, suspect))
+	if owner, already := in.MarkVisited(ts.id, suspect); already {
+		e.replyTo(r, ts, msg.VerdictGarbage, e.self, revisitDeps(owner, suspect))
 		return
 	}
-	e.recordInrefMark(t, inrefObj, suspect)
+	e.markHeld(ts)
+	ts.inrefs = append(ts.inrefs, inrefMark{obj: inrefObj, suspect: suspect})
 	in.BackThreshold += e.cfg.ThresholdBump
 
-	f := e.newFrame(t, r, suspect)
+	f := e.newFrame(ts, r, suspect)
 	f.onInref = inrefObj
-	e.indexFrame(f)
+	e.byInref[inrefObj] = e.indexAdd(e.byInref[inrefObj], f.seq)
 
-	sources := in.SourceSites()
-	f.pending = len(sources)
+	e.sources = in.AppendSourceSites(e.sources[:0])
+	f.pending = len(e.sources)
 	if f.pending == 0 {
 		e.completeFrame(f, msg.VerdictGarbage)
 		return
 	}
-	step := msg.BackStep{Caller: f.id, Outref: ids.MakeRef(e.cfg.Site, inrefObj), Suspect: suspect}
-	for _, src := range sources {
-		e.sendStep(src, t, initiator, step)
+	step := msg.BackStep{Caller: ids.FrameID{Site: e.cfg.Site, Seq: f.seq}, Outref: ids.MakeRef(e.cfg.Site, inrefObj), Suspect: suspect}
+	for _, src := range e.sources {
+		e.sendStep(src, ts.id, initiator, step)
 	}
 }
 
 // --- frame bookkeeping -------------------------------------------------------
 
-func (e *Engine) newFrame(t ids.TraceID, r ret, suspect uint32) *frame {
-	e.nextFrame++
-	f := &frame{
-		id:           ids.FrameID{Site: e.cfg.Site, Seq: e.nextFrame},
-		trace:        t,
-		ret:          r,
-		suspect:      suspect,
-		gen:          e.gen,
-		participants: map[ids.SiteID]struct{}{e.cfg.Site: {}},
+// newFrame opens a frame with the next seq, reusing a released struct when
+// one is free (completeFrame zeroes it, keeping its lists' storage).
+func (e *Engine) newFrame(ts *traceState, r ret, suspect uint32) *frame {
+	var f *frame
+	if n := len(e.freeFrames); n > 0 {
+		f = e.freeFrames[n-1]
+		e.freeFrames = e.freeFrames[:n-1]
+	} else {
+		f = &frame{}
+		f.participants = f.partBuf[:0]
 	}
+	e.nextFrame++
+	f.seq, f.ts, f.ret, f.suspect, f.gen = e.nextFrame, ts, r, suspect, e.gen
+	f.participants = append(f.participants, e.cfg.Site)
 	if e.cfg.CallTimeout > 0 {
 		f.deadline = e.cfg.Now().Add(e.cfg.CallTimeout)
 	}
-	e.frames[f.id] = f
-	e.ensureActivity(t).frames++
+	e.frames[f.seq] = f
+	e.ensureActivity(ts)
+	ts.frames++
 	return f
 }
 
-func (e *Engine) indexFrame(f *frame) {
-	if f.local {
-		addFrame(e.byOutref, f.onOutref, f.id)
-	} else {
-		addFrame(e.byInref, f.onInref, f.id)
+// indexAdd appends a new frame's seq to an ioref's clean-rule list; seqs
+// only grow, so the list stays ascending.
+func (e *Engine) indexAdd(seqs []uint64, seq uint64) []uint64 {
+	if seqs == nil {
+		if n := len(e.seqPool); n > 0 {
+			seqs = e.seqPool[n-1]
+			e.seqPool = e.seqPool[:n-1]
+		}
 	}
+	return append(seqs, seq)
 }
 
+// indexRemove drops a frame's seq from an ioref's clean-rule list,
+// returning nil (and pooling the list) once it empties.
+func (e *Engine) indexRemove(seqs []uint64, seq uint64) []uint64 {
+	if i := slices.Index(seqs, seq); i >= 0 {
+		seqs = slices.Delete(seqs, i, i+1)
+	}
+	if len(seqs) == 0 {
+		e.seqPool = append(e.seqPool, seqs)
+		return nil
+	}
+	return seqs
+}
+
+// unindexFrame removes a completing frame from the clean-rule index.
 func (e *Engine) unindexFrame(f *frame) {
 	if f.local {
-		removeFrame(e.byOutref, f.onOutref, f.id)
-	} else {
-		removeFrame(e.byInref, f.onInref, f.id)
-	}
-}
-
-// addFrame and removeFrame maintain an ioref → active-frames index.
-func addFrame[K comparable](index map[K]map[ids.FrameID]struct{}, k K, id ids.FrameID) {
-	set := index[k]
-	if set == nil {
-		set = make(map[ids.FrameID]struct{})
-		index[k] = set
-	}
-	set[id] = struct{}{}
-}
-
-func removeFrame[K comparable](index map[K]map[ids.FrameID]struct{}, k K, id ids.FrameID) {
-	if set := index[k]; set != nil {
-		delete(set, id)
-		if len(set) == 0 {
-			delete(index, k)
+		if seqs := e.indexRemove(e.byOutref[f.onOutref], f.seq); seqs != nil {
+			e.byOutref[f.onOutref] = seqs
+		} else {
+			delete(e.byOutref, f.onOutref)
 		}
+		return
+	}
+	if seqs := e.indexRemove(e.byInref[f.onInref], f.seq); seqs != nil {
+		e.byInref[f.onInref] = seqs
+	} else {
+		delete(e.byInref, f.onInref)
 	}
 }
 
 // applyReply folds one inner call's result into its frame (or batch root
 // slot). Live short-circuits: the frame completes immediately and later
 // replies to it are ignored (their frame is gone). Garbage replies merge
-// the subtree's suspect dependencies into the frame for forwarding.
+// the subtree's suspect dependencies into the frame for forwarding. A
+// reply for another site's frame, or for a seq no live frame holds, is
+// dropped.
 func (e *Engine) applyReply(fid ids.FrameID, result msg.Verdict, participants []ids.SiteID, deps []uint32) {
-	f, ok := e.frames[fid]
+	if fid.Site != e.cfg.Site {
+		return
+	}
+	f, ok := e.frames[fid.Seq]
 	if !ok {
 		return // frame already completed (short-circuit, clean rule, timeout)
 	}
 	for _, p := range participants {
-		f.participants[p] = struct{}{}
+		f.participants = insertSorted(f.participants, p)
 	}
 	if result == msg.VerdictLive {
 		e.completeFrame(f, msg.VerdictLive)
@@ -750,10 +866,7 @@ func (e *Engine) applyReply(fid ids.FrameID, result msg.Verdict, participants []
 	}
 	for _, d := range deps {
 		if d != f.suspect {
-			if f.deps == nil {
-				f.deps = make(map[uint32]struct{})
-			}
-			f.deps[d] = struct{}{}
+			f.deps = insertSorted(f.deps, d)
 		}
 	}
 	f.pending--
@@ -763,17 +876,24 @@ func (e *Engine) applyReply(fid ids.FrameID, result msg.Verdict, participants []
 	}
 }
 
-// completeFrame finishes a frame with the given verdict, replying to the
-// caller or — for the outermost frame — running the report phase. A
-// proven-Live completion whose generation is still current memoizes the
-// frame's ioref.
-func (e *Engine) completeFrame(f *frame, verdict msg.Verdict) {
-	delete(e.frames, f.id)
-	e.unindexFrame(f)
-	if a, ok := e.activity[f.trace]; ok {
-		a.frames--
+// insertSorted adds v to an ascending set, in place.
+func insertSorted[T cmp.Ordered](set []T, v T) []T {
+	i, found := slices.BinarySearch(set, v)
+	if found {
+		return set
 	}
-	defer e.maybeEndActivity(f.trace)
+	return slices.Insert(set, i, v)
+}
+
+// completeFrame finishes a frame with the given verdict, replying to the
+// caller or — for the outermost frame — running the report phase, and
+// releases the frame. A proven-Live completion whose generation is still
+// current memoizes the frame's ioref.
+func (e *Engine) completeFrame(f *frame, verdict msg.Verdict) {
+	delete(e.frames, f.seq)
+	e.unindexFrame(f)
+	ts := f.ts
+	ts.frames--
 	if verdict == msg.VerdictLive && e.cfg.MemoizeLive && !f.noMemo && f.gen == e.gen {
 		if f.local {
 			e.memoOut[f.onOutref] = e.gen
@@ -782,33 +902,33 @@ func (e *Engine) completeFrame(f *frame, verdict msg.Verdict) {
 		}
 	}
 	var deps []uint32
-	if verdict == msg.VerdictGarbage {
-		deps = sortedKeys(f.deps)
+	if verdict == msg.VerdictGarbage && len(f.deps) > 0 {
+		deps = f.deps
 	}
-	e.replyTo(f.ret, f.trace, verdict, sortedKeys(f.participants), deps)
-}
-
-// sortedKeys returns a set's members in ascending order, nil when empty.
-func sortedKeys[K ~uint32](set map[K]struct{}) []K {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]K, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	// replyTo only reads the frame's lists, copying what it keeps, so the
+	// frame can be released once it returns.
+	e.replyTo(f.ret, ts, verdict, f.participants, deps)
+	*f = frame{participants: f.participants[:0], deps: f.deps[:0]}
+	e.freeFrames = append(e.freeFrames, f)
+	e.maybeEndActivity(ts)
 }
 
 // replyTo delivers a call's result where r points: into the BackReply
 // being assembled for a remote caller (sent once its last step returns),
 // to a frame on this site, or — for the outermost call — into the report
-// phase.
-func (e *Engine) replyTo(r ret, t ids.TraceID, verdict msg.Verdict, participants []ids.SiteID, deps []uint32) {
+// phase. participants and deps are only read; whatever outlives the call
+// is copied.
+func (e *Engine) replyTo(r ret, ts *traceState, verdict msg.Verdict, participants []ids.SiteID, deps []uint32) {
 	switch p := r.reply; {
 	case p != nil:
-		p.msg.Results[r.entry] = msg.BackResult{Caller: r.frame, Result: verdict, Participants: participants, Deps: deps}
+		n := len(p.sites)
+		p.sites = append(p.sites, participants...)
+		p.msg.Results[r.entry] = msg.BackResult{
+			Caller:       r.frame,
+			Result:       verdict,
+			Participants: p.sites[n:len(p.sites):len(p.sites)],
+			Deps:         slices.Clone(deps),
+		}
 		p.pending--
 		if p.pending == 0 {
 			e.send(p.to, p.msg)
@@ -816,7 +936,7 @@ func (e *Engine) replyTo(r ret, t ids.TraceID, verdict msg.Verdict, participants
 	case r.batch != nil:
 		e.applyBatchReply(r.batch, r.entry, verdict, participants, deps)
 	case r.frame.IsZero():
-		e.finishAtInitiator(t, verdict, participants, nil)
+		e.finishAtInitiator(ts, verdict, slices.Clone(participants), nil)
 	default:
 		e.applyReply(r.frame, verdict, participants, deps)
 	}
@@ -829,19 +949,15 @@ func (e *Engine) applyBatchReply(b *batchRoot, i int, result msg.Verdict, partic
 		return
 	}
 	for _, p := range participants {
-		b.participants[p] = struct{}{}
+		b.participants = insertSorted(b.participants, p)
 	}
 	b.results[i] = result
 	b.done[i] = true
 	if result == msg.VerdictGarbage {
 		for _, d := range deps {
-			if d == uint32(i) {
-				continue
+			if d != uint32(i) {
+				b.deps[i] = insertSorted(b.deps[i], d)
 			}
-			if b.deps[i] == nil {
-				b.deps[i] = make(map[uint32]struct{})
-			}
-			b.deps[i][d] = struct{}{}
 		}
 	}
 	b.pending--
@@ -866,7 +982,7 @@ func (e *Engine) resolveBatch(b *batchRoot) {
 			if !garbage[i] {
 				continue
 			}
-			for d := range b.deps[i] {
+			for _, d := range b.deps[i] {
 				if int(d) >= len(garbage) || !garbage[d] {
 					garbage[i] = false
 					changed = true
@@ -885,61 +1001,45 @@ func (e *Engine) resolveBatch(b *batchRoot) {
 	if len(gs) > 0 {
 		outcome = msg.VerdictGarbage
 	}
-	if a, ok := e.activity[b.trace]; ok {
-		a.frames-- // release the batch root's hold on the activity
-	}
-	defer e.maybeEndActivity(b.trace)
-	e.finishAtInitiator(b.trace, outcome, sortedKeys(b.participants), gs)
+	b.ts.frames-- // release the batch root's hold on the activity
+	e.finishAtInitiator(b.ts, outcome, b.participants, gs)
+	e.maybeEndActivity(b.ts)
 }
 
 // finishAtInitiator runs the report phase (Section 4.5): deliver the
 // outcome to every participant. The initiator's own marks are processed
 // inline; remote participants get Report messages. garbage is a batch's
 // set of garbage-confirmed suspects (nil for a single-suspect trace).
-func (e *Engine) finishAtInitiator(t ids.TraceID, outcome msg.Verdict, participants []ids.SiteID, garbage []uint32) {
+func (e *Engine) finishAtInitiator(ts *traceState, outcome msg.Verdict, participants []ids.SiteID, garbage []uint32) {
 	if outcome == msg.VerdictGarbage {
-		e.count(metrics.BackTracesGarbage)
+		e.ctr.garbage.Inc()
 	} else {
-		e.count(metrics.BackTracesLive)
+		e.ctr.live.Inc()
 	}
 	for _, p := range participants {
 		if p == e.cfg.Site {
 			continue
 		}
-		e.send(p, msg.Report{Trace: t, Outcome: outcome, GarbageSuspects: garbage})
+		e.send(p, msg.Report{Trace: ts.id, Outcome: outcome, GarbageSuspects: garbage})
 	}
-	e.finishTraceLocally(t, outcome, garbage)
+	e.finishTraceLocally(ts, outcome, garbage)
 	if e.cfg.Completed != nil {
-		e.cfg.Completed(t, outcome, participants)
+		e.cfg.Completed(ts.id, outcome, participants)
 	}
-}
-
-func (e *Engine) selfParticipants() []ids.SiteID {
-	return []ids.SiteID{e.cfg.Site}
 }
 
 // --- visit-mark bookkeeping ---------------------------------------------------
 
-func (e *Engine) marksFor(t ids.TraceID) *traceMarks {
-	tm, ok := e.marks[t]
-	if !ok {
-		tm = &traceMarks{}
-		if e.cfg.ReportTimeout > 0 {
-			tm.expiry = e.cfg.Now().Add(e.cfg.ReportTimeout)
-		}
-		e.marks[t] = tm
+// markHeld notes that the trace holds visit marks here, starting the
+// lost-report clock on the first one.
+func (e *Engine) markHeld(ts *traceState) {
+	if ts.marked {
+		return
 	}
-	return tm
-}
-
-func (e *Engine) recordInrefMark(t ids.TraceID, obj ids.ObjID, suspect uint32) {
-	tm := e.marksFor(t)
-	tm.inrefs = append(tm.inrefs, inrefMark{obj: obj, suspect: suspect})
-}
-
-func (e *Engine) recordOutrefMark(t ids.TraceID, target ids.Ref, suspect uint32) {
-	tm := e.marksFor(t)
-	tm.outrefs = append(tm.outrefs, outrefMark{target: target, suspect: suspect})
+	ts.marked = true
+	if e.cfg.ReportTimeout > 0 {
+		ts.expiry = e.cfg.Now().Add(e.cfg.ReportTimeout)
+	}
 }
 
 // --- memoization generations (tentpole layer 2) -----------------------------
@@ -961,42 +1061,26 @@ func (e *Engine) BumpGeneration() {
 // --- the clean rule (Section 6.4) ----------------------------------------------
 
 // NotifyCleanedInref implements the clean rule for an inref: every trace
-// with a call active on it returns Live. The ioref's cached Live verdict
-// (if any) is dropped too — its cleanliness now answers directly, and the
-// Section 6.4 clean events are the memo's point invalidations between
-// generation bumps.
+// with a call active on it returns Live, oldest frame first. The ioref's
+// cached Live verdict (if any) is dropped too — its cleanliness now
+// answers directly, and the Section 6.4 clean events are the memo's point
+// invalidations between generation bumps.
 func (e *Engine) NotifyCleanedInref(obj ids.ObjID) {
 	defer e.flush()
-	e.forceLive(e.byInref[obj])
+	// Completing a frame removes it from the list and creates no frames.
+	for seqs := e.byInref[obj]; len(seqs) > 0; seqs = e.byInref[obj] {
+		e.completeFrame(e.frames[seqs[0]], msg.VerdictLive)
+	}
 	delete(e.memoIn, obj)
 }
 
 // NotifyCleanedOutref implements the clean rule for an outref.
 func (e *Engine) NotifyCleanedOutref(target ids.Ref) {
 	defer e.flush()
-	e.forceLive(e.byOutref[target])
+	for seqs := e.byOutref[target]; len(seqs) > 0; seqs = e.byOutref[target] {
+		e.completeFrame(e.frames[seqs[0]], msg.VerdictLive)
+	}
 	delete(e.memoOut, target)
-}
-
-func (e *Engine) forceLive(set map[ids.FrameID]struct{}) {
-	if len(set) == 0 {
-		return
-	}
-	fids := make([]ids.FrameID, 0, len(set))
-	for fid := range set {
-		fids = append(fids, fid)
-	}
-	sort.Slice(fids, func(i, j int) bool {
-		if fids[i].Site != fids[j].Site {
-			return fids[i].Site < fids[j].Site
-		}
-		return fids[i].Seq < fids[j].Seq
-	})
-	for _, fid := range fids {
-		if f, ok := e.frames[fid]; ok {
-			e.completeFrame(f, msg.VerdictLive)
-		}
-	}
 }
 
 // --- timeouts (Section 4.6) ------------------------------------------------------
@@ -1008,17 +1092,17 @@ func (e *Engine) CheckTimeouts() {
 	defer e.flush()
 	now := e.cfg.Now()
 	if e.cfg.CallTimeout > 0 {
-		var overdue []*frame
-		for _, f := range e.frames {
+		var overdue []uint64
+		for seq, f := range e.frames {
 			if !f.deadline.IsZero() && now.After(f.deadline) {
-				overdue = append(overdue, f)
+				overdue = append(overdue, seq)
 			}
 		}
-		sort.Slice(overdue, func(i, j int) bool { return overdue[i].id.Seq < overdue[j].id.Seq })
-		for _, f := range overdue {
-			if _, ok := e.frames[f.id]; ok {
+		slices.Sort(overdue)
+		for _, seq := range overdue {
+			if f, ok := e.frames[seq]; ok {
 				if e.cfg.OnTimeout != nil {
-					e.cfg.OnTimeout(f.trace)
+					e.cfg.OnTimeout(f.ts.id)
 				}
 				// Assumed Live, not proven (Section 4.6): never memoized.
 				f.noMemo = true
@@ -1027,18 +1111,20 @@ func (e *Engine) CheckTimeouts() {
 		}
 	}
 	if e.cfg.ReportTimeout > 0 {
-		var expired []ids.TraceID
-		for t, tm := range e.marks {
-			if !tm.expiry.IsZero() && now.After(tm.expiry) {
-				expired = append(expired, t)
+		var expired []*traceState
+		for _, ts := range e.traces {
+			if ts.marked && !ts.expiry.IsZero() && now.After(ts.expiry) {
+				expired = append(expired, ts)
 			}
 		}
-		sort.Slice(expired, func(i, j int) bool { return expired[i].Less(expired[j]) })
-		for _, t := range expired {
+		slices.SortFunc(expired, func(a, b *traceState) int {
+			return cmp.Or(cmp.Compare(a.id.Initiator, b.id.Initiator), cmp.Compare(a.id.Seq, b.id.Seq))
+		})
+		for _, ts := range expired {
 			if e.cfg.OnTimeout != nil {
-				e.cfg.OnTimeout(t)
+				e.cfg.OnTimeout(ts.id)
 			}
-			e.finishTraceLocally(t, msg.VerdictLive, nil)
+			e.finishTraceLocally(ts, msg.VerdictLive, nil)
 		}
 	}
 }

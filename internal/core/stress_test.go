@@ -11,8 +11,8 @@ import (
 // TestEngineStressRandomTopologies throws many concurrent back traces at
 // random ioref topologies with scrambled delivery, dropped messages, and
 // timeouts, and checks the engine's structural guarantees: every trace
-// terminates, no frames or marks leak, and flagging only ever happens via
-// a Garbage report.
+// terminates, no frames, clean-rule lists, trace records or visit marks
+// leak, and flagging only ever happens via a Garbage report.
 func TestEngineStressRandomTopologies(t *testing.T) {
 	const seeds = 30
 	for seed := int64(1); seed <= seeds; seed++ {
@@ -106,6 +106,11 @@ func TestEngineStressRandomTopologies(t *testing.T) {
 			}
 			if got := r.engines[s].PendingMarks(); got != 0 {
 				t.Fatalf("seed %d: site %v leaked %d mark sets", seed, s, got)
+			}
+			e := r.engines[s]
+			if len(e.frames) != 0 || len(e.byInref) != 0 || len(e.byOutref) != 0 || len(e.traces) != 0 {
+				t.Fatalf("seed %d: site %v left %d frames, %d+%d clean-rule lists, %d trace records",
+					seed, s, len(e.frames), len(e.byInref), len(e.byOutref), len(e.traces))
 			}
 		}
 		// Visited sets on iorefs must be empty too.

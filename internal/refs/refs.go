@@ -23,6 +23,7 @@ package refs
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -65,10 +66,34 @@ type Inref struct {
 	// (Section 4.3).
 	BackThreshold int
 	// Visited holds the back traces that have visited this inref and not
-	// yet completed (Section 4.4, Section 4.7), mapped to the batch
-	// suspect index on whose behalf the visit happened (always 0 for
-	// single-suspect traces).
-	Visited map[ids.TraceID]uint32
+	// yet completed (Section 4.4, Section 4.7), each with the batch suspect
+	// index on whose behalf the visit happened (always 0 for single-suspect
+	// traces). An ioref is rarely in more than two live traces at once.
+	Visited []Visit
+}
+
+// Visit is one back trace's visit mark on an ioref.
+type Visit struct {
+	Trace   ids.TraceID
+	Suspect uint32
+}
+
+// markVisited records a visit in vs unless the trace already has one; it
+// returns the suspect owning the trace's mark and whether it existed.
+func markVisited(vs *[]Visit, t ids.TraceID, suspect uint32) (owner uint32, already bool) {
+	for _, v := range *vs {
+		if v.Trace == t {
+			return v.Suspect, true
+		}
+	}
+	*vs = append(*vs, Visit{Trace: t, Suspect: suspect})
+	return suspect, false
+}
+
+// clearVisited removes the trace's visit from vs, keeping the order of the
+// rest and the slice's storage.
+func clearVisited(vs *[]Visit, t ids.TraceID) {
+	*vs = slices.DeleteFunc(*vs, func(v Visit) bool { return v.Trace == t })
 }
 
 // Distance returns the inref's distance: the smallest distance over its
@@ -94,12 +119,19 @@ func (in *Inref) IsClean(threshold int) bool {
 
 // SourceSites returns the source sites in ascending order.
 func (in *Inref) SourceSites() []ids.SiteID {
-	out := make([]ids.SiteID, 0, len(in.Sources))
+	return in.AppendSourceSites(make([]ids.SiteID, 0, len(in.Sources)))
+}
+
+// AppendSourceSites appends the source sites in ascending order to dst and
+// returns the extended slice — SourceSites without the allocation, for
+// callers that keep a scratch buffer.
+func (in *Inref) AppendSourceSites(dst []ids.SiteID) []ids.SiteID {
+	n := len(dst)
 	for s := range in.Sources {
-		out = append(out, s)
+		dst = append(dst, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // MarkVisited records a back trace's visit on behalf of a batch suspect;
@@ -107,20 +139,11 @@ func (in *Inref) SourceSites() []ids.SiteID {
 // caller returns Garbage immediately, Section 4.4) along with the suspect
 // that owns the existing mark.
 func (in *Inref) MarkVisited(t ids.TraceID, suspect uint32) (owner uint32, already bool) {
-	if owner, ok := in.Visited[t]; ok {
-		return owner, true
-	}
-	if in.Visited == nil {
-		in.Visited = make(map[ids.TraceID]uint32)
-	}
-	in.Visited[t] = suspect
-	return suspect, false
+	return markVisited(&in.Visited, t, suspect)
 }
 
 // ClearVisited removes a completed trace's visit mark.
-func (in *Inref) ClearVisited(t ids.TraceID) {
-	delete(in.Visited, t)
-}
+func (in *Inref) ClearVisited(t ids.TraceID) { clearVisited(&in.Visited, t) }
 
 // Outref is one entry in the outref table: a remote object this site holds
 // a reference to (Section 2, Figure 1).
@@ -140,9 +163,9 @@ type Outref struct {
 	// (Section 4.3); see Inref.BackThreshold.
 	BackThreshold int
 	// Visited holds the back traces currently marking this outref
-	// (Section 4.4), mapped to the owning batch suspect index; see
+	// (Section 4.4), each with its owning batch suspect index; see
 	// Inref.Visited.
-	Visited map[ids.TraceID]uint32
+	Visited []Visit
 }
 
 // IsClean reports whether the outref is clean at the given suspicion
@@ -161,20 +184,11 @@ func (o *Outref) IsClean(threshold int) bool {
 // MarkVisited records a back trace's visit on behalf of a batch suspect;
 // see Inref.MarkVisited.
 func (o *Outref) MarkVisited(t ids.TraceID, suspect uint32) (owner uint32, already bool) {
-	if owner, ok := o.Visited[t]; ok {
-		return owner, true
-	}
-	if o.Visited == nil {
-		o.Visited = make(map[ids.TraceID]uint32)
-	}
-	o.Visited[t] = suspect
-	return suspect, false
+	return markVisited(&o.Visited, t, suspect)
 }
 
 // ClearVisited removes a completed trace's visit mark.
-func (o *Outref) ClearVisited(t ids.TraceID) {
-	delete(o.Visited, t)
-}
+func (o *Outref) ClearVisited(t ids.TraceID) { clearVisited(&o.Visited, t) }
 
 // inShard is one hash partition of the inref table. Each shard caches its
 // own sorted order: a membership change invalidates only that shard's
@@ -196,11 +210,14 @@ type inShard struct {
 	dirtyIn map[ids.ObjID]struct{}
 }
 
-// outShard is one hash partition of the outref table.
+// outShard is one hash partition of the outref table. Like inShard it
+// caches its sorted order until its membership changes.
 type outShard struct {
-	mu       sync.RWMutex
-	outrefs  map[ids.Ref]*Outref
-	dirtyOut map[ids.Ref]struct{}
+	mu          sync.RWMutex
+	outrefs     map[ids.Ref]*Outref
+	sorted      []*Outref
+	sortedValid bool
+	dirtyOut    map[ids.Ref]struct{}
 }
 
 // Table holds one site's inref and outref tables.
@@ -220,6 +237,10 @@ type Table struct {
 	mergedMu    sync.Mutex
 	merged      []*Inref
 	mergedValid atomic.Bool
+	// outMerged is the same cache for Outrefs().
+	outMergedMu    sync.Mutex
+	outMerged      []*Outref
+	outMergedValid atomic.Bool
 
 	// --- trace-snapshot write barrier (see TraceSnapshot) ---
 
@@ -482,17 +503,17 @@ func (t *Table) Inrefs() []*Inref {
 		sh.mu.Unlock()
 		total += len(parts[i])
 	}
-	t.merged = mergeSortedInrefs(parts, t.merged[:0], total)
+	t.merged = mergeSorted(parts, t.merged[:0], total, func(a, b *Inref) bool { return a.Obj < b.Obj })
 	t.mergedValid.Store(true)
 	return t.merged
 }
 
-// mergeSortedInrefs k-way merges per-shard sorted slices into dst. Hash
+// mergeSorted k-way merges per-shard sorted slices into dst. Hash
 // sharding interleaves identifiers across shards, so concatenation is not
 // sorted; the merge repeatedly takes the smallest head.
-func mergeSortedInrefs(parts [][]*Inref, dst []*Inref, total int) []*Inref {
+func mergeSorted[T any](parts [][]T, dst []T, total int, less func(a, b T) bool) []T {
 	if cap(dst) < total {
-		dst = make([]*Inref, 0, total)
+		dst = make([]T, 0, total)
 	}
 	heads := make([]int, len(parts))
 	for len(dst) < total {
@@ -501,7 +522,7 @@ func mergeSortedInrefs(parts [][]*Inref, dst []*Inref, total int) []*Inref {
 			if heads[i] >= len(p) {
 				continue
 			}
-			if best < 0 || p[heads[i]].Obj < parts[best][heads[best]].Obj {
+			if best < 0 || less(p[heads[i]], parts[best][heads[best]]) {
 				best = i
 			}
 		}
@@ -567,6 +588,7 @@ func (t *Table) EnsureOutref(target ids.Ref) (o *Outref, created bool) {
 		}
 		sh.outrefs[target] = o
 		created = true
+		t.outMembershipChanged(sh)
 		t.touchOut(sh, target)
 	}
 	return o, created
@@ -581,21 +603,60 @@ func (t *Table) RemoveOutref(target ids.Ref) {
 		return
 	}
 	delete(sh.outrefs, target)
+	t.outMembershipChanged(sh)
 	t.touchOut(sh, target)
 }
 
-// Outrefs returns all outrefs ordered by target reference.
-func (t *Table) Outrefs() []*Outref {
-	out := make([]*Outref, 0, t.NumOutrefs())
-	for _, sh := range t.outs {
-		sh.mu.RLock()
+// outMembershipChanged invalidates the sorted-order caches after an outref
+// was added to or removed from sh. Caller holds sh.mu.
+func (t *Table) outMembershipChanged(sh *outShard) {
+	sh.sortedValid = false
+	t.outMergedValid.Store(false)
+}
+
+// sortedLocked returns the shard's sorted cache, rebuilding it if
+// membership changed since the last call. A rebuild makes a new slice, so
+// slices handed out earlier never change. Caller holds sh.mu.
+func (sh *outShard) sortedLocked() []*Outref {
+	if !sh.sortedValid {
+		sorted := make([]*Outref, 0, len(sh.outrefs))
 		for _, o := range sh.outrefs {
-			out = append(out, o)
+			sorted = append(sorted, o)
 		}
-		sh.mu.RUnlock()
+		slices.SortFunc(sorted, func(a, b *Outref) int { return a.Target.Compare(b.Target) })
+		sh.sorted, sh.sortedValid = sorted, true
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Target.Less(out[j].Target) })
-	return out
+	return sh.sorted
+}
+
+// Outrefs returns all outrefs ordered by target reference. The slice is a
+// cache owned by the table: callers must not modify it. It is rebuilt only
+// after a membership change, into a new slice, so a slice already returned
+// keeps listing the outrefs present when it was built.
+func (t *Table) Outrefs() []*Outref {
+	t.outMergedMu.Lock()
+	defer t.outMergedMu.Unlock()
+	if t.outMergedValid.Load() {
+		return t.outMerged
+	}
+	if len(t.outs) == 1 {
+		sh := t.outs[0]
+		sh.mu.Lock()
+		t.outMerged = sh.sortedLocked()
+		sh.mu.Unlock()
+	} else {
+		parts := make([][]*Outref, len(t.outs))
+		total := 0
+		for i, sh := range t.outs {
+			sh.mu.Lock()
+			parts[i] = sh.sortedLocked()
+			sh.mu.Unlock()
+			total += len(parts[i])
+		}
+		t.outMerged = mergeSorted(parts, nil, total, func(a, b *Outref) bool { return a.Target.Less(b.Target) })
+	}
+	t.outMergedValid.Store(true)
+	return t.outMerged
 }
 
 // NumOutrefs returns the number of outrefs.
@@ -763,6 +824,11 @@ func (t *Table) patchShard(i int) {
 
 	osh, snapOsh := t.outs[i], t.snap.outs[i]
 	osh.mu.Lock()
+	if len(osh.dirtyOut) > 0 {
+		// Only membership changes dirty an outref, and a patched entry is a
+		// new struct: either way the shadow's sorted caches are stale.
+		t.snap.outMembershipChanged(snapOsh)
+	}
 	for target := range osh.dirtyOut {
 		if liveO, ok := osh.outrefs[target]; ok {
 			snapOsh.outrefs[target] = &Outref{
