@@ -14,8 +14,10 @@ import (
 // mutator API, workload generators, transactions, metrics.
 func TestPublicAPISurface(t *testing.T) {
 	c := backtrace.NewCluster(backtrace.ClusterOptions{
-		NumSites:      3,
-		AutoBackTrace: true,
+		NumSites: 3,
+		Site: backtrace.SiteConfig{
+			AutoBackTrace: true,
+		},
 	})
 	defer c.Close()
 
@@ -77,10 +79,12 @@ func TestPublicTelemetryAPI(t *testing.T) {
 	events := backtrace.NewEventLog(256)
 	extra := backtrace.NewSpanCollector(backtrace.SpanCollectorOptions{})
 	c := backtrace.NewCluster(backtrace.ClusterOptions{
-		NumSites:      3,
-		AutoBackTrace: true,
-		Events:        events,
-		Observer:      backtrace.TeeObservers(nil, extra),
+		NumSites: 3,
+		Site: backtrace.SiteConfig{
+			AutoBackTrace: true,
+			Events:        events,
+			Observer:      backtrace.TeeObservers(nil, extra),
+		},
 	})
 	defer c.Close()
 
@@ -157,9 +161,11 @@ func TestPublicTelemetryAPI(t *testing.T) {
 func TestPublicAPIOutsetAlgorithms(t *testing.T) {
 	for _, algo := range []backtrace.OutsetAlgorithm{backtrace.AlgoBottomUp, backtrace.AlgoIndependent} {
 		c := backtrace.NewCluster(backtrace.ClusterOptions{
-			NumSites:        2,
-			AutoBackTrace:   true,
-			OutsetAlgorithm: algo,
+			NumSites: 2,
+			Site: backtrace.SiteConfig{
+				AutoBackTrace:   true,
+				OutsetAlgorithm: algo,
+			},
 		})
 		c.BuildRing()
 		if _, collected := c.CollectUntilStable(40); collected != 2 {
@@ -200,8 +206,10 @@ func TestPublicAPIMemNetwork(t *testing.T) {
 // them in another, and let the collector reclaim the cycle.
 func ExampleNewTxnClient() {
 	c := backtrace.NewCluster(backtrace.ClusterOptions{
-		NumSites:      2,
-		AutoBackTrace: true,
+		NumSites: 2,
+		Site: backtrace.SiteConfig{
+			AutoBackTrace: true,
+		},
 	})
 	defer c.Close()
 
@@ -245,8 +253,10 @@ func ExampleNewTxnClient() {
 // Example demonstrates collecting a distributed garbage cycle.
 func Example() {
 	c := backtrace.NewCluster(backtrace.ClusterOptions{
-		NumSites:      3,
-		AutoBackTrace: true,
+		NumSites: 3,
+		Site: backtrace.SiteConfig{
+			AutoBackTrace: true,
+		},
 	})
 	defer c.Close()
 

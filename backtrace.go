@@ -25,8 +25,8 @@
 // # Quick start
 //
 //	c := backtrace.NewCluster(backtrace.ClusterOptions{
-//		NumSites:      3,
-//		AutoBackTrace: true,
+//		NumSites: 3,
+//		Site:     backtrace.SiteConfig{AutoBackTrace: true},
 //	})
 //	defer c.Close()
 //
@@ -98,7 +98,8 @@ type TraceReport = site.TraceReport
 // way to embed the collector in simulations, tests, and experiments.
 type Cluster = cluster.Cluster
 
-// ClusterOptions configures NewCluster.
+// ClusterOptions configures NewCluster: the network and cluster shape, plus
+// the SiteConfig every site is built from (its Site field).
 type ClusterOptions = cluster.Options
 
 // NewCluster builds a cluster with sites 1..NumSites.
@@ -124,8 +125,8 @@ type Counters = metrics.Counters
 
 // --- telemetry API ---------------------------------------------------------
 //
-// The stable observability surface: wire an Observer into ClusterOptions
-// (or SiteConfig) to receive structured events and completed spans; read
+// The stable observability surface: wire an Observer into SiteConfig (the
+// Site field of ClusterOptions, for a cluster) to receive structured events and completed spans; read
 // typed instruments through Cluster.Metrics / Site.Metrics; serve them with
 // NewDebugHandler. The internal/metrics and internal/obs packages are
 // implementation details — everything needed is re-exported here.

@@ -32,11 +32,13 @@ import (
 // benchCluster builds the standard experiment cluster.
 func benchCluster(sites int, auto bool) *cluster.Cluster {
 	return cluster.New(cluster.Options{
-		NumSites:           sites,
-		SuspicionThreshold: 3,
-		BackThreshold:      7,
-		ThresholdBump:      4,
-		AutoBackTrace:      auto,
+		NumSites: sites,
+		Site: site.Config{
+			SuspicionThreshold: 3,
+			BackThreshold:      7,
+			ThresholdBump:      4,
+			AutoBackTrace:      auto,
+		},
 	})
 }
 
@@ -317,12 +319,14 @@ func BenchmarkPiggybackAblation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				c := cluster.New(cluster.Options{
-					NumSites:           4,
-					SuspicionThreshold: 3,
-					BackThreshold:      7,
-					ThresholdBump:      4,
-					AutoBackTrace:      true,
-					Piggyback:          pb,
+					NumSites: 4,
+					Site: site.Config{
+						SuspicionThreshold: 3,
+						BackThreshold:      7,
+						ThresholdBump:      4,
+						AutoBackTrace:      true,
+						Piggyback:          pb,
+					},
 				})
 				c.BuildRing()
 				c.BuildRing()
@@ -339,64 +343,6 @@ func BenchmarkPiggybackAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveThresholdAblation measures the §3 adaptive-threshold
-// option on a workload with live far suspects: the adaptive variant stops
-// wasting traces on them.
-func BenchmarkAdaptiveThresholdAblation(b *testing.B) {
-	build := func(adaptive bool) *cluster.Cluster {
-		c := cluster.New(cluster.Options{
-			NumSites:           4,
-			SuspicionThreshold: 1, // aggressive: live suspects everywhere
-			BackThreshold:      2,
-			ThresholdBump:      1, // thresholds rise slowly: retries happen
-			AutoBackTrace:      true,
-			AdaptiveThreshold:  adaptive,
-		})
-		// Several live chains winding through all sites (far suspects)
-		// plus one garbage ring.
-		spec := workload.Chain(4, true)
-		for ext := 0; ext < 3; ext++ {
-			base := len(spec.Objects)
-			from := base - 1
-			if ext == 0 {
-				from = 3 // tail of the original chain, not the root
-			}
-			for i := 0; i < 4; i++ {
-				spec.Objects = append(spec.Objects, workload.ObjSpec{Site: backtrace.SiteID(i + 1)})
-			}
-			spec.Edges = append(spec.Edges, [2]int{from, base})
-			for i := 0; i+1 < 4; i++ {
-				spec.Edges = append(spec.Edges, [2]int{base + i, base + i + 1})
-			}
-		}
-		if _, err := workload.Build(c, spec); err != nil {
-			b.Fatal(err)
-		}
-		c.BuildRing()
-		return c
-	}
-	for _, adaptive := range []bool{false, true} {
-		name := "fixed"
-		if adaptive {
-			name = "adaptive"
-		}
-		b.Run(name, func(b *testing.B) {
-			var liveTraces int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				c := build(adaptive)
-				b.StartTimer()
-				c.RunRounds(20)
-				b.StopTimer()
-				liveTraces += c.Counters().Get("backtrace.outcome.live")
-				c.Close()
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(liveTraces)/float64(b.N), "live-traces/op")
-		})
-	}
-}
-
 // BenchmarkOutsetAlgorithmEndToEnd runs the full hypertext collection with
 // each §5 algorithm, measuring the end-to-end difference the inset
 // computation makes.
@@ -406,12 +352,14 @@ func BenchmarkOutsetAlgorithmEndToEnd(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				c := cluster.New(cluster.Options{
-					NumSites:           6,
-					SuspicionThreshold: 4,
-					BackThreshold:      10,
-					ThresholdBump:      4,
-					AutoBackTrace:      true,
-					OutsetAlgorithm:    algo,
+					NumSites: 6,
+					Site: site.Config{
+						SuspicionThreshold: 4,
+						BackThreshold:      10,
+						ThresholdBump:      4,
+						AutoBackTrace:      true,
+						OutsetAlgorithm:    algo,
+					},
 				})
 				if _, err := workload.Build(c, workload.HypertextWeb(workload.HypertextConfig{
 					Sites: 6, Docs: 12, PagesPerDoc: 6, CrossLinks: 12, LiveFrac: 0.5, Seed: 42,
@@ -435,9 +383,11 @@ func BenchmarkDistancePropagation(b *testing.B) {
 	for _, n := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("sites-%d", n), func(b *testing.B) {
 			c := cluster.New(cluster.Options{
-				NumSites:           n,
-				SuspicionThreshold: 3,
-				BackThreshold:      1 << 20,
+				NumSites: n,
+				Site: site.Config{
+					SuspicionThreshold: 3,
+					BackThreshold:      1 << 20,
+				},
 			})
 			defer c.Close()
 			c.BuildRing()
@@ -467,11 +417,13 @@ func BenchmarkParallelSites(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			c := cluster.New(cluster.Options{
-				NumSites:           numSites,
-				Async:              true,
-				Parallel:           pipelined,
-				SuspicionThreshold: 3,
-				BackThreshold:      1 << 20, // no back traces: isolate trace+churn cost
+				NumSites: numSites,
+				Async:    true,
+				Parallel: pipelined,
+				Site: site.Config{
+					SuspicionThreshold: 3,
+					BackThreshold:      1 << 20, // no back traces: isolate trace+churn cost
+				},
 			})
 			defer c.Close()
 

@@ -46,17 +46,14 @@ func main() {
 		period   = flag.Duration("trace-every", 2*time.Second, "local trace period (node mode)")
 		run      = flag.Duration("run-for", 30*time.Second, "how long a non-driving node runs")
 		reliable = flag.Bool("reliable", false, "interpose the ack/retransmit session layer over TCP")
-		inbox    = flag.Int("inbox", 0, "mailbox executor inbox capacity (0 = apply messages on the delivery thread)")
-		shards   = flag.Int("shards", 0, "heap/ref-table shards per site (0 = GOMAXPROCS; result-invariant)")
-		workers  = flag.Int("trace-workers", 0, "mark workers per local trace (0 or 1 marks inline; more share the same marker by work stealing; result-invariant)")
-		inflight = flag.Int("max-inflight-traces", 0, "cap concurrently initiated back traces per site; excess suspects queue by distance priority (0 = unlimited)")
-		batchSz  = flag.Int("trace-batch", 0, "group up to this many overlapping-inset suspects into one multi-suspect back trace (<=1 = one trace per suspect)")
-		memoize  = flag.Bool("memoize-live", false, "memoize Live back-trace verdicts per ioref until the next local-trace commit")
 		debug    = flag.String("debug-addr", "", "serve /metrics (Prometheus), /healthz, and /spans on this address (empty = off)")
 		linger   = flag.Duration("linger", 0, "keep the debug endpoint up this long after the demo completes (demo mode)")
 	)
 	var tcfg cluster.TransportConfig
 	tcfg.RegisterFlags(nil)
+	var knobs site.Config
+	knobs.RegisterInboxFlag(nil)
+	knobs.RegisterFlags(nil)
 	flag.Parse()
 	if _, err := tcfg.ResolveCodec(); err != nil {
 		fmt.Fprintln(os.Stderr, "dgcnode:", err)
@@ -69,9 +66,9 @@ func main() {
 	var err error
 	switch {
 	case *demo || *selfID == 0:
-		err = runDemo(*nSites, useReliable, tcfg, *inbox, *shards, *workers, *inflight, *batchSz, *memoize, *debug, *linger)
+		err = runDemo(*nSites, useReliable, tcfg, knobs, *debug, *linger)
 	default:
-		err = runNode(ids.SiteID(*selfID), *peers, *drive, *period, *run, useReliable, tcfg, *inbox, *shards, *workers, *inflight, *batchSz, *memoize, *debug)
+		err = runNode(ids.SiteID(*selfID), *peers, *drive, *period, *run, useReliable, tcfg, knobs, *debug)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dgcnode:", err)
@@ -91,9 +88,27 @@ func startDebugServer(addr string, reg *obs.Registry, spans *obs.Collector) (str
 	return ln.Addr().String(), func() { _ = srv.Close() }, nil
 }
 
+// siteConfig is the configuration every dgcnode site runs: the knobs bound
+// from the command line, the paper's thresholds, and back-trace timeouts
+// sized for a real network.
+func siteConfig(knobs site.Config, id ids.SiteID, network transport.Network, counters *metrics.Counters, spans *obs.Collector) site.Config {
+	cfg := knobs
+	cfg.ID = id
+	cfg.Network = network
+	cfg.SuspicionThreshold = 3
+	cfg.BackThreshold = 7
+	cfg.AutoBackTrace = true
+	cfg.CallTimeout = 2 * time.Second
+	cfg.ReportTimeout = 10 * time.Second
+	cfg.Counters = counters
+	cfg.Observer = spans
+	return cfg
+}
+
 // runDemo brings up n sites over loopback TCP (optionally under the
 // reliable session layer) and collects a distributed cycle end to end.
-func runDemo(n int, reliable bool, tcfg cluster.TransportConfig, inbox, shards, traceWorkers, maxInflight, traceBatch int, memoizeLive bool, debugAddr string, linger time.Duration) error {
+// knobs carries the command-line collector knobs (see siteConfig).
+func runDemo(n int, reliable bool, tcfg cluster.TransportConfig, knobs site.Config, debugAddr string, linger time.Duration) error {
 	counters := &metrics.Counters{}
 	spans := backtrace.NewSpanCollector(backtrace.SpanCollectorOptions{})
 	if debugAddr != "" {
@@ -139,23 +154,7 @@ func runDemo(n int, reliable bool, tcfg cluster.TransportConfig, inbox, shards, 
 			})
 		}
 		networks = append(networks, network)
-		sites[id] = site.New(site.Config{
-			ID:                 id,
-			Network:            network,
-			SuspicionThreshold: 3,
-			BackThreshold:      7,
-			AutoBackTrace:      true,
-			CallTimeout:        2 * time.Second,
-			ReportTimeout:      10 * time.Second,
-			InboxSize:          inbox,
-			Shards:             shards,
-			TraceWorkers:       traceWorkers,
-			MaxInflightTraces:  maxInflight,
-			TraceBatch:         traceBatch,
-			MemoizeLive:        memoizeLive,
-			Counters:           counters,
-			Observer:           spans,
-		})
+		sites[id] = site.New(siteConfig(knobs, id, network, counters, spans))
 		addr, err := node.Listen()
 		if err != nil {
 			return err
@@ -271,7 +270,7 @@ func tcpLink(sites map[ids.SiteID]*site.Site, from, target backtrace.Ref) error 
 
 // runNode runs one site as its own process.
 func runNode(self ids.SiteID, peerList string, drive bool, period, runFor time.Duration,
-	reliable bool, tcfg cluster.TransportConfig, inbox, shards, traceWorkers, maxInflight, traceBatch int, memoizeLive bool, debugAddr string) error {
+	reliable bool, tcfg cluster.TransportConfig, knobs site.Config, debugAddr string) error {
 	addrs, err := parsePeers(peerList)
 	if err != nil {
 		return err
@@ -312,23 +311,7 @@ func runNode(self ids.SiteID, peerList string, drive bool, period, runFor time.D
 		})
 	}
 	defer network.Close()
-	s := site.New(site.Config{
-		ID:                 self,
-		Network:            network,
-		SuspicionThreshold: 3,
-		BackThreshold:      7,
-		AutoBackTrace:      true,
-		CallTimeout:        2 * time.Second,
-		ReportTimeout:      10 * time.Second,
-		InboxSize:          inbox,
-		Shards:             shards,
-		TraceWorkers:       traceWorkers,
-		MaxInflightTraces:  maxInflight,
-		TraceBatch:         traceBatch,
-		MemoizeLive:        memoizeLive,
-		Counters:           counters,
-		Observer:           spans,
-	})
+	s := site.New(siteConfig(knobs, self, network, counters, spans))
 	defer s.Close() // runs before network.Close: mailbox stops first
 	addr, err := node.Listen()
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
 	"backtrace/internal/obs"
+	"backtrace/internal/site"
 )
 
 func TestParsePeers(t *testing.T) {
@@ -47,7 +48,7 @@ func TestRunDemoSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP demo skipped in -short mode")
 	}
-	if err := runDemo(2, false, cluster.TransportConfig{}, 4, 0, 0, 0, 0, false, "", 0); err != nil { // small inbox: mailbox path over TCP
+	if err := runDemo(2, false, cluster.TransportConfig{}, site.Config{InboxSize: 4}, "", 0); err != nil { // small inbox: mailbox path over TCP
 		t.Fatal(err)
 	}
 }
@@ -56,7 +57,7 @@ func TestRunDemoReliableSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP demo skipped in -short mode")
 	}
-	if err := runDemo(2, true, cluster.TransportConfig{}, 0, 0, 0, 0, 0, false, "", 0); err != nil {
+	if err := runDemo(2, true, cluster.TransportConfig{}, site.Config{}, "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -67,7 +68,7 @@ func TestRunDemoShardedSmoke(t *testing.T) {
 	}
 	// Sharded heaps + the work-stealing marker must collect the same demo
 	// cycle over real TCP.
-	if err := runDemo(2, false, cluster.TransportConfig{}, 4, 8, 4, 0, 0, false, "", 0); err != nil {
+	if err := runDemo(2, false, cluster.TransportConfig{}, site.Config{InboxSize: 4, Shards: 8, TraceWorkers: 4}, "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -79,7 +80,7 @@ func TestRunDemoBatchedSmoke(t *testing.T) {
 	// The binary codec plus link-level batching must collect the demo
 	// cycle end to end.
 	tcfg := cluster.TransportConfig{Codec: "binary", Batch: 8}
-	if err := runDemo(2, true, tcfg, 0, 0, 0, 0, 0, false, "", 0); err != nil {
+	if err := runDemo(2, true, tcfg, site.Config{}, "", 0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"backtrace/internal/cluster"
 	"backtrace/internal/event"
 	"backtrace/internal/sim"
+	"backtrace/internal/site"
 	"backtrace/internal/viz"
 	"backtrace/internal/workload"
 )
@@ -39,18 +40,11 @@ func main() {
 		docs     = flag.Int("docs", 10, "documents (hypertext workload)")
 		seed     = flag.Int64("seed", 1, "workload and network seed")
 		rounds   = flag.Int("rounds", 60, "maximum collection rounds")
-		thresh   = flag.Int("threshold", 3, "suspicion threshold T")
-		backT    = flag.Int("back-threshold", 7, "back threshold T2")
 		latency  = flag.Duration("latency", 0, "network latency (0 = deterministic stepped mode)")
 		jitter   = flag.Duration("jitter", 0, "network jitter")
 		drop     = flag.Float64("drop", 0, "message drop probability")
 		algo     = flag.String("outsets", "bottom-up", "outset algorithm: bottom-up or independent")
 		parallel = flag.Bool("parallel", false, "run sites on goroutines with mailbox executors (disables stepped determinism)")
-		shards   = flag.Int("shards", 0, "heap/ref-table shards per site (0 = GOMAXPROCS; result-invariant)")
-		workers  = flag.Int("trace-workers", 0, "mark workers per local trace (0 or 1 marks inline; more share the same marker by work stealing; result-invariant)")
-		inflight = flag.Int("max-inflight-traces", 0, "cap concurrent back traces per site (0 = unlimited legacy trigger)")
-		batchSz  = flag.Int("trace-batch", 0, "group up to N overlapping suspects into one multi-suspect back trace (0/1 = single-suspect)")
-		memoize  = flag.Bool("memoize-live", false, "memoize Live verdicts per ioref until the next local-trace commit")
 		verbose  = flag.Bool("v", false, "per-round progress")
 		events   = flag.Int("events", 0, "print the last N collector events")
 		dotPath  = flag.String("dot", "", "write a Graphviz DOT snapshot of the final state to this file")
@@ -68,6 +62,10 @@ func main() {
 	)
 	var tcfg cluster.TransportConfig
 	tcfg.RegisterFlags(nil)
+	var knobs site.Config
+	knobs.RegisterFlags(nil)
+	flag.IntVar(&knobs.SuspicionThreshold, "threshold", 3, "suspicion threshold T")
+	flag.IntVar(&knobs.BackThreshold, "back-threshold", 7, "back threshold T2")
 	flag.Parse()
 
 	if *explore || *replay != "" {
@@ -85,13 +83,13 @@ func main() {
 			Sites:               *simSites,
 			Faults:              *faults,
 			SkipTransferBarrier: *skipBarrier,
-			Shards:              *shards,
-			TraceWorkers:        *workers,
+			Shards:              knobs.Shards,
+			TraceWorkers:        knobs.TraceWorkers,
 			Codec:               simCodec,
 			Batch:               tcfg.Batch > 0,
-			MaxInflightTraces:   *inflight,
-			TraceBatch:          *batchSz,
-			MemoizeLive:         *memoize,
+			MaxInflightTraces:   knobs.MaxInflightTraces,
+			TraceBatch:          knobs.TraceBatch,
+			MemoizeLive:         knobs.MemoizeLive,
 		}
 		var err error
 		if *replay != "" {
@@ -105,19 +103,19 @@ func main() {
 		return
 	}
 
-	if err := run(*kind, *sites, *objects, *docs, *seed, *rounds, *thresh, *backT,
-		*latency, *jitter, *drop, *algo, *parallel, *shards, *workers,
-		*inflight, *batchSz, *memoize, tcfg,
+	if err := run(*kind, *sites, *objects, *docs, *seed, *rounds,
+		*latency, *jitter, *drop, *algo, *parallel, knobs, tcfg,
 		*verbose, *events, *dotPath, *traceOut); err != nil {
 		fmt.Fprintln(os.Stderr, "dgcsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(kind string, sites, objects, docs int, seed int64, rounds, thresh, backT int,
+// run builds the workload on a cluster whose sites take their thresholds,
+// sharding and scheduler knobs from knobs, and collects it.
+func run(kind string, sites, objects, docs int, seed int64, rounds int,
 	latency, jitter time.Duration, drop float64, algoName string, parallel bool,
-	shards, traceWorkers, maxInflight, traceBatch int, memoizeLive bool,
-	tcfg cluster.TransportConfig, verbose bool, eventTail int, dotPath, traceOut string) error {
+	knobs site.Config, tcfg cluster.TransportConfig, verbose bool, eventTail int, dotPath, traceOut string) error {
 
 	var spec workload.Spec
 	switch kind {
@@ -151,27 +149,21 @@ func run(kind string, sites, objects, docs int, seed int64, rounds, thresh, back
 		log = event.NewLog(4096)
 	}
 	opts := cluster.Options{
-		NumSites:           sites,
-		SuspicionThreshold: thresh,
-		BackThreshold:      backT,
-		ThresholdBump:      4,
-		OutsetAlgorithm:    algo,
-		AutoBackTrace:      true,
-		Parallel:           parallel,
-		Shards:             shards,
-		TraceWorkers:       traceWorkers,
-		MaxInflightTraces:  maxInflight,
-		TraceBatch:         traceBatch,
-		MemoizeLive:        memoizeLive,
-		Latency:            latency,
-		Jitter:             jitter,
+		NumSites: sites,
+		Parallel: parallel,
+		Latency:  latency,
+		Jitter:   jitter,
 		// Loss is enabled only after the workload is built: the build
 		// protocol is the experiment's setup, not its subject.
-		Seed:          seed,
-		CallTimeout:   500 * time.Millisecond,
-		ReportTimeout: 2 * time.Second,
-		Events:        log,
+		Seed: seed,
+		Site: knobs,
 	}
+	opts.Site.ThresholdBump = 4
+	opts.Site.OutsetAlgorithm = algo
+	opts.Site.AutoBackTrace = true
+	opts.Site.CallTimeout = 500 * time.Millisecond
+	opts.Site.ReportTimeout = 2 * time.Second
+	opts.Site.Events = log
 	if err := tcfg.Apply(&opts); err != nil {
 		return err
 	}
@@ -219,7 +211,7 @@ func run(kind string, sites, objects, docs int, seed int64, rounds, thresh, back
 	snap := c.Counters().Snapshot()
 	fmt.Printf("\nback traces: %d started, %d garbage, %d live\n",
 		snap["backtrace.started"], snap["backtrace.outcome.garbage"], snap["backtrace.outcome.live"])
-	if maxInflight > 0 || traceBatch > 1 || memoizeLive {
+	if knobs.MaxInflightTraces > 0 || knobs.TraceBatch > 1 || knobs.MemoizeLive {
 		fmt.Printf("scheduler:   peak inflight %d, peak batch %d, %d deferred, %d memo hits\n",
 			snap["backtrace.inflight"], snap["backtrace.batch_size"],
 			snap["backtrace.deferred"], snap["backtrace.memo_hits"])

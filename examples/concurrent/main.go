@@ -22,13 +22,15 @@ import (
 func main() {
 	const sites = 4
 	c := backtrace.NewCluster(backtrace.ClusterOptions{
-		NumSites:           sites,
-		SuspicionThreshold: 3,
-		BackThreshold:      7,
-		AutoBackTrace:      true,
-		Async:              true,
-		Latency:            200 * time.Microsecond,
-		Jitter:             300 * time.Microsecond,
+		NumSites: sites,
+		Async:    true,
+		Latency:  200 * time.Microsecond,
+		Jitter:   300 * time.Microsecond,
+		Site: backtrace.SiteConfig{
+			SuspicionThreshold: 3,
+			BackThreshold:      7,
+			AutoBackTrace:      true,
+		},
 	})
 	defer c.Close()
 

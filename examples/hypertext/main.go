@@ -18,10 +18,12 @@ import (
 func main() {
 	const sites = 6
 	c := backtrace.NewCluster(backtrace.ClusterOptions{
-		NumSites:           sites,
-		SuspicionThreshold: 4,
-		BackThreshold:      10,
-		AutoBackTrace:      true,
+		NumSites: sites,
+		Site: backtrace.SiteConfig{
+			SuspicionThreshold: 4,
+			BackThreshold:      10,
+			AutoBackTrace:      true,
+		},
 	})
 	defer c.Close()
 

@@ -17,10 +17,12 @@ func main() {
 	// A three-site store. AutoBackTrace starts back traces whenever an
 	// outgoing reference's estimated distance crosses its back threshold.
 	c := backtrace.NewCluster(backtrace.ClusterOptions{
-		NumSites:           3,
-		SuspicionThreshold: 3,
-		BackThreshold:      7,
-		AutoBackTrace:      true,
+		NumSites: 3,
+		Site: backtrace.SiteConfig{
+			SuspicionThreshold: 3,
+			BackThreshold:      7,
+			AutoBackTrace:      true,
+		},
 	})
 	defer c.Close()
 

@@ -18,10 +18,12 @@ import (
 
 func main() {
 	c := backtrace.NewCluster(backtrace.ClusterOptions{
-		NumSites:           4,
-		SuspicionThreshold: 3,
-		BackThreshold:      7,
-		AutoBackTrace:      true,
+		NumSites: 4,
+		Site: backtrace.SiteConfig{
+			SuspicionThreshold: 3,
+			BackThreshold:      7,
+			AutoBackTrace:      true,
+		},
 	})
 	defer c.Close()
 

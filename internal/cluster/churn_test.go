@@ -23,7 +23,7 @@ func TestChurnSafetyAndCompleteness(t *testing.T) {
 		func() {
 			rng := rand.New(rand.NewSource(seed))
 			opts := defaultOpts(numSites)
-			opts.AutoBackTrace = true
+			opts.Site.AutoBackTrace = true
 			c := New(opts)
 			defer c.Close()
 

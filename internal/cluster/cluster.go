@@ -14,13 +14,10 @@ import (
 	"sync"
 	"time"
 
-	"backtrace/internal/clock"
-	"backtrace/internal/event"
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
 	"backtrace/internal/obs"
 	"backtrace/internal/site"
-	"backtrace/internal/tracer"
 	"backtrace/internal/transport"
 	"backtrace/internal/wire"
 )
@@ -63,59 +60,17 @@ type Options struct {
 	FlushInterval time.Duration
 	// Parallel runs collection rounds with one goroutine per site instead
 	// of stepping sites serially. It forces asynchronous delivery and,
-	// unless InboxSize says otherwise, gives every site a mailbox of
+	// unless Site.InboxSize says otherwise, gives every site a mailbox of
 	// DefaultInboxSize. Deterministic Figure 5/6 replays need the default
 	// serial stepped mode.
 	Parallel bool
-	// InboxSize, when positive, gives every site a bounded mailbox of this
-	// capacity (site.Config.InboxSize); it forces asynchronous delivery.
-	InboxSize int
-	// Shards requests a minimum heap/ioref-table shard count on every
-	// site (site.Config.Shards); sites use max(GOMAXPROCS, Shards).
-	Shards int
-	// TraceWorkers sets the mark-worker count for every site's local
-	// traces (site.Config.TraceWorkers); zero or one runs the marker
-	// inline.
-	TraceWorkers int
-	// SuspicionThreshold, BackThreshold, ThresholdBump, OutsetAlgorithm,
-	// AutoBackTrace, AdaptiveThreshold, CallTimeout, ReportTimeout are
-	// passed to every site; zero values take the site defaults.
-	SuspicionThreshold int
-	BackThreshold      int
-	ThresholdBump      int
-	OutsetAlgorithm    tracer.OutsetAlgorithm
-	AutoBackTrace      bool
-	AdaptiveThreshold  bool
-	Piggyback          bool
-	CallTimeout        time.Duration
-	ReportTimeout      time.Duration
-	// MaxInflightTraces caps concurrent back traces per site
-	// (site.Config.MaxInflightTraces); 0 means unlimited (legacy trigger).
-	MaxInflightTraces int
-	// TraceBatch groups up to this many overlapping suspects into one
-	// multi-suspect back trace (site.Config.TraceBatch); 0 or 1 keeps
-	// single-suspect traces.
-	TraceBatch int
-	// MemoizeLive turns on generation-stamped Live-verdict memoization on
-	// every site (site.Config.MemoizeLive).
-	MemoizeLive bool
-	// Clock is the time source handed to the network, the session layer,
-	// and every site. Nil means the wall clock; the deterministic
-	// simulation injects a virtual clock.
-	Clock clock.Clock
-	// SkipTransferBarrierUnsafe passes the fault-injection knob of the same
-	// name to every site (see site.Config); only the simulation model
-	// checker should ever set it.
-	SkipTransferBarrierUnsafe bool
-	// Events, if non-nil, receives every site's observability events.
-	Events *event.Log
-	// Observer, if non-nil, receives every site's events and spans in
-	// addition to the cluster's built-in span collector. Callbacks run
-	// under site locks and must not call back into sites or the cluster.
-	Observer obs.Observer
-	// SpanCollector overrides the built-in span collector's limits; zero
-	// values take obs.CollectorOptions defaults.
-	SpanCollector obs.CollectorOptions
+	// Site is the configuration every site is built from; zero values take
+	// the site defaults. New stamps each site's ID, the network and the
+	// cluster-wide Counters on it, and tees Observer with the cluster's
+	// span collector (see SiteConfig). Site.Clock also drives the network
+	// and the session layer, Site.Events is the event log Metrics reports
+	// on, and a positive Site.InboxSize forces asynchronous delivery.
+	Site site.Config
 }
 
 // Cluster is a set of sites joined by one network.
@@ -131,7 +86,7 @@ type Cluster struct {
 }
 
 // DefaultInboxSize is the per-site mailbox capacity Parallel mode uses when
-// Options.InboxSize is zero.
+// Options.Site.InboxSize is zero.
 const DefaultInboxSize = 256
 
 // New builds a cluster with sites 1..NumSites.
@@ -139,8 +94,8 @@ func New(opts Options) *Cluster {
 	if opts.NumSites <= 0 {
 		opts.NumSites = 2
 	}
-	if opts.Parallel && opts.InboxSize == 0 {
-		opts.InboxSize = DefaultInboxSize
+	if opts.Parallel && opts.Site.InboxSize == 0 {
+		opts.Site.InboxSize = DefaultInboxSize
 	}
 	if opts.Batch > 0 {
 		opts.Reliable = true // the batcher is part of the session layer
@@ -153,7 +108,7 @@ func New(opts Options) *Cluster {
 	if opts.Reliable {
 		stepped = false // retransmission timers need real delivery
 	}
-	if opts.Parallel || opts.InboxSize > 0 {
+	if opts.Parallel || opts.Site.InboxSize > 0 {
 		stepped = false // mailbox dispatchers need real delivery
 	}
 	counters := &metrics.Counters{}
@@ -165,7 +120,7 @@ func New(opts Options) *Cluster {
 		ReorderProb: opts.ReorderProb,
 		Seed:        opts.Seed,
 		Stepped:     stepped,
-		Clock:       opts.Clock,
+		Clock:       opts.Site.Clock,
 		Observer:    counters.ObserveMessage,
 		Codec:       opts.Codec,
 		Counters:    counters,
@@ -176,52 +131,43 @@ func New(opts Options) *Cluster {
 		rel = transport.NewReliable(net, transport.ReliableOptions{
 			RetransmitInitial: 3 * time.Millisecond,
 			Seed:              opts.Seed,
-			Clock:             opts.Clock,
+			Clock:             opts.Site.Clock,
 			Counters:          counters,
 			BatchMax:          opts.Batch,
 			FlushInterval:     opts.FlushInterval,
 		})
 		network = rel
 	}
+	spans := obs.NewCollector(obs.CollectorOptions{})
+	opts.Site.Network = network
+	opts.Site.Counters = counters
+	opts.Site.Observer = obs.Tee(spans, opts.Site.Observer)
 	c := &Cluster{
 		opts:     opts,
 		net:      net,
 		rel:      rel,
 		sites:    make(map[ids.SiteID]*site.Site, opts.NumSites),
 		counters: counters,
-		spans:    obs.NewCollector(opts.SpanCollector),
+		spans:    spans,
 		stepped:  stepped,
 	}
-	observer := obs.Tee(c.spans, opts.Observer)
 	for i := 1; i <= opts.NumSites; i++ {
 		id := ids.SiteID(i)
-		c.sites[id] = site.New(site.Config{
-			ID:                        id,
-			Network:                   network,
-			SuspicionThreshold:        opts.SuspicionThreshold,
-			BackThreshold:             opts.BackThreshold,
-			ThresholdBump:             opts.ThresholdBump,
-			OutsetAlgorithm:           opts.OutsetAlgorithm,
-			CallTimeout:               opts.CallTimeout,
-			ReportTimeout:             opts.ReportTimeout,
-			AutoBackTrace:             opts.AutoBackTrace,
-			AdaptiveThreshold:         opts.AdaptiveThreshold,
-			Piggyback:                 opts.Piggyback,
-			MaxInflightTraces:         opts.MaxInflightTraces,
-			TraceBatch:                opts.TraceBatch,
-			MemoizeLive:               opts.MemoizeLive,
-			InboxSize:                 opts.InboxSize,
-			Shards:                    opts.Shards,
-			TraceWorkers:              opts.TraceWorkers,
-			Clock:                     opts.Clock,
-			SkipTransferBarrierUnsafe: opts.SkipTransferBarrierUnsafe,
-			Counters:                  counters,
-			Events:                    opts.Events,
-			Observer:                  observer,
-		})
+		c.sites[id] = site.New(c.SiteConfig(id))
 		c.order = append(c.order, id)
 	}
 	return c
+}
+
+// SiteConfig returns the configuration New built site id from: the
+// Options.Site template with the site's ID, the cluster's network and
+// Counters, and the span-collecting Observer stamped on. Crash recovery
+// restores a site from it, so the new incarnation runs with the same
+// knobs and keeps reporting into the same registry and span collector.
+func (c *Cluster) SiteConfig(id ids.SiteID) site.Config {
+	cfg := c.opts.Site
+	cfg.ID = id
+	return cfg
 }
 
 // Close shuts the cluster down: first the site mailboxes (so a delivery
@@ -254,12 +200,6 @@ func (c *Cluster) ReplaceSite(id ids.SiteID, s *site.Site) {
 	c.sites[id] = s
 }
 
-// Observer returns the observer every site was built with: the cluster's
-// span collector teed with Options.Observer. Crash recovery passes it to
-// the restored site's Config so the new incarnation's spans keep landing in
-// the same collector.
-func (c *Cluster) Observer() obs.Observer { return obs.Tee(c.spans, c.opts.Observer) }
-
 // Sites returns the sites in identifier order.
 func (c *Cluster) Sites() []*site.Site {
 	out := make([]*site.Site, 0, len(c.order))
@@ -284,9 +224,9 @@ func (c *Cluster) Counters() *metrics.Counters { return c.counters }
 // snapshot reflects the event log's current loss count.
 func (c *Cluster) Metrics() obs.Snapshot {
 	reg := c.counters.Registry()
-	if c.opts.Events != nil {
+	if c.opts.Site.Events != nil {
 		reg.Gauge(obs.MetricEventsDropped,
-			"events evicted from the bounded event log").Set(int64(c.opts.Events.Dropped()))
+			"events evicted from the bounded event log").Set(int64(c.opts.Site.Events.Dropped()))
 	}
 	return reg.Snapshot()
 }
@@ -311,7 +251,7 @@ func (c *Cluster) Settle() {
 	}
 	for {
 		c.quiesceNet()
-		if c.opts.InboxSize <= 0 {
+		if c.opts.Site.InboxSize <= 0 {
 			return
 		}
 		for _, id := range c.order {

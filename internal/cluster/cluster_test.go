@@ -5,16 +5,19 @@ import (
 
 	"backtrace/internal/ids"
 	"backtrace/internal/refs"
+	"backtrace/internal/site"
 )
 
 // defaultOpts builds small deterministic clusters for tests.
 func defaultOpts(n int) Options {
 	return Options{
-		NumSites:           n,
-		SuspicionThreshold: 3,
-		BackThreshold:      7,
-		ThresholdBump:      4,
-		AutoBackTrace:      true,
+		NumSites: n,
+		Site: site.Config{
+			SuspicionThreshold: 3,
+			BackThreshold:      7,
+			ThresholdBump:      4,
+			AutoBackTrace:      true,
+		},
 	}
 }
 
@@ -144,8 +147,8 @@ func TestFigure1EndToEnd(t *testing.T) {
 func TestDistanceTheorem(t *testing.T) {
 	for _, n := range []int{2, 3, 5} {
 		opts := defaultOpts(n)
-		opts.AutoBackTrace = false // isolate distance propagation
-		opts.BackThreshold = 1 << 20
+		opts.Site.AutoBackTrace = false // isolate distance propagation
+		opts.Site.BackThreshold = 1 << 20
 		c := New(opts)
 		objs := c.BuildRing()
 
@@ -251,8 +254,8 @@ func TestLocalityCrash(t *testing.T) {
 // information (C4).
 func TestBackInfoSpaceBound(t *testing.T) {
 	opts := defaultOpts(3)
-	opts.AutoBackTrace = false
-	opts.BackThreshold = 1 << 20
+	opts.Site.AutoBackTrace = false
+	opts.Site.BackThreshold = 1 << 20
 	c := New(opts)
 	defer c.Close()
 

@@ -13,7 +13,7 @@ import (
 func TestEventLogTellsTheCollectionStory(t *testing.T) {
 	log := event.NewLog(1024)
 	opts := defaultOpts(3)
-	opts.Events = log
+	opts.Site.Events = log
 	c := New(opts)
 	defer c.Close()
 	c.BuildRing()
@@ -71,9 +71,9 @@ func TestEventLogTellsTheCollectionStory(t *testing.T) {
 func TestEventLogBarrierEvents(t *testing.T) {
 	log := event.NewLog(1024)
 	opts := defaultOpts(2)
-	opts.Events = log
-	opts.AutoBackTrace = false
-	opts.BackThreshold = 1 << 20
+	opts.Site.Events = log
+	opts.Site.AutoBackTrace = false
+	opts.Site.BackThreshold = 1 << 20
 	c := New(opts)
 	defer c.Close()
 

@@ -14,10 +14,10 @@ import (
 // cycle.
 func TestParticipantCrashMidTrace(t *testing.T) {
 	opts := defaultOpts(3)
-	opts.AutoBackTrace = false
-	opts.BackThreshold = 7
-	opts.CallTimeout = time.Nanosecond // expire on the next check
-	opts.ReportTimeout = time.Nanosecond
+	opts.Site.AutoBackTrace = false
+	opts.Site.BackThreshold = 7
+	opts.Site.CallTimeout = time.Nanosecond // expire on the next check
+	opts.Site.ReportTimeout = time.Nanosecond
 	c := New(opts)
 	defer c.Close()
 
@@ -68,9 +68,9 @@ func TestParticipantCrashMidTrace(t *testing.T) {
 // Live, so a later trace (from another site) can still confirm the cycle.
 func TestInitiatorCrashMidTrace(t *testing.T) {
 	opts := defaultOpts(3)
-	opts.AutoBackTrace = false
-	opts.CallTimeout = time.Nanosecond
-	opts.ReportTimeout = time.Nanosecond
+	opts.Site.AutoBackTrace = false
+	opts.Site.CallTimeout = time.Nanosecond
+	opts.Site.ReportTimeout = time.Nanosecond
 	c := New(opts)
 	defer c.Close()
 
@@ -118,9 +118,9 @@ func TestInitiatorCrashMidTrace(t *testing.T) {
 // succeeds after healing.
 func TestPartitionDuringTraceHealsByTimeout(t *testing.T) {
 	opts := defaultOpts(4)
-	opts.AutoBackTrace = false
-	opts.CallTimeout = time.Nanosecond
-	opts.ReportTimeout = time.Nanosecond
+	opts.Site.AutoBackTrace = false
+	opts.Site.CallTimeout = time.Nanosecond
+	opts.Site.ReportTimeout = time.Nanosecond
 	c := New(opts)
 	defer c.Close()
 

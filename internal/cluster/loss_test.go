@@ -20,8 +20,8 @@ func TestMessageLossEventualCollection(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		opts := defaultOpts(3)
 		opts.Seed = seed
-		opts.CallTimeout = time.Nanosecond // any pending frame expires on the next check
-		opts.ReportTimeout = time.Nanosecond
+		opts.Site.CallTimeout = time.Nanosecond // any pending frame expires on the next check
+		opts.Site.ReportTimeout = time.Nanosecond
 		c := New(opts)
 
 		garbage := c.BuildRing()
@@ -75,9 +75,9 @@ func TestReliableLossMatrixEventualCollection(t *testing.T) {
 				opts := defaultOpts(3)
 				opts.Seed = seed
 				opts.Reliable = true
-				opts.CallTimeout = 5 * time.Second
-				opts.ReportTimeout = 10 * time.Second
-				opts.Events = events
+				opts.Site.CallTimeout = 5 * time.Second
+				opts.Site.ReportTimeout = 10 * time.Second
+				opts.Site.Events = events
 				c := New(opts)
 
 				garbage := c.BuildRing()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"backtrace/internal/metrics"
+	"backtrace/internal/site"
 )
 
 // TestMemoizedLiveRacesCommit is the witness for the memoization safety
@@ -22,12 +23,14 @@ import (
 // surviving the commit would leave x<->y uncollected forever.
 func TestMemoizedLiveRacesCommit(t *testing.T) {
 	c := New(Options{
-		NumSites:           2,
-		SuspicionThreshold: 2,
-		BackThreshold:      3,
-		ThresholdBump:      2,
-		AutoBackTrace:      true,
-		MemoizeLive:        true,
+		NumSites: 2,
+		Site: site.Config{
+			SuspicionThreshold: 2,
+			BackThreshold:      3,
+			ThresholdBump:      2,
+			AutoBackTrace:      true,
+			MemoizeLive:        true,
+		},
 	})
 	defer c.Close()
 	p := c.Site(1)

@@ -3,26 +3,37 @@ package cluster
 import (
 	"testing"
 
-	idpkg "backtrace/internal/ids"
 	"backtrace/internal/tracer"
 )
 
 // TestAllOptionCombinations runs the canonical ring-plus-live workload
-// under every combination of the optional features (piggybacking,
-// adaptive threshold, outset algorithm) and asserts identical collection
-// semantics: the options change costs, never outcomes.
+// under every combination of the optional features (piggybacking, trace
+// scheduler, outset algorithm) and asserts identical collection semantics:
+// the options change costs, never outcomes. The scheduler axis compares the
+// paper's trigger as configured by default ("fixed": no admission cap, one
+// trace per suspect, no memo) with the configuration the benchmark runs
+// ("scheduled": cap 4, batches of 8, Live memo).
 func TestAllOptionCombinations(t *testing.T) {
+	schedulers := []struct {
+		name               string
+		maxInflight, batch int
+		memoizeLive        bool
+	}{
+		{"fixed", 0, 0, false},
+		{"scheduled", 4, 8, true},
+	}
 	for _, piggy := range []bool{false, true} {
-		for _, adaptive := range []bool{false, true} {
+		for _, sched := range schedulers {
 			for _, algo := range []tracer.OutsetAlgorithm{tracer.AlgoBottomUp, tracer.AlgoIndependent} {
 				name := map[bool]string{false: "plain", true: "piggy"}[piggy] +
-					"/" + map[bool]string{false: "fixed", true: "adaptive"}[adaptive] +
-					"/" + algo.String()
+					"/" + sched.name + "/" + algo.String()
 				t.Run(name, func(t *testing.T) {
 					opts := defaultOpts(3)
-					opts.Piggyback = piggy
-					opts.AdaptiveThreshold = adaptive
-					opts.OutsetAlgorithm = algo
+					opts.Site.Piggyback = piggy
+					opts.Site.MaxInflightTraces = sched.maxInflight
+					opts.Site.TraceBatch = sched.batch
+					opts.Site.MemoizeLive = sched.memoizeLive
+					opts.Site.OutsetAlgorithm = algo
 					c := New(opts)
 					defer c.Close()
 
@@ -49,46 +60,5 @@ func TestAllOptionCombinations(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestAdaptiveThresholdEndToEnd verifies the adaptive option at cluster
-// level: repeated Live outcomes on live far suspects raise the initiating
-// site's threshold, and garbage is still collected afterwards.
-func TestAdaptiveThresholdEndToEnd(t *testing.T) {
-	opts := defaultOpts(4)
-	opts.SuspicionThreshold = 1
-	opts.BackThreshold = 2
-	opts.ThresholdBump = 1
-	opts.AdaptiveThreshold = true
-	c := New(opts)
-	defer c.Close()
-
-	// A long live chain winding across the sites (far suspects).
-	root := c.Site(1).NewRootObject()
-	prev := root
-	for lap := 0; lap < 3; lap++ {
-		for i := 1; i <= 4; i++ {
-			n := c.Site(idpkg.SiteID(i)).NewObject()
-			c.MustLink(prev, n)
-			prev = n
-		}
-	}
-	before := c.Site(1).SuspicionThreshold()
-	c.RunRounds(25)
-	raised := false
-	for _, s := range c.Sites() {
-		if s.SuspicionThreshold() > before {
-			raised = true
-		}
-	}
-	if !raised {
-		t.Fatal("no site raised its suspicion threshold despite repeated live suspects")
-	}
-
-	// Garbage introduced later is still collected.
-	c.BuildRing()
-	if _, collected := c.CollectUntilStable(60); collected != 4 {
-		t.Fatalf("collected %d, want 4", collected)
 	}
 }

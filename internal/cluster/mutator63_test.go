@@ -13,8 +13,8 @@ import (
 // outrefs clean.
 func TestNonAtomicMutatorSection63(t *testing.T) {
 	opts := defaultOpts(3)
-	opts.AutoBackTrace = false
-	opts.BackThreshold = 1 << 20
+	opts.Site.AutoBackTrace = false
+	opts.Site.BackThreshold = 1 << 20
 	c := New(opts)
 	defer c.Close()
 	p, q, r := c.Site(1), c.Site(2), c.Site(3)

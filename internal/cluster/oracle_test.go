@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"backtrace/internal/cluster"
+	"backtrace/internal/site"
 	"backtrace/internal/workload"
 )
 
@@ -57,12 +58,14 @@ func TestCollectorMatchesReachabilityOracle(t *testing.T) {
 		want := specReachable(spec)
 
 		c := cluster.New(cluster.Options{
-			NumSites:           sites,
-			SuspicionThreshold: 3,
-			BackThreshold:      7,
-			ThresholdBump:      4,
-			AutoBackTrace:      true,
-			Piggyback:          iter%2 == 0, // alternate the batching ablation
+			NumSites: sites,
+			Site: site.Config{
+				SuspicionThreshold: 3,
+				BackThreshold:      7,
+				ThresholdBump:      4,
+				AutoBackTrace:      true,
+				Piggyback:          iter%2 == 0, // alternate the batching ablation
+			},
 		})
 		refs, err := workload.Build(c, spec)
 		if err != nil {
@@ -107,11 +110,13 @@ func TestCollectorOracleAfterMutation(t *testing.T) {
 			Seed:       rng.Int63(),
 		})
 		c := cluster.New(cluster.Options{
-			NumSites:           sites,
-			SuspicionThreshold: 3,
-			BackThreshold:      7,
-			ThresholdBump:      4,
-			AutoBackTrace:      true,
+			NumSites: sites,
+			Site: site.Config{
+				SuspicionThreshold: 3,
+				BackThreshold:      7,
+				ThresholdBump:      4,
+				AutoBackTrace:      true,
+			},
 		})
 		refs, err := workload.Build(c, spec)
 		if err != nil {

@@ -58,7 +58,7 @@ func TestParallelRoundMatchesSerial(t *testing.T) {
 func TestConcurrentStress(t *testing.T) {
 	opts := defaultOpts(4)
 	opts.Parallel = true
-	opts.InboxSize = 8 // small inbox so backpressure paths run
+	opts.Site.InboxSize = 8 // small inbox so backpressure paths run
 	runConcurrentStress(t, opts)
 }
 
@@ -217,7 +217,6 @@ func runConcurrentStress(t *testing.T, opts Options) {
 			_ = s.Inrefs()
 			_ = s.Outrefs()
 			_ = s.BackInfoEntries()
-			_ = s.SuspicionThreshold()
 			_ = s.AuditSnapshot()
 			_ = s.InboxDepth()
 		}

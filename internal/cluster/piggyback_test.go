@@ -12,7 +12,7 @@ import (
 func TestPiggybackPreservesSemantics(t *testing.T) {
 	run := func(piggyback bool) (collected int, envelopes, logical int64) {
 		opts := defaultOpts(4)
-		opts.Piggyback = piggyback
+		opts.Site.Piggyback = piggyback
 		c := New(opts)
 		defer c.Close()
 		c.BuildRing()
@@ -49,7 +49,7 @@ func TestPiggybackPreservesSemantics(t *testing.T) {
 // rely on).
 func TestPiggybackWithRaces(t *testing.T) {
 	opts := defaultOpts(4)
-	opts.Piggyback = true
+	opts.Site.Piggyback = true
 	c := New(opts)
 	defer c.Close()
 

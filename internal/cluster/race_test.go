@@ -29,8 +29,8 @@ type figure5 struct {
 func buildFigure5(t *testing.T, mod ...func(*Options)) *figure5 {
 	t.Helper()
 	opts := defaultOpts(4)
-	opts.AutoBackTrace = false
-	opts.BackThreshold = 1 << 20 // traces started manually
+	opts.Site.AutoBackTrace = false
+	opts.Site.BackThreshold = 1 << 20 // traces started manually
 	for _, m := range mod {
 		m(&opts)
 	}

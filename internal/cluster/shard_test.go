@@ -14,9 +14,9 @@ import (
 func TestShardedConcurrentStress(t *testing.T) {
 	opts := defaultOpts(4)
 	opts.Parallel = true
-	opts.InboxSize = 8
-	opts.Shards = 8
-	opts.TraceWorkers = 4
+	opts.Site.InboxSize = 8
+	opts.Site.Shards = 8
+	opts.Site.TraceWorkers = 4
 	runConcurrentStress(t, opts)
 }
 
@@ -28,8 +28,8 @@ func TestShardedRoundMatchesSerial(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		opts := defaultOpts(4)
 		opts.Parallel = true
-		opts.Shards = 4
-		opts.TraceWorkers = workers
+		opts.Site.Shards = 4
+		opts.Site.TraceWorkers = workers
 		c := New(opts)
 
 		root := c.Site(1).NewRootObject()

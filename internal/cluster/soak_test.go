@@ -6,6 +6,7 @@ import (
 
 	"backtrace/internal/cluster"
 	"backtrace/internal/ids"
+	"backtrace/internal/site"
 	"backtrace/internal/workload"
 )
 
@@ -18,12 +19,14 @@ func TestSoakLargeCluster(t *testing.T) {
 	}
 	const sites = 12
 	c := cluster.New(cluster.Options{
-		NumSites:           sites,
-		SuspicionThreshold: 3,
-		BackThreshold:      7,
-		ThresholdBump:      4,
-		AutoBackTrace:      true,
-		Piggyback:          true,
+		NumSites: sites,
+		Site: site.Config{
+			SuspicionThreshold: 3,
+			BackThreshold:      7,
+			ThresholdBump:      4,
+			AutoBackTrace:      true,
+			Piggyback:          true,
+		},
 	})
 	defer c.Close()
 	rng := rand.New(rand.NewSource(99))

@@ -91,7 +91,7 @@ func checkSpanCompleteness(t *testing.T, c *Cluster, events *event.Log) {
 func TestSpanCompletenessSerial(t *testing.T) {
 	events := event.NewLog(4096)
 	opts := defaultOpts(4)
-	opts.Events = events
+	opts.Site.Events = events
 	c := New(opts)
 	defer c.Close()
 
@@ -115,8 +115,8 @@ func TestSpanCompletenessParallelStress(t *testing.T) {
 	events := event.NewLog(1 << 16)
 	opts := defaultOpts(numSites)
 	opts.Parallel = true
-	opts.InboxSize = 8 // small inbox so spans carry real queue waits
-	opts.Events = events
+	opts.Site.InboxSize = 8 // small inbox so spans carry real queue waits
+	opts.Site.Events = events
 	c := New(opts)
 	defer c.Close()
 

@@ -427,10 +427,6 @@ func (e *Engine) maybeEndActivity(ts *traceState) {
 	}
 }
 
-// SetThreshold updates the suspicion threshold (used by the adaptive
-// threshold controller).
-func (e *Engine) SetThreshold(t int) { e.cfg.Threshold = t }
-
 // ActiveFrames returns the number of live activation frames (for tests and
 // introspection).
 func (e *Engine) ActiveFrames() int { return len(e.frames) }

@@ -6,6 +6,7 @@ import (
 	"backtrace/internal/cluster"
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
+	"backtrace/internal/site"
 )
 
 // BacktraceRow records the back-trace traffic one scheduling regime spent
@@ -43,8 +44,9 @@ type BacktraceRow struct {
 // deep enough that its tail hops are suspects too: the traces it triggers
 // prove Live, which is what the memoization layer short-circuits.
 //
-// The baseline row runs the legacy trigger: one trace per suspect, no cap,
-// no batching, no memo — a storm of duplicate traversals of the same cone.
+// The baseline row runs the trigger with the scheduler knobs off: one trace
+// per suspect, no cap, no batching, no memo — a storm of duplicate
+// traversals of the same cone.
 // The engine row runs MaxInflightTraces=1, TraceBatch=petals, MemoizeLive
 // on. Both must collect every planted cycle; the engine must get there
 // with ≥5x fewer traces and ≥5x fewer BackCall messages per collected
@@ -53,16 +55,18 @@ func BacktraceTraffic(sites, hub, petals, liveDepth int) ([]BacktraceRow, error)
 	var rows []BacktraceRow
 	for _, mode := range []string{"baseline", "engine"} {
 		opts := cluster.Options{
-			NumSites:           sites,
-			SuspicionThreshold: 3,
-			BackThreshold:      7,
-			ThresholdBump:      4,
-			AutoBackTrace:      true,
+			NumSites: sites,
+			Site: site.Config{
+				SuspicionThreshold: 3,
+				BackThreshold:      7,
+				ThresholdBump:      4,
+				AutoBackTrace:      true,
+			},
 		}
 		if mode == "engine" {
-			opts.MaxInflightTraces = 1
-			opts.TraceBatch = petals
-			opts.MemoizeLive = true
+			opts.Site.MaxInflightTraces = 1
+			opts.Site.TraceBatch = petals
+			opts.Site.MemoizeLive = true
 		}
 		c := cluster.New(opts)
 

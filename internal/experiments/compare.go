@@ -10,6 +10,7 @@ import (
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
 	"backtrace/internal/refs"
+	"backtrace/internal/site"
 	"backtrace/internal/tracer"
 	"backtrace/internal/workload"
 )
@@ -446,11 +447,13 @@ type HypertextRow struct {
 // Hypertext runs the motivating workload end to end.
 func Hypertext(docs, sites int, seed int64) (HypertextRow, error) {
 	c := cluster.New(cluster.Options{
-		NumSites:           sites,
-		SuspicionThreshold: 4,
-		BackThreshold:      10,
-		ThresholdBump:      4,
-		AutoBackTrace:      true,
+		NumSites: sites,
+		Site: site.Config{
+			SuspicionThreshold: 4,
+			BackThreshold:      10,
+			ThresholdBump:      4,
+			AutoBackTrace:      true,
+		},
 	})
 	defer c.Close()
 	spec := workload.HypertextWeb(workload.HypertextConfig{

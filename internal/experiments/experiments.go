@@ -13,6 +13,7 @@ import (
 	"backtrace/internal/cluster"
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
+	"backtrace/internal/site"
 	"backtrace/internal/workload"
 )
 
@@ -30,16 +31,18 @@ var Transport = cluster.TransportConfig{Codec: "none"}
 // clusterFor builds the standard experiment cluster.
 func clusterFor(sites int, auto bool) *cluster.Cluster {
 	opts := cluster.Options{
-		NumSites:           sites,
-		SuspicionThreshold: 3,
-		BackThreshold:      7,
-		ThresholdBump:      4,
-		AutoBackTrace:      auto,
+		NumSites: sites,
+		Site: site.Config{
+			SuspicionThreshold: 3,
+			BackThreshold:      7,
+			ThresholdBump:      4,
+			AutoBackTrace:      auto,
+		},
 	}
 	if codec, err := Transport.ResolveCodec(); err == nil {
 		opts.Codec = codec
 	}
-	opts.Piggyback = opts.Piggyback || Transport.Batch > 0
+	opts.Site.Piggyback = opts.Site.Piggyback || Transport.Batch > 0
 	return cluster.New(opts)
 }
 
@@ -190,9 +193,11 @@ func DistanceConvergence(sizes []int, rounds int) []DistanceRow {
 	var rows []DistanceRow
 	for _, n := range sizes {
 		c := cluster.New(cluster.Options{
-			NumSites:           n,
-			SuspicionThreshold: 3,
-			BackThreshold:      1 << 20, // disable back traces
+			NumSites: n,
+			Site: site.Config{
+				SuspicionThreshold: 3,
+				BackThreshold:      1 << 20, // disable back traces
+			},
 		})
 		objs := c.BuildRing()
 		for round := 1; round <= rounds; round++ {
@@ -244,11 +249,13 @@ func ThresholdTuning(t2s []int) []ThresholdRow {
 	var rows []ThresholdRow
 	for _, t2 := range t2s {
 		c := cluster.New(cluster.Options{
-			NumSites:           4,
-			SuspicionThreshold: 3,
-			BackThreshold:      t2,
-			ThresholdBump:      4,
-			AutoBackTrace:      true,
+			NumSites: 4,
+			Site: site.Config{
+				SuspicionThreshold: 3,
+				BackThreshold:      t2,
+				ThresholdBump:      4,
+				AutoBackTrace:      true,
+			},
 		})
 		// Garbage ring over all 4 sites.
 		c.BuildRing()
@@ -329,9 +336,11 @@ func SpaceBound(specs []workload.Spec) ([]SpaceRow, error) {
 	var rows []SpaceRow
 	for _, spec := range specs {
 		c := cluster.New(cluster.Options{
-			NumSites:           spec.Sites,
-			SuspicionThreshold: 3,
-			BackThreshold:      1 << 20,
+			NumSites: spec.Sites,
+			Site: site.Config{
+				SuspicionThreshold: 3,
+				BackThreshold:      1 << 20,
+			},
 		})
 		if _, err := workload.Build(c, spec); err != nil {
 			c.Close()

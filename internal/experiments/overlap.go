@@ -5,6 +5,7 @@ import (
 
 	"backtrace/internal/cluster"
 	"backtrace/internal/metrics"
+	"backtrace/internal/site"
 )
 
 // OverlapRow records how many back traces were triggered on one garbage
@@ -38,11 +39,13 @@ func Overlap(sizes []int) []OverlapRow {
 	for _, n := range sizes {
 		for _, mode := range []string{"interleaved", "lockstep"} {
 			c := cluster.New(cluster.Options{
-				NumSites:           n,
-				SuspicionThreshold: 3,
-				BackThreshold:      7,
-				ThresholdBump:      4,
-				AutoBackTrace:      true,
+				NumSites: n,
+				Site: site.Config{
+					SuspicionThreshold: 3,
+					BackThreshold:      7,
+					ThresholdBump:      4,
+					AutoBackTrace:      true,
+				},
 			})
 			c.BuildRing()
 

@@ -5,6 +5,7 @@ import (
 
 	"backtrace/internal/cluster"
 	"backtrace/internal/metrics"
+	"backtrace/internal/site"
 )
 
 // TimelineRow traces a garbage cycle's lifecycle in rounds: when its
@@ -28,11 +29,13 @@ func Timeline(sizes []int, t, t2 int) []TimelineRow {
 	var rows []TimelineRow
 	for _, n := range sizes {
 		c := cluster.New(cluster.Options{
-			NumSites:           n,
-			SuspicionThreshold: t,
-			BackThreshold:      t2,
-			ThresholdBump:      4,
-			AutoBackTrace:      true,
+			NumSites: n,
+			Site: site.Config{
+				SuspicionThreshold: t,
+				BackThreshold:      t2,
+				ThresholdBump:      4,
+				AutoBackTrace:      true,
+			},
 		})
 		objs := c.BuildRing()
 		row := TimelineRow{Sites: n, T: t, T2: t2}

@@ -8,6 +8,7 @@ import (
 	"backtrace/internal/cluster"
 	"backtrace/internal/ids"
 	"backtrace/internal/msg"
+	"backtrace/internal/site"
 	"backtrace/internal/wire"
 	"backtrace/internal/workload"
 )
@@ -190,12 +191,14 @@ func WireBatch(sites int) ([]WireBatchRow, error) {
 func wireTraceWindow(sites int, name string, piggyback bool) (WireBatchRow, error) {
 	spec := workload.Ring(sites)
 	c := cluster.New(cluster.Options{
-		NumSites:           sites,
-		SuspicionThreshold: 3,
-		BackThreshold:      7,
-		ThresholdBump:      4,
-		Codec:              wire.Binary{},
-		Piggyback:          piggyback,
+		NumSites: sites,
+		Codec:    wire.Binary{},
+		Site: site.Config{
+			SuspicionThreshold: 3,
+			BackThreshold:      7,
+			ThresholdBump:      4,
+			Piggyback:          piggyback,
+		},
 	})
 	defer c.Close()
 	if _, err := workload.Build(c, spec); err != nil {
@@ -242,13 +245,15 @@ func wireTraceWindow(sites int, name string, piggyback bool) (WireBatchRow, erro
 // same-destination messages per step and batching has work to do.
 func wireFullCollection(row *WireBatchRow, piggyback bool) error {
 	c := cluster.New(cluster.Options{
-		NumSites:           4,
-		SuspicionThreshold: 3,
-		BackThreshold:      7,
-		ThresholdBump:      4,
-		AutoBackTrace:      true,
-		Codec:              wire.Binary{},
-		Piggyback:          piggyback,
+		NumSites: 4,
+		Codec:    wire.Binary{},
+		Site: site.Config{
+			SuspicionThreshold: 3,
+			BackThreshold:      7,
+			ThresholdBump:      4,
+			AutoBackTrace:      true,
+			Piggyback:          piggyback,
+		},
 	})
 	defer c.Close()
 	c.BuildRing()

@@ -62,9 +62,9 @@ type Config struct {
 	Batch bool `json:"batch,omitempty"`
 	// Faults is the fault-schedule DSL (see faults.go); generation only.
 	Faults string `json:"faults,omitempty"`
-	// MaxInflightTraces caps concurrent back traces per site; 0 means
-	// unlimited (the legacy trigger path). The scheduler's deferral and
-	// admission decisions are deterministic, so schedules replay exactly.
+	// MaxInflightTraces caps concurrent back traces per site; 0 means no
+	// cap. The scheduler's deferral and admission decisions are
+	// deterministic, so schedules replay exactly.
 	MaxInflightTraces int `json:"max_inflight_traces,omitempty"`
 	// TraceBatch groups up to this many overlapping suspects into one
 	// multi-suspect back trace; 0 or 1 keeps single-suspect traces.
@@ -209,23 +209,25 @@ func newWorld(cfg Config) *world {
 		partitioned: make(map[[2]ids.SiteID]bool),
 	}
 	w.cluster = cluster.New(cluster.Options{
-		NumSites:                  cfg.Sites,
-		Stepped:                   true,
-		Clock:                     w.clk,
-		SuspicionThreshold:        cfg.Threshold,
-		BackThreshold:             cfg.BackThreshold,
-		AutoBackTrace:             true,
-		CallTimeout:               simCallTimeout,
-		ReportTimeout:             simReportTimeout,
-		SkipTransferBarrierUnsafe: cfg.SkipTransferBarrier,
-		Shards:                    cfg.Shards,
-		TraceWorkers:              cfg.TraceWorkers,
-		Codec:                     cfg.codec(),
-		Piggyback:                 cfg.Batch,
-		MaxInflightTraces:         cfg.MaxInflightTraces,
-		TraceBatch:                cfg.TraceBatch,
-		MemoizeLive:               cfg.MemoizeLive,
-		Observer:                  w.spans,
+		NumSites: cfg.Sites,
+		Stepped:  true,
+		Codec:    cfg.codec(),
+		Site: site.Config{
+			Clock:                     w.clk,
+			SuspicionThreshold:        cfg.Threshold,
+			BackThreshold:             cfg.BackThreshold,
+			AutoBackTrace:             true,
+			CallTimeout:               simCallTimeout,
+			ReportTimeout:             simReportTimeout,
+			SkipTransferBarrierUnsafe: cfg.SkipTransferBarrier,
+			Shards:                    cfg.Shards,
+			TraceWorkers:              cfg.TraceWorkers,
+			Piggyback:                 cfg.Batch,
+			MaxInflightTraces:         cfg.MaxInflightTraces,
+			TraceBatch:                cfg.TraceBatch,
+			MemoizeLive:               cfg.MemoizeLive,
+			Observer:                  w.spans,
+		},
 	})
 
 	for i := 1; i <= cfg.Sites; i++ {
@@ -379,7 +381,7 @@ func (w *world) restart(s ids.SiteID) error {
 	if !ok {
 		return fmt.Errorf("sim: restart %v: no checkpoint", s)
 	}
-	ns, err := site.Restore(w.restoreConfig(s), bytes.NewReader(data))
+	ns, err := site.Restore(w.cluster.SiteConfig(s), bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("sim: restart %v: %w", s, err)
 	}
@@ -388,30 +390,6 @@ func (w *world) restart(s ids.SiteID) error {
 	delete(w.checkpoints, s)
 	w.crashed[s] = false
 	return nil
-}
-
-// restoreConfig mirrors the site configuration cluster.New used, so the
-// restored incarnation behaves identically to the original.
-func (w *world) restoreConfig(s ids.SiteID) site.Config {
-	return site.Config{
-		ID:                        s,
-		Network:                   w.cluster.Net(),
-		SuspicionThreshold:        w.cfg.Threshold,
-		BackThreshold:             w.cfg.BackThreshold,
-		CallTimeout:               simCallTimeout,
-		ReportTimeout:             simReportTimeout,
-		AutoBackTrace:             true,
-		Clock:                     w.clk,
-		SkipTransferBarrierUnsafe: w.cfg.SkipTransferBarrier,
-		Piggyback:                 w.cfg.Batch,
-		Shards:                    w.cfg.Shards,
-		TraceWorkers:              w.cfg.TraceWorkers,
-		MaxInflightTraces:         w.cfg.MaxInflightTraces,
-		TraceBatch:                w.cfg.TraceBatch,
-		MemoizeLive:               w.cfg.MemoizeLive,
-		Counters:                  w.cluster.Counters(),
-		Observer:                  w.cluster.Observer(),
-	}
 }
 
 // heldRefs returns every reference the site's agent may name: the site's

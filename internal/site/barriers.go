@@ -31,7 +31,7 @@ func (s *Site) handleRefTransfer(from ids.SiteID, m msg.RefTransfer) {
 
 	if o, ok := s.table.Outref(z); ok {
 		// Cases 2 and 3: an outref exists. If it is suspected, clean it.
-		if !o.IsClean(s.threshold) && !s.cfg.SkipTransferBarrierUnsafe {
+		if !o.IsClean(s.cfg.SuspicionThreshold) && !s.cfg.SkipTransferBarrierUnsafe {
 			s.cleanOutref(z)
 		}
 		s.sendReleasePin(m.Pinner, z)

@@ -67,7 +67,6 @@ func (s *Site) BeginLocalTrace() {
 	s.gaugeDirty.Set(int64(100 * s.heap.MaxShardDirtyRatio()))
 	h := s.heap.TraceSnapshot()
 	tbl := s.table.TraceSnapshot()
-	threshold := s.threshold
 	epoch := s.traceEpoch
 	// Open the trace window: barriers applied from here to the commit are
 	// recorded for replay onto the new back information.
@@ -77,7 +76,7 @@ func (s *Site) BeginLocalTrace() {
 	s.pendingBarrierOutrefs = nil
 	s.mu.Unlock()
 
-	res := s.tracer.Run(h, tbl, threshold, s.cfg.OutsetAlgorithm)
+	res := s.tracer.Run(h, tbl, s.cfg.SuspicionThreshold, s.cfg.OutsetAlgorithm)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -161,9 +160,9 @@ func (s *Site) CommitLocalTrace() TraceReport {
 		if !ok {
 			continue
 		}
-		wasClean := o.IsClean(s.threshold)
+		wasClean := o.IsClean(s.cfg.SuspicionThreshold)
 		o.Distance = dist
-		if !wasClean && o.IsClean(s.threshold) {
+		if !wasClean && o.IsClean(s.cfg.SuspicionThreshold) {
 			s.engine.NotifyCleanedOutref(target)
 		}
 	}
@@ -360,9 +359,9 @@ func (s *Site) handleUpdate(from ids.SiteID, m msg.Update) {
 		if !ok {
 			continue
 		}
-		wasClean := in.IsClean(s.threshold)
+		wasClean := in.IsClean(s.cfg.SuspicionThreshold)
 		s.table.SetSourceDistance(du.Obj, from, du.Distance)
-		if !wasClean && in.IsClean(s.threshold) {
+		if !wasClean && in.IsClean(s.cfg.SuspicionThreshold) {
 			s.engine.NotifyCleanedInref(du.Obj)
 		}
 	}
@@ -378,37 +377,16 @@ func (s *Site) TriggerBackTraces() int {
 	return s.triggerBackTracesLocked()
 }
 
-// schedulerOn reports whether the trace-traffic scheduler (admission cap,
-// batching, round-robin scan) is configured; off, the
-// trigger keeps the legacy one-trace-per-suspect single-pass behaviour.
-func (s *Site) schedulerOn() bool {
-	return s.cfg.MaxInflightTraces > 0 || s.cfg.TraceBatch > 1
-}
-
+// triggerBackTracesLocked is the trigger scan, the one path by which back
+// traces start automatically: it walks the outref table round-robin from
+// where the previous scan stopped, takes the suspects ShouldStart admits
+// (eligible, no trace from this engine already active on them, not
+// memoized Live) and not already parked, groups them into multi-suspect
+// batches by inset overlap, and starts batches while the admission cap
+// allows — parking the overflow in the distance-priority queue instead of
+// flooding the network. With no cap and no batching it starts one trace
+// per eligible suspect.
 func (s *Site) triggerBackTracesLocked() int {
-	if !s.schedulerOn() {
-		started := 0
-		for _, o := range s.table.Outrefs() {
-			if s.engine.ShouldStart(o.Target) {
-				if t, ok := s.startTraceAdmitted(o.Target); ok {
-					s.emit(event.Event{Kind: event.TraceStarted, Trace: t, Ref: o.Target})
-					started++
-				}
-			}
-		}
-		return started
-	}
-	return s.scheduleBackTracesLocked()
-}
-
-// scheduleBackTracesLocked is the trace-traffic scheduler's trigger scan:
-// it walks the outref table round-robin from where the previous scan
-// stopped, takes the suspects ShouldStart admits (eligible, no trace from
-// this engine already active on them, not memoized Live) and not already
-// parked, groups them into multi-suspect batches by inset overlap, and
-// starts batches while the admission cap allows — parking the overflow in
-// the distance-priority queue instead of flooding the network.
-func (s *Site) scheduleBackTracesLocked() int {
 	outs := s.table.Outrefs()
 	// Resume round-robin: rotate the sorted scan so it starts just after
 	// the suspect the previous scan stopped at.
@@ -442,8 +420,7 @@ func (s *Site) scheduleBackTracesLocked() int {
 			}
 			continue
 		}
-		if t, ok := s.startBatchAdmitted(group); ok {
-			s.emit(event.Event{Kind: event.TraceStarted, Trace: t, Ref: group[0]})
+		if _, ok := s.startAdmittedLocked(group); ok {
 			s.scanCursor = group[len(group)-1]
 			s.scanCursorSet = true
 			started++
@@ -453,19 +430,13 @@ func (s *Site) scheduleBackTracesLocked() int {
 }
 
 // groupSuspectsLocked groups candidate suspects whose insets overlap (per
-// the installed back information) into batches of at most Config.TraceBatch.
+// the installed back information) into batches of at most Config.TraceBatch
+// (single suspects when it is zero or one).
 // Two suspects land in one group when they share an inref in their insets —
 // their back-trace cones meet at that inref, so one trace's visit marks
 // cover both (Section 4.5).
 func (s *Site) groupSuspectsLocked(cands []ids.Ref) [][]ids.Ref {
 	max := s.cfg.TraceBatch
-	if max <= 1 {
-		out := make([][]ids.Ref, len(cands))
-		for i, c := range cands {
-			out[i] = []ids.Ref{c}
-		}
-		return out
-	}
 	var groups [][]ids.Ref
 	owner := make(map[ids.ObjID]int) // inset inref → group index
 	for _, c := range cands {
@@ -511,7 +482,7 @@ func (s *Site) enqueuePendingLocked(target ids.Ref) {
 // trace (message delivery, commit, timeout scan) — never inside an engine
 // callback.
 func (s *Site) drainAdmissionsLocked() {
-	if !s.admitPending || !s.schedulerOn() {
+	if !s.admitPending {
 		return
 	}
 	s.admitPending = false
@@ -538,36 +509,25 @@ func (s *Site) drainAdmissionsLocked() {
 		if !s.engine.ShouldStart(p.target) {
 			continue
 		}
-		if t, ok := s.startTraceAdmitted(p.target); ok {
-			s.emit(event.Event{Kind: event.TraceStarted, Trace: t, Ref: p.target})
-		}
+		s.startAdmittedLocked([]ids.Ref{p.target})
 	}
 }
 
-// startTraceAdmitted starts one back trace through the admission
-// accounting: the in-flight count rises before the engine runs (the trace
-// may complete synchronously, decrementing it again via the completion
-// callback) and reverts if no trace started.
-func (s *Site) startTraceAdmitted(target ids.Ref) (ids.TraceID, bool) {
-	s.inflight++
-	s.cfg.Counters.Max(metrics.BackTraceInflight, int64(s.inflight))
-	t, ok := s.engine.StartTrace(target)
-	if !ok {
-		s.inflight--
-	}
-	return t, ok
-}
-
-// startBatchAdmitted is startTraceAdmitted for a multi-suspect group; the
-// whole batch occupies one admission slot (it is one trace).
-func (s *Site) startBatchAdmitted(targets []ids.Ref) (ids.TraceID, bool) {
+// startAdmittedLocked starts one back trace from a group of suspects
+// through the admission accounting: the whole group occupies one slot (it
+// is one trace). The in-flight count rises before the engine runs (the
+// trace may complete synchronously, decrementing it again via the
+// completion callback) and reverts if no trace started.
+func (s *Site) startAdmittedLocked(targets []ids.Ref) (ids.TraceID, bool) {
 	s.inflight++
 	s.cfg.Counters.Max(metrics.BackTraceInflight, int64(s.inflight))
 	t, ok := s.engine.StartBatchTrace(targets)
 	if !ok {
 		s.inflight--
+		return t, false
 	}
-	return t, ok
+	s.emit(event.Event{Kind: event.TraceStarted, Trace: t, Ref: targets[0]})
+	return t, true
 }
 
 // StartBackTrace starts a back trace from a specific outref, bypassing the
@@ -577,11 +537,7 @@ func (s *Site) StartBackTrace(target ids.Ref) (ids.TraceID, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.flushOutbox()
-	t, ok := s.startTraceAdmitted(target)
-	if ok {
-		s.emit(event.Event{Kind: event.TraceStarted, Trace: t, Ref: target})
-	}
-	return t, ok
+	return s.startAdmittedLocked([]ids.Ref{target})
 }
 
 // GarbageFlaggedInrefs returns the local objects whose inrefs a completed

@@ -96,7 +96,7 @@ func (s *Site) AddReference(container ids.ObjID, target ids.Ref) error {
 			// received: a protocol violation in the caller.
 			return fmt.Errorf("site %v: add reference: no outref for %v (reference was never transferred here)", s.cfg.ID, target)
 		}
-		if !o.IsClean(s.threshold) && !s.cfg.SkipTransferBarrierUnsafe {
+		if !o.IsClean(s.cfg.SuspicionThreshold) && !s.cfg.SkipTransferBarrierUnsafe {
 			s.cleanOutref(target)
 		}
 	} else {

@@ -102,12 +102,14 @@ type outrefRec struct {
 }
 
 type snapshotRec struct {
-	Version       int
-	Site          ids.SiteID
-	NextObj       ids.ObjID
-	Objects       []objectRec
-	Inrefs        []inrefRec
-	Outrefs       []outrefRec
+	Version int
+	Site    ids.SiteID
+	NextObj ids.ObjID
+	Objects []objectRec
+	Inrefs  []inrefRec
+	Outrefs []outrefRec
+	// SuspThreshold records T for readers of the image; Restore takes T
+	// from its Config.
 	SuspThreshold int
 	// Incarnation is the site's session epoch at checkpoint time (zero when
 	// the network has no session layer). Recovery restarts with a strictly
@@ -143,7 +145,7 @@ func (s *Site) WriteCheckpoint(w io.Writer) error {
 		Version:       snapshotVersion,
 		Site:          s.cfg.ID,
 		NextObj:       s.heap.NextID(),
-		SuspThreshold: s.threshold,
+		SuspThreshold: s.cfg.SuspicionThreshold,
 	}
 	if sn, ok := s.cfg.Network.(transport.SessionNetwork); ok {
 		rec.Incarnation = sn.Incarnation(s.cfg.ID)
@@ -251,13 +253,6 @@ func Restore(cfg Config, r io.Reader) (*Site, error) {
 			o.Distance = orc.Distance
 			o.BackThreshold = orc.BackThreshold
 			o.Barrier = true // conservatively clean until the first trace
-		}
-		// Adopt the checkpointed suspicion threshold when AdaptiveThreshold
-		// had raised it beyond the configured value, so a restart does not
-		// forget the tuning.
-		if rec.SuspThreshold > s.threshold {
-			s.threshold = rec.SuspThreshold
-			s.engine.SetThreshold(s.threshold)
 		}
 		// Keep trace ids unique across incarnations (Section 4.7's "unique
 		// id" must hold for the site's whole lifetime, crashes included).

@@ -90,17 +90,11 @@ type Config struct {
 	// each local trace from every outref whose distance has crossed its
 	// back threshold.
 	AutoBackTrace bool
-	// AdaptiveThreshold, when true, raises the suspicion threshold after
-	// repeated Live back-trace outcomes (the tuning knob Section 3
-	// suggests: "if too many suspects are found live, the threshold
-	// should be increased").
-	AdaptiveThreshold bool
 	// MaxInflightTraces caps the back traces this site may have in flight
 	// as initiator. Suspects beyond the cap are parked in a
 	// distance-priority admission queue and started as completions free
 	// slots; trigger scans resume round-robin where the previous scan
-	// stopped, so one commit cannot flood the network. Zero means
-	// unlimited (the legacy trigger behaviour).
+	// stopped, so one commit cannot flood the network. Zero means no cap.
 	MaxInflightTraces int
 	// TraceBatch, when above one, groups up to that many suspected
 	// outrefs whose insets overlap (per the installed back information)
@@ -212,11 +206,6 @@ type Site struct {
 	engine *core.Engine
 	back   *tracer.BackInfo
 
-	// threshold is the current suspicion threshold T. It starts at
-	// Config.SuspicionThreshold and may be raised by AdaptiveThreshold;
-	// it lives here rather than in cfg so Config stays a copyable value.
-	threshold int
-
 	// tracing is true from a local trace's snapshot until its commit (or
 	// abandonment); transfer barriers record their applications while it
 	// is set so the commit can replay them onto the new back information.
@@ -238,8 +227,6 @@ type Site struct {
 	// reuse. Guarded by traceMu, not mu: it is touched only inside a
 	// local-trace lifecycle.
 	tracer tracer.Tracer
-
-	liveStreak int // consecutive Live outcomes, for AdaptiveThreshold
 
 	// --- trace-scheduler state (guarded by mu) ---
 
@@ -345,7 +332,6 @@ func New(cfg Config) *Site {
 		heap:           heap.NewSharded(cfg.ID, shards),
 		table:          refs.NewTableSharded(cfg.ID, cfg.BackThreshold, shards),
 		back:           tracer.EmptyBackInfo(),
-		threshold:      cfg.SuspicionThreshold,
 		pendingInserts: make(map[ids.Ref]msg.Insert),
 		farewell:       make(map[ids.SiteID]int),
 		pendingSet:     make(map[ids.Ref]struct{}),
@@ -393,7 +379,7 @@ func New(cfg Config) *Site {
 		"suspects parked in the admission queue because the in-flight cap was reached")
 	s.engine = core.NewEngine(core.Config{
 		Site:          cfg.ID,
-		Threshold:     s.threshold,
+		Threshold:     cfg.SuspicionThreshold,
 		ThresholdBump: cfg.ThresholdBump,
 		CallTimeout:   cfg.CallTimeout,
 		ReportTimeout: cfg.ReportTimeout,
@@ -590,20 +576,6 @@ func (s *Site) onTraceCompleted(t ids.TraceID, outcome msg.Verdict, participants
 		Verdict:      outcome,
 		Participants: participants,
 	})
-	if !s.cfg.AdaptiveThreshold {
-		return
-	}
-	if outcome == msg.VerdictLive {
-		s.liveStreak++
-		if s.liveStreak >= 3 {
-			// Too many live suspects: raise T (Section 3).
-			s.threshold++
-			s.engine.SetThreshold(s.threshold)
-			s.liveStreak = 0
-		}
-	} else {
-		s.liveStreak = 0
-	}
 }
 
 // Completions drains and returns the outcomes of back traces initiated by
@@ -717,14 +689,9 @@ func (s *Site) assertOutboxFlushed() {
 	}
 }
 
-// SuspicionThreshold returns the site's current suspicion threshold T
-// (which AdaptiveThreshold may have raised).
-func (s *Site) SuspicionThreshold() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.assertOutboxFlushed()
-	return s.threshold
-}
+// Config returns the configuration the site runs with, defaults applied.
+// It never changes after New (or Restore), so it takes no lock.
+func (s *Site) Config() Config { return s.cfg }
 
 // --- introspection for tests, tools, and experiments ---------------------
 
@@ -780,7 +747,7 @@ func (s *Site) Inrefs() []InrefInfo {
 			Obj:      in.Obj,
 			Distance: in.Distance(),
 			Sources:  in.SourceSites(),
-			Clean:    in.IsClean(s.threshold),
+			Clean:    in.IsClean(s.cfg.SuspicionThreshold),
 			Garbage:  in.Garbage,
 		})
 	}
@@ -807,7 +774,7 @@ func (s *Site) Outrefs() []OutrefInfo {
 		out = append(out, OutrefInfo{
 			Target:        o.Target,
 			Distance:      o.Distance,
-			Clean:         o.IsClean(s.threshold),
+			Clean:         o.IsClean(s.cfg.SuspicionThreshold),
 			Pinned:        o.Pins > 0,
 			BackThreshold: o.BackThreshold,
 			Inset:         s.back.Inset(o.Target),

@@ -173,39 +173,6 @@ func TestInsertForMissingObjectStillReleasesPin(t *testing.T) {
 	_ = a
 }
 
-func TestAdaptiveThresholdRaisesAfterLiveStreak(t *testing.T) {
-	net := transport.NewNet(transport.Options{Stepped: true})
-	defer net.Close()
-	counters := &metrics.Counters{}
-	a := New(Config{
-		ID: 1, Network: net,
-		SuspicionThreshold: 3, BackThreshold: 5, ThresholdBump: 2,
-		AdaptiveThreshold: true, Counters: counters,
-	})
-	b := New(Config{
-		ID: 2, Network: net,
-		SuspicionThreshold: 3, BackThreshold: 5,
-		Counters: counters,
-	})
-	_ = b
-
-	before := a.SuspicionThreshold()
-	// Three Live outcomes in a row must raise T by one.
-	for i := 0; i < 3; i++ {
-		a.onTraceCompleted(ids.TraceID{Initiator: 1, Seq: uint64(i)}, msg.VerdictLive, nil)
-	}
-	if got := a.SuspicionThreshold(); got != before+1 {
-		t.Fatalf("threshold = %d after live streak, want %d", got, before+1)
-	}
-	// A Garbage outcome resets the streak.
-	a.onTraceCompleted(ids.TraceID{Initiator: 1, Seq: 9}, msg.VerdictGarbage, nil)
-	a.onTraceCompleted(ids.TraceID{Initiator: 1, Seq: 10}, msg.VerdictLive, nil)
-	a.onTraceCompleted(ids.TraceID{Initiator: 1, Seq: 11}, msg.VerdictLive, nil)
-	if got := a.SuspicionThreshold(); got != before+1 {
-		t.Fatalf("threshold rose without a full live streak: %d", got)
-	}
-}
-
 // TestTCPEndToEndCycleCollection runs two real sites over TCP loopback and
 // collects a two-site garbage cycle — the full stack, sockets included.
 func TestTCPEndToEndCycleCollection(t *testing.T) {

@@ -18,11 +18,13 @@ type harness struct {
 func newHarness(t *testing.T, sites int) *harness {
 	t.Helper()
 	c := cluster.New(cluster.Options{
-		NumSites:           sites,
-		SuspicionThreshold: 3,
-		BackThreshold:      7,
-		ThresholdBump:      4,
-		AutoBackTrace:      true,
+		NumSites: sites,
+		Site: site.Config{
+			SuspicionThreshold: 3,
+			BackThreshold:      7,
+			ThresholdBump:      4,
+			AutoBackTrace:      true,
+		},
 	})
 	t.Cleanup(c.Close)
 	m := make(map[ids.SiteID]*site.Site, sites)

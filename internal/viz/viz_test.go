@@ -5,15 +5,18 @@ import (
 	"testing"
 
 	"backtrace/internal/cluster"
+	"backtrace/internal/site"
 )
 
 func testCluster(t *testing.T) *cluster.Cluster {
 	t.Helper()
 	c := cluster.New(cluster.Options{
-		NumSites:           3,
-		SuspicionThreshold: 3,
-		BackThreshold:      1 << 20,
-		AutoBackTrace:      false,
+		NumSites: 3,
+		Site: site.Config{
+			SuspicionThreshold: 3,
+			BackThreshold:      1 << 20,
+			AutoBackTrace:      false,
+		},
 	})
 	t.Cleanup(c.Close)
 	return c
@@ -49,11 +52,13 @@ func TestClusterDOTStructure(t *testing.T) {
 
 func TestClusterDOTFlaggedGarbage(t *testing.T) {
 	c := cluster.New(cluster.Options{
-		NumSites:           2,
-		SuspicionThreshold: 3,
-		BackThreshold:      7,
-		ThresholdBump:      4,
-		AutoBackTrace:      false,
+		NumSites: 2,
+		Site: site.Config{
+			SuspicionThreshold: 3,
+			BackThreshold:      7,
+			ThresholdBump:      4,
+			AutoBackTrace:      false,
+		},
 	})
 	defer c.Close()
 	objs := c.BuildRing()

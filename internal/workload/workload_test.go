@@ -4,15 +4,18 @@ import (
 	"testing"
 
 	"backtrace/internal/cluster"
+	"backtrace/internal/site"
 )
 
 func testCluster(n int) *cluster.Cluster {
 	return cluster.New(cluster.Options{
-		NumSites:           n,
-		SuspicionThreshold: 3,
-		BackThreshold:      7,
-		ThresholdBump:      4,
-		AutoBackTrace:      true,
+		NumSites: n,
+		Site: site.Config{
+			SuspicionThreshold: 3,
+			BackThreshold:      7,
+			ThresholdBump:      4,
+			AutoBackTrace:      true,
+		},
 	})
 }
 
