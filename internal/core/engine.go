@@ -21,7 +21,10 @@
 // out to, each carrying one BackStep per inter-site reference. A trace
 // therefore costs two messages per (handled call, destination site)
 // crossing plus one report per participant: 2W+P, which is the paper's
-// 2E+P (Section 4.6) whenever every hop crosses a distinct site pair.
+// 2E+P (Section 4.6) whenever every hop crosses a distinct site pair. A
+// site that applies messages in bursts can widen the grouping to the
+// whole burst (Hold): one call per (destination, trace) and one reply per
+// (caller site, trace) for everything the burst's handled messages send.
 //
 // The engine also implements:
 //
@@ -173,20 +176,41 @@ type pendingReply struct {
 	sites   []ids.SiteID
 }
 
-// outMsg is one message queued by the current entry point. A BackCall is
-// queued as an index into Engine.calls (m nil), so later steps join it
-// without re-boxing the message.
+// outMsg is one message waiting to ship. A BackCall or BackReply waits as an
+// index into Engine.calls or Engine.replies (m nil), so later steps and
+// results join it without re-boxing the message.
 type outMsg struct {
 	to   ids.SiteID
+	kind outKind
+	i    int
 	m    msg.Message
-	call int
 }
 
-// queuedCall is the BackCall the current entry point is assembling for one
-// destination site.
+// outKind says where an outMsg's message is.
+type outKind uint8
+
+const (
+	outMessage outKind = iota // in m
+	outCall                   // calls[i]
+	outReply                  // replies[i]
+	outGone                   // shipped early by FlushTo, or merged into a later reply
+)
+
+// queuedCall is the BackCall waiting to ship to one destination site for
+// one trace. shipped closes it to later joins once FlushTo sent it.
 type queuedCall struct {
-	to   ids.SiteID
-	call msg.BackCall
+	to      ids.SiteID
+	call    msg.BackCall
+	shipped bool
+}
+
+// queuedReply is the BackReply a hold keeps waiting for one (caller site,
+// trace); slot is its current place in Engine.out.
+type queuedReply struct {
+	to      ids.SiteID
+	reply   msg.BackReply
+	slot    int
+	shipped bool
 }
 
 // inrefMark / outrefMark record one visit mark together with the batch
@@ -276,11 +300,16 @@ type Engine struct {
 	memoIn  map[ids.ObjID]uint64
 	memoOut map[ids.Ref]uint64
 
-	// out holds the messages the current entry point sends, in send order;
-	// calls holds its BackCalls, one per (destination, trace), so later
-	// steps join them. flush ships them when the entry point returns.
-	out   []outMsg
-	calls []queuedCall
+	// out holds the messages waiting to ship, in send order. calls holds
+	// their BackCalls, one per (destination, trace), so later steps join
+	// them; replies holds the BackReplies a hold keeps, one per (caller
+	// site, trace), so later results merge into them. Each entry point
+	// ships everything when it returns, unless the owning site holds the
+	// outbox for a burst (Hold), in which case Release ships it.
+	out     []outMsg
+	calls   []queuedCall
+	replies []queuedReply
+	holding bool
 	// self is the one-site participant list of an answer given without a
 	// frame; sources is stepRemote's scratch list of source sites. Both
 	// are only read by the code they are handed to.
@@ -324,41 +353,78 @@ func NewEngine(cfg Config) *Engine {
 	}
 }
 
-// send queues a message for the end of the current entry point.
+// send queues a message for the end of the current entry point (or burst).
 func (e *Engine) send(to ids.SiteID, m msg.Message) {
 	e.out = append(e.out, outMsg{to: to, m: m})
 }
 
 // sendStep queues one back step for a source site, joining the BackCall
-// this entry point already queued for the same (destination, trace).
-// Joining an earlier call only ever moves a step ahead of messages queued
-// after that call, never a reply ahead of a call.
+// already waiting for the same (destination, trace). Joining an earlier
+// call only ever moves a step ahead of engine messages queued after that
+// call, never ahead of anything else: the site ships the held messages for
+// a destination (FlushTo) before it sends that destination any message of
+// its own, which also closes the shipped call to further joins.
 func (e *Engine) sendStep(to ids.SiteID, t ids.TraceID, initiator ids.SiteID, step msg.BackStep) {
 	for i := range e.calls {
-		if c := &e.calls[i]; c.to == to && c.call.Trace == t {
+		if c := &e.calls[i]; c.to == to && c.call.Trace == t && !c.shipped {
 			c.call.Steps = append(c.call.Steps, step)
 			return
 		}
 	}
-	e.out = append(e.out, outMsg{to: to, call: len(e.calls)})
+	e.out = append(e.out, outMsg{to: to, kind: outCall, i: len(e.calls)})
 	e.calls = append(e.calls, queuedCall{to: to, call: msg.BackCall{Trace: t, Initiator: initiator, Steps: []msg.BackStep{step}}})
 }
 
-// flush ships the current entry point's messages in send order, then drops
-// the trace records that went idle. Every exported method that can send or
-// change a trace record defers it.
-func (e *Engine) flush() {
-	for _, o := range e.out {
-		if o.m == nil {
-			e.cfg.Send(o.to, e.calls[o.call].call)
-		} else {
-			e.cfg.Send(o.to, o.m)
+// sendReply queues a completed BackReply. Outside a hold each reply ships
+// on its own. During a hold, a reply to a (caller site, trace) that already
+// has one waiting takes over that reply's results, which move to the newer
+// reply's place: merging only ever delays results behind engine messages
+// queued meanwhile, so no result overtakes a message sent before it.
+func (e *Engine) sendReply(to ids.SiteID, r msg.BackReply) {
+	if !e.holding {
+		e.send(to, r)
+		return
+	}
+	for i := range e.replies {
+		if q := &e.replies[i]; q.to == to && q.reply.Trace == r.Trace && !q.shipped {
+			r.Results = append(q.reply.Results, r.Results...)
+			e.out[q.slot].kind = outGone
+			q.reply, q.slot = r, len(e.out)
+			e.out = append(e.out, outMsg{to: to, kind: outReply, i: i})
+			return
 		}
 	}
-	clear(e.out)
-	e.out = e.out[:0]
-	clear(e.calls)
-	e.calls = e.calls[:0]
+	e.out = append(e.out, outMsg{to: to, kind: outReply, i: len(e.replies)})
+	e.replies = append(e.replies, queuedReply{to: to, reply: r, slot: len(e.out) - 1})
+}
+
+// ship sends one waiting message.
+func (e *Engine) ship(o outMsg) {
+	switch o.kind {
+	case outMessage:
+		e.cfg.Send(o.to, o.m)
+	case outCall:
+		e.cfg.Send(o.to, e.calls[o.i].call)
+	case outReply:
+		e.cfg.Send(o.to, e.replies[o.i].reply)
+	}
+}
+
+// flush ends an entry point: unless a hold keeps them, it ships the waiting
+// messages in send order; then it drops the trace records that went idle.
+// Every exported method that can send or change a trace record defers it.
+func (e *Engine) flush() {
+	if !e.holding {
+		for _, o := range e.out {
+			e.ship(o)
+		}
+		clear(e.out)
+		e.out = e.out[:0]
+		clear(e.calls)
+		e.calls = e.calls[:0]
+		clear(e.replies)
+		e.replies = e.replies[:0]
+	}
 	for _, ts := range e.idle {
 		ts.retiring = false
 		if ts.active || ts.marked {
@@ -369,6 +435,47 @@ func (e *Engine) flush() {
 	}
 	clear(e.idle)
 	e.idle = e.idle[:0]
+}
+
+// --- holding the outbox across entry points ----------------------------------
+
+// Hold keeps the messages entry points queue waiting past their return, so
+// the steps many handled messages send one destination for one trace join
+// one BackCall, and the replies they owe one caller site for one trace
+// merge into one BackReply. A mailbox site holds for one dispatch burst.
+// While holding, the site must call FlushTo before it sends a destination
+// any message of its own, and Release when the burst ends. Hold is
+// idempotent.
+func (e *Engine) Hold() { e.holding = true }
+
+// Holding reports whether a hold is open.
+func (e *Engine) Holding() bool { return e.holding }
+
+// Release ends a hold and ships everything it kept, in send order.
+func (e *Engine) Release() {
+	e.holding = false
+	e.flush()
+}
+
+// FlushTo ships, in send order, every message waiting for one site, and
+// closes the shipped BackCalls and BackReplies to later joins, so a message
+// the site sends there next follows them on the link (R1). Outside a hold
+// nothing waits between entry points and it does nothing.
+func (e *Engine) FlushTo(to ids.SiteID) {
+	for i := range e.out {
+		o := &e.out[i]
+		if o.to != to || o.kind == outGone {
+			continue
+		}
+		e.ship(*o)
+		switch o.kind {
+		case outCall:
+			e.calls[o.i].shipped = true
+		case outReply:
+			e.replies[o.i].shipped = true
+		}
+		o.kind = outGone
+	}
 }
 
 // --- per-trace records --------------------------------------------------------
@@ -927,7 +1034,7 @@ func (e *Engine) replyTo(r ret, ts *traceState, verdict msg.Verdict, participant
 		}
 		p.pending--
 		if p.pending == 0 {
-			e.send(p.to, p.msg)
+			e.sendReply(p.to, p.msg)
 		}
 	case r.batch != nil:
 		e.applyBatchReply(r.batch, r.entry, verdict, participants, deps)

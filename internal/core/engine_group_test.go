@@ -157,3 +157,110 @@ func TestGroupedLiveStepShortCircuitsOnlyItsFrame(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupedHeldStepsAndRepliesMerge: while a hold is open, site 2 handles
+// two BackCalls of one trace from site 1. Their onward steps to site 3
+// join one BackCall across the two entry points, and once site 3 answers,
+// the two replies site 2 owes site 1 for that trace merge into one
+// BackReply with the results in the order they completed, while a reply
+// for another trace stays separate. Without a hold the same calls cost one
+// message each, as before.
+func TestGroupedHeldStepsAndRepliesMerge(t *testing.T) {
+	r := newRig(t, 2, 3)
+	// Site 2: suspected outrefs (1,5) {inset 20} and (1,6) {inset 21};
+	// inrefs 20 and 21 are sourced from site 3, which knows neither, so
+	// each step there answers Garbage. (1,7) is clean and answers Live.
+	r.addOutref(2, ids.MakeRef(1, 5), 41, 20)
+	r.addOutref(2, ids.MakeRef(1, 6), 41, 21)
+	r.addOutref(2, ids.MakeRef(1, 7), 1)
+	r.addSuspectInref(2, 20, 40, 3)
+	r.addSuspectInref(2, 21, 40, 3)
+	tr := ids.TraceID{Initiator: 1, Seq: 7}
+	other := ids.TraceID{Initiator: 1, Seq: 8}
+	call := func(t ids.TraceID, seq uint64, obj ids.ObjID) msg.BackCall {
+		return msg.BackCall{Trace: t, Initiator: 1, Steps: []msg.BackStep{{Caller: ids.FrameID{Site: 1, Seq: seq}, Outref: ids.MakeRef(1, obj)}}}
+	}
+
+	e := r.engines[2]
+	e.Hold()
+	e.HandleBackCall(1, call(tr, 10, 5))
+	e.HandleBackCall(1, call(tr, 11, 6))
+	e.HandleBackCall(1, call(other, 12, 7)) // answered Live at once: its reply waits too
+	if len(r.queue) != 0 {
+		t.Fatalf("a hold shipped %d messages", len(r.queue))
+	}
+	e.FlushTo(3)
+	onward := popMessage[msg.BackCall](r, 2, 3)
+	if len(onward.Steps) != 2 || len(r.queue) != 0 {
+		t.Fatalf("FlushTo(3) sent a %d-step call plus %d messages, want one 2-step call", len(onward.Steps), len(r.queue))
+	}
+	r.deliver(msg.Envelope{From: 2, To: 3, M: onward})
+	// Site 3 answers both steps in one reply; handling it completes both of
+	// site 2's replies to site 1 for tr in one entry point.
+	r.deliver(msg.Envelope{From: 3, To: 2, M: popMessage[msg.BackReply](r, 3, 2)})
+	if len(r.queue) != 0 {
+		t.Fatalf("a hold shipped %d messages", len(r.queue))
+	}
+	e.Release()
+
+	live := popMessage[msg.BackReply](r, 2, 1)
+	if live.Trace != other || len(live.Results) != 1 || live.Results[0].Result != msg.VerdictLive {
+		t.Fatalf("first reply %+v, want trace %v's one Live result", live, other)
+	}
+	merged := popMessage[msg.BackReply](r, 2, 1)
+	if merged.Trace != tr || len(merged.Results) != 2 || len(r.queue) != 0 {
+		t.Fatalf("second reply %+v (+%d queued), want one reply for %v with 2 results", merged, len(r.queue), tr)
+	}
+	for i, res := range merged.Results {
+		if res.Caller.Seq != uint64(10+i) || res.Result != msg.VerdictGarbage {
+			t.Fatalf("merged result %d = %+v, want Garbage for caller seq %d", i, res, 10+i)
+		}
+		if len(res.Participants) != 2 {
+			t.Fatalf("merged result %d participants %v, want sites 2 and 3", i, res.Participants)
+		}
+	}
+
+	// No hold: two calls, two onward calls, two replies.
+	fresh := ids.TraceID{Initiator: 1, Seq: 9}
+	e.HandleBackCall(1, call(fresh, 20, 5))
+	e.HandleBackCall(1, call(fresh, 21, 6))
+	first := popMessage[msg.BackCall](r, 2, 3)
+	second := popMessage[msg.BackCall](r, 2, 3)
+	if len(first.Steps) != 1 || len(second.Steps) != 1 {
+		t.Fatalf("unheld calls sent %d- and %d-step calls, want 1 and 1", len(first.Steps), len(second.Steps))
+	}
+	r.deliver(msg.Envelope{From: 2, To: 3, M: first})
+	r.deliver(msg.Envelope{From: 2, To: 3, M: second})
+	r.pump()
+	if got := r.counters.Get("msg.BackReply"); got != 1+2+2+2 {
+		t.Fatalf("msg.BackReply = %d, want 7 (1 from site 3 and 2 from site 2 held, then 2 + 2 unheld)", got)
+	}
+}
+
+// TestGroupedFlushToClosesJoin: FlushTo ships a held BackCall, so a step
+// for the same (destination, trace) sent after it travels in a new call
+// and can never overtake what the site sent in between.
+func TestGroupedFlushToClosesJoin(t *testing.T) {
+	r := newRig(t, 2)
+	r.addOutref(2, ids.MakeRef(1, 5), 41, 20)
+	r.addOutref(2, ids.MakeRef(1, 6), 41, 21)
+	r.addSuspectInref(2, 20, 40, 3)
+	r.addSuspectInref(2, 21, 40, 3)
+	tr := ids.TraceID{Initiator: 1, Seq: 7}
+	e := r.engines[2]
+	e.Hold()
+	e.HandleBackCall(1, msg.BackCall{Trace: tr, Initiator: 1, Steps: []msg.BackStep{{Caller: ids.FrameID{Site: 1, Seq: 1}, Outref: ids.MakeRef(1, 5)}}})
+	e.FlushTo(3)
+	e.HandleBackCall(1, msg.BackCall{Trace: tr, Initiator: 1, Steps: []msg.BackStep{{Caller: ids.FrameID{Site: 1, Seq: 2}, Outref: ids.MakeRef(1, 6)}}})
+	e.FlushTo(3)
+	e.FlushTo(3) // nothing left: a second flush ships nothing twice
+	e.Release()
+	a := popMessage[msg.BackCall](r, 2, 3)
+	b := popMessage[msg.BackCall](r, 2, 3)
+	if len(a.Steps) != 1 || len(b.Steps) != 1 || len(r.queue) != 0 {
+		t.Fatalf("calls carry %d and %d steps (+%d queued), want 1 and 1", len(a.Steps), len(b.Steps), len(r.queue))
+	}
+	if a.Steps[0].Outref.Obj != 20 || b.Steps[0].Outref.Obj != 21 {
+		t.Fatalf("steps out of order: %v then %v", a.Steps[0].Outref, b.Steps[0].Outref)
+	}
+}

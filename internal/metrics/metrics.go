@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"backtrace/internal/msg"
 	"backtrace/internal/obs"
@@ -32,6 +33,8 @@ import (
 type Counters struct {
 	mu  sync.Mutex
 	reg *obs.Registry
+	// msgs holds ObserveMessage's handles into reg.
+	msgs msgCounters
 }
 
 // NewCounters creates a Counters facade over an existing registry, so the
@@ -146,16 +149,70 @@ func MsgName(m msg.Message) string { return "msg." + msg.Name(m) }
 // transport.Observer. One call counts one physical frame and every logical
 // leaf message inside it.
 func (c *Counters) ObserveMessage(env msg.Envelope, dropped bool) {
+	h := &c.msgs
 	if dropped {
-		c.Inc(MsgDropped)
+		h.dropped.inc(c, MsgDropped)
 		return
 	}
-	c.Inc(WireFrames)
-	reg := c.Registry()
+	h.frames.inc(c, WireFrames)
 	msg.Leaves(env.M, func(leaf msg.Message) {
-		reg.Counter(MsgTotal, "").Add(1)
-		reg.Counter(MsgName(leaf), "").Add(1)
+		h.total.inc(c, MsgTotal)
+		if i := leafSlot(leaf); i >= 0 {
+			h.byType[i].inc(c, slotNames[i])
+		} else {
+			c.Inc(MsgName(leaf))
+		}
 	})
+}
+
+// msgCounters are ObserveMessage's instruments, one slot per counter name,
+// so a message costs atomic adds rather than registry lookups.
+type msgCounters struct {
+	dropped, frames, total lazyCounter
+	byType                 [len(slotNames)]lazyCounter // indexed by leafSlot
+}
+
+// lazyCounter is a counter handle resolved on first use, so the counter is
+// declared once something is counted, exactly as a by-name Inc declares it.
+type lazyCounter struct{ p atomic.Pointer[obs.Counter] }
+
+func (l *lazyCounter) inc(c *Counters, name string) {
+	ctr := l.p.Load()
+	if ctr == nil {
+		ctr = c.Registry().Counter(name, "")
+		l.p.Store(ctr)
+	}
+	ctr.Inc()
+}
+
+// slotNames are the counter names of the msgCounters.byType slots.
+var slotNames = [...]string{
+	MsgName(msg.RefTransfer{}), MsgName(msg.Insert{}), MsgName(msg.InsertAck{}), MsgName(msg.ReleasePin{}),
+	MsgName(msg.Update{}), MsgName(msg.BackCall{}), MsgName(msg.BackReply{}), MsgName(msg.Report{}),
+}
+
+// leafSlot returns the msgCounters.byType slot of a protocol message, or -1
+// for any other leaf.
+func leafSlot(m msg.Message) int {
+	switch m.(type) {
+	case msg.RefTransfer:
+		return 0
+	case msg.Insert:
+		return 1
+	case msg.InsertAck:
+		return 2
+	case msg.ReleasePin:
+		return 3
+	case msg.Update:
+		return 4
+	case msg.BackCall:
+		return 5
+	case msg.BackReply:
+		return 6
+	case msg.Report:
+		return 7
+	}
+	return -1
 }
 
 // Transport and reliable-link-layer counter names (transport.TCPNode and

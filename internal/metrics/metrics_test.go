@@ -76,6 +76,41 @@ func TestObserveMessage(t *testing.T) {
 	}
 }
 
+// TestObserveMessageEveryType: each leaf type counts under its own name,
+// wrappers are unwrapped, and only what was observed is declared.
+func TestObserveMessageEveryType(t *testing.T) {
+	leaves := []msg.Message{
+		msg.RefTransfer{}, msg.Insert{}, msg.InsertAck{}, msg.ReleasePin{},
+		msg.Update{}, msg.BackCall{}, msg.BackReply{}, msg.Report{}, msg.LinkAck{},
+	}
+	for _, leaf := range leaves {
+		var c Counters
+		c.ObserveMessage(msg.Envelope{M: leaf}, false)
+		c.ObserveMessage(msg.Envelope{M: msg.LinkData{Payload: msg.Batch{Items: []msg.Message{leaf, leaf}}}}, false)
+		want := map[string]int64{WireFrames: 2, MsgTotal: 3, MsgName(leaf): 3}
+		got := c.Snapshot()
+		if len(got) != len(want) {
+			t.Fatalf("%s: declared %v, want %v", msg.Name(leaf), got, want)
+		}
+		for name, n := range want {
+			if got[name] != n {
+				t.Fatalf("%s: %s = %d, want %d", msg.Name(leaf), name, got[name], n)
+			}
+		}
+	}
+}
+
+// BenchmarkObserveMessage: one two-leaf frame counted, the transport
+// observer's per-send cost.
+func BenchmarkObserveMessage(b *testing.B) {
+	var c Counters
+	env := msg.Envelope{From: 1, To: 2, M: msg.Batch{Items: []msg.Message{msg.BackCall{}, msg.BackReply{}}}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.ObserveMessage(env, false)
+	}
+}
+
 func TestMsgName(t *testing.T) {
 	if got := MsgName(msg.BackCall{}); got != "msg.BackCall" {
 		t.Fatalf("MsgName = %q", got)

@@ -8,6 +8,7 @@ import (
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
 	"backtrace/internal/msg"
+	"backtrace/internal/obs"
 )
 
 // inbound is one queued inbox entry: the sending site, its message, and
@@ -37,10 +38,22 @@ type mailbox struct {
 	closed   bool
 	idle     chan struct{} // non-nil while a waiter needs a busy==0 signal
 	done     chan struct{} // closed when the dispatcher exits
+
+	// The enqueue path's instruments, resolved once on the shared registry.
+	enqueued, backpressure *obs.Counter
+	depthPeak              *obs.Gauge
 }
 
 func newMailbox(s *Site, capacity int) *mailbox {
-	mb := &mailbox{s: s, capacity: capacity, done: make(chan struct{})}
+	reg := s.cfg.Counters.Registry()
+	mb := &mailbox{
+		s:            s,
+		capacity:     capacity,
+		done:         make(chan struct{}),
+		enqueued:     reg.Counter(metrics.MailboxEnqueued, ""),
+		backpressure: reg.Counter(metrics.MailboxBackpressure, ""),
+		depthPeak:    reg.Gauge(metrics.MailboxDepthPeak, ""),
+	}
 	mb.notEmpty = sync.NewCond(&mb.mu)
 	mb.notFull = sync.NewCond(&mb.mu)
 	go mb.run()
@@ -67,25 +80,42 @@ func (mb *mailbox) enqueue(from ids.SiteID, m msg.Message) {
 	mb.notEmpty.Signal()
 	mb.mu.Unlock()
 
-	c := mb.s.cfg.Counters
-	c.Inc(metrics.MailboxEnqueued)
-	c.Max(metrics.MailboxDepthPeak, int64(depth))
+	mb.enqueued.Inc()
+	mb.depthPeak.Max(int64(depth))
 	mb.s.gaugeDepth.Set(int64(depth))
 	if waited {
-		c.Inc(metrics.MailboxBackpressure)
+		mb.backpressure.Inc()
 	}
 }
 
+// burstCap bounds a burst: the dispatcher closes it after this many
+// messages even while the inbox stays full. It is also the bound on what
+// the engine holds, which is what this many handled messages (and the
+// mutator and commit entry points that run meanwhile) send.
+const burstCap = 64
+
 // run is the dispatch loop: dequeue one message, apply it to the site
 // (taking the site lock outside the mailbox lock), repeat until stopped.
+// Messages are applied in bursts. The first message of a burst opens it;
+// the burst closes inside the critical section of the message after which
+// the inbox is empty or burstCap messages were applied (burstOver), or, if
+// the mailbox stops first, before the dispatcher exits. Either way it
+// closes before its last message stops counting toward depth, so an idle
+// mailbox never leaves back-trace messages held.
 func (mb *mailbox) run() {
 	defer close(mb.done)
+	n := 0 // messages applied in the open burst
 	for {
 		mb.mu.Lock()
 		for len(mb.queue) == 0 && !mb.closed {
 			mb.notEmpty.Wait()
 		}
 		if mb.closed {
+			if n > 0 {
+				mb.mu.Unlock()
+				mb.s.endBurst()
+				mb.mu.Lock()
+			}
 			mb.busy -= len(mb.queue)
 			mb.queue = nil
 			mb.notFull.Broadcast()
@@ -98,13 +128,26 @@ func (mb *mailbox) run() {
 		mb.notFull.Signal()
 		mb.mu.Unlock()
 
-		mb.s.deliverQueued(in.from, in.m, mb.s.clk.Now().Sub(in.at))
+		n++
+		if mb.s.deliverQueued(in.from, in.m, mb.s.clk.Now().Sub(in.at), n) {
+			n = 0
+		}
 
 		mb.mu.Lock()
 		mb.busy--
 		mb.noteIdleLocked()
 		mb.mu.Unlock()
 	}
+}
+
+// burstOver reports whether a burst that has applied n messages ends: the
+// inbox is empty, the cap is reached, or the mailbox is stopping. The
+// dispatcher asks under the site lock, so in the common case of an empty
+// inbox the burst closes without another trip through the site lock.
+func (mb *mailbox) burstOver(n int) bool {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	return n >= burstCap || len(mb.queue) == 0 || mb.closed
 }
 
 // noteIdleLocked wakes any awaitIdle waiter once the last in-flight message
@@ -160,7 +203,8 @@ func (mb *mailbox) awaitIdle(timeout time.Duration) error {
 }
 
 // stop shuts the dispatcher down, abandoning queued messages, and waits for
-// it to exit. Safe to call repeatedly.
+// it to exit; the dispatcher closes its open burst first, shipping what the
+// engine held. Safe to call repeatedly.
 func (mb *mailbox) stop() {
 	mb.mu.Lock()
 	if !mb.closed {

@@ -385,7 +385,7 @@ func New(cfg Config) *Site {
 		ReportTimeout: cfg.ReportTimeout,
 		MemoizeLive:   cfg.MemoizeLive,
 		Now:           s.clk.Now,
-		Send:          s.send,
+		Send:          s.transmit,
 		Table:         s.table,
 		Inset:         func(target ids.Ref) []ids.ObjID { return s.back.Inset(target) },
 		Counters:      cfg.Counters,
@@ -407,7 +407,9 @@ func New(cfg Config) *Site {
 }
 
 // Close stops the mailbox dispatch goroutine, discarding any queued
-// messages (the protocol tolerates message loss). It is a no-op for sites
+// messages (the protocol tolerates message loss). The back-trace messages
+// the engine held for the open burst were produced by messages already
+// applied, so they are shipped, not dropped. It is a no-op for sites
 // without an inbox and is safe to call more than once.
 func (s *Site) Close() {
 	if s.inbox != nil {
@@ -448,10 +450,21 @@ func (s *Site) Counters() *metrics.Counters { return s.cfg.Counters }
 // Sites created with a shared Counters set report the shared values.
 func (s *Site) Metrics() obs.Snapshot { return s.cfg.Counters.Registry().Snapshot() }
 
-// send transmits (or, in Piggyback mode, queues) one protocol message. It
-// is called with the site lock held; flushOutbox runs before the lock is
-// released by every entry point that can send.
+// send transmits one protocol message the site itself originates (Update,
+// Insert, InsertAck, RefTransfer, ReleasePin). During a mailbox burst it
+// first ships the back-trace messages the engine holds for the same
+// destination, so every message the site sends follows them on the link
+// and no later step or result can join them past it (R1).
 func (s *Site) send(to ids.SiteID, m msg.Message) {
+	s.engine.FlushTo(to)
+	s.transmit(to, m)
+}
+
+// transmit sends (or, in Piggyback mode, queues) one message; the engine
+// sends through it directly. It is called with the site lock held;
+// flushOutbox runs before the lock is released by every entry point that
+// can send.
+func (s *Site) transmit(to ids.SiteID, m msg.Message) {
 	if !s.cfg.Piggyback {
 		s.cfg.Network.Send(s.cfg.ID, to, m)
 		return
@@ -615,17 +628,35 @@ func (s *Site) deliverNow(from ids.SiteID, m msg.Message) {
 }
 
 // deliverQueued is the mailbox dispatcher's entry point: like deliverNow,
-// but it records how long the message waited in the inbox so the delay can
-// be attributed to the back trace it belongs to.
-func (s *Site) deliverQueued(from ids.SiteID, m msg.Message, wait time.Duration) {
+// but it runs inside a burst, the n-th message of it. The engine holds what
+// the message sends; if the burst ends with this message, the held messages
+// ship before the lock is released, and deliverQueued reports true. It also
+// records how long the message waited in the inbox so the delay can be
+// attributed to the back trace it belongs to.
+func (s *Site) deliverQueued(from ids.SiteID, m msg.Message, wait time.Duration, n int) bool {
 	s.histQueue.Observe(wait.Seconds())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.flushOutbox()
+	s.engine.Hold()
 	s.curQueueWait = wait
 	s.deliverLocked(from, m)
 	s.curQueueWait = 0
 	s.drainAdmissionsLocked()
+	if !s.inbox.burstOver(n) {
+		return false
+	}
+	s.engine.Release()
+	return true
+}
+
+// endBurst closes a burst the mailbox stopped in the middle of: the engine
+// ships every back-trace message it held, in send order.
+func (s *Site) endBurst() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer s.flushOutbox()
+	s.engine.Release()
 }
 
 func (s *Site) deliverLocked(from ids.SiteID, m msg.Message) {
@@ -680,12 +711,18 @@ func (s *Site) CheckTimeouts() {
 }
 
 // assertOutboxFlushed panics if a write entry point left piggybacked
-// messages stranded in the outbox. Read-only entry points hold only the
-// read lock and so cannot flush; they assert instead, turning a stranded
-// Batch into a loud failure rather than a silent protocol stall.
+// messages stranded in the outbox, or if the engine holds back-trace
+// messages while no burst can release them: a burst stays open only while
+// messages are queued or in hand, and it closes before its last message
+// stops counting toward the inbox depth. Read-only entry points hold only
+// the read lock and so cannot flush; they assert instead, turning a
+// stranded message into a loud failure rather than a silent protocol stall.
 func (s *Site) assertOutboxFlushed() {
 	if len(s.outboxOrder) != 0 {
 		panic(fmt.Sprintf("site %v: %d destination(s) stranded in piggyback outbox", s.cfg.ID, len(s.outboxOrder)))
+	}
+	if s.engine.Holding() && (s.inbox == nil || s.inbox.depth() == 0) {
+		panic(fmt.Sprintf("site %v: engine holds back-trace messages outside a mailbox burst", s.cfg.ID))
 	}
 }
 
