@@ -305,44 +305,6 @@ func BenchmarkHypertext(b *testing.B) {
 	}
 }
 
-// BenchmarkPiggybackAblation measures the §4.6 piggybacking option:
-// end-to-end cycle collection with and without message batching, with the
-// envelope count as the reported metric.
-func BenchmarkPiggybackAblation(b *testing.B) {
-	for _, pb := range []bool{false, true} {
-		name := "plain"
-		if pb {
-			name = "piggyback"
-		}
-		b.Run(name, func(b *testing.B) {
-			var envelopes int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				c := cluster.New(cluster.Options{
-					NumSites: 4,
-					Site: site.Config{
-						SuspicionThreshold: 3,
-						BackThreshold:      7,
-						ThresholdBump:      4,
-						AutoBackTrace:      true,
-						Piggyback:          pb,
-					},
-				})
-				c.BuildRing()
-				c.BuildRing()
-				c.Counters().Reset()
-				b.StartTimer()
-				c.CollectUntilStable(40)
-				b.StopTimer()
-				envelopes += c.Counters().Get("msg.total")
-				c.Close()
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(envelopes)/float64(b.N), "envelopes/op")
-		})
-	}
-}
-
 // BenchmarkOutsetAlgorithmEndToEnd runs the full hypertext collection with
 // each §5 algorithm, measuring the end-to-end difference the inset
 // computation makes.

@@ -19,8 +19,8 @@
 //
 // -json FILE additionally writes the tables as JSON to FILE; -check (with
 // -exp wire, backtrace, or all) exits nonzero if the binary codec bloats
-// frames or allocations past its absolute budget, if batching changes any
-// logical message count or collection outcome, or if the trace-traffic
+// frames or allocations past its absolute budget, if link batching changes
+// the back-trace cost or the collection outcome, or if the trace-traffic
 // engine stops beating the trace-storm baseline.
 package main
 
@@ -41,11 +41,11 @@ func main() {
 	scale := flag.Int("scale", 20, "size multiplier for the inset experiment")
 	format := flag.String("format", "text", "output format: text or json")
 	jsonOut := flag.String("json", "", "also write the tables as JSON to this file")
-	check := flag.Bool("check", false, "with -exp wire/backtrace: fail if the binary codec exceeds its frame-size or allocation budget, batching changes logical counts, or the engine stops beating the trace-storm baseline")
-	// Shared transport surface (same flags as dgcnode/dgcsim). Applied
-	// to every standard experiment cluster; stepped experiments map
-	// -batch to deterministic piggybacking. The wire experiment pins its
-	// own codecs so its gate ignores these.
+	check := flag.Bool("check", false, "with -exp wire/backtrace: fail if the binary codec exceeds its frame-size or allocation budget, link batching changes the back-trace cost or what is collected, or the engine stops beating the trace-storm baseline")
+	// Shared transport surface (same flags as dgcnode/dgcsim). The codec
+	// applies to every standard experiment cluster; the experiments are
+	// stepped, so -batch is rejected. The wire experiment pins its own
+	// codec and batching so its gate ignores these.
 	var tcfg cluster.TransportConfig
 	tcfg.RegisterFlags(nil)
 	flag.Parse()
@@ -55,6 +55,8 @@ func main() {
 	var err error
 	if _, cerr := tcfg.ResolveCodec(); cerr != nil {
 		err = cerr
+	} else if serr := tcfg.CheckStepped(); serr != nil {
+		err = serr
 	} else if *format != "text" && *format != "json" {
 		err = fmt.Errorf("unknown format %q", *format)
 	} else {

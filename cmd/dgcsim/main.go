@@ -69,10 +69,12 @@ func main() {
 	flag.Parse()
 
 	if *explore || *replay != "" {
-		// The simulation is stepped, so batching maps to deterministic
-		// site-level piggybacking rather than the timer-driven link
-		// batcher; the codec round-trips every message at the network
-		// boundary ("none" skips serialization entirely).
+		// The simulation is stepped, so it has no session-layer batcher;
+		// the codec round-trips every message at the network boundary
+		// ("none" skips serialization entirely).
+		if err := tcfg.CheckStepped(); err != nil {
+			die(err)
+		}
 		simCodec := tcfg.Codec
 		if simCodec == "none" {
 			simCodec = ""
@@ -86,7 +88,6 @@ func main() {
 			Shards:              knobs.Shards,
 			TraceWorkers:        knobs.TraceWorkers,
 			Codec:               simCodec,
-			Batch:               tcfg.Batch > 0,
 			MaxInflightTraces:   knobs.MaxInflightTraces,
 			TraceBatch:          knobs.TraceBatch,
 			MemoizeLive:         knobs.MemoizeLive,

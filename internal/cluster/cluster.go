@@ -52,9 +52,10 @@ type Options struct {
 	Codec wire.Codec
 	// Batch, when positive, turns on link-level batching in the session
 	// layer: up to Batch messages per peer coalesce into one LinkBatch
-	// frame per flush. It implies Reliable (the batcher lives there).
-	// Logical message counts (msg.*) are unchanged; only wire.frames
-	// shrinks.
+	// frame per flush. It implies Reliable (the batcher lives there) and
+	// is the collector's only message batcher. Per-type protocol counts
+	// (msg.BackCall, …) are unchanged and wire.frames shrinks; msg.total
+	// also counts the session layer's standalone LinkAck frames.
 	Batch int
 	// FlushInterval overrides the batcher's flush cadence (default 1ms).
 	FlushInterval time.Duration

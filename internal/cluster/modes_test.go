@@ -7,8 +7,8 @@ import (
 )
 
 // TestAllOptionCombinations runs the canonical ring-plus-live workload
-// under every combination of the optional features (piggybacking, trace
-// scheduler, outset algorithm) and asserts identical collection semantics:
+// under every combination of the optional features (trace scheduler,
+// outset algorithm) and asserts identical collection semantics:
 // the options change costs, never outcomes. The scheduler axis compares the
 // paper's trigger as configured by default ("fixed": no admission cap, one
 // trace per suspect, no memo) with the configuration the benchmark runs
@@ -22,43 +22,39 @@ func TestAllOptionCombinations(t *testing.T) {
 		{"fixed", 0, 0, false},
 		{"scheduled", 4, 8, true},
 	}
-	for _, piggy := range []bool{false, true} {
-		for _, sched := range schedulers {
-			for _, algo := range []tracer.OutsetAlgorithm{tracer.AlgoBottomUp, tracer.AlgoIndependent} {
-				name := map[bool]string{false: "plain", true: "piggy"}[piggy] +
-					"/" + sched.name + "/" + algo.String()
-				t.Run(name, func(t *testing.T) {
-					opts := defaultOpts(3)
-					opts.Site.Piggyback = piggy
-					opts.Site.MaxInflightTraces = sched.maxInflight
-					opts.Site.TraceBatch = sched.batch
-					opts.Site.MemoizeLive = sched.memoizeLive
-					opts.Site.OutsetAlgorithm = algo
-					c := New(opts)
-					defer c.Close()
+	for _, sched := range schedulers {
+		for _, algo := range []tracer.OutsetAlgorithm{tracer.AlgoBottomUp, tracer.AlgoIndependent} {
+			// "plain": no link batching; the oracle test alternates Batch: 8.
+			t.Run("plain/"+sched.name+"/"+algo.String(), func(t *testing.T) {
+				opts := defaultOpts(3)
+				opts.Site.MaxInflightTraces = sched.maxInflight
+				opts.Site.TraceBatch = sched.batch
+				opts.Site.MemoizeLive = sched.memoizeLive
+				opts.Site.OutsetAlgorithm = algo
+				c := New(opts)
+				defer c.Close()
 
-					root := c.Site(1).NewRootObject()
-					live := c.Site(2).NewObject()
-					c.MustLink(root, live)
-					ring := c.BuildRing()
+				root := c.Site(1).NewRootObject()
+				live := c.Site(2).NewObject()
+				c.MustLink(root, live)
+				ring := c.BuildRing()
 
-					rounds, collected := c.CollectUntilStable(40)
-					if collected != 3 {
-						t.Fatalf("collected %d in %d rounds, want the 3-ring", collected, rounds)
+				rounds, collected := c.CollectUntilStable(40)
+				if collected != 3 {
+					t.Fatalf("collected %d in %d rounds, want the 3-ring", collected, rounds)
+				}
+				if !c.Site(1).ContainsObject(root.Obj) || !c.Site(2).ContainsObject(live.Obj) {
+					t.Fatal("live object collected")
+				}
+				for _, o := range ring {
+					if c.Site(o.Site).ContainsObject(o.Obj) {
+						t.Fatalf("ring member %v survived", o)
 					}
-					if !c.Site(1).ContainsObject(root.Obj) || !c.Site(2).ContainsObject(live.Obj) {
-						t.Fatal("live object collected")
-					}
-					for _, o := range ring {
-						if c.Site(o.Site).ContainsObject(o.Obj) {
-							t.Fatalf("ring member %v survived", o)
-						}
-					}
-					if got := c.InvariantViolations(); len(got) != 0 {
-						t.Fatalf("invariants: %v", got)
-					}
-				})
-			}
+				}
+				if got := c.InvariantViolations(); len(got) != 0 {
+					t.Fatalf("invariants: %v", got)
+				}
+			})
 		}
 	}
 }

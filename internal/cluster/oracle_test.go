@@ -57,14 +57,18 @@ func TestCollectorMatchesReachabilityOracle(t *testing.T) {
 		})
 		want := specReachable(spec)
 
+		batch := 0
+		if iter%2 == 0 {
+			batch = 8 // alternate the session layer's link batching
+		}
 		c := cluster.New(cluster.Options{
 			NumSites: sites,
+			Batch:    batch,
 			Site: site.Config{
 				SuspicionThreshold: 3,
 				BackThreshold:      7,
 				ThresholdBump:      4,
 				AutoBackTrace:      true,
-				Piggyback:          iter%2 == 0, // alternate the batching ablation
 			},
 		})
 		refs, err := workload.Build(c, spec)

@@ -20,12 +20,14 @@ func TestSoakLargeCluster(t *testing.T) {
 	const sites = 12
 	c := cluster.New(cluster.Options{
 		NumSites: sites,
+		// Plain stepped delivery: the churn below reorders deliveries
+		// with DeliverIndex, which the timer-driven session layer
+		// (Batch) would bypass.
 		Site: site.Config{
 			SuspicionThreshold: 3,
 			BackThreshold:      7,
 			ThresholdBump:      4,
 			AutoBackTrace:      true,
-			Piggyback:          true,
 		},
 	})
 	defer c.Close()

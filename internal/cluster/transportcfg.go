@@ -18,7 +18,9 @@ type TransportConfig struct {
 	// Codec names the wire codec: "binary" (the only framing codec) or
 	// "none" (skip serialization; in-process transports only).
 	Codec string
-	// Batch is the link-level batch size; 0 disables batching.
+	// Batch is the session layer's link batch size (transport.Reliable's
+	// LinkBatch); 0 disables batching. Stepped worlds (dgcsim -explore and
+	// -replay, dgcbench) reject it: see CheckStepped.
 	Batch int
 	// FlushInterval is the batcher flush cadence; 0 takes the default
 	// (1ms).
@@ -32,7 +34,7 @@ func (tc *TransportConfig) RegisterFlags(fs *flag.FlagSet) {
 		fs = flag.CommandLine
 	}
 	fs.StringVar(&tc.Codec, "codec", "binary", "wire codec: binary, or none (skip serialization; in-process transports only)")
-	fs.IntVar(&tc.Batch, "batch", 0, "link-level batch size (0 = no batching; >0 implies the reliable session layer)")
+	fs.IntVar(&tc.Batch, "batch", 0, "session-layer link batch size (0 = no batching; >0 implies the reliable session layer; not accepted by stepped runs)")
 	fs.DurationVar(&tc.FlushInterval, "flush-interval", 0, "batcher flush cadence (0 = default 1ms; needs -batch)")
 }
 
@@ -45,6 +47,16 @@ func (tc TransportConfig) ResolveCodec() (wire.Codec, error) {
 		return nil, nil
 	}
 	return wire.ByName(tc.Codec)
+}
+
+// CheckStepped rejects the batching flags for a stepped world (the model
+// checker, the experiment tables), which has no session layer to batch in.
+func (tc TransportConfig) CheckStepped() error {
+	if tc.Batch > 0 || tc.FlushInterval > 0 {
+		return fmt.Errorf("stepped worlds do not model the session-layer batcher yet, so -batch and " +
+			"-flush-interval are not accepted (ROADMAP.md: put the deployed stack under the model checker)")
+	}
+	return nil
 }
 
 // Apply validates the config and writes it into cluster options.

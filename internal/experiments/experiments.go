@@ -17,15 +17,13 @@ import (
 	"backtrace/internal/workload"
 )
 
-// Transport carries the shared -codec/-batch/-flush-interval flag set
-// (cluster.TransportConfig, registered by cmd/dgcbench like the other
-// commands) into every standard experiment cluster. The default "none"
-// keeps the in-process fast path so `go test -bench` numbers are
-// unaffected; dgcbench overrides it from its flags. Experiment clusters
-// are stepped, so Batch maps to deterministic site-level piggybacking —
-// the same mapping dgcsim's stepped worlds use — not the async session
-// batcher. The C17 wire experiment ignores this and pins its own codecs,
-// so its gate stays flag-independent.
+// Transport carries the shared -codec flag (cluster.TransportConfig,
+// registered by cmd/dgcbench like the other commands) into every standard
+// experiment cluster. The default "none" keeps the in-process fast path so
+// `go test -bench` numbers are unaffected; dgcbench overrides it from its
+// flags. Experiment clusters are stepped, which the session-layer batcher
+// is not, so dgcbench rejects -batch. The C17 wire experiment ignores this
+// and pins its own codec and batching, so its gate stays flag-independent.
 var Transport = cluster.TransportConfig{Codec: "none"}
 
 // clusterFor builds the standard experiment cluster.
@@ -42,7 +40,6 @@ func clusterFor(sites int, auto bool) *cluster.Cluster {
 	if codec, err := Transport.ResolveCodec(); err == nil {
 		opts.Codec = codec
 	}
-	opts.Site.Piggyback = opts.Site.Piggyback || Transport.Batch > 0
 	return cluster.New(opts)
 }
 

@@ -113,11 +113,12 @@ func (c *Counters) String() string {
 	return b.String()
 }
 
-// Message counter names. Counts are LOGICAL: a wrapper envelope (Batch,
-// LinkData, LinkBatch) is unwrapped and each leaf protocol message is
-// counted once under its type ("msg.BackCall") and under the total
-// ("msg.total"), so the paper's 2E+P-1 complexity accounting is invariant
-// under piggybacking and link-level batching. Physical envelopes are
+// Message counter names. Counts are LOGICAL: a session-layer wrapper
+// (LinkData, LinkBatch) is unwrapped and each leaf message is counted once
+// under its type ("msg.BackCall") and under the total ("msg.total"), so the
+// per-type counts behind the paper's 2E+P-1 accounting do not depend on how
+// the session layer frames them. A standalone LinkAck is a leaf too, so a
+// session-layer run's msg.total includes its acks. Physical envelopes are
 // counted separately under "wire.frames"; drops under "msg.dropped" (per
 // envelope — a dropped frame drops all its leaves together).
 const (

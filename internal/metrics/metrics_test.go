@@ -86,7 +86,7 @@ func TestObserveMessageEveryType(t *testing.T) {
 	for _, leaf := range leaves {
 		var c Counters
 		c.ObserveMessage(msg.Envelope{M: leaf}, false)
-		c.ObserveMessage(msg.Envelope{M: msg.LinkData{Payload: msg.Batch{Items: []msg.Message{leaf, leaf}}}}, false)
+		c.ObserveMessage(msg.Envelope{M: msg.LinkBatch{Items: []msg.Message{leaf, msg.LinkData{Payload: leaf}}}}, false)
 		want := map[string]int64{WireFrames: 2, MsgTotal: 3, MsgName(leaf): 3}
 		got := c.Snapshot()
 		if len(got) != len(want) {
@@ -104,7 +104,7 @@ func TestObserveMessageEveryType(t *testing.T) {
 // observer's per-send cost.
 func BenchmarkObserveMessage(b *testing.B) {
 	var c Counters
-	env := msg.Envelope{From: 1, To: 2, M: msg.Batch{Items: []msg.Message{msg.BackCall{}, msg.BackReply{}}}}
+	env := msg.Envelope{From: 1, To: 2, M: msg.LinkBatch{Items: []msg.Message{msg.BackCall{}, msg.BackReply{}}}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.ObserveMessage(env, false)

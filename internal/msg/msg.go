@@ -199,15 +199,6 @@ type Report struct {
 	GarbageSuspects []uint32
 }
 
-// Batch carries several messages between one pair of sites in a single
-// envelope — the piggybacking the paper suggests for back-trace traffic
-// ("these messages are small and can be piggybacked on other messages",
-// Section 4.6). Receivers process the items in order, preserving the
-// per-link FIFO the protocol assumes.
-type Batch struct {
-	Items []Message
-}
-
 // LinkData is a session-layer frame of the reliable link layer
 // (transport.Reliable): one protocol message stamped with the sender's
 // session epoch and a per-link sequence number. Sequence numbers start at 1
@@ -274,7 +265,6 @@ func (Update) isMessage()      {}
 func (BackCall) isMessage()    {}
 func (BackReply) isMessage()   {}
 func (Report) isMessage()      {}
-func (Batch) isMessage()       {}
 func (LinkData) isMessage()    {}
 func (LinkAck) isMessage()     {}
 func (LinkBatch) isMessage()   {}
@@ -290,7 +280,6 @@ var (
 	_ Message = BackCall{}
 	_ Message = BackReply{}
 	_ Message = Report{}
-	_ Message = Batch{}
 	_ Message = LinkData{}
 	_ Message = LinkAck{}
 	_ Message = LinkBatch{}
@@ -298,17 +287,11 @@ var (
 )
 
 // Leaves calls fn for every protocol message inside m, descending through
-// the Batch, LinkData, and LinkBatch wrappers in delivery order. For a bare
-// protocol message it calls fn(m) once. Auditors that need to see every
-// in-flight protocol payload regardless of coalescing (the simulation
-// safety oracle, for instance) use this instead of type-switching on the
-// wrapper set themselves.
+// the LinkData and LinkBatch wrappers in delivery order. For a bare
+// protocol message it calls fn(m) once; the message counters use it to
+// count what the session layer framed.
 func Leaves(m Message, fn func(Message)) {
 	switch mm := m.(type) {
-	case Batch:
-		for _, item := range mm.Items {
-			Leaves(item, fn)
-		}
 	case LinkData:
 		Leaves(mm.Payload, fn)
 	case LinkBatch:
@@ -340,8 +323,6 @@ func Name(m Message) string {
 		return "BackReply"
 	case Report:
 		return "Report"
-	case Batch:
-		return "Batch"
 	case LinkData:
 		return "LinkData"
 	case LinkAck:

@@ -25,7 +25,7 @@ func TestVerdictZeroValueIsGarbage(t *testing.T) {
 }
 
 func TestNameUnknownType(t *testing.T) {
-	type weird struct{ Batch }
+	type weird struct{ Report }
 	if got := Name(weird{}); got == "" {
 		t.Fatal("empty name for unknown type")
 	}
@@ -35,11 +35,9 @@ func TestLeavesDescendsWrappers(t *testing.T) {
 	m := LinkBatch{
 		Epoch: 1, Base: 5,
 		Items: []Message{
-			Batch{Items: []Message{
-				Update{Holds: []ids.ObjID{1, 2}},
-				BackCall{Trace: ids.TraceID{Initiator: 1, Seq: 9}, Steps: []BackStep{{Outref: ids.MakeRef(2, 3)}}},
-			}},
-			LinkData{Epoch: 1, Seq: 6, Payload: Report{Outcome: VerdictLive}},
+			Update{Holds: []ids.ObjID{1, 2}},
+			LinkData{Epoch: 1, Seq: 6, Payload: BackCall{Trace: ids.TraceID{Initiator: 1, Seq: 9}, Steps: []BackStep{{Outref: ids.MakeRef(2, 3)}}}},
+			Report{Outcome: VerdictLive},
 		},
 	}
 	var names []string
@@ -59,7 +57,8 @@ func TestNameCoversEveryMessageType(t *testing.T) {
 	r := ids.MakeRef(2, 17)
 	all := []Message{
 		RefTransfer{}, Insert{}, InsertAck{}, ReleasePin{}, Update{},
-		BackCall{}, BackReply{}, Report{}, Batch{},
+		BackCall{}, BackReply{}, Report{},
+		LinkBatch{},
 		LinkData{Payload: ReleasePin{Target: r}}, LinkAck{}, LinkReset{},
 	}
 	seen := make(map[string]bool)

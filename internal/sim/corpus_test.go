@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -110,5 +112,20 @@ func TestScheduleRoundTrip(t *testing.T) {
 	replayed := Replay(got.Config, got.Events)
 	if replayed.Digest != res.Digest {
 		t.Fatal("round-tripped schedule replays to a different digest")
+	}
+}
+
+// TestReadScheduleRejectsUnknownKeys: a schedule whose config carries a key
+// this build does not know (here the retired "batch") is rejected, naming
+// the key, rather than replayed as a different world than the file claims.
+func TestReadScheduleRejectsUnknownKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sched.json")
+	data := `{"version": 1, "config": {"seed": 1, "batch": true}, "events": []}`
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadScheduleFile(path)
+	if err == nil || !strings.Contains(err.Error(), `"batch"`) {
+		t.Fatalf("ReadScheduleFile = %v, want an error naming \"batch\"", err)
 	}
 }

@@ -93,14 +93,9 @@ func (w *world) globalLive(audits map[ids.SiteID]site.Audit) (map[ids.Ref]struct
 		}
 	}
 	for _, env := range w.cluster.Net().Pending() {
-		from, to := env.From, env.To
-		// Unwrap Batch envelopes: a transfer riding a piggybacked batch is
-		// as live as one travelling alone.
-		msg.Leaves(env.M, func(m msg.Message) {
-			if rt, ok := m.(msg.RefTransfer); ok {
-				push(rt.Payload, fmt.Sprintf("in-flight transfer %v->%v", from, to))
-			}
-		})
+		if rt, ok := env.M.(msg.RefTransfer); ok {
+			push(rt.Payload, fmt.Sprintf("in-flight transfer %v->%v", env.From, env.To))
+		}
 	}
 	for len(stack) > 0 {
 		r := stack[len(stack)-1]

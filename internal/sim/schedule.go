@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"backtrace/internal/ids"
@@ -117,15 +119,22 @@ func (s Schedule) WriteFile(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadScheduleFile loads a schedule written by WriteFile.
+// ReadScheduleFile loads a schedule written by WriteFile. Unknown keys are
+// an error, not dropped: a config key this build does not know would
+// otherwise replay a different world than the file claims.
 func ReadScheduleFile(path string) (Schedule, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Schedule{}, fmt.Errorf("sim: read schedule: %w", err)
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var s Schedule
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := dec.Decode(&s); err != nil {
 		return Schedule{}, fmt.Errorf("sim: decode schedule %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Schedule{}, fmt.Errorf("sim: decode schedule %s: trailing data after the schedule", path)
 	}
 	if s.Version != ScheduleVersion {
 		return Schedule{}, fmt.Errorf("sim: schedule %s has version %d, want %d", path, s.Version, ScheduleVersion)

@@ -190,14 +190,9 @@ func (r *runner) apply(ev *Event) bool {
 			}
 			// A delivered RefTransfer hands the receiver's agent a variable
 			// on the payload (the site pinned it with an app root; see
-			// site.SendRef) — mirror that in the mutator model. Batched
-			// runs can carry several transfers in one envelope.
-			if !w.crashed[ev.B] {
-				msg.Leaves(env.M, func(m msg.Message) {
-					if rt, isRT := m.(msg.RefTransfer); isRT {
-						w.vars[ev.B] = append(w.vars[ev.B], rt.Payload)
-					}
-				})
+			// site.SendRef) — mirror that in the mutator model.
+			if rt, isRT := env.M.(msg.RefTransfer); isRT && !w.crashed[ev.B] {
+				w.vars[ev.B] = append(w.vars[ev.B], rt.Payload)
 			}
 			delivered++
 		}
@@ -339,22 +334,19 @@ func (r *runner) noteFaultContext(ev *Event) {
 	}
 	reports := 0
 	for _, env := range r.w.cluster.Net().Pending() {
-		from, to := env.From, env.To
-		msg.Leaves(env.M, func(m msg.Message) {
-			if _, isReport := m.(msg.Report); !isReport {
-				return
+		if _, isReport := env.M.(msg.Report); !isReport {
+			continue
+		}
+		switch ev.Kind {
+		case EvCrash:
+			if env.From == ev.Site || env.To == ev.Site {
+				reports++
 			}
-			switch ev.Kind {
-			case EvCrash:
-				if from == ev.Site || to == ev.Site {
-					reports++
-				}
-			case EvPartition:
-				if cutKey(from, to) == cutKey(ev.A, ev.B) {
-					reports++
-				}
+		case EvPartition:
+			if cutKey(env.From, env.To) == cutKey(ev.A, ev.B) {
+				reports++
 			}
-		})
+		}
 	}
 	r.res.FaultCtx = append(r.res.FaultCtx, FaultContext{
 		Step:            len(r.res.Events),
@@ -467,15 +459,12 @@ func (r *runner) drain() []string {
 		ref ids.Ref
 	}
 	for _, env := range w.cluster.Net().Pending() {
-		to := env.To
-		msg.Leaves(env.M, func(m msg.Message) {
-			if rt, ok := m.(msg.RefTransfer); ok {
-				acquired = append(acquired, struct {
-					to  ids.SiteID
-					ref ids.Ref
-				}{to, rt.Payload})
-			}
-		})
+		if rt, ok := env.M.(msg.RefTransfer); ok {
+			acquired = append(acquired, struct {
+				to  ids.SiteID
+				ref ids.Ref
+			}{env.To, rt.Payload})
+		}
 	}
 	w.cluster.Net().DeliverAll()
 	for _, a := range acquired {

@@ -55,11 +55,6 @@ type Config struct {
 	// The round trip is a pure function of the message, preserving
 	// determinism. Empty disables it (in-memory handoff, the fast path).
 	Codec string `json:"codec,omitempty"`
-	// Batch coalesces the messages each site emits within one protocol
-	// step into Batch wrappers (site-level piggybacking) — the
-	// deterministic batching path under the stepped network. The oracles
-	// unwrap the batches, so logical message accounting is unchanged.
-	Batch bool `json:"batch,omitempty"`
 	// Faults is the fault-schedule DSL (see faults.go); generation only.
 	Faults string `json:"faults,omitempty"`
 	// MaxInflightTraces caps concurrent back traces per site; 0 means no
@@ -222,7 +217,6 @@ func newWorld(cfg Config) *world {
 			SkipTransferBarrierUnsafe: cfg.SkipTransferBarrier,
 			Shards:                    cfg.Shards,
 			TraceWorkers:              cfg.TraceWorkers,
-			Piggyback:                 cfg.Batch,
 			MaxInflightTraces:         cfg.MaxInflightTraces,
 			TraceBatch:                cfg.TraceBatch,
 			MemoizeLive:               cfg.MemoizeLive,
@@ -348,17 +342,10 @@ func (w *world) crash(s ids.SiteID) error {
 			if env.To != s {
 				continue
 			}
-			// Batched runs carry Inserts inside Batch wrappers: account
-			// for every leaf.
-			msg.Leaves(env.M, func(m msg.Message) {
-				ins, isInsert := m.(msg.Insert)
-				if !isInsert || ins.Target.Site != s {
-					return
-				}
-				if len(ck.InrefSources[ins.Target.Obj]) == 0 {
-					w.crashLost[ins.Target] = struct{}{}
-				}
-			})
+			ins, isInsert := env.M.(msg.Insert)
+			if isInsert && ins.Target.Site == s && len(ck.InrefSources[ins.Target.Obj]) == 0 {
+				w.crashLost[ins.Target] = struct{}{}
+			}
 		}
 	}
 	w.cluster.Net().Crash(s)

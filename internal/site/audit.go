@@ -31,7 +31,7 @@ type Audit struct {
 func (s *Site) AuditSnapshot() Audit {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.assertOutboxFlushed()
+	s.assertNoStrandedHold()
 	a := Audit{
 		Objects:         make(map[ids.ObjID][]ids.Ref, s.heap.Len()),
 		PersistentRoots: s.heap.PersistentRoots(),

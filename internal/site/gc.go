@@ -323,7 +323,6 @@ func (s *Site) CommitLocalTrace() TraceReport {
 			Collected: rep.Collected,
 		})
 	}
-	s.flushOutbox()
 	s.mu.Unlock()
 	return rep
 }
@@ -373,7 +372,6 @@ func (s *Site) handleUpdate(from ids.SiteID, m msg.Update) {
 func (s *Site) TriggerBackTraces() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.flushOutbox()
 	return s.triggerBackTracesLocked()
 }
 
@@ -536,7 +534,6 @@ func (s *Site) startAdmittedLocked(targets []ids.Ref) (ids.TraceID, bool) {
 func (s *Site) StartBackTrace(target ids.Ref) (ids.TraceID, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.flushOutbox()
 	return s.startAdmittedLocked([]ids.Ref{target})
 }
 
@@ -545,7 +542,7 @@ func (s *Site) StartBackTrace(target ids.Ref) (ids.TraceID, bool) {
 func (s *Site) GarbageFlaggedInrefs() []ids.ObjID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.assertOutboxFlushed()
+	s.assertNoStrandedHold()
 	var out []ids.ObjID
 	for _, in := range s.table.Inrefs() {
 		if in.Garbage {
@@ -560,7 +557,7 @@ func (s *Site) GarbageFlaggedInrefs() []ids.ObjID {
 func (s *Site) InrefDistance(obj ids.ObjID) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.assertOutboxFlushed()
+	s.assertNoStrandedHold()
 	if in, ok := s.table.Inref(obj); ok {
 		return in.Distance()
 	}
@@ -572,7 +569,7 @@ func (s *Site) InrefDistance(obj ids.ObjID) int {
 func (s *Site) OutrefDistance(target ids.Ref) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.assertOutboxFlushed()
+	s.assertNoStrandedHold()
 	if o, ok := s.table.Outref(target); ok {
 		return o.Distance
 	}

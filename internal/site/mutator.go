@@ -85,7 +85,6 @@ func (s *Site) DropAppRoot(r ids.Ref) {
 func (s *Site) AddReference(container ids.ObjID, target ids.Ref) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.flushOutbox()
 	if !s.heap.Contains(container) {
 		return fmt.Errorf("site %v: add reference: no object %v", s.cfg.ID, container)
 	}
@@ -124,7 +123,7 @@ func (s *Site) RemoveReference(container ids.ObjID, target ids.Ref) error {
 func (s *Site) Fields(obj ids.ObjID) ([]ids.Ref, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.assertOutboxFlushed()
+	s.assertNoStrandedHold()
 	fields, ok := s.heap.FieldsOf(obj)
 	if !ok {
 		return nil, fmt.Errorf("site %v: fields: no object %v", s.cfg.ID, obj)
@@ -160,7 +159,6 @@ func (s *Site) UnmarkPersistentRoot(obj ids.ObjID) {
 func (s *Site) SendRef(to ids.SiteID, target ids.Ref) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.flushOutbox()
 	return s.sendRefLocked(to, target)
 }
 

@@ -108,11 +108,6 @@ type Config struct {
 	// without fanning out until the next trace commit (or a Section 6.4
 	// clean event) invalidates the cached verdict.
 	MemoizeLive bool
-	// Piggyback, when true, coalesces the messages produced within one
-	// protocol step (a message delivery, a trace commit, a timeout scan)
-	// into one Batch envelope per destination — the piggybacking the
-	// paper suggests for the small back-trace messages (Section 4.6).
-	Piggyback bool
 	// InboxSize, when positive, runs the site as a mailbox executor:
 	// Deliver enqueues into a bounded inbox of this capacity (blocking
 	// when full) and a dispatch goroutine applies messages in arrival
@@ -252,12 +247,6 @@ type Site struct {
 	// inbox is the bounded mailbox (nil when InboxSize == 0).
 	inbox *mailbox
 
-	// outbox holds messages coalesced per destination while a protocol
-	// step runs (Piggyback mode); outboxOrder keeps flushing
-	// deterministic.
-	outbox      map[ids.SiteID][]msg.Message
-	outboxOrder []ids.SiteID
-
 	// pendingInserts tracks insert messages awaiting acknowledgement;
 	// they are retransmitted at each local trace so a lost insert heals.
 	pendingInserts map[ids.Ref]msg.Insert
@@ -335,7 +324,6 @@ func New(cfg Config) *Site {
 		pendingInserts: make(map[ids.Ref]msg.Insert),
 		farewell:       make(map[ids.SiteID]int),
 		pendingSet:     make(map[ids.Ref]struct{}),
-		outbox:         make(map[ids.SiteID][]msg.Message),
 		partStart:      make(map[ids.TraceID]time.Time),
 		traceQueueWait: make(map[ids.TraceID]time.Duration),
 	}
@@ -385,7 +373,7 @@ func New(cfg Config) *Site {
 		ReportTimeout: cfg.ReportTimeout,
 		MemoizeLive:   cfg.MemoizeLive,
 		Now:           s.clk.Now,
-		Send:          s.transmit,
+		Send:          func(to ids.SiteID, m msg.Message) { s.cfg.Network.Send(s.cfg.ID, to, m) },
 		Table:         s.table,
 		Inset:         func(target ids.Ref) []ids.ObjID { return s.back.Inset(target) },
 		Counters:      cfg.Counters,
@@ -457,42 +445,7 @@ func (s *Site) Metrics() obs.Snapshot { return s.cfg.Counters.Registry().Snapsho
 // and no later step or result can join them past it (R1).
 func (s *Site) send(to ids.SiteID, m msg.Message) {
 	s.engine.FlushTo(to)
-	s.transmit(to, m)
-}
-
-// transmit sends (or, in Piggyback mode, queues) one message; the engine
-// sends through it directly. It is called with the site lock held;
-// flushOutbox runs before the lock is released by every entry point that
-// can send.
-func (s *Site) transmit(to ids.SiteID, m msg.Message) {
-	if !s.cfg.Piggyback {
-		s.cfg.Network.Send(s.cfg.ID, to, m)
-		return
-	}
-	if _, ok := s.outbox[to]; !ok {
-		s.outboxOrder = append(s.outboxOrder, to)
-	}
-	s.outbox[to] = append(s.outbox[to], m)
-}
-
-// flushOutbox ships the coalesced messages: one Batch envelope per
-// destination (or the bare message when only one queued).
-func (s *Site) flushOutbox() {
-	if !s.cfg.Piggyback || len(s.outboxOrder) == 0 {
-		return
-	}
-	for _, to := range s.outboxOrder {
-		items := s.outbox[to]
-		delete(s.outbox, to)
-		switch len(items) {
-		case 0:
-		case 1:
-			s.cfg.Network.Send(s.cfg.ID, to, items[0])
-		default:
-			s.cfg.Network.Send(s.cfg.ID, to, msg.Batch{Items: items})
-		}
-	}
-	s.outboxOrder = s.outboxOrder[:0]
+	s.cfg.Network.Send(s.cfg.ID, to, m)
 }
 
 // emit appends an observability event if a log is configured, and forwards
@@ -593,13 +546,10 @@ func (s *Site) onTraceCompleted(t ids.TraceID, outcome msg.Verdict, participants
 
 // Completions drains and returns the outcomes of back traces initiated by
 // this site since the previous call, at most the most recent
-// maxCompletions. Draining is a write, and engine callbacks may have queued
-// piggybacked messages, so it flushes the outbox like every other write
-// entry point.
+// maxCompletions.
 func (s *Site) Completions() []TraceOutcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.flushOutbox()
 	out := s.completions
 	s.completions = nil
 	return out
@@ -622,7 +572,6 @@ func (s *Site) Deliver(from ids.SiteID, m msg.Message) {
 func (s *Site) deliverNow(from ids.SiteID, m msg.Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.flushOutbox()
 	s.deliverLocked(from, m)
 	s.drainAdmissionsLocked()
 }
@@ -637,7 +586,6 @@ func (s *Site) deliverQueued(from ids.SiteID, m msg.Message, wait time.Duration,
 	s.histQueue.Observe(wait.Seconds())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.flushOutbox()
 	s.engine.Hold()
 	s.curQueueWait = wait
 	s.deliverLocked(from, m)
@@ -655,7 +603,6 @@ func (s *Site) deliverQueued(from ids.SiteID, m msg.Message, wait time.Duration,
 func (s *Site) endBurst() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.flushOutbox()
 	s.engine.Release()
 }
 
@@ -693,10 +640,6 @@ func (s *Site) deliverLocked(from ids.SiteID, m msg.Message) {
 			End:     s.clk.Now(),
 			Verdict: mm.Outcome,
 		})
-	case msg.Batch:
-		for _, item := range mm.Items {
-			s.deliverLocked(from, item)
-		}
 	}
 }
 
@@ -705,22 +648,17 @@ func (s *Site) deliverLocked(from ids.SiteID, m msg.Message) {
 func (s *Site) CheckTimeouts() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.flushOutbox()
 	s.engine.CheckTimeouts()
 	s.drainAdmissionsLocked()
 }
 
-// assertOutboxFlushed panics if a write entry point left piggybacked
-// messages stranded in the outbox, or if the engine holds back-trace
-// messages while no burst can release them: a burst stays open only while
-// messages are queued or in hand, and it closes before its last message
-// stops counting toward the inbox depth. Read-only entry points hold only
-// the read lock and so cannot flush; they assert instead, turning a
-// stranded message into a loud failure rather than a silent protocol stall.
-func (s *Site) assertOutboxFlushed() {
-	if len(s.outboxOrder) != 0 {
-		panic(fmt.Sprintf("site %v: %d destination(s) stranded in piggyback outbox", s.cfg.ID, len(s.outboxOrder)))
-	}
+// assertNoStrandedHold panics if the engine holds back-trace messages while
+// no burst can release them: a burst stays open only while messages are
+// queued or in hand, and it closes before its last message stops counting
+// toward the inbox depth. Read-only entry points hold only the read lock
+// and so cannot release; they assert instead, turning a stranded message
+// into a loud failure rather than a silent protocol stall.
+func (s *Site) assertNoStrandedHold() {
 	if s.engine.Holding() && (s.inbox == nil || s.inbox.depth() == 0) {
 		panic(fmt.Sprintf("site %v: engine holds back-trace messages outside a mailbox burst", s.cfg.ID))
 	}
@@ -736,7 +674,7 @@ func (s *Site) Config() Config { return s.cfg }
 func (s *Site) NumObjects() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.assertOutboxFlushed()
+	s.assertNoStrandedHold()
 	return s.heap.Len()
 }
 
@@ -744,7 +682,7 @@ func (s *Site) NumObjects() int {
 func (s *Site) ContainsObject(obj ids.ObjID) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.assertOutboxFlushed()
+	s.assertNoStrandedHold()
 	return s.heap.Contains(obj)
 }
 
@@ -752,7 +690,7 @@ func (s *Site) ContainsObject(obj ids.ObjID) bool {
 func (s *Site) NumInrefs() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.assertOutboxFlushed()
+	s.assertNoStrandedHold()
 	return s.table.NumInrefs()
 }
 
@@ -760,7 +698,7 @@ func (s *Site) NumInrefs() int {
 func (s *Site) NumOutrefs() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.assertOutboxFlushed()
+	s.assertNoStrandedHold()
 	return s.table.NumOutrefs()
 }
 
@@ -777,7 +715,7 @@ type InrefInfo struct {
 func (s *Site) Inrefs() []InrefInfo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.assertOutboxFlushed()
+	s.assertNoStrandedHold()
 	out := make([]InrefInfo, 0, s.table.NumInrefs())
 	for _, in := range s.table.Inrefs() {
 		out = append(out, InrefInfo{
@@ -805,7 +743,7 @@ type OutrefInfo struct {
 func (s *Site) Outrefs() []OutrefInfo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.assertOutboxFlushed()
+	s.assertNoStrandedHold()
 	out := make([]OutrefInfo, 0, s.table.NumOutrefs())
 	for _, o := range s.table.Outrefs() {
 		out = append(out, OutrefInfo{
@@ -825,7 +763,7 @@ func (s *Site) Outrefs() []OutrefInfo {
 func (s *Site) BackInfoEntries() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.assertOutboxFlushed()
+	s.assertNoStrandedHold()
 	return s.back.Entries()
 }
 
@@ -833,6 +771,6 @@ func (s *Site) BackInfoEntries() int {
 func (s *Site) ActiveFrames() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.assertOutboxFlushed()
+	s.assertNoStrandedHold()
 	return s.engine.ActiveFrames()
 }

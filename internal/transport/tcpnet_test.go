@@ -277,7 +277,7 @@ func TestTCPAllMessageTypesSurviveWire(t *testing.T) {
 		msg.BackCall{Trace: ids.TraceID{Initiator: 1, Seq: 2}, Initiator: 1, Steps: []msg.BackStep{{Caller: ids.FrameID{Site: 1, Seq: 3}, Outref: r}}},
 		msg.BackReply{Trace: ids.TraceID{Initiator: 1, Seq: 2}, Results: []msg.BackResult{{Result: msg.VerdictLive, Participants: []ids.SiteID{1, 2}}}},
 		msg.Report{Trace: ids.TraceID{Initiator: 1, Seq: 2}, Outcome: msg.VerdictGarbage},
-		msg.Batch{Items: []msg.Message{msg.ReleasePin{Target: r}, msg.Report{Outcome: msg.VerdictLive}}},
+		msg.LinkBatch{Epoch: 1, Base: 1, Items: []msg.Message{msg.ReleasePin{Target: r}, msg.Report{Outcome: msg.VerdictLive}}},
 	}
 	for _, m := range all {
 		n1.Send(1, 2, m)

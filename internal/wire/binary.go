@@ -17,8 +17,8 @@ import (
 // unsigned LEB128 varints (encoding/binary Uvarint); distances are zigzag
 // varints because the infinity sentinel and deltas may be large but typical
 // values are tiny. References are (site, obj) uvarint pairs; trace and
-// frame ids are (site, seq) pairs. Wrapper messages (Batch, LinkData,
-// LinkBatch) nest the inner message encoding recursively.
+// frame ids are (site, seq) pairs. Wrapper messages (LinkData, LinkBatch)
+// nest the inner message encoding recursively.
 //
 // The layout has no per-frame type dictionary or field names — the tag byte
 // alone selects the payload shape — which is what buys the size and speed
@@ -32,13 +32,14 @@ import (
 // dependency set, garbage-suspect set) are retired: a BackCall now carries
 // a vector of steps, and a vector of one is the single-step form. Retired
 // tags are never reassigned; decoders reject them like any unknown tag.
+// Tag 9 (the site-level piggyback Batch) is retired too: the session
+// layer's LinkBatch is the one batcher.
 const (
 	tagRefTransfer = 1
 	tagInsert      = 2
 	tagInsertAck   = 3
 	tagReleasePin  = 4
 	tagUpdate      = 5
-	tagBatch       = 9
 	tagLinkData    = 10
 	tagLinkAck     = 11
 	tagLinkReset   = 12
@@ -54,8 +55,7 @@ const (
 const listFollows = 0x80
 
 // maxNest bounds wrapper recursion when decoding. Legitimate traffic nests
-// at most three levels (LinkBatch > LinkData payload > Batch > protocol
-// message); the bound exists so a corrupt or adversarial frame cannot
+// one level (a LinkData or LinkBatch around protocol messages); the bound exists so a corrupt or adversarial frame cannot
 // recurse unboundedly.
 const maxNest = 8
 
@@ -179,14 +179,6 @@ func appendMessage(buf []byte, m msg.Message) ([]byte, error) {
 		buf = append(buf, tagReport)
 		buf = appendTrace(buf, mm.Trace)
 		buf = appendVerdict(buf, mm.Outcome, mm.GarbageSuspects)
-	case msg.Batch:
-		buf = append(buf, tagBatch)
-		buf = binary.AppendUvarint(buf, uint64(len(mm.Items)))
-		for _, item := range mm.Items {
-			if buf, err = appendMessage(buf, item); err != nil {
-				return nil, err
-			}
-		}
 	case msg.LinkData:
 		buf = append(buf, tagLinkData)
 		buf = binary.AppendUvarint(buf, mm.Epoch)
@@ -386,15 +378,6 @@ func (r *reader) message(depth int) msg.Message {
 		rep := msg.Report{Trace: r.trace()}
 		rep.Outcome, rep.GarbageSuspects = r.verdict()
 		return rep
-	case tagBatch:
-		var b msg.Batch
-		if n := r.count(1); n > 0 && r.err == nil {
-			b.Items = make([]msg.Message, n)
-			for i := range b.Items {
-				b.Items[i] = r.message(depth + 1)
-			}
-		}
-		return b
 	case tagLinkData:
 		return msg.LinkData{
 			Epoch:   r.uvarint(),

@@ -12,7 +12,7 @@ import (
 // FuzzRoundTrip checks decode(encode(m)) == m for every message type under
 // the binary codec. The fuzzer drives a structured generator: tag selects
 // the message type (an index into allTags, wrapped into range), seed the
-// field values, so coverage spans all thirteen types — including nested
+// field values, so coverage spans all twelve types — including nested
 // wrappers and back-trace vectors of zero to four entries.
 func FuzzRoundTrip(f *testing.F) {
 	for i := range allTags {
@@ -53,7 +53,7 @@ func FuzzDecodeAny(f *testing.F) {
 	bin, _ := (Binary{}).Encode(&env, nil)
 	f.Add(bin)
 	f.Add([]byte{VersionGob, 0x01, 0x02}) // reserved gob version: must reject
-	f.Add([]byte{VersionBinary, 1, 2, tagBatch, 0xFF, 0xFF, 0x7F})
+	f.Add([]byte{VersionBinary, 1, 2, tagLinkBatch, 1, 1, 0, 0, 0, 0xFF, 0xFF, 0x7F})
 	for _, m := range backTraceVectors() {
 		env := msg.Envelope{From: 1, To: 2, M: m}
 		frame, _ := (Binary{}).Encode(&env, nil)

@@ -33,10 +33,6 @@ func exemplars() []msg.Message {
 			Outcome:         msg.VerdictGarbage,
 			GarbageSuspects: []uint32{1, 4},
 		},
-		msg.Batch{Items: []msg.Message{
-			msg.InsertAck{Target: ids.MakeRef(2, 8)},
-			msg.Report{Trace: ids.TraceID{Initiator: 3, Seq: 4}, Outcome: msg.VerdictLive},
-		}},
 		msg.LinkData{Epoch: 3, Seq: 1 << 17, Payload: msg.ReleasePin{Target: ids.MakeRef(1, 2)}},
 		msg.LinkAck{Epoch: 3, Cum: 900, Inc: 2},
 		msg.LinkReset{Epoch: 12},
@@ -168,9 +164,11 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 		"truncated":      frame[:len(frame)/2],
 		"trailing bytes": append(append([]byte(nil), frame...), 0x00),
 		"unknown tag":    {VersionBinary, 1, 2, 0xEE},
-		// Retired single-step back-trace tags (6-8, 14-16) are never
-		// reassigned, so a frame from the old layout fails loudly.
-		"retired tag": {VersionBinary, 1, 2, 6, 1, 1, 1, 1, 1, 2, 0, 2, 1},
+		// Retired tags are never reassigned, so a frame from an old layout
+		// fails loudly: a single-step back call (6-8, 14-16) or a
+		// site-level piggyback Batch (9) around one LinkReset.
+		"retired tag":   {VersionBinary, 1, 2, 6, 1, 1, 1, 1, 1, 2, 0, 2, 1},
+		"retired tag 9": {VersionBinary, 1, 2, 9, 1, tagLinkReset, 1},
 		// Collection length far beyond the remaining bytes must error, not
 		// allocate.
 		"bomb length": {VersionBinary, 1, 2, tagUpdate, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
@@ -188,7 +186,7 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 func TestDecodeRejectsDeepNesting(t *testing.T) {
 	inner := msg.Message(msg.LinkReset{Epoch: 1})
 	for i := 0; i < maxNest+2; i++ {
-		inner = msg.Batch{Items: []msg.Message{inner}}
+		inner = msg.LinkData{Payload: inner}
 	}
 	env := msg.Envelope{From: 1, To: 2, M: inner}
 	frame, err := (Binary{}).Encode(&env, nil)
@@ -204,7 +202,7 @@ func TestDecodeRejectsDeepNesting(t *testing.T) {
 // payload can draw from every tag but it.
 var allTags = []int{
 	tagRefTransfer, tagInsert, tagInsertAck, tagReleasePin, tagUpdate,
-	tagBackCall, tagBackReply, tagReport, tagBatch, tagLinkData, tagLinkAck,
+	tagBackCall, tagBackReply, tagReport, tagLinkData, tagLinkAck,
 	tagLinkReset, tagLinkBatch,
 }
 
@@ -302,8 +300,6 @@ func randMessage(rng *rand.Rand, tag, depth int) msg.Message {
 		return rep
 	case tagReport:
 		return msg.Report{Trace: trace(), Outcome: msg.Verdict(rng.Intn(2)), GarbageSuspects: u32s()}
-	case tagBatch:
-		return msg.Batch{Items: items()}
 	case tagLinkData:
 		return msg.LinkData{
 			Epoch:   rng.Uint64() >> rng.Intn(64),
