@@ -66,8 +66,8 @@ func TestPublicAPISurface(t *testing.T) {
 	}
 	client.Close()
 
-	// Counters are visible.
-	if c.Counters().Get("backtrace.started") == 0 {
+	// Metrics are visible.
+	if c.Metrics().Get("backtrace.started") == 0 {
 		t.Fatal("no back traces recorded")
 	}
 }
@@ -76,13 +76,11 @@ func TestPublicAPISurface(t *testing.T) {
 // through the facade: Observer wiring, span collection, typed metrics
 // snapshots, and the debug HTTP handler.
 func TestPublicTelemetryAPI(t *testing.T) {
-	events := backtrace.NewEventLog(256)
 	extra := backtrace.NewSpanCollector(backtrace.SpanCollectorOptions{})
 	c := backtrace.NewCluster(backtrace.ClusterOptions{
 		NumSites: 3,
 		Site: backtrace.SiteConfig{
 			AutoBackTrace: true,
-			Events:        events,
 			Observer:      backtrace.TeeObservers(nil, extra),
 		},
 	})
@@ -119,12 +117,29 @@ func TestPublicTelemetryAPI(t *testing.T) {
 		t.Fatalf("teed observer saw %d trees, cluster %d", len(extra.Trees()), len(trees))
 	}
 
-	// Typed snapshots agree with the legacy counter facade, and the span
-	// kinds render.
-	snap := c.Metrics()
-	if snap.Get("backtrace.started") != c.Counters().Get("backtrace.started") {
-		t.Fatal("typed snapshot disagrees with legacy counters")
+	// The same stream carries the events: each tree's root has its
+	// trace-completed event, in both collectors.
+	events, _ := c.Spans().Events()
+	extraEvents, _ := extra.Events()
+	var completed, roots int
+	for _, e := range events {
+		if e.Kind.String() == "trace-completed" {
+			completed++
+		}
 	}
+	for _, tree := range trees {
+		if tree.Root != nil {
+			roots++
+		}
+	}
+	if completed != roots || len(extraEvents) != len(events) {
+		t.Fatalf("%d trace-completed events for %d root spans; teed observer saw %d of %d events",
+			completed, roots, len(extraEvents), len(events))
+	}
+
+	// Site and cluster snapshots read the one shared registry, and the
+	// span kinds render.
+	snap := c.Metrics()
 	if snap.Get("backtrace.started") != c.Site(1).Metrics().Get("backtrace.started") {
 		t.Fatal("site snapshot disagrees with cluster snapshot")
 	}

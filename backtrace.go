@@ -47,7 +47,6 @@ import (
 	"net/http"
 
 	"backtrace/internal/cluster"
-	"backtrace/internal/event"
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
 	"backtrace/internal/obs"
@@ -88,9 +87,6 @@ type SiteConfig = site.Config
 // NewSite creates a standalone site registered on a transport.
 func NewSite(cfg SiteConfig) *Site { return site.New(cfg) }
 
-// TraceOutcome reports a completed back trace.
-type TraceOutcome = site.TraceOutcome
-
 // TraceReport summarizes one committed local trace.
 type TraceReport = site.TraceReport
 
@@ -116,23 +112,22 @@ const (
 // OutsetAlgorithm selects how insets/outsets are computed.
 type OutsetAlgorithm = tracer.OutsetAlgorithm
 
-// Counters is the thread-safe metrics sink shared by sites and transports.
-//
-// Deprecated: Counters is the legacy stringly-named facade; it now fronts
-// a typed MetricsRegistry. Read values through Cluster.Metrics /
-// Site.Metrics and declare new instruments on Cluster.Registry instead.
+// Counters is the thread-safe metrics sink sites and transports write to.
+// Sites given the same Counters share one MetricsRegistry; read it through
+// Cluster.Metrics / Site.Metrics.
 type Counters = metrics.Counters
 
 // --- telemetry API ---------------------------------------------------------
 //
 // The stable observability surface: wire an Observer into SiteConfig (the
-// Site field of ClusterOptions, for a cluster) to receive structured events and completed spans; read
+// Site field of ClusterOptions, for a cluster) to receive structured events
+// and completed spans, the one stream of what the collector did; read
 // typed instruments through Cluster.Metrics / Site.Metrics; serve them with
 // NewDebugHandler. The internal/metrics and internal/obs packages are
 // implementation details — everything needed is re-exported here.
 
 // Observer receives structured observability output: every event a site
-// logs and every completed span (back-trace roots, per-site participant
+// emits and every completed span (back-trace roots, per-site participant
 // engagements, local traces, report phases). Implementations MUST NOT call
 // back into the Site or Cluster — callbacks run under site locks. Combine
 // several with TeeObservers.
@@ -165,8 +160,9 @@ const (
 )
 
 // SpanCollector assembles the spans of a distributed back trace into one
-// tree per TraceID. Every Cluster runs one internally (Cluster.Spans);
-// standalone deployments can wire their own into SiteConfig.Observer.
+// tree per TraceID and keeps the most recent events (Events). Every
+// Cluster runs one internally (Cluster.Spans); standalone deployments can
+// wire their own into SiteConfig.Observer.
 type SpanCollector = obs.Collector
 
 // SpanCollectorOptions bounds a SpanCollector's retention.
@@ -202,17 +198,10 @@ func NewDebugHandler(reg *MetricsRegistry, spans *SpanCollector, health func() e
 }
 
 // Event is one structured observability event.
-type Event = event.Event
+type Event = obs.Event
 
 // EventKind discriminates events.
-type EventKind = event.Kind
-
-// EventLog is a bounded in-memory event ring; it counts evictions
-// (Dropped), which cluster metrics snapshots expose as a gauge.
-type EventLog = event.Log
-
-// NewEventLog creates an event ring holding up to capacity events.
-func NewEventLog(capacity int) *EventLog { return event.NewLog(capacity) }
+type EventKind = obs.EventKind
 
 // Network is the transport abstraction connecting sites.
 type Network = transport.Network

@@ -54,7 +54,7 @@ func BenchmarkBackTraceMessages(b *testing.B) {
 				c := benchCluster(n, false)
 				c.BuildRing()
 				c.RunRounds(10) // suspect everything
-				before := c.Counters().Get("msg.total")
+				before := c.Metrics().Get("msg.total")
 				var target backtrace.Ref
 				for _, o := range c.Site(1).Outrefs() {
 					if !o.Clean {
@@ -70,7 +70,7 @@ func BenchmarkBackTraceMessages(b *testing.B) {
 				c.Settle()
 
 				b.StopTimer()
-				msgs += c.Counters().Get("msg.total") - before
+				msgs += c.Metrics().Get("msg.total") - before
 				c.Close()
 				b.StartTimer()
 			}

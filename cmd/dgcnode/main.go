@@ -233,10 +233,10 @@ func runDemo(n int, reliable bool, tcfg cluster.TransportConfig, knobs site.Conf
 	if !sites[1].ContainsObject(root.Obj) || !sites[2].ContainsObject(live.Obj) {
 		return fmt.Errorf("live object collected")
 	}
-	snap := counters.Snapshot()
+	snap := counters.Registry().Snapshot()
 	fmt.Printf("\ncycle collected over TCP in %d rounds; live objects intact\n", round)
 	fmt.Printf("back traces: %d (garbage %d); messages: %d\n",
-		snap["backtrace.started"], snap["backtrace.outcome.garbage"], snap["msg.total"])
+		snap.Get("backtrace.started"), snap.Get("backtrace.outcome.garbage"), snap.Get("msg.total"))
 	if trees := spans.Trees(); len(trees) > 0 {
 		fmt.Printf("span trees assembled: %d (view with -debug-addr and GET /spans)\n", len(trees))
 	}

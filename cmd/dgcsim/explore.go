@@ -70,7 +70,7 @@ func runReplay(path string, verbose bool) error {
 	}
 	res := sim.Replay(sched.Config, sched.Events)
 	if verbose {
-		for _, line := range res.EventLog {
+		for _, line := range res.Log {
 			fmt.Println(line)
 		}
 	}

@@ -25,7 +25,7 @@ import (
 
 	"backtrace"
 	"backtrace/internal/cluster"
-	"backtrace/internal/event"
+	"backtrace/internal/obs"
 	"backtrace/internal/sim"
 	"backtrace/internal/site"
 	"backtrace/internal/viz"
@@ -46,7 +46,7 @@ func main() {
 		algo     = flag.String("outsets", "bottom-up", "outset algorithm: bottom-up or independent")
 		parallel = flag.Bool("parallel", false, "run sites on goroutines with mailbox executors (disables stepped determinism)")
 		verbose  = flag.Bool("v", false, "per-round progress")
-		events   = flag.Int("events", 0, "print the last N collector events")
+		events   = flag.Int("events", 0, fmt.Sprintf("print the last N collector events (at most %d are kept)", obs.MaxEvents))
 		dotPath  = flag.String("dot", "", "write a Graphviz DOT snapshot of the final state to this file")
 		traceOut = flag.String("trace-out", "", "write the assembled back-trace span trees to this file (JSON when the name ends in .json, rendered text otherwise)")
 
@@ -145,10 +145,6 @@ func run(kind string, sites, objects, docs int, seed int64, rounds int,
 		algo = backtrace.AlgoIndependent
 	}
 
-	var log *event.Log
-	if eventTail > 0 {
-		log = event.NewLog(4096)
-	}
 	opts := cluster.Options{
 		NumSites: sites,
 		Parallel: parallel,
@@ -164,7 +160,6 @@ func run(kind string, sites, objects, docs int, seed int64, rounds int,
 	opts.Site.AutoBackTrace = true
 	opts.Site.CallTimeout = 500 * time.Millisecond
 	opts.Site.ReportTimeout = 2 * time.Second
-	opts.Site.Events = log
 	if err := tcfg.Apply(&opts); err != nil {
 		return err
 	}
@@ -209,25 +204,25 @@ func run(kind string, sites, objects, docs int, seed int64, rounds int,
 	}
 	fmt.Printf("%d live objects remain\n", c.TotalObjects())
 
-	snap := c.Counters().Snapshot()
+	get := c.Metrics().Get
 	fmt.Printf("\nback traces: %d started, %d garbage, %d live\n",
-		snap["backtrace.started"], snap["backtrace.outcome.garbage"], snap["backtrace.outcome.live"])
+		get("backtrace.started"), get("backtrace.outcome.garbage"), get("backtrace.outcome.live"))
 	if knobs.MaxInflightTraces > 0 || knobs.TraceBatch > 1 || knobs.MemoizeLive {
 		fmt.Printf("scheduler:   peak inflight %d, peak batch %d, %d deferred, %d memo hits\n",
-			snap["backtrace.inflight"], snap["backtrace.batch_size"],
-			snap["backtrace.deferred"], snap["backtrace.memo_hits"])
+			get("backtrace.inflight"), get("backtrace.batch_size"),
+			get("backtrace.deferred"), get("backtrace.memo_hits"))
 	}
 	fmt.Printf("messages:    %d total (BackCall %d, BackReply %d, Report %d, Update %d, dropped %d)\n",
-		snap["msg.total"], snap["msg.BackCall"], snap["msg.BackReply"],
-		snap["msg.Report"], snap["msg.Update"], snap["msg.dropped"])
-	if snap["wire.bytes"] > 0 {
+		get("msg.total"), get("msg.BackCall"), get("msg.BackReply"),
+		get("msg.Report"), get("msg.Update"), get("msg.dropped"))
+	if get("wire.bytes") > 0 {
 		fmt.Printf("wire:        %d frames, %d bytes (%s codec), %d batch flushes\n",
-			snap["wire.frames"], snap["wire.bytes"], tcfg.Codec, snap["wire.flushes"])
+			get("wire.frames"), get("wire.bytes"), tcfg.Codec, get("wire.flushes"))
 	}
 	fmt.Printf("local GC:    %d traces, %d objects scanned, %d collected\n",
-		snap["localtrace.runs"], snap["localtrace.objects"], snap["localtrace.collected"])
+		get("localtrace.runs"), get("localtrace.objects"), get("localtrace.collected"))
 	fmt.Printf("outsets:     %d unions (%d memoized), peak back info %d pairs\n",
-		snap["outsets.unions"], snap["outsets.unions.memoized"], snap["backinfo.peak"])
+		get("outsets.unions"), get("outsets.unions.memoized"), get("backinfo.peak"))
 
 	if dotPath != "" {
 		if err := os.WriteFile(dotPath, []byte(viz.ClusterDOT(c)), 0o644); err != nil {
@@ -243,12 +238,12 @@ func run(kind string, sites, objects, docs int, seed int64, rounds int,
 		fmt.Printf("\nspan trees written to %s\n", traceOut)
 	}
 
-	if log != nil {
-		all := log.Snapshot()
+	if eventTail > 0 {
+		all, evicted := c.Spans().Events()
 		if len(all) > eventTail {
 			all = all[len(all)-eventTail:]
 		}
-		fmt.Printf("\nlast %d collector events (%d evicted):\n", len(all), log.Dropped())
+		fmt.Printf("\nlast %d collector events (%d evicted):\n", len(all), evicted)
 		for _, e := range all {
 			fmt.Println(" ", e)
 		}

@@ -109,9 +109,9 @@ func main() {
 	mu.Unlock()
 
 	fmt.Printf("mutator created %d cycle objects; %d still anchored\n", created, len(survivors))
-	snapMid := c.Counters().Snapshot()
+	snapMid := c.Metrics()
 	fmt.Printf("collector reclaimed %d objects while racing the mutator, %d more in %d final rounds\n",
-		snapMid["localtrace.collected"]-int64(collected), collected, rounds)
+		snapMid.Get("localtrace.collected")-int64(collected), collected, rounds)
 
 	for _, r := range survivors {
 		if !c.Site(r.Site).ContainsObject(r.Obj) {
@@ -121,9 +121,9 @@ func main() {
 	if g := c.GarbageCount(); g != 0 {
 		panic(fmt.Sprintf("completeness violation: %d garbage objects remain", g))
 	}
-	snap := c.Counters().Snapshot()
+	snap := c.Metrics()
 	fmt.Printf("back traces: %d (garbage %d, live %d); no live object was ever collected.\n",
-		snap["backtrace.started"], snap["backtrace.outcome.garbage"], snap["backtrace.outcome.live"])
+		snap.Get("backtrace.started"), snap.Get("backtrace.outcome.garbage"), snap.Get("backtrace.outcome.live"))
 }
 
 // link performs the full reference-passing protocol to make from -> target

@@ -58,10 +58,10 @@ func main() {
 		panic("live set and heap contents disagree")
 	}
 
-	snap := c.Counters().Snapshot()
+	snap := c.Metrics()
 	fmt.Printf("\nback traces: %d started, %d confirmed garbage, %d found live\n",
-		snap["backtrace.started"], snap["backtrace.outcome.garbage"], snap["backtrace.outcome.live"])
-	fmt.Printf("inrefs flagged garbage by report phases: %d\n", snap["inrefs.flagged.garbage"])
+		snap.Get("backtrace.started"), snap.Get("backtrace.outcome.garbage"), snap.Get("backtrace.outcome.live"))
+	fmt.Printf("inrefs flagged garbage by report phases: %d\n", snap.Get("inrefs.flagged.garbage"))
 	fmt.Printf("local traces: %d (objects scanned: %d, collected: %d)\n",
-		snap["localtrace.runs"], snap["localtrace.objects"], snap["localtrace.collected"])
+		snap.Get("localtrace.runs"), snap.Get("localtrace.objects"), snap.Get("localtrace.collected"))
 }

@@ -60,9 +60,9 @@ func main() {
 	}
 	fmt.Println("live objects intact; garbage cycle gone.")
 
-	snap := c.Counters().Snapshot()
+	snap := c.Metrics()
 	fmt.Printf("\nback traces started: %d (garbage verdicts: %d)\n",
-		snap["backtrace.started"], snap["backtrace.outcome.garbage"])
+		snap.Get("backtrace.started"), snap.Get("backtrace.outcome.garbage"))
 	fmt.Printf("messages sent: %d (BackCall %d, BackReply %d, Report %d)\n",
-		snap["msg.total"], snap["msg.BackCall"], snap["msg.BackReply"], snap["msg.Report"])
+		snap.Get("msg.total"), snap.Get("msg.BackCall"), snap.Get("msg.BackReply"), snap.Get("msg.Report"))
 }

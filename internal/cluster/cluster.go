@@ -68,9 +68,9 @@ type Options struct {
 	// Site is the configuration every site is built from; zero values take
 	// the site defaults. New stamps each site's ID, the network and the
 	// cluster-wide Counters on it, and tees Observer with the cluster's
-	// span collector (see SiteConfig). Site.Clock also drives the network
-	// and the session layer, Site.Events is the event log Metrics reports
-	// on, and a positive Site.InboxSize forces asynchronous delivery.
+	// span and event collector (see SiteConfig). Site.Clock also drives the
+	// network and the session layer, and a positive Site.InboxSize forces
+	// asynchronous delivery.
 	Site site.Config
 }
 
@@ -213,31 +213,16 @@ func (c *Cluster) Sites() []*site.Site {
 // Net exposes the underlying network for crash/partition/step control.
 func (c *Cluster) Net() *transport.Net { return c.net }
 
-// Counters returns the cluster-wide metrics counters (shared by all sites
-// and the network observer).
-//
-// Deprecated: use Metrics for a typed snapshot, or Registry on the
-// returned value to declare new instruments.
-func (c *Cluster) Counters() *metrics.Counters { return c.counters }
-
 // Metrics returns a point-in-time snapshot of every typed instrument in
-// the cluster-wide registry, refreshing the event-drop gauge first so the
-// snapshot reflects the event log's current loss count.
-func (c *Cluster) Metrics() obs.Snapshot {
-	reg := c.counters.Registry()
-	if c.opts.Site.Events != nil {
-		reg.Gauge(obs.MetricEventsDropped,
-			"events evicted from the bounded event log").Set(int64(c.opts.Site.Events.Dropped()))
-	}
-	return reg.Snapshot()
-}
+// the cluster-wide registry.
+func (c *Cluster) Metrics() obs.Snapshot { return c.counters.Registry().Snapshot() }
 
 // Registry returns the cluster-wide typed metrics registry (shared by all
 // sites, the network observer, and the Prometheus exposition).
 func (c *Cluster) Registry() *obs.Registry { return c.counters.Registry() }
 
-// Spans returns the cluster's built-in span collector, which assembles the
-// spans every site emits into per-trace trees.
+// Spans returns the cluster's built-in collector, which assembles the spans
+// every site emits into per-trace trees and keeps the most recent events.
 func (c *Cluster) Spans() *obs.Collector { return c.spans }
 
 // Settle delivers all in-flight messages: in stepped mode it pumps the

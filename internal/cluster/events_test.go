@@ -3,29 +3,44 @@ package cluster
 import (
 	"testing"
 
-	"backtrace/internal/event"
 	"backtrace/internal/msg"
+	"backtrace/internal/obs"
 )
+
+// ofKind returns the events of one kind the cluster's collector retains,
+// oldest first. It fails the test if older events were evicted, so a
+// count over the result is a count over the whole run.
+func ofKind(t *testing.T, c *Cluster, k obs.EventKind) []obs.Event {
+	t.Helper()
+	events, evicted := c.Spans().Events()
+	if evicted > 0 {
+		t.Fatalf("%d events evicted: the run outgrew the collector's event ring", evicted)
+	}
+	var out []obs.Event
+	for _, e := range events {
+		if e.Kind == k {
+			out = append(out, e)
+		}
+	}
+	return out
+}
 
 // TestEventLogTellsTheCollectionStory: collecting a ring must leave a
 // legible event trail — trace started, trace completed Garbage, inrefs
 // flagged, objects collected, outrefs trimmed.
 func TestEventLogTellsTheCollectionStory(t *testing.T) {
-	log := event.NewLog(1024)
-	opts := defaultOpts(3)
-	opts.Site.Events = log
-	c := New(opts)
+	c := New(defaultOpts(3))
 	defer c.Close()
 	c.BuildRing()
 	if _, collected := c.CollectUntilStable(40); collected != 3 {
 		t.Fatalf("collected %d", collected)
 	}
 
-	started := log.OfKind(event.TraceStarted)
+	started := ofKind(t, c, obs.TraceStarted)
 	if len(started) == 0 {
 		t.Error("no trace-started events")
 	}
-	completed := log.OfKind(event.TraceCompleted)
+	completed := ofKind(t, c, obs.TraceCompleted)
 	garbage := 0
 	for _, e := range completed {
 		if e.Verdict == msg.VerdictGarbage {
@@ -38,40 +53,30 @@ func TestEventLogTellsTheCollectionStory(t *testing.T) {
 	if garbage == 0 {
 		t.Error("no garbage-verdict completion events")
 	}
-	if got := len(log.OfKind(event.InrefFlagged)); got != 3 {
+	if got := len(ofKind(t, c, obs.InrefFlagged)); got != 3 {
 		t.Errorf("inref-flagged events = %d, want 3", got)
 	}
 	swept := 0
-	for _, e := range log.OfKind(event.ObjectsCollected) {
+	for _, e := range ofKind(t, c, obs.ObjectsCollected) {
 		swept += e.N
 	}
 	if swept != 3 {
 		t.Errorf("objects-collected total = %d, want 3", swept)
 	}
-	if len(log.OfKind(event.OutrefsTrimmed)) == 0 {
+	if len(ofKind(t, c, obs.OutrefsTrimmed)) == 0 {
 		t.Error("no outrefs-trimmed events")
 	}
 	// Ordering sanity: the first flag precedes the first sweep.
-	var flagSeq, sweepSeq uint64
-	for _, e := range log.Snapshot() {
-		if e.Kind == event.InrefFlagged && flagSeq == 0 {
-			flagSeq = e.Seq
-		}
-		if e.Kind == event.ObjectsCollected && sweepSeq == 0 {
-			sweepSeq = e.Seq
-		}
-	}
-	if flagSeq == 0 || sweepSeq == 0 || flagSeq > sweepSeq {
-		t.Errorf("event order wrong: flag #%d, sweep #%d", flagSeq, sweepSeq)
+	flags, sweeps := ofKind(t, c, obs.InrefFlagged), ofKind(t, c, obs.ObjectsCollected)
+	if len(flags) == 0 || len(sweeps) == 0 || flags[0].Seq > sweeps[0].Seq {
+		t.Errorf("event order wrong: flags %v, sweeps %v", flags, sweeps)
 	}
 }
 
 // TestEventLogBarrierEvents: a mutator transfer into a suspected region
 // must emit transfer-barrier and outref-cleaned events.
 func TestEventLogBarrierEvents(t *testing.T) {
-	log := event.NewLog(1024)
 	opts := defaultOpts(2)
-	opts.Site.Events = log
 	opts.Site.AutoBackTrace = false
 	opts.Site.BackThreshold = 1 << 20
 	c := New(opts)
@@ -91,7 +96,7 @@ func TestEventLogBarrierEvents(t *testing.T) {
 	c.Settle()
 	// objs[0] lives on site 1; site 2 already had an outref for it (the
 	// ring edge), which was suspected -> outref-cleaned at site 2.
-	if len(log.OfKind(event.OutrefCleaned)) == 0 {
+	if len(ofKind(t, c, obs.OutrefCleaned)) == 0 {
 		t.Error("no outref-cleaned event")
 	}
 	// Transferring a reference to site 2's own object triggers the
@@ -107,7 +112,7 @@ func TestEventLogBarrierEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Settle()
-	if len(log.OfKind(event.TransferBarrier)) == 0 {
+	if len(ofKind(t, c, obs.TransferBarrier)) == 0 {
 		t.Error("no transfer-barrier event")
 	}
 }

@@ -26,7 +26,8 @@ func TestParticipantCrashMidTrace(t *testing.T) {
 
 	// Start a trace; its first BackCall heads for site 2. Crash site 2
 	// before delivering anything.
-	if _, ok := c.Site(1).StartBackTrace(objs[1]); !ok {
+	trace, ok := c.Site(1).StartBackTrace(objs[1])
+	if !ok {
 		t.Fatal("no trace")
 	}
 	c.Net().Crash(2)
@@ -36,9 +37,9 @@ func TestParticipantCrashMidTrace(t *testing.T) {
 		t.Fatal("expected a frame waiting on the crashed site")
 	}
 	c.CheckAllTimeouts()
-	outcomes := c.Site(1).Completions()
-	if len(outcomes) != 1 || outcomes[0].Outcome != msg.VerdictLive {
-		t.Fatalf("outcomes = %+v, want timeout-Live", outcomes)
+	roots := rootSpans(c, 1)
+	if len(roots) != 1 || roots[0].Trace != trace || roots[0].Verdict != msg.VerdictLive {
+		t.Fatalf("root spans = %+v, want one timeout-Live root for %v", roots, trace)
 	}
 	if c.Site(1).ActiveFrames() != 0 {
 		t.Fatal("frames leaked after timeout")

@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"backtrace/internal/event"
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
+	"backtrace/internal/obs"
 )
 
 // TestMessageLossEventualCollection (experiment C10): with lossy links,
@@ -71,13 +71,11 @@ func TestReliableLossMatrixEventualCollection(t *testing.T) {
 		t.Run(fmt.Sprintf("drop=%.1f", drop), func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= 2; seed++ {
-				events := event.NewLog(4096)
 				opts := defaultOpts(3)
 				opts.Seed = seed
 				opts.Reliable = true
 				opts.Site.CallTimeout = 5 * time.Second
 				opts.Site.ReportTimeout = 10 * time.Second
-				opts.Site.Events = events
 				c := New(opts)
 
 				garbage := c.BuildRing()
@@ -101,7 +99,7 @@ func TestReliableLossMatrixEventualCollection(t *testing.T) {
 				c.Net().SetDupProb(0)
 				c.Net().SetReorderProb(0)
 				t.Logf("drop=%.1f seed %d: garbage gone after %d chaotic rounds, %d retransmits",
-					drop, seed, rounds, c.Counters().Get(metrics.LinkRetransmits))
+					drop, seed, rounds, c.Metrics().Get(metrics.LinkRetransmits))
 
 				if g := c.GarbageCount(); g != 0 {
 					t.Fatalf("seed %d: %d garbage objects remain after %d rounds", seed, g, rounds)
@@ -116,10 +114,10 @@ func TestReliableLossMatrixEventualCollection(t *testing.T) {
 						t.Fatalf("seed %d: live object %v collected under chaos", seed, o)
 					}
 				}
-				if n := len(events.OfKind(event.TimeoutAssumedLive)); n != 0 {
+				if n := len(ofKind(t, c, obs.TimeoutAssumedLive)); n != 0 {
 					t.Fatalf("seed %d: %d TimeoutAssumedLive events with the reliable layer (want 0)", seed, n)
 				}
-				if drop > 0 && c.Counters().Get(metrics.LinkRetransmits) == 0 {
+				if drop > 0 && c.Metrics().Get(metrics.LinkRetransmits) == 0 {
 					t.Errorf("seed %d: no retransmissions under %.0f%% loss", seed, drop*100)
 				}
 				c.Close()

@@ -62,12 +62,12 @@ func TestMemoizedLiveRacesCommit(t *testing.T) {
 	if !q.ContainsObject(x.Obj) || !p.ContainsObject(y.Obj) {
 		t.Fatal("live phase: cycle objects collected while reachable")
 	}
-	memoHits := c.Counters().Get(metrics.BackTraceMemoHits)
+	memoHits := c.Metrics().Get(metrics.BackTraceMemoHits)
 	if memoHits == 0 {
 		t.Fatal("live phase: no memo hits — the cached Live verdict never engaged, witness is vacuous")
 	}
 	t.Logf("live phase: %d memo hits, %d traces", memoHits,
-		c.Counters().Get(metrics.BackTracesStarted))
+		c.Metrics().Get(metrics.BackTracesStarted))
 
 	// Phase 2: the mutator kills the proving path. Each subsequent commit
 	// bumps the committing site's generation, so every cached Live verdict

@@ -184,7 +184,7 @@ func runConcurrentStress(t *testing.T, opts Options) {
 					s.CommitLocalTrace()
 				case 2:
 					s.TriggerBackTraces()
-					s.Completions()
+					c.Spans().Events()
 				}
 			}
 		}(int64(100 + g))

@@ -152,7 +152,8 @@ func TestFigure5TraceActiveWhenMutatorArrives(t *testing.T) {
 
 	// Start the back trace from Q's outref to g. It immediately visits
 	// outref g and inref f locally, then waits on a BackCall to R.
-	if _, ok := q.StartBackTrace(fx.g); !ok {
+	trace, ok := q.StartBackTrace(fx.g)
+	if !ok {
 		t.Fatal("back trace did not start")
 	}
 	if q.ActiveFrames() == 0 {
@@ -175,9 +176,9 @@ func TestFigure5TraceActiveWhenMutatorArrives(t *testing.T) {
 	}
 
 	// Clean rule: the trace must have completed Live already.
-	outcomes := q.Completions()
-	if len(outcomes) != 1 || outcomes[0].Outcome != msg.VerdictLive {
-		t.Fatalf("completions = %+v, want immediate Live", outcomes)
+	roots := rootSpans(fx.c, q.ID())
+	if len(roots) != 1 || roots[0].Trace != trace || roots[0].Verdict != msg.VerdictLive {
+		t.Fatalf("root spans = %+v, want one immediate-Live root for %v", roots, trace)
 	}
 	if len(q.GarbageFlaggedInrefs()) != 0 {
 		t.Fatal("live chain flagged garbage")

@@ -53,7 +53,7 @@ func TestRestartKeepsSiteConfig(t *testing.T) {
 	if after.MaxInflightTraces != 4 || after.TraceBatch != 8 || !after.MemoizeLive || after.Shards != 8 {
 		t.Fatalf("restored knobs %+v lost the cluster's scheduler settings", knobsOf(after))
 	}
-	if restored.Counters() != c.Counters() {
+	if after.Counters.Registry() != c.Registry() {
 		t.Fatal("restored site reports into its own registry, not the cluster's")
 	}
 

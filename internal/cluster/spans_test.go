@@ -6,26 +6,52 @@ import (
 	"testing"
 	"time"
 
-	"backtrace/internal/event"
 	"backtrace/internal/ids"
 	"backtrace/internal/obs"
 )
 
-// checkSpanCompleteness cross-checks the event log against the span
-// collector: every back trace that logged TraceStarted AND TraceCompleted
-// must have an assembled tree whose root span closed and whose root-listed
-// participant sites all contributed a closed participant span; and no
-// participant span may reference a trace with no root (orphan), except for
-// trees the collector evicted.
-func checkSpanCompleteness(t *testing.T, c *Cluster, events *event.Log) {
+// recorder is an Observer that keeps every event and span, for tests that
+// need the whole history rather than the collector's bounded tail.
+type recorder struct {
+	mu     sync.Mutex
+	events []obs.Event
+}
+
+func (r *recorder) OnEvent(e obs.Event) {
+	r.mu.Lock()
+	r.events = append(r.events, e)
+	r.mu.Unlock()
+}
+
+func (r *recorder) OnSpan(obs.Span) {}
+
+// rootSpans returns the root spans of the back traces site initiated.
+func rootSpans(c *Cluster, site ids.SiteID) []*obs.Span {
+	var out []*obs.Span
+	for _, tree := range c.Spans().Trees() {
+		if tree.Root != nil && tree.Root.Site == site {
+			out = append(out, tree.Root)
+		}
+	}
+	return out
+}
+
+// checkSpanCompleteness cross-checks the event stream against the span
+// collector: every back trace with a TraceStarted AND a TraceCompleted
+// event must have an assembled tree whose root span closed and whose
+// root-listed participant sites all contributed a closed participant span;
+// and no participant span may reference a trace with no root (orphan),
+// except for trees the collector evicted. eventsEvicted says whether
+// older events were lost to a bound.
+func checkSpanCompleteness(t *testing.T, c *Cluster, events []obs.Event, eventsEvicted bool) {
 	t.Helper()
 	started := make(map[ids.TraceID]struct{})
 	completed := make(map[ids.TraceID]struct{})
-	for _, e := range events.Snapshot() {
+	for _, e := range events {
 		switch e.Kind {
-		case event.TraceStarted:
+		case obs.TraceStarted:
 			started[e.Trace] = struct{}{}
-		case event.TraceCompleted:
+		case obs.TraceCompleted:
 			completed[e.Trace] = struct{}{}
 		}
 	}
@@ -39,13 +65,13 @@ func checkSpanCompleteness(t *testing.T, c *Cluster, events *event.Log) {
 		if _, done := completed[id]; !done {
 			// A trace resolved by a lost-message timeout at the initiator
 			// still completes; one truncated by shutdown may not. The event
-			// log is bounded too, so only pair-wise complete traces are
-			// checked strictly.
+			// history may be bounded too, so only pair-wise complete traces
+			// are checked strictly.
 			continue
 		}
 		tree := c.Spans().Tree(id)
 		if tree == nil {
-			if evicted || events.Dropped() > 0 {
+			if evicted || eventsEvicted {
 				continue // bounded retention may have dropped old traces
 			}
 			t.Fatalf("trace %v: started and completed but no span tree", id)
@@ -89,17 +115,15 @@ func checkSpanCompleteness(t *testing.T, c *Cluster, events *event.Log) {
 // TestSpanCompletenessSerial checks that a deterministic multi-site
 // collection produces one complete span tree per back trace.
 func TestSpanCompletenessSerial(t *testing.T) {
-	events := event.NewLog(4096)
-	opts := defaultOpts(4)
-	opts.Site.Events = events
-	c := New(opts)
+	c := New(defaultOpts(4))
 	defer c.Close()
 
 	c.BuildRing()
 	if _, collected := c.CollectUntilStable(60); collected != 4 {
 		t.Fatalf("collected %d, want 4", collected)
 	}
-	checkSpanCompleteness(t, c, events)
+	events, evicted := c.Spans().Events()
+	checkSpanCompleteness(t, c, events, evicted > 0)
 }
 
 // TestSpanCompletenessParallelStress drives the parallel mailbox driver
@@ -112,11 +136,11 @@ func TestSpanCompletenessParallelStress(t *testing.T) {
 		numSites = 4
 		duration = 300 * time.Millisecond
 	)
-	events := event.NewLog(1 << 16)
+	rec := &recorder{}
 	opts := defaultOpts(numSites)
 	opts.Parallel = true
 	opts.Site.InboxSize = 8 // small inbox so spans carry real queue waits
-	opts.Site.Events = events
+	opts.Site.Observer = rec
 	c := New(opts)
 	defer c.Close()
 
@@ -183,7 +207,7 @@ func TestSpanCompletenessParallelStress(t *testing.T) {
 					s.RunLocalTrace()
 				} else {
 					s.TriggerBackTraces()
-					s.Completions()
+					c.Spans().Events()
 				}
 			}
 		}(int64(100 + g))
@@ -212,7 +236,10 @@ func TestSpanCompletenessParallelStress(t *testing.T) {
 	c.CollectUntilStable(120)
 	c.Settle()
 
-	checkSpanCompleteness(t, c, events)
+	rec.mu.Lock()
+	events := append([]obs.Event(nil), rec.events...)
+	rec.mu.Unlock()
+	checkSpanCompleteness(t, c, events, false)
 
 	// The run must also have produced latency observations.
 	snap := c.Metrics()

@@ -55,7 +55,7 @@ func TestBatchTraceMixedVerdicts(t *testing.T) {
 	if r.flaggedGarbage(1, 2) || r.flaggedGarbage(3, 9) {
 		t.Error("live suspect's cone was flagged garbage")
 	}
-	if got := r.counters.Get(metrics.BackTracesStarted); got != 1 {
+	if got := r.metric(metrics.BackTracesStarted); got != 1 {
 		t.Errorf("traces started = %d, want 1 for the whole batch", got)
 	}
 	for s, e := range r.engines {
@@ -128,7 +128,7 @@ func TestBatchTraceSingleViableDegenerates(t *testing.T) {
 	if !started {
 		t.Fatal("degenerate batch did not start")
 	}
-	if got := r.counters.Get(metrics.BackTraceBatchSize); got != 0 {
+	if got := r.metric(metrics.BackTraceBatchSize); got != 0 {
 		t.Fatalf("degenerate batch ran as a %d-suspect batch", got)
 	}
 	r.pump()
@@ -171,7 +171,7 @@ func TestMemoizedLiveShortCircuits(t *testing.T) {
 	if len(r.done) != 1 || r.done[0].outcome != msg.VerdictLive {
 		t.Fatalf("first trace = %+v, want Live", r.done)
 	}
-	calls := r.counters.Get("msg.BackCall")
+	calls := r.metric("msg.BackCall")
 	if calls != 1 {
 		t.Fatalf("first trace sent %d BackCalls, want 1 (site2→site3)", calls)
 	}
@@ -183,10 +183,10 @@ func TestMemoizedLiveShortCircuits(t *testing.T) {
 	if len(r.done) != 2 || r.done[1].outcome != msg.VerdictLive {
 		t.Fatalf("second trace = %+v, want Live", r.done)
 	}
-	if got := r.counters.Get("msg.BackCall") - calls; got != 1 {
+	if got := r.metric("msg.BackCall") - calls; got != 1 {
 		t.Fatalf("second trace sent %d BackCalls, want 1 (memo short-circuit at site 2)", got)
 	}
-	if r.counters.Get(metrics.BackTraceMemoHits) == 0 {
+	if r.metric(metrics.BackTraceMemoHits) == 0 {
 		t.Fatal("memo hit counter not incremented")
 	}
 	// ShouldStart skips a memoized suspect outright.
@@ -207,7 +207,7 @@ func TestMemoInvalidatedByGenerationBump(t *testing.T) {
 	r.pump()
 	r.engines[4].StartTrace(ids.MakeRef(8, 1))
 	r.pump()
-	calls := r.counters.Get("msg.BackCall") // 1 + 1 with the memo hit
+	calls := r.metric("msg.BackCall") // 1 + 1 with the memo hit
 
 	// Both sites commit a local trace: new generation, stale memos.
 	r.engines[2].BumpGeneration()
@@ -220,7 +220,7 @@ func TestMemoInvalidatedByGenerationBump(t *testing.T) {
 	if got := r.done[len(r.done)-1].outcome; got != msg.VerdictLive {
 		t.Fatalf("third trace outcome = %v, want Live", got)
 	}
-	if got := r.counters.Get("msg.BackCall") - calls; got != 2 {
+	if got := r.metric("msg.BackCall") - calls; got != 2 {
 		t.Fatalf("post-commit trace sent %d BackCalls, want 2 (full traversal, memo stale)", got)
 	}
 }
@@ -235,7 +235,7 @@ func TestMemoInvalidatedByCleanEvent(t *testing.T) {
 
 	r.engines[2].StartTrace(ids.MakeRef(7, 1))
 	r.pump()
-	calls := r.counters.Get("msg.BackCall")
+	calls := r.metric("msg.BackCall")
 
 	// The point invalidation: in1@2's memo entry dies with the clean event;
 	// site 4 commits so its own suspect memo does not mask the retry.
@@ -249,7 +249,7 @@ func TestMemoInvalidatedByCleanEvent(t *testing.T) {
 	if got := r.done[len(r.done)-1].outcome; got != msg.VerdictLive {
 		t.Fatalf("retry outcome = %v, want Live", got)
 	}
-	if got := r.counters.Get("msg.BackCall") - calls; got != 2 {
+	if got := r.metric("msg.BackCall") - calls; got != 2 {
 		t.Fatalf("retry sent %d BackCalls, want 2 (site4→site2, site2→site3)", got)
 	}
 }

@@ -57,9 +57,9 @@ func TestGroupedStepsOneCallPerSourceSite(t *testing.T) {
 	if len(r.done) != 1 || r.done[0].outcome != msg.VerdictGarbage {
 		t.Fatalf("completions = %+v, want one Garbage", r.done)
 	}
-	calls := r.counters.Get("msg.BackCall")
-	replies := r.counters.Get("msg.BackReply")
-	reports := r.counters.Get("msg.Report")
+	calls := r.metric("msg.BackCall")
+	replies := r.metric("msg.BackReply")
+	reports := r.metric("msg.Report")
 	if calls != 2 || replies != 2 || reports != 1 {
 		t.Fatalf("messages: calls=%d replies=%d reports=%d, want 2/2/1 (W=2, P=2)", calls, replies, reports)
 	}
@@ -232,7 +232,7 @@ func TestGroupedHeldStepsAndRepliesMerge(t *testing.T) {
 	r.deliver(msg.Envelope{From: 2, To: 3, M: first})
 	r.deliver(msg.Envelope{From: 2, To: 3, M: second})
 	r.pump()
-	if got := r.counters.Get("msg.BackReply"); got != 1+2+2+2 {
+	if got := r.metric("msg.BackReply"); got != 1+2+2+2 {
 		t.Fatalf("msg.BackReply = %d, want 7 (1 from site 3 and 2 from site 2 held, then 2 + 2 unheld)", got)
 	}
 }

@@ -75,6 +75,9 @@ func newRig(t *testing.T, sites ...ids.SiteID) *rig {
 	return r
 }
 
+// metric reads a counter or gauge the engines recorded.
+func (r *rig) metric(name string) int64 { return r.counters.Registry().Snapshot().Get(name) }
+
 // pump delivers every queued message (and messages those deliveries
 // enqueue) in FIFO order.
 func (r *rig) pump() {
@@ -199,9 +202,9 @@ func TestTwoSiteCycleMessageComplexity(t *testing.T) {
 	}
 	r.pump()
 
-	calls := r.counters.Get("msg.BackCall")
-	replies := r.counters.Get("msg.BackReply")
-	reports := r.counters.Get("msg.Report")
+	calls := r.metric("msg.BackCall")
+	replies := r.metric("msg.BackReply")
+	reports := r.metric("msg.Report")
 	if calls != 2 || replies != 2 || reports != 1 {
 		t.Fatalf("messages: calls=%d replies=%d reports=%d, want 2/2/1", calls, replies, reports)
 	}
@@ -231,10 +234,10 @@ func TestRingCyclesOfManySizes(t *testing.T) {
 			}
 		}
 		// Ring of n sites: E = n inter-site references, P = n sites.
-		if calls := r.counters.Get("msg.BackCall"); calls != int64(n) {
+		if calls := r.metric("msg.BackCall"); calls != int64(n) {
 			t.Fatalf("n=%d: calls = %d, want %d", n, calls, n)
 		}
-		if reports := r.counters.Get("msg.Report"); reports != int64(n-1) {
+		if reports := r.metric("msg.Report"); reports != int64(n-1) {
 			t.Fatalf("n=%d: reports = %d, want %d", n, reports, n-1)
 		}
 	}
@@ -701,13 +704,13 @@ func TestGarbageOutcomeCounters(t *testing.T) {
 	r.buildRing(2, 40)
 	r.engines[1].StartTrace(ids.MakeRef(2, 1))
 	r.pump()
-	if r.counters.Get(metrics.BackTracesStarted) != 1 {
+	if r.metric(metrics.BackTracesStarted) != 1 {
 		t.Error("started counter wrong")
 	}
-	if r.counters.Get(metrics.BackTracesGarbage) != 1 {
+	if r.metric(metrics.BackTracesGarbage) != 1 {
 		t.Error("garbage outcome counter wrong")
 	}
-	if r.counters.Get(metrics.InrefsFlagged) != 2 {
-		t.Errorf("flagged counter = %d, want 2", r.counters.Get(metrics.InrefsFlagged))
+	if r.metric(metrics.InrefsFlagged) != 2 {
+		t.Errorf("flagged counter = %d, want 2", r.metric(metrics.InrefsFlagged))
 	}
 }

@@ -7,23 +7,24 @@ import (
 
 	"backtrace/internal/ids"
 	"backtrace/internal/msg"
+	"backtrace/internal/obs"
 )
 
 // engineView is what a stale reply must leave untouched at site 1.
 type engineView struct {
 	done, queued, frames, marks int
 	flagged                     bool
-	counters                    map[string]int64
+	metrics                     obs.Snapshot
 }
 
 func (r *rig) view() engineView {
 	return engineView{
-		done:     len(r.done),
-		queued:   len(r.queue),
-		frames:   r.engines[1].ActiveFrames(),
-		marks:    r.engines[1].PendingMarks(),
-		flagged:  r.flaggedGarbage(1, 1),
-		counters: r.counters.Snapshot(),
+		done:    len(r.done),
+		queued:  len(r.queue),
+		frames:  r.engines[1].ActiveFrames(),
+		marks:   r.engines[1].PendingMarks(),
+		flagged: r.flaggedGarbage(1, 1),
+		metrics: r.counters.Registry().Snapshot(),
 	}
 }
 

@@ -111,15 +111,15 @@ func BacktraceTraffic(sites, hub, petals, liveDepth int) ([]BacktraceRow, error)
 			c.Settle()
 		}
 
-		snap := c.Counters().Snapshot()
+		snap := c.Metrics()
 		row := BacktraceRow{
 			Mode:          mode,
-			TracesStarted: snap[metrics.BackTracesStarted],
-			BackCalls:     snap["msg.BackCall"],
-			MemoHits:      snap[metrics.BackTraceMemoHits],
-			Deferred:      snap[metrics.BackTraceDeferred],
-			PeakInflight:  snap[metrics.BackTraceInflight],
-			PeakBatch:     snap[metrics.BackTraceBatchSize],
+			TracesStarted: snap.Get(metrics.BackTracesStarted),
+			BackCalls:     snap.Get("msg.BackCall"),
+			MemoHits:      snap.Get(metrics.BackTraceMemoHits),
+			Deferred:      snap.Get(metrics.BackTraceDeferred),
+			PeakInflight:  snap.Get(metrics.BackTraceInflight),
+			PeakBatch:     snap.Get(metrics.BackTraceBatchSize),
 			Cycles:        petals,
 			Collected:     c.GarbageCount() == 0,
 		}

@@ -223,33 +223,34 @@ func CompareCollectors(cycleSites, extraSites int) ([]CompareRow, error) {
 			return nil, err
 		}
 		garbage := c.GarbageCount()
-		c.Counters().Reset()
-		participants := make(map[ids.SiteID]struct{})
+		c.Registry().Reset()
 		rounds := 0
 		for ; rounds < 60 && c.GarbageCount() > 0; rounds++ {
 			c.RunRound()
-			for _, s := range c.Sites() {
-				for _, out := range s.Completions() {
-					for _, p := range out.Participants {
-						participants[p] = struct{}{}
-					}
+		}
+		// Every back trace's root span lists the sites it reached.
+		participants := make(map[ids.SiteID]struct{})
+		for _, tree := range c.Spans().Trees() {
+			if tree.Root != nil {
+				for _, p := range tree.Root.Participants {
+					participants[p] = struct{}{}
 				}
 			}
 		}
-		snap := c.Counters().Snapshot()
+		snap := c.Metrics()
 		// Steady state: five more rounds with no garbage left.
 		c.RunRounds(5)
-		after := c.Counters().Snapshot()
+		after := c.Metrics()
 		rows = append(rows, CompareRow{
 			Collector: "back-tracing",
 			Collected: garbage - c.GarbageCount(),
 			Rounds:    rounds,
 			// All collector traffic during the run: reference-listing
 			// updates, distance propagation, and back-trace messages.
-			Messages:       snap["msg.total"],
-			Bytes:          16 * snap["msg.total"],
+			Messages:       snap.Get("msg.total"),
+			Bytes:          16 * snap.Get("msg.total"),
 			SitesInvolved:  len(participants),
-			SteadyPerRound: (after["msg.total"] - snap["msg.total"]) / 5,
+			SteadyPerRound: (after.Get("msg.total") - snap.Get("msg.total")) / 5,
 		})
 		c.Close()
 	}
@@ -469,20 +470,20 @@ func Hypertext(docs, sites int, seed int64) (HypertextRow, error) {
 		return HypertextRow{}, err
 	}
 	garbage := c.GarbageCount()
-	c.Counters().Reset()
+	c.Registry().Reset()
 	rounds, collected := c.CollectUntilStable(100)
-	snap := c.Counters().Snapshot()
+	snap := c.Metrics()
 	return HypertextRow{
 		Docs:        docs,
 		Objects:     len(refsOut),
 		Garbage:     garbage,
 		Rounds:      rounds,
 		Collected:   collected,
-		Traces:      snap[metrics.BackTracesStarted],
-		TraceLive:   snap[metrics.BackTracesLive],
-		MsgTotal:    snap["msg.total"],
-		MsgBacktr:   snap["msg.BackCall"] + snap["msg.BackReply"] + snap["msg.Report"],
-		ObjectsScan: snap[metrics.ObjectsTraced],
+		Traces:      snap.Get(metrics.BackTracesStarted),
+		TraceLive:   snap.Get(metrics.BackTracesLive),
+		MsgTotal:    snap.Get("msg.total"),
+		MsgBacktr:   snap.Get("msg.BackCall") + snap.Get("msg.BackReply") + snap.Get("msg.Report"),
+		ObjectsScan: snap.Get(metrics.ObjectsTraced),
 	}, nil
 }
 

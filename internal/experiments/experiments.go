@@ -111,7 +111,7 @@ func MessagesPerTrace(specs []workload.Spec) ([]MessagesRow, error) {
 		}
 		// Propagate distances until everything on the cycle is suspected.
 		c.RunRounds(10)
-		before := c.Counters().Snapshot()
+		before := c.Metrics()
 
 		// Start one back trace from a suspected outref of site 1 (any
 		// cycle member works; pick deterministically).
@@ -134,7 +134,7 @@ func MessagesPerTrace(specs []workload.Spec) ([]MessagesRow, error) {
 			return nil, fmt.Errorf("messages: no suspected outref in %s", spec.Name)
 		}
 		c.Settle()
-		after := c.Counters().Snapshot()
+		after := c.Metrics()
 
 		e := spec.InterSiteEdges()
 		p := spec.SitesTouched()
@@ -142,9 +142,9 @@ func MessagesPerTrace(specs []workload.Spec) ([]MessagesRow, error) {
 			Workload:    spec.Name,
 			Sites:       p,
 			InterSite:   e,
-			BackCalls:   after["msg.BackCall"] - before["msg.BackCall"],
-			BackReplies: after["msg.BackReply"] - before["msg.BackReply"],
-			Reports:     after["msg.Report"] - before["msg.Report"],
+			BackCalls:   after.Get("msg.BackCall") - before.Get("msg.BackCall"),
+			BackReplies: after.Get("msg.BackReply") - before.Get("msg.BackReply"),
+			Reports:     after.Get("msg.Report") - before.Get("msg.Report"),
 			Predicted:   int64(2*e + p - 1),
 		}
 		row.Total = row.BackCalls + row.BackReplies + row.Reports
@@ -286,13 +286,13 @@ func ThresholdTuning(t2s []int) []ThresholdRow {
 				roundsToClean = r
 			}
 		}
-		snap := c.Counters().Snapshot()
+		snap := c.Metrics()
 		rows = append(rows, ThresholdRow{
 			BackThreshold:  t2,
 			RoundsToClean:  roundsToClean,
-			TracesStarted:  snap[metrics.BackTracesStarted],
-			LiveOutcomes:   snap[metrics.BackTracesLive],
-			GarbageOutcome: snap[metrics.BackTracesGarbage],
+			TracesStarted:  snap.Get(metrics.BackTracesStarted),
+			LiveOutcomes:   snap.Get(metrics.BackTracesLive),
+			GarbageOutcome: snap.Get(metrics.BackTracesGarbage),
 		})
 		c.Close()
 	}

@@ -60,14 +60,14 @@ func Overlap(sizes []int) []OverlapRow {
 					c.Settle()
 				}
 			}
-			snap := c.Counters().Snapshot()
+			snap := c.Metrics()
 			rows = append(rows, OverlapRow{
 				Sites:         n,
 				Mode:          mode,
-				TracesStarted: snap[metrics.BackTracesStarted],
-				Garbage:       snap[metrics.BackTracesGarbage],
-				Live:          snap[metrics.BackTracesLive],
-				Messages:      snap["msg.BackCall"] + snap["msg.BackReply"] + snap["msg.Report"],
+				TracesStarted: snap.Get(metrics.BackTracesStarted),
+				Garbage:       snap.Get(metrics.BackTracesGarbage),
+				Live:          snap.Get(metrics.BackTracesLive),
+				Messages:      snap.Get("msg.BackCall") + snap.Get("msg.BackReply") + snap.Get("msg.Report"),
 				Collected:     c.GarbageCount() == 0,
 			})
 			c.Close()

@@ -41,7 +41,7 @@ func Timeline(sizes []int, t, t2 int) []TimelineRow {
 		row := TimelineRow{Sites: n, T: t, T2: t2}
 
 		for round := 1; round <= 80; round++ {
-			tracesBefore := c.Counters().Get(metrics.BackTracesStarted)
+			tracesBefore := c.Metrics().Get(metrics.BackTracesStarted)
 			c.RunRound()
 
 			if row.RoundSuspected == 0 {
@@ -56,7 +56,7 @@ func Timeline(sizes []int, t, t2 int) []TimelineRow {
 					row.RoundSuspected = round
 				}
 			}
-			if row.RoundTraced == 0 && c.Counters().Get(metrics.BackTracesStarted) > tracesBefore {
+			if row.RoundTraced == 0 && c.Metrics().Get(metrics.BackTracesStarted) > tracesBefore {
 				row.RoundTraced = round
 			}
 			if row.RoundCollected == 0 && c.GarbageCount() == 0 {

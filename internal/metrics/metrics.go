@@ -1,22 +1,17 @@
-// Package metrics provides the legacy stringly-named counter API used by
-// the experiment harness to measure the quantities the paper reasons about
-// analytically: messages by type (for the 2E+P message-complexity claim),
+// Package metrics names the quantities the paper reasons about
+// analytically — messages by type (for the 2E+P message-complexity claim),
 // objects traced per local trace (for the Section 5 cost comparison),
 // back-trace outcomes (for the back-threshold tuning claim), and space
-// occupied by back information (for the O(ni·no) bound).
+// occupied by back information (for the O(ni·no) bound) — and provides
+// Counters, the write side that records them by name.
 //
-// Deprecated surface: Counters is now a compatibility shim over the typed
-// obs.Registry — every Add lands in a declared obs.Counter and every Max in
-// an obs.Gauge, so the same numbers back the legacy Snapshot map, the
-// typed Site.Metrics()/Cluster.Metrics() snapshots, and the Prometheus
-// /metrics endpoint. New code should use obs.Registry directly (reach it
-// with Counters.Registry()).
+// Counters is a thin seam over obs.Registry: every Add lands in a declared
+// obs.Counter and every Max in an obs.Gauge. Values are read only through
+// the registry — Site.Metrics()/Cluster.Metrics() snapshots and the
+// Prometheus /metrics endpoint.
 package metrics
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -24,12 +19,10 @@ import (
 	"backtrace/internal/obs"
 )
 
-// Counters is the legacy named-counter facade. The zero value is ready to
-// use (it creates its own registry on first write); NewCounters shares an
-// existing registry instead.
-//
-// Deprecated: new call sites should declare typed instruments on the
-// obs.Registry (see Registry) rather than accumulate by string name.
+// Counters records named counters and high-water marks into an
+// obs.Registry. The zero value is ready to use (it creates its own
+// registry on first write); NewCounters shares an existing registry
+// instead.
 type Counters struct {
 	mu  sync.Mutex
 	reg *obs.Registry
@@ -37,8 +30,8 @@ type Counters struct {
 	msgs msgCounters
 }
 
-// NewCounters creates a Counters facade over an existing registry, so the
-// legacy API and typed instruments share one instrument set.
+// NewCounters creates Counters over an existing registry, so named and
+// typed instruments share one instrument set.
 func NewCounters(reg *obs.Registry) *Counters {
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -46,8 +39,8 @@ func NewCounters(reg *obs.Registry) *Counters {
 	return &Counters{reg: reg}
 }
 
-// Registry returns the typed registry backing this facade, creating it on
-// first use. This is the migration path away from stringly-typed names.
+// Registry returns the typed registry these counters record into, creating
+// it on first use. It is the read path for every value recorded here.
 func (c *Counters) Registry() *obs.Registry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -65,52 +58,10 @@ func (c *Counters) Add(name string, delta int64) {
 // Inc increments a named counter by one.
 func (c *Counters) Inc(name string) { c.Add(name, 1) }
 
-// Get returns the value of a named counter or high-water mark (zero if
-// never recorded).
-func (c *Counters) Get(name string) int64 {
-	v, _ := c.Registry().Value(name)
-	return v
-}
-
 // Max raises a named high-water mark to v if v is larger (peaks such as
 // back-information size are gauges in the registry).
 func (c *Counters) Max(name string, v int64) {
 	c.Registry().Gauge(name, "").Max(v)
-}
-
-// Snapshot returns a copy of all counters and high-water marks as one flat
-// name → value map (histograms are only in the typed obs.Snapshot).
-func (c *Counters) Snapshot() map[string]int64 {
-	snap := c.Registry().Snapshot()
-	out := make(map[string]int64, len(snap.Counters)+len(snap.Gauges))
-	for k, v := range snap.Counters {
-		out[k] = v
-	}
-	for k, v := range snap.Gauges {
-		out[k] = v
-	}
-	return out
-}
-
-// Reset zeroes every instrument in the backing registry (declarations are
-// kept).
-func (c *Counters) Reset() {
-	c.Registry().Reset()
-}
-
-// String renders the counters sorted by name, one per line.
-func (c *Counters) String() string {
-	snap := c.Snapshot()
-	names := make([]string, 0, len(snap))
-	for k := range snap {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, k := range names {
-		fmt.Fprintf(&b, "%-28s %d\n", k, snap[k])
-	}
-	return b.String()
 }
 
 // Message counter names. Counts are LOGICAL: a session-layer wrapper
@@ -279,9 +230,6 @@ const (
 	BackInfoEntries     = "backinfo.entries"
 	BackInfoPeak        = "backinfo.peak"
 	InrefsFlagged       = "inrefs.flagged.garbage"
-	// CompletionsDropped counts trace outcomes a site's bounded completion
-	// log evicted before anyone drained them.
-	CompletionsDropped = "site.completions_dropped"
 )
 
 // Incremental-tracing counter names. Every local trace is a full mark, so

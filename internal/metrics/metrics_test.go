@@ -9,53 +9,47 @@ import (
 	"backtrace/internal/msg"
 )
 
+// get reads a counter or gauge c recorded, through its registry.
+func get(c *Counters, name string) int64 { return c.Registry().Snapshot().Get(name) }
+
 func TestCountersBasics(t *testing.T) {
 	var c Counters
-	if c.Get("x") != 0 {
+	if get(&c, "x") != 0 {
 		t.Fatal("fresh counter nonzero")
 	}
 	c.Inc("x")
 	c.Add("x", 4)
-	if got := c.Get("x"); got != 5 {
+	if got := get(&c, "x"); got != 5 {
 		t.Fatalf("x = %d, want 5", got)
 	}
 	c.Max("peak", 3)
 	c.Max("peak", 1)
 	c.Max("peak", 7)
-	if got := c.Get("peak"); got != 7 {
+	if got := get(&c, "peak"); got != 7 {
 		t.Fatalf("peak = %d, want 7", got)
 	}
 }
 
+// TestCountersSnapshotIsCopy: a registry snapshot of what Counters recorded
+// does not alias the live instruments.
 func TestCountersSnapshotIsCopy(t *testing.T) {
 	var c Counters
 	c.Inc("a")
-	snap := c.Snapshot()
-	snap["a"] = 99
-	if c.Get("a") != 1 {
+	snap := c.Registry().Snapshot()
+	snap.Counters["a"] = 99
+	if get(&c, "a") != 1 {
 		t.Fatal("snapshot aliases internal state")
 	}
 }
 
+// TestCountersReset: resetting the registry clears what Counters recorded.
 func TestCountersReset(t *testing.T) {
 	var c Counters
 	c.Inc("a")
-	c.Reset()
-	if c.Get("a") != 0 {
+	c.Max("peak", 3)
+	c.Registry().Reset()
+	if get(&c, "a") != 0 || get(&c, "peak") != 0 {
 		t.Fatal("reset did not clear")
-	}
-}
-
-func TestCountersStringSorted(t *testing.T) {
-	var c Counters
-	c.Inc("bbb")
-	c.Inc("aaa")
-	s := c.String()
-	if !strings.Contains(s, "aaa") || !strings.Contains(s, "bbb") {
-		t.Fatalf("String() = %q", s)
-	}
-	if strings.Index(s, "aaa") > strings.Index(s, "bbb") {
-		t.Fatal("String() not sorted")
 	}
 }
 
@@ -65,14 +59,14 @@ func TestObserveMessage(t *testing.T) {
 	c.ObserveMessage(env, false)
 	c.ObserveMessage(env, false)
 	c.ObserveMessage(env, true)
-	if c.Get(MsgTotal) != 2 {
-		t.Errorf("total = %d, want 2", c.Get(MsgTotal))
+	if got := get(&c, MsgTotal); got != 2 {
+		t.Errorf("total = %d, want 2", got)
 	}
-	if c.Get(MsgDropped) != 1 {
-		t.Errorf("dropped = %d, want 1", c.Get(MsgDropped))
+	if got := get(&c, MsgDropped); got != 1 {
+		t.Errorf("dropped = %d, want 1", got)
 	}
-	if c.Get("msg.Report") != 2 {
-		t.Errorf("msg.Report = %d, want 2", c.Get("msg.Report"))
+	if got := get(&c, "msg.Report"); got != 2 {
+		t.Errorf("msg.Report = %d, want 2", got)
 	}
 }
 
@@ -88,7 +82,7 @@ func TestObserveMessageEveryType(t *testing.T) {
 		c.ObserveMessage(msg.Envelope{M: leaf}, false)
 		c.ObserveMessage(msg.Envelope{M: msg.LinkBatch{Items: []msg.Message{leaf, msg.LinkData{Payload: leaf}}}}, false)
 		want := map[string]int64{WireFrames: 2, MsgTotal: 3, MsgName(leaf): 3}
-		got := c.Snapshot()
+		got := c.Registry().Snapshot().Counters
 		if len(got) != len(want) {
 			t.Fatalf("%s: declared %v, want %v", msg.Name(leaf), got, want)
 		}
@@ -131,10 +125,10 @@ func TestCountersConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := c.Get("n"); got != 8000 {
+	if got := get(&c, "n"); got != 8000 {
 		t.Fatalf("n = %d, want 8000", got)
 	}
-	if got := c.Get("m"); got != 999 {
+	if got := get(&c, "m"); got != 999 {
 		t.Fatalf("m = %d, want 999", got)
 	}
 }

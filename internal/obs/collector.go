@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"backtrace/internal/event"
 	"backtrace/internal/ids"
 )
 
@@ -56,21 +55,23 @@ type CollectorOptions struct {
 	MaxLocalSpans int
 }
 
-// Collector assembles spans from every site into per-trace trees. It
-// implements Observer and is safe for concurrent use; it never calls back
-// into a site, so it can be wired directly into SiteConfig/ClusterOptions.
+// Collector assembles spans from every site into per-trace trees and keeps
+// the most recent events. It implements Observer and is safe for concurrent
+// use; it never calls back into a site, so it can be wired directly into
+// SiteConfig/ClusterOptions.
 type Collector struct {
 	opts CollectorOptions
 
 	mu      sync.Mutex
 	trees   map[ids.TraceID]*Tree
 	order   []ids.TraceID // insertion order, for eviction
-	local   []Span        // ring of local-trace spans
-	nextLoc int
-	locFull bool
+	local   ring[Span]    // local-trace spans
+	events  ring[Event]
 	evicted int64
-	events  int64
 }
+
+// MaxEvents is how many of the most recent events a Collector keeps.
+const MaxEvents = 4096
 
 // NewCollector creates a span collector.
 func NewCollector(opts CollectorOptions) *Collector {
@@ -81,20 +82,48 @@ func NewCollector(opts CollectorOptions) *Collector {
 		opts.MaxLocalSpans = 1024
 	}
 	return &Collector{
-		opts:  opts,
-		trees: make(map[ids.TraceID]*Tree),
-		local: make([]Span, opts.MaxLocalSpans),
+		opts:   opts,
+		trees:  make(map[ids.TraceID]*Tree),
+		local:  ring[Span]{max: opts.MaxLocalSpans},
+		events: ring[Event]{max: MaxEvents},
 	}
+}
+
+// ring keeps the most recent max values pushed into it, growing on demand
+// up to max and counting the values it evicts.
+type ring[T any] struct {
+	buf     []T
+	next    int // the slot the next push overwrites once buf is full
+	max     int
+	evicted int64
+}
+
+func (r *ring[T]) push(v T) {
+	if len(r.buf) < r.max {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % r.max
+	r.evicted++
+}
+
+// items returns a copy of the retained values, oldest first.
+func (r *ring[T]) items() []T {
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
 }
 
 var _ Observer = (*Collector)(nil)
 
-// OnEvent implements Observer; the collector only counts events (the
-// bounded event.Log is the event store).
-func (c *Collector) OnEvent(event.Event) {
+// OnEvent implements Observer: keep the event, numbered in arrival order,
+// among the most recent MaxEvents.
+func (c *Collector) OnEvent(e Event) {
 	c.mu.Lock()
-	c.events++
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	e.Seq = uint64(len(c.events.buf)) + uint64(c.events.evicted) + 1
+	c.events.push(e)
 }
 
 // OnSpan implements Observer: file the span into its trace's tree.
@@ -102,12 +131,7 @@ func (c *Collector) OnSpan(sp Span) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if sp.Kind == SpanLocalTrace || sp.Trace.IsZero() {
-		c.local[c.nextLoc] = sp
-		c.nextLoc++
-		if c.nextLoc == len(c.local) {
-			c.nextLoc = 0
-			c.locFull = true
-		}
+		c.local.push(sp)
 		return
 	}
 	tree := c.treeLocked(sp.Trace)
@@ -204,12 +228,15 @@ func (c *Collector) OrphanTraceIDs() []ids.TraceID {
 func (c *Collector) LocalTraceSpans() []Span {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []Span
-	if c.locFull {
-		out = append(out, c.local[c.nextLoc:]...)
-	}
-	out = append(out, c.local[:c.nextLoc]...)
-	return out
+	return c.local.items()
+}
+
+// Events returns the retained events, oldest first, and how many older
+// ones were evicted to the MaxEvents bound.
+func (c *Collector) Events() (events []Event, evicted int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.events.items(), c.events.evicted
 }
 
 // Evicted returns how many trees were dropped to the MaxTraces bound.
@@ -219,14 +246,17 @@ func (c *Collector) Evicted() int64 {
 	return c.evicted
 }
 
-// WriteJSON dumps every retained tree (and the local-trace spans) as one
-// JSON document.
+// WriteJSON dumps every retained tree, the local-trace spans and the
+// retained events as one JSON document.
 func (c *Collector) WriteJSON(w io.Writer) error {
+	events, eventsEvicted := c.Events()
 	doc := struct {
-		Traces      []*Tree `json:"traces"`
-		LocalTraces []Span  `json:"local_traces"`
-		Evicted     int64   `json:"evicted,omitempty"`
-	}{Traces: c.Trees(), LocalTraces: c.LocalTraceSpans(), Evicted: c.Evicted()}
+		Traces        []*Tree `json:"traces"`
+		LocalTraces   []Span  `json:"local_traces"`
+		Evicted       int64   `json:"evicted,omitempty"`
+		Events        []Event `json:"events"`
+		EventsEvicted int64   `json:"events_evicted,omitempty"`
+	}{c.Trees(), c.LocalTraceSpans(), c.Evicted(), events, eventsEvicted}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"backtrace/internal/event"
 	"backtrace/internal/ids"
 	"backtrace/internal/msg"
 )
@@ -118,9 +117,12 @@ func TestTeeFansOut(t *testing.T) {
 	b := NewCollector(CollectorOptions{})
 	o := Tee(nil, a, b)
 	o.OnSpan(span(ids.TraceID{Initiator: 1, Seq: 1}, 1, SpanParticipant))
-	o.OnEvent(event.Event{Kind: event.TraceStarted})
+	o.OnEvent(Event{Kind: TraceStarted})
 	if len(a.Trees()) != 1 || len(b.Trees()) != 1 {
-		t.Fatal("tee did not fan out")
+		t.Fatal("tee did not fan out spans")
+	}
+	if ea, _ := a.Events(); len(ea) != 1 {
+		t.Fatal("tee did not fan out events")
 	}
 	if Tee(nil, nil) != nil {
 		t.Fatal("Tee of nils should be nil")
@@ -140,6 +142,7 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 	root.Participants = []ids.SiteID{1}
 	col.OnSpan(root)
 	col.OnSpan(span(tid, 1, SpanParticipant))
+	col.OnEvent(Event{Site: 1, Kind: TraceCompleted, Trace: tid, N: 1})
 
 	srv := httptest.NewServer(DebugHandler(reg, col, func() error { return nil }))
 	defer srv.Close()
@@ -170,7 +173,8 @@ func TestDebugHandlerEndpoints(t *testing.T) {
 	if code, body := get("/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz: %d %q", code, body)
 	}
-	if code, body := get("/spans"); code != 200 || !strings.Contains(body, `"traces"`) {
+	if code, body := get("/spans"); code != 200 || !strings.Contains(body, `"traces"`) ||
+		!strings.Contains(body, `"kind": "trace-completed"`) {
 		t.Fatalf("/spans: %d\n%s", code, body)
 	}
 }

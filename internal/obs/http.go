@@ -9,7 +9,7 @@ import (
 //
 //	/metrics  Prometheus text-format exposition of the registry
 //	/healthz  200 "ok" while health() returns nil, 503 otherwise
-//	/spans    JSON dump of the span collector's trace trees
+//	/spans    JSON dump of the span collector's trace trees and recent events
 //
 // Any of registry, collector, and health may be nil; the corresponding
 // endpoint then reports 404 (for /metrics and /spans) or plain liveness

@@ -1,14 +1,14 @@
-// Package obs is the collector's observability layer: a typed metrics
-// registry (counters, gauges, latency histograms) with Prometheus
-// text-format exposition, distributed trace spans correlated by TraceID
-// across sites, a span collector that assembles cross-site span trees, and
-// an HTTP debug handler.
+// Package obs is the collector's observability layer: the Observer stream
+// of structured events and distributed trace spans correlated by TraceID
+// across sites, a collector that assembles cross-site span trees and keeps
+// the recent events, a typed metrics registry (counters, gauges, latency
+// histograms) with Prometheus text-format exposition, and an HTTP debug
+// handler.
 //
-// The registry replaces the stringly-typed counter map the experiment
-// harness grew up with: instruments are declared once with a name and help
-// string, reads and writes are lock-free atomics, and the same instrument
-// set backs the in-process snapshot API (Snapshot), the legacy
-// metrics.Counters shim, and the /metrics endpoint.
+// Instruments are declared once with a name and help string, reads and
+// writes are lock-free atomics, and the same instrument set backs the
+// in-process snapshot API (Snapshot), the metrics.Counters write seam, and
+// the /metrics endpoint.
 package obs
 
 import (
@@ -31,7 +31,7 @@ type Counter struct {
 func (c *Counter) Name() string { return c.name }
 
 // Add increments the counter by delta (delta must be non-negative; the
-// registry does not enforce this, matching the legacy Counters behaviour).
+// registry does not enforce this).
 func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 
 // Inc increments the counter by one.
@@ -90,13 +90,15 @@ type Histogram struct {
 // Name returns the histogram's registered name.
 func (h *Histogram) Name() string { return h.name }
 
-// Observe records one value (in seconds).
+// Observe records one value (in seconds). It bumps count before the
+// bucket, and snapshot reads the buckets before count, so a concurrent
+// snapshot never shows a bucket above the +Inf count.
 func (h *Histogram) Observe(seconds float64) {
+	h.count.Add(1)
 	i := sort.SearchFloat64s(h.bounds, seconds)
 	if i < len(h.bounds) {
 		h.counts[i].Add(1)
 	}
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		sum := math.Float64frombits(old) + seconds
@@ -121,14 +123,14 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds:  h.bounds,
 		Buckets: make([]int64, len(h.bounds)),
-		Count:   h.count.Load(),
-		Sum:     h.Sum(),
 	}
 	var cum int64
 	for i := range h.counts {
 		cum += h.counts[i].Load()
 		s.Buckets[i] = cum
 	}
+	s.Count = h.count.Load()
+	s.Sum = h.Sum()
 	return s
 }
 
@@ -149,8 +151,7 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// Get returns the value of a named counter or gauge (zero if absent) —
-// the lookup the legacy harness APIs expect.
+// Get returns the value of a named counter or gauge (zero if absent).
 func (s Snapshot) Get(name string) int64 {
 	if v, ok := s.Counters[name]; ok {
 		return v

@@ -136,6 +136,24 @@ func TestPromName(t *testing.T) {
 
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
+	// A scrape racing the writers must still see monotonic buckets: the
+	// last bound's cumulative count never exceeds the +Inf count.
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if h, ok := r.Snapshot().Histograms["h"]; ok && h.Buckets[len(h.Buckets)-1] > h.Count {
+				t.Errorf("bucket le=%g holds %d > count %d", h.Bounds[len(h.Bounds)-1], h.Buckets[len(h.Buckets)-1], h.Count)
+				return
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -149,6 +167,8 @@ func TestRegistryConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	<-scraped
 	s := r.Snapshot()
 	if s.Get("n") != 8000 {
 		t.Fatalf("n = %d", s.Get("n"))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"backtrace/internal/event"
 	"backtrace/internal/ids"
 	"backtrace/internal/msg"
 )
@@ -30,9 +29,6 @@ const (
 	// MetricMailboxDepth is a gauge of the current mailbox depth (last
 	// enqueue/dequeue observation wins; peaks are under mailbox.depth.peak).
 	MetricMailboxDepth = "mailbox.depth"
-	// MetricEventsDropped is a gauge of events evicted from the bounded
-	// event log, refreshed by every metrics snapshot.
-	MetricEventsDropped = "events.dropped"
 )
 
 // SpanKind classifies a span.
@@ -131,7 +127,7 @@ func (s Span) String() string {
 // under the site lock.
 type Observer interface {
 	// OnEvent receives one structured collector event.
-	OnEvent(e event.Event)
+	OnEvent(e Event)
 	// OnSpan receives one completed span.
 	OnSpan(sp Span)
 }
@@ -139,7 +135,7 @@ type Observer interface {
 // multiObserver fans one stream out to several observers.
 type multiObserver []Observer
 
-func (m multiObserver) OnEvent(e event.Event) {
+func (m multiObserver) OnEvent(e Event) {
 	for _, o := range m {
 		o.OnEvent(e)
 	}

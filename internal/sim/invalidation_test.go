@@ -68,9 +68,9 @@ func TestIncrementalExploreClean(t *testing.T) {
 		t.Run(mix.name, func(t *testing.T) {
 			cfg := Config{Seed: 1, Faults: mix.faults}
 			report, err := Explore(cfg, mix.seeds, func(seed int64, res *Result) {
-				traces += res.Counters[metrics.LocalTraces]
-				remarks += res.Counters[metrics.IncrementalRemarks]
-				fallbacks += res.Counters[metrics.IncrementalFallbacks]
+				traces += res.Metrics.Get(metrics.LocalTraces)
+				remarks += res.Metrics.Get(metrics.IncrementalRemarks)
+				fallbacks += res.Metrics.Get(metrics.IncrementalFallbacks)
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 
 	"backtrace/internal/ids"
 	"backtrace/internal/msg"
+	"backtrace/internal/obs"
 	"backtrace/internal/site"
 )
 
@@ -42,8 +43,8 @@ type Result struct {
 	// audit, and every emitted span. Two runs are the same interleaving iff
 	// their digests match.
 	Digest string
-	// EventLog is the human-readable per-event log the digest hashes.
-	EventLog []string
+	// Log is the human-readable per-event log the digest hashes.
+	Log []string
 	// FaultCtx records what the collector was doing when each crash or
 	// partition hit (used to select corpus schedules that actually race a
 	// fault against an active back trace or an in-flight report).
@@ -53,10 +54,9 @@ type Result struct {
 	// Delivered and Dropped count message events.
 	Delivered int
 	Dropped   int
-	// Counters is the cluster's final counter snapshot (collector activity:
-	// traces run, back traces, messages). Not part of
-	// the digest.
-	Counters map[string]int64
+	// Metrics is the cluster's final metrics snapshot (collector activity:
+	// traces run, back traces, messages). Not part of the digest.
+	Metrics obs.Snapshot
 }
 
 // FaultContext snapshots collector activity at the instant a fault applied.
@@ -378,7 +378,7 @@ func (r *runner) postEvent(ev Event) []string {
 	line := fmt.Sprintf("%04d %-28s | objs=%d live=%d pend=%d",
 		len(r.res.Events)-1, ev.String(), snap.objects, snap.live,
 		r.w.cluster.Net().PendingCount())
-	r.res.EventLog = append(r.res.EventLog, line)
+	r.res.Log = append(r.res.Log, line)
 	r.hash.Write([]byte(line))
 	r.hash.Write([]byte{'\n'})
 	return snap.violations
@@ -502,7 +502,7 @@ func (r *runner) finalizeDigest() {
 	}
 	r.res.Spans = len(r.w.spans.spans)
 	r.res.Digest = hex.EncodeToString(r.hash.Sum(nil))
-	r.res.Counters = r.w.cluster.Counters().Snapshot()
+	r.res.Metrics = r.w.cluster.Metrics()
 }
 
 // dumpAudit writes a canonical (sorted) serialization of one site's audit.

@@ -3,7 +3,7 @@ package sim
 import (
 	"testing"
 
-	"backtrace/internal/event"
+	"backtrace/internal/obs"
 )
 
 // TestDeterminism is the replay contract: the same seed produces the
@@ -22,12 +22,12 @@ func TestDeterminism(t *testing.T) {
 	if a.Digest != b.Digest {
 		t.Fatalf("same seed, different digests:\n  %s\n  %s", a.Digest, b.Digest)
 	}
-	if len(a.EventLog) != len(b.EventLog) {
-		t.Fatalf("same seed, different log lengths: %d vs %d", len(a.EventLog), len(b.EventLog))
+	if len(a.Log) != len(b.Log) {
+		t.Fatalf("same seed, different log lengths: %d vs %d", len(a.Log), len(b.Log))
 	}
-	for i := range a.EventLog {
-		if a.EventLog[i] != b.EventLog[i] {
-			t.Fatalf("log line %d differs:\n  %s\n  %s", i, a.EventLog[i], b.EventLog[i])
+	for i := range a.Log {
+		if a.Log[i] != b.Log[i] {
+			t.Fatalf("log line %d differs:\n  %s\n  %s", i, a.Log[i], b.Log[i])
 		}
 	}
 
@@ -112,11 +112,11 @@ func TestRunExercisesTheCollector(t *testing.T) {
 	var started, completed, collected int
 	for _, e := range w.spans.events {
 		switch e.Kind {
-		case event.TraceStarted:
+		case obs.TraceStarted:
 			started++
-		case event.TraceCompleted:
+		case obs.TraceCompleted:
 			completed++
-		case event.ObjectsCollected:
+		case obs.ObjectsCollected:
 			collected += e.N
 		}
 	}

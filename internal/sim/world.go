@@ -7,7 +7,6 @@ import (
 
 	"backtrace/internal/clock"
 	"backtrace/internal/cluster"
-	"backtrace/internal/event"
 	"backtrace/internal/ids"
 	"backtrace/internal/msg"
 	"backtrace/internal/obs"
@@ -165,11 +164,11 @@ type world struct {
 // tests assert against the typed event stream (trace verdicts, collections).
 type recorder struct {
 	spans  []obs.Span
-	events []event.Event
+	events []obs.Event
 }
 
-func (r *recorder) OnEvent(e event.Event) { r.events = append(r.events, e) }
-func (r *recorder) OnSpan(sp obs.Span)    { r.spans = append(r.spans, sp) }
+func (r *recorder) OnEvent(e obs.Event) { r.events = append(r.events, e) }
+func (r *recorder) OnSpan(sp obs.Span)  { r.spans = append(r.spans, sp) }
 
 // newWorld builds the deterministic initial state:
 //

@@ -1,9 +1,9 @@
 package site
 
 import (
-	"backtrace/internal/event"
 	"backtrace/internal/ids"
 	"backtrace/internal/msg"
+	"backtrace/internal/obs"
 )
 
 // This file implements the Section 6.1 machinery: the transfer barrier
@@ -149,7 +149,7 @@ func (s *Site) applyTransferBarrierInref(obj ids.ObjID) {
 	// re-dirties the inref and a back trace flags the live target.) The
 	// barrier is cheap — the next local trace commit clears it.
 	in.Barrier = true
-	s.emit(event.Event{Kind: event.TransferBarrier, Obj: obj})
+	s.emit(obs.Event{Kind: obs.TransferBarrier, Obj: obj})
 	s.engine.NotifyCleanedInref(obj)
 	for _, target := range s.back.Outset(obj) {
 		s.cleanOutref(target)
@@ -167,7 +167,7 @@ func (s *Site) cleanOutref(target ids.Ref) {
 	}
 	if !o.Barrier {
 		o.Barrier = true
-		s.emit(event.Event{Kind: event.OutrefCleaned, Ref: target})
+		s.emit(obs.Event{Kind: obs.OutrefCleaned, Ref: target})
 	}
 	s.engine.NotifyCleanedOutref(target)
 	s.notePendingBarrierOutref(target)

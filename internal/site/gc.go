@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"backtrace/internal/event"
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
 	"backtrace/internal/msg"
@@ -298,10 +297,10 @@ func (s *Site) CommitLocalTrace() TraceReport {
 	}
 
 	if rep.Collected > 0 {
-		s.emit(event.Event{Kind: event.ObjectsCollected, N: rep.Collected})
+		s.emit(obs.Event{Kind: obs.ObjectsCollected, N: rep.Collected})
 	}
 	if rep.OutrefsTrimmed > 0 {
-		s.emit(event.Event{Kind: event.OutrefsTrimmed, N: rep.OutrefsTrimmed})
+		s.emit(obs.Event{Kind: obs.OutrefsTrimmed, N: rep.OutrefsTrimmed})
 	}
 
 	// 6. Trigger back traces from outrefs whose distance has crossed
@@ -524,7 +523,7 @@ func (s *Site) startAdmittedLocked(targets []ids.Ref) (ids.TraceID, bool) {
 		s.inflight--
 		return t, false
 	}
-	s.emit(event.Event{Kind: event.TraceStarted, Trace: t, Ref: targets[0]})
+	s.emit(obs.Event{Kind: obs.TraceStarted, Trace: t, Ref: targets[0]})
 	return t, true
 }
 

@@ -62,7 +62,7 @@ func TestMailboxProcessesTransfersInOrder(t *testing.T) {
 	if got := b.NumOutrefs(); got != n {
 		t.Fatalf("holder has %d outrefs, want %d", got, n)
 	}
-	c := b.Counters()
+	c := b.Metrics()
 	if got := c.Get(metrics.MailboxEnqueued); got < n {
 		t.Fatalf("mailbox.enqueued = %d, want >= %d", got, n)
 	}

@@ -11,8 +11,8 @@ import (
 	"slices"
 	"sort"
 
-	"backtrace/internal/event"
 	"backtrace/internal/ids"
+	"backtrace/internal/obs"
 	"backtrace/internal/transport"
 )
 
@@ -204,7 +204,7 @@ func (s *Site) Checkpoint(path string) error {
 		return fmt.Errorf("site %v: checkpoint rename: %w", s.cfg.ID, err)
 	}
 	s.mu.Lock()
-	s.emit(event.Event{Kind: event.CheckpointWritten})
+	s.emit(obs.Event{Kind: obs.CheckpointWritten})
 	s.mu.Unlock()
 	return nil
 }
@@ -257,7 +257,7 @@ func Restore(cfg Config, r io.Reader) (*Site, error) {
 		// Keep trace ids unique across incarnations (Section 4.7's "unique
 		// id" must hold for the site's whole lifetime, crashes included).
 		s.engine.SeedTraceSeq(rec.NextTrace + traceSeqRestartSkip)
-		s.emit(event.Event{Kind: event.SiteRestored})
+		s.emit(obs.Event{Kind: obs.SiteRestored})
 		return nil
 	}(); err != nil {
 		return nil, err

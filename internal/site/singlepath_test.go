@@ -144,9 +144,9 @@ func runMutationScript(t *testing.T, seed int64, incremental bool, workers int) 
 		}
 	}
 	for _, s := range sites {
-		snap := s.Counters().Snapshot()
-		run.traces += snap[metrics.LocalTraces]
-		run.fallbacks += snap[metrics.IncrementalFallbacks]
+		snap := s.Metrics()
+		run.traces += snap.Get(metrics.LocalTraces)
+		run.fallbacks += snap.Get(metrics.IncrementalFallbacks)
 	}
 	return run
 }

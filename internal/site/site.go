@@ -52,7 +52,6 @@ import (
 
 	"backtrace/internal/clock"
 	"backtrace/internal/core"
-	"backtrace/internal/event"
 	"backtrace/internal/heap"
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
@@ -145,19 +144,16 @@ type Config struct {
 	// enable it outside that harness.
 	SkipTransferBarrierUnsafe bool
 	// Counters receives metrics; may be nil (a fresh set is created).
-	//
-	// Deprecated: Counters is the legacy stringly-named facade. Prefer
-	// reading the typed registry via Site.Metrics(); this field remains so
-	// several sites can share one instrument set.
+	// Sites given the same Counters share one obs.Registry, which
+	// Site.Metrics reads.
 	Counters *metrics.Counters
-	// Events, if non-nil, receives structured observability events
-	// (trace lifecycle, barriers, sweeps, timeouts).
-	Events *event.Log
-	// Observer, if non-nil, receives every observability event and every
-	// completed span (back-trace roots, participant engagements, local
-	// traces, report phases). Callbacks run under the site lock and MUST
-	// NOT call back into the Site; use obs.Tee to fan out to several
-	// observers.
+	// Observer, if non-nil, receives every observability event (trace
+	// lifecycle, barriers, sweeps, timeouts) and every completed span
+	// (back-trace roots, participant engagements, local traces, report
+	// phases). It is the site's only event and outcome stream: a back
+	// trace's verdict and participants are on its SpanBackTrace root.
+	// Callbacks run under the site lock and MUST NOT call back into the
+	// Site; use obs.Tee to fan out to several observers.
 	Observer obs.Observer
 }
 
@@ -254,11 +250,6 @@ type Site struct {
 	// we no longer hold outrefs for, so a lost removal update heals.
 	farewell map[ids.SiteID]int
 
-	// completions holds the outcomes of the most recent maxCompletions
-	// traces this site initiated, oldest first, until Completions drains
-	// them; metrics.CompletionsDropped counts the outcomes evicted unread.
-	completions []TraceOutcome
-
 	// --- observability state (guarded by mu, like everything above) ---
 
 	// partStart records when this site became active in each back trace;
@@ -293,17 +284,6 @@ type pendingTrace struct {
 	target ids.Ref
 	dist   int    // outref distance at enqueue time (farther = more suspect)
 	seq    uint64 // enqueue order, for age tie-breaking
-}
-
-// maxCompletions bounds the completion log, so a site whose outcomes
-// nobody drains keeps only the most recent ones, like event.Log.
-const maxCompletions = 256
-
-// TraceOutcome records one completed back trace initiated by this site.
-type TraceOutcome struct {
-	Trace        ids.TraceID
-	Outcome      msg.Verdict
-	Participants []ids.SiteID
 }
 
 var _ transport.Handler = (*Site)(nil)
@@ -379,10 +359,10 @@ func New(cfg Config) *Site {
 		Counters:      cfg.Counters,
 		Completed:     s.onTraceCompleted,
 		OnFlagged: func(obj ids.ObjID) {
-			s.emit(event.Event{Kind: event.InrefFlagged, Obj: obj})
+			s.emit(obs.Event{Kind: obs.InrefFlagged, Obj: obj})
 		},
 		OnTimeout: func(t ids.TraceID) {
-			s.emit(event.Event{Kind: event.TimeoutAssumedLive, Trace: t})
+			s.emit(obs.Event{Kind: obs.TimeoutAssumedLive, Trace: t})
 		},
 		OnParticipantStart: s.onParticipantStart,
 		OnParticipantEnd:   s.onParticipantEnd,
@@ -427,12 +407,6 @@ func (s *Site) AwaitInboxIdle(timeout time.Duration) error {
 // ID returns the site's identifier.
 func (s *Site) ID() ids.SiteID { return s.cfg.ID }
 
-// Counters returns the site's metrics counters.
-//
-// Deprecated: use Metrics for a typed snapshot, or Registry on the
-// returned value for declaring new instruments.
-func (s *Site) Counters() *metrics.Counters { return s.cfg.Counters }
-
 // Metrics returns a point-in-time snapshot of every typed instrument
 // backing this site's metrics (counters, gauges, and latency histograms).
 // Sites created with a shared Counters set report the shared values.
@@ -448,16 +422,14 @@ func (s *Site) send(to ids.SiteID, m msg.Message) {
 	s.cfg.Network.Send(s.cfg.ID, to, m)
 }
 
-// emit appends an observability event if a log is configured, and forwards
-// it to the configured observer.
-func (s *Site) emit(e event.Event) {
+// emit stamps the site onto an observability event and forwards it to the
+// configured observer.
+func (s *Site) emit(e obs.Event) {
+	if s.cfg.Observer == nil {
+		return
+	}
 	e.Site = s.cfg.ID
-	if s.cfg.Events != nil {
-		s.cfg.Events.Append(e)
-	}
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.OnEvent(e)
-	}
+	s.cfg.Observer.OnEvent(e)
 }
 
 // emitSpan stamps the site onto a finished span and forwards it to the
@@ -518,12 +490,7 @@ func (s *Site) onTraceCompleted(t ids.TraceID, outcome msg.Verdict, participants
 		// admission is deferred to the entry path's next safe point.
 		s.admitPending = true
 	}
-	if len(s.completions) == maxCompletions {
-		s.completions = s.completions[1:]
-		s.cfg.Counters.Inc(metrics.CompletionsDropped)
-	}
-	s.completions = append(s.completions, TraceOutcome{Trace: t, Outcome: outcome, Participants: participants})
-	s.emit(event.Event{Kind: event.TraceCompleted, Trace: t, Verdict: outcome, N: len(participants)})
+	s.emit(obs.Event{Kind: obs.TraceCompleted, Trace: t, Verdict: outcome, N: len(participants)})
 	// Close the root span. The initiator's activity opened with the trace
 	// and its outermost frame is still live here, so partStart[t] is the
 	// trace's start; the participant span itself closes just after this
@@ -542,17 +509,6 @@ func (s *Site) onTraceCompleted(t ids.TraceID, outcome msg.Verdict, participants
 		Verdict:      outcome,
 		Participants: participants,
 	})
-}
-
-// Completions drains and returns the outcomes of back traces initiated by
-// this site since the previous call, at most the most recent
-// maxCompletions.
-func (s *Site) Completions() []TraceOutcome {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.completions
-	s.completions = nil
-	return out
 }
 
 // Deliver implements transport.Handler: it dispatches one inbound message.

@@ -120,38 +120,6 @@ func TestTransferBarrierCleansSuspectedInrefAndOutset(t *testing.T) {
 	}
 }
 
-func TestCompletionsDrained(t *testing.T) {
-	a, _, _ := newPair(t)
-	if got := a.Completions(); len(got) != 0 {
-		t.Fatalf("fresh site has completions: %v", got)
-	}
-}
-
-// TestCompletionsBounded: a site whose completions nobody drains keeps only
-// the most recent maxCompletions outcomes and counts the rest as dropped.
-func TestCompletionsBounded(t *testing.T) {
-	a, _, _ := newPair(t)
-	const n = 10000
-	a.mu.Lock()
-	for i := 1; i <= n; i++ {
-		a.onTraceCompleted(ids.TraceID{Initiator: 1, Seq: uint64(i)}, msg.VerdictLive, nil)
-	}
-	if len(a.completions) > maxCompletions {
-		t.Errorf("completion log holds %d entries, want <= %d", len(a.completions), maxCompletions)
-	}
-	a.mu.Unlock()
-	if got := a.Counters().Get(metrics.CompletionsDropped); got != n-maxCompletions {
-		t.Errorf("dropped = %d, want %d", got, n-maxCompletions)
-	}
-	got := a.Completions()
-	if len(got) != maxCompletions || got[0].Trace.Seq != n-maxCompletions+1 || got[len(got)-1].Trace.Seq != n {
-		t.Fatalf("drained %d outcomes, want the most recent %d (seq %d..%d)", len(got), maxCompletions, n-maxCompletions+1, n)
-	}
-	if again := a.Completions(); len(again) != 0 {
-		t.Fatalf("second drain returned %d outcomes", len(again))
-	}
-}
-
 func TestDeliverUnknownMessageTypesIgnored(t *testing.T) {
 	a, _, _ := newPair(t)
 	// InsertAck and ReleasePin for unknown targets must be no-ops.

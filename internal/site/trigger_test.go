@@ -4,10 +4,10 @@ import (
 	"testing"
 	"time"
 
-	"backtrace/internal/event"
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
 	"backtrace/internal/msg"
+	"backtrace/internal/obs"
 	"backtrace/internal/transport"
 )
 
@@ -41,7 +41,7 @@ func TestTriggerAdmission(t *testing.T) {
 					t.Fatalf("commit started %d traces (%d events), want one per suspect (3)",
 						rep.BackTracesStarted, len(started()))
 				}
-				if got := s.cfg.Counters.Get(metrics.BackTraceDeferred); got != 0 {
+				if got := s.cfg.Counters.Registry().Snapshot().Get(metrics.BackTraceDeferred); got != 0 {
 					t.Fatalf("%s = %d with no cap, want 0", metrics.BackTraceDeferred, got)
 				}
 			},
@@ -56,7 +56,7 @@ func TestTriggerAdmission(t *testing.T) {
 				if rep.BackTracesStarted != 1 {
 					t.Fatalf("commit started %d traces under cap 1, want 1", rep.BackTracesStarted)
 				}
-				if got := s.cfg.Counters.Get(metrics.BackTraceDeferred); got != 4 {
+				if got := s.cfg.Counters.Registry().Snapshot().Get(metrics.BackTraceDeferred); got != 4 {
 					t.Fatalf("%s = %d, want the 4 suspects over the cap", metrics.BackTraceDeferred, got)
 				}
 				// Clean the farthest parked suspect: the drain must skip it.
@@ -107,7 +107,7 @@ func TestTriggerAdmission(t *testing.T) {
 			net := transport.NewNet(transport.Options{Stepped: true})
 			t.Cleanup(net.Close)
 			New(Config{ID: 1, Network: net}) // the silent peer
-			log := event.NewLog(256)
+			col := obs.NewCollector(obs.CollectorOptions{})
 			s := New(Config{
 				ID: 2, Network: net,
 				SuspicionThreshold: 3, BackThreshold: 7,
@@ -116,7 +116,7 @@ func TestTriggerAdmission(t *testing.T) {
 				ReportTimeout:     time.Nanosecond,
 				MaxInflightTraces: tc.maxInflight,
 				TraceBatch:        tc.batch,
-				Events:            log,
+				Observer:          col,
 			})
 			s.mu.Lock()
 			for _, h := range tc.holders {
@@ -135,8 +135,9 @@ func TestTriggerAdmission(t *testing.T) {
 			s.mu.Unlock()
 			started := func() []ids.Ref {
 				var out []ids.Ref
-				for _, e := range log.Snapshot() {
-					if e.Kind == event.TraceStarted {
+				events, _ := col.Events()
+				for _, e := range events {
+					if e.Kind == obs.TraceStarted {
 						out = append(out, e.Ref)
 					}
 				}

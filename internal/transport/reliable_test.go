@@ -82,13 +82,13 @@ func TestReliableExactlyOnceInOrderUnderChaos(t *testing.T) {
 			}
 		}
 	}
-	if counters.Get(metrics.LinkRetransmits) == 0 {
+	if counters.Registry().Snapshot().Get(metrics.LinkRetransmits) == 0 {
 		t.Error("no retransmissions recorded under 30% loss")
 	}
-	if counters.Get(metrics.LinkDupDropped) == 0 {
+	if counters.Registry().Snapshot().Get(metrics.LinkDupDropped) == 0 {
 		t.Error("no duplicates dropped under 30% duplication")
 	}
-	if counters.Get(metrics.LinkAcksSent) == 0 {
+	if counters.Registry().Snapshot().Get(metrics.LinkAcksSent) == 0 {
 		t.Error("no acks recorded")
 	}
 }
@@ -166,7 +166,7 @@ func TestReliableRestartResetsSession(t *testing.T) {
 	if got := r.Incarnation(2); got != oldInc+1 {
 		t.Fatalf("incarnation = %d, want %d", got, oldInc+1)
 	}
-	if counters.Get(metrics.LinkResets) == 0 {
+	if counters.Registry().Snapshot().Get(metrics.LinkResets) == 0 {
 		t.Fatal("no link resets recorded")
 	}
 
@@ -191,7 +191,7 @@ func TestReliableRestartResetsSession(t *testing.T) {
 			t.Fatal("stale old-epoch frame was delivered after restart")
 		}
 	}
-	if counters.Get(metrics.LinkStaleDropped) == 0 {
+	if counters.Registry().Snapshot().Get(metrics.LinkStaleDropped) == 0 {
 		t.Error("stale frame not counted as dropped")
 	}
 }
@@ -213,7 +213,7 @@ func TestReliableRestartDropsQueuedTraffic(t *testing.T) {
 	r.NotifyRestart(2, 0, []ids.SiteID{1})
 	settleReliable(t, r, inner)
 
-	if got := counters.Get(metrics.LinkResetDropped); got != 7 {
+	if got := counters.Registry().Snapshot().Get(metrics.LinkResetDropped); got != 7 {
 		t.Fatalf("reset dropped %d frames, want 7", got)
 	}
 	// Traffic sent after the reset starts a new session and arrives.
@@ -374,13 +374,13 @@ func TestReliableBatchingExactlyOnceUnderChaos(t *testing.T) {
 			}
 		}
 	}
-	if counters.Get(metrics.LinkRetransmits) == 0 {
+	if counters.Registry().Snapshot().Get(metrics.LinkRetransmits) == 0 {
 		t.Error("no retransmissions recorded under 30% loss")
 	}
 	if tal := tally.snapshot(); tal.batches == 0 {
 		t.Error("no LinkBatch frames on the wire with batching enabled")
 	}
-	if counters.Get(metrics.WireFlushes) == 0 {
+	if counters.Registry().Snapshot().Get(metrics.WireFlushes) == 0 {
 		t.Error("no batch flushes counted")
 	}
 }
@@ -415,7 +415,7 @@ func TestReliableBatchingCoalescesFrames(t *testing.T) {
 	if tal.batches == 0 {
 		t.Error("no LinkBatch frames observed")
 	}
-	if hw := counters.Get(metrics.WireBatchSize); hw < 2 {
+	if hw := counters.Registry().Snapshot().Get(metrics.WireBatchSize); hw < 2 {
 		t.Errorf("batch size high-water %d, want >= 2", hw)
 	}
 }

@@ -231,7 +231,7 @@ func TestTCPListenerRestartFlushesQueue(t *testing.T) {
 	n2.Close()
 	seq := uint64(1)
 	deadline := time.Now().Add(5 * time.Second)
-	for counters.Get(metrics.TransportSendFail) == 0 {
+	for counters.Registry().Snapshot().Get(metrics.TransportSendFail) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no send failure observed after peer death")
 		}
