@@ -208,6 +208,37 @@ type inShard struct {
 	rebuilds    int
 
 	dirtyIn map[ids.ObjID]struct{}
+
+	// bySource indexes the shard's inrefs by source site: bySource[q]
+	// holds every object whose source list names q. AddSource,
+	// RemoveSource, RemoveInref and SetSource maintain it, so an update
+	// from q reconciles only the inrefs that list q (EachSourceOf) instead
+	// of scanning the table. Trace snapshots leave it empty: the tracer
+	// never reads it.
+	bySource map[ids.SiteID]map[ids.ObjID]struct{}
+}
+
+// indexSource records that obj's source list names src. Caller holds sh.mu.
+func (sh *inShard) indexSource(src ids.SiteID, obj ids.ObjID) {
+	objs := sh.bySource[src]
+	if objs == nil {
+		if sh.bySource == nil {
+			sh.bySource = make(map[ids.SiteID]map[ids.ObjID]struct{})
+		}
+		objs = make(map[ids.ObjID]struct{})
+		sh.bySource[src] = objs
+	}
+	objs[obj] = struct{}{}
+}
+
+// unindexSource forgets that obj's source list names src. Caller holds
+// sh.mu.
+func (sh *inShard) unindexSource(src ids.SiteID, obj ids.ObjID) {
+	objs := sh.bySource[src]
+	delete(objs, obj)
+	if len(objs) == 0 {
+		delete(sh.bySource, src)
+	}
 }
 
 // outShard is one hash partition of the outref table. Like inShard it
@@ -384,9 +415,17 @@ func (t *Table) AddSource(obj ids.ObjID, src ids.SiteID) *Inref {
 	}
 	if _, ok := in.Sources[src]; !ok {
 		in.Sources[src] = 1
+		sh.indexSource(src, obj)
 		t.touchIn(sh, obj)
 	}
 	return in
+}
+
+// SetSource records src as a source of obj's inref at distance dist,
+// creating the inref if needed (checkpoint recovery).
+func (t *Table) SetSource(obj ids.ObjID, src ids.SiteID, dist int) {
+	t.AddSource(obj, src)
+	t.SetSourceDistance(obj, src, dist)
 }
 
 // SetSourceDistance updates the distance for one source of obj's inref, if
@@ -406,6 +445,59 @@ func (t *Table) SetSourceDistance(obj ids.ObjID, src ids.SiteID, dist int) {
 	t.touchIn(sh, obj)
 }
 
+// UpdateSourceDistances applies n distance changes reported by src — the
+// i'th sets obj's distance to dist, where obj, dist = at(i) — like
+// SetSourceDistance, taking each shard's lock once for the whole batch. It
+// returns how many of the objects' inrefs list src, and the inrefs a change
+// turned from suspected to clean at threshold, which fire the clean rule
+// (Section 6.4).
+func (t *Table) UpdateSourceDistances(src ids.SiteID, n int, at func(i int) (ids.ObjID, int), threshold int) (listed int, cleaned []ids.ObjID) {
+	for _, sh := range t.ins {
+		sh.mu.Lock()
+	}
+	for i := 0; i < n; i++ {
+		obj, dist := at(i)
+		sh := t.inShardFor(obj)
+		in, ok := sh.inrefs[obj]
+		if !ok {
+			continue
+		}
+		old, ok := in.Sources[src]
+		if !ok {
+			continue
+		}
+		listed++
+		if old == dist {
+			continue
+		}
+		in.Sources[src] = dist
+		t.touchIn(sh, obj)
+		if turnedClean(in, src, old, dist, threshold) {
+			cleaned = append(cleaned, obj)
+		}
+	}
+	for _, sh := range t.ins {
+		sh.mu.Unlock()
+	}
+	return listed, cleaned
+}
+
+// turnedClean reports whether moving src's distance from old to dist made
+// a suspected inref clean. Only that source moved, so it did exactly when
+// the source came within the threshold while it and every other source were
+// beyond it, and no barrier or garbage flag decided the question.
+func turnedClean(in *Inref, src ids.SiteID, old, dist, threshold int) bool {
+	if in.Barrier || in.Garbage || dist > threshold || old <= threshold {
+		return false
+	}
+	for s, d := range in.Sources {
+		if s != src && d <= threshold {
+			return false
+		}
+	}
+	return true
+}
+
 // RemoveSource removes src from obj's source list (the sender trimmed its
 // outref); an inref whose source list empties is removed entirely and the
 // removal is reported (Section 2: "An inref with an empty source list is
@@ -420,6 +512,7 @@ func (t *Table) RemoveSource(obj ids.ObjID, src ids.SiteID) (removedInref bool) 
 	}
 	if _, had := in.Sources[src]; had {
 		delete(in.Sources, src)
+		sh.unindexSource(src, obj)
 		t.touchIn(sh, obj)
 	}
 	if len(in.Sources) == 0 {
@@ -437,8 +530,12 @@ func (t *Table) RemoveInref(obj ids.ObjID) {
 	sh := t.inShardFor(obj)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.inrefs[obj]; !ok {
+	in, ok := sh.inrefs[obj]
+	if !ok {
 		return
+	}
+	for src := range in.Sources {
+		sh.unindexSource(src, obj)
 	}
 	delete(sh.inrefs, obj)
 	sh.sortedValid = false
@@ -543,14 +640,25 @@ func (t *Table) NumInrefs() int {
 	return n
 }
 
-// EachInref invokes fn for every inref in unspecified order, without
-// allocating (for order-insensitive scans like update reconciliation).
-// fn must not add or remove inrefs.
-func (t *Table) EachInref(fn func(*Inref)) {
+// SourceCount returns the number of inrefs whose source lists name src.
+func (t *Table) SourceCount(src ids.SiteID) int {
+	n := 0
 	for _, sh := range t.ins {
 		sh.mu.RLock()
-		for _, in := range sh.inrefs {
-			fn(in)
+		n += len(sh.bySource[src])
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// EachSourceOf invokes fn for every object whose inref lists src as a
+// source, in unspecified order, visiting only those inrefs (the per-shard
+// source index). fn must not add or remove sources or inrefs.
+func (t *Table) EachSourceOf(src ids.SiteID, fn func(obj ids.ObjID)) {
+	for _, sh := range t.ins {
+		sh.mu.RLock()
+		for obj := range sh.bySource[src] {
+			fn(obj)
 		}
 		sh.mu.RUnlock()
 	}

@@ -1,6 +1,8 @@
 package refs
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -271,5 +273,129 @@ func TestInrefDistanceNeverBelowMinSourceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSourceIndexTracksSourceLists drives random source-list changes
+// through every mutator that maintains the per-shard source index and
+// checks after each one that EachSourceOf visits exactly the inrefs whose
+// source lists name the site.
+func TestSourceIndexTracksSourceLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tbl := NewTableSharded(1, 7, 4)
+	for step := 0; step < 2000; step++ {
+		obj := ids.ObjID(1 + rng.Intn(40))
+		src := ids.SiteID(2 + rng.Intn(4))
+		switch rng.Intn(4) {
+		case 0:
+			tbl.AddSource(obj, src)
+		case 1:
+			tbl.SetSource(obj, src, rng.Intn(9))
+		case 2:
+			tbl.RemoveSource(obj, src)
+		default:
+			if rng.Intn(4) == 0 {
+				tbl.RemoveInref(obj)
+			}
+		}
+		for s := ids.SiteID(2); s < 6; s++ {
+			want := map[ids.ObjID]bool{}
+			for _, in := range tbl.Inrefs() {
+				if _, ok := in.Sources[s]; ok {
+					want[in.Obj] = true
+				}
+			}
+			if n := tbl.SourceCount(s); n != len(want) {
+				t.Fatalf("step %d: SourceCount(%v) = %d, want %d", step, s, n, len(want))
+			}
+			got := map[ids.ObjID]bool{}
+			tbl.EachSourceOf(s, func(obj ids.ObjID) {
+				if got[obj] {
+					t.Fatalf("step %d: EachSourceOf(%v) visited %v twice", step, s, obj)
+				}
+				got[obj] = true
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: EachSourceOf(%v) = %v, want %v", step, s, got, want)
+			}
+		}
+	}
+}
+
+// TestUpdateSourceDistancesCleanRule checks the batched distance update
+// against the definition: an inref is reported exactly when it was
+// suspected before its change and clean after it, and the count of listed
+// inrefs is exact.
+func TestUpdateSourceDistancesCleanRule(t *testing.T) {
+	const threshold = 3
+	rng := rand.New(rand.NewSource(2))
+	tbl := NewTableSharded(1, 7, 3)
+	for step := 0; step < 500; step++ {
+		for i := 0; i < 5; i++ {
+			obj := ids.ObjID(1 + rng.Intn(20))
+			tbl.SetSource(obj, ids.SiteID(2+rng.Intn(3)), rng.Intn(8))
+			if in, ok := tbl.Inref(obj); ok {
+				in.Barrier = rng.Intn(8) == 0
+				if rng.Intn(16) == 0 {
+					tbl.FlagGarbage(obj)
+				}
+			}
+		}
+		src := ids.SiteID(2 + rng.Intn(3))
+		type change struct {
+			obj  ids.ObjID
+			dist int
+		}
+		var batch []change
+		seen := map[ids.ObjID]bool{}
+		for i := 0; i < 8; i++ {
+			obj := ids.ObjID(1 + rng.Intn(20))
+			if !seen[obj] {
+				seen[obj] = true
+				batch = append(batch, change{obj, rng.Intn(8)})
+			}
+		}
+		want := map[ids.ObjID]bool{}
+		for _, c := range batch {
+			in, ok := tbl.Inref(c.obj)
+			if !ok {
+				continue
+			}
+			if _, listed := in.Sources[src]; !listed {
+				continue
+			}
+			before := in.IsClean(threshold)
+			saved := in.Sources[src]
+			in.Sources[src] = c.dist
+			if !before && in.IsClean(threshold) {
+				want[c.obj] = true
+			}
+			in.Sources[src] = saved
+		}
+		got := map[ids.ObjID]bool{}
+		wantListed := 0
+		for _, c := range batch {
+			if in, ok := tbl.Inref(c.obj); ok {
+				if _, listed := in.Sources[src]; listed {
+					wantListed++
+				}
+			}
+		}
+		listed, cleaned := tbl.UpdateSourceDistances(src, len(batch), func(i int) (ids.ObjID, int) {
+			return batch[i].obj, batch[i].dist
+		}, threshold)
+		for _, obj := range cleaned {
+			got[obj] = true
+		}
+		if !reflect.DeepEqual(got, want) || listed != wantListed {
+			t.Fatalf("step %d: cleaned %v listing %d, want %v listing %d", step, got, listed, want, wantListed)
+		}
+		for _, c := range batch {
+			if in, ok := tbl.Inref(c.obj); ok {
+				if d, listed := in.Sources[src]; listed && d != c.dist {
+					t.Fatalf("step %d: %v's distance from %v is %d, want %d", step, c.obj, src, d, c.dist)
+				}
+			}
+		}
 	}
 }

@@ -120,9 +120,13 @@ func Run(cfg Config) (*Result, error) {
 	for step := 0; step < cfg.Steps; step++ {
 		var ev Event
 		if next < len(units) && units[next].step <= step {
-			ev = r.faultEvent(units[next], rng)
-			next++
-		} else {
+			// A drop or dup due while no link has a victim stays due: it
+			// takes the next message that can be one.
+			if ev = r.faultEvent(units[next], rng); ev.Kind != "" {
+				next++
+			}
+		}
+		if ev.Kind == "" {
 			ev = r.genEvent(rng)
 		}
 		if ev.Kind == "" {

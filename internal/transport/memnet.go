@@ -123,6 +123,34 @@ func (n *Net) Register(site ids.SiteID, h Handler) {
 	}
 }
 
+// AnnounceRestart tells every other registered handler that implements
+// PeerRestartHandler that site came back as a new incarnation — the news a
+// session layer carries in its LinkReset, delivered here synchronously
+// because the in-memory network has none. The caller models the crash
+// first: messages in flight to or from the dead incarnation must already
+// be gone (DropMatching), or one could reach the new incarnation after its
+// peers forgot what they had sent the old one.
+func (n *Net) AnnounceRestart(site ids.SiteID) {
+	n.mu.Lock()
+	peers := make([]ids.SiteID, 0, len(n.handlers))
+	for id := range n.handlers {
+		if id != site {
+			peers = append(peers, id)
+		}
+	}
+	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
+	hs := make([]Handler, len(peers))
+	for i, id := range peers {
+		hs[i] = n.handlers[id]
+	}
+	n.mu.Unlock()
+	for _, h := range hs {
+		if ph, ok := h.(PeerRestartHandler); ok {
+			ph.PeerRestarted(site)
+		}
+	}
+}
+
 func pairKey(a, b ids.SiteID) [2]ids.SiteID {
 	if a > b {
 		a, b = b, a

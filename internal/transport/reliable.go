@@ -156,6 +156,12 @@ type recvLink struct {
 	epoch    uint64
 	expected uint64 // next sequence number to deliver
 	buffer   map[uint64]msg.Message
+	// restarted marks the link a restarted receiver reopened above every
+	// epoch the sender used toward its dead incarnation: a frame below it
+	// is answered with a LinkReset, so a sender that missed the
+	// announcement still learns of the restart. The first accepted frame
+	// clears it.
+	restarted bool
 }
 
 // Reliable wraps an inner Network with per-link ack/retransmit sessions.
@@ -338,10 +344,31 @@ func (r *Reliable) NotifyRestart(site ids.SiteID, incarnation uint64, peers []id
 		}
 		r.resetSendLinkLocked(sl, incarnation)
 	}
-	for key := range r.recvs {
+	// The new incarnation accepts nothing a peer sent toward the dead one:
+	// each receive link reopens one epoch above the highest the sender has
+	// used on it, so stale frames are rejected rather than delivered into
+	// the new lifetime, and the peer's reset (which climbs past its own
+	// epoch) opens a session the new incarnation accepts. Every peer with
+	// a session toward the site is told, not only those its checkpoint
+	// names.
+	floor := make(map[ids.SiteID]uint64)
+	for key, rl := range r.recvs {
 		if key.to == site {
-			delete(r.recvs, key)
+			floor[key.from] = rl.epoch
 		}
+	}
+	notify := append([]ids.SiteID(nil), peers...)
+	for key, sl := range r.sends {
+		if key.to != site || key.from == site {
+			continue
+		}
+		if _, ok := floor[key.from]; !ok {
+			notify = append(notify, key.from)
+		}
+		floor[key.from] = max(floor[key.from], sl.epoch)
+	}
+	for from, e := range floor {
+		r.recvs[linkKey{from, site}] = &recvLink{epoch: e + 1, expected: 1, buffer: make(map[uint64]msg.Message), restarted: true}
 	}
 	for key := range r.ackPending {
 		// Acks the dead incarnation owed refer to receive state that no
@@ -352,8 +379,9 @@ func (r *Reliable) NotifyRestart(site ids.SiteID, incarnation uint64, peers []id
 	}
 	r.count(metrics.LinkResets, 1)
 	r.mu.Unlock()
-	for _, p := range peers {
-		if p == site {
+	sort.Slice(notify, func(i, j int) bool { return notify[i] < notify[j] })
+	for i, p := range notify {
+		if p == site || (i > 0 && p == notify[i-1]) {
 			continue
 		}
 		r.inner.Send(site, p, msg.LinkReset{Epoch: incarnation})
@@ -590,8 +618,14 @@ func (r *Reliable) receiveData(self, from ids.SiteID, f msg.LinkData) {
 	switch {
 	case f.Epoch < rl.epoch:
 		// Stale traffic from a previous session: never deliver, never ack.
+		// If it was addressed to this site's dead incarnation, tell the
+		// sender about the restart.
 		r.count(metrics.LinkStaleDropped, 1)
+		restarted, inc := rl.restarted, r.incarnation[self]
 		r.mu.Unlock()
+		if restarted {
+			r.inner.Send(self, from, msg.LinkReset{Epoch: inc})
+		}
 		return
 	case f.Epoch > rl.epoch:
 		// The sender opened a new session (e.g. after a restart).
@@ -599,6 +633,7 @@ func (r *Reliable) receiveData(self, from ids.SiteID, f msg.LinkData) {
 		rl.expected = 1
 		rl.buffer = make(map[uint64]msg.Message)
 	}
+	rl.restarted = false
 	var deliver []msg.Message
 	switch {
 	case f.Seq < rl.expected:
@@ -686,14 +721,8 @@ func (r *Reliable) receiveAck(self, from ids.SiteID, a msg.LinkAck) {
 			// The peer restarted and its LinkReset announcement was lost;
 			// the incarnation piggybacked on the ack reveals it. Reset the
 			// session just as if the LinkReset had arrived.
-			sl.peerInc = a.Inc
-			r.count(metrics.LinkResets, 1)
-			next := sl.epoch + 1
-			if inc := r.incarnation[self]; inc > next {
-				next = inc
-			}
-			r.resetSendLinkLocked(sl, next)
 			r.mu.Unlock()
+			r.peerRestarted(self, from, a.Inc)
 			return
 		}
 		sl.peerInc = a.Inc
@@ -734,30 +763,48 @@ func (r *Reliable) receiveAck(self, from ids.SiteID, a msg.LinkAck) {
 	}
 }
 
-// receiveReset handles a peer's restart announcement: the send session
-// toward it is dead (its receive state is gone), so open a fresh one, and
-// forget receive state so stale buffered frames cannot linger.
+// receiveReset handles a peer's restart announcement.
 func (r *Reliable) receiveReset(self, from ids.SiteID, lr msg.LinkReset) {
+	r.peerRestarted(self, from, lr.Epoch)
+}
+
+// peerRestarted handles the news that peer from came back as incarnation
+// inc: the send session toward it is dead (its receive state is gone), so
+// open a fresh one, and forget receive state so stale buffered frames
+// cannot linger. It acts once per incarnation — a duplicated or delayed
+// announcement of one already handled is ignored — and tells self's
+// handler first (PeerRestartHandler), before the new session opens.
+func (r *Reliable) peerRestarted(self, from ids.SiteID, inc uint64) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return
 	}
-	r.count(metrics.LinkResets, 1)
-	if sl := r.sends[linkKey{self, from}]; sl != nil {
-		next := sl.epoch + 1
-		if inc := r.incarnation[self]; inc > next {
-			next = inc
-		}
-		r.resetSendLinkLocked(sl, next)
-		if lr.Epoch > sl.peerInc {
-			sl.peerInc = lr.Epoch
-		}
+	sl := r.sendLinkLocked(self, from)
+	if inc <= sl.peerInc {
+		r.mu.Unlock()
+		return
 	}
+	h := r.handlers[self]
+	r.mu.Unlock()
+	if ph, ok := h.(PeerRestartHandler); ok {
+		ph.PeerRestarted(from)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed || inc <= sl.peerInc {
+		return
+	}
+	sl.peerInc = inc
+	r.count(metrics.LinkResets, 1)
+	next := sl.epoch + 1
+	if own := r.incarnation[self]; own > next {
+		next = own
+	}
+	r.resetSendLinkLocked(sl, next)
 	delete(r.recvs, linkKey{from, self})
 	// Any ack owed toward the restarted peer refers to a forgotten session.
 	delete(r.ackPending, linkKey{self, from})
-	r.mu.Unlock()
 }
 
 // retransmitLoop periodically rescans links for overdue frames. All

@@ -46,6 +46,15 @@ type Handler interface {
 	Deliver(from ids.SiteID, m msg.Message)
 }
 
+// PeerRestartHandler is implemented by handlers that keep per-peer state
+// tied to the peer's incarnation. A session layer calls PeerRestarted once
+// per new incarnation of a peer it learns of, before it opens a session to
+// that incarnation: nothing the handler sends after the call returns can
+// reach the dead one, and nothing sent before it can reach the new one.
+type PeerRestartHandler interface {
+	PeerRestarted(peer ids.SiteID)
+}
+
 // HandlerFunc adapts a function to the Handler interface.
 type HandlerFunc func(from ids.SiteID, m msg.Message)
 
