@@ -530,14 +530,13 @@ func BenchmarkOffLockTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelTrace (experiment C16) measures the full local trace on a
-// million-object sharded heap at 1, 2, 4 and 8 mark workers: a wide 8-ary
-// live tree (parallelism for the mark to harvest), a garbage tail (the dead
-// sweep runs), suspected inrefs and outrefs (the outset and distance phases
-// run). One worker is the sequential trace, run inline; every worker count
-// is checked content-identical to it before timing starts. Worker counts
-// above the host's hardware threads measure scheduling, not parallelism.
-func BenchmarkParallelTrace(b *testing.B) {
+// BenchmarkMillionObjectTrace (experiment C16) measures the full local trace
+// on a million-object sharded heap: a wide 8-ary live tree, a garbage tail
+// (the dead sweep runs), suspected inrefs and outrefs (the outset and
+// distance phases run). Before timing, the trace of a Tracer whose mark
+// table was already used must equal a fresh Tracer's, and reach exactly the
+// live tree.
+func BenchmarkMillionObjectTrace(b *testing.B) {
 	const objects = 1 << 20
 	h := heap.NewSharded(1, 8)
 	tbl := refs.NewTableSharded(1, 1<<20, 8)
@@ -568,28 +567,28 @@ func BenchmarkParallelTrace(b *testing.B) {
 	}
 
 	baseline := new(tracer.Tracer).Run(h, tbl, 3, tracer.AlgoBottomUp)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			tr := tracer.Tracer{Workers: workers}
-			if !tracer.EqualResults(tr.Run(h, tbl, 3, tracer.AlgoBottomUp), baseline) {
-				b.Fatal("result diverges from the one-worker trace")
-			}
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := tr.Run(h, tbl, 3, tracer.AlgoBottomUp)
-				if len(res.Dead) != objects-live {
-					b.Fatalf("dead %d, want %d", len(res.Dead), objects-live)
-				}
-			}
-			b.ReportMetric(float64(objects), "objects")
-		})
+	if baseline.Stats.ObjectsTraced != int64(live) {
+		b.Fatalf("traced %d, want %d", baseline.Stats.ObjectsTraced, live)
 	}
+	var tr tracer.Tracer
+	tr.Run(h, tbl, 3, tracer.AlgoBottomUp)
+	if !tracer.EqualResults(tr.Run(h, tbl, 3, tracer.AlgoBottomUp), baseline) {
+		b.Fatal("a reused mark table's trace diverges from a fresh one's")
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res := tr.Run(h, tbl, 3, tracer.AlgoBottomUp)
+		if len(res.Dead) != objects-live {
+			b.Fatalf("dead %d, want %d", len(res.Dead), objects-live)
+		}
+	}
+	b.ReportMetric(float64(objects), "objects")
 }
 
 // BenchmarkSnapshotTrace (experiment C16) times the local trace a site
 // actually runs: TraceSnapshot patches the shadow copy from the dirty set,
-// then one mark worker traces the copy; mark-ms and outsets-ms split the
+// then the marker traces the copy; mark-ms and outsets-ms split the
 // trace as tracer.Stats does. The heap is one hypertext-edit site
 // on two shards: a root directory over 100 tables of contents, each over 499
 // pages chained page to page and citing 5 remote documents, plus 8 garbage

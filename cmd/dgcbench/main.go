@@ -11,6 +11,7 @@
 //	dgcbench -exp threshold     # C5: back-threshold tuning
 //	dgcbench -exp locality      # C7: locality with a crashed site
 //	dgcbench -exp baselines     # C8: comparison with related-work schemes
+//	dgcbench -exp timeline      # C11: rounds from garbage to reclaimed
 //	dgcbench -exp overlap       # C9: concurrent back traces on one cycle
 //	dgcbench -exp telemetry     # C13: 2W+P re-verified via the typed registry and span trees
 //	dgcbench -exp hypertext     # intro workload end to end
@@ -28,7 +29,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"backtrace/internal/cluster"
@@ -39,7 +39,6 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (all, messages, distance, insets, space, threshold, timeline, locality, baselines, overlap, telemetry, hypertext, wire, backtrace)")
 	scale := flag.Int("scale", 20, "size multiplier for the inset experiment")
-	format := flag.String("format", "text", "output format: text or json")
 	jsonOut := flag.String("json", "", "also write the tables as JSON to this file")
 	check := flag.Bool("check", false, "with -exp wire/backtrace: fail if the binary codec exceeds its frame-size or allocation budget, link batching changes the back-trace cost or what is collected, or the engine stops beating the trace-storm baseline")
 	// Shared transport surface (same flags as dgcnode/dgcsim). The codec
@@ -57,12 +56,12 @@ func main() {
 		err = cerr
 	} else if serr := tcfg.CheckStepped(); serr != nil {
 		err = serr
-	} else if *format != "text" && *format != "json" {
-		err = fmt.Errorf("unknown format %q", *format)
 	} else {
 		var res results
 		if res, err = run(*exp, *scale); err == nil {
-			err = render(os.Stdout, *format, res.tables)
+			for _, t := range res.tables {
+				fmt.Println(t)
+			}
 		}
 		if err == nil && *jsonOut != "" {
 			err = writeJSON(*jsonOut, res.tables)
@@ -98,23 +97,6 @@ func writeJSON(path string, tables []*experiments.Table) error {
 		return err
 	}
 	return f.Close()
-}
-
-// render writes the collected tables in the chosen format.
-func render(w io.Writer, format string, tables []*experiments.Table) error {
-	switch format {
-	case "text":
-		for _, t := range tables {
-			fmt.Fprintln(w, t)
-		}
-		return nil
-	case "json":
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(tables)
-	default:
-		return fmt.Errorf("unknown format %q", format)
-	}
 }
 
 // results bundles the rendered tables with the raw rows the -check gates

@@ -66,9 +66,8 @@ func TestRunDemoShardedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP demo skipped in -short mode")
 	}
-	// Sharded heaps + the work-stealing marker must collect the same demo
-	// cycle over real TCP.
-	if err := runDemo(2, false, cluster.TransportConfig{}, site.Config{InboxSize: 4, Shards: 8, TraceWorkers: 4}, "", 0); err != nil {
+	// Sharded heaps must collect the same demo cycle over real TCP.
+	if err := runDemo(2, false, cluster.TransportConfig{}, site.Config{InboxSize: 4, Shards: 8}, "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -90,10 +89,9 @@ func TestDebugServerServesMetrics(t *testing.T) {
 	counters.Inc("msg.total")
 	counters.Registry().Histogram(obs.MetricBackTraceRTT, "rtt", nil).Observe(0.002)
 	counters.Registry().Gauge(obs.MetricMailboxDepth, "depth").Set(3)
-	// The sharding gauges, registered under the same names site.New uses,
+	// The sharding gauge, registered under the same name site.New uses,
 	// must survive the Prometheus name translation on the scrape.
 	counters.Registry().Gauge(metrics.HeapShards, "shards").Set(8)
-	counters.Registry().Gauge(metrics.ParallelWorkers, "workers").Set(4)
 
 	addr, stop, err := startDebugServer("127.0.0.1:0",
 		counters.Registry(), obs.NewCollector(obs.CollectorOptions{}))
@@ -113,7 +111,6 @@ func TestDebugServerServesMetrics(t *testing.T) {
 		"backtrace_rtt_seconds_count 1",
 		"mailbox_depth 3",
 		"heap_shards 8",
-		"localtrace_parallel_workers 4",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)

@@ -87,7 +87,6 @@ func main() {
 			Faults:              *faults,
 			SkipTransferBarrier: *skipBarrier,
 			Shards:              knobs.Shards,
-			TraceWorkers:        knobs.TraceWorkers,
 			Codec:               simCodec,
 			MaxInflightTraces:   knobs.MaxInflightTraces,
 			TraceBatch:          knobs.TraceBatch,

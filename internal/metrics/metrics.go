@@ -255,16 +255,10 @@ const (
 // a registry). It returns to zero once every receipt has arrived.
 const OwnerTransfersPending = "site.owner_transfers_pending"
 
-// Sharded-storage and parallel-tracer instrument names (site.Config.Shards
-// and site.Config.TraceWorkers). HeapShards, ParallelWorkers and
-// ParallelShardDirtyRatio are gauges; ParallelSteals is a counter.
+// Sharded-storage gauge names (site.Config.Shards).
 const (
 	// HeapShards is the number of heap/ioref-table shards the site runs.
 	HeapShards = "heap.shards"
-	// ParallelWorkers is the number of mark workers local traces run with.
-	ParallelWorkers = "localtrace.parallel.workers"
-	// ParallelSteals counts work-stealing events between mark-worker deques.
-	ParallelSteals = "localtrace.parallel.steals"
 	// ParallelShardDirtyRatio is the percentage of objects mutated in the
 	// dirtiest heap shard since the last trace snapshot, observed at the
 	// most recent snapshot.

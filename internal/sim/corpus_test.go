@@ -116,16 +116,22 @@ func TestScheduleRoundTrip(t *testing.T) {
 }
 
 // TestReadScheduleRejectsUnknownKeys: a schedule whose config carries a key
-// this build does not know (here the retired "batch") is rejected, naming
-// the key, rather than replayed as a different world than the file claims.
+// this build does not know (here the retired "batch" and "trace_workers")
+// is rejected, naming the key, rather than replayed as a different world
+// than the file claims.
 func TestReadScheduleRejectsUnknownKeys(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sched.json")
-	data := `{"version": 1, "config": {"seed": 1, "batch": true}, "events": []}`
-	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ReadScheduleFile(path)
-	if err == nil || !strings.Contains(err.Error(), `"batch"`) {
-		t.Fatalf("ReadScheduleFile = %v, want an error naming \"batch\"", err)
+	for _, tc := range []struct{ key, entry string }{
+		{`"batch"`, `"batch": true`},
+		{`"trace_workers"`, `"trace_workers": 4`},
+	} {
+		path := filepath.Join(t.TempDir(), "sched.json")
+		data := `{"version": 1, "config": {"seed": 1, ` + tc.entry + `}, "events": []}`
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadScheduleFile(path)
+		if err == nil || !strings.Contains(err.Error(), tc.key) {
+			t.Fatalf("ReadScheduleFile = %v, want an error naming %s", err, tc.key)
+		}
 	}
 }

@@ -40,14 +40,10 @@ type Config struct {
 	// SkipTransferBarrier disables the Section 6.1.1 transfer barrier in
 	// every site — the injected regression the model checker must catch.
 	SkipTransferBarrier bool `json:"skip_transfer_barrier,omitempty"`
-	// Shards requests a minimum heap/ioref-table shard count per site;
-	// TraceWorkers shares each local trace's mark between that many
-	// work-stealing workers. Both are result-invariant (traces are
-	// bit-identical at every worker count), so the model checker can
-	// exercise the sharded snapshot and the multi-worker mark under the
-	// same deterministic schedules and oracles.
-	Shards       int `json:"shards,omitempty"`
-	TraceWorkers int `json:"trace_workers,omitempty"`
+	// Shards requests a minimum heap/ioref-table shard count per site. It is
+	// result-invariant, so the model checker can exercise the sharded
+	// snapshot under the same deterministic schedules and oracles.
+	Shards int `json:"shards,omitempty"`
 	// Codec names a wire codec ("binary") that every message
 	// round-trips through at the network boundary, so the model checker
 	// exercises the serialization path under its schedules and oracles.
@@ -231,7 +227,6 @@ func newWorld(cfg Config) *world {
 			ReportTimeout:      simReportTimeout,
 			Faults:             cfg.faults(),
 			Shards:             cfg.Shards,
-			TraceWorkers:       cfg.TraceWorkers,
 			MaxInflightTraces:  cfg.MaxInflightTraces,
 			TraceBatch:         cfg.TraceBatch,
 			MemoizeLive:        cfg.MemoizeLive,

@@ -105,9 +105,6 @@ func (s *Site) installPendingLocked(res *tracer.Result) {
 	s.cfg.Counters.Add(metrics.ObjectsRetraced, res.Stats.OutsetRetraced)
 	s.cfg.Counters.Add(metrics.OutsetUnions, res.Stats.Unions)
 	s.cfg.Counters.Add(metrics.OutsetUnionsMemoHit, res.Stats.MemoHits)
-	if res.Stats.Steals > 0 {
-		s.cfg.Counters.Add(metrics.ParallelSteals, res.Stats.Steals)
-	}
 	// Every trace is a full trace, so every trace counts as a fallback.
 	s.cfg.Counters.Inc(metrics.IncrementalFallbacks)
 }

@@ -28,7 +28,7 @@ type scriptRun struct {
 // after every burst. The script's choices depend only on the seed and on
 // state every configuration shares, so two runs diverge only if a committed
 // trace differed.
-func runMutationScript(t *testing.T, seed int64, incremental bool, workers int) scriptRun {
+func runMutationScript(t *testing.T, seed int64, incremental bool) scriptRun {
 	t.Helper()
 	net := transport.NewNet(transport.Options{Stepped: true})
 	defer net.Close()
@@ -37,7 +37,7 @@ func runMutationScript(t *testing.T, seed int64, incremental bool, workers int) 
 		sites[i] = New(Config{
 			ID: ids.SiteID(i + 1), Network: net,
 			SuspicionThreshold: 2, BackThreshold: 4, AutoBackTrace: true,
-			Incremental: incremental, TraceWorkers: workers,
+			Incremental: incremental,
 		})
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -133,8 +133,8 @@ func runMutationScript(t *testing.T, seed int64, incremental bool, workers int) 
 				t.Fatalf("trace reported Incremental=%v FallbackReason=%q, want a full trace",
 					rep.Stats.Incremental, rep.Stats.FallbackReason)
 			}
-			// Cost counters legitimately differ between worker counts;
-			// everything a commit did must not.
+			// Cost counters legitimately differ between runs; everything a
+			// commit did must not.
 			rep.Stats = tracer.Stats{}
 			run.reports = append(run.reports, rep)
 			net.DeliverAll()
@@ -154,11 +154,11 @@ func runMutationScript(t *testing.T, seed int64, incremental bool, workers int) 
 // TestSinglePathCommitsSameTraces is the site-level equivalence of the one
 // local-trace path: Config.Incremental is accepted and ignored, so the same
 // mutation script must commit identical trace reports and leave identical
-// audits with it on and off, at one mark worker and at four. Every trace is
-// a full mark, so each run counts one incremental fallback per local trace.
+// audits with it on and off. Every trace is a full mark, so each run counts
+// one incremental fallback per local trace.
 func TestSinglePathCommitsSameTraces(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		want := runMutationScript(t, seed, false, 1)
+		want := runMutationScript(t, seed, false)
 		collected, backTraces := 0, 0
 		for _, rep := range want.reports {
 			collected += rep.Collected
@@ -168,12 +168,9 @@ func TestSinglePathCommitsSameTraces(t *testing.T) {
 			t.Fatalf("seed %d: script swept %d objects and started %d back traces; want both",
 				seed, collected, backTraces)
 		}
-		for _, cfg := range []struct {
-			incremental bool
-			workers     int
-		}{{false, 1}, {true, 1}, {false, 4}, {true, 4}} {
-			got := runMutationScript(t, seed, cfg.incremental, cfg.workers)
-			ctx := fmt.Sprintf("seed %d incremental=%v workers=%d", seed, cfg.incremental, cfg.workers)
+		for _, incremental := range []bool{false, true} {
+			got := runMutationScript(t, seed, incremental)
+			ctx := fmt.Sprintf("seed %d incremental=%v", seed, incremental)
 			if !reflect.DeepEqual(got.reports, want.reports) {
 				t.Fatalf("%s: trace reports diverge\n got %+v\nwant %+v", ctx, got.reports, want.reports)
 			}

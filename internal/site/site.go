@@ -27,10 +27,8 @@
 //     section cuts a copy-on-write snapshot of the heap and ioref tables
 //     — each shard's retained shadow copy patched from its dirty set,
 //     concurrently across shards — and the computation (tracer.Tracer:
-//     the paged CAS-min forward mark, then the outset pass) runs entirely
-//     OUTSIDE the lock on that snapshot. Config.TraceWorkers only splits
-//     the mark across workers (one worker is the sequential trace, run
-//     inline); it never changes the committed result. The Section 6.2
+//     the paged ascending-distance forward mark, then the outset pass)
+//     runs entirely OUTSIDE the lock on that snapshot. The Section 6.2
 //     double-buffered back information makes the off-lock computation
 //     safe: back traces keep using the old copy, and transfer barriers
 //     that fire meanwhile are recorded and replayed onto the new copy at
@@ -127,11 +125,6 @@ type Config struct {
 	// snapshots copy/patch shards concurrently. Shard count never affects
 	// observable results — only lock granularity and snapshot parallelism.
 	Shards int
-	// TraceWorkers is the number of mark workers local traces run with.
-	// Zero or one runs the marker inline on the tracing goroutine; above
-	// one, the same marker shares its work between that many goroutines.
-	// Results are bit-identical at every count.
-	TraceWorkers int
 	// Clock supplies every timestamp the site takes: span start/end times,
 	// mailbox queue-delay accounting, and the engine's timeout deadlines.
 	// Nil means the wall clock; the deterministic simulation injects a
@@ -333,7 +326,6 @@ func New(cfg Config) *Site {
 	}
 	s.heap.EnableDeltaTracking()
 	s.table.EnableDeltaTracking()
-	s.tracer.Workers = cfg.TraceWorkers
 	reg := cfg.Counters.Registry()
 	s.histRTT = reg.Histogram(obs.MetricBackTraceRTT,
 		"wall-clock duration of back traces initiated by this site", nil)
@@ -353,12 +345,6 @@ func New(cfg Config) *Site {
 		"owner-sent reference transfers whose receiver has not yet receipted them")
 	reg.Gauge(metrics.HeapShards,
 		"number of heap and ioref-table shards").Set(int64(shards))
-	workers := cfg.TraceWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	reg.Gauge(metrics.ParallelWorkers,
-		"number of mark workers local traces run with").Set(int64(workers))
 	// Declare the trace-traffic instruments up front so scrapes see them
 	// at zero even before the first back trace (or with the engine off).
 	reg.Gauge(metrics.BackTraceInflight,

@@ -4,9 +4,8 @@ import "backtrace/internal/ids"
 
 // EqualResults reports whether two trace results describe the same
 // collector outcome: identical outref distances, dead/untraced/missing
-// sets, and back information. Stats are excluded — they carry cost and
-// scheduling counters (durations, worker and steal counts) that
-// legitimately differ between worker counts. The comparison is
+// sets, and back information. Stats are excluded — they carry costs, such
+// as durations, that differ from run to run. The comparison is
 // content-based: nil compares equal to empty.
 func EqualResults(a, b *Result) bool {
 	if a == nil || b == nil {

@@ -88,21 +88,20 @@ func sameResult(t *testing.T, ctx string, got, want *Result) {
 }
 
 // TestParallelEquivalence is the bit-identical property for local traces:
-// over seeded randomized states on varying shard counts, Tracer.Run must
-// match the literal Sections 2–3 trace (referenceTrace) on every comparable
-// result field and on the mark of every heap object, for every worker count
-// in {1, 2, 4, 8} and both outset algorithms, and report the same
-// deterministic stats at each of them. One Tracer per worker count lives
-// across the rounds, so the reused mark table is cleared between traces or
-// the test fails.
+// over seeded randomized states on shard counts {1, 2, 3, 8} and both
+// outset algorithms, Tracer.Run must match the literal Sections 2–3 trace
+// (referenceTrace) on every comparable result field and on the mark of
+// every heap object. One Tracer serves every seed and round, so its reused
+// mark table is refitted across shard counts and cleared between traces,
+// or the test fails.
 func TestParallelEquivalence(t *testing.T) {
 	const (
 		numSeeds  = 30
 		rounds    = 6
 		threshold = 2
 	)
+	var tr Tracer
 	for seed := int64(1); seed <= numSeeds; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			shards := []int{1, 2, 3, 8}[seed%4]
@@ -113,8 +112,6 @@ func TestParallelEquivalence(t *testing.T) {
 			h := heap.NewSharded(1, shards)
 			tbl := refs.NewTableSharded(1, threshold+2, shards)
 
-			tracers := []*Tracer{{Workers: 1}, {Workers: 2}, {Workers: 4}, {Workers: 8}}
-
 			var objs []ids.Ref
 			for i := 0; i < 4; i++ {
 				objs = append(objs, h.AllocRoot())
@@ -124,26 +121,22 @@ func TestParallelEquivalence(t *testing.T) {
 					mutateState(rng, h, tbl, &objs, threshold)
 				}
 				want, wantMarks := referenceTrace(h, tbl, threshold, algo)
-				for _, tr := range tracers {
-					got := tr.Run(h, tbl, threshold, algo)
-					ctx := fmt.Sprintf("seed %d round %d shards %d workers %d algo %v",
-						seed, round, shards, tr.Workers, algo)
-					sameResult(t, ctx, got, want)
-					for _, obj := range heapObjects(h) {
-						d, ok := tr.markOf(h, obj)
-						wd, wok := wantMarks[obj]
-						if d != wd || ok != wok {
-							t.Fatalf("%s: mark of %v = (%d,%v), want (%d,%v)", ctx, obj, d, ok, wd, wok)
-						}
+				got := tr.Run(h, tbl, threshold, algo)
+				ctx := fmt.Sprintf("seed %d round %d shards %d algo %v", seed, round, shards, algo)
+				sameResult(t, ctx, got, want)
+				for _, obj := range heapObjects(h) {
+					d, ok := tr.markOf(h, obj)
+					wd, wok := wantMarks[obj]
+					if d != wd || ok != wok {
+						t.Fatalf("%s: mark of %v = (%d,%v), want (%d,%v)", ctx, obj, d, ok, wd, wok)
 					}
-					if !EqualResults(got, want) {
-						t.Fatalf("seed %d round %d workers %d: EqualResults disagrees with field comparison",
-							seed, round, tr.Workers)
-					}
-					if got.Stats.ObjectsTraced != int64(len(wantMarks)) || got.Stats.Workers != tr.Workers {
-						t.Fatalf("seed %d round %d workers %d: ObjectsTraced %d Workers %d, want %d objects marked once each",
-							seed, round, tr.Workers, got.Stats.ObjectsTraced, got.Stats.Workers, len(wantMarks))
-					}
+				}
+				if !EqualResults(got, want) {
+					t.Fatalf("%s: EqualResults disagrees with field comparison", ctx)
+				}
+				if got.Stats.ObjectsTraced != int64(len(wantMarks)) {
+					t.Fatalf("%s: ObjectsTraced %d, want %d objects marked once each",
+						ctx, got.Stats.ObjectsTraced, len(wantMarks))
 				}
 				// Sweep as the site's commit would.
 				for _, obj := range want.Dead {

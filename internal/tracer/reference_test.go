@@ -11,9 +11,9 @@ import (
 // This file is the tests' oracle: the local trace written the way Sections
 // 2–3 state it — roots traced one at a time in ascending distance order,
 // every object marked once by the first root that reaches it — with none of
-// the production marker's machinery (no paged table, no relaxation, no
-// workers, marks kept in a plain map). The equivalence tests compare
-// Tracer.Run and its mark table against it at every worker count.
+// the production marker's machinery (no paged table, no mark stack, marks
+// kept in a plain map). The equivalence tests compare Tracer.Run and its
+// mark table against it.
 
 // root is one starting point of the forward trace: a local object together
 // with the distance of the root it represents (0 for persistent and

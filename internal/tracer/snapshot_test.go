@@ -22,7 +22,7 @@ import (
 // reference trace of a deep copy. Rounds divisible by idleEvery (when
 // positive) mutate nothing, so the snapshot is patched from empty dirty
 // sets. Dead objects are swept after each trace, as the site's commit does.
-func checkSnapshotLineage(t *testing.T, seed int64, shards, workers, rounds, idleEvery int) {
+func checkSnapshotLineage(t *testing.T, seed int64, shards, rounds, idleEvery int) {
 	t.Helper()
 	const threshold = 2
 	rng := rand.New(rand.NewSource(seed))
@@ -30,7 +30,7 @@ func checkSnapshotLineage(t *testing.T, seed int64, shards, workers, rounds, idl
 	tbl := refs.NewTableSharded(1, threshold+2, shards)
 	h.EnableDeltaTracking()
 	tbl.EnableDeltaTracking()
-	tr := &Tracer{Workers: workers}
+	var tr Tracer
 
 	var objs []ids.Ref
 	for i := 0; i < 4; i++ {
@@ -46,7 +46,7 @@ func checkSnapshotLineage(t *testing.T, seed int64, shards, workers, rounds, idl
 
 		sh := h.TraceSnapshot()
 		got := tr.Run(sh, tbl.TraceSnapshot(), threshold, AlgoBottomUp)
-		ctx := fmt.Sprintf("seed %d round %d shards %d workers %d", seed, round, shards, workers)
+		ctx := fmt.Sprintf("seed %d round %d shards %d", seed, round, shards)
 		sameResult(t, ctx, got, want)
 		for _, obj := range heapObjects(sh) {
 			d, ok := tr.markOf(sh, obj)
@@ -63,11 +63,11 @@ func checkSnapshotLineage(t *testing.T, seed int64, shards, workers, rounds, idl
 }
 
 // TestIncrementalEquivalence holds the incremental snapshot lineage of a
-// single-shard heap to the reference trace, at worker counts {1, 2, 4, 8}.
+// single-shard heap to the reference trace.
 func TestIncrementalEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			checkSnapshotLineage(t, seed, 1, []int{1, 2, 4, 8}[seed%4], 15, 0)
+			checkSnapshotLineage(t, seed, 1, 15, 0)
 		})
 	}
 }
@@ -77,7 +77,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 func TestParallelIncrementalEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			checkSnapshotLineage(t, seed, []int{1, 2, 8}[seed%3], []int{1, 2, 4, 8}[seed%4], 10, 5)
+			checkSnapshotLineage(t, seed, []int{1, 2, 8}[seed%3], 10, 5)
 		})
 	}
 }

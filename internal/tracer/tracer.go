@@ -35,8 +35,7 @@ func (a OutsetAlgorithm) String() string {
 
 // Stats reports the cost of one local trace.
 type Stats struct {
-	// ObjectsTraced counts the objects the forward mark reached, each
-	// exactly once whatever the worker count.
+	// ObjectsTraced counts the objects the forward mark reached.
 	ObjectsTraced int64
 	// OutsetVisits counts object scans during outset computation.
 	OutsetVisits int64
@@ -65,12 +64,6 @@ type Stats struct {
 	// consumers of Stats read them per trace.
 	Incremental    bool
 	FallbackReason string
-
-	// Workers is the number of mark workers the trace ran with, always at
-	// least 1. Steals counts work-stealing events between their deques; it
-	// is the one scheduling-dependent counter, zero with one worker.
-	Workers int
-	Steals  int64
 }
 
 // Result is the outcome of one local trace, computed without mutating the
@@ -106,11 +99,6 @@ const FullTrace = "full-trace"
 // — and is therefore not safe for concurrent use; the owning site's trace
 // mutex already serializes local traces. Results never alias the table.
 type Tracer struct {
-	// Workers is the number of mark workers. One (or less) is the
-	// sequential case: the same marker, run inline on the caller's
-	// goroutine. The result is identical at every worker count.
-	Workers int
-
 	// marks is the mark table, paged like the traced heap: a page of
 	// heap.PageSlots marks for each heap page, so it grows with the pages
 	// holding live objects (and a directory pointer per page number
@@ -128,8 +116,7 @@ type Tracer struct {
 // enabled by the Section 6.2 double buffering.
 func (t *Tracer) Run(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlgorithm) *Result {
 	start := time.Now()
-	workers := max(1, t.Workers)
-	mr, steals := t.parallelMark(h, tbl, workers)
+	mr := t.mark(h, tbl)
 	markEnd := time.Now()
 	outsets, ost := computeOutsets(&outsetEnv{h: h, tbl: tbl, marks: &t.marks, outrefDist: mr.outrefDist, threshold: threshold}, algo)
 
@@ -145,8 +132,6 @@ func (t *Tracer) Run(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAl
 			Unions:          ost.unions,
 			MemoHits:        ost.memoHits,
 			SuspectedInrefs: len(outsets),
-			Workers:         workers,
-			Steals:          steals,
 			FallbackReason:  FullTrace,
 		},
 	}
