@@ -531,15 +531,15 @@ func BenchmarkOffLockTrace(b *testing.B) {
 }
 
 // BenchmarkMillionObjectTrace (experiment C16) measures the full local trace
-// on a million-object sharded heap: a wide 8-ary live tree, a garbage tail
+// on a million-object heap: a wide 8-ary live tree, a garbage tail
 // (the dead sweep runs), suspected inrefs and outrefs (the outset and
 // distance phases run). Before timing, the trace of a Tracer whose mark
 // table was already used must equal a fresh Tracer's, and reach exactly the
 // live tree.
 func BenchmarkMillionObjectTrace(b *testing.B) {
 	const objects = 1 << 20
-	h := heap.NewSharded(1, 8)
-	tbl := refs.NewTableSharded(1, 1<<20, 8)
+	h := heap.New(1)
+	tbl := refs.NewTable(1, 1<<20)
 	live := objects * 9 / 10
 	objs := make([]backtrace.Ref, 0, live)
 	objs = append(objs, h.AllocRoot())
@@ -589,8 +589,8 @@ func BenchmarkMillionObjectTrace(b *testing.B) {
 // BenchmarkSnapshotTrace (experiment C16) times the local trace a site
 // actually runs: TraceSnapshot patches the shadow copy from the dirty set,
 // then the marker traces the copy; mark-ms and outsets-ms split the
-// trace as tracer.Stats does. The heap is one hypertext-edit site
-// on two shards: a root directory over 100 tables of contents, each over 499
+// trace as tracer.Stats does. The heap is one hypertext-edit site: a root
+// directory over 100 tables of contents, each over 499
 // pages chained page to page and citing 5 remote documents, plus 8 garbage
 // documents (a table of contents and 32 pages pointing back at it, the last
 // citing a remote document) held only by suspected inrefs. Every iteration
@@ -603,8 +603,8 @@ func BenchmarkSnapshotTrace(b *testing.B) {
 		garbageDocs        = 8
 		edits, linksKept   = 200, 256
 	)
-	h := heap.NewSharded(1, 2)
-	tbl := refs.NewTableSharded(1, 1<<20, 2)
+	h := heap.New(1)
+	tbl := refs.NewTable(1, 1<<20)
 	h.EnableDeltaTracking()
 	tbl.EnableDeltaTracking()
 	rng := rand.New(rand.NewSource(1))
@@ -684,7 +684,7 @@ func BenchmarkSnapshotTrace(b *testing.B) {
 	b.ReportMetric(float64(outsets)/1e6/float64(b.N), "outsets-ms/op")
 }
 
-// BenchmarkReliableLinkOverhead (experiment C11) measures what the
+// BenchmarkReliableLinkOverhead measures what the
 // ack/retransmit session layer costs on a loss-free in-memory link: the
 // same message stream sent bare over the memnet versus wrapped in
 // transport.Reliable (sequence numbering, windowing, acks, dedup state).

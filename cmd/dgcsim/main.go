@@ -86,7 +86,6 @@ func main() {
 			Sites:               *simSites,
 			Faults:              *faults,
 			SkipTransferBarrier: *skipBarrier,
-			Shards:              knobs.Shards,
 			Codec:               simCodec,
 			MaxInflightTraces:   knobs.MaxInflightTraces,
 			TraceBatch:          knobs.TraceBatch,
@@ -112,8 +111,8 @@ func main() {
 	}
 }
 
-// run builds the workload on a cluster whose sites take their thresholds,
-// sharding and scheduler knobs from knobs, and collects it.
+// run builds the workload on a cluster whose sites take their thresholds
+// and scheduler knobs from knobs, and collects it.
 func run(kind string, sites, objects, docs int, seed int64, rounds int,
 	latency, jitter time.Duration, drop float64, algoName string, parallel bool,
 	knobs site.Config, tcfg cluster.TransportConfig, verbose bool, eventTail int, dotPath, traceOut string) error {

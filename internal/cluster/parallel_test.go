@@ -62,8 +62,8 @@ func TestConcurrentStress(t *testing.T) {
 	runConcurrentStress(t, opts)
 }
 
-// runConcurrentStress is the body of TestConcurrentStress, shared with the
-// sharded variant.
+// runConcurrentStress is the body of TestConcurrentStress, shared with
+// TestShardedConcurrentStress.
 func runConcurrentStress(t *testing.T, opts Options) {
 	const (
 		numSites = 4

@@ -17,7 +17,6 @@ func TestRestartKeepsSiteConfig(t *testing.T) {
 	opts.Site.MaxInflightTraces = 4
 	opts.Site.TraceBatch = 8
 	opts.Site.MemoizeLive = true
-	opts.Site.Shards = 8
 	c := New(opts)
 	defer c.Close()
 
@@ -39,18 +38,18 @@ func TestRestartKeepsSiteConfig(t *testing.T) {
 	c.ReplaceSite(2, restored)
 
 	type knobs struct {
-		t, t2, bump, inflight, batch, shards int
-		memo, auto                           bool
+		t, t2, bump, inflight, batch int
+		memo, auto                   bool
 	}
 	knobsOf := func(cfg site.Config) knobs {
 		return knobs{cfg.SuspicionThreshold, cfg.BackThreshold, cfg.ThresholdBump,
-			cfg.MaxInflightTraces, cfg.TraceBatch, cfg.Shards, cfg.MemoizeLive, cfg.AutoBackTrace}
+			cfg.MaxInflightTraces, cfg.TraceBatch, cfg.MemoizeLive, cfg.AutoBackTrace}
 	}
 	after := restored.Config()
 	if knobsOf(after) != knobsOf(before) {
 		t.Fatalf("restored knobs %+v, want %+v", knobsOf(after), knobsOf(before))
 	}
-	if after.MaxInflightTraces != 4 || after.TraceBatch != 8 || !after.MemoizeLive || after.Shards != 8 {
+	if after.MaxInflightTraces != 4 || after.TraceBatch != 8 || !after.MemoizeLive {
 		t.Fatalf("restored knobs %+v lost the cluster's scheduler settings", knobsOf(after))
 	}
 	if after.Counters.Registry() != c.Registry() {

@@ -2,34 +2,30 @@
 // reference fields, persistent roots, and application roots (the mutator's
 // local variables, Section 2 and Section 6.3 of the paper).
 //
-// The store is split into N shards by object id (id % N). A shard keeps its
-// objects in fixed pages of PageSlots slots indexed by the id's position
-// within the shard (id / N): a slot holds the object's fields, size and
-// presence inline, so finding an object is a division, a shift and a mask,
-// not a hash. A page is allocated when its first object arrives and freed
-// when its last one goes, and the shard's page directory spans only the
-// pages between its lowest and highest live page: one pointer per
-// PageSlots·N ids of that span. Object ids are never recycled — remote
-// outrefs name them — so a long-lived site's ids keep climbing while its
-// directory follows the live ids.
+// The store keeps its objects in fixed pages of PageSlots slots indexed by
+// object id: a slot holds the object's fields, size and presence inline, so
+// finding an object is a shift and a mask, not a hash. A page is allocated
+// when its first object arrives and freed when its last one goes, and the
+// page directory spans only the pages between the lowest and highest live
+// page: one pointer per PageSlots ids of that span. Object ids are never
+// recycled — remote outrefs name them — so a long-lived site's ids keep
+// climbing while its directory follows the live ids.
 //
-// Each shard owns its own lock, its own root maps, its own write-barrier
-// dirty set, and its own pages of the copy-on-write trace snapshot, so
-// mutator operations touching distinct shards do not contend and trace
-// snapshots patch shards concurrently. Single-key operations are safe for
-// concurrent use; whole-heap operations (Snapshot, TraceSnapshot,
-// EachObject) rely on the owning Site to exclude concurrent
-// mutators — the Site takes its write lock for those, and its read lock plus
-// the per-shard locks for the short mutator critical sections the paper's
+// One lock guards the store, its root maps, its write-barrier dirty sets
+// and the patching of its copy-on-write trace snapshot. Single-key
+// operations are safe for concurrent use; whole-heap operations (Snapshot,
+// TraceSnapshot, EachObject) rely on the owning Site to exclude concurrent
+// mutators — the Site takes its write lock for those, and its read lock
+// plus the heap lock for the short mutator critical sections the paper's
 // model assumes. The local trace reads its snapshot through SlotFields,
 // which takes no lock at all (see there).
 package heap
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -38,11 +34,11 @@ import (
 
 // PageBits sets the page size, PageSlots slots of 32 bytes. The trace only
 // needs a page to span many cache lines; memory wants it small, because a
-// site pays a page per shard for every id window holding a live object,
-// twice (live heap and trace snapshot) plus a page of marks. At 256 slots
-// (8 KB) a ring-churn site, 1 000 objects on 2 shards with ids spread by
-// garbage churn, stays near its map-based footprint; 4 096-slot pages would
-// add megabytes across a cluster.
+// site pays a page for every id window holding a live object, twice (live
+// heap and trace snapshot) plus a page of marks. At 256 slots (8 KB) a
+// ring-churn site, 1 000 objects with ids spread by garbage churn, stays
+// near its map-based footprint; 4 096-slot pages would add megabytes across
+// a cluster.
 const (
 	PageBits  = 8
 	PageSlots = 1 << PageBits
@@ -62,8 +58,8 @@ type slot struct {
 	live   bool
 }
 
-// page is PageSlots consecutive slots of one shard and the count of live
-// ones among them.
+// page is PageSlots consecutive slots and the count of live ones among
+// them.
 type page struct {
 	slots [PageSlots]slot
 	n     int
@@ -92,11 +88,15 @@ func (p *page) clone() *page {
 	return cp
 }
 
-// shard is one partition of the store. The mutex guards everything in the
-// shard; the dirty sets exist only while delta tracking is enabled.
-type shard struct {
+// Heap is one site's object store.
+type Heap struct {
+	site ids.SiteID
+	next atomic.Uint64 // allocation high-water mark (ids.ObjID)
+
+	// mu guards the pages, the root maps and the dirty sets; tracking and
+	// snap are owned as their comments say.
 	mu sync.RWMutex
-	// pages[i] holds the slots of shard-local indexes [(base+i)*PageSlots,
+	// pages[i] holds the slots of ids [(base+i)*PageSlots,
 	// (base+i+1)*PageSlots); it is nil when that range holds no object. The
 	// first and last entries are never nil.
 	base  int
@@ -107,242 +107,169 @@ type shard struct {
 	// appRoots counts mutator variables holding each reference; the
 	// reference may be local or remote. Local tracing treats these as
 	// roots (Section 6.3), and remote entries keep the corresponding
-	// outrefs live and clean. Sharded by the reference's object id.
+	// outrefs live and clean.
 	appRoots map[ids.Ref]int
 
 	// --- trace-snapshot write barrier (see TraceSnapshot) ---
 
+	// tracking, when true, makes every mutator operation record what it
+	// touched in the dirty sets so TraceSnapshot can produce an O(dirty)
+	// snapshot instead of an O(heap) deep copy. Off by default: the
+	// bookkeeping is pure overhead for sites that never snapshot. Written
+	// only while whole-heap exclusion holds (construction or the site
+	// write lock).
+	tracking bool
 	// dirtyObjs names objects whose existence or fields may differ from
-	// the shadow shard (allocated, deleted, or field-mutated since the
-	// last snapshot); dirtyPersist and dirtyAppRoots are the same for
-	// root status.
+	// the shadow copy (allocated, deleted, or field-mutated since the last
+	// snapshot); dirtyPersist and dirtyAppRoots are the same for root
+	// status. They exist only while tracking is on.
 	dirtyObjs     map[ids.ObjID]struct{}
 	dirtyPersist  map[ids.ObjID]struct{}
 	dirtyAppRoots map[ids.Ref]struct{}
+	// snap is the shadow copy maintained by TraceSnapshot: a second Heap
+	// that mirrors this one as of the last snapshot. It shares no pages or
+	// field arrays with the live heap, so a local trace may read it
+	// off-lock while mutators keep writing here.
+	snap *Heap
 }
 
-func newShard() *shard {
-	return &shard{
+// New creates an empty heap for the given site.
+func New(site ids.SiteID) *Heap {
+	return &Heap{
+		site:            site,
 		persistentRoots: make(map[ids.ObjID]struct{}),
 		appRoots:        make(map[ids.Ref]int),
 	}
 }
 
 // page returns the page with page number pn, or nil.
-func (sh *shard) page(pn int) *page {
-	i := pn - sh.base
-	if uint(i) >= uint(len(sh.pages)) {
+func (h *Heap) page(pn int) *page {
+	i := pn - h.base
+	if uint(i) >= uint(len(h.pages)) {
 		return nil
 	}
-	return sh.pages[i]
+	return h.pages[i]
 }
 
-// get returns the live slot at a shard-local index, or nil.
-func (sh *shard) get(local uint64) *slot {
-	p := sh.page(int(local >> PageBits))
-	if p == nil || !p.slots[local&pageMask].live {
+// get returns obj's live slot, or nil. Caller holds mu or owns the heap.
+func (h *Heap) get(obj ids.ObjID) *slot {
+	p := h.page(int(obj >> PageBits))
+	if p == nil || !p.slots[obj&pageMask].live {
 		return nil
 	}
-	return &p.slots[local&pageMask]
+	return &p.slots[obj&pageMask]
 }
 
-// put stores an object at a shard-local index, allocating its page (and
-// widening the directory) if needed; fields become the slot's own.
-func (sh *shard) put(local uint64, fields []ids.Ref, size int32) {
-	pn := int(local >> PageBits)
+// put stores an object under obj, allocating its page (and widening the
+// directory) if needed; fields become the slot's own. Caller holds mu.
+func (h *Heap) put(obj ids.ObjID, fields []ids.Ref, size int32) {
+	pn := int(obj >> PageBits)
 	switch {
-	case len(sh.pages) == 0:
-		sh.base, sh.pages = pn, []*page{nil}
-	case pn < sh.base:
-		sh.pages = append(make([]*page, sh.base-pn, sh.base-pn+len(sh.pages)), sh.pages...)
-		sh.base = pn
+	case len(h.pages) == 0:
+		h.base, h.pages = pn, []*page{nil}
+	case pn < h.base:
+		h.pages = append(make([]*page, h.base-pn, h.base-pn+len(h.pages)), h.pages...)
+		h.base = pn
 	}
-	for pn-sh.base >= len(sh.pages) {
-		sh.pages = append(sh.pages, nil)
+	for pn-h.base >= len(h.pages) {
+		h.pages = append(h.pages, nil)
 	}
-	p := sh.pages[pn-sh.base]
+	p := h.pages[pn-h.base]
 	if p == nil {
 		p = new(page)
-		sh.pages[pn-sh.base] = p
+		h.pages[pn-h.base] = p
 	}
-	s := &p.slots[local&pageMask]
+	s := &p.slots[obj&pageMask]
 	if !s.live {
 		p.n++
-		sh.count++
+		h.count++
 	}
 	*s = slot{fields: fields, size: size, live: true}
 }
 
-// remove deletes the object at a shard-local index, freeing its page when
-// it was the last one there and trimming empty pages off the directory's
-// ends.
-func (sh *shard) remove(local uint64) {
-	pn := int(local >> PageBits)
-	p := sh.page(pn)
-	if p == nil || !p.slots[local&pageMask].live {
+// remove deletes obj's slot, freeing its page when it was the last one
+// there and trimming empty pages off the directory's ends. Caller holds mu.
+func (h *Heap) remove(obj ids.ObjID) {
+	pn := int(obj >> PageBits)
+	p := h.page(pn)
+	if p == nil || !p.slots[obj&pageMask].live {
 		return
 	}
-	p.slots[local&pageMask] = slot{}
-	sh.count--
+	p.slots[obj&pageMask] = slot{}
+	h.count--
 	if p.n--; p.n > 0 {
 		return
 	}
-	sh.pages[pn-sh.base] = nil
-	for len(sh.pages) > 0 && sh.pages[0] == nil {
-		sh.pages = sh.pages[1:]
-		sh.base++
+	h.pages[pn-h.base] = nil
+	for len(h.pages) > 0 && h.pages[0] == nil {
+		h.pages = h.pages[1:]
+		h.base++
 	}
-	for len(sh.pages) > 0 && sh.pages[len(sh.pages)-1] == nil {
-		sh.pages = sh.pages[:len(sh.pages)-1]
+	for len(h.pages) > 0 && h.pages[len(h.pages)-1] == nil {
+		h.pages = h.pages[:len(h.pages)-1]
 	}
 }
 
-// Heap is one site's object store.
-type Heap struct {
-	site   ids.SiteID
-	shards []*shard
-	next   atomic.Uint64 // allocation high-water mark (ids.ObjID)
-
-	// tracking, when true, makes every mutator operation record what it
-	// touched in its shard's dirty set so TraceSnapshot can produce an
-	// O(dirty) snapshot instead of an O(heap) deep copy. Off by
-	// default: the bookkeeping is pure overhead for sites that never
-	// snapshot. Written only while whole-heap exclusion holds
-	// (construction or the site write lock).
-	tracking bool
-	// snap is the shadow copy maintained by TraceSnapshot: a second Heap
-	// (same shard count) that mirrors this one as of the last snapshot.
-	// It shares no pages or field arrays with the live heap, so a local
-	// trace may read it off-lock while mutators keep writing here.
-	snap *Heap
-}
-
-// New creates an empty single-shard heap for the given site. Library tests
-// and baselines use this; sites pass an explicit shard count via
-// NewSharded.
-func New(site ids.SiteID) *Heap { return NewSharded(site, 1) }
-
-// NewSharded creates an empty heap with the given shard count (clamped to
-// at least 1). The shard count is fixed for the heap's lifetime and is
-// inherited by its snapshots, so mark tables derived from one heap lineage
-// always partition identically.
-func NewSharded(site ids.SiteID, shards int) *Heap {
-	if shards < 1 {
-		shards = 1
-	}
-	h := &Heap{site: site, shards: make([]*shard, shards)}
-	for i := range h.shards {
-		h.shards[i] = newShard()
-	}
-	return h
-}
-
-// NumShards returns the heap's shard count.
-func (h *Heap) NumShards() int { return len(h.shards) }
-
-// ShardOf returns the shard index owning an object id. References are
-// sharded by their object id, so local objects and the application roots
-// naming them land in the same shard.
-func (h *Heap) ShardOf(obj ids.ObjID) int {
-	return int(uint64(obj) % uint64(len(h.shards)))
-}
-
-// Locate splits an object id, with one division by the shard count, into its
-// shard (ShardOf) and its index within the shard, whose high bits select a
-// page (local >> PageBits) and low bits a slot in it.
-func (h *Heap) Locate(obj ids.ObjID) (shard int, local uint64) {
-	n := uint64(len(h.shards))
-	q := uint64(obj) / n
-	return int(uint64(obj) - q*n), q
-}
-
-// lookup returns the shard owning obj and obj's index within it.
-func (h *Heap) lookup(obj ids.ObjID) (*shard, uint64) {
-	s, local := h.Locate(obj)
-	return h.shards[s], local
-}
-
-// idAt is Locate's inverse.
-func (h *Heap) idAt(shard int, local uint64) ids.ObjID {
-	return ids.ObjID(local*uint64(len(h.shards)) + uint64(shard))
-}
-
-// SlotFields returns the fields of the object at a Locate position, and
-// whether an object is there. It takes no lock and returns the heap's own
-// field array, so it is legal only while nothing mutates the heap: on the
-// snapshot TraceSnapshot returned, which belongs to the local trace until
-// the next TraceSnapshot (the owning site's trace mutex orders the two), or
-// on a heap nobody else is using. The caller must not modify the fields.
-func (h *Heap) SlotFields(shard int, local uint64) ([]ids.Ref, bool) {
-	s := h.shards[shard].get(local)
+// SlotFields returns obj's fields, and whether the heap holds obj. It takes
+// no lock and returns the heap's own field array, so it is legal only while
+// nothing mutates the heap: on the snapshot TraceSnapshot returned, which
+// belongs to the local trace until the next TraceSnapshot (the owning
+// site's trace mutex orders the two), or on a heap nobody else is using.
+// The caller must not modify the fields.
+func (h *Heap) SlotFields(obj ids.ObjID) ([]ids.Ref, bool) {
+	s := h.get(obj)
 	if s == nil {
 		return nil, false
 	}
 	return s.fields, true
 }
 
-// PageSpan returns the page numbers [base, base+n) that shard i's directory
+// PageSpan returns the page numbers [base, base+n) that the directory
 // spans. Like SlotFields it takes no lock.
-func (h *Heap) PageSpan(i int) (base, n int) {
-	sh := h.shards[i]
-	return sh.base, len(sh.pages)
-}
+func (h *Heap) PageSpan() (base, n int) { return h.base, len(h.pages) }
 
-// HasPage reports whether shard i holds a page numbered pn. Like SlotFields
-// it takes no lock.
-func (h *Heap) HasPage(i, pn int) bool { return h.shards[i].page(pn) != nil }
-
-// EachObjectInShard calls fn with the id and shard-local index of every
-// object in shard i, in ascending order. Like SlotFields it takes no lock.
-func (h *Heap) EachObjectInShard(i int, fn func(obj ids.ObjID, local uint64)) {
-	sh := h.shards[i]
-	for j, p := range sh.pages {
-		if p == nil {
-			continue
-		}
-		first := uint64(sh.base+j) << PageBits
-		for k := range p.slots {
-			if p.slots[k].live {
-				fn(h.idAt(i, first+uint64(k)), first+uint64(k))
-			}
-		}
-	}
-}
+// HasPage reports whether the heap holds a page numbered pn. Like
+// SlotFields it takes no lock.
+func (h *Heap) HasPage(pn int) bool { return h.page(pn) != nil }
 
 // EnableDeltaTracking turns on the write barrier that records dirty
 // objects and roots for TraceSnapshot. Sites call this once at
-// construction; it requires whole-heap exclusion (no concurrent shard
-// operations).
+// construction; it requires whole-heap exclusion.
 func (h *Heap) EnableDeltaTracking() {
 	if h.tracking {
 		return
 	}
 	h.tracking = true
-	for _, sh := range h.shards {
-		sh.dirtyObjs = make(map[ids.ObjID]struct{})
-		sh.dirtyPersist = make(map[ids.ObjID]struct{})
-		sh.dirtyAppRoots = make(map[ids.Ref]struct{})
+	h.dirtyObjs = make(map[ids.ObjID]struct{})
+	h.dirtyPersist = make(map[ids.ObjID]struct{})
+	h.dirtyAppRoots = make(map[ids.Ref]struct{})
+}
+
+// The touch helpers run with mu held.
+
+func (h *Heap) touchObj(obj ids.ObjID) {
+	if h.tracking {
+		h.dirtyObjs[obj] = struct{}{}
 	}
 }
 
-// The touch helpers run with the shard lock held.
-
-func (h *Heap) touchObj(sh *shard, obj ids.ObjID) {
+func (h *Heap) touchPersist(obj ids.ObjID) {
 	if h.tracking {
-		sh.dirtyObjs[obj] = struct{}{}
+		h.dirtyPersist[obj] = struct{}{}
 	}
 }
 
-func (h *Heap) touchPersist(sh *shard, obj ids.ObjID) {
+func (h *Heap) touchAppRoot(r ids.Ref) {
 	if h.tracking {
-		sh.dirtyPersist[obj] = struct{}{}
+		h.dirtyAppRoots[r] = struct{}{}
 	}
 }
 
-func (h *Heap) touchAppRoot(sh *shard, r ids.Ref) {
-	if h.tracking {
-		sh.dirtyAppRoots[r] = struct{}{}
-	}
+// clearDirty empties the dirty sets. Caller holds mu.
+func (h *Heap) clearDirty() {
+	clear(h.dirtyObjs)
+	clear(h.dirtyPersist)
+	clear(h.dirtyAppRoots)
 }
 
 // Site returns the owning site's identifier.
@@ -350,13 +277,9 @@ func (h *Heap) Site() ids.SiteID { return h.site }
 
 // Len returns the number of objects in the heap.
 func (h *Heap) Len() int {
-	n := 0
-	for _, sh := range h.shards {
-		sh.mu.RLock()
-		n += sh.count
-		sh.mu.RUnlock()
-	}
-	return n
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.count
 }
 
 // Alloc creates a new object with no fields and DefaultObjectSize payload,
@@ -375,62 +298,56 @@ func (h *Heap) AllocRoot() ids.Ref { return h.create(nil, DefaultObjectSize, tru
 // create stores a new object under a fresh id.
 func (h *Heap) create(fields []ids.Ref, size int, root bool) ids.Ref {
 	id := ids.ObjID(h.next.Add(1))
-	sh, local := h.lookup(id)
-	sh.mu.Lock()
-	sh.put(local, fields, int32(size))
-	h.touchObj(sh, id)
+	h.mu.Lock()
+	h.put(id, fields, int32(size))
+	h.touchObj(id)
 	if root {
-		sh.persistentRoots[id] = struct{}{}
-		h.touchPersist(sh, id)
+		h.persistentRoots[id] = struct{}{}
+		h.touchPersist(id)
 	}
-	sh.mu.Unlock()
+	h.mu.Unlock()
 	return ids.MakeRef(h.site, id)
 }
 
 // MarkPersistentRoot designates an existing local object as a persistent
 // root (an entry point into the store, such as a name server or directory).
 func (h *Heap) MarkPersistentRoot(obj ids.ObjID) error {
-	sh, local := h.lookup(obj)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.get(local) == nil {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.get(obj) == nil {
 		return fmt.Errorf("heap %v: mark root: no object %v", h.site, obj)
 	}
-	sh.persistentRoots[obj] = struct{}{}
-	h.touchPersist(sh, obj)
+	h.persistentRoots[obj] = struct{}{}
+	h.touchPersist(obj)
 	return nil
 }
 
 // UnmarkPersistentRoot removes root status from a local object.
 func (h *Heap) UnmarkPersistentRoot(obj ids.ObjID) {
-	sh := h.shards[h.ShardOf(obj)]
-	sh.mu.Lock()
-	delete(sh.persistentRoots, obj)
-	h.touchPersist(sh, obj)
-	sh.mu.Unlock()
+	h.mu.Lock()
+	delete(h.persistentRoots, obj)
+	h.touchPersist(obj)
+	h.mu.Unlock()
 }
 
 // PersistentRoots returns the local persistent roots in ascending order.
 func (h *Heap) PersistentRoots() []ids.ObjID {
 	var out []ids.ObjID
-	for _, sh := range h.shards {
-		sh.mu.RLock()
-		for o := range sh.persistentRoots {
-			out = append(out, o)
-		}
-		sh.mu.RUnlock()
+	h.mu.RLock()
+	for o := range h.persistentRoots {
+		out = append(out, o)
 	}
+	h.mu.RUnlock()
 	slices.Sort(out)
 	return out
 }
 
 // FieldsOf returns a copy of an object's reference fields, taken under the
-// shard lock so it is safe against concurrent field mutation.
+// heap lock so it is safe against concurrent field mutation.
 func (h *Heap) FieldsOf(obj ids.ObjID) ([]ids.Ref, bool) {
-	sh, local := h.lookup(obj)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.get(local)
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	s := h.get(obj)
 	if s == nil {
 		return nil, false
 	}
@@ -439,76 +356,59 @@ func (h *Heap) FieldsOf(obj ids.ObjID) ([]ids.Ref, bool) {
 
 // Contains reports whether the heap holds the object.
 func (h *Heap) Contains(obj ids.ObjID) bool {
-	sh, local := h.lookup(obj)
-	sh.mu.RLock()
-	ok := sh.get(local) != nil
-	sh.mu.RUnlock()
-	return ok
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.get(obj) != nil
 }
 
-// EachObject calls fn for every object in ascending id order with its
-// fields, size and persistent-root status: one walk over the pages of all
-// shards in step, since id = local*N + shard. Page numbers where no shard
-// holds a page cost one directory check each, so the slot scan covers live
-// pages only. fields is the heap's own array, valid only during the call.
-// Like Snapshot, it requires that nothing mutates the heap meanwhile (the
-// site write lock).
-func (h *Heap) EachObject(fn func(obj ids.ObjID, fields []ids.Ref, size int, root bool)) {
-	lo, hi := 0, 0
-	for _, sh := range h.shards {
-		if len(sh.pages) == 0 {
+// EachID calls fn for every object id in ascending order: one walk over the
+// directory's live pages. Like SlotFields it takes no lock.
+func (h *Heap) EachID(fn func(obj ids.ObjID)) {
+	for j, p := range h.pages {
+		if p == nil {
 			continue
 		}
-		if hi == 0 || sh.base < lo {
-			lo = sh.base
-		}
-		hi = max(hi, sh.base+len(sh.pages))
-	}
-	pages := make([]*page, len(h.shards))
-	for pn := lo; pn < hi; pn++ {
-		held := false
-		for i, sh := range h.shards {
-			pages[i] = sh.page(pn)
-			held = held || pages[i] != nil
-		}
-		if !held {
-			continue
-		}
-		for k := 0; k < PageSlots; k++ {
-			for i, p := range pages {
-				if p == nil || !p.slots[k].live {
-					continue
-				}
-				id := h.idAt(i, uint64(pn)<<PageBits|uint64(k))
-				_, root := h.shards[i].persistentRoots[id]
-				fn(id, p.slots[k].fields, int(p.slots[k].size), root)
+		first := ids.ObjID(h.base+j) << PageBits
+		for k := range p.slots {
+			if p.slots[k].live {
+				fn(first + ids.ObjID(k))
 			}
 		}
 	}
 }
 
+// EachObject calls fn for every object in ascending id order with its
+// fields, size and persistent-root status. fields is the heap's own array,
+// valid only during the call. Like Snapshot, it requires that nothing
+// mutates the heap meanwhile (the site write lock).
+func (h *Heap) EachObject(fn func(obj ids.ObjID, fields []ids.Ref, size int, root bool)) {
+	h.EachID(func(obj ids.ObjID) {
+		s := h.get(obj)
+		_, root := h.persistentRoots[obj]
+		fn(obj, s.fields, int(s.size), root)
+	})
+}
+
 // AddField appends a reference field to a local object (reference
 // creation: "copying a reference z into object y", Section 6.1).
 func (h *Heap) AddField(obj ids.ObjID, target ids.Ref) error {
-	sh, local := h.lookup(obj)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.get(local)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s := h.get(obj)
 	if s == nil {
 		return fmt.Errorf("heap %v: add field: no object %v", h.site, obj)
 	}
 	s.fields = append(s.fields, target)
-	h.touchObj(sh, obj)
+	h.touchObj(obj)
 	return nil
 }
 
 // RemoveField deletes the first field of obj equal to target (reference
 // deletion). It reports whether a field was removed.
 func (h *Heap) RemoveField(obj ids.ObjID, target ids.Ref) (bool, error) {
-	sh, local := h.lookup(obj)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.get(local)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s := h.get(obj)
 	if s == nil {
 		return false, fmt.Errorf("heap %v: remove field: no object %v", h.site, obj)
 	}
@@ -517,34 +417,32 @@ func (h *Heap) RemoveField(obj ids.ObjID, target ids.Ref) (bool, error) {
 		return false, nil
 	}
 	s.fields = slices.Delete(s.fields, i, i+1)
-	h.touchObj(sh, obj)
+	h.touchObj(obj)
 	return true, nil
 }
 
 // ClearFields removes every reference field of obj.
 func (h *Heap) ClearFields(obj ids.ObjID) error {
-	sh, local := h.lookup(obj)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.get(local)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	s := h.get(obj)
 	if s == nil {
 		return fmt.Errorf("heap %v: clear fields: no object %v", h.site, obj)
 	}
 	s.fields = nil
-	h.touchObj(sh, obj)
+	h.touchObj(obj)
 	return nil
 }
 
 // Delete removes an object from the heap (called by the collector when the
 // object is garbage, and by the migration baseline after moving it).
 func (h *Heap) Delete(obj ids.ObjID) {
-	sh, local := h.lookup(obj)
-	sh.mu.Lock()
-	sh.remove(local)
-	delete(sh.persistentRoots, obj)
-	h.touchObj(sh, obj)
-	h.touchPersist(sh, obj)
-	sh.mu.Unlock()
+	h.mu.Lock()
+	h.remove(obj)
+	delete(h.persistentRoots, obj)
+	h.touchObj(obj)
+	h.touchPersist(obj)
+	h.mu.Unlock()
 }
 
 // Install recreates an object under a specific identifier (checkpoint
@@ -557,17 +455,16 @@ func (h *Heap) Install(id ids.ObjID, fields []ids.Ref, size int, root bool) erro
 	if size < 0 || size > math.MaxInt32 {
 		return fmt.Errorf("heap %v: install: object %v has size %d", h.site, id, size)
 	}
-	sh, local := h.lookup(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.get(local) != nil {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.get(id) != nil {
 		return fmt.Errorf("heap %v: install: object %v already exists", h.site, id)
 	}
-	sh.put(local, slices.Clone(fields), int32(size))
-	h.touchObj(sh, id)
+	h.put(id, slices.Clone(fields), int32(size))
+	h.touchObj(id)
 	if root {
-		sh.persistentRoots[id] = struct{}{}
-		h.touchPersist(sh, id)
+		h.persistentRoots[id] = struct{}{}
+		h.touchPersist(id)
 	}
 	h.SetNextID(id)
 	return nil
@@ -575,61 +472,36 @@ func (h *Heap) Install(id ids.ObjID, fields []ids.Ref, size int, root bool) erro
 
 // Snapshot returns a deep copy of the heap: objects (with copied field
 // arrays), persistent roots, application roots, and the allocation
-// high-water mark. Shards are copied concurrently, each under its own read
-// lock, page by page, so the copy's fields lie in id order. The copy shares
-// nothing with the original, so a local trace can read it while mutators
-// keep modifying the live heap. Sites reach it only through TraceSnapshot,
-// whose first cut it is; tests also use it as an independent copy to run
-// their reference trace on.
+// high-water mark. It copies page by page under the read lock, so the
+// copy's fields lie in id order. The copy shares nothing with the
+// original, so a local trace can read it while mutators keep modifying the
+// live heap. Sites reach it only through TraceSnapshot, whose first cut it
+// is; tests also use it as an independent copy to run their reference
+// trace on.
 func (h *Heap) Snapshot() *Heap {
-	cp := NewSharded(h.site, len(h.shards))
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	cp := &Heap{
+		site:            h.site,
+		base:            h.base,
+		pages:           make([]*page, len(h.pages)),
+		count:           h.count,
+		persistentRoots: maps.Clone(h.persistentRoots),
+		appRoots:        maps.Clone(h.appRoots),
+	}
 	cp.next.Store(h.next.Load())
-	h.eachShardConcurrent(func(i int) {
-		src, dst := h.shards[i], cp.shards[i]
-		src.mu.RLock()
-		defer src.mu.RUnlock()
-		dst.base, dst.count = src.base, src.count
-		dst.pages = make([]*page, len(src.pages))
-		for j, p := range src.pages {
-			if p != nil {
-				dst.pages[j] = p.clone()
-			}
+	for j, p := range h.pages {
+		if p != nil {
+			cp.pages[j] = p.clone()
 		}
-		dst.persistentRoots = make(map[ids.ObjID]struct{}, len(src.persistentRoots))
-		for o := range src.persistentRoots {
-			dst.persistentRoots[o] = struct{}{}
-		}
-		dst.appRoots = make(map[ids.Ref]int, len(src.appRoots))
-		for r, n := range src.appRoots {
-			dst.appRoots[r] = n
-		}
-	})
+	}
 	return cp
-}
-
-// eachShardConcurrent runs fn(i) for every shard index, on one goroutine
-// per shard when the heap has more than one.
-func (h *Heap) eachShardConcurrent(fn func(i int)) {
-	if len(h.shards) == 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for i := range h.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
 }
 
 // TraceSnapshot returns a read-only snapshot of the heap. The first call
 // (and any call before EnableDeltaTracking) deep-copies the whole heap;
-// subsequent calls patch each shard of the retained shadow copy from that
-// shard's dirty set — concurrently across shards, O(dirty) in total — so an
-// idle heap snapshots in O(1) regardless of size.
+// subsequent calls patch the retained shadow copy from the dirty sets, in
+// O(dirty), so an idle heap snapshots in O(1) regardless of size.
 //
 // The returned heap is the shadow copy itself: it shares no pages or field
 // arrays with the live heap (an off-lock trace may read it while mutators
@@ -642,56 +514,48 @@ func (h *Heap) TraceSnapshot() *Heap {
 	}
 	if h.snap == nil {
 		h.snap = h.Snapshot()
-		for _, sh := range h.shards {
-			sh.mu.Lock()
-			clear(sh.dirtyObjs)
-			clear(sh.dirtyPersist)
-			clear(sh.dirtyAppRoots)
-			sh.mu.Unlock()
-		}
+		h.mu.Lock()
+		h.clearDirty()
+		h.mu.Unlock()
 		return h.snap
 	}
-	h.eachShardConcurrent(func(i int) {
-		h.patchShard(h.shards[i], h.snap.shards[i])
-	})
+	h.patchSnapshot()
 	h.snap.next.Store(h.next.Load())
 	return h.snap
 }
 
-// patchShard brings one shadow shard up to date from the live shard's dirty
-// set, leaving it exactly what Snapshot would copy. It locks the live
-// shard; the shadow shard is owned exclusively by the snapshot lineage (the
-// site's trace mutex).
-func (h *Heap) patchShard(live, snap *shard) {
-	live.mu.Lock()
-	defer live.mu.Unlock()
-	for obj := range live.dirtyObjs {
-		_, local := h.Locate(obj)
-		ls, ss := live.get(local), snap.get(local)
+// patchSnapshot brings the shadow copy up to date from the dirty sets,
+// leaving it exactly what Snapshot would copy. It locks the live heap; the
+// shadow is owned exclusively by the snapshot lineage (the site's trace
+// mutex).
+func (h *Heap) patchSnapshot() {
+	snap := h.snap
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for obj := range h.dirtyObjs {
+		ls, ss := h.get(obj), snap.get(obj)
 		switch {
 		case ls == nil:
-			snap.remove(local)
+			snap.remove(obj)
 		case ss == nil || ss.size != ls.size || !slices.Equal(ss.fields, ls.fields):
-			snap.put(local, slices.Clone(ls.fields), ls.size)
+			snap.put(obj, slices.Clone(ls.fields), ls.size)
 		}
 	}
-	for obj := range live.dirtyPersist {
-		if _, ok := live.persistentRoots[obj]; ok {
+	for obj := range h.dirtyPersist {
+		if _, ok := h.persistentRoots[obj]; ok {
 			snap.persistentRoots[obj] = struct{}{}
 		} else {
 			delete(snap.persistentRoots, obj)
 		}
 	}
-	for r := range live.dirtyAppRoots {
-		if n := live.appRoots[r]; n > 0 {
+	for r := range h.dirtyAppRoots {
+		if n := h.appRoots[r]; n > 0 {
 			snap.appRoots[r] = n
 		} else {
 			delete(snap.appRoots, r)
 		}
 	}
-	clear(live.dirtyObjs)
-	clear(live.dirtyPersist)
-	clear(live.dirtyAppRoots)
+	h.clearDirty()
 }
 
 // ResetTraceSnapshot discards the shadow copy so the next TraceSnapshot is
@@ -701,40 +565,10 @@ func (h *Heap) patchShard(live, snap *shard) {
 func (h *Heap) ResetTraceSnapshot() {
 	h.snap = nil
 	if h.tracking {
-		for _, sh := range h.shards {
-			sh.mu.Lock()
-			clear(sh.dirtyObjs)
-			clear(sh.dirtyPersist)
-			clear(sh.dirtyAppRoots)
-			sh.mu.Unlock()
-		}
+		h.mu.Lock()
+		h.clearDirty()
+		h.mu.Unlock()
 	}
-}
-
-// MaxShardDirtyRatio returns the largest per-shard ratio of dirty entities
-// to shard objects since the last TraceSnapshot (0 when tracking is off or
-// the heap is empty). Sites export it as the
-// localtrace.parallel.shard_dirty_ratio gauge: a ratio near 1 on one shard
-// while others idle shows mutation skew that per-shard snapshot patching
-// absorbs and a global deep copy would not.
-func (h *Heap) MaxShardDirtyRatio() float64 {
-	if !h.tracking {
-		return 0
-	}
-	max := 0.0
-	for _, sh := range h.shards {
-		sh.mu.RLock()
-		dirty := len(sh.dirtyObjs) + len(sh.dirtyPersist) + len(sh.dirtyAppRoots)
-		n := sh.count
-		sh.mu.RUnlock()
-		if n == 0 {
-			n = 1
-		}
-		if r := float64(dirty) / float64(n); r > max {
-			max = r
-		}
-	}
-	return max
 }
 
 // NextID returns the allocation high-water mark (for checkpointing).
@@ -763,29 +597,27 @@ func (h *Heap) Adopt(fields []ids.Ref, size int) ids.Ref {
 // AddAppRoot records that a mutator variable on this site holds the given
 // reference (local or remote). Multiple holds are counted.
 func (h *Heap) AddAppRoot(r ids.Ref) {
-	sh := h.shards[h.ShardOf(r.Obj)]
-	sh.mu.Lock()
-	sh.appRoots[r]++
-	h.touchAppRoot(sh, r)
-	sh.mu.Unlock()
+	h.mu.Lock()
+	h.appRoots[r]++
+	h.touchAppRoot(r)
+	h.mu.Unlock()
 }
 
 // RemoveAppRoot releases one mutator-variable hold on the reference. It
 // reports whether a hold existed.
 func (h *Heap) RemoveAppRoot(r ids.Ref) bool {
-	sh := h.shards[h.ShardOf(r.Obj)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	n, ok := sh.appRoots[r]
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n, ok := h.appRoots[r]
 	if !ok {
 		return false
 	}
 	if n <= 1 {
-		delete(sh.appRoots, r)
+		delete(h.appRoots, r)
 	} else {
-		sh.appRoots[r] = n - 1
+		h.appRoots[r] = n - 1
 	}
-	h.touchAppRoot(sh, r)
+	h.touchAppRoot(r)
 	return true
 }
 
@@ -793,22 +625,18 @@ func (h *Heap) RemoveAppRoot(r ids.Ref) bool {
 // ascending order.
 func (h *Heap) AppRoots() []ids.Ref {
 	var out []ids.Ref
-	for _, sh := range h.shards {
-		sh.mu.RLock()
-		for r := range sh.appRoots {
-			out = append(out, r)
-		}
-		sh.mu.RUnlock()
+	h.mu.RLock()
+	for r := range h.appRoots {
+		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	h.mu.RUnlock()
+	slices.SortFunc(out, ids.Ref.Compare)
 	return out
 }
 
 // HoldsAppRoot reports whether any mutator variable holds the reference.
 func (h *Heap) HoldsAppRoot(r ids.Ref) bool {
-	sh := h.shards[h.ShardOf(r.Obj)]
-	sh.mu.RLock()
-	n := sh.appRoots[r]
-	sh.mu.RUnlock()
-	return n > 0
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.appRoots[r] > 0
 }

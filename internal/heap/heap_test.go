@@ -8,10 +8,7 @@ import (
 )
 
 // slotOf returns the slot holding obj, or nil.
-func slotOf(h *Heap, obj ids.ObjID) *slot {
-	sh, local := h.lookup(obj)
-	return sh.get(local)
-}
+func slotOf(h *Heap, obj ids.ObjID) *slot { return h.get(obj) }
 
 func TestAllocAssignsUniqueIDs(t *testing.T) {
 	h := New(1)

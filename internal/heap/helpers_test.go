@@ -18,10 +18,9 @@ func (h *Heap) Objects() []ids.ObjID {
 
 // IsPersistentRoot reports whether a local object is a persistent root.
 func (h *Heap) IsPersistentRoot(obj ids.ObjID) bool {
-	sh := h.shards[h.ShardOf(obj)]
-	sh.mu.RLock()
-	_, ok := sh.persistentRoots[obj]
-	sh.mu.RUnlock()
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	_, ok := h.persistentRoots[obj]
 	return ok
 }
 

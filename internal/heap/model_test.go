@@ -27,7 +27,7 @@ type modelObj struct {
 
 // checkAgainstModel fails unless h presents exactly m's state, through
 // every read path, and its pages are well formed: every page holds an
-// object, page and shard counts match their live slots, and the directory
+// object, page and heap counts match their live slots, and the directory
 // neither starts nor ends with a hole.
 func checkAgainstModel(t *testing.T, ctx string, h *Heap, m *model) {
 	t.Helper()
@@ -56,7 +56,7 @@ func checkAgainstModel(t *testing.T, ctx string, h *Heap, m *model) {
 		if got, ok := h.FieldsOf(id); !ok || !slices.Equal(got, o.fields) {
 			t.Fatalf("%s: FieldsOf(%v) = %v, %v", ctx, id, got, ok)
 		}
-		if got, ok := h.SlotFields(h.Locate(id)); !ok || !slices.Equal(got, o.fields) {
+		if got, ok := h.SlotFields(id); !ok || !slices.Equal(got, o.fields) {
 			t.Fatalf("%s: SlotFields(%v) = %v, %v", ctx, id, got, ok)
 		}
 		i++
@@ -95,35 +95,33 @@ func checkAgainstModel(t *testing.T, ctx string, h *Heap, m *model) {
 		if h.Contains(id) {
 			t.Fatalf("%s: heap contains deleted object %v", ctx, id)
 		}
-		if _, ok := h.SlotFields(h.Locate(id)); ok {
+		if _, ok := h.SlotFields(id); ok {
 			t.Fatalf("%s: SlotFields finds deleted object %v", ctx, id)
 		}
 	}
-	for s, sh := range h.shards {
-		if n := len(sh.pages); n > 0 && (sh.pages[0] == nil || sh.pages[n-1] == nil) {
-			t.Fatalf("%s: shard %d directory has a hole at an end", ctx, s)
+	if n := len(h.pages); n > 0 && (h.pages[0] == nil || h.pages[n-1] == nil) {
+		t.Fatalf("%s: the directory has a hole at an end", ctx)
+	}
+	count := 0
+	for j, p := range h.pages {
+		if p == nil {
+			continue
 		}
-		count := 0
-		for j, p := range sh.pages {
-			if p == nil {
-				continue
+		live := 0
+		for k := range p.slots {
+			if p.slots[k].live {
+				live++
+			} else if p.slots[k].fields != nil {
+				t.Fatalf("%s: page %d slot %d is empty but keeps fields", ctx, h.base+j, k)
 			}
-			live := 0
-			for k := range p.slots {
-				if p.slots[k].live {
-					live++
-				} else if p.slots[k].fields != nil {
-					t.Fatalf("%s: shard %d page %d slot %d is empty but keeps fields", ctx, s, sh.base+j, k)
-				}
-			}
-			if live == 0 || live != p.n {
-				t.Fatalf("%s: shard %d page %d counts %d objects, holds %d", ctx, s, sh.base+j, p.n, live)
-			}
-			count += live
 		}
-		if count != sh.count {
-			t.Fatalf("%s: shard %d counts %d objects, pages hold %d", ctx, s, sh.count, count)
+		if live == 0 || live != p.n {
+			t.Fatalf("%s: page %d counts %d objects, holds %d", ctx, h.base+j, p.n, live)
 		}
+		count += live
+	}
+	if count != h.count {
+		t.Fatalf("%s: the heap counts %d objects, pages hold %d", ctx, h.count, count)
 	}
 }
 
@@ -133,8 +131,8 @@ func checkShadow(t *testing.T, ctx string, live, snap *Heap, m *model) {
 	t.Helper()
 	checkAgainstModel(t, ctx+" (snapshot)", snap, m)
 	for id := range m.objs {
-		lf, _ := live.SlotFields(live.Locate(id))
-		sf, _ := snap.SlotFields(snap.Locate(id))
+		lf, _ := live.SlotFields(id)
+		sf, _ := snap.SlotFields(id)
 		if len(lf) > 0 && &lf[0] == &sf[0] {
 			t.Fatalf("%s: snapshot shares object %v's field array with the live heap", ctx, id)
 		}
@@ -144,9 +142,14 @@ func checkShadow(t *testing.T, ctx string, live, snap *Heap, m *model) {
 // TestHeapModel drives the paged store with random allocation, field,
 // deletion, reinstallation and root operations against a plain-map model,
 // checking the live heap after every step and the trace snapshot after
-// every TraceSnapshot. Each run then empties the first page of shard 0 —
+// every TraceSnapshot. Each run then empties the directory's first page —
 // the page is freed in the live heap and, at the next snapshot, in the
 // shadow — and re-enters it with Install, as a checkpoint restore does.
+//
+// The subtests keep the names they had when the store was split into N
+// hash partitions. shards=N now scales the id gaps the run opens with
+// SetNextID — up to 2·N pages, the ids N partitions once shared — so a
+// larger N leaves wider holes inside the one directory.
 func TestHeapModel(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 4} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -159,7 +162,7 @@ func TestHeapModel(t *testing.T) {
 
 func runHeapModel(t *testing.T, shards int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	h := NewSharded(1, shards)
+	h := New(1)
 	h.EnableDeltaTracking()
 	m := &model{objs: map[ids.ObjID]modelObj{}, appRoots: map[ids.Ref]int{}}
 
@@ -304,15 +307,15 @@ func runHeapModel(t *testing.T, shards int, seed int64) {
 		checkAgainstModel(t, fmt.Sprintf("step %d op %d", i, op), h, m)
 	}
 
-	// Empty the first page of shard 0 and snapshot: the page must be gone
+	// Empty the directory's first page and snapshot: the page must be gone
 	// from the live heap and the shadow. Then reinstall two of its ids.
-	pn, n := h.PageSpan(0)
+	pn, n := h.PageSpan()
 	if n == 0 {
-		t.Fatal("setup: shard 0 holds no page")
+		t.Fatal("setup: the heap holds no page")
 	}
 	var page []ids.ObjID
 	for id := range m.objs {
-		if s, local := h.Locate(id); s == 0 && int(local>>PageBits) == pn {
+		if int(id>>PageBits) == pn {
 			page = append(page, id)
 		}
 	}
@@ -325,7 +328,7 @@ func runHeapModel(t *testing.T, shards int, seed int64) {
 	checkAgainstModel(t, "page emptied", h, m)
 	snap := h.TraceSnapshot()
 	checkShadow(t, "page emptied", h, snap, m)
-	if h.HasPage(0, pn) || snap.HasPage(0, pn) {
+	if h.HasPage(pn) || snap.HasPage(pn) {
 		t.Fatal("an emptied page was not freed")
 	}
 	for _, id := range slices.Compact([]ids.ObjID{page[0], page[len(page)-1]}) {
@@ -339,7 +342,7 @@ func runHeapModel(t *testing.T, shards int, seed int64) {
 	checkAgainstModel(t, "page re-entered", h, m)
 	snap = h.TraceSnapshot()
 	checkShadow(t, "page re-entered", h, snap, m)
-	if !snap.HasPage(0, pn) {
+	if !snap.HasPage(pn) {
 		t.Fatal("the re-entered page is missing from the snapshot")
 	}
 

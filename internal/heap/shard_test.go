@@ -2,59 +2,62 @@ package heap
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"backtrace/internal/ids"
 )
 
-// TestShardOfPartition checks that every object lands in exactly the shard
-// its ID hashes to and that per-shard iteration covers the heap without
-// overlap.
+// The tests in this file keep the names they had when the store was split
+// into hash partitions; their subjects are now the one directory.
+
+// TestShardOfPartition checks the id round trip over the one directory:
+// iteration visits every object once, in ascending id order, and each id
+// leads back to its page and slot.
 func TestShardOfPartition(t *testing.T) {
-	const shards = 4
-	h := NewSharded(1, shards)
+	h := New(1)
 	var all []ids.ObjID
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 3*PageSlots; i++ {
 		all = append(all, h.Alloc().Obj)
 	}
+	// Empty page 1: the directory keeps a hole there.
+	const hole = 1
+	all = slices.DeleteFunc(all, func(obj ids.ObjID) bool {
+		if obj>>PageBits == hole {
+			h.Delete(obj)
+			return true
+		}
+		return false
+	})
 
-	seen := make(map[ids.ObjID]int)
-	total := 0
-	for i := 0; i < shards; i++ {
-		n := 0
-		h.EachObjectInShard(i, func(obj ids.ObjID, local uint64) {
-			if got := h.ShardOf(obj); got != i {
-				t.Fatalf("object %v iterated in shard %d but ShardOf = %d", obj, i, got)
-			}
-			if gotShard, gotLocal := h.Locate(obj); gotShard != i || gotLocal != local {
-				t.Fatalf("object %v iterated at (%d, %d) but Locate = (%d, %d)", obj, i, local, gotShard, gotLocal)
-			}
-			seen[obj]++
-			n++
-		})
-		if n == 0 {
-			t.Fatalf("shard %d empty: 40 sequential IDs should hit all %d shards", i, shards)
+	var seen []ids.ObjID
+	base, n := h.PageSpan()
+	h.EachID(func(obj ids.ObjID) {
+		pn := int(obj >> PageBits)
+		if pn < base || pn >= base+n || !h.HasPage(pn) {
+			t.Fatalf("object %v iterated, but its page %d is not in the directory [%d, %d)", obj, pn, base, base+n)
 		}
-		total += n
-	}
-	if total != len(all) {
-		t.Fatalf("per-shard iteration visited %d objects, heap has %d", total, len(all))
-	}
-	for _, obj := range all {
-		if seen[obj] != 1 {
-			t.Fatalf("object %v visited %d times", obj, seen[obj])
+		if _, ok := h.SlotFields(obj); !ok {
+			t.Fatalf("object %v iterated, but SlotFields does not find it", obj)
 		}
+		seen = append(seen, obj)
+	})
+	if !slices.Equal(seen, all) {
+		t.Fatalf("iteration visited %v, want %v", seen, all)
+	}
+	if h.HasPage(hole) {
+		t.Fatalf("emptied page %d is still held", hole)
 	}
 	if h.Len() != len(all) {
 		t.Fatalf("Len = %d, want %d", h.Len(), len(all))
 	}
 }
 
-// TestShardedObjectsSorted checks the cross-shard Objects() view stays
-// globally sorted even though hash sharding interleaves IDs.
+// TestShardedObjectsSorted checks the Objects() view stays sorted after
+// deletions.
 func TestShardedObjectsSorted(t *testing.T) {
-	h := NewSharded(1, 3)
+	h := New(1)
 	for i := 0; i < 25; i++ {
 		h.Alloc()
 	}
@@ -69,10 +72,10 @@ func TestShardedObjectsSorted(t *testing.T) {
 	}
 }
 
-// TestFieldsOfMatchesGet checks the single-lock FieldsOf fast path returns
-// the same view as the lock-free SlotFields, as a copy.
+// TestFieldsOfMatchesGet checks the locked FieldsOf returns the same view
+// as the lock-free SlotFields, as a copy.
 func TestFieldsOfMatchesGet(t *testing.T) {
-	h := NewSharded(1, 4)
+	h := New(1)
 	a := h.AllocRoot()
 	b := h.Alloc()
 	if err := h.AddField(a.Obj, b); err != nil {
@@ -85,7 +88,7 @@ func TestFieldsOfMatchesGet(t *testing.T) {
 	if !ok {
 		t.Fatal("FieldsOf reported object missing")
 	}
-	want, _ := h.SlotFields(h.Locate(a.Obj))
+	want, _ := h.SlotFields(a.Obj)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("FieldsOf = %v, SlotFields = %v", got, want)
 	}
@@ -97,87 +100,83 @@ func TestFieldsOfMatchesGet(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotEquivalence checks that the concurrent per-shard deep
-// copy and the incremental per-shard patching both reproduce exactly the
-// state a single-shard heap would capture.
+// TestShardedSnapshotEquivalence checks that the deep copy reproduces the
+// live heap exactly and that the patched trace snapshot matches a fresh
+// deep copy.
 func TestShardedSnapshotEquivalence(t *testing.T) {
-	build := func(shards int) *Heap {
-		h := NewSharded(1, shards)
-		root := h.AllocRoot()
-		var prev ids.Ref
-		for i := 0; i < 30; i++ {
-			o := h.Alloc()
-			if i%3 == 0 {
-				_ = h.AddField(root.Obj, o)
-			} else if !prev.IsZero() {
-				_ = h.AddField(prev.Obj, o)
-			}
-			prev = o
+	h := New(1)
+	root := h.AllocRoot()
+	var prev ids.Ref
+	for i := 0; i < 30; i++ {
+		o := h.Alloc()
+		if i%3 == 0 {
+			mustAddField(t, h, root.Obj, o)
+		} else if !prev.IsZero() {
+			mustAddField(t, h, prev.Obj, o)
 		}
-		h.AddAppRoot(ids.Ref{Site: 2, Obj: 5})
-		return h
+		prev = o
 	}
-	flat, sharded := build(1), build(4)
+	h.AddAppRoot(ids.Ref{Site: 2, Obj: 5})
+	sameState(t, "deep copy", h.Snapshot(), h)
 
-	flatSnap, shardSnap := flat.Snapshot(), sharded.Snapshot()
-	if !reflect.DeepEqual(flatSnap.Objects(), shardSnap.Objects()) {
-		t.Fatalf("snapshot object sets differ: %v vs %v", flatSnap.Objects(), shardSnap.Objects())
-	}
-	for _, obj := range flatSnap.Objects() {
-		fw, _ := flatSnap.FieldsOf(obj)
-		gw, ok := shardSnap.FieldsOf(obj)
-		if !ok || !reflect.DeepEqual(fw, gw) {
-			t.Fatalf("snapshot fields differ for %v: %v vs %v (ok=%v)", obj, fw, gw, ok)
-		}
-	}
-	if !reflect.DeepEqual(flatSnap.AppRoots(), shardSnap.AppRoots()) {
-		t.Fatalf("snapshot app roots differ")
-	}
-
-	// Patch only dirty shards and compare against a fresh copy.
-	sharded.EnableDeltaTracking()
-	sharded.TraceSnapshot()
-	mutated := sharded.Alloc()
-	_ = h2AddField(t, sharded, 1, mutated)
-	sharded.Delete(9)
-	snap2 := sharded.TraceSnapshot()
-	if !snap2.Contains(mutated.Obj) || snap2.Contains(9) {
+	h.EnableDeltaTracking()
+	h.TraceSnapshot()
+	mutated := h.Alloc()
+	mustAddField(t, h, 1, mutated)
+	h.Delete(9)
+	snap := h.TraceSnapshot()
+	if !snap.Contains(mutated.Obj) || snap.Contains(9) {
 		t.Fatalf("patched snapshot missed the allocation or the deletion")
 	}
-	full := sharded.Snapshot()
-	if !reflect.DeepEqual(full.Objects(), snap2.Objects()) {
-		t.Fatalf("patched snapshot object set %v, want %v", snap2.Objects(), full.Objects())
+	sameState(t, "patched snapshot", snap, h.Snapshot())
+}
+
+// sameState fails unless got holds exactly want's objects, fields, roots
+// and application roots.
+func sameState(t *testing.T, ctx string, got, want *Heap) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Objects(), want.Objects()) {
+		t.Fatalf("%s: object set %v, want %v", ctx, got.Objects(), want.Objects())
+	}
+	for _, obj := range want.Objects() {
+		wf, _ := want.FieldsOf(obj)
+		gf, ok := got.FieldsOf(obj)
+		if !ok || !reflect.DeepEqual(gf, wf) {
+			t.Fatalf("%s: fields of %v are %v, want %v (ok=%v)", ctx, obj, gf, wf, ok)
+		}
+	}
+	if !reflect.DeepEqual(got.PersistentRoots(), want.PersistentRoots()) || !reflect.DeepEqual(got.AppRoots(), want.AppRoots()) {
+		t.Fatalf("%s: roots differ", ctx)
 	}
 }
 
-func h2AddField(t *testing.T, h *Heap, obj ids.ObjID, target ids.Ref) error {
+func mustAddField(t *testing.T, h *Heap, obj ids.ObjID, target ids.Ref) {
 	t.Helper()
 	if err := h.AddField(obj, target); err != nil {
 		t.Fatal(err)
 	}
-	return nil
 }
 
-// TestMaxShardDirtyRatio checks the skew gauge: clean after a snapshot,
-// nonzero after a mutation, and reflecting the dirtiest shard only.
+// TestMaxShardDirtyRatio checks the write barrier's dirty set: absent with
+// tracking off, empty right after a snapshot, and naming exactly the
+// mutated object after one mutation.
 func TestMaxShardDirtyRatio(t *testing.T) {
-	h := NewSharded(1, 4)
-	if got := h.MaxShardDirtyRatio(); got != 0 {
-		t.Fatalf("ratio %v with tracking off, want 0", got)
-	}
-	h.EnableDeltaTracking()
+	h := New(1)
 	for i := 0; i < 16; i++ {
 		h.Alloc()
 	}
-	h.TraceSnapshot()
-	if got := h.MaxShardDirtyRatio(); got != 0 {
-		t.Fatalf("ratio %v right after snapshot, want 0", got)
+	if h.dirtyObjs != nil {
+		t.Fatalf("dirty set %v with tracking off, want none", h.dirtyObjs)
 	}
-	// Dirty one object: exactly one shard has 1 dirty of 4 objects.
+	h.EnableDeltaTracking()
+	h.TraceSnapshot()
+	if n := len(h.dirtyObjs) + len(h.dirtyPersist) + len(h.dirtyAppRoots); n != 0 {
+		t.Fatalf("%d dirty entries right after snapshot, want 0", n)
+	}
 	if err := h.AddField(4, ids.Ref{Site: 2, Obj: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.MaxShardDirtyRatio(); got != 0.25 {
-		t.Fatalf("ratio %v after one mutation, want 0.25", got)
+	if want := map[ids.ObjID]struct{}{4: {}}; !reflect.DeepEqual(h.dirtyObjs, want) {
+		t.Fatalf("dirty set %v after one mutation, want %v", h.dirtyObjs, want)
 	}
 }

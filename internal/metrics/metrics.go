@@ -255,16 +255,6 @@ const (
 // a registry). It returns to zero once every receipt has arrived.
 const OwnerTransfersPending = "site.owner_transfers_pending"
 
-// Sharded-storage gauge names (site.Config.Shards).
-const (
-	// HeapShards is the number of heap/ioref-table shards the site runs.
-	HeapShards = "heap.shards"
-	// ParallelShardDirtyRatio is the percentage of objects mutated in the
-	// dirtiest heap shard since the last trace snapshot, observed at the
-	// most recent snapshot.
-	ParallelShardDirtyRatio = "localtrace.parallel.shard_dirty_ratio"
-)
-
 // Mailbox-executor counter names (site.Config.InboxSize > 0).
 const (
 	// MailboxEnqueued counts inbound messages accepted into a site inbox.

@@ -13,20 +13,18 @@
 // is pinned by the insert barrier (Section 6.1.2) or held by a mutator
 // variable. Otherwise it is *suspected*.
 //
-// Like package heap, the tables are hash-sharded by object identifier: each
-// shard owns its own lock, its own sorted-order cache, its own dirty set,
-// and its own slice of the copy-on-write trace snapshot. Protocol-level
-// mutation still runs under the owning Site's write lock; the shard locks
-// make single-entry reads safe against the concurrent snapshot patching
-// and introspection the sharded site allows.
+// Each of the two tables has one lock, one sorted-order cache, one dirty set
+// and one copy-on-write trace snapshot. Protocol-level mutation runs under
+// the owning Site's write lock; the table locks make single-entry reads
+// safe against snapshot patching and introspection.
 package refs
 
 import (
+	"cmp"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"backtrace/internal/ids"
 )
@@ -190,150 +188,95 @@ func (o *Outref) MarkVisited(t ids.TraceID, suspect uint32) (owner uint32, alrea
 // ClearVisited removes a completed trace's visit mark.
 func (o *Outref) ClearVisited(t ids.TraceID) { clearVisited(&o.Visited, t) }
 
-// inShard is one hash partition of the inref table. Each shard caches its
-// own sorted order: a membership change invalidates only that shard's
-// cache, so the per-trace sorted scan rebuilds O(changed shards), not the
-// whole table.
-type inShard struct {
+// inrefTable is the inref table. Its sorted order is cached until its
+// membership changes, so the per-trace sorted scan does not re-sort an
+// unchanged table.
+type inrefTable struct {
 	mu     sync.RWMutex
 	inrefs map[ids.ObjID]*Inref
 
-	// sorted caches this shard's inrefs ordered by object identifier; it
-	// is invalidated only when shard membership changes (insert or
-	// remove), not on distance or flag updates. rebuilds counts cache
-	// rebuilds, as instrumentation for the per-shard invalidation
-	// regression test.
+	// sorted caches the inrefs ordered by object identifier; it is
+	// invalidated only when membership changes (insert or remove), not on
+	// distance or flag updates.
 	sorted      []*Inref
 	sortedValid bool
-	rebuilds    int
 
-	dirtyIn map[ids.ObjID]struct{}
+	// dirty names the inrefs whose tracer-visible state may differ from
+	// the shadow copy (see Table.TraceSnapshot).
+	dirty map[ids.ObjID]struct{}
 
-	// bySource indexes the shard's inrefs by source site: bySource[q]
-	// holds every object whose source list names q. AddSource,
-	// RemoveSource, RemoveInref and SetSource maintain it, so an update
-	// from q reconciles only the inrefs that list q (EachSourceOf) instead
-	// of scanning the table. Trace snapshots leave it empty: the tracer
-	// never reads it.
+	// bySource indexes the inrefs by source site: bySource[q] holds every
+	// object whose source list names q. AddSource, RemoveSource,
+	// RemoveInref and SetSource maintain it, so an update from q reconciles
+	// only the inrefs that list q (EachSourceOf) instead of scanning the
+	// table. Trace snapshots leave it empty: the tracer never reads it.
 	bySource map[ids.SiteID]map[ids.ObjID]struct{}
 }
 
-// indexSource records that obj's source list names src. Caller holds sh.mu.
-func (sh *inShard) indexSource(src ids.SiteID, obj ids.ObjID) {
-	objs := sh.bySource[src]
+// indexSource records that obj's source list names src. Caller holds mu.
+func (it *inrefTable) indexSource(src ids.SiteID, obj ids.ObjID) {
+	objs := it.bySource[src]
 	if objs == nil {
-		if sh.bySource == nil {
-			sh.bySource = make(map[ids.SiteID]map[ids.ObjID]struct{})
+		if it.bySource == nil {
+			it.bySource = make(map[ids.SiteID]map[ids.ObjID]struct{})
 		}
 		objs = make(map[ids.ObjID]struct{})
-		sh.bySource[src] = objs
+		it.bySource[src] = objs
 	}
 	objs[obj] = struct{}{}
 }
 
-// unindexSource forgets that obj's source list names src. Caller holds
-// sh.mu.
-func (sh *inShard) unindexSource(src ids.SiteID, obj ids.ObjID) {
-	objs := sh.bySource[src]
+// unindexSource forgets that obj's source list names src. Caller holds mu.
+func (it *inrefTable) unindexSource(src ids.SiteID, obj ids.ObjID) {
+	objs := it.bySource[src]
 	delete(objs, obj)
 	if len(objs) == 0 {
-		delete(sh.bySource, src)
+		delete(it.bySource, src)
 	}
 }
 
-// outShard is one hash partition of the outref table. Like inShard it
-// caches its sorted order until its membership changes.
-type outShard struct {
+// outrefTable is the outref table. Like inrefTable it caches its sorted
+// order until its membership changes.
+type outrefTable struct {
 	mu          sync.RWMutex
 	outrefs     map[ids.Ref]*Outref
 	sorted      []*Outref
 	sortedValid bool
-	dirtyOut    map[ids.Ref]struct{}
+	dirty       map[ids.Ref]struct{}
 }
 
 // Table holds one site's inref and outref tables.
 type Table struct {
 	site ids.SiteID
-	ins  []*inShard
-	outs []*outShard
+	in   inrefTable
+	out  outrefTable
 
 	// defaultBackThreshold initializes the BackThreshold of new iorefs
 	// (the paper's T2, Section 4.3).
 	defaultBackThreshold int
 
-	// merged caches the table-wide Inrefs() ordering, built by merging
-	// the per-shard sorted caches. mergedValid is atomic because
-	// different-shard membership changes may invalidate it concurrently;
-	// mergedMu serializes the rebuild against concurrent readers.
-	mergedMu    sync.Mutex
-	merged      []*Inref
-	mergedValid atomic.Bool
-	// outMerged is the same cache for Outrefs().
-	outMergedMu    sync.Mutex
-	outMerged      []*Outref
-	outMergedValid atomic.Bool
-
 	// --- trace-snapshot write barrier (see TraceSnapshot) ---
 
 	// tracking is written only while whole-table exclusion holds
-	// (construction or the site write lock). dirtyIn/dirtyOut live on the
-	// shards: obj/ref entries whose tracer-visible state may differ from
-	// snap. Tracer-invisible fields (Barrier, Pins, outref Distance,
+	// (construction or the site write lock). While it is set, in.dirty and
+	// out.dirty collect the entries whose tracer-visible state may differ
+	// from snap. Tracer-invisible fields (Barrier, Pins, outref Distance,
 	// BackThreshold, Visited) are not tracked.
 	tracking bool
 	snap     *Table
 }
 
-// NewTable creates empty single-shard tables for a site. backThreshold is
-// the initial per-ioref back threshold T2.
+// NewTable creates empty tables for a site. backThreshold is the initial
+// per-ioref back threshold T2.
 func NewTable(site ids.SiteID, backThreshold int) *Table {
-	return NewTableSharded(site, backThreshold, 1)
-}
-
-// NewTableSharded creates empty tables with the given shard count (clamped
-// to at least 1). Sites pass the same count as their heap so inrefs and
-// marks partition identically.
-func NewTableSharded(site ids.SiteID, backThreshold int, shards int) *Table {
-	if shards < 1 {
-		shards = 1
-	}
-	t := &Table{
-		site:                 site,
-		ins:                  make([]*inShard, shards),
-		outs:                 make([]*outShard, shards),
-		defaultBackThreshold: backThreshold,
-	}
-	for i := range t.ins {
-		t.ins[i] = &inShard{inrefs: make(map[ids.ObjID]*Inref)}
-		t.outs[i] = &outShard{outrefs: make(map[ids.Ref]*Outref)}
-	}
+	t := &Table{site: site, defaultBackThreshold: backThreshold}
+	t.in.inrefs = make(map[ids.ObjID]*Inref)
+	t.out.outrefs = make(map[ids.Ref]*Outref)
 	return t
 }
 
 // Site returns the owning site.
 func (t *Table) Site() ids.SiteID { return t.site }
-
-// NumShards returns the table's shard count.
-func (t *Table) NumShards() int { return len(t.ins) }
-
-// ShardOf returns the shard index owning an object identifier; it matches
-// heap.ShardOf for a heap of the same shard count.
-func (t *Table) ShardOf(obj ids.ObjID) int {
-	return int(uint64(obj) % uint64(len(t.ins)))
-}
-
-func (t *Table) inShardFor(obj ids.ObjID) *inShard { return t.ins[t.ShardOf(obj)] }
-
-func (t *Table) outShardFor(r ids.Ref) *outShard { return t.outs[t.ShardOf(r.Obj)] }
-
-// InrefShardRebuilds returns how many times shard i's sorted cache has been
-// rebuilt (test instrumentation for per-shard cache invalidation).
-func (t *Table) InrefShardRebuilds(i int) int {
-	sh := t.ins[i]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.rebuilds
-}
 
 // EnableDeltaTracking turns on the write barrier that records dirty
 // entries for TraceSnapshot. Sites call this once at construction; it
@@ -343,23 +286,21 @@ func (t *Table) EnableDeltaTracking() {
 		return
 	}
 	t.tracking = true
-	for i := range t.ins {
-		t.ins[i].dirtyIn = make(map[ids.ObjID]struct{})
-		t.outs[i].dirtyOut = make(map[ids.Ref]struct{})
+	t.in.dirty = make(map[ids.ObjID]struct{})
+	t.out.dirty = make(map[ids.Ref]struct{})
+}
+
+// The touch helpers run with the table's lock held.
+
+func (t *Table) touchIn(obj ids.ObjID) {
+	if t.tracking {
+		t.in.dirty[obj] = struct{}{}
 	}
 }
 
-// The touch helpers run with the shard lock held.
-
-func (t *Table) touchIn(sh *inShard, obj ids.ObjID) {
+func (t *Table) touchOut(target ids.Ref) {
 	if t.tracking {
-		sh.dirtyIn[obj] = struct{}{}
-	}
-}
-
-func (t *Table) touchOut(sh *outShard, target ids.Ref) {
-	if t.tracking {
-		sh.dirtyOut[target] = struct{}{}
+		t.out.dirty[target] = struct{}{}
 	}
 }
 
@@ -367,56 +308,47 @@ func (t *Table) touchOut(sh *outShard, target ids.Ref) {
 
 // Inref returns the inref for a local object, if present.
 func (t *Table) Inref(obj ids.ObjID) (*Inref, bool) {
-	sh := t.inShardFor(obj)
-	sh.mu.RLock()
-	in, ok := sh.inrefs[obj]
-	sh.mu.RUnlock()
+	t.in.mu.RLock()
+	in, ok := t.in.inrefs[obj]
+	t.in.mu.RUnlock()
 	return in, ok
 }
 
-// EnsureInref returns the inref for obj, creating an empty one if absent.
-func (t *Table) EnsureInref(obj ids.ObjID) *Inref {
-	sh := t.inShardFor(obj)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	in, ok := sh.inrefs[obj]
+// ensureInrefLocked returns obj's inref, creating an empty one if absent.
+// Caller holds in.mu.
+func (t *Table) ensureInrefLocked(obj ids.ObjID) *Inref {
+	in, ok := t.in.inrefs[obj]
 	if !ok {
 		in = &Inref{
 			Obj:           obj,
 			Sources:       make(map[ids.SiteID]int),
 			BackThreshold: t.defaultBackThreshold,
 		}
-		sh.inrefs[obj] = in
-		sh.sortedValid = false
-		t.mergedValid.Store(false)
-		t.touchIn(sh, obj)
+		t.in.inrefs[obj] = in
+		t.in.sortedValid = false
+		t.touchIn(obj)
 	}
 	return in
+}
+
+// EnsureInref returns the inref for obj, creating an empty one if absent.
+func (t *Table) EnsureInref(obj ids.ObjID) *Inref {
+	t.in.mu.Lock()
+	defer t.in.mu.Unlock()
+	return t.ensureInrefLocked(obj)
 }
 
 // AddSource records that a source site holds a reference to obj. If the
 // source is new its distance is conservatively set to 1 (Section 3); an
 // existing source's distance is left unchanged.
 func (t *Table) AddSource(obj ids.ObjID, src ids.SiteID) *Inref {
-	sh := t.inShardFor(obj)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	in, ok := sh.inrefs[obj]
-	if !ok {
-		in = &Inref{
-			Obj:           obj,
-			Sources:       make(map[ids.SiteID]int),
-			BackThreshold: t.defaultBackThreshold,
-		}
-		sh.inrefs[obj] = in
-		sh.sortedValid = false
-		t.mergedValid.Store(false)
-		t.touchIn(sh, obj)
-	}
+	t.in.mu.Lock()
+	defer t.in.mu.Unlock()
+	in := t.ensureInrefLocked(obj)
 	if _, ok := in.Sources[src]; !ok {
 		in.Sources[src] = 1
-		sh.indexSource(src, obj)
-		t.touchIn(sh, obj)
+		t.in.indexSource(src, obj)
+		t.touchIn(obj)
 	}
 	return in
 }
@@ -431,10 +363,9 @@ func (t *Table) SetSource(obj ids.ObjID, src ids.SiteID, dist int) {
 // SetSourceDistance updates the distance for one source of obj's inref, if
 // both exist (distance changes arrive in update messages, Section 3).
 func (t *Table) SetSourceDistance(obj ids.ObjID, src ids.SiteID, dist int) {
-	sh := t.inShardFor(obj)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	in, ok := sh.inrefs[obj]
+	t.in.mu.Lock()
+	defer t.in.mu.Unlock()
+	in, ok := t.in.inrefs[obj]
 	if !ok {
 		return
 	}
@@ -442,23 +373,21 @@ func (t *Table) SetSourceDistance(obj ids.ObjID, src ids.SiteID, dist int) {
 		return
 	}
 	in.Sources[src] = dist
-	t.touchIn(sh, obj)
+	t.touchIn(obj)
 }
 
 // UpdateSourceDistances applies n distance changes reported by src — the
 // i'th sets obj's distance to dist, where obj, dist = at(i) — like
-// SetSourceDistance, taking each shard's lock once for the whole batch. It
+// SetSourceDistance, taking the inref lock once for the whole batch. It
 // returns how many of the objects' inrefs list src, and the inrefs a change
 // turned from suspected to clean at threshold, which fire the clean rule
 // (Section 6.4).
 func (t *Table) UpdateSourceDistances(src ids.SiteID, n int, at func(i int) (ids.ObjID, int), threshold int) (listed int, cleaned []ids.ObjID) {
-	for _, sh := range t.ins {
-		sh.mu.Lock()
-	}
+	t.in.mu.Lock()
+	defer t.in.mu.Unlock()
 	for i := 0; i < n; i++ {
 		obj, dist := at(i)
-		sh := t.inShardFor(obj)
-		in, ok := sh.inrefs[obj]
+		in, ok := t.in.inrefs[obj]
 		if !ok {
 			continue
 		}
@@ -471,13 +400,10 @@ func (t *Table) UpdateSourceDistances(src ids.SiteID, n int, at func(i int) (ids
 			continue
 		}
 		in.Sources[src] = dist
-		t.touchIn(sh, obj)
+		t.touchIn(obj)
 		if turnedClean(in, src, old, dist, threshold) {
 			cleaned = append(cleaned, obj)
 		}
-	}
-	for _, sh := range t.ins {
-		sh.mu.Unlock()
 	}
 	return listed, cleaned
 }
@@ -503,23 +429,21 @@ func turnedClean(in *Inref, src ids.SiteID, old, dist, threshold int) bool {
 // removal is reported (Section 2: "An inref with an empty source list is
 // removed").
 func (t *Table) RemoveSource(obj ids.ObjID, src ids.SiteID) (removedInref bool) {
-	sh := t.inShardFor(obj)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	in, ok := sh.inrefs[obj]
+	t.in.mu.Lock()
+	defer t.in.mu.Unlock()
+	in, ok := t.in.inrefs[obj]
 	if !ok {
 		return false
 	}
 	if _, had := in.Sources[src]; had {
 		delete(in.Sources, src)
-		sh.unindexSource(src, obj)
-		t.touchIn(sh, obj)
+		t.in.unindexSource(src, obj)
+		t.touchIn(obj)
 	}
 	if len(in.Sources) == 0 {
-		delete(sh.inrefs, obj)
-		sh.sortedValid = false
-		t.mergedValid.Store(false)
-		t.touchIn(sh, obj)
+		delete(t.in.inrefs, obj)
+		t.in.sortedValid = false
+		t.touchIn(obj)
 		return true
 	}
 	return false
@@ -527,140 +451,73 @@ func (t *Table) RemoveSource(obj ids.ObjID, src ids.SiteID) (removedInref bool) 
 
 // RemoveInref deletes an inref outright (collector cleanup).
 func (t *Table) RemoveInref(obj ids.ObjID) {
-	sh := t.inShardFor(obj)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	in, ok := sh.inrefs[obj]
+	t.in.mu.Lock()
+	defer t.in.mu.Unlock()
+	in, ok := t.in.inrefs[obj]
 	if !ok {
 		return
 	}
 	for src := range in.Sources {
-		sh.unindexSource(src, obj)
+		t.in.unindexSource(src, obj)
 	}
-	delete(sh.inrefs, obj)
-	sh.sortedValid = false
-	t.mergedValid.Store(false)
-	t.touchIn(sh, obj)
+	delete(t.in.inrefs, obj)
+	t.in.sortedValid = false
+	t.touchIn(obj)
 }
 
 // FlagGarbage sets the inref's garbage flag (a back trace confirmed it
 // garbage in its report phase, Section 4.5). Routed through the table so
 // the trace snapshot sees the root disappear.
 func (t *Table) FlagGarbage(obj ids.ObjID) {
-	sh := t.inShardFor(obj)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	in, ok := sh.inrefs[obj]
+	t.in.mu.Lock()
+	defer t.in.mu.Unlock()
+	in, ok := t.in.inrefs[obj]
 	if !ok || in.Garbage {
 		return
 	}
 	in.Garbage = true
-	t.touchIn(sh, obj)
-}
-
-// sortedLocked returns the shard's sorted cache, rebuilding it if
-// membership changed since the last call. Caller holds sh.mu.
-func (sh *inShard) sortedLocked() []*Inref {
-	if !sh.sortedValid {
-		sh.sorted = sh.sorted[:0]
-		for _, in := range sh.inrefs {
-			sh.sorted = append(sh.sorted, in)
-		}
-		sort.Slice(sh.sorted, func(i, j int) bool { return sh.sorted[i].Obj < sh.sorted[j].Obj })
-		sh.sortedValid = true
-		sh.rebuilds++
-	}
-	return sh.sorted
+	t.touchIn(obj)
 }
 
 // Inrefs returns all inrefs ordered by object identifier. The slice is a
 // cache owned by the table: callers must not modify it, and it is valid
-// until the next insert or remove. A membership change rebuilds only the
-// sorted order of the shard it happened in; unchanged shards contribute
-// their cached order to the merge.
+// until the next insert or remove, which makes the next call re-sort.
 func (t *Table) Inrefs() []*Inref {
-	t.mergedMu.Lock()
-	defer t.mergedMu.Unlock()
-	if t.mergedValid.Load() {
-		return t.merged
-	}
-	if len(t.ins) == 1 {
-		sh := t.ins[0]
-		sh.mu.Lock()
-		t.merged = sh.sortedLocked()
-		sh.mu.Unlock()
-		t.mergedValid.Store(true)
-		return t.merged
-	}
-	parts := make([][]*Inref, len(t.ins))
-	total := 0
-	for i, sh := range t.ins {
-		sh.mu.Lock()
-		parts[i] = sh.sortedLocked()
-		sh.mu.Unlock()
-		total += len(parts[i])
-	}
-	t.merged = mergeSorted(parts, t.merged[:0], total, func(a, b *Inref) bool { return a.Obj < b.Obj })
-	t.mergedValid.Store(true)
-	return t.merged
-}
-
-// mergeSorted k-way merges per-shard sorted slices into dst. Hash
-// sharding interleaves identifiers across shards, so concatenation is not
-// sorted; the merge repeatedly takes the smallest head.
-func mergeSorted[T any](parts [][]T, dst []T, total int, less func(a, b T) bool) []T {
-	if cap(dst) < total {
-		dst = make([]T, 0, total)
-	}
-	heads := make([]int, len(parts))
-	for len(dst) < total {
-		best := -1
-		for i, p := range parts {
-			if heads[i] >= len(p) {
-				continue
-			}
-			if best < 0 || less(p[heads[i]], parts[best][heads[best]]) {
-				best = i
-			}
+	t.in.mu.Lock()
+	defer t.in.mu.Unlock()
+	if !t.in.sortedValid {
+		t.in.sorted = t.in.sorted[:0]
+		for _, in := range t.in.inrefs {
+			t.in.sorted = append(t.in.sorted, in)
 		}
-		dst = append(dst, parts[best][heads[best]])
-		heads[best]++
+		slices.SortFunc(t.in.sorted, func(a, b *Inref) int { return cmp.Compare(a.Obj, b.Obj) })
+		t.in.sortedValid = true
 	}
-	return dst
+	return t.in.sorted
 }
 
 // NumInrefs returns the number of inrefs.
 func (t *Table) NumInrefs() int {
-	n := 0
-	for _, sh := range t.ins {
-		sh.mu.RLock()
-		n += len(sh.inrefs)
-		sh.mu.RUnlock()
-	}
-	return n
+	t.in.mu.RLock()
+	defer t.in.mu.RUnlock()
+	return len(t.in.inrefs)
 }
 
 // SourceCount returns the number of inrefs whose source lists name src.
 func (t *Table) SourceCount(src ids.SiteID) int {
-	n := 0
-	for _, sh := range t.ins {
-		sh.mu.RLock()
-		n += len(sh.bySource[src])
-		sh.mu.RUnlock()
-	}
-	return n
+	t.in.mu.RLock()
+	defer t.in.mu.RUnlock()
+	return len(t.in.bySource[src])
 }
 
 // EachSourceOf invokes fn for every object whose inref lists src as a
-// source, in unspecified order, visiting only those inrefs (the per-shard
-// source index). fn must not add or remove sources or inrefs.
+// source, in unspecified order, visiting only those inrefs (the source
+// index). fn must not add or remove sources or inrefs.
 func (t *Table) EachSourceOf(src ids.SiteID, fn func(obj ids.ObjID)) {
-	for _, sh := range t.ins {
-		sh.mu.RLock()
-		for obj := range sh.bySource[src] {
-			fn(obj)
-		}
-		sh.mu.RUnlock()
+	t.in.mu.RLock()
+	defer t.in.mu.RUnlock()
+	for obj := range t.in.bySource[src] {
+		fn(obj)
 	}
 }
 
@@ -668,10 +525,9 @@ func (t *Table) EachSourceOf(src ids.SiteID, fn func(obj ids.ObjID)) {
 
 // Outref returns the outref for a remote target, if present.
 func (t *Table) Outref(target ids.Ref) (*Outref, bool) {
-	sh := t.outShardFor(target)
-	sh.mu.RLock()
-	o, ok := sh.outrefs[target]
-	sh.mu.RUnlock()
+	t.out.mu.RLock()
+	o, ok := t.out.outrefs[target]
+	t.out.mu.RUnlock()
 	return o, ok
 }
 
@@ -683,10 +539,9 @@ func (t *Table) Outref(target ids.Ref) (*Outref, bool) {
 // passing the reference (Section 6.1.2, case 4: "Y creates a clean outref
 // for z").
 func (t *Table) EnsureOutref(target ids.Ref) (o *Outref, created bool) {
-	sh := t.outShardFor(target)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	o, ok := sh.outrefs[target]
+	t.out.mu.Lock()
+	defer t.out.mu.Unlock()
+	o, ok := t.out.outrefs[target]
 	if !ok {
 		o = &Outref{
 			Target:        target,
@@ -694,47 +549,24 @@ func (t *Table) EnsureOutref(target ids.Ref) (o *Outref, created bool) {
 			Barrier:       true,
 			BackThreshold: t.defaultBackThreshold,
 		}
-		sh.outrefs[target] = o
+		t.out.outrefs[target] = o
 		created = true
-		t.outMembershipChanged(sh)
-		t.touchOut(sh, target)
+		t.out.sortedValid = false
+		t.touchOut(target)
 	}
 	return o, created
 }
 
 // RemoveOutref deletes an outref (trimmed after a local trace).
 func (t *Table) RemoveOutref(target ids.Ref) {
-	sh := t.outShardFor(target)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.outrefs[target]; !ok {
+	t.out.mu.Lock()
+	defer t.out.mu.Unlock()
+	if _, ok := t.out.outrefs[target]; !ok {
 		return
 	}
-	delete(sh.outrefs, target)
-	t.outMembershipChanged(sh)
-	t.touchOut(sh, target)
-}
-
-// outMembershipChanged invalidates the sorted-order caches after an outref
-// was added to or removed from sh. Caller holds sh.mu.
-func (t *Table) outMembershipChanged(sh *outShard) {
-	sh.sortedValid = false
-	t.outMergedValid.Store(false)
-}
-
-// sortedLocked returns the shard's sorted cache, rebuilding it if
-// membership changed since the last call. A rebuild makes a new slice, so
-// slices handed out earlier never change. Caller holds sh.mu.
-func (sh *outShard) sortedLocked() []*Outref {
-	if !sh.sortedValid {
-		sorted := make([]*Outref, 0, len(sh.outrefs))
-		for _, o := range sh.outrefs {
-			sorted = append(sorted, o)
-		}
-		slices.SortFunc(sorted, func(a, b *Outref) int { return a.Target.Compare(b.Target) })
-		sh.sorted, sh.sortedValid = sorted, true
-	}
-	return sh.sorted
+	delete(t.out.outrefs, target)
+	t.out.sortedValid = false
+	t.touchOut(target)
 }
 
 // Outrefs returns all outrefs ordered by target reference. The slice is a
@@ -742,40 +574,24 @@ func (sh *outShard) sortedLocked() []*Outref {
 // after a membership change, into a new slice, so a slice already returned
 // keeps listing the outrefs present when it was built.
 func (t *Table) Outrefs() []*Outref {
-	t.outMergedMu.Lock()
-	defer t.outMergedMu.Unlock()
-	if t.outMergedValid.Load() {
-		return t.outMerged
-	}
-	if len(t.outs) == 1 {
-		sh := t.outs[0]
-		sh.mu.Lock()
-		t.outMerged = sh.sortedLocked()
-		sh.mu.Unlock()
-	} else {
-		parts := make([][]*Outref, len(t.outs))
-		total := 0
-		for i, sh := range t.outs {
-			sh.mu.Lock()
-			parts[i] = sh.sortedLocked()
-			sh.mu.Unlock()
-			total += len(parts[i])
+	t.out.mu.Lock()
+	defer t.out.mu.Unlock()
+	if !t.out.sortedValid {
+		sorted := make([]*Outref, 0, len(t.out.outrefs))
+		for _, o := range t.out.outrefs {
+			sorted = append(sorted, o)
 		}
-		t.outMerged = mergeSorted(parts, nil, total, func(a, b *Outref) bool { return a.Target.Less(b.Target) })
+		slices.SortFunc(sorted, func(a, b *Outref) int { return a.Target.Compare(b.Target) })
+		t.out.sorted, t.out.sortedValid = sorted, true
 	}
-	t.outMergedValid.Store(true)
-	return t.outMerged
+	return t.out.sorted
 }
 
 // NumOutrefs returns the number of outrefs.
 func (t *Table) NumOutrefs() int {
-	n := 0
-	for _, sh := range t.outs {
-		sh.mu.RLock()
-		n += len(sh.outrefs)
-		sh.mu.RUnlock()
-	}
-	return n
+	t.out.mu.RLock()
+	defer t.out.mu.RUnlock()
+	return len(t.out.outrefs)
 }
 
 // Pin increments the insert-barrier pin count of the outref for target,
@@ -798,160 +614,124 @@ func (t *Table) Unpin(target ids.Ref) {
 	}
 }
 
-// eachShardConcurrent runs fn(i) for every shard index, on one goroutine
-// per shard when the table has more than one.
-func (t *Table) eachShardConcurrent(fn func(i int)) {
-	if len(t.ins) == 1 {
-		fn(0)
-		return
+// copyInref returns a copy of in's tracer-visible state, with its own
+// source list.
+func copyInref(in *Inref) *Inref {
+	return &Inref{
+		Obj:           in.Obj,
+		Sources:       maps.Clone(in.Sources),
+		Barrier:       in.Barrier,
+		Garbage:       in.Garbage,
+		BackThreshold: in.BackThreshold,
 	}
-	var wg sync.WaitGroup
-	for i := range t.ins {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
+}
+
+// copyOutref returns a copy of o without its Visited marks.
+func copyOutref(o *Outref) *Outref {
+	return &Outref{
+		Target:        o.Target,
+		Distance:      o.Distance,
+		Pins:          o.Pins,
+		Barrier:       o.Barrier,
+		BackThreshold: o.BackThreshold,
 	}
-	wg.Wait()
 }
 
 // Snapshot returns a deep copy of both tables — TraceSnapshot's first cut,
-// and the tests' independent reference; shards are copied concurrently.
-// Everything the tracer reads is copied — source lists with distances,
-// barrier and garbage flags, pins, distances, back thresholds. The per-trace Visited marks are deliberately
+// and the tests' independent reference. Everything the tracer reads is
+// copied — source lists with distances, barrier and garbage flags, pins,
+// distances, back thresholds. The per-trace Visited marks are deliberately
 // NOT carried over: they belong to the live table (the back-tracing engine
 // mutates them under the site lock) and the tracer never reads them.
 func (t *Table) Snapshot() *Table {
-	cp := NewTableSharded(t.site, t.defaultBackThreshold, len(t.ins))
-	t.eachShardConcurrent(func(i int) {
-		src, dst := t.ins[i], cp.ins[i]
-		src.mu.RLock()
-		dst.inrefs = make(map[ids.ObjID]*Inref, len(src.inrefs))
-		for obj, in := range src.inrefs {
-			srcs := make(map[ids.SiteID]int, len(in.Sources))
-			for s, d := range in.Sources {
-				srcs[s] = d
-			}
-			dst.inrefs[obj] = &Inref{
-				Obj:           in.Obj,
-				Sources:       srcs,
-				Barrier:       in.Barrier,
-				Garbage:       in.Garbage,
-				BackThreshold: in.BackThreshold,
-			}
-		}
-		src.mu.RUnlock()
-
-		osrc, odst := t.outs[i], cp.outs[i]
-		osrc.mu.RLock()
-		odst.outrefs = make(map[ids.Ref]*Outref, len(osrc.outrefs))
-		for target, o := range osrc.outrefs {
-			odst.outrefs[target] = &Outref{
-				Target:        o.Target,
-				Distance:      o.Distance,
-				Pins:          o.Pins,
-				Barrier:       o.Barrier,
-				BackThreshold: o.BackThreshold,
-			}
-		}
-		osrc.mu.RUnlock()
-	})
+	cp := NewTable(t.site, t.defaultBackThreshold)
+	t.in.mu.RLock()
+	cp.in.inrefs = make(map[ids.ObjID]*Inref, len(t.in.inrefs))
+	for obj, in := range t.in.inrefs {
+		cp.in.inrefs[obj] = copyInref(in)
+	}
+	t.in.mu.RUnlock()
+	t.out.mu.RLock()
+	cp.out.outrefs = make(map[ids.Ref]*Outref, len(t.out.outrefs))
+	for target, o := range t.out.outrefs {
+		cp.out.outrefs[target] = copyOutref(o)
+	}
+	t.out.mu.RUnlock()
 	return cp
 }
 
 // TraceSnapshot returns a read-only snapshot of the tables, mirroring
-// heap.TraceSnapshot: the first call deep-copies, later calls patch each
-// shard of the retained shadow copy concurrently, in O(dirty) total. The
-// snapshot is faithful only for what the tracer reads — inref existence,
-// source distances, garbage flags, and outref existence; tracer-invisible
-// fields (Barrier, Pins, outref Distance) may be stale in patched entries.
-// The returned table is patched in place by the next call; the site's
-// trace mutex serializes.
+// heap.TraceSnapshot: the first call deep-copies, later calls patch the
+// retained shadow copy from the dirty sets, in O(dirty). The snapshot is
+// faithful only for what the tracer reads — inref existence, source
+// distances, garbage flags, and outref existence; tracer-invisible fields
+// (Barrier, Pins, outref Distance) may be stale in patched entries. The
+// returned table is patched in place by the next call; the site's trace
+// mutex serializes.
 func (t *Table) TraceSnapshot() *Table {
 	if !t.tracking {
 		t.EnableDeltaTracking()
 	}
 	if t.snap == nil {
 		t.snap = t.Snapshot()
-		for i := range t.ins {
-			t.ins[i].mu.Lock()
-			clear(t.ins[i].dirtyIn)
-			t.ins[i].mu.Unlock()
-			t.outs[i].mu.Lock()
-			clear(t.outs[i].dirtyOut)
-			t.outs[i].mu.Unlock()
-		}
+		t.clearDirty()
 		return t.snap
 	}
-	t.eachShardConcurrent(t.patchShard)
+	t.patchSnapshot()
 	return t.snap
 }
 
-// patchShard brings shard i of the shadow tables up to date from the live
-// shard's dirty sets. It locks the live shard; the shadow is owned by the
+// patchSnapshot brings the shadow tables up to date from the live tables'
+// dirty sets. It locks the live tables; the shadow is owned by the
 // snapshot lineage.
-func (t *Table) patchShard(i int) {
-	sh, snapSh := t.ins[i], t.snap.ins[i]
-	sh.mu.Lock()
-	for obj := range sh.dirtyIn {
-		liveIn, liveOK := sh.inrefs[obj]
-		snapIn, snapOK := snapSh.inrefs[obj]
-		if liveOK {
-			srcs := make(map[ids.SiteID]int, len(liveIn.Sources))
-			for s, sd := range liveIn.Sources {
-				srcs[s] = sd
-			}
-			if snapOK {
-				// Patch the existing struct in place: the snapshot's sorted
-				// caches hold pointers, so replacing the struct would leave
-				// a stale entry behind without invalidating the cache.
-				snapIn.Sources = srcs
-				snapIn.Barrier = liveIn.Barrier
-				snapIn.Garbage = liveIn.Garbage
-				snapIn.BackThreshold = liveIn.BackThreshold
-			} else {
-				snapSh.inrefs[obj] = &Inref{
-					Obj:           liveIn.Obj,
-					Sources:       srcs,
-					Barrier:       liveIn.Barrier,
-					Garbage:       liveIn.Garbage,
-					BackThreshold: liveIn.BackThreshold,
-				}
-				snapSh.sortedValid = false
-				t.snap.mergedValid.Store(false)
-			}
-		} else if snapOK {
-			delete(snapSh.inrefs, obj)
-			snapSh.sortedValid = false
-			t.snap.mergedValid.Store(false)
+func (t *Table) patchSnapshot() {
+	snap := t.snap
+	t.in.mu.Lock()
+	for obj := range t.in.dirty {
+		liveIn, liveOK := t.in.inrefs[obj]
+		snapIn, snapOK := snap.in.inrefs[obj]
+		switch {
+		case liveOK && snapOK:
+			// Patch the existing struct in place: the snapshot's sorted
+			// cache holds pointers, so replacing the struct would leave a
+			// stale entry behind without invalidating the cache.
+			*snapIn = *copyInref(liveIn)
+		case liveOK:
+			snap.in.inrefs[obj] = copyInref(liveIn)
+			snap.in.sortedValid = false
+		case snapOK:
+			delete(snap.in.inrefs, obj)
+			snap.in.sortedValid = false
 		}
 	}
-	clear(sh.dirtyIn)
-	sh.mu.Unlock()
+	clear(t.in.dirty)
+	t.in.mu.Unlock()
 
-	osh, snapOsh := t.outs[i], t.snap.outs[i]
-	osh.mu.Lock()
-	if len(osh.dirtyOut) > 0 {
+	t.out.mu.Lock()
+	if len(t.out.dirty) > 0 {
 		// Only membership changes dirty an outref, and a patched entry is a
-		// new struct: either way the shadow's sorted caches are stale.
-		t.snap.outMembershipChanged(snapOsh)
+		// new struct: either way the shadow's sorted cache is stale.
+		snap.out.sortedValid = false
 	}
-	for target := range osh.dirtyOut {
-		if liveO, ok := osh.outrefs[target]; ok {
-			snapOsh.outrefs[target] = &Outref{
-				Target:        liveO.Target,
-				Distance:      liveO.Distance,
-				Pins:          liveO.Pins,
-				Barrier:       liveO.Barrier,
-				BackThreshold: liveO.BackThreshold,
-			}
+	for target := range t.out.dirty {
+		if liveO, ok := t.out.outrefs[target]; ok {
+			snap.out.outrefs[target] = copyOutref(liveO)
 		} else {
-			delete(snapOsh.outrefs, target)
+			delete(snap.out.outrefs, target)
 		}
 	}
-	clear(osh.dirtyOut)
-	osh.mu.Unlock()
+	clear(t.out.dirty)
+	t.out.mu.Unlock()
+}
+
+// clearDirty empties both dirty sets.
+func (t *Table) clearDirty() {
+	t.in.mu.Lock()
+	clear(t.in.dirty)
+	t.in.mu.Unlock()
+	t.out.mu.Lock()
+	clear(t.out.dirty)
+	t.out.mu.Unlock()
 }
 
 // ResetTraceSnapshot discards the shadow copy so the next TraceSnapshot is
@@ -960,14 +740,7 @@ func (t *Table) patchShard(i int) {
 func (t *Table) ResetTraceSnapshot() {
 	t.snap = nil
 	if t.tracking {
-		for i := range t.ins {
-			t.ins[i].mu.Lock()
-			clear(t.ins[i].dirtyIn)
-			t.ins[i].mu.Unlock()
-			t.outs[i].mu.Lock()
-			clear(t.outs[i].dirtyOut)
-			t.outs[i].mu.Unlock()
-		}
+		t.clearDirty()
 	}
 }
 
@@ -976,18 +749,14 @@ func (t *Table) ResetTraceSnapshot() {
 // and back information (Section 6.1.1: barrier-cleaned outrefs "remain
 // clean until the site does the next local trace").
 func (t *Table) ResetBarriers() {
-	for _, sh := range t.ins {
-		sh.mu.Lock()
-		for _, in := range sh.inrefs {
-			in.Barrier = false
-		}
-		sh.mu.Unlock()
+	t.in.mu.Lock()
+	for _, in := range t.in.inrefs {
+		in.Barrier = false
 	}
-	for _, sh := range t.outs {
-		sh.mu.Lock()
-		for _, o := range sh.outrefs {
-			o.Barrier = false
-		}
-		sh.mu.Unlock()
+	t.in.mu.Unlock()
+	t.out.mu.Lock()
+	for _, o := range t.out.outrefs {
+		o.Barrier = false
 	}
+	t.out.mu.Unlock()
 }

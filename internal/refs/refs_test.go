@@ -277,12 +277,12 @@ func TestInrefDistanceNeverBelowMinSourceProperty(t *testing.T) {
 }
 
 // TestSourceIndexTracksSourceLists drives random source-list changes
-// through every mutator that maintains the per-shard source index and
+// through every mutator that maintains the source index and
 // checks after each one that EachSourceOf visits exactly the inrefs whose
 // source lists name the site.
 func TestSourceIndexTracksSourceLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tbl := NewTableSharded(1, 7, 4)
+	tbl := NewTable(1, 7)
 	for step := 0; step < 2000; step++ {
 		obj := ids.ObjID(1 + rng.Intn(40))
 		src := ids.SiteID(2 + rng.Intn(4))
@@ -329,7 +329,7 @@ func TestSourceIndexTracksSourceLists(t *testing.T) {
 func TestUpdateSourceDistancesCleanRule(t *testing.T) {
 	const threshold = 3
 	rng := rand.New(rand.NewSource(2))
-	tbl := NewTableSharded(1, 7, 3)
+	tbl := NewTable(1, 7)
 	for step := 0; step < 500; step++ {
 		for i := 0; i < 5; i++ {
 			obj := ids.ObjID(1 + rng.Intn(20))

@@ -1,93 +1,74 @@
 package refs
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"backtrace/internal/ids"
 )
 
-// TestInrefShardCacheInvalidation is the regression test for the per-shard
-// sorted cache: a membership change in one shard must rebuild only that
-// shard's order on the next Inrefs() call, while the other shards keep
-// contributing their cached slices to the k-way merge.
+// The tests in this file keep the names they had when the tables were split
+// into hash partitions; their subjects are now the one inref table.
+
+// TestInrefShardCacheInvalidation is the regression test for the sorted
+// cache: distance and flag updates keep it, and only a membership change
+// (insert or remove) makes the next Inrefs() call re-sort.
 func TestInrefShardCacheInvalidation(t *testing.T) {
-	const shards = 4
-	tbl := NewTableSharded(1, 8, shards)
-	if got := tbl.NumShards(); got != shards {
-		t.Fatalf("NumShards = %d, want %d", got, shards)
-	}
-	// One inref per shard (hash sharding is obj % shards).
+	tbl := NewTable(1, 8)
 	for obj := ids.ObjID(1); obj <= 8; obj++ {
 		tbl.AddSource(obj, 2)
 	}
-
-	rebuilds := func() []int {
-		out := make([]int, shards)
-		for i := range out {
-			out[i] = tbl.InrefShardRebuilds(i)
-		}
-		return out
-	}
-
 	tbl.Inrefs()
-	base := rebuilds()
-	for i, n := range base {
-		if n != 1 {
-			t.Fatalf("shard %d rebuilt %d times after first Inrefs, want 1", i, n)
-		}
+	if !tbl.in.sortedValid {
+		t.Fatal("Inrefs left the cache invalid")
 	}
 
-	// Non-membership mutation: distance updates must not invalidate any
-	// shard's sorted order.
+	// Non-membership mutations must not invalidate the sorted order.
 	tbl.SetSourceDistance(3, 2, 7)
-	tbl.Inrefs()
-	if got := rebuilds(); !reflect.DeepEqual(got, base) {
-		t.Fatalf("distance update invalidated sorted caches: rebuilds %v, want %v", got, base)
+	tbl.AddSource(3, 4)
+	tbl.FlagGarbage(5)
+	if !tbl.in.sortedValid {
+		t.Fatal("a distance, source or flag update invalidated the sorted cache")
 	}
 
-	// Membership change in shard 1 (obj 9 hashes to 9 % 4 = 1): only that
-	// shard may rebuild.
-	target := tbl.ShardOf(9)
-	tbl.AddSource(9, 2)
-	tbl.Inrefs()
-	want := append([]int(nil), base...)
-	want[target]++
-	if got := rebuilds(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after insert in shard %d: rebuilds %v, want %v", target, got, want)
-	}
-
-	// Removal in a different shard: again only that shard rebuilds.
-	target2 := tbl.ShardOf(6)
-	tbl.RemoveInref(6)
-	tbl.Inrefs()
-	want[target2]++
-	if got := rebuilds(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after remove in shard %d: rebuilds %v, want %v", target2, got, want)
+	for _, change := range []struct {
+		name  string
+		apply func()
+		want  []ids.ObjID
+	}{
+		{"insert", func() { tbl.AddSource(9, 2) }, []ids.ObjID{1, 2, 3, 4, 5, 6, 7, 8, 9}},
+		{"remove", func() { tbl.RemoveInref(6) }, []ids.ObjID{1, 2, 3, 4, 5, 7, 8, 9}},
+		{"last source removed", func() { tbl.RemoveSource(1, 2) }, []ids.ObjID{2, 3, 4, 5, 7, 8, 9}},
+	} {
+		change.apply()
+		if tbl.in.sortedValid {
+			t.Fatalf("%s kept the sorted cache", change.name)
+		}
+		var got []ids.ObjID
+		for _, in := range tbl.Inrefs() {
+			got = append(got, in.Obj)
+		}
+		if !slices.Equal(got, change.want) {
+			t.Fatalf("after %s: Inrefs = %v, want %v", change.name, got, change.want)
+		}
 	}
 }
 
-// TestShardedInrefsSorted checks the cross-shard merge: hash sharding
-// interleaves identifiers, so Inrefs() must still come back globally sorted
-// and identical to the single-shard table's view of the same contents.
+// TestShardedInrefsSorted checks that Inrefs() comes back strictly sorted
+// whatever order the inrefs were inserted in.
 func TestShardedInrefsSorted(t *testing.T) {
-	sharded := NewTableSharded(1, 8, 5)
-	flat := NewTable(1, 8)
-	for _, obj := range []ids.ObjID{17, 3, 25, 4, 11, 2, 9, 30, 1} {
-		sharded.AddSource(obj, 2)
-		flat.AddSource(obj, 2)
+	tbl := NewTable(1, 8)
+	inserted := []ids.ObjID{17, 3, 25, 4, 11, 2, 9, 30, 1}
+	for _, obj := range inserted {
+		tbl.AddSource(obj, 2)
 	}
-	got := sharded.Inrefs()
-	want := flat.Inrefs()
-	if len(got) != len(want) {
-		t.Fatalf("sharded Inrefs has %d entries, flat has %d", len(got), len(want))
+	var got []ids.ObjID
+	for _, in := range tbl.Inrefs() {
+		got = append(got, in.Obj)
 	}
-	for i := range got {
-		if got[i].Obj != want[i].Obj {
-			t.Fatalf("position %d: sharded obj %v, flat obj %v", i, got[i].Obj, want[i].Obj)
-		}
-		if i > 0 && got[i-1].Obj >= got[i].Obj {
-			t.Fatalf("Inrefs not strictly sorted at %d: %v >= %v", i, got[i-1].Obj, got[i].Obj)
-		}
+	want := slices.Clone(inserted)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Inrefs = %v, want %v", got, want)
 	}
 }

@@ -26,8 +26,8 @@ type Audit struct {
 }
 
 // AuditSnapshot captures the site's state under the write lock: heap-only
-// mutators run under the read lock plus per-shard locks, so only the write
-// lock yields a consistent cut across every shard.
+// mutators run under the read lock plus the heap lock, so only the write
+// lock yields a consistent cut of the heap and the ioref tables together.
 func (s *Site) AuditSnapshot() Audit {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -17,7 +17,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/checkpoint.golden from the current encoder")
 
 // goldenCheckpointSite builds a site whose durable state spans several heap
-// pages on every shard, with a swept gap in the middle: the persist pair's
+// pages, with a swept gap in the middle: the persist pair's
 // site A, plus a 1 200-object chain from its root cut after 200 objects
 // and re-linked at 900, so one local trace sweeps the 700 objects between.
 // Every fifth object also points at A's half of the cross-site cycle, and

@@ -64,7 +64,6 @@ func (s *Site) BeginLocalTrace() {
 	s.localTraceT0 = s.clk.Now()
 
 	s.mu.Lock()
-	s.gaugeDirty.Set(int64(100 * s.heap.MaxShardDirtyRatio()))
 	h := s.heap.TraceSnapshot()
 	tbl := s.table.TraceSnapshot()
 	epoch := s.traceEpoch

@@ -14,11 +14,12 @@ import (
 // Section 6.1.
 //
 // Operations that touch only the heap (allocation, root flips, field
-// removal) take the site READ lock: the heap is internally sharded with
-// per-shard locks, so such mutators on distinct shards run concurrently
-// and contend only with whole-site critical sections (trace snapshots,
-// message handlers), never with each other. Operations that consult or
-// mutate the ioref tables, or that send messages, keep the write lock.
+// removal) take the site READ lock: the heap has its own lock, so such
+// mutators contend with each other only for their short heap critical
+// sections and never block introspection; whole-site critical sections
+// (trace snapshots, message handlers) exclude them. Operations that
+// consult or mutate the ioref tables, or that send messages, keep the
+// write lock.
 
 // NewObject allocates an object on this site and returns its reference.
 func (s *Site) NewObject() ids.Ref {
@@ -122,8 +123,8 @@ func (s *Site) RemoveReference(container ids.ObjID, target ids.Ref) error {
 }
 
 // Fields returns the reference fields of a local object. The copy is taken
-// under the object's shard lock, so it is consistent even against
-// concurrent read-locked mutators on the same shard.
+// under the heap lock, so it is consistent even against concurrent
+// read-locked mutators.
 func (s *Site) Fields(obj ids.ObjID) ([]ids.Ref, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

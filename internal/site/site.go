@@ -14,19 +14,19 @@
 // Mutable collector state is guarded by one RWMutex, but — unlike the
 // original single-mutex design — the heavy phases no longer run inside it:
 //
-//   - The heap and ioref table are sharded by object-id hash into
-//     max(GOMAXPROCS, Config.Shards) shards, each with its own lock,
-//     write-barrier dirty set, and copy-on-write trace snapshot.
+//   - The heap and the ioref tables are one partition each, with one
+//     lock, one write-barrier dirty set, and one copy-on-write trace
+//     snapshot per table, as in the paper, where a site is one unit.
 //     Heap-only mutator operations (allocation, root flips, field
-//     removal) take the site read lock plus the owning shard's lock, so
-//     mutators on distinct shards proceed concurrently; operations that
-//     touch iorefs or send messages, and all message handlers, remain
-//     short critical sections under the write lock, matching the
-//     paper's model.
+//     removal) take the site read lock plus the heap lock, so they
+//     contend only with each other's short heap critical sections, never
+//     with introspection; operations that touch iorefs or send messages,
+//     and all message handlers, remain short critical sections under
+//     the write lock, matching the paper's model.
 //   - The local trace has one path (BeginLocalTrace). A short critical
 //     section cuts a copy-on-write snapshot of the heap and ioref tables
-//     — each shard's retained shadow copy patched from its dirty set,
-//     concurrently across shards — and the computation (tracer.Tracer:
+//     — the retained shadow copies patched from their dirty sets — and
+//     the computation (tracer.Tracer:
 //     the paged ascending-distance forward mark, then the outset pass)
 //     runs entirely OUTSIDE the lock on that snapshot. The Section 6.2
 //     double-buffered back information makes the off-lock computation
@@ -44,7 +44,6 @@ package site
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -119,12 +118,6 @@ type Config struct {
 	// a cycle it never ran (docs/ALGORITHM.md). The field stays because
 	// existing configurations set it.
 	Incremental bool
-	// Shards requests a minimum shard count for the heap and ioref table.
-	// The site always uses max(GOMAXPROCS, Shards) shards, so mutator
-	// operations on distinct objects contend on distinct locks and trace
-	// snapshots copy/patch shards concurrently. Shard count never affects
-	// observable results — only lock granularity and snapshot parallelism.
-	Shards int
 	// Clock supplies every timestamp the site takes: span start/end times,
 	// mailbox queue-delay accounting, and the engine's timeout deadlines.
 	// Nil means the wall clock; the deterministic simulation injects a
@@ -288,7 +281,6 @@ type Site struct {
 	histOutsets  *obs.Histogram
 	histQueue    *obs.Histogram
 	gaugeDepth   *obs.Gauge
-	gaugeDirty   *obs.Gauge
 	// gaugeTransfers is site.owner_transfers_pending; each site adds its
 	// own changes, so a shared registry reads the sum over its sites.
 	gaugeTransfers *obs.Gauge
@@ -306,15 +298,11 @@ var _ transport.Handler = (*Site)(nil)
 // New creates a site and registers it on the network.
 func New(cfg Config) *Site {
 	cfg = cfg.withDefaults()
-	shards := runtime.GOMAXPROCS(0)
-	if cfg.Shards > shards {
-		shards = cfg.Shards
-	}
 	s := &Site{
 		cfg:            cfg,
 		clk:            clock.OrWall(cfg.Clock),
-		heap:           heap.NewSharded(cfg.ID, shards),
-		table:          refs.NewTableSharded(cfg.ID, cfg.BackThreshold, shards),
+		heap:           heap.New(cfg.ID),
+		table:          refs.NewTable(cfg.ID, cfg.BackThreshold),
 		back:           tracer.EmptyBackInfo(),
 		pendingInserts: make(map[ids.Ref]msg.Insert),
 		transfers:      make(map[ids.SiteID]*transferLog),
@@ -339,12 +327,8 @@ func New(cfg Config) *Site {
 		"time inbound messages spent queued in a site mailbox", nil)
 	s.gaugeDepth = reg.Gauge(obs.MetricMailboxDepth,
 		"inbox depth observed at the most recent enqueue")
-	s.gaugeDirty = reg.Gauge(metrics.ParallelShardDirtyRatio,
-		"percent of the dirtiest heap shard mutated since the last trace snapshot")
 	s.gaugeTransfers = reg.Gauge(metrics.OwnerTransfersPending,
 		"owner-sent reference transfers whose receiver has not yet receipted them")
-	reg.Gauge(metrics.HeapShards,
-		"number of heap and ioref-table shards").Set(int64(shards))
 	// Declare the trace-traffic instruments up front so scrapes see them
 	// at zero even before the first back trace (or with the engine off).
 	reg.Gauge(metrics.BackTraceInflight,

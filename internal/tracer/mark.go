@@ -28,10 +28,10 @@ import (
 // (reference_test.go).
 //
 // The mark table (markTable) is paged like the heap it marks: one page of
-// int64 per heap page, at the same shard and page number, storing
-// distance+1 so the zero value means "unmarked". It is never copied out: the
-// outset pass reads it in place, and the per-shard tally below emits only
-// the dead objects and the marked count. The mark reads the heap through
+// int64 per heap page, at the same page number, storing distance+1 so the
+// zero value means "unmarked". It is never copied out: the outset pass reads
+// it in place, and the tally below emits only the dead objects and the
+// marked count. The mark reads the heap through
 // its lock-free SlotFields and marks ids without checking heap membership
 // first — marking a deleted or absent id in a page that exists is harmless,
 // because scans look the object up (and skip it), the tally walks heap
@@ -75,7 +75,7 @@ func (t *Tracer) mark(h *heap.Heap, tbl *refs.Table) *markResult {
 
 	var stack []ids.ObjID
 	seed := func(obj ids.ObjID, dist int) {
-		if p := marks.at(h.Locate(obj)); p != nil && lower(p, int64(dist)+1) {
+		if p := marks.at(obj); p != nil && lower(p, int64(dist)+1) {
 			stack = append(stack, obj)
 		}
 	}
@@ -96,23 +96,22 @@ func (t *Tracer) mark(h *heap.Heap, tbl *refs.Table) *markResult {
 			seed(in.Obj, in.Distance())
 		}
 	}
-	slices.SortFunc(stack, func(a, b ids.ObjID) int { return cmp.Compare(marks.load(h, b), marks.load(h, a)) })
+	slices.SortFunc(stack, func(a, b ids.ObjID) int { return cmp.Compare(marks.load(b), marks.load(a)) })
 
 	for len(stack) > 0 {
 		obj := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		shard, local := h.Locate(obj)
-		fields, ok := h.SlotFields(shard, local)
+		fields, ok := h.SlotFields(obj)
 		if !ok {
 			continue // phantom mark: id not (or no longer) in the heap
 		}
-		enc := *marks.at(shard, local)
+		enc := *marks.at(obj)
 		for _, f := range fields {
 			if f.IsZero() {
 				continue
 			}
 			if f.Site == site {
-				if p := marks.at(h.Locate(f.Obj)); p != nil && lower(p, enc) {
+				if p := marks.at(f.Obj); p != nil && lower(p, enc) {
 					stack = append(stack, f.Obj)
 				}
 				continue
@@ -131,32 +130,25 @@ func (t *Tracer) mark(h *heap.Heap, tbl *refs.Table) *markResult {
 	}
 	slices.SortFunc(res.missingOutrefs, ids.Ref.Compare)
 
-	// Walk the heap's pages shard by shard: unmarked objects are the dead,
+	// Walk the heap's pages in id order: unmarked objects are the dead,
 	// marked ones are only counted. Only slots holding objects are
 	// consulted, which filters the phantom marks.
-	for i := range h.NumShards() {
-		h.EachObjectInShard(i, func(id ids.ObjID, local uint64) {
-			if *marks.at(i, local) != 0 {
-				res.objectsTraced++
-			} else {
-				res.dead = append(res.dead, id)
-			}
-		})
-	}
-	slices.Sort(res.dead)
+	h.EachID(func(id ids.ObjID) {
+		if *marks.at(id) != 0 {
+			res.objectsTraced++
+		} else {
+			res.dead = append(res.dead, id)
+		}
+	})
 	return res
 }
 
-// markTable is a trace's mark table, paged like the heap it marks: per heap
-// shard, a directory of mark pages with the heap shard's base and length,
+// markTable is a trace's mark table, paged like the heap it marks: a
+// directory of mark pages with the heap directory's base and length,
 // holding a page exactly where the heap holds one. Its size follows the
 // heap's directory (live pages plus a pointer per page number of live
 // span), not the ids ever allocated.
 type markTable struct {
-	shards []markShard
-}
-
-type markShard struct {
 	base  int
 	pages []*markPage
 }
@@ -167,48 +159,40 @@ type markPage [heap.PageSlots]int64
 // holds keeps its mark page, cleared; a page the heap no longer holds loses
 // its mark page, uncleared.
 func (m *markTable) reset(h *heap.Heap) {
-	if len(m.shards) != h.NumShards() {
-		m.shards = make([]markShard, h.NumShards())
-	}
-	for i := range m.shards {
-		ms := &m.shards[i]
-		base, n := h.PageSpan(i)
-		if base != ms.base || n != len(ms.pages) {
-			pages := make([]*markPage, n)
-			for j, p := range ms.pages {
-				if k := ms.base + j - base; k >= 0 && k < n {
-					pages[k] = p
-				}
+	base, n := h.PageSpan()
+	if base != m.base || n != len(m.pages) {
+		pages := make([]*markPage, n)
+		for j, p := range m.pages {
+			if k := m.base + j - base; k >= 0 && k < n {
+				pages[k] = p
 			}
-			ms.base, ms.pages = base, pages
 		}
-		for j, p := range ms.pages {
-			switch {
-			case !h.HasPage(i, base+j):
-				ms.pages[j] = nil
-			case p == nil:
-				ms.pages[j] = new(markPage)
-			default:
-				clear(p[:])
-			}
+		m.base, m.pages = base, pages
+	}
+	for j, p := range m.pages {
+		switch {
+		case !h.HasPage(base + j):
+			m.pages[j] = nil
+		case p == nil:
+			m.pages[j] = new(markPage)
+		default:
+			clear(p[:])
 		}
 	}
 }
 
-// at returns the mark slot of the object at a heap.Locate position, or nil
-// when the heap has no page there.
-func (m *markTable) at(shard int, local uint64) *int64 {
-	ms := &m.shards[shard]
-	j := int(local>>heap.PageBits) - ms.base
-	if uint(j) >= uint(len(ms.pages)) || ms.pages[j] == nil {
+// at returns obj's mark slot, or nil when the heap has no page there.
+func (m *markTable) at(obj ids.ObjID) *int64 {
+	j := int(obj>>heap.PageBits) - m.base
+	if uint(j) >= uint(len(m.pages)) || m.pages[j] == nil {
 		return nil
 	}
-	return &ms.pages[j][local&(heap.PageSlots-1)]
+	return &m.pages[j][obj&(heap.PageSlots-1)]
 }
 
 // load returns obj's mark (distance+1, or zero when unmarked).
-func (m *markTable) load(h *heap.Heap, obj ids.ObjID) int64 {
-	if p := m.at(h.Locate(obj)); p != nil {
+func (m *markTable) load(obj ids.ObjID) int64 {
+	if p := m.at(obj); p != nil {
 		return *p
 	}
 	return 0

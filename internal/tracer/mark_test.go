@@ -88,12 +88,11 @@ func sameResult(t *testing.T, ctx string, got, want *Result) {
 }
 
 // TestParallelEquivalence is the bit-identical property for local traces:
-// over seeded randomized states on shard counts {1, 2, 3, 8} and both
-// outset algorithms, Tracer.Run must match the literal Sections 2–3 trace
-// (referenceTrace) on every comparable result field and on the mark of
-// every heap object. One Tracer serves every seed and round, so its reused
-// mark table is refitted across shard counts and cleared between traces,
-// or the test fails.
+// over seeded randomized states and both outset algorithms, Tracer.Run
+// must match the literal Sections 2–3 trace (referenceTrace) on every
+// comparable result field and on the mark of every heap object. One Tracer
+// serves every seed and round, so its reused mark table is refitted from
+// heap to heap and cleared between traces, or the test fails.
 func TestParallelEquivalence(t *testing.T) {
 	const (
 		numSeeds  = 30
@@ -104,13 +103,12 @@ func TestParallelEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= numSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			shards := []int{1, 2, 3, 8}[seed%4]
 			algo := AlgoBottomUp
 			if seed%5 == 0 {
 				algo = AlgoIndependent
 			}
-			h := heap.NewSharded(1, shards)
-			tbl := refs.NewTableSharded(1, threshold+2, shards)
+			h := heap.New(1)
+			tbl := refs.NewTable(1, threshold+2)
 
 			var objs []ids.Ref
 			for i := 0; i < 4; i++ {
@@ -122,7 +120,7 @@ func TestParallelEquivalence(t *testing.T) {
 				}
 				want, wantMarks := referenceTrace(h, tbl, threshold, algo)
 				got := tr.Run(h, tbl, threshold, algo)
-				ctx := fmt.Sprintf("seed %d round %d shards %d algo %v", seed, round, shards, algo)
+				ctx := fmt.Sprintf("seed %d round %d algo %v", seed, round, algo)
 				sameResult(t, ctx, got, want)
 				for _, obj := range heapObjects(h) {
 					d, ok := tr.markOf(h, obj)

@@ -28,11 +28,10 @@ type outsetEnv struct {
 // to be swept. So are phantom marks — ids the mark reached through a field
 // but the heap does not hold.
 func (e *outsetEnv) suspectedObj(obj ids.ObjID) bool {
-	shard, local := e.h.Locate(obj)
-	if p := e.marks.at(shard, local); p == nil || *p == 0 || int(*p-1) <= e.threshold {
+	if p := e.marks.at(obj); p == nil || *p == 0 || int(*p-1) <= e.threshold {
 		return false
 	}
-	_, ok := e.h.SlotFields(shard, local)
+	_, ok := e.h.SlotFields(obj)
 	return ok
 }
 
@@ -101,7 +100,7 @@ func outsetsIndependent(e *outsetEnv) (map[ids.ObjID][]ids.Ref, outsetStats) {
 				stats.objectsRetraced++
 			}
 			everVisited[obj] = true
-			fields, _ := e.h.SlotFields(e.h.Locate(obj))
+			fields, _ := e.h.SlotFields(obj)
 			for _, z := range fields {
 				if z.IsZero() {
 					continue
@@ -212,7 +211,7 @@ func (st *bottomUpState) trace(start ids.ObjID) {
 		}
 
 		descended := false
-		if fields, ok := e.h.SlotFields(e.h.Locate(x)); ok {
+		if fields, ok := e.h.SlotFields(x); ok {
 			for f.next < len(fields) {
 				z := fields[f.next]
 				f.next++

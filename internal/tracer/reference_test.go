@@ -123,7 +123,7 @@ func referenceTrace(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlg
 	var marks markTable
 	marks.reset(h)
 	for obj, d := range marked {
-		*marks.at(h.Locate(obj)) = int64(d) + 1
+		*marks.at(obj) = int64(d) + 1
 	}
 	outsets, _ := computeOutsets(&outsetEnv{h: h, tbl: tbl, marks: &marks, outrefDist: mr.outrefDist, threshold: threshold}, algo)
 	res := &Result{
@@ -149,7 +149,7 @@ func referenceTrace(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlg
 // distance, and whether the trace reached it. Ids absent from the heap
 // report unmarked, whatever the mark table holds for them.
 func (t *Tracer) markOf(h *heap.Heap, obj ids.ObjID) (int, bool) {
-	enc := t.marks.load(h, obj)
+	enc := t.marks.load(obj)
 	if enc == 0 || !h.Contains(obj) {
 		return 0, false
 	}

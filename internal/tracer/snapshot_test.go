@@ -22,12 +22,12 @@ import (
 // reference trace of a deep copy. Rounds divisible by idleEvery (when
 // positive) mutate nothing, so the snapshot is patched from empty dirty
 // sets. Dead objects are swept after each trace, as the site's commit does.
-func checkSnapshotLineage(t *testing.T, seed int64, shards, rounds, idleEvery int) {
+func checkSnapshotLineage(t *testing.T, seed int64, rounds, idleEvery int) {
 	t.Helper()
 	const threshold = 2
 	rng := rand.New(rand.NewSource(seed))
-	h := heap.NewSharded(1, shards)
-	tbl := refs.NewTableSharded(1, threshold+2, shards)
+	h := heap.New(1)
+	tbl := refs.NewTable(1, threshold+2)
 	h.EnableDeltaTracking()
 	tbl.EnableDeltaTracking()
 	var tr Tracer
@@ -46,7 +46,7 @@ func checkSnapshotLineage(t *testing.T, seed int64, shards, rounds, idleEvery in
 
 		sh := h.TraceSnapshot()
 		got := tr.Run(sh, tbl.TraceSnapshot(), threshold, AlgoBottomUp)
-		ctx := fmt.Sprintf("seed %d round %d shards %d", seed, round, shards)
+		ctx := fmt.Sprintf("seed %d round %d", seed, round)
 		sameResult(t, ctx, got, want)
 		for _, obj := range heapObjects(sh) {
 			d, ok := tr.markOf(sh, obj)
@@ -62,22 +62,23 @@ func checkSnapshotLineage(t *testing.T, seed int64, shards, rounds, idleEvery in
 	}
 }
 
-// TestIncrementalEquivalence holds the incremental snapshot lineage of a
-// single-shard heap to the reference trace.
+// TestIncrementalEquivalence holds the incremental snapshot lineage to the
+// reference trace.
 func TestIncrementalEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			checkSnapshotLineage(t, seed, 1, 15, 0)
+			checkSnapshotLineage(t, seed, 15, 0)
 		})
 	}
 }
 
-// TestParallelIncrementalEquivalence does the same on sharded heaps, whose
-// shards patch concurrently, with every fifth round idle.
+// TestParallelIncrementalEquivalence does the same with every fifth round
+// idle, so the snapshot is also patched from empty dirty sets. (The name is
+// from when the heap was split into partitions patched in parallel.)
 func TestParallelIncrementalEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			checkSnapshotLineage(t, seed, []int{1, 2, 8}[seed%3], 10, 5)
+			checkSnapshotLineage(t, seed, 10, 5)
 		})
 	}
 }
@@ -115,11 +116,11 @@ func TestIncrementalFallbackReasons(t *testing.T) {
 // TestSparseIDMarkPages checks that the mark table follows the heap's live
 // pages, not the ids ever allocated: a site that allocated and swept 3 000
 // objects, then jumped its id counter to 10 million (ids are never
-// recycled), traces its 10 remaining objects with one mark page per shard.
+// recycled), traces its 10 remaining objects with one mark page.
 func TestSparseIDMarkPages(t *testing.T) {
 	const threshold = 2
-	h := heap.NewSharded(1, 2)
-	tbl := refs.NewTableSharded(1, threshold+2, 2)
+	h := heap.New(1)
+	tbl := refs.NewTable(1, threshold+2)
 	var tr Tracer
 	trace := func() *Result {
 		res := tr.Run(h.TraceSnapshot(), tbl.TraceSnapshot(), threshold, AlgoBottomUp)
@@ -155,35 +156,32 @@ func TestSparseIDMarkPages(t *testing.T) {
 	if res.Stats.ObjectsTraced != 10 || len(res.Dead) != 0 {
 		t.Fatalf("sparse trace: %d traced, %d dead; want 10 and 0", res.Stats.ObjectsTraced, len(res.Dead))
 	}
-	for s, ms := range tr.marks.shards {
-		if len(ms.pages) != 1 || ms.pages[0] == nil {
-			t.Fatalf("shard %d: mark directory holds %d entries, want the one page its 5 objects share", s, len(ms.pages))
-		}
+	if ms := tr.marks; len(ms.pages) != 1 || ms.pages[0] == nil {
+		t.Fatalf("mark directory holds %d entries, want the one page its 10 objects share", len(ms.pages))
 	}
 
-	// Live roots that keep the low ids stretch every directory across an id
-	// gap: one pointer per PageSlots·N ids of live span (here 10M ids over 2
-	// shards), but mark pages only where the heap holds pages, and the
-	// id-order walk still visits just the live objects, in order.
+	// Live roots that keep the low ids stretch the directory across an id
+	// gap: one pointer per PageSlots ids of live span (here 10M ids), but
+	// mark pages only where the heap holds pages, and the id-order walk
+	// still visits just the live objects, in order.
 	h.SetNextID(20_000_000)
 	chain(10)
 	if res := trace(); res.Stats.ObjectsTraced != 20 {
 		t.Fatalf("gapped trace reached %d objects, want 20", res.Stats.ObjectsTraced)
 	}
-	for s, ms := range tr.marks.shards {
-		base, n := h.PageSpan(s)
-		if base != ms.base || n != len(ms.pages) || n != 10_000_000/(2*heap.PageSlots)+1 {
-			t.Fatalf("shard %d: mark directory [%d,+%d), heap directory [%d,+%d)", s, ms.base, len(ms.pages), base, n)
+	ms := tr.marks
+	base, n := h.PageSpan()
+	if span := 20_000_010>>heap.PageBits - 10_000_001>>heap.PageBits + 1; base != ms.base || n != len(ms.pages) || n != span {
+		t.Fatalf("mark directory [%d,+%d), heap directory [%d,+%d), want %d pages", ms.base, len(ms.pages), base, n, span)
+	}
+	held := 0
+	for _, p := range ms.pages {
+		if p != nil {
+			held++
 		}
-		held := 0
-		for _, p := range ms.pages {
-			if p != nil {
-				held++
-			}
-		}
-		if held != 2 {
-			t.Fatalf("shard %d: %d mark pages across the gap, want 2", s, held)
-		}
+	}
+	if held != 2 {
+		t.Fatalf("%d mark pages across the gap, want 2", held)
 	}
 	walked := heapObjects(h)
 	if len(walked) != 20 || walked[0] != 10_000_001 || walked[19] != 20_000_010 {

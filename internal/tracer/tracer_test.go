@@ -239,7 +239,7 @@ func TestPhantomMarkNeverSuspected(t *testing.T) {
 
 			tr := new(Tracer)
 			res := tr.Run(f.h, f.tbl, 2, algo)
-			if tr.marks.load(f.h, gone.Obj) == 0 {
+			if tr.marks.load(gone.Obj) == 0 {
 				t.Fatal("setup: the mark did not reach the absent id")
 			}
 			env := &outsetEnv{h: f.h, tbl: f.tbl, marks: &tr.marks, outrefDist: res.OutrefDist, threshold: 2}
