@@ -605,8 +605,6 @@ func BenchmarkSnapshotTrace(b *testing.B) {
 	)
 	h := heap.New(1)
 	tbl := refs.NewTable(1, 1<<20)
-	h.EnableDeltaTracking()
-	tbl.EnableDeltaTracking()
 	rng := rand.New(rand.NewSource(1))
 	link := func(from, to backtrace.Ref) {
 		if err := h.AddField(from.Obj, to); err != nil {

@@ -11,14 +11,9 @@
 // recycled — remote outrefs name them — so a long-lived site's ids keep
 // climbing while its directory follows the live ids.
 //
-// One lock guards the store, its root maps, its write-barrier dirty sets
-// and the patching of its copy-on-write trace snapshot. Single-key
-// operations are safe for concurrent use; whole-heap operations (Snapshot,
-// TraceSnapshot, EachObject) rely on the owning Site to exclude concurrent
-// mutators — the Site takes its write lock for those, and its read lock
-// plus the heap lock for the short mutator critical sections the paper's
-// model assumes. The local trace reads its snapshot through SlotFields,
-// which takes no lock at all (see there).
+// A Heap is not safe for concurrent use: the owning Site's lock guards it,
+// and the trace snapshot it hands out belongs to the site's trace mutex,
+// which is what lets the local trace read it through SlotFields off-lock.
 package heap
 
 import (
@@ -26,8 +21,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"backtrace/internal/ids"
 )
@@ -91,11 +84,8 @@ func (p *page) clone() *page {
 // Heap is one site's object store.
 type Heap struct {
 	site ids.SiteID
-	next atomic.Uint64 // allocation high-water mark (ids.ObjID)
+	next uint64 // allocation high-water mark (ids.ObjID)
 
-	// mu guards the pages, the root maps and the dirty sets; tracking and
-	// snap are owned as their comments say.
-	mu sync.RWMutex
 	// pages[i] holds the slots of ids [(base+i)*PageSlots,
 	// (base+i+1)*PageSlots); it is nil when that range holds no object. The
 	// first and last entries are never nil.
@@ -112,17 +102,12 @@ type Heap struct {
 
 	// --- trace-snapshot write barrier (see TraceSnapshot) ---
 
-	// tracking, when true, makes every mutator operation record what it
-	// touched in the dirty sets so TraceSnapshot can produce an O(dirty)
-	// snapshot instead of an O(heap) deep copy. Off by default: the
-	// bookkeeping is pure overhead for sites that never snapshot. Written
-	// only while whole-heap exclusion holds (construction or the site
-	// write lock).
-	tracking bool
-	// dirtyObjs names objects whose existence or fields may differ from
-	// the shadow copy (allocated, deleted, or field-mutated since the last
-	// snapshot); dirtyPersist and dirtyAppRoots are the same for root
-	// status. They exist only while tracking is on.
+	// Every mutation records what it touched in the dirty sets, so
+	// TraceSnapshot patches its shadow copy in O(dirty) instead of deep
+	// copying the heap. dirtyObjs names objects whose existence or fields
+	// may differ from the shadow copy (allocated, deleted, or field-mutated
+	// since the last snapshot); dirtyPersist and dirtyAppRoots are the same
+	// for root status.
 	dirtyObjs     map[ids.ObjID]struct{}
 	dirtyPersist  map[ids.ObjID]struct{}
 	dirtyAppRoots map[ids.Ref]struct{}
@@ -139,6 +124,9 @@ func New(site ids.SiteID) *Heap {
 		site:            site,
 		persistentRoots: make(map[ids.ObjID]struct{}),
 		appRoots:        make(map[ids.Ref]int),
+		dirtyObjs:       make(map[ids.ObjID]struct{}),
+		dirtyPersist:    make(map[ids.ObjID]struct{}),
+		dirtyAppRoots:   make(map[ids.Ref]struct{}),
 	}
 }
 
@@ -151,7 +139,7 @@ func (h *Heap) page(pn int) *page {
 	return h.pages[i]
 }
 
-// get returns obj's live slot, or nil. Caller holds mu or owns the heap.
+// get returns obj's live slot, or nil.
 func (h *Heap) get(obj ids.ObjID) *slot {
 	p := h.page(int(obj >> PageBits))
 	if p == nil || !p.slots[obj&pageMask].live {
@@ -161,7 +149,7 @@ func (h *Heap) get(obj ids.ObjID) *slot {
 }
 
 // put stores an object under obj, allocating its page (and widening the
-// directory) if needed; fields become the slot's own. Caller holds mu.
+// directory) if needed; fields become the slot's own.
 func (h *Heap) put(obj ids.ObjID, fields []ids.Ref, size int32) {
 	pn := int(obj >> PageBits)
 	switch {
@@ -188,7 +176,7 @@ func (h *Heap) put(obj ids.ObjID, fields []ids.Ref, size int32) {
 }
 
 // remove deletes obj's slot, freeing its page when it was the last one
-// there and trimming empty pages off the directory's ends. Caller holds mu.
+// there and trimming empty pages off the directory's ends.
 func (h *Heap) remove(obj ids.ObjID) {
 	pn := int(obj >> PageBits)
 	p := h.page(pn)
@@ -210,12 +198,12 @@ func (h *Heap) remove(obj ids.ObjID) {
 	}
 }
 
-// SlotFields returns obj's fields, and whether the heap holds obj. It takes
-// no lock and returns the heap's own field array, so it is legal only while
-// nothing mutates the heap: on the snapshot TraceSnapshot returned, which
-// belongs to the local trace until the next TraceSnapshot (the owning
-// site's trace mutex orders the two), or on a heap nobody else is using.
-// The caller must not modify the fields.
+// SlotFields returns obj's fields, and whether the heap holds obj. It
+// returns the heap's own field array, so it is legal only while nothing
+// mutates the heap: on the snapshot TraceSnapshot returned, which belongs
+// to the local trace until the next TraceSnapshot (the owning site's trace
+// mutex orders the two) and so needs no site lock, or on a heap nobody else
+// is using. The caller must not modify the fields.
 func (h *Heap) SlotFields(obj ids.ObjID) ([]ids.Ref, bool) {
 	s := h.get(obj)
 	if s == nil {
@@ -225,47 +213,13 @@ func (h *Heap) SlotFields(obj ids.ObjID) ([]ids.Ref, bool) {
 }
 
 // PageSpan returns the page numbers [base, base+n) that the directory
-// spans. Like SlotFields it takes no lock.
+// spans.
 func (h *Heap) PageSpan() (base, n int) { return h.base, len(h.pages) }
 
-// HasPage reports whether the heap holds a page numbered pn. Like
-// SlotFields it takes no lock.
+// HasPage reports whether the heap holds a page numbered pn.
 func (h *Heap) HasPage(pn int) bool { return h.page(pn) != nil }
 
-// EnableDeltaTracking turns on the write barrier that records dirty
-// objects and roots for TraceSnapshot. Sites call this once at
-// construction; it requires whole-heap exclusion.
-func (h *Heap) EnableDeltaTracking() {
-	if h.tracking {
-		return
-	}
-	h.tracking = true
-	h.dirtyObjs = make(map[ids.ObjID]struct{})
-	h.dirtyPersist = make(map[ids.ObjID]struct{})
-	h.dirtyAppRoots = make(map[ids.Ref]struct{})
-}
-
-// The touch helpers run with mu held.
-
-func (h *Heap) touchObj(obj ids.ObjID) {
-	if h.tracking {
-		h.dirtyObjs[obj] = struct{}{}
-	}
-}
-
-func (h *Heap) touchPersist(obj ids.ObjID) {
-	if h.tracking {
-		h.dirtyPersist[obj] = struct{}{}
-	}
-}
-
-func (h *Heap) touchAppRoot(r ids.Ref) {
-	if h.tracking {
-		h.dirtyAppRoots[r] = struct{}{}
-	}
-}
-
-// clearDirty empties the dirty sets. Caller holds mu.
+// clearDirty empties the dirty sets.
 func (h *Heap) clearDirty() {
 	clear(h.dirtyObjs)
 	clear(h.dirtyPersist)
@@ -276,11 +230,7 @@ func (h *Heap) clearDirty() {
 func (h *Heap) Site() ids.SiteID { return h.site }
 
 // Len returns the number of objects in the heap.
-func (h *Heap) Len() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.count
-}
+func (h *Heap) Len() int { return h.count }
 
 // Alloc creates a new object with no fields and DefaultObjectSize payload,
 // returning its fully qualified reference.
@@ -297,56 +247,47 @@ func (h *Heap) AllocRoot() ids.Ref { return h.create(nil, DefaultObjectSize, tru
 
 // create stores a new object under a fresh id.
 func (h *Heap) create(fields []ids.Ref, size int, root bool) ids.Ref {
-	id := ids.ObjID(h.next.Add(1))
-	h.mu.Lock()
+	h.next++
+	id := ids.ObjID(h.next)
 	h.put(id, fields, int32(size))
-	h.touchObj(id)
+	h.dirtyObjs[id] = struct{}{}
 	if root {
 		h.persistentRoots[id] = struct{}{}
-		h.touchPersist(id)
+		h.dirtyPersist[id] = struct{}{}
 	}
-	h.mu.Unlock()
 	return ids.MakeRef(h.site, id)
 }
 
 // MarkPersistentRoot designates an existing local object as a persistent
 // root (an entry point into the store, such as a name server or directory).
 func (h *Heap) MarkPersistentRoot(obj ids.ObjID) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.get(obj) == nil {
 		return fmt.Errorf("heap %v: mark root: no object %v", h.site, obj)
 	}
 	h.persistentRoots[obj] = struct{}{}
-	h.touchPersist(obj)
+	h.dirtyPersist[obj] = struct{}{}
 	return nil
 }
 
 // UnmarkPersistentRoot removes root status from a local object.
 func (h *Heap) UnmarkPersistentRoot(obj ids.ObjID) {
-	h.mu.Lock()
 	delete(h.persistentRoots, obj)
-	h.touchPersist(obj)
-	h.mu.Unlock()
+	h.dirtyPersist[obj] = struct{}{}
 }
 
 // PersistentRoots returns the local persistent roots in ascending order.
 func (h *Heap) PersistentRoots() []ids.ObjID {
 	var out []ids.ObjID
-	h.mu.RLock()
 	for o := range h.persistentRoots {
 		out = append(out, o)
 	}
-	h.mu.RUnlock()
 	slices.Sort(out)
 	return out
 }
 
-// FieldsOf returns a copy of an object's reference fields, taken under the
-// heap lock so it is safe against concurrent field mutation.
+// FieldsOf returns a copy of an object's reference fields, which the caller
+// may keep after the site lock is released.
 func (h *Heap) FieldsOf(obj ids.ObjID) ([]ids.Ref, bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	s := h.get(obj)
 	if s == nil {
 		return nil, false
@@ -355,14 +296,10 @@ func (h *Heap) FieldsOf(obj ids.ObjID) ([]ids.Ref, bool) {
 }
 
 // Contains reports whether the heap holds the object.
-func (h *Heap) Contains(obj ids.ObjID) bool {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.get(obj) != nil
-}
+func (h *Heap) Contains(obj ids.ObjID) bool { return h.get(obj) != nil }
 
 // EachID calls fn for every object id in ascending order: one walk over the
-// directory's live pages. Like SlotFields it takes no lock.
+// directory's live pages.
 func (h *Heap) EachID(fn func(obj ids.ObjID)) {
 	for j, p := range h.pages {
 		if p == nil {
@@ -379,8 +316,7 @@ func (h *Heap) EachID(fn func(obj ids.ObjID)) {
 
 // EachObject calls fn for every object in ascending id order with its
 // fields, size and persistent-root status. fields is the heap's own array,
-// valid only during the call. Like Snapshot, it requires that nothing
-// mutates the heap meanwhile (the site write lock).
+// valid only during the call.
 func (h *Heap) EachObject(fn func(obj ids.ObjID, fields []ids.Ref, size int, root bool)) {
 	h.EachID(func(obj ids.ObjID) {
 		s := h.get(obj)
@@ -392,22 +328,18 @@ func (h *Heap) EachObject(fn func(obj ids.ObjID, fields []ids.Ref, size int, roo
 // AddField appends a reference field to a local object (reference
 // creation: "copying a reference z into object y", Section 6.1).
 func (h *Heap) AddField(obj ids.ObjID, target ids.Ref) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	s := h.get(obj)
 	if s == nil {
 		return fmt.Errorf("heap %v: add field: no object %v", h.site, obj)
 	}
 	s.fields = append(s.fields, target)
-	h.touchObj(obj)
+	h.dirtyObjs[obj] = struct{}{}
 	return nil
 }
 
 // RemoveField deletes the first field of obj equal to target (reference
 // deletion). It reports whether a field was removed.
 func (h *Heap) RemoveField(obj ids.ObjID, target ids.Ref) (bool, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	s := h.get(obj)
 	if s == nil {
 		return false, fmt.Errorf("heap %v: remove field: no object %v", h.site, obj)
@@ -417,32 +349,28 @@ func (h *Heap) RemoveField(obj ids.ObjID, target ids.Ref) (bool, error) {
 		return false, nil
 	}
 	s.fields = slices.Delete(s.fields, i, i+1)
-	h.touchObj(obj)
+	h.dirtyObjs[obj] = struct{}{}
 	return true, nil
 }
 
 // ClearFields removes every reference field of obj.
 func (h *Heap) ClearFields(obj ids.ObjID) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	s := h.get(obj)
 	if s == nil {
 		return fmt.Errorf("heap %v: clear fields: no object %v", h.site, obj)
 	}
 	s.fields = nil
-	h.touchObj(obj)
+	h.dirtyObjs[obj] = struct{}{}
 	return nil
 }
 
 // Delete removes an object from the heap (called by the collector when the
 // object is garbage, and by the migration baseline after moving it).
 func (h *Heap) Delete(obj ids.ObjID) {
-	h.mu.Lock()
 	h.remove(obj)
 	delete(h.persistentRoots, obj)
-	h.touchObj(obj)
-	h.touchPersist(obj)
-	h.mu.Unlock()
+	h.dirtyObjs[obj] = struct{}{}
+	h.dirtyPersist[obj] = struct{}{}
 }
 
 // Install recreates an object under a specific identifier (checkpoint
@@ -455,16 +383,14 @@ func (h *Heap) Install(id ids.ObjID, fields []ids.Ref, size int, root bool) erro
 	if size < 0 || size > math.MaxInt32 {
 		return fmt.Errorf("heap %v: install: object %v has size %d", h.site, id, size)
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.get(id) != nil {
 		return fmt.Errorf("heap %v: install: object %v already exists", h.site, id)
 	}
 	h.put(id, slices.Clone(fields), int32(size))
-	h.touchObj(id)
+	h.dirtyObjs[id] = struct{}{}
 	if root {
 		h.persistentRoots[id] = struct{}{}
-		h.touchPersist(id)
+		h.dirtyPersist[id] = struct{}{}
 	}
 	h.SetNextID(id)
 	return nil
@@ -472,24 +398,16 @@ func (h *Heap) Install(id ids.ObjID, fields []ids.Ref, size int, root bool) erro
 
 // Snapshot returns a deep copy of the heap: objects (with copied field
 // arrays), persistent roots, application roots, and the allocation
-// high-water mark. It copies page by page under the read lock, so the
-// copy's fields lie in id order. The copy shares nothing with the
-// original, so a local trace can read it while mutators keep modifying the
-// live heap. Sites reach it only through TraceSnapshot, whose first cut it
-// is; tests also use it as an independent copy to run their reference
-// trace on.
+// high-water mark. It copies page by page, so the copy's fields lie in id
+// order. The copy shares nothing with the original, so a local trace can
+// read it off the site lock while mutators keep modifying the live heap.
+// Sites reach it only through TraceSnapshot, whose first cut it is; tests
+// also use it as an independent copy to run their reference trace on.
 func (h *Heap) Snapshot() *Heap {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	cp := &Heap{
-		site:            h.site,
-		base:            h.base,
-		pages:           make([]*page, len(h.pages)),
-		count:           h.count,
-		persistentRoots: maps.Clone(h.persistentRoots),
-		appRoots:        maps.Clone(h.appRoots),
-	}
-	cp.next.Store(h.next.Load())
+	cp := New(h.site)
+	cp.next, cp.base, cp.count = h.next, h.base, h.count
+	cp.pages = make([]*page, len(h.pages))
+	cp.persistentRoots, cp.appRoots = maps.Clone(h.persistentRoots), maps.Clone(h.appRoots)
 	for j, p := range h.pages {
 		if p != nil {
 			cp.pages[j] = p.clone()
@@ -499,8 +417,7 @@ func (h *Heap) Snapshot() *Heap {
 }
 
 // TraceSnapshot returns a read-only snapshot of the heap. The first call
-// (and any call before EnableDeltaTracking) deep-copies the whole heap;
-// subsequent calls patch the retained shadow copy from the dirty sets, in
+// deep-copies the whole heap; subsequent calls patch the retained shadow copy from the dirty sets, in
 // O(dirty), so an idle heap snapshots in O(1) regardless of size.
 //
 // The returned heap is the shadow copy itself: it shares no pages or field
@@ -509,29 +426,21 @@ func (h *Heap) Snapshot() *Heap {
 // the caller must be done with it by then. The site's trace mutex provides
 // exactly that serialization, and is what makes SlotFields legal on it.
 func (h *Heap) TraceSnapshot() *Heap {
-	if !h.tracking {
-		h.EnableDeltaTracking()
-	}
 	if h.snap == nil {
 		h.snap = h.Snapshot()
-		h.mu.Lock()
 		h.clearDirty()
-		h.mu.Unlock()
 		return h.snap
 	}
 	h.patchSnapshot()
-	h.snap.next.Store(h.next.Load())
 	return h.snap
 }
 
 // patchSnapshot brings the shadow copy up to date from the dirty sets,
-// leaving it exactly what Snapshot would copy. It locks the live heap; the
-// shadow is owned exclusively by the snapshot lineage (the site's trace
-// mutex).
+// leaving it exactly what Snapshot would copy. The shadow is owned
+// exclusively by the snapshot lineage (the site's trace mutex).
 func (h *Heap) patchSnapshot() {
 	snap := h.snap
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	snap.next = h.next
 	for obj := range h.dirtyObjs {
 		ls, ss := h.get(obj), snap.get(obj)
 		switch {
@@ -564,26 +473,15 @@ func (h *Heap) patchSnapshot() {
 // replacement.
 func (h *Heap) ResetTraceSnapshot() {
 	h.snap = nil
-	if h.tracking {
-		h.mu.Lock()
-		h.clearDirty()
-		h.mu.Unlock()
-	}
+	h.clearDirty()
 }
 
 // NextID returns the allocation high-water mark (for checkpointing).
-func (h *Heap) NextID() ids.ObjID { return ids.ObjID(h.next.Load()) }
+func (h *Heap) NextID() ids.ObjID { return ids.ObjID(h.next) }
 
 // SetNextID raises the allocation high-water mark (checkpoint recovery);
 // it never lowers it.
-func (h *Heap) SetNextID(n ids.ObjID) {
-	for {
-		cur := h.next.Load()
-		if uint64(n) <= cur || h.next.CompareAndSwap(cur, uint64(n)) {
-			return
-		}
-	}
-}
+func (h *Heap) SetNextID(n ids.ObjID) { h.next = max(h.next, uint64(n)) }
 
 // Adopt installs an object received from another site under a fresh local
 // identifier (used by the migration baseline) and returns its new local
@@ -597,17 +495,13 @@ func (h *Heap) Adopt(fields []ids.Ref, size int) ids.Ref {
 // AddAppRoot records that a mutator variable on this site holds the given
 // reference (local or remote). Multiple holds are counted.
 func (h *Heap) AddAppRoot(r ids.Ref) {
-	h.mu.Lock()
 	h.appRoots[r]++
-	h.touchAppRoot(r)
-	h.mu.Unlock()
+	h.dirtyAppRoots[r] = struct{}{}
 }
 
 // RemoveAppRoot releases one mutator-variable hold on the reference. It
 // reports whether a hold existed.
 func (h *Heap) RemoveAppRoot(r ids.Ref) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	n, ok := h.appRoots[r]
 	if !ok {
 		return false
@@ -617,7 +511,7 @@ func (h *Heap) RemoveAppRoot(r ids.Ref) bool {
 	} else {
 		h.appRoots[r] = n - 1
 	}
-	h.touchAppRoot(r)
+	h.dirtyAppRoots[r] = struct{}{}
 	return true
 }
 
@@ -625,18 +519,12 @@ func (h *Heap) RemoveAppRoot(r ids.Ref) bool {
 // ascending order.
 func (h *Heap) AppRoots() []ids.Ref {
 	var out []ids.Ref
-	h.mu.RLock()
 	for r := range h.appRoots {
 		out = append(out, r)
 	}
-	h.mu.RUnlock()
 	slices.SortFunc(out, ids.Ref.Compare)
 	return out
 }
 
 // HoldsAppRoot reports whether any mutator variable holds the reference.
-func (h *Heap) HoldsAppRoot(r ids.Ref) bool {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.appRoots[r] > 0
-}
+func (h *Heap) HoldsAppRoot(r ids.Ref) bool { return h.appRoots[r] > 0 }

@@ -18,8 +18,6 @@ func (h *Heap) Objects() []ids.ObjID {
 
 // IsPersistentRoot reports whether a local object is a persistent root.
 func (h *Heap) IsPersistentRoot(obj ids.ObjID) bool {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	_, ok := h.persistentRoots[obj]
 	return ok
 }

@@ -163,7 +163,6 @@ func TestHeapModel(t *testing.T) {
 func runHeapModel(t *testing.T, shards int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	h := New(1)
-	h.EnableDeltaTracking()
 	m := &model{objs: map[ids.ObjID]modelObj{}, appRoots: map[ids.Ref]int{}}
 
 	pick := func() (ids.ObjID, bool) {

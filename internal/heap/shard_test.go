@@ -119,7 +119,6 @@ func TestShardedSnapshotEquivalence(t *testing.T) {
 	h.AddAppRoot(ids.Ref{Site: 2, Obj: 5})
 	sameState(t, "deep copy", h.Snapshot(), h)
 
-	h.EnableDeltaTracking()
 	h.TraceSnapshot()
 	mutated := h.Alloc()
 	mustAddField(t, h, 1, mutated)
@@ -157,18 +156,14 @@ func mustAddField(t *testing.T, h *Heap, obj ids.ObjID, target ids.Ref) {
 	}
 }
 
-// TestMaxShardDirtyRatio checks the write barrier's dirty set: absent with
-// tracking off, empty right after a snapshot, and naming exactly the
-// mutated object after one mutation.
+// TestMaxShardDirtyRatio checks the write barrier's dirty set: empty right
+// after a snapshot, and naming exactly the mutated object after one
+// mutation.
 func TestMaxShardDirtyRatio(t *testing.T) {
 	h := New(1)
 	for i := 0; i < 16; i++ {
 		h.Alloc()
 	}
-	if h.dirtyObjs != nil {
-		t.Fatalf("dirty set %v with tracking off, want none", h.dirtyObjs)
-	}
-	h.EnableDeltaTracking()
 	h.TraceSnapshot()
 	if n := len(h.dirtyObjs) + len(h.dirtyPersist) + len(h.dirtyAppRoots); n != 0 {
 		t.Fatalf("%d dirty entries right after snapshot, want 0", n)

@@ -59,7 +59,6 @@ func TestTraceSnapshotEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := New(1)
-		h.EnableDeltaTracking()
 
 		var objs []ids.Ref
 		for i := 0; i < 5; i++ {
@@ -130,7 +129,6 @@ func TestTraceSnapshotEquivalence(t *testing.T) {
 // order.
 func TestTraceSnapshotCancellingOps(t *testing.T) {
 	h := New(1)
-	h.EnableDeltaTracking()
 	a := h.AllocRoot()
 	b := h.Alloc()
 	c := h.Alloc()
@@ -180,7 +178,6 @@ func TestTraceSnapshotCancellingOps(t *testing.T) {
 // snapshot a fresh deep copy.
 func TestTraceSnapshotReset(t *testing.T) {
 	h := New(1)
-	h.EnableDeltaTracking()
 	h.AllocRoot()
 	old := h.TraceSnapshot()
 	h.Alloc()

@@ -13,10 +13,10 @@
 // is pinned by the insert barrier (Section 6.1.2) or held by a mutator
 // variable. Otherwise it is *suspected*.
 //
-// Each of the two tables has one lock, one sorted-order cache, one dirty set
-// and one copy-on-write trace snapshot. Protocol-level mutation runs under
-// the owning Site's write lock; the table locks make single-entry reads
-// safe against snapshot patching and introspection.
+// Each of the two tables has one sorted-order cache, one dirty set and one
+// copy-on-write trace snapshot. A Table is not safe for concurrent use: the
+// owning Site's lock guards it, and the trace snapshot it hands out belongs
+// to the site's trace mutex.
 package refs
 
 import (
@@ -24,7 +24,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sync"
 
 	"backtrace/internal/ids"
 )
@@ -192,7 +191,6 @@ func (o *Outref) ClearVisited(t ids.TraceID) { clearVisited(&o.Visited, t) }
 // membership changes, so the per-trace sorted scan does not re-sort an
 // unchanged table.
 type inrefTable struct {
-	mu     sync.RWMutex
 	inrefs map[ids.ObjID]*Inref
 
 	// sorted caches the inrefs ordered by object identifier; it is
@@ -213,7 +211,7 @@ type inrefTable struct {
 	bySource map[ids.SiteID]map[ids.ObjID]struct{}
 }
 
-// indexSource records that obj's source list names src. Caller holds mu.
+// indexSource records that obj's source list names src.
 func (it *inrefTable) indexSource(src ids.SiteID, obj ids.ObjID) {
 	objs := it.bySource[src]
 	if objs == nil {
@@ -226,7 +224,7 @@ func (it *inrefTable) indexSource(src ids.SiteID, obj ids.ObjID) {
 	objs[obj] = struct{}{}
 }
 
-// unindexSource forgets that obj's source list names src. Caller holds mu.
+// unindexSource forgets that obj's source list names src.
 func (it *inrefTable) unindexSource(src ids.SiteID, obj ids.ObjID) {
 	objs := it.bySource[src]
 	delete(objs, obj)
@@ -238,7 +236,6 @@ func (it *inrefTable) unindexSource(src ids.SiteID, obj ids.ObjID) {
 // outrefTable is the outref table. Like inrefTable it caches its sorted
 // order until its membership changes.
 type outrefTable struct {
-	mu          sync.RWMutex
 	outrefs     map[ids.Ref]*Outref
 	sorted      []*Outref
 	sortedValid bool
@@ -255,15 +252,11 @@ type Table struct {
 	// (the paper's T2, Section 4.3).
 	defaultBackThreshold int
 
-	// --- trace-snapshot write barrier (see TraceSnapshot) ---
-
-	// tracking is written only while whole-table exclusion holds
-	// (construction or the site write lock). While it is set, in.dirty and
+	// snap is the shadow copy TraceSnapshot maintains. in.dirty and
 	// out.dirty collect the entries whose tracer-visible state may differ
-	// from snap. Tracer-invisible fields (Barrier, Pins, outref Distance,
+	// from it. Tracer-invisible fields (Barrier, Pins, outref Distance,
 	// BackThreshold, Visited) are not tracked.
-	tracking bool
-	snap     *Table
+	snap *Table
 }
 
 // NewTable creates empty tables for a site. backThreshold is the initial
@@ -271,52 +264,25 @@ type Table struct {
 func NewTable(site ids.SiteID, backThreshold int) *Table {
 	t := &Table{site: site, defaultBackThreshold: backThreshold}
 	t.in.inrefs = make(map[ids.ObjID]*Inref)
+	t.in.dirty = make(map[ids.ObjID]struct{})
 	t.out.outrefs = make(map[ids.Ref]*Outref)
+	t.out.dirty = make(map[ids.Ref]struct{})
 	return t
 }
 
 // Site returns the owning site.
 func (t *Table) Site() ids.SiteID { return t.site }
 
-// EnableDeltaTracking turns on the write barrier that records dirty
-// entries for TraceSnapshot. Sites call this once at construction; it
-// requires whole-table exclusion.
-func (t *Table) EnableDeltaTracking() {
-	if t.tracking {
-		return
-	}
-	t.tracking = true
-	t.in.dirty = make(map[ids.ObjID]struct{})
-	t.out.dirty = make(map[ids.Ref]struct{})
-}
-
-// The touch helpers run with the table's lock held.
-
-func (t *Table) touchIn(obj ids.ObjID) {
-	if t.tracking {
-		t.in.dirty[obj] = struct{}{}
-	}
-}
-
-func (t *Table) touchOut(target ids.Ref) {
-	if t.tracking {
-		t.out.dirty[target] = struct{}{}
-	}
-}
-
 // --- inrefs --------------------------------------------------------------
 
 // Inref returns the inref for a local object, if present.
 func (t *Table) Inref(obj ids.ObjID) (*Inref, bool) {
-	t.in.mu.RLock()
 	in, ok := t.in.inrefs[obj]
-	t.in.mu.RUnlock()
 	return in, ok
 }
 
-// ensureInrefLocked returns obj's inref, creating an empty one if absent.
-// Caller holds in.mu.
-func (t *Table) ensureInrefLocked(obj ids.ObjID) *Inref {
+// EnsureInref returns the inref for obj, creating an empty one if absent.
+func (t *Table) EnsureInref(obj ids.ObjID) *Inref {
 	in, ok := t.in.inrefs[obj]
 	if !ok {
 		in = &Inref{
@@ -326,29 +292,20 @@ func (t *Table) ensureInrefLocked(obj ids.ObjID) *Inref {
 		}
 		t.in.inrefs[obj] = in
 		t.in.sortedValid = false
-		t.touchIn(obj)
+		t.in.dirty[obj] = struct{}{}
 	}
 	return in
-}
-
-// EnsureInref returns the inref for obj, creating an empty one if absent.
-func (t *Table) EnsureInref(obj ids.ObjID) *Inref {
-	t.in.mu.Lock()
-	defer t.in.mu.Unlock()
-	return t.ensureInrefLocked(obj)
 }
 
 // AddSource records that a source site holds a reference to obj. If the
 // source is new its distance is conservatively set to 1 (Section 3); an
 // existing source's distance is left unchanged.
 func (t *Table) AddSource(obj ids.ObjID, src ids.SiteID) *Inref {
-	t.in.mu.Lock()
-	defer t.in.mu.Unlock()
-	in := t.ensureInrefLocked(obj)
+	in := t.EnsureInref(obj)
 	if _, ok := in.Sources[src]; !ok {
 		in.Sources[src] = 1
 		t.in.indexSource(src, obj)
-		t.touchIn(obj)
+		t.in.dirty[obj] = struct{}{}
 	}
 	return in
 }
@@ -363,8 +320,6 @@ func (t *Table) SetSource(obj ids.ObjID, src ids.SiteID, dist int) {
 // SetSourceDistance updates the distance for one source of obj's inref, if
 // both exist (distance changes arrive in update messages, Section 3).
 func (t *Table) SetSourceDistance(obj ids.ObjID, src ids.SiteID, dist int) {
-	t.in.mu.Lock()
-	defer t.in.mu.Unlock()
 	in, ok := t.in.inrefs[obj]
 	if !ok {
 		return
@@ -373,18 +328,15 @@ func (t *Table) SetSourceDistance(obj ids.ObjID, src ids.SiteID, dist int) {
 		return
 	}
 	in.Sources[src] = dist
-	t.touchIn(obj)
+	t.in.dirty[obj] = struct{}{}
 }
 
 // UpdateSourceDistances applies n distance changes reported by src — the
 // i'th sets obj's distance to dist, where obj, dist = at(i) — like
-// SetSourceDistance, taking the inref lock once for the whole batch. It
-// returns how many of the objects' inrefs list src, and the inrefs a change
-// turned from suspected to clean at threshold, which fire the clean rule
-// (Section 6.4).
+// SetSourceDistance. It returns how many of the objects' inrefs list src,
+// and the inrefs a change turned from suspected to clean at threshold,
+// which fire the clean rule (Section 6.4).
 func (t *Table) UpdateSourceDistances(src ids.SiteID, n int, at func(i int) (ids.ObjID, int), threshold int) (listed int, cleaned []ids.ObjID) {
-	t.in.mu.Lock()
-	defer t.in.mu.Unlock()
 	for i := 0; i < n; i++ {
 		obj, dist := at(i)
 		in, ok := t.in.inrefs[obj]
@@ -400,7 +352,7 @@ func (t *Table) UpdateSourceDistances(src ids.SiteID, n int, at func(i int) (ids
 			continue
 		}
 		in.Sources[src] = dist
-		t.touchIn(obj)
+		t.in.dirty[obj] = struct{}{}
 		if turnedClean(in, src, old, dist, threshold) {
 			cleaned = append(cleaned, obj)
 		}
@@ -429,8 +381,6 @@ func turnedClean(in *Inref, src ids.SiteID, old, dist, threshold int) bool {
 // removal is reported (Section 2: "An inref with an empty source list is
 // removed").
 func (t *Table) RemoveSource(obj ids.ObjID, src ids.SiteID) (removedInref bool) {
-	t.in.mu.Lock()
-	defer t.in.mu.Unlock()
 	in, ok := t.in.inrefs[obj]
 	if !ok {
 		return false
@@ -438,12 +388,12 @@ func (t *Table) RemoveSource(obj ids.ObjID, src ids.SiteID) (removedInref bool) 
 	if _, had := in.Sources[src]; had {
 		delete(in.Sources, src)
 		t.in.unindexSource(src, obj)
-		t.touchIn(obj)
+		t.in.dirty[obj] = struct{}{}
 	}
 	if len(in.Sources) == 0 {
 		delete(t.in.inrefs, obj)
 		t.in.sortedValid = false
-		t.touchIn(obj)
+		t.in.dirty[obj] = struct{}{}
 		return true
 	}
 	return false
@@ -451,8 +401,6 @@ func (t *Table) RemoveSource(obj ids.ObjID, src ids.SiteID) (removedInref bool) 
 
 // RemoveInref deletes an inref outright (collector cleanup).
 func (t *Table) RemoveInref(obj ids.ObjID) {
-	t.in.mu.Lock()
-	defer t.in.mu.Unlock()
 	in, ok := t.in.inrefs[obj]
 	if !ok {
 		return
@@ -462,29 +410,25 @@ func (t *Table) RemoveInref(obj ids.ObjID) {
 	}
 	delete(t.in.inrefs, obj)
 	t.in.sortedValid = false
-	t.touchIn(obj)
+	t.in.dirty[obj] = struct{}{}
 }
 
 // FlagGarbage sets the inref's garbage flag (a back trace confirmed it
 // garbage in its report phase, Section 4.5). Routed through the table so
 // the trace snapshot sees the root disappear.
 func (t *Table) FlagGarbage(obj ids.ObjID) {
-	t.in.mu.Lock()
-	defer t.in.mu.Unlock()
 	in, ok := t.in.inrefs[obj]
 	if !ok || in.Garbage {
 		return
 	}
 	in.Garbage = true
-	t.touchIn(obj)
+	t.in.dirty[obj] = struct{}{}
 }
 
 // Inrefs returns all inrefs ordered by object identifier. The slice is a
 // cache owned by the table: callers must not modify it, and it is valid
 // until the next insert or remove, which makes the next call re-sort.
 func (t *Table) Inrefs() []*Inref {
-	t.in.mu.Lock()
-	defer t.in.mu.Unlock()
 	if !t.in.sortedValid {
 		t.in.sorted = t.in.sorted[:0]
 		for _, in := range t.in.inrefs {
@@ -497,25 +441,15 @@ func (t *Table) Inrefs() []*Inref {
 }
 
 // NumInrefs returns the number of inrefs.
-func (t *Table) NumInrefs() int {
-	t.in.mu.RLock()
-	defer t.in.mu.RUnlock()
-	return len(t.in.inrefs)
-}
+func (t *Table) NumInrefs() int { return len(t.in.inrefs) }
 
 // SourceCount returns the number of inrefs whose source lists name src.
-func (t *Table) SourceCount(src ids.SiteID) int {
-	t.in.mu.RLock()
-	defer t.in.mu.RUnlock()
-	return len(t.in.bySource[src])
-}
+func (t *Table) SourceCount(src ids.SiteID) int { return len(t.in.bySource[src]) }
 
 // EachSourceOf invokes fn for every object whose inref lists src as a
 // source, in unspecified order, visiting only those inrefs (the source
 // index). fn must not add or remove sources or inrefs.
 func (t *Table) EachSourceOf(src ids.SiteID, fn func(obj ids.ObjID)) {
-	t.in.mu.RLock()
-	defer t.in.mu.RUnlock()
 	for obj := range t.in.bySource[src] {
 		fn(obj)
 	}
@@ -525,9 +459,7 @@ func (t *Table) EachSourceOf(src ids.SiteID, fn func(obj ids.ObjID)) {
 
 // Outref returns the outref for a remote target, if present.
 func (t *Table) Outref(target ids.Ref) (*Outref, bool) {
-	t.out.mu.RLock()
 	o, ok := t.out.outrefs[target]
-	t.out.mu.RUnlock()
 	return o, ok
 }
 
@@ -539,8 +471,6 @@ func (t *Table) Outref(target ids.Ref) (*Outref, bool) {
 // passing the reference (Section 6.1.2, case 4: "Y creates a clean outref
 // for z").
 func (t *Table) EnsureOutref(target ids.Ref) (o *Outref, created bool) {
-	t.out.mu.Lock()
-	defer t.out.mu.Unlock()
 	o, ok := t.out.outrefs[target]
 	if !ok {
 		o = &Outref{
@@ -552,21 +482,19 @@ func (t *Table) EnsureOutref(target ids.Ref) (o *Outref, created bool) {
 		t.out.outrefs[target] = o
 		created = true
 		t.out.sortedValid = false
-		t.touchOut(target)
+		t.out.dirty[target] = struct{}{}
 	}
 	return o, created
 }
 
 // RemoveOutref deletes an outref (trimmed after a local trace).
 func (t *Table) RemoveOutref(target ids.Ref) {
-	t.out.mu.Lock()
-	defer t.out.mu.Unlock()
 	if _, ok := t.out.outrefs[target]; !ok {
 		return
 	}
 	delete(t.out.outrefs, target)
 	t.out.sortedValid = false
-	t.touchOut(target)
+	t.out.dirty[target] = struct{}{}
 }
 
 // Outrefs returns all outrefs ordered by target reference. The slice is a
@@ -574,8 +502,6 @@ func (t *Table) RemoveOutref(target ids.Ref) {
 // after a membership change, into a new slice, so a slice already returned
 // keeps listing the outrefs present when it was built.
 func (t *Table) Outrefs() []*Outref {
-	t.out.mu.Lock()
-	defer t.out.mu.Unlock()
 	if !t.out.sortedValid {
 		sorted := make([]*Outref, 0, len(t.out.outrefs))
 		for _, o := range t.out.outrefs {
@@ -588,11 +514,7 @@ func (t *Table) Outrefs() []*Outref {
 }
 
 // NumOutrefs returns the number of outrefs.
-func (t *Table) NumOutrefs() int {
-	t.out.mu.RLock()
-	defer t.out.mu.RUnlock()
-	return len(t.out.outrefs)
-}
+func (t *Table) NumOutrefs() int { return len(t.out.outrefs) }
 
 // Pin increments the insert-barrier pin count of the outref for target,
 // creating the outref if needed (the sender must retain it).
@@ -645,18 +567,14 @@ func copyOutref(o *Outref) *Outref {
 // mutates them under the site lock) and the tracer never reads them.
 func (t *Table) Snapshot() *Table {
 	cp := NewTable(t.site, t.defaultBackThreshold)
-	t.in.mu.RLock()
 	cp.in.inrefs = make(map[ids.ObjID]*Inref, len(t.in.inrefs))
 	for obj, in := range t.in.inrefs {
 		cp.in.inrefs[obj] = copyInref(in)
 	}
-	t.in.mu.RUnlock()
-	t.out.mu.RLock()
 	cp.out.outrefs = make(map[ids.Ref]*Outref, len(t.out.outrefs))
 	for target, o := range t.out.outrefs {
 		cp.out.outrefs[target] = copyOutref(o)
 	}
-	t.out.mu.RUnlock()
 	return cp
 }
 
@@ -669,9 +587,6 @@ func (t *Table) Snapshot() *Table {
 // returned table is patched in place by the next call; the site's trace
 // mutex serializes.
 func (t *Table) TraceSnapshot() *Table {
-	if !t.tracking {
-		t.EnableDeltaTracking()
-	}
 	if t.snap == nil {
 		t.snap = t.Snapshot()
 		t.clearDirty()
@@ -682,11 +597,9 @@ func (t *Table) TraceSnapshot() *Table {
 }
 
 // patchSnapshot brings the shadow tables up to date from the live tables'
-// dirty sets. It locks the live tables; the shadow is owned by the
-// snapshot lineage.
+// dirty sets. The shadow is owned by the snapshot lineage.
 func (t *Table) patchSnapshot() {
 	snap := t.snap
-	t.in.mu.Lock()
 	for obj := range t.in.dirty {
 		liveIn, liveOK := t.in.inrefs[obj]
 		snapIn, snapOK := snap.in.inrefs[obj]
@@ -705,9 +618,7 @@ func (t *Table) patchSnapshot() {
 		}
 	}
 	clear(t.in.dirty)
-	t.in.mu.Unlock()
 
-	t.out.mu.Lock()
 	if len(t.out.dirty) > 0 {
 		// Only membership changes dirty an outref, and a patched entry is a
 		// new struct: either way the shadow's sorted cache is stale.
@@ -721,17 +632,12 @@ func (t *Table) patchSnapshot() {
 		}
 	}
 	clear(t.out.dirty)
-	t.out.mu.Unlock()
 }
 
 // clearDirty empties both dirty sets.
 func (t *Table) clearDirty() {
-	t.in.mu.Lock()
 	clear(t.in.dirty)
-	t.in.mu.Unlock()
-	t.out.mu.Lock()
 	clear(t.out.dirty)
-	t.out.mu.Unlock()
 }
 
 // ResetTraceSnapshot discards the shadow copy so the next TraceSnapshot is
@@ -739,9 +645,7 @@ func (t *Table) clearDirty() {
 // sets).
 func (t *Table) ResetTraceSnapshot() {
 	t.snap = nil
-	if t.tracking {
-		t.clearDirty()
-	}
+	t.clearDirty()
 }
 
 // ResetBarriers clears the transfer-barrier clean marks on every ioref;
@@ -749,14 +653,10 @@ func (t *Table) ResetTraceSnapshot() {
 // and back information (Section 6.1.1: barrier-cleaned outrefs "remain
 // clean until the site does the next local trace").
 func (t *Table) ResetBarriers() {
-	t.in.mu.Lock()
 	for _, in := range t.in.inrefs {
 		in.Barrier = false
 	}
-	t.in.mu.Unlock()
-	t.out.mu.Lock()
 	for _, o := range t.out.outrefs {
 		o.Barrier = false
 	}
-	t.out.mu.Unlock()
 }

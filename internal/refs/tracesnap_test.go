@@ -100,7 +100,6 @@ func TestTableTraceSnapshotEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tbl := NewTable(1, 7)
-		tbl.EnableDeltaTracking()
 		var prev *Table
 		for round := 0; round < 12; round++ {
 			for step := 0; step < 25; step++ {

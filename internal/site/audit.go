@@ -25,9 +25,8 @@ type Audit struct {
 	GarbageFlagged []ids.ObjID
 }
 
-// AuditSnapshot captures the site's state under the write lock: heap-only
-// mutators run under the read lock plus the heap lock, so only the write
-// lock yields a consistent cut of the heap and the ioref tables together.
+// AuditSnapshot captures the site's state under the write lock, a
+// consistent cut of the heap and the ioref tables together.
 func (s *Site) AuditSnapshot() Audit {
 	s.mu.Lock()
 	defer s.mu.Unlock()

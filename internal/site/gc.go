@@ -538,10 +538,10 @@ func (s *Site) StartBackTrace(target ids.Ref) (ids.TraceID, bool) {
 }
 
 // GarbageFlaggedInrefs returns the local objects whose inrefs a completed
-// back trace has flagged as garbage.
+// back trace has flagged as garbage. Like Inrefs it takes the write lock.
 func (s *Site) GarbageFlaggedInrefs() []ids.ObjID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.assertNoStrandedHold()
 	var out []ids.ObjID
 	for _, in := range s.table.Inrefs() {

@@ -13,26 +13,23 @@ import (
 // reference across sites goes through the transfer and insert barriers of
 // Section 6.1.
 //
-// Operations that touch only the heap (allocation, root flips, field
-// removal) take the site READ lock: the heap has its own lock, so such
-// mutators contend with each other only for their short heap critical
-// sections and never block introspection; whole-site critical sections
-// (trace snapshots, message handlers) exclude them. Operations that
-// consult or mutate the ioref tables, or that send messages, keep the
-// write lock.
+// Every mutator operation is one short critical section under the site
+// write lock, the only lock on the heap and the ioref tables, so each
+// mutator step is atomic with respect to the collector's steps on this
+// site, as the paper's model assumes.
 
 // NewObject allocates an object on this site and returns its reference.
 func (s *Site) NewObject() ids.Ref {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.heap.Alloc()
 }
 
 // NewRootObject allocates an object and designates it a persistent root
 // (an entry point into the store, such as a directory).
 func (s *Site) NewRootObject() ids.Ref {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.heap.AllocRoot()
 }
 
@@ -44,8 +41,8 @@ func (s *Site) NewRootObject() ids.Ref {
 // be visible to the collector as a root. The hold is released with
 // DropAppRoot.
 func (s *Site) NewHeldObject() ids.Ref {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	r := s.heap.Alloc()
 	s.heap.AddAppRoot(r)
 	return r
@@ -56,15 +53,15 @@ func (s *Site) NewHeldObject() ids.Ref {
 // registered automatically; use this for references obtained by reading
 // local objects.
 func (s *Site) AddAppRoot(r ids.Ref) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.heap.AddAppRoot(r)
 }
 
 // DropAppRoot releases one mutator-variable hold on the reference.
 func (s *Site) DropAppRoot(r ids.Ref) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.heap.RemoveAppRoot(r)
 }
 
@@ -116,15 +113,14 @@ func (s *Site) AddReference(container ids.ObjID, target ids.Ref) error {
 // fields (the paper ignores deletions for back-information safety; the
 // next local trace reflects them).
 func (s *Site) RemoveReference(container ids.ObjID, target ids.Ref) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	_, err := s.heap.RemoveField(container, target)
 	return err
 }
 
-// Fields returns the reference fields of a local object. The copy is taken
-// under the heap lock, so it is consistent even against concurrent
-// read-locked mutators.
+// Fields returns a copy of the reference fields of a local object. It
+// only reads, so it shares the site read lock with other introspection.
 func (s *Site) Fields(obj ids.ObjID) ([]ids.Ref, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -140,15 +136,15 @@ func (s *Site) Fields(obj ids.ObjID) ([]ids.Ref, error) {
 // root; UnmarkPersistentRoot demotes it (turning everything reachable only
 // from it into garbage).
 func (s *Site) MarkPersistentRoot(obj ids.ObjID) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.heap.MarkPersistentRoot(obj)
 }
 
 // UnmarkPersistentRoot removes the persistent-root designation.
 func (s *Site) UnmarkPersistentRoot(obj ids.ObjID) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.heap.UnmarkPersistentRoot(obj)
 }
 

@@ -136,9 +136,8 @@ type snapshotRec struct {
 const traceSeqRestartSkip = 1 << 20
 
 // WriteCheckpoint serializes the site's durable state. It takes the site
-// write lock: heap-only mutators run under the read lock plus the heap
-// lock, so only the write lock yields a consistent cut.
-// Encoding happens after the lock is released.
+// write lock, which excludes every mutator and handler and so yields a
+// consistent cut. Encoding happens after the lock is released.
 func (s *Site) WriteCheckpoint(w io.Writer) error {
 	s.mu.Lock()
 	rec := snapshotRec{

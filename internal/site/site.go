@@ -15,14 +15,12 @@
 // original single-mutex design — the heavy phases no longer run inside it:
 //
 //   - The heap and the ioref tables are one partition each, with one
-//     lock, one write-barrier dirty set, and one copy-on-write trace
-//     snapshot per table, as in the paper, where a site is one unit.
-//     Heap-only mutator operations (allocation, root flips, field
-//     removal) take the site read lock plus the heap lock, so they
-//     contend only with each other's short heap critical sections, never
-//     with introspection; operations that touch iorefs or send messages,
-//     and all message handlers, remain short critical sections under
-//     the write lock, matching the paper's model.
+//     write-barrier dirty set and one copy-on-write trace snapshot per
+//     table, as in the paper, where a site is one unit. The site lock is
+//     their only lock: every mutator operation and every message handler
+//     is a short critical section under the write lock, so each mutator
+//     step is atomic with respect to the collector's steps, matching the
+//     paper's model.
 //   - The local trace has one path (BeginLocalTrace). A short critical
 //     section cuts a copy-on-write snapshot of the heap and ioref tables
 //     — the retained shadow copies patched from their dirty sets — and
@@ -33,8 +31,11 @@
 //     safe: back traces keep using the old copy, and transfer barriers
 //     that fire meanwhile are recorded and replayed onto the new copy at
 //     commit.
-//   - Introspection (Inrefs, Outrefs, counters, heap size, audits) takes
-//     only the read lock, so tools and experiments never stall collectors.
+//   - Read-only introspection (counters, heap size, fields, distances)
+//     takes only the read lock. Nothing holding only the read lock writes
+//     to the heap or the tables, so Inrefs, Outrefs and
+//     GarbageFlaggedInrefs, which may rebuild a table's sorted cache, take
+//     the write lock, as audits do.
 //   - With Config.InboxSize > 0 the site runs a mailbox executor: network
 //     threads enqueue inbound messages into a bounded inbox (blocking when
 //     full — backpressure) and a single dispatch goroutine applies them in
@@ -186,9 +187,10 @@ type Site struct {
 	// acquired before mu, never while holding it.
 	traceMu sync.Mutex
 
-	// mu guards everything below. Writers (mutator operations, message
-	// handlers, trace commits) take the write lock; introspection takes
-	// the read lock.
+	// mu guards everything below, and is the only lock on the heap and the
+	// ioref tables. Writers (mutator operations, message handlers, trace
+	// commits) take the write lock; read-only introspection takes the read
+	// lock.
 	mu     sync.RWMutex
 	heap   *heap.Heap
 	table  *refs.Table
@@ -312,8 +314,6 @@ func New(cfg Config) *Site {
 		partStart:      make(map[ids.TraceID]time.Time),
 		traceQueueWait: make(map[ids.TraceID]time.Duration),
 	}
-	s.heap.EnableDeltaTracking()
-	s.table.EnableDeltaTracking()
 	reg := cfg.Counters.Registry()
 	s.histRTT = reg.Histogram(obs.MetricBackTraceRTT,
 		"wall-clock duration of back traces initiated by this site", nil)
@@ -609,8 +609,8 @@ func (s *Site) CheckTimeouts() {
 // assertNoStrandedHold panics if the engine holds back-trace messages while
 // no burst can release them: a burst stays open only while messages are
 // queued or in hand, and it closes before its last message stops counting
-// toward the inbox depth. Read-only entry points hold only the read lock
-// and so cannot release; they assert instead, turning a stranded message
+// toward the inbox depth. Read-only entry points never release a burst
+// (most hold only the read lock); they assert instead, turning a stranded message
 // into a loud failure rather than a silent protocol stall.
 func (s *Site) assertNoStrandedHold() {
 	if s.engine.Holding() && (s.inbox == nil || s.inbox.depth() == 0) {
@@ -665,10 +665,11 @@ type InrefInfo struct {
 	Garbage  bool
 }
 
-// Inrefs returns a snapshot of the inref table.
+// Inrefs returns a snapshot of the inref table. It takes the write lock
+// because reading the table in order may rebuild its sorted cache.
 func (s *Site) Inrefs() []InrefInfo {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.assertNoStrandedHold()
 	out := make([]InrefInfo, 0, s.table.NumInrefs())
 	for _, in := range s.table.Inrefs() {
@@ -693,10 +694,11 @@ type OutrefInfo struct {
 	Inset         []ids.ObjID
 }
 
-// Outrefs returns a snapshot of the outref table.
+// Outrefs returns a snapshot of the outref table. Like Inrefs it takes the
+// write lock.
 func (s *Site) Outrefs() []OutrefInfo {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.assertNoStrandedHold()
 	out := make([]OutrefInfo, 0, s.table.NumOutrefs())
 	for _, o := range s.table.Outrefs() {

@@ -28,8 +28,6 @@ func checkSnapshotLineage(t *testing.T, seed int64, rounds, idleEvery int) {
 	rng := rand.New(rand.NewSource(seed))
 	h := heap.New(1)
 	tbl := refs.NewTable(1, threshold+2)
-	h.EnableDeltaTracking()
-	tbl.EnableDeltaTracking()
 	var tr Tracer
 
 	var objs []ids.Ref
