@@ -588,8 +588,9 @@ func BenchmarkMillionObjectTrace(b *testing.B) {
 
 // BenchmarkSnapshotTrace (experiment C16) times the local trace a site
 // actually runs: TraceSnapshot patches the shadow copy from the dirty set,
-// then the marker traces the copy; mark-ms and outsets-ms split the
-// trace as tracer.Stats does. The heap is one hypertext-edit site: a root
+// then the marker traces the copy; snapshot-ms times the patch of the heap
+// and ioref tables, and mark-ms and outsets-ms split the trace as
+// tracer.Stats does. The heap is one hypertext-edit site: a root
 // directory over 100 tables of contents, each over 499
 // pages chained page to page and citing 5 remote documents, plus 8 garbage
 // documents (a table of contents and 32 pages pointing back at it, the last
@@ -652,7 +653,7 @@ func BenchmarkSnapshotTrace(b *testing.B) {
 	tr.Run(h.TraceSnapshot(), tbl.TraceSnapshot(), 3, tracer.AlgoBottomUp)
 
 	var added [][2]backtrace.Ref
-	var mark, outsets time.Duration
+	var snapshot, mark, outsets time.Duration
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -670,7 +671,10 @@ func BenchmarkSnapshotTrace(b *testing.B) {
 			added = append(added, l)
 		}
 		b.StartTimer()
-		res := tr.Run(h.TraceSnapshot(), tbl.TraceSnapshot(), 3, tracer.AlgoBottomUp)
+		t0 := time.Now()
+		hs, ts := h.TraceSnapshot(), tbl.TraceSnapshot()
+		snapshot += time.Since(t0)
+		res := tr.Run(hs, ts, 3, tracer.AlgoBottomUp)
 		if len(res.Dead) != 0 {
 			b.Fatalf("dead %d, want 0: the garbage documents are held by inrefs", len(res.Dead))
 		}
@@ -678,6 +682,7 @@ func BenchmarkSnapshotTrace(b *testing.B) {
 		outsets += res.Stats.OutsetsDuration
 	}
 	b.ReportMetric(float64(h.Len()), "objects")
+	b.ReportMetric(float64(snapshot)/1e6/float64(b.N), "snapshot-ms/op")
 	b.ReportMetric(float64(mark)/1e6/float64(b.N), "mark-ms/op")
 	b.ReportMetric(float64(outsets)/1e6/float64(b.N), "outsets-ms/op")
 }

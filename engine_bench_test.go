@@ -28,7 +28,7 @@ func BenchmarkEngineBackCall(b *testing.B) {
 	sources := []ids.SiteID{3, 4, 5}
 	tbl := refs.NewTable(self, 1<<30) // back threshold out of reach: no triggers
 	insets := make(map[ids.Ref][]ids.ObjID, steps)
-	call := msg.BackCall{Initiator: caller, Steps: make([]msg.BackStep, steps)}
+	call := msg.BackCall{Steps: make([]msg.BackStep, steps)}
 	for i := 0; i < steps; i++ {
 		target := ids.MakeRef(caller, ids.ObjID(i+1))
 		o, _ := tbl.EnsureOutref(target)
@@ -44,7 +44,7 @@ func BenchmarkEngineBackCall(b *testing.B) {
 			objs[j] = obj
 		}
 		insets[target] = objs
-		call.Steps[i] = msg.BackStep{Caller: ids.FrameID{Site: caller, Seq: uint64(i + 1)}, Outref: target}
+		call.Steps[i] = msg.BackStep{Caller: uint64(i + 1), Outref: target.Obj}
 	}
 
 	// The source sites' answers are assembled in buffers reused across

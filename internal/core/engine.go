@@ -120,7 +120,7 @@ type Config struct {
 // recycled through the engine's free list; seq is zeroed on release, so a
 // holder can tell its frame completed by seq no longer matching.
 type frame struct {
-	// seq is the frame's FrameID.Seq (its site is always this engine's).
+	// seq names the frame on this site; BackSteps and BackResults carry it.
 	seq uint64
 	// ts is the trace's record; it stays in the trace index while the frame
 	// lives, because a live frame holds the trace's activity open.
@@ -156,11 +156,12 @@ type frame struct {
 }
 
 // ret is where a back step returns its verdict: entry `entry` of the
-// BackReply answering a remote caller's BackCall (reply set) or of a batch
-// root (batch set), else a frame on this site — the zero frame being the
-// outermost call of a single-suspect trace.
+// BackReply answering a remote caller's BackCall (reply set; frame is the
+// caller's seq on that site) or of a batch root (batch set), else the frame
+// with seq frame on this site — seq 0 being the outermost call of a
+// single-suspect trace.
 type ret struct {
-	frame ids.FrameID
+	frame uint64
 	reply *pendingReply
 	batch *batchRoot
 	entry int
@@ -274,7 +275,7 @@ type Engine struct {
 	ctr counters
 
 	nextTrace uint64
-	// nextFrame is the last FrameID.Seq issued. Seqs only grow, so a seq
+	// nextFrame is the last frame seq issued. Seqs only grow, so a seq
 	// names one frame forever: a reply to a completed frame finds nothing
 	// in frames, even after the frame's struct was reused.
 	nextFrame  uint64
@@ -364,7 +365,7 @@ func (e *Engine) send(to ids.SiteID, m msg.Message) {
 // call, never ahead of anything else: the site ships the held messages for
 // a destination (FlushTo) before it sends that destination any message of
 // its own, which also closes the shipped call to further joins.
-func (e *Engine) sendStep(to ids.SiteID, t ids.TraceID, initiator ids.SiteID, step msg.BackStep) {
+func (e *Engine) sendStep(to ids.SiteID, t ids.TraceID, step msg.BackStep) {
 	for i := range e.calls {
 		if c := &e.calls[i]; c.to == to && c.call.Trace == t && !c.shipped {
 			c.call.Steps = append(c.call.Steps, step)
@@ -372,7 +373,7 @@ func (e *Engine) sendStep(to ids.SiteID, t ids.TraceID, initiator ids.SiteID, st
 		}
 	}
 	e.out = append(e.out, outMsg{to: to, kind: outCall, i: len(e.calls)})
-	e.calls = append(e.calls, queuedCall{to: to, call: msg.BackCall{Trace: t, Initiator: initiator, Steps: []msg.BackStep{step}}})
+	e.calls = append(e.calls, queuedCall{to: to, call: msg.BackCall{Trace: t, Steps: []msg.BackStep{step}}})
 }
 
 // sendReply queues a completed BackReply. Outside a hold each reply ships
@@ -624,7 +625,7 @@ func (e *Engine) StartTrace(target ids.Ref) (ids.TraceID, bool) {
 	ts := e.trace(t)
 	e.ensureActivity(ts)
 	// The outermost call: caller is the nil frame on this site.
-	e.stepLocal(ts, e.cfg.Site, ret{}, target, 0)
+	e.stepLocal(ts, ret{}, target, 0)
 	e.maybeEndActivity(ts)
 	return t, true
 }
@@ -676,7 +677,7 @@ func (e *Engine) StartBatchTrace(targets []ids.Ref) (ids.TraceID, bool) {
 		// Each suspect's outermost call returns to its entry of the root;
 		// overlap shows up as an immediate revisit answer with a
 		// dependency on the first-visiting suspect.
-		e.stepLocal(ts, e.cfg.Site, ret{batch: b, entry: i}, target, uint32(i))
+		e.stepLocal(ts, ret{batch: b, entry: i}, target, uint32(i))
 	}
 	e.maybeEndActivity(ts)
 	return t, true
@@ -685,8 +686,9 @@ func (e *Engine) StartBatchTrace(targets []ids.Ref) (ids.TraceID, bool) {
 // --- message entry points --------------------------------------------------
 
 // HandleBackCall processes a BackCall message from another site: one
-// BackStepLocal per step, each with its own frame, visit marks and verdict,
-// answered together by one BackReply once every step has returned.
+// BackStepLocal per step, on this site's outref for the sender's object,
+// each with its own frame, visit marks and verdict, answered together by
+// one BackReply once every step has returned.
 func (e *Engine) HandleBackCall(from ids.SiteID, c msg.BackCall) {
 	defer e.flush()
 	e.ctr.calls.Inc()
@@ -701,7 +703,7 @@ func (e *Engine) HandleBackCall(from ids.SiteID, c msg.BackCall) {
 		pending: len(c.Steps),
 	}
 	for i, s := range c.Steps {
-		e.stepLocal(ts, c.Initiator, ret{frame: s.Caller, reply: p, entry: i}, s.Outref, s.Suspect)
+		e.stepLocal(ts, ret{frame: s.Caller, reply: p, entry: i}, ids.MakeRef(from, s.Outref), s.Suspect)
 	}
 	e.maybeEndActivity(ts)
 }
@@ -778,7 +780,7 @@ func revisitDeps(owner, suspect uint32) []uint32 {
 
 // stepLocal is BackStepLocal (Section 4.4): examine the outref for a
 // remote reference on this site and fan out to the inrefs in its inset.
-func (e *Engine) stepLocal(ts *traceState, initiator ids.SiteID, r ret, target ids.Ref, suspect uint32) {
+func (e *Engine) stepLocal(ts *traceState, r ret, target ids.Ref, suspect uint32) {
 	o, ok := e.cfg.Table.Outref(target)
 	if !ok {
 		// "its ioref must have been deleted by the garbage collector".
@@ -830,7 +832,7 @@ func (e *Engine) stepLocal(ts *traceState, initiator ids.SiteID, r ret, target i
 		if f.seq != seq {
 			return
 		}
-		e.stepRemote(ts, initiator, ret{frame: ids.FrameID{Site: e.cfg.Site, Seq: seq}}, inrefObj, suspect)
+		e.stepRemote(ts, ret{frame: seq}, inrefObj, suspect)
 	}
 }
 
@@ -838,7 +840,7 @@ func (e *Engine) stepLocal(ts *traceState, initiator ids.SiteID, r ret, target i
 // local object and fan out to the corresponding outrefs on its source
 // sites, as one step of the BackCall each source site gets from this entry
 // point.
-func (e *Engine) stepRemote(ts *traceState, initiator ids.SiteID, r ret, inrefObj ids.ObjID, suspect uint32) {
+func (e *Engine) stepRemote(ts *traceState, r ret, inrefObj ids.ObjID, suspect uint32) {
 	in, ok := e.cfg.Table.Inref(inrefObj)
 	if !ok {
 		e.replyTo(r, ts, msg.VerdictGarbage, e.self, nil)
@@ -873,9 +875,9 @@ func (e *Engine) stepRemote(ts *traceState, initiator ids.SiteID, r ret, inrefOb
 		e.completeFrame(f, msg.VerdictGarbage)
 		return
 	}
-	step := msg.BackStep{Caller: ids.FrameID{Site: e.cfg.Site, Seq: f.seq}, Outref: ids.MakeRef(e.cfg.Site, inrefObj), Suspect: suspect}
+	step := msg.BackStep{Caller: f.seq, Outref: inrefObj, Suspect: suspect}
 	for _, src := range e.sources {
-		e.sendStep(src, ts.id, initiator, step)
+		e.sendStep(src, ts.id, step)
 	}
 }
 
@@ -946,17 +948,13 @@ func (e *Engine) unindexFrame(f *frame) {
 	}
 }
 
-// applyReply folds one inner call's result into its frame (or batch root
-// slot). Live short-circuits: the frame completes immediately and later
+// applyReply folds one inner call's result into the frame with the given
+// seq. Live short-circuits: the frame completes immediately and later
 // replies to it are ignored (their frame is gone). Garbage replies merge
-// the subtree's suspect dependencies into the frame for forwarding. A
-// reply for another site's frame, or for a seq no live frame holds, is
-// dropped.
-func (e *Engine) applyReply(fid ids.FrameID, result msg.Verdict, participants []ids.SiteID, deps []uint32) {
-	if fid.Site != e.cfg.Site {
-		return
-	}
-	f, ok := e.frames[fid.Seq]
+// the subtree's suspect dependencies into the frame for forwarding. A reply
+// for a seq no live frame holds is dropped.
+func (e *Engine) applyReply(seq uint64, result msg.Verdict, participants []ids.SiteID, deps []uint32) {
+	f, ok := e.frames[seq]
 	if !ok {
 		return // frame already completed (short-circuit, clean rule, timeout)
 	}
@@ -1038,7 +1036,7 @@ func (e *Engine) replyTo(r ret, ts *traceState, verdict msg.Verdict, participant
 		}
 	case r.batch != nil:
 		e.applyBatchReply(r.batch, r.entry, verdict, participants, deps)
-	case r.frame.IsZero():
+	case r.frame == 0:
 		e.finishAtInitiator(ts, verdict, slices.Clone(participants), nil)
 	default:
 		e.applyReply(r.frame, verdict, participants, deps)

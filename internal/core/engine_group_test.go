@@ -178,7 +178,7 @@ func TestGroupedHeldStepsAndRepliesMerge(t *testing.T) {
 	tr := ids.TraceID{Initiator: 1, Seq: 7}
 	other := ids.TraceID{Initiator: 1, Seq: 8}
 	call := func(t ids.TraceID, seq uint64, obj ids.ObjID) msg.BackCall {
-		return msg.BackCall{Trace: t, Initiator: 1, Steps: []msg.BackStep{{Caller: ids.FrameID{Site: 1, Seq: seq}, Outref: ids.MakeRef(1, obj)}}}
+		return msg.BackCall{Trace: t, Steps: []msg.BackStep{{Caller: seq, Outref: obj}}}
 	}
 
 	e := r.engines[2]
@@ -212,7 +212,7 @@ func TestGroupedHeldStepsAndRepliesMerge(t *testing.T) {
 		t.Fatalf("second reply %+v (+%d queued), want one reply for %v with 2 results", merged, len(r.queue), tr)
 	}
 	for i, res := range merged.Results {
-		if res.Caller.Seq != uint64(10+i) || res.Result != msg.VerdictGarbage {
+		if res.Caller != uint64(10+i) || res.Result != msg.VerdictGarbage {
 			t.Fatalf("merged result %d = %+v, want Garbage for caller seq %d", i, res, 10+i)
 		}
 		if len(res.Participants) != 2 {
@@ -249,9 +249,9 @@ func TestGroupedFlushToClosesJoin(t *testing.T) {
 	tr := ids.TraceID{Initiator: 1, Seq: 7}
 	e := r.engines[2]
 	e.Hold()
-	e.HandleBackCall(1, msg.BackCall{Trace: tr, Initiator: 1, Steps: []msg.BackStep{{Caller: ids.FrameID{Site: 1, Seq: 1}, Outref: ids.MakeRef(1, 5)}}})
+	e.HandleBackCall(1, msg.BackCall{Trace: tr, Steps: []msg.BackStep{{Caller: 1, Outref: 5}}})
 	e.FlushTo(3)
-	e.HandleBackCall(1, msg.BackCall{Trace: tr, Initiator: 1, Steps: []msg.BackStep{{Caller: ids.FrameID{Site: 1, Seq: 2}, Outref: ids.MakeRef(1, 6)}}})
+	e.HandleBackCall(1, msg.BackCall{Trace: tr, Steps: []msg.BackStep{{Caller: 2, Outref: 6}}})
 	e.FlushTo(3)
 	e.FlushTo(3) // nothing left: a second flush ships nothing twice
 	e.Release()
@@ -260,7 +260,7 @@ func TestGroupedFlushToClosesJoin(t *testing.T) {
 	if len(a.Steps) != 1 || len(b.Steps) != 1 || len(r.queue) != 0 {
 		t.Fatalf("calls carry %d and %d steps (+%d queued), want 1 and 1", len(a.Steps), len(b.Steps), len(r.queue))
 	}
-	if a.Steps[0].Outref.Obj != 20 || b.Steps[0].Outref.Obj != 21 {
+	if a.Steps[0].Outref != 20 || b.Steps[0].Outref != 21 {
 		t.Fatalf("steps out of order: %v then %v", a.Steps[0].Outref, b.Steps[0].Outref)
 	}
 }

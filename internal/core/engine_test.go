@@ -681,7 +681,7 @@ func TestLateReplyToFinishedFrameIgnored(t *testing.T) {
 	// A reply for a frame that never existed must be a no-op.
 	r.engines[1].HandleBackReply(2, msg.BackReply{
 		Trace:   ids.TraceID{Initiator: 2, Seq: 9},
-		Results: []msg.BackResult{{Caller: ids.FrameID{Site: 1, Seq: 999}, Result: msg.VerdictLive}},
+		Results: []msg.BackResult{{Caller: 999, Result: msg.VerdictLive}},
 	})
 	if len(r.done) != 0 || r.engines[1].ActiveFrames() != 0 {
 		t.Fatal("stray reply had an effect")

@@ -31,11 +31,11 @@ func (r *rig) view() engineView {
 // TestEngineStaleReplyIgnored checks that a BackReply addressed to a frame
 // that no longer exists — finished by a Live short-circuit, by the clean
 // rule or by a call timeout, or a frame whose struct now serves another
-// frame — or to another site's frame changes nothing.
+// frame — changes nothing.
 func TestEngineStaleReplyIgnored(t *testing.T) {
 	// Site 1's suspected outref 2:5 has inset {1}; inref 1 is held by
 	// sites 2 and 3, so the inref's frame waits on one call to each.
-	setup := func(t *testing.T) (*rig, ids.TraceID, ids.FrameID) {
+	setup := func(t *testing.T) (*rig, ids.TraceID, uint64) {
 		t.Helper()
 		r := newRig(t, 1, 2, 3)
 		r.addSuspectInref(1, 1, 40, 2, 3)
@@ -48,13 +48,13 @@ func TestEngineStaleReplyIgnored(t *testing.T) {
 		r.queue = nil
 		return r, tr, fid
 	}
-	reply := func(r *rig, tr ids.TraceID, from ids.SiteID, fid ids.FrameID, v msg.Verdict) {
+	reply := func(r *rig, tr ids.TraceID, from ids.SiteID, fid uint64, v msg.Verdict) {
 		r.engines[1].HandleBackReply(from, msg.BackReply{Trace: tr, Results: []msg.BackResult{
 			{Caller: fid, Result: v, Participants: []ids.SiteID{from}},
 		}})
 	}
 	// stale delivers late replies of both verdicts and fails on any effect.
-	stale := func(t *testing.T, r *rig, tr ids.TraceID, fid ids.FrameID) {
+	stale := func(t *testing.T, r *rig, tr ids.TraceID, fid uint64) {
 		t.Helper()
 		before := r.view()
 		reply(r, tr, 3, fid, msg.VerdictGarbage)
@@ -89,20 +89,9 @@ func TestEngineStaleReplyIgnored(t *testing.T) {
 		finishedLive(t, r)
 		stale(t, r, tr, fid)
 	})
-	t.Run("foreign site", func(t *testing.T) {
-		r, tr, fid := setup(t)
-		stale(t, r, tr, ids.FrameID{Site: 7, Seq: fid.Seq})
-		// The frame still waits on both calls: two Garbage answers finish
-		// the trace Garbage.
-		reply(r, tr, 2, fid, msg.VerdictGarbage)
-		reply(r, tr, 3, fid, msg.VerdictGarbage)
-		if len(r.done) != 1 || r.done[0].outcome != msg.VerdictGarbage || !r.flaggedGarbage(1, 1) {
-			t.Fatalf("completions %+v, want one Garbage flagging inref 1", r.done)
-		}
-	})
 	t.Run("recycled frame", func(t *testing.T) {
 		r, tr, fid := setup(t)
-		old := r.engines[1].frames[fid.Seq]
+		old := r.engines[1].frames[fid]
 		reply(r, tr, 2, fid, msg.VerdictLive)
 		finishedLive(t, r)
 		r.queue = nil // the Live report to site 2
@@ -113,7 +102,7 @@ func TestEngineStaleReplyIgnored(t *testing.T) {
 		}
 		reused := false
 		for seq, f := range r.engines[1].frames {
-			if seq == fid.Seq {
+			if seq == fid {
 				t.Fatalf("seq %d issued twice", seq)
 			}
 			reused = reused || f == old

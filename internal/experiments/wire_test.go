@@ -33,10 +33,10 @@ func TestWireExperimentGate(t *testing.T) {
 // experiment cannot silently pass CI.
 func TestCheckWireRejects(t *testing.T) {
 	goodCodec := []WireCodecRow{
-		{Codec: "binary", MsgsPerSec: 5000, BytesPerMsg: 20, AllocsPerOp: 3},
+		{Codec: "binary", MsgsPerSec: 5000, BytesPerMsg: 12.3, AllocsPerOp: 3},
 	}
 	goodBatch := []WireBatchRow{
-		{Setting: "unbatched", BackMsgs: 17, Predicted: 17, Collected: 8, Logical: 58, Frames: 58},
+		{Setting: "unbatched", BackMsgs: 17, Predicted: 17, Collected: 8, Logical: 58, Frames: 58, Bytes: 426},
 		{Setting: "batched", BackMsgs: 17, Predicted: 17, Collected: 8, Logical: 58, Frames: 47},
 	}
 	if err := CheckWire(goodCodec, goodBatch); err != nil {
@@ -48,7 +48,7 @@ func TestCheckWireRejects(t *testing.T) {
 	}
 
 	bloated := append([]WireCodecRow(nil), goodCodec...)
-	bloated[0].BytesPerMsg = 300
+	bloated[0].BytesPerMsg = 13.6
 	if err := CheckWire(bloated, goodBatch); err == nil {
 		t.Error("bloated binary frames passed the gate")
 	}
@@ -57,6 +57,12 @@ func TestCheckWireRejects(t *testing.T) {
 	allocHeavy[0].AllocsPerOp = 40
 	if err := CheckWire(allocHeavy, goodBatch); err == nil {
 		t.Error("alloc-heavy binary codec passed the gate")
+	}
+
+	wordy := []WireBatchRow{goodBatch[0], goodBatch[1]}
+	wordy[0].Bytes = 427
+	if err := CheckWire(goodCodec, wordy); err == nil {
+		t.Error("unbatched collection over its byte ceiling passed the gate")
 	}
 
 	inexact := []WireBatchRow{goodBatch[0], goodBatch[1]}

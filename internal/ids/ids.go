@@ -118,26 +118,3 @@ func (t TraceID) Less(other TraceID) bool {
 	}
 	return t.Seq < other.Seq
 }
-
-// FrameID identifies an activation frame of a back trace on some site
-// (Section 4.4: "An activation frame is created for each call"). The pair
-// (TraceID, FrameID-on-site) lets a reply find the frame it must return to
-// even when the ioref the frame was active on has been deleted meanwhile.
-type FrameID struct {
-	Site SiteID
-	Seq  uint64
-}
-
-// NilFrame is the zero FrameID, used for the outermost call of a trace
-// (which has no caller frame to return to).
-var NilFrame = FrameID{}
-
-// IsZero reports whether f is the zero ("no frame") value.
-func (f FrameID) IsZero() bool {
-	return f == NilFrame
-}
-
-// String returns a human-readable form such as "F(S2#9)".
-func (f FrameID) String() string {
-	return fmt.Sprintf("F(%s#%d)", f.Site, f.Seq)
-}

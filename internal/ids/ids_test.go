@@ -131,16 +131,3 @@ func TestTraceIDLess(t *testing.T) {
 		t.Error("TraceID ordering violated")
 	}
 }
-
-func TestFrameIDZeroAndString(t *testing.T) {
-	if !NilFrame.IsZero() {
-		t.Error("NilFrame.IsZero() = false, want true")
-	}
-	f := FrameID{Site: 2, Seq: 9}
-	if f.IsZero() {
-		t.Error("non-zero FrameID reported zero")
-	}
-	if got := f.String(); got != "F(S2#9)" {
-		t.Errorf("FrameID.String() = %q, want %q", got, "F(S2#9)")
-	}
-}

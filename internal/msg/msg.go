@@ -124,14 +124,16 @@ type DistanceUpdate struct {
 // Update is sent to each target site after a local trace: Removals lists
 // objects whose outref the sender dropped (the receiver removes the sender
 // from those inrefs' source lists), and Distances carries new distance
-// estimates for outrefs the sender retained (Sections 2 and 3), so every
-// object in Distances is also in Holds.
+// estimates for outrefs the sender retained (Sections 2 and 3).
 //
-// Holds is the complete list of objects at the receiver for which the
-// sender still has an outref, in ascending order. It makes updates
-// idempotent: the receiver reconciles its source lists against it, so a
-// lost earlier update heals at the next one (the fault-tolerant reference
-// listing of [ML94] that the paper builds on).
+// Holds lists the other objects at the receiver for which the sender still
+// has an outref: the ones its trace did not reach, kept by a pin, a barrier
+// or an application root. Each held outref is listed once, so the sender's
+// complete hold set is the objects of Distances together with Holds. The
+// hold set makes updates idempotent: the receiver reconciles its source
+// lists against it, so a lost earlier update heals at the next one (the
+// fault-tolerant reference listing of [ML94] that the paper builds on). An
+// update that also lists a distance's object in Holds means the same.
 //
 // An owner that sent the sender one of its objects ignores a removal or
 // reconciliation drop of that object until the sender's receipt for the
@@ -144,23 +146,25 @@ type Update struct {
 	Holds     []ids.ObjID
 }
 
+// HoldsAny reports whether the update lists any held outref, in Distances
+// or in Holds.
+func (u *Update) HoldsAny() bool { return len(u.Distances) > 0 || len(u.Holds) > 0 }
+
 // BackCall carries the back steps one handled call (or one trace start)
 // asks of a single source site (Section 4.4): every inref the sender's
 // frames fanned out to whose source list names the receiver becomes one
 // BackStep, so the sender pays one message per destination site rather
 // than one per inter-site reference. A call with one step is the paper's
-// single-reference form.
-//
-// Initiator lets participants know where the report phase will originate.
+// single-reference form. The report phase originates at Trace.Initiator.
 type BackCall struct {
-	Trace     ids.TraceID
-	Initiator ids.SiteID
-	Steps     []BackStep
+	Trace ids.TraceID
+	Steps []BackStep
 }
 
-// BackStep asks the receiver to run BackStepLocal on its outref for Outref
-// (an object owned by the sender) and return the verdict to the sender's
-// activation frame Caller.
+// BackStep asks the receiver to run BackStepLocal on its outref for the
+// sender's object Outref and return the verdict to the sender's activation
+// frame with sequence number Caller. Both belong to the sender, which the
+// link already names, so neither carries a site id.
 //
 // Suspect identifies which suspected outref of a multi-suspect batched
 // trace this step belongs to (an index into the initiator's suspect set).
@@ -168,8 +172,8 @@ type BackCall struct {
 // exactly the iorefs visited on behalf of suspects confirmed garbage.
 // Single-suspect traces always carry suspect 0.
 type BackStep struct {
-	Caller  ids.FrameID
-	Outref  ids.Ref
+	Caller  uint64
+	Outref  ids.ObjID
 	Suspect uint32
 }
 
@@ -180,7 +184,8 @@ type BackReply struct {
 	Results []BackResult
 }
 
-// BackResult is the verdict of one BackStep, addressed to its Caller frame.
+// BackResult is the verdict of one BackStep, addressed to the receiver's
+// activation frame with sequence number Caller (the step's Caller).
 // Participants accumulates the set of sites reached in the step's subtree,
 // so the initiator learns the full participant set for the report phase
 // (Section 4.5: "each participant appends its id to the response of a
@@ -193,7 +198,7 @@ type BackReply struct {
 // The initiator demotes any suspect transitively depending on a Live one.
 // Empty for Live results and for single-suspect traces.
 type BackResult struct {
-	Caller       ids.FrameID
+	Caller       uint64
 	Result       Verdict
 	Participants []ids.SiteID
 	Deps         []uint32

@@ -36,7 +36,7 @@ func TestLeavesDescendsWrappers(t *testing.T) {
 		Epoch: 1, Base: 5,
 		Items: []Message{
 			Update{Holds: []ids.ObjID{1, 2}},
-			LinkData{Epoch: 1, Seq: 6, Payload: BackCall{Trace: ids.TraceID{Initiator: 1, Seq: 9}, Steps: []BackStep{{Outref: ids.MakeRef(2, 3)}}}},
+			LinkData{Epoch: 1, Seq: 6, Payload: BackCall{Trace: ids.TraceID{Initiator: 1, Seq: 9}, Steps: []BackStep{{Outref: 3}}}},
 			Report{Outcome: VerdictLive},
 		},
 	}

@@ -91,10 +91,7 @@ func deliverBurst(t *testing.T, b *Site, from ids.SiteID, msgs ...msg.Message) {
 // backCall is one single-step BackCall of trace tr from site 1 for the
 // outref (1, obj) at site 2, returning to caller frame seq at site 1.
 func backCall(tr ids.TraceID, seq uint64, obj ids.ObjID) msg.BackCall {
-	return msg.BackCall{Trace: tr, Initiator: 1, Steps: []msg.BackStep{{
-		Caller: ids.FrameID{Site: 1, Seq: seq},
-		Outref: ids.MakeRef(1, obj),
-	}}}
+	return msg.BackCall{Trace: tr, Steps: []msg.BackStep{{Caller: seq, Outref: obj}}}
 }
 
 // TestBurstCoalescesBackCalls: k BackCalls for one trace queued back to
@@ -157,7 +154,7 @@ func TestBurstCoalescesBackCalls(t *testing.T) {
 		t.Fatalf("sent %s to %v with %+v, want one %d-result BackReply to site 1", msg.Name(sent[0].M), sent[0].To, sent[0].M, k)
 	}
 	for i, res := range reply.Results {
-		if res.Caller.Seq != uint64(100+i) || res.Result != msg.VerdictGarbage {
+		if res.Caller != uint64(100+i) || res.Result != msg.VerdictGarbage {
 			t.Fatalf("result %d = %+v, want Garbage for caller seq %d", i, res, 100+i)
 		}
 		if len(res.Participants) != 3 {

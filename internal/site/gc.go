@@ -1,6 +1,7 @@
 package site
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"time"
@@ -214,8 +215,9 @@ func (s *Site) CommitLocalTrace() TraceReport {
 	s.cfg.Counters.Max(metrics.BackInfoPeak, entries)
 
 	// 5. Build one update message per target site: source-list removals
-	// for trimmed outrefs, distance changes for retained ones (Sections
-	// 2–3), and the complete holds list for idempotent reconciliation.
+	// for trimmed outrefs, distances for the retained ones this trace
+	// reached (Sections 2–3), and the other retained ones as holds, so the
+	// update lists every held outref once, for idempotent reconciliation.
 	// Peers we owe farewell updates to (no outrefs left) get a few empty
 	// updates so a lost removal heals.
 	updates := make(map[ids.SiteID]*msg.Update)
@@ -233,12 +235,13 @@ func (s *Site) CommitLocalTrace() TraceReport {
 	}
 	for _, o := range s.table.Outrefs() {
 		u := ensure(o.Target.Site)
-		u.Holds = append(u.Holds, o.Target.Obj)
 		if _, traced := res.OutrefDist[o.Target]; traced {
 			u.Distances = append(u.Distances, msg.DistanceUpdate{
 				Obj:      o.Target.Obj,
 				Distance: o.Distance,
 			})
+		} else {
+			u.Holds = append(u.Holds, o.Target.Obj)
 		}
 	}
 	for peer := range s.farewell {
@@ -257,7 +260,7 @@ func (s *Site) CommitLocalTrace() TraceReport {
 		s.send(siteID, *u)
 		rep.UpdatesSent++
 		switch {
-		case len(u.Holds) > 0:
+		case u.HoldsAny():
 			s.farewell[siteID] = 3
 		default:
 			n, owed := s.farewell[siteID]
@@ -319,8 +322,9 @@ func (s *Site) CommitLocalTrace() TraceReport {
 
 // handleUpdate processes a peer's post-trace update message: drop the
 // sender from the source lists of removed references, reconcile against
-// the sender's complete holds list (healing any previously lost update),
-// and install new distances. Cleanliness transitions fire the clean rule.
+// the sender's hold set — the objects of Distances and Holds — (healing
+// any previously lost update), and install new distances. Cleanliness
+// transitions fire the clean rule.
 //
 // An object with an owner-sent transfer to the sender that the sender has
 // not yet receipted keeps the sender as a source whatever the update says:
@@ -344,27 +348,38 @@ func (s *Site) handleUpdate(from ids.SiteID, m msg.Update) {
 	// the sender no longer holds an outref to must lose that source. Every
 	// object with a distance is held, so when those account for all the
 	// inrefs listing the sender — the steady state — nothing is stale.
-	// Otherwise the sender's holds, listed in ascending order (its outref
-	// table's), are searched for each inref listing it.
+	// Otherwise both lists, ascending as the sender builds them (its
+	// outref table's order), are searched for each inref listing it.
 	if listed == s.table.SourceCount(from) {
 		return
 	}
-	holds := m.Holds
+	dists, holds := m.Distances, m.Holds
+	if !slices.IsSortedFunc(dists, cmpDistanceObj) {
+		dists = slices.Clone(dists)
+		slices.SortFunc(dists, cmpDistanceObj)
+	}
 	if !slices.IsSorted(holds) {
 		holds = slices.Clone(holds)
 		slices.Sort(holds)
 	}
 	var stale []ids.ObjID
 	s.table.EachSourceOf(from, func(obj ids.ObjID) {
-		if _, held := slices.BinarySearch(holds, obj); !held {
-			stale = append(stale, obj)
+		if _, held := slices.BinarySearch(holds, obj); held {
+			return
 		}
+		if _, held := slices.BinarySearchFunc(dists, msg.DistanceUpdate{Obj: obj}, cmpDistanceObj); held {
+			return
+		}
+		stale = append(stale, obj)
 	})
 	stale = slices.DeleteFunc(stale, func(obj ids.ObjID) bool { return s.transferPendingLocked(from, obj) })
 	for _, obj := range stale {
 		s.table.RemoveSource(obj, from)
 	}
 }
+
+// cmpDistanceObj orders distance updates by object.
+func cmpDistanceObj(a, b msg.DistanceUpdate) int { return cmp.Compare(a.Obj, b.Obj) }
 
 // TriggerBackTraces scans the outref table and starts a back trace from
 // every suspected outref whose distance exceeds its back threshold

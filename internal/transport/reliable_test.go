@@ -505,18 +505,17 @@ func TestReliableCrossCodecEquivalence(t *testing.T) {
 			}
 		case 1:
 			return msg.BackCall{
-				Trace:     ids.TraceID{Initiator: 1, Seq: i},
-				Initiator: 1,
+				Trace: ids.TraceID{Initiator: 1, Seq: i},
 				Steps: []msg.BackStep{
-					{Caller: ids.FrameID{Site: 1, Seq: i}, Outref: ids.MakeRef(1, ids.ObjID(i*7))},
-					{Caller: ids.FrameID{Site: 1, Seq: i + 1}, Outref: ids.MakeRef(1, ids.ObjID(i)), Suspect: 1},
+					{Caller: i, Outref: ids.ObjID(i * 7)},
+					{Caller: i + 1, Outref: ids.ObjID(i), Suspect: 1},
 				},
 			}
 		case 2:
 			return msg.BackReply{
 				Trace: ids.TraceID{Initiator: 1, Seq: i},
 				Results: []msg.BackResult{{
-					Caller:       ids.FrameID{Site: 1, Seq: i},
+					Caller:       i,
 					Result:       msg.VerdictLive,
 					Participants: []ids.SiteID{1, 2, ids.SiteID(i%9 + 1)},
 				}},

@@ -274,7 +274,7 @@ func TestTCPAllMessageTypesSurviveWire(t *testing.T) {
 		msg.InsertAck{Target: r},
 		msg.ReleasePin{Target: r},
 		msg.Update{Removals: []ids.ObjID{4, 5}, Distances: []msg.DistanceUpdate{{Obj: 4, Distance: 3}}},
-		msg.BackCall{Trace: ids.TraceID{Initiator: 1, Seq: 2}, Initiator: 1, Steps: []msg.BackStep{{Caller: ids.FrameID{Site: 1, Seq: 3}, Outref: r}}},
+		msg.BackCall{Trace: ids.TraceID{Initiator: 1, Seq: 2}, Steps: []msg.BackStep{{Caller: 3, Outref: r.Obj}}},
 		msg.BackReply{Trace: ids.TraceID{Initiator: 1, Seq: 2}, Results: []msg.BackResult{{Result: msg.VerdictLive, Participants: []ids.SiteID{1, 2}}}},
 		msg.Report{Trace: ids.TraceID{Initiator: 1, Seq: 2}, Outcome: msg.VerdictGarbage},
 		msg.LinkBatch{Epoch: 1, Base: 1, Items: []msg.Message{msg.ReleasePin{Target: r}, msg.Report{Outcome: msg.VerdictLive}}},

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"backtrace/internal/ids"
 	"backtrace/internal/msg"
@@ -16,9 +17,14 @@ import (
 // Site ids, object ids, sequence numbers, and collection lengths are
 // unsigned LEB128 varints (encoding/binary Uvarint); distances are zigzag
 // varints because the infinity sentinel and deltas may be large but typical
-// values are tiny. References are (site, obj) uvarint pairs; trace and
-// frame ids are (site, seq) pairs. Wrapper messages (LinkData, LinkBatch)
-// nest the inner message encoding recursively.
+// values are tiny. References are (site, obj) uvarint pairs; trace ids are
+// (site, seq) pairs. Object-id lists and a message's caller frame seqs are
+// zigzag deltas from the previous entry, and a participant set whose sites
+// are all below 64 is one uvarint bitmask. A message never carries what its
+// link already names: a back step's caller frame and outref belong to the
+// sender, a result's caller frame to the receiver, so neither carries a
+// site id. Wrapper messages (LinkData, LinkBatch) nest the inner message
+// encoding recursively.
 //
 // The layout has no per-frame type dictionary or field names — the tag byte
 // alone selects the payload shape — which is what buys the size and speed
@@ -33,26 +39,34 @@ import (
 // a vector of steps, and a vector of one is the single-step form. Retired
 // tags are never reassigned; decoders reject them like any unknown tag.
 // Tag 9 (the site-level piggyback Batch) is retired too: the session
-// layer's LinkBatch is the one batcher.
+// layer's LinkBatch is the one batcher. Tags 20 and 21 carried owner
+// sequence numbers on RefTransfer and Update, which are gone. Tags 5, 17
+// and 18 are the Update, BackCall and BackReply layouts that named each
+// held outref twice and repeated site ids the link names; their
+// successors are 22-24.
 const (
 	tagRefTransfer = 1
 	tagInsert      = 2
 	tagInsertAck   = 3
 	tagReleasePin  = 4
-	tagUpdate      = 5
 	tagLinkData    = 10
 	tagLinkAck     = 11
 	tagLinkReset   = 12
 	tagLinkBatch   = 13
-	tagBackCall    = 17 // trace, initiator, steps
-	tagBackReply   = 18 // trace, one result per step
 	tagReport      = 19 // trace, outcome, garbage suspects
+	tagUpdate      = 22 // removals, distances, holds; ids as deltas
+	tagBackCall    = 23 // trace, steps
+	tagBackReply   = 24 // trace, one result per step
 )
 
 // listFollows is set in a verdict byte when a list (a result's deps, a
 // report's garbage suspects) follows it, so the common empty case costs no
-// length byte.
-const listFollows = 0x80
+// length byte. sitesListed is set in a result's verdict byte when its
+// participant set is a list rather than a bitmask.
+const (
+	listFollows = 0x80
+	sitesListed = 0x40
+)
 
 // maxNest bounds wrapper recursion when decoding. Legitimate traffic nests
 // one level (a LinkData or LinkBatch around protocol messages); the bound exists so a corrupt or adversarial frame cannot
@@ -106,9 +120,37 @@ func appendTrace(buf []byte, t ids.TraceID) []byte {
 	return binary.AppendUvarint(buf, t.Seq)
 }
 
-func appendFrame(buf []byte, f ids.FrameID) []byte {
-	buf = binary.AppendUvarint(buf, uint64(f.Site))
-	return binary.AppendUvarint(buf, f.Seq)
+// appendDelta appends cur as the zigzag varint difference from prev.
+// Differences wrap, so any two values round-trip.
+func appendDelta(buf []byte, prev, cur uint64) []byte {
+	return binary.AppendVarint(buf, int64(cur-prev))
+}
+
+// appendObjs appends a length-prefixed list of object ids, each as a delta
+// from the previous one (the first from 0): an ascending list of nearby
+// ids costs a byte or two per entry whatever the ids' magnitude.
+func appendObjs(buf []byte, xs []ids.ObjID) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(xs)))
+	var prev ids.ObjID
+	for _, x := range xs {
+		buf = appendDelta(buf, uint64(prev), uint64(x))
+		prev = x
+	}
+	return buf
+}
+
+// siteMask returns the bitmask of a strictly ascending set of site ids that
+// are all below 64, and false for any other list (which then goes as a
+// list, so its order and repeats round-trip).
+func siteMask(set []ids.SiteID) (uint64, bool) {
+	var mask uint64
+	for i, s := range set {
+		if s >= 64 || i > 0 && s <= set[i-1] {
+			return 0, false
+		}
+		mask |= 1 << s
+	}
+	return mask, true
 }
 
 // appendUvarints appends a length-prefixed list of unsigned varints.
@@ -149,31 +191,42 @@ func appendMessage(buf []byte, m msg.Message) ([]byte, error) {
 		buf = appendRef(buf, mm.Target)
 	case msg.Update:
 		buf = append(buf, tagUpdate)
-		buf = appendUvarints(buf, mm.Removals)
+		buf = appendObjs(buf, mm.Removals)
 		buf = binary.AppendUvarint(buf, uint64(len(mm.Distances)))
+		var prev ids.ObjID
 		for _, du := range mm.Distances {
-			buf = binary.AppendUvarint(buf, uint64(du.Obj))
+			buf = appendDelta(buf, uint64(prev), uint64(du.Obj))
 			buf = binary.AppendVarint(buf, int64(du.Distance))
+			prev = du.Obj
 		}
-		buf = appendUvarints(buf, mm.Holds)
+		buf = appendObjs(buf, mm.Holds)
 	case msg.BackCall:
 		buf = append(buf, tagBackCall)
 		buf = appendTrace(buf, mm.Trace)
-		buf = binary.AppendUvarint(buf, uint64(mm.Initiator))
 		buf = binary.AppendUvarint(buf, uint64(len(mm.Steps)))
+		var prev uint64
 		for _, st := range mm.Steps {
-			buf = appendFrame(buf, st.Caller)
-			buf = appendRef(buf, st.Outref)
+			buf = appendDelta(buf, prev, st.Caller)
+			buf = binary.AppendUvarint(buf, uint64(st.Outref))
 			buf = binary.AppendUvarint(buf, uint64(st.Suspect))
+			prev = st.Caller
 		}
 	case msg.BackReply:
 		buf = append(buf, tagBackReply)
 		buf = appendTrace(buf, mm.Trace)
 		buf = binary.AppendUvarint(buf, uint64(len(mm.Results)))
+		var prev uint64
 		for _, res := range mm.Results {
-			buf = appendFrame(buf, res.Caller)
-			buf = appendVerdict(buf, res.Result, res.Deps)
-			buf = appendUvarints(buf, res.Participants)
+			buf = appendDelta(buf, prev, res.Caller)
+			prev = res.Caller
+			mask, ok := siteMask(res.Participants)
+			if ok {
+				buf = appendVerdict(buf, res.Result, res.Deps)
+				buf = binary.AppendUvarint(buf, mask)
+			} else {
+				buf = appendVerdict(buf, res.Result|sitesListed, res.Deps)
+				buf = appendUvarints(buf, res.Participants)
+			}
 		}
 	case msg.Report:
 		buf = append(buf, tagReport)
@@ -295,10 +348,39 @@ func (r *reader) trace() ids.TraceID {
 	return ids.TraceID{Initiator: site, Seq: seq}
 }
 
-func (r *reader) frame() ids.FrameID {
-	site := ids.SiteID(r.uvarint())
-	seq := r.uvarint()
-	return ids.FrameID{Site: site, Seq: seq}
+// delta reads a value written by appendDelta after prev.
+func (r *reader) delta(prev uint64) uint64 { return prev + uint64(r.varint()) }
+
+// objs reads a list written by appendObjs; an empty list decodes as nil.
+func (r *reader) objs() []ids.ObjID {
+	n := r.count(1)
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	out := make([]ids.ObjID, n)
+	var prev uint64
+	for i := range out {
+		prev = r.delta(prev)
+		out[i] = ids.ObjID(prev)
+	}
+	return out
+}
+
+// sites reads a participant set: a list when the verdict byte said so,
+// else a bitmask, which decodes ascending. An empty set decodes as nil.
+func (r *reader) sites(listed bool) []ids.SiteID {
+	if listed {
+		return uvarints[ids.SiteID](r)
+	}
+	mask := r.uvarint()
+	if mask == 0 {
+		return nil
+	}
+	out := make([]ids.SiteID, 0, bits.OnesCount64(mask))
+	for ; mask != 0; mask &= mask - 1 {
+		out = append(out, ids.SiteID(bits.TrailingZeros64(mask)))
+	}
+	return out
 }
 
 // uvarints reads a list written by appendUvarints; an empty list decodes
@@ -343,34 +425,42 @@ func (r *reader) message(depth int) msg.Message {
 		return msg.ReleasePin{Target: r.ref()}
 	case tagUpdate:
 		var u msg.Update
-		u.Removals = uvarints[ids.ObjID](r)
+		u.Removals = r.objs()
 		if n := r.count(2); n > 0 && r.err == nil {
 			u.Distances = make([]msg.DistanceUpdate, n)
+			var prev uint64
 			for i := range u.Distances {
-				u.Distances[i].Obj = ids.ObjID(r.uvarint())
+				prev = r.delta(prev)
+				u.Distances[i].Obj = ids.ObjID(prev)
 				u.Distances[i].Distance = int(r.varint())
 			}
 		}
-		u.Holds = uvarints[ids.ObjID](r)
+		u.Holds = r.objs()
 		return u
 	case tagBackCall:
-		c := msg.BackCall{Trace: r.trace(), Initiator: ids.SiteID(r.uvarint())}
-		if n := r.count(5); n > 0 && r.err == nil {
+		c := msg.BackCall{Trace: r.trace()}
+		if n := r.count(3); n > 0 && r.err == nil {
 			c.Steps = make([]msg.BackStep, n)
+			var prev uint64
 			for i := range c.Steps {
-				c.Steps[i] = msg.BackStep{Caller: r.frame(), Outref: r.ref(), Suspect: uint32(r.uvarint())}
+				prev = r.delta(prev)
+				c.Steps[i] = msg.BackStep{Caller: prev, Outref: ids.ObjID(r.uvarint()), Suspect: uint32(r.uvarint())}
 			}
 		}
 		return c
 	case tagBackReply:
 		rep := msg.BackReply{Trace: r.trace()}
-		if n := r.count(4); n > 0 && r.err == nil {
+		if n := r.count(3); n > 0 && r.err == nil {
 			rep.Results = make([]msg.BackResult, n)
+			var prev uint64
 			for i := range rep.Results {
 				res := &rep.Results[i]
-				res.Caller = r.frame()
+				prev = r.delta(prev)
+				res.Caller = prev
 				res.Result, res.Deps = r.verdict()
-				res.Participants = uvarints[ids.SiteID](r)
+				listed := res.Result&sitesListed != 0
+				res.Result &^= sitesListed
+				res.Participants = r.sites(listed)
 			}
 		}
 		return rep

@@ -15,8 +15,17 @@ import (
 // field values, so coverage spans all twelve types — including nested
 // wrappers and back-trace vectors of zero to four entries.
 func FuzzRoundTrip(f *testing.F) {
-	for i := range allTags {
+	for i, tag := range allTags {
 		f.Add(int64(i+1), uint8(i))
+		switch tag {
+		case tagUpdate, tagBackCall, tagBackReply:
+			// The delta-coded and bitmask layouts get more seeds, so
+			// unsorted lists, backward seqs and both participant forms
+			// are in the corpus from the start.
+			for seed := int64(100); seed < 108; seed++ {
+				f.Add(seed, uint8(i))
+			}
+		}
 	}
 	bin := Binary{}
 	f.Fuzz(func(t *testing.T, seed int64, tag uint8) {
@@ -54,9 +63,12 @@ func FuzzDecodeAny(f *testing.F) {
 	f.Add(bin)
 	f.Add([]byte{VersionGob, 0x01, 0x02}) // reserved gob version: must reject
 	f.Add([]byte{VersionBinary, 1, 2, tagLinkBatch, 1, 1, 0, 0, 0, 0xFF, 0xFF, 0x7F})
-	for _, m := range backTraceVectors() {
+	for _, m := range append(deltaVectors(), backTraceVectors()...) {
 		env := msg.Envelope{From: 1, To: 2, M: m}
 		frame, _ := (Binary{}).Encode(&env, nil)
+		f.Add(frame)
+	}
+	for _, frame := range retiredTagFrames() {
 		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -73,4 +85,21 @@ func exemplarUpdate() msg.Message {
 		Distances: []msg.DistanceUpdate{{Obj: 9, Distance: 4}},
 		Holds:     []ids.ObjID{1},
 	}
+}
+
+// retiredTagFrames returns the Update and back-trace exemplars' frames with
+// their tag byte replaced by each retired tag the payload could be mistaken
+// for; a decoder must reject every one.
+func retiredTagFrames() [][]byte {
+	var out [][]byte
+	for _, m := range append(deltaVectors(), backTraceVectors()...) {
+		env := msg.Envelope{From: 1, To: 2, M: m}
+		frame, _ := (Binary{}).Encode(&env, nil)
+		for _, retired := range []byte{5, 17, 18, 20, 21} {
+			old := append([]byte(nil), frame...)
+			old[3] = retired // after the version byte and one-byte from and to
+			out = append(out, old)
+		}
+	}
+	return out
 }

@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"backtrace/internal/ids"
@@ -41,36 +43,63 @@ func exemplars() []msg.Message {
 			AckEpoch: 5, AckCum: 1044, AckInc: 1,
 			Items: []msg.Message{
 				msg.Update{Holds: []ids.ObjID{1}},
-				msg.BackCall{Trace: ids.TraceID{Initiator: 1, Seq: 1}, Steps: []msg.BackStep{{Outref: ids.MakeRef(2, 5)}}},
+				msg.BackCall{Trace: ids.TraceID{Initiator: 1, Seq: 1}, Steps: []msg.BackStep{{Outref: 5}}},
 			},
 		},
 	}
+	all = append(all, deltaVectors()...)
 	return append(all, backTraceVectors()...)
+}
+
+// deltaVectors returns Updates whose id lists the delta encoding must carry
+// in any order: ascending, unsorted, descending, repeated, and spanning
+// the whole id range.
+func deltaVectors() []msg.Message {
+	return []msg.Message{
+		msg.Update{
+			Removals:  []ids.ObjID{9, 3, 1 << 40, 2},
+			Distances: []msg.DistanceUpdate{{Obj: 70, Distance: 4}, {Obj: 60, Distance: 5}, {Obj: 1 << 63, Distance: 1}, {Obj: 0, Distance: 2}},
+			Holds:     []ids.ObjID{1<<64 - 1, 1 << 62, 5, 5, 0},
+		},
+		msg.Update{Distances: []msg.DistanceUpdate{{Obj: 100, Distance: 4}, {Obj: 101, Distance: 4}, {Obj: 130, Distance: 6}}},
+		msg.Update{Holds: []ids.ObjID{300, 200, 100}},
+	}
 }
 
 // backTraceVectors returns BackCalls and BackReplies with no, one and
 // several entries, the several-entry forms mixing suspects, verdicts and
-// dependency sets; they are round-trip exemplars and fuzz seeds.
+// dependency sets, caller seqs that go backwards, and participant sets in
+// both forms: bitmask (ascending, below 64), list (a site of 64 or more,
+// or out of order) and empty. They are round-trip exemplars and fuzz seeds.
 func backTraceVectors() []msg.Message {
 	trace := ids.TraceID{Initiator: 6, Seq: 1 << 21}
 	return []msg.Message{
-		msg.BackCall{Trace: trace, Initiator: 6},
-		msg.BackCall{Trace: trace, Initiator: 6, Steps: []msg.BackStep{
-			{Caller: ids.FrameID{Site: 2, Seq: 19}, Outref: ids.MakeRef(2, 42)},
+		msg.BackCall{Trace: trace},
+		msg.BackCall{Trace: trace, Steps: []msg.BackStep{
+			{Caller: 19, Outref: 42},
 		}},
-		msg.BackCall{Trace: trace, Initiator: 6, Steps: []msg.BackStep{
-			{Caller: ids.FrameID{Site: 2, Seq: 19}, Outref: ids.MakeRef(2, 42)},
-			{Caller: ids.FrameID{Site: 2, Seq: 20}, Outref: ids.MakeRef(2, 1<<40), Suspect: 3},
-			{Caller: ids.FrameID{Site: 2, Seq: 1 << 30}, Outref: ids.MakeRef(2, 7), Suspect: 1 << 18},
+		msg.BackCall{Trace: trace, Steps: []msg.BackStep{
+			{Caller: 19, Outref: 42},
+			{Caller: 20, Outref: 1 << 40, Suspect: 3},
+			{Caller: 1 << 30, Outref: 7, Suspect: 1 << 18},
+			{Caller: 2, Outref: 7},
+			{Caller: 1<<64 - 1, Outref: 1<<64 - 1},
 		}},
 		msg.BackReply{Trace: trace},
 		msg.BackReply{Trace: trace, Results: []msg.BackResult{
-			{Caller: ids.FrameID{Site: 2, Seq: 19}, Result: msg.VerdictLive, Participants: []ids.SiteID{1, 5, 9}},
+			{Caller: 19, Result: msg.VerdictLive, Participants: []ids.SiteID{1, 5, 9}},
 		}},
 		msg.BackReply{Trace: trace, Results: []msg.BackResult{
-			{Caller: ids.FrameID{Site: 2, Seq: 19}, Result: msg.VerdictGarbage, Participants: []ids.SiteID{1, 5}, Deps: []uint32{0, 2, 1 << 18}},
-			{Caller: ids.FrameID{Site: 2, Seq: 20}, Result: msg.VerdictLive, Participants: []ids.SiteID{5}},
-			{Caller: ids.FrameID{Site: 2, Seq: 21}, Result: msg.VerdictGarbage},
+			{Caller: 19, Result: msg.VerdictGarbage, Participants: []ids.SiteID{1, 5}, Deps: []uint32{0, 2, 1 << 18}},
+			{Caller: 20, Result: msg.VerdictLive, Participants: []ids.SiteID{5}},
+			{Caller: 21, Result: msg.VerdictGarbage},
+		}},
+		msg.BackReply{Trace: trace, Results: []msg.BackResult{
+			{Caller: 40, Result: msg.VerdictGarbage, Participants: []ids.SiteID{0, 63}},
+			{Caller: 12, Result: msg.VerdictGarbage, Participants: []ids.SiteID{3, 64}, Deps: []uint32{1}},
+			{Caller: 11, Result: msg.VerdictLive, Participants: []ids.SiteID{1 << 20}},
+			{Caller: 0, Result: msg.VerdictGarbage, Participants: []ids.SiteID{9, 2}},
+			{Caller: 1<<64 - 1, Result: msg.VerdictGarbage, Participants: []ids.SiteID{4, 4}},
 		}},
 	}
 }
@@ -169,9 +198,22 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 		// site-level piggyback Batch (9) around one LinkReset.
 		"retired tag":   {VersionBinary, 1, 2, 6, 1, 1, 1, 1, 1, 2, 0, 2, 1},
 		"retired tag 9": {VersionBinary, 1, 2, 9, 1, tagLinkReset, 1},
+		// The layouts that repeated what the link names: an empty tag-5
+		// Update, a one-step tag-17 BackCall and a one-result tag-18
+		// BackReply; and the tag-20/21 sequence-numbered forms.
+		"retired tag 5":  {VersionBinary, 1, 2, 5, 0, 0, 0},
+		"retired tag 17": {VersionBinary, 1, 2, 17, 6, 1, 6, 1, 2, 19, 2, 42, 0},
+		"retired tag 18": {VersionBinary, 1, 2, 18, 6, 1, 1, 2, 19, 1, 1, 5},
+		"retired tag 20": {VersionBinary, 1, 2, 20, 3, 77, 0, 1},
+		"retired tag 21": {VersionBinary, 1, 2, 21, 0, 0, 0, 0},
+		// A participant bitmask too long for a uvarint.
+		"bad mask": {VersionBinary, 1, 2, tagBackReply, 6, 1, 1, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},
 		// Collection length far beyond the remaining bytes must error, not
 		// allocate.
 		"bomb length": {VersionBinary, 1, 2, tagUpdate, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
+	}
+	for i, frame := range retiredTagFrames() {
+		cases[fmt.Sprintf("retired tag %d, payload %d", frame[3], i)] = frame
 	}
 	for name, data := range cases {
 		if _, err := (Binary{}).Decode(data); err == nil {
@@ -248,7 +290,27 @@ func randMessage(rng *rand.Rand, tag, depth int) msg.Message {
 		}
 		return out
 	}
-	frame := func() ids.FrameID { return ids.FrameID{Site: site(), Seq: rng.Uint64() >> rng.Intn(64)} }
+	seq := func() uint64 { return rng.Uint64() >> rng.Intn(64) }
+	// participants is empty, a small ascending set (the bitmask form) or
+	// a list of any sites in any order.
+	participants := func() []ids.SiteID {
+		n := rng.Intn(4)
+		if n == 0 {
+			return nil
+		}
+		out := make([]ids.SiteID, n)
+		if rng.Intn(2) == 0 {
+			for i, s := range rng.Perm(64)[:n] {
+				out[i] = ids.SiteID(s)
+			}
+			slices.Sort(out)
+			return out
+		}
+		for i := range out {
+			out[i] = site()
+		}
+		return out
+	}
 	trace := func() ids.TraceID { return ids.TraceID{Initiator: site(), Seq: rng.Uint64() >> rng.Intn(64)} }
 	switch tag {
 	case tagRefTransfer:
@@ -274,11 +336,11 @@ func randMessage(rng *rand.Rand, tag, depth int) msg.Message {
 	case tagBackCall:
 		// No, one or several steps; suspects are often 0 (single-suspect
 		// traces) and otherwise mixed.
-		c := msg.BackCall{Trace: trace(), Initiator: site()}
+		c := msg.BackCall{Trace: trace()}
 		if n := rng.Intn(5); n > 0 {
 			c.Steps = make([]msg.BackStep, n)
 			for i := range c.Steps {
-				c.Steps[i] = msg.BackStep{Caller: frame(), Outref: ref(), Suspect: uint32(rng.Intn(3)) * uint32(rng.Intn(1<<10))}
+				c.Steps[i] = msg.BackStep{Caller: seq(), Outref: ids.ObjID(seq()), Suspect: uint32(rng.Intn(3)) * uint32(rng.Intn(1<<10))}
 			}
 		}
 		return c
@@ -287,14 +349,7 @@ func randMessage(rng *rand.Rand, tag, depth int) msg.Message {
 		if n := rng.Intn(5); n > 0 {
 			rep.Results = make([]msg.BackResult, n)
 			for i := range rep.Results {
-				res := msg.BackResult{Caller: frame(), Result: msg.Verdict(rng.Intn(2)), Deps: u32s()}
-				if n := rng.Intn(4); n > 0 {
-					res.Participants = make([]ids.SiteID, n)
-					for j := range res.Participants {
-						res.Participants[j] = site()
-					}
-				}
-				rep.Results[i] = res
+				rep.Results[i] = msg.BackResult{Caller: seq(), Result: msg.Verdict(rng.Intn(2)), Participants: participants(), Deps: u32s()}
 			}
 		}
 		return rep
