@@ -191,7 +191,7 @@ func TestPublicAPIOutsetAlgorithms(t *testing.T) {
 }
 
 func TestPublicAPIMemNetwork(t *testing.T) {
-	net := backtrace.NewMemNetwork(backtrace.NetworkOptions{Stepped: true})
+	net := backtrace.NewMemNetwork(backtrace.NetworkOptions{Stepped: true, Codec: backtrace.BinaryCodec})
 	defer net.Close()
 	s1 := backtrace.NewSite(backtrace.SiteConfig{ID: 1, Network: net})
 	s2 := backtrace.NewSite(backtrace.SiteConfig{ID: 2, Network: net})

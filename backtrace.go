@@ -223,8 +223,8 @@ func NewTCPNode(self SiteID, addrs map[SiteID]string, obs transport.Observer) (*
 // counters).
 type TCPOptions = transport.TCPOptions
 
-// NewTCPNodeOpts builds a TCP transport node with explicit options — in
-// particular a non-default wire codec (see CodecByName).
+// NewTCPNodeOpts builds a TCP transport node with explicit options
+// (observer, byte counters).
 func NewTCPNodeOpts(self SiteID, addrs map[SiteID]string, opts TCPOptions) (*transport.TCPNode, error) {
 	return transport.NewTCPNodeOpts(self, addrs, opts)
 }
@@ -234,9 +234,9 @@ func NewTCPNodeOpts(self SiteID, addrs map[SiteID]string, opts TCPOptions) (*tra
 // its version byte stays permanently reserved (see docs/WIRE.md).
 type WireCodec = wire.Codec
 
-// CodecByName resolves a wire codec by name: "" or "binary" for the binary
-// codec. Any other name, including the removed "gob", is an error.
-func CodecByName(name string) (WireCodec, error) { return wire.ByName(name) }
+// BinaryCodec is the binary wire codec. Set it as NetworkOptions.Codec to
+// round-trip every in-memory message through the bytes a TCP link carries.
+var BinaryCodec WireCodec = wire.Binary{}
 
 // NewReliable wraps any network with the ack/retransmit session layer:
 // exactly-once, per-link in-order delivery (the paper's relation R1) over

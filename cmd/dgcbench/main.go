@@ -15,14 +15,15 @@
 //	dgcbench -exp overlap       # C9: concurrent back traces on one cycle
 //	dgcbench -exp telemetry     # C13: 2W+P re-verified via the typed registry and span trees
 //	dgcbench -exp hypertext     # intro workload end to end
-//	dgcbench -exp wire          # C17: binary wire codec + link batching
+//	dgcbench -exp wire          # C17: link batching vs the 2E+P-1 bound
 //	dgcbench -exp backtrace     # C18: trace-traffic engine vs storm baseline
 //
+// Every experiment cluster frames its messages with the binary wire codec.
 // -json FILE additionally writes the tables as JSON to FILE; -check (with
-// -exp wire, backtrace, or all) exits nonzero if the binary codec bloats
-// frames or allocations past its absolute budget, if link batching changes
-// the back-trace cost or the collection outcome, or if the trace-traffic
-// engine stops beating the trace-storm baseline.
+// -exp wire, backtrace, or all) exits nonzero if link batching changes the
+// back-trace cost or the collection outcome, if the unbatched collection
+// sends more bytes than its ceiling, or if the trace-traffic engine stops
+// beating the trace-storm baseline.
 package main
 
 import (
@@ -40,23 +41,16 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run (all, messages, distance, insets, space, threshold, timeline, locality, baselines, overlap, telemetry, hypertext, wire, backtrace)")
 	scale := flag.Int("scale", 20, "size multiplier for the inset experiment")
 	jsonOut := flag.String("json", "", "also write the tables as JSON to this file")
-	check := flag.Bool("check", false, "with -exp wire/backtrace: fail if the binary codec exceeds its frame-size or allocation budget, link batching changes the back-trace cost or what is collected, or the engine stops beating the trace-storm baseline")
-	// Shared transport surface (same flags as dgcnode/dgcsim). The codec
-	// applies to every standard experiment cluster; the experiments are
-	// stepped, so -batch is rejected. The wire experiment pins its own
-	// codec and batching so its gate ignores these.
+	check := flag.Bool("check", false, "with -exp wire/backtrace: fail if link batching changes the back-trace cost or what is collected, the unbatched collection exceeds its byte ceiling, or the engine stops beating the trace-storm baseline")
+	// Shared transport surface (same flags as dgcnode/dgcsim). The
+	// experiments are stepped, so -batch is rejected; the wire experiment
+	// pins its own batching.
 	var tcfg cluster.TransportConfig
 	tcfg.RegisterFlags(nil)
 	flag.Parse()
 
-	experiments.Transport = tcfg
-
-	var err error
-	if _, cerr := tcfg.ResolveCodec(); cerr != nil {
-		err = cerr
-	} else if serr := tcfg.CheckStepped(); serr != nil {
-		err = serr
-	} else {
+	err := tcfg.CheckStepped()
+	if err == nil {
 		var res results
 		if res, err = run(*exp, *scale); err == nil {
 			for _, t := range res.tables {
@@ -67,11 +61,11 @@ func main() {
 			err = writeJSON(*jsonOut, res.tables)
 		}
 		if err == nil && *check {
-			if res.wireCodecRows == nil && res.backtraceRows == nil {
+			if res.wireBatchRows == nil && res.backtraceRows == nil {
 				err = fmt.Errorf("-check requires a checkable experiment (-exp wire, backtrace, or all)")
 			}
-			if err == nil && res.wireCodecRows != nil {
-				err = experiments.CheckWire(res.wireCodecRows, res.wireBatchRows)
+			if err == nil && res.wireBatchRows != nil {
+				err = experiments.CheckWire(res.wireBatchRows)
 			}
 			if err == nil && res.backtraceRows != nil {
 				err = experiments.CheckBacktrace(res.backtraceRows)
@@ -103,7 +97,6 @@ func writeJSON(path string, tables []*experiments.Table) error {
 // re-examine.
 type results struct {
 	tables        []*experiments.Table
-	wireCodecRows []experiments.WireCodecRow
 	wireBatchRows []experiments.WireBatchRow
 	backtraceRows []experiments.BacktraceRow
 }
@@ -112,7 +105,6 @@ func run(exp string, scale int) (results, error) {
 	all := exp == "all"
 	ran := false
 	var tables []*experiments.Table
-	var wireCodecRows []experiments.WireCodecRow
 	var wireBatchRows []experiments.WireBatchRow
 	var backtraceRows []experiments.BacktraceRow
 
@@ -223,12 +215,6 @@ func run(exp string, scale int) (results, error) {
 
 	if all || exp == "wire" {
 		ran = true
-		codecRows, err := experiments.WireCodecBench(2000)
-		if err != nil {
-			return results{}, err
-		}
-		wireCodecRows = codecRows
-		tables = append(tables, experiments.WireCodecTable(codecRows))
 		batchRows, err := experiments.WireBatch(6)
 		if err != nil {
 			return results{}, err
@@ -252,7 +238,6 @@ func run(exp string, scale int) (results, error) {
 	}
 	return results{
 		tables:        tables,
-		wireCodecRows: wireCodecRows,
 		wireBatchRows: wireBatchRows,
 		backtraceRows: backtraceRows,
 	}, nil

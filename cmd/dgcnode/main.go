@@ -55,10 +55,6 @@ func main() {
 	knobs.RegisterInboxFlag(nil)
 	knobs.RegisterFlags(nil)
 	flag.Parse()
-	if _, err := tcfg.ResolveCodec(); err != nil {
-		fmt.Fprintln(os.Stderr, "dgcnode:", err)
-		os.Exit(1)
-	}
 
 	// Batching lives in the session layer, so -batch implies -reliable.
 	useReliable := *reliable || tcfg.Batch > 0
@@ -130,13 +126,8 @@ func runDemo(n int, reliable bool, tcfg cluster.TransportConfig, knobs site.Conf
 	bound := make(map[ids.SiteID]string, n)
 	for i := 1; i <= n; i++ {
 		id := ids.SiteID(i)
-		codec, err := tcfg.ResolveCodec()
-		if err != nil {
-			return err
-		}
 		node, err := backtrace.NewTCPNodeOpts(id, addrs, backtrace.TCPOptions{
 			Observer: counters.ObserveMessage,
-			Codec:    codec,
 			Counters: counters,
 		})
 		if err != nil {
@@ -288,13 +279,8 @@ func runNode(self ids.SiteID, peerList string, drive bool, period, runFor time.D
 		defer stop()
 		fmt.Printf("site %v debug endpoint on http://%s\n", self, bound)
 	}
-	codec, err := tcfg.ResolveCodec()
-	if err != nil {
-		return err
-	}
 	node, err := backtrace.NewTCPNodeOpts(self, addrs, backtrace.TCPOptions{
 		Observer: counters.ObserveMessage,
-		Codec:    codec,
 		Counters: counters,
 	})
 	if err != nil {

@@ -79,7 +79,7 @@ func TestRunDemoBatchedSmoke(t *testing.T) {
 	}
 	// The binary codec plus link-level batching must collect the demo
 	// cycle end to end.
-	tcfg := cluster.TransportConfig{Codec: "binary", Batch: 8}
+	tcfg := cluster.TransportConfig{Batch: 8}
 	if err := runDemo(2, true, tcfg, site.Config{}, "", 0); err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,9 @@ func (e exitError) Error() string { return fmt.Sprintf("exit %d", e.code) }
 // simulation, and when any seed trips the safety or completeness oracle,
 // shrink the first failure to a minimal schedule and write it out for replay.
 func runExplore(cfg sim.Config, seeds int, scheduleOut string, verbose bool) error {
+	used := cfg.WithDefaults()
 	fmt.Printf("exploring %d seeds (sites=%d steps=%d threshold=%d/%d faults=%q)\n",
-		seeds, cfg.Sites, cfg.Steps, cfg.Threshold, cfg.BackThreshold, cfg.Faults)
+		seeds, used.Sites, used.Steps, used.Threshold, used.BackThreshold, used.Faults)
 
 	progress := seeds / 10
 	if progress < 1 {

@@ -30,85 +30,101 @@ import (
 	"backtrace/internal/sim"
 	"backtrace/internal/site"
 	"backtrace/internal/viz"
+	"backtrace/internal/wire"
 	"backtrace/internal/workload"
 )
 
 func main() {
+	if err := dgcsim(os.Args[1:]); err != nil {
+		die(err)
+	}
+}
+
+// worldFlags are the flags that shape the simulated world of -explore. A
+// replay rebuilds its world from the schedule's config block, so it rejects
+// them rather than silently ignoring them.
+var worldFlags = []string{
+	"seed", "sim-steps", "sim-sites", "faults", "skip-transfer-barrier",
+	"threshold", "back-threshold", "max-inflight-traces", "trace-batch", "memoize-live",
+}
+
+// dgcsim parses args and runs the chosen mode: a workload, a model-checker
+// sweep (-explore) or a schedule replay (-replay).
+func dgcsim(args []string) error {
+	fs := flag.NewFlagSet("dgcsim", flag.ExitOnError)
 	var (
-		kind     = flag.String("workload", "ring", "workload: ring, chain, dense, random, hypertext")
-		sites    = flag.Int("sites", 4, "number of sites")
-		objects  = flag.Int("objects", 200, "objects (random workload)")
-		docs     = flag.Int("docs", 10, "documents (hypertext workload)")
-		seed     = flag.Int64("seed", 1, "workload and network seed")
-		rounds   = flag.Int("rounds", 60, "maximum collection rounds")
-		latency  = flag.Duration("latency", 0, "network latency (0 = deterministic stepped mode)")
-		jitter   = flag.Duration("jitter", 0, "network jitter")
-		drop     = flag.Float64("drop", 0, "message drop probability")
-		algo     = flag.String("outsets", "bottom-up", "outset algorithm: bottom-up or independent")
-		parallel = flag.Bool("parallel", false, "run sites on goroutines with mailbox executors (disables stepped determinism)")
-		verbose  = flag.Bool("v", false, "per-round progress")
-		events   = flag.Int("events", 0, fmt.Sprintf("print the last N collector events (at most %d are kept)", obs.MaxEvents))
-		dotPath  = flag.String("dot", "", "write a Graphviz DOT snapshot of the final state to this file")
-		traceOut = flag.String("trace-out", "", "write the assembled back-trace span trees to this file (JSON when the name ends in .json, rendered text otherwise)")
+		kind     = fs.String("workload", "ring", "workload: ring, chain, dense, random, hypertext")
+		sites    = fs.Int("sites", 4, "number of sites")
+		objects  = fs.Int("objects", 200, "objects (random workload)")
+		docs     = fs.Int("docs", 10, "documents (hypertext workload)")
+		seed     = fs.Int64("seed", 1, "workload and network seed")
+		rounds   = fs.Int("rounds", 60, "maximum collection rounds")
+		latency  = fs.Duration("latency", 0, "network latency (0 = deterministic stepped mode)")
+		jitter   = fs.Duration("jitter", 0, "network jitter")
+		drop     = fs.Float64("drop", 0, "message drop probability")
+		algo     = fs.String("outsets", "bottom-up", "outset algorithm: bottom-up or independent")
+		parallel = fs.Bool("parallel", false, "run sites on goroutines with mailbox executors (disables stepped determinism)")
+		verbose  = fs.Bool("v", false, "per-round progress")
+		events   = fs.Int("events", 0, fmt.Sprintf("print the last N collector events (at most %d are kept)", obs.MaxEvents))
+		dotPath  = fs.String("dot", "", "write a Graphviz DOT snapshot of the final state to this file")
+		traceOut = fs.String("trace-out", "", "write the assembled back-trace span trees to this file (JSON when the name ends in .json, rendered text otherwise)")
 
 		// Model-checker mode (internal/sim).
-		explore     = flag.Bool("explore", false, "model-check: sweep -seeds seeds of the deterministic simulation")
-		seeds       = flag.Int("seeds", 200, "number of seeds to explore")
-		simSteps    = flag.Int("sim-steps", 0, "scheduler events per simulated run (0 = default)")
-		simSites    = flag.Int("sim-sites", 0, "sites per simulated run (0 = default)")
-		faults      = flag.String("faults", "", `fault schedule, e.g. "crash@150:2,restart@300:2,partition@200:1-3"; the clause skip-transfer-check plants a bug`)
-		skipBarrier = flag.Bool("skip-transfer-barrier", false, "UNSAFE: disable the Section 6.1.1 transfer barrier (regression-injection demo)")
-		scheduleOut = flag.String("schedule-out", "failure.json", "where -explore writes the shrunk schedule of the first failure")
-		replay      = flag.String("replay", "", "replay a recorded schedule file instead of running a workload")
+		explore     = fs.Bool("explore", false, "model-check: sweep -seeds seeds of the deterministic simulation")
+		seeds       = fs.Int("seeds", 200, "number of seeds to explore")
+		simSteps    = fs.Int("sim-steps", 0, "scheduler events per simulated run (0 = default)")
+		simSites    = fs.Int("sim-sites", 0, "sites per simulated run (0 = default)")
+		faults      = fs.String("faults", "", `fault schedule, e.g. "crash@150:2,restart@300:2,partition@200:1-3"; the clause skip-transfer-check plants a bug`)
+		skipBarrier = fs.Bool("skip-transfer-barrier", false, "UNSAFE: disable the Section 6.1.1 transfer barrier (regression-injection demo)")
+		scheduleOut = fs.String("schedule-out", "failure.json", "where -explore writes the shrunk schedule of the first failure")
+		replay      = fs.String("replay", "", "replay a recorded schedule file instead of running a workload")
 	)
 	var tcfg cluster.TransportConfig
-	tcfg.RegisterFlags(nil)
+	tcfg.RegisterFlags(fs)
 	var knobs site.Config
-	knobs.RegisterFlags(nil)
-	flag.IntVar(&knobs.SuspicionThreshold, "threshold", 3, "suspicion threshold T")
-	flag.IntVar(&knobs.BackThreshold, "back-threshold", 7, "back threshold T2")
-	flag.Parse()
+	knobs.RegisterFlags(fs)
+	fs.IntVar(&knobs.SuspicionThreshold, "threshold", 3, "suspicion threshold T (-explore: 2 unless set)")
+	fs.IntVar(&knobs.BackThreshold, "back-threshold", 7, "back threshold T2 (-explore: T+2 unless set)")
+	fs.Parse(args)
 
-	if *explore || *replay != "" {
-		// The simulation is stepped, so it has no session-layer batcher;
-		// the codec round-trips every message at the network boundary
-		// ("none" skips serialization entirely).
-		if err := tcfg.CheckStepped(); err != nil {
-			die(err)
-		}
-		simCodec := tcfg.Codec
-		if simCodec == "none" {
-			simCodec = ""
-		}
-		cfg := sim.Config{
-			Seed:                *seed,
-			Steps:               *simSteps,
-			Sites:               *simSites,
-			Faults:              *faults,
-			SkipTransferBarrier: *skipBarrier,
-			Codec:               simCodec,
-			MaxInflightTraces:   knobs.MaxInflightTraces,
-			TraceBatch:          knobs.TraceBatch,
-			MemoizeLive:         knobs.MemoizeLive,
-		}
-		var err error
-		if *replay != "" {
-			err = runReplay(*replay, *verbose)
-		} else {
-			err = runExplore(cfg, *seeds, *scheduleOut, *verbose)
-		}
-		if err != nil {
-			die(err)
-		}
-		return
+	if !*explore && *replay == "" {
+		return run(*kind, *sites, *objects, *docs, *seed, *rounds,
+			*latency, *jitter, *drop, *algo, *parallel, knobs, tcfg,
+			*verbose, *events, *dotPath, *traceOut)
 	}
-
-	if err := run(*kind, *sites, *objects, *docs, *seed, *rounds,
-		*latency, *jitter, *drop, *algo, *parallel, knobs, tcfg,
-		*verbose, *events, *dotPath, *traceOut); err != nil {
-		fmt.Fprintln(os.Stderr, "dgcsim:", err)
-		os.Exit(1)
+	// The simulation is stepped, so it has no session-layer batcher.
+	if err := tcfg.CheckStepped(); err != nil {
+		return err
 	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if *replay != "" {
+		for _, name := range worldFlags {
+			if set[name] {
+				return fmt.Errorf("-replay builds its world from the schedule's config block; -%s is not accepted", name)
+			}
+		}
+		return runReplay(*replay, *verbose)
+	}
+	cfg := sim.Config{
+		Seed:                *seed,
+		Steps:               *simSteps,
+		Sites:               *simSites,
+		Faults:              *faults,
+		SkipTransferBarrier: *skipBarrier,
+		MaxInflightTraces:   knobs.MaxInflightTraces,
+		TraceBatch:          knobs.TraceBatch,
+		MemoizeLive:         knobs.MemoizeLive,
+	}
+	// The threshold flags default to the workload mode's T=3, T2=7; the
+	// simulator keeps its own defaults unless they are set.
+	if set["threshold"] {
+		cfg.Threshold = knobs.SuspicionThreshold
+	}
+	if set["back-threshold"] {
+		cfg.BackThreshold = knobs.BackThreshold
+	}
+	return runExplore(cfg, *seeds, *scheduleOut, *verbose)
 }
 
 // run builds the workload on a cluster whose sites take their thresholds
@@ -146,6 +162,7 @@ func run(kind string, sites, objects, docs int, seed int64, rounds int,
 
 	opts := cluster.Options{
 		NumSites: sites,
+		Codec:    wire.Binary{},
 		Parallel: parallel,
 		Latency:  latency,
 		Jitter:   jitter,
@@ -214,10 +231,8 @@ func run(kind string, sites, objects, docs int, seed int64, rounds int,
 	fmt.Printf("messages:    %d total (BackCall %d, BackReply %d, Report %d, Update %d, dropped %d)\n",
 		get("msg.total"), get("msg.BackCall"), get("msg.BackReply"),
 		get("msg.Report"), get("msg.Update"), get("msg.dropped"))
-	if get("wire.bytes") > 0 {
-		fmt.Printf("wire:        %d frames, %d bytes (%s codec), %d batch flushes\n",
-			get("wire.frames"), get("wire.bytes"), tcfg.Codec, get("wire.flushes"))
-	}
+	fmt.Printf("wire:        %d frames, %d bytes, %d batch flushes\n",
+		get("wire.frames"), get("wire.bytes"), get("wire.flushes"))
 	fmt.Printf("local GC:    %d traces, %d objects scanned, %d collected\n",
 		get("localtrace.runs"), get("localtrace.objects"), get("localtrace.collected"))
 	fmt.Printf("outsets:     %d unions (%d memoized), peak back info %d pairs\n",

@@ -26,11 +26,10 @@ import (
 type Options struct {
 	// NumSites is the number of sites (identifiers 1..NumSites).
 	NumSites int
-	// Stepped selects deterministic manual message delivery (see
-	// transport.Options.Stepped). Defaults to true when Latency, Jitter,
-	// and DropProb are all zero.
-	Stepped bool
-	// Async forces asynchronous delivery even with zero latency.
+	// Async forces asynchronous delivery even with zero latency. Without
+	// it, a cluster with no latency, jitter, loss, duplication or
+	// reordering, no session layer and no mailboxes is stepped:
+	// deterministic manual message delivery (see transport.Options.Stepped).
 	Async bool
 	// Latency, Jitter, DropProb, DupProb, ReorderProb, Seed configure the
 	// network.
@@ -101,17 +100,10 @@ func New(opts Options) *Cluster {
 	if opts.Batch > 0 {
 		opts.Reliable = true // the batcher is part of the session layer
 	}
-	stepped := opts.Stepped
-	if !opts.Async && !opts.Reliable && opts.Latency == 0 && opts.Jitter == 0 &&
-		opts.DropProb == 0 && opts.DupProb == 0 && opts.ReorderProb == 0 {
-		stepped = true
-	}
-	if opts.Reliable {
-		stepped = false // retransmission timers need real delivery
-	}
-	if opts.Parallel || opts.Site.InboxSize > 0 {
-		stepped = false // mailbox dispatchers need real delivery
-	}
+	// Retransmission timers and mailbox dispatchers need real delivery.
+	stepped := !opts.Async && !opts.Reliable && !opts.Parallel && opts.Site.InboxSize <= 0 &&
+		opts.Latency == 0 && opts.Jitter == 0 &&
+		opts.DropProb == 0 && opts.DupProb == 0 && opts.ReorderProb == 0
 	counters := &metrics.Counters{}
 	net := transport.NewNet(transport.Options{
 		Latency:     opts.Latency,

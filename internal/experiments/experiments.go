@@ -14,33 +14,24 @@ import (
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
 	"backtrace/internal/site"
+	"backtrace/internal/wire"
 	"backtrace/internal/workload"
 )
 
-// Transport carries the shared -codec flag (cluster.TransportConfig,
-// registered by cmd/dgcbench like the other commands) into every standard
-// experiment cluster. The default "none" keeps the in-process fast path so
-// `go test -bench` numbers are unaffected; dgcbench overrides it from its
-// flags. Experiment clusters are stepped, which the session-layer batcher
-// is not, so dgcbench rejects -batch. The C17 wire experiment ignores this
-// and pins its own codec and batching, so its gate stays flag-independent.
-var Transport = cluster.TransportConfig{Codec: "none"}
-
-// clusterFor builds the standard experiment cluster.
+// clusterFor builds the standard experiment cluster. Every message
+// round-trips through the binary codec, as on a TCP link; the cluster is
+// stepped, so there is no session-layer batcher.
 func clusterFor(sites int, auto bool) *cluster.Cluster {
-	opts := cluster.Options{
+	return cluster.New(cluster.Options{
 		NumSites: sites,
+		Codec:    wire.Binary{},
 		Site: site.Config{
 			SuspicionThreshold: 3,
 			BackThreshold:      7,
 			ThresholdBump:      4,
 			AutoBackTrace:      auto,
 		},
-	}
-	if codec, err := Transport.ResolveCodec(); err == nil {
-		opts.Codec = codec
-	}
-	return cluster.New(opts)
+	})
 }
 
 // Table is a printable experiment result.

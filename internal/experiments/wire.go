@@ -2,148 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"backtrace/internal/cluster"
-	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
-	"backtrace/internal/msg"
 	"backtrace/internal/site"
 	"backtrace/internal/wire"
 	"backtrace/internal/workload"
 )
 
-// --- C17: binary wire codec + link-level batching ---------------------------
-
-// WireCodecRow is one codec's throughput over a representative protocol
-// message mix: encode+decode round trips per second, bytes per message on
-// the wire, and heap allocations per round trip.
-type WireCodecRow struct {
-	Codec       string
-	MsgsPerSec  float64
-	BytesPerMsg float64
-	AllocsPerOp float64
-}
-
-// wireMix is the protocol traffic the codecs are measured on: one envelope
-// per message kind the collector actually exchanges, with collection-typed
-// fields populated, plus a session-layer batch — roughly the distribution a
-// busy link carries.
-func wireMix() []msg.Envelope {
-	mk := func(m msg.Message) msg.Envelope { return msg.Envelope{From: 3, To: 9, M: m} }
-	return []msg.Envelope{
-		mk(msg.RefTransfer{Payload: ids.MakeRef(3, 77), Pinner: 2}),
-		mk(msg.Insert{Target: ids.MakeRef(4, 1005), Holder: 3, Pinner: 2}),
-		mk(msg.InsertAck{Target: ids.MakeRef(4, 1005)}),
-		mk(msg.ReleasePin{Target: ids.MakeRef(1, 9)}),
-		mk(msg.Update{
-			Removals: []ids.ObjID{5, 9, 1 << 20},
-			Distances: []msg.DistanceUpdate{
-				{Obj: 5, Distance: 0}, {Obj: 1 << 19, Distance: 12}, {Obj: 7, Distance: 3},
-			},
-			Holds: []ids.ObjID{1, 2, 3},
-		}),
-		mk(msg.BackCall{
-			Trace: ids.TraceID{Initiator: 6, Seq: 21},
-			Steps: []msg.BackStep{{Caller: 19, Outref: 42}},
-		}),
-		mk(msg.BackReply{
-			Trace: ids.TraceID{Initiator: 6, Seq: 7},
-			Results: []msg.BackResult{
-				{Caller: 19, Result: msg.VerdictLive, Participants: []ids.SiteID{1, 5, 9}},
-			},
-		}),
-		mk(msg.Report{Trace: ids.TraceID{Initiator: 1, Seq: 2}, Outcome: msg.VerdictGarbage}),
-		mk(msg.LinkBatch{
-			Epoch: 2, Base: 41, AckEpoch: 5, AckCum: 1044, AckInc: 1,
-			Items: []msg.Message{
-				msg.Update{Holds: []ids.ObjID{1, 4}},
-				msg.Insert{Target: ids.MakeRef(2, 8), Holder: 1, Pinner: 1},
-				msg.InsertAck{Target: ids.MakeRef(2, 9)},
-				msg.Report{Trace: ids.TraceID{Initiator: 3, Seq: 4}, Outcome: msg.VerdictLive},
-			},
-		}),
-	}
-}
-
-// WireCodecBench measures every registered codec over the wireMix: iters
-// full passes of encode+decode per codec. Alloc counts come from the
-// runtime's Mallocs counter, so the measurement loop must not be concurrent
-// with other work (dgcbench runs it alone). Binary is the only codec since
-// the gob fallback's removal; historical gob numbers are in EXPERIMENTS.md C17.
-func WireCodecBench(iters int) ([]WireCodecRow, error) {
-	if iters <= 0 {
-		iters = 2000
-	}
-	mix := wireMix()
-	codecs := []wire.Codec{wire.Binary{}}
-	rows := make([]WireCodecRow, 0, len(codecs))
-	for _, c := range codecs {
-		roundTrip := func() (int64, error) {
-			var bytes int64
-			for i := range mix {
-				buf := wire.GetBuffer()
-				frame, err := c.Encode(&mix[i], buf)
-				if err != nil {
-					wire.PutBuffer(buf)
-					return 0, fmt.Errorf("wire bench: %s encode: %w", c.Name(), err)
-				}
-				bytes += int64(len(frame))
-				if _, err := c.Decode(frame); err != nil {
-					wire.PutBuffer(frame)
-					return 0, fmt.Errorf("wire bench: %s decode: %w", c.Name(), err)
-				}
-				wire.PutBuffer(frame)
-			}
-			return bytes, nil
-		}
-		// Warm up the buffer pools before measuring.
-		if _, err := roundTrip(); err != nil {
-			return nil, err
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		var bytes int64
-		for i := 0; i < iters; i++ {
-			n, err := roundTrip()
-			if err != nil {
-				return nil, err
-			}
-			bytes = n // per-pass wire volume is identical every pass
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		ops := float64(iters * len(mix))
-		rows = append(rows, WireCodecRow{
-			Codec:       c.Name(),
-			MsgsPerSec:  ops / elapsed.Seconds(),
-			BytesPerMsg: float64(bytes) / float64(len(mix)),
-			AllocsPerOp: float64(after.Mallocs-before.Mallocs) / ops,
-		})
-	}
-	return rows, nil
-}
-
-// WireCodecTable renders the codec throughput rows.
-func WireCodecTable(rows []WireCodecRow) *Table {
-	t := &Table{
-		Title:  "C17a: wire codec throughput (encode+decode round trip, protocol mix)",
-		Header: []string{"codec", "msgs/sec", "bytes/msg", "allocs/op"},
-		Caption: "representative protocol message mix; binary is the only framing " +
-			"(the gob fallback was removed, format byte 0x00 stays reserved)",
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Codec,
-			fmt.Sprintf("%.0f", r.MsgsPerSec),
-			fmt.Sprintf("%.1f", r.BytesPerMsg),
-			fmt.Sprintf("%.2f", r.AllocsPerOp),
-		})
-	}
-	return t
-}
+// --- C17: link-level batching over the binary codec -------------------------
 
 // WireBatchRow is one batching setting's count bundle: the logical
 // back-trace message count for a controlled single trace against the
@@ -294,45 +161,17 @@ func WireBatchTable(rows []WireBatchRow) *Table {
 	return t
 }
 
-// Byte ceilings of the C17 gate, tight enough that a message carrying a
-// fact twice fails it: the protocol mix measures 12.3 bytes/msg, and the
-// ceiling allows about 10% over that; the unbatched two-ring collection is
-// deterministic and sends exactly this many bytes.
-const (
-	maxMixBytesPerMsg = 13.5
-	maxUnbatchedBytes = 426
-)
+// maxUnbatchedBytes is the C17 byte ceiling, tight enough that a message
+// carrying a fact twice fails it: the unbatched two-ring collection is
+// deterministic and sends exactly this many bytes. The codec's own budget
+// on a synthetic mix is a wire package test.
+const maxUnbatchedBytes = 426
 
-// CheckWire enforces the CI gate for C17. With the gob fallback removed the
-// codec gates are absolute rather than relative:
-//
-//   - the binary codec's frames must stay compact (the mix's gob frames ran
-//     past 100 bytes/msg) and its round trip must stay allocation-light;
-//   - batching must leave the logical back-trace cost at exactly 2E+P−1 and
-//     strictly reduce physical frames below the logical count, while the
-//     unbatched run's frames match its logical count one-to-one and its
-//     bytes stay within their ceiling.
-func CheckWire(codecRows []WireCodecRow, batchRows []WireBatchRow) error {
-	var binary *WireCodecRow
-	for i := range codecRows {
-		if codecRows[i].Codec == "binary" {
-			binary = &codecRows[i]
-		}
-	}
-	if binary == nil {
-		return fmt.Errorf("check: wire codec rows missing binary")
-	}
-	if binary.MsgsPerSec <= 0 {
-		return fmt.Errorf("check: binary codec measured no throughput")
-	}
-	if binary.BytesPerMsg > maxMixBytesPerMsg {
-		return fmt.Errorf("check: binary frames bloated to %.1f bytes/msg (want <= %.1f on the protocol mix)",
-			binary.BytesPerMsg, maxMixBytesPerMsg)
-	}
-	if binary.AllocsPerOp > 16 {
-		return fmt.Errorf("check: binary codec round trip allocates %.2f/op (want <= 16)",
-			binary.AllocsPerOp)
-	}
+// CheckWire enforces the CI gate for C17: batching must leave the logical
+// back-trace cost at exactly 2E+P−1 and strictly reduce physical frames
+// below the logical count, while the unbatched run's frames match its
+// logical count one-to-one and its bytes stay within their ceiling.
+func CheckWire(batchRows []WireBatchRow) error {
 	if len(batchRows) == 0 {
 		return fmt.Errorf("check: no wire batch rows")
 	}

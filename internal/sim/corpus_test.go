@@ -116,15 +116,15 @@ func TestScheduleRoundTrip(t *testing.T) {
 }
 
 // TestReadScheduleRejectsUnknownKeys: a schedule whose config carries a key
-// this build does not know (here the retired "batch", "trace_workers" and
-// "shards")
-// is rejected, naming the key, rather than replayed as a different world
-// than the file claims.
+// this build does not know (here the retired "batch", "trace_workers",
+// "shards" and "codec") is rejected, naming the key, rather than replayed as
+// a different world than the file claims.
 func TestReadScheduleRejectsUnknownKeys(t *testing.T) {
 	for _, tc := range []struct{ key, entry string }{
 		{`"batch"`, `"batch": true`},
 		{`"trace_workers"`, `"trace_workers": 4`},
 		{`"shards"`, `"shards": 4`},
+		{`"codec"`, `"codec": "binary"`},
 	} {
 		path := filepath.Join(t.TempDir(), "sched.json")
 		data := `{"version": 1, "config": {"seed": 1, ` + tc.entry + `}, "events": []}`

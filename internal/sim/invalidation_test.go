@@ -16,7 +16,7 @@ const invalidationCorpusFile = "testdata/schedules/invalidation-during-back-trac
 // unlink or variable drop applied while a back trace held active frames
 // somewhere. The returned Result carries the final counters.
 func driveWitness(cfg Config, events []Event) (overlap bool, res *Result) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	w := newWorld(cfg)
 	defer w.close()
 	r := newRunner(w)

@@ -106,7 +106,7 @@ func newRunner(w *world) *runner {
 // safety oracle. The applied events are recorded, so the returned Result
 // doubles as a schedule replayable without the RNG.
 func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	plan, err := ParseFaults(cfg.Faults)
 	if err != nil {
 		return nil, err
@@ -151,7 +151,7 @@ func Run(cfg Config) (*Result, error) {
 // preconditions no longer hold (possible only for shrunk subsequences) are
 // skipped, keeping the remainder legal.
 func Replay(cfg Config, events []Event) *Result {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	w := newWorld(cfg)
 	defer w.close()
 	r := newRunner(w)

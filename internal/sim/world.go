@@ -15,7 +15,7 @@ import (
 )
 
 // Config parameterizes one simulated world. The zero value is usable;
-// withDefaults fills it in. The world build is a pure function of Config —
+// WithDefaults fills it in. The world build is a pure function of Config —
 // the seed drives only the scheduler's choices — so a schedule file's config
 // block reconstructs the exact same initial state on replay.
 type Config struct {
@@ -40,12 +40,6 @@ type Config struct {
 	// SkipTransferBarrier disables the Section 6.1.1 transfer barrier in
 	// every site — the injected regression the model checker must catch.
 	SkipTransferBarrier bool `json:"skip_transfer_barrier,omitempty"`
-	// Codec names a wire codec ("binary") that every message
-	// round-trips through at the network boundary, so the model checker
-	// exercises the serialization path under its schedules and oracles.
-	// The round trip is a pure function of the message, preserving
-	// determinism. Empty disables it (in-memory handoff, the fast path).
-	Codec string `json:"codec,omitempty"`
 	// Faults is the fault-schedule DSL (see faults.go). Its timed clauses
 	// drive generation only; its planted-bug clauses also shape the world a
 	// replay builds.
@@ -63,7 +57,10 @@ type Config struct {
 	MemoizeLive bool `json:"memoize_live,omitempty"`
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the config a run actually uses: every unset field
+// takes its default (3 sites, 600 steps, T=2, T2=T+2, a chain long enough
+// to be suspected, 2 rings).
+func (c Config) WithDefaults() Config {
 	if c.Sites < 2 {
 		c.Sites = 3
 	}
@@ -99,20 +96,6 @@ func (c Config) faults() site.Faults {
 		f |= site.FaultSkipTransferCheck
 	}
 	return f
-}
-
-// codec resolves the configured codec name. An unknown name is a harness
-// misconfiguration (the CLI validates its flag), so it panics rather than
-// silently running a different world than the config block claims.
-func (c Config) codec() wire.Codec {
-	if c.Codec == "" {
-		return nil
-	}
-	codec, err := wire.ByName(c.Codec)
-	if err != nil {
-		panic(fmt.Sprintf("sim: config: %v", err))
-	}
-	return codec
 }
 
 // quantum is how far virtual time advances per scheduler event.
@@ -197,7 +180,7 @@ func (r *recorder) OnSpan(sp obs.Span)  { r.spans = append(r.spans, sp) }
 //   - Config.Rings garbage cycles spanning every site (the planted cycles
 //     the completeness oracle tracks).
 func newWorld(cfg Config) *world {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	w := &world{
 		cfg:         cfg,
 		clk:         clock.NewVirtual(time.Time{}),
@@ -210,10 +193,13 @@ func newWorld(cfg Config) *world {
 		crashLost:   make(map[ids.Ref]struct{}),
 		partitioned: make(map[[2]ids.SiteID]bool),
 	}
+	// With no latency, loss or mailboxes the cluster is stepped: the
+	// scheduler alone decides which message is delivered next. Every
+	// message round-trips through the binary codec, a pure function of the
+	// message, so the model checker exercises the bytes a TCP link carries.
 	w.cluster = cluster.New(cluster.Options{
 		NumSites: cfg.Sites,
-		Stepped:  true,
-		Codec:    cfg.codec(),
+		Codec:    wire.Binary{},
 		Site: site.Config{
 			Clock:              w.clk,
 			SuspicionThreshold: cfg.Threshold,

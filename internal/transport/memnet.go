@@ -237,7 +237,7 @@ func (n *Net) roundTrip(c wire.Codec, env *msg.Envelope) (msg.Envelope, error) {
 	if n.opts.Counters != nil {
 		n.opts.Counters.Add(metrics.WireBytes, int64(len(frame)))
 	}
-	dec, err := wire.DecodeAny(frame)
+	dec, err := c.Decode(frame)
 	wire.PutBuffer(frame)
 	return dec, err
 }

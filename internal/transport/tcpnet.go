@@ -35,9 +35,8 @@ const (
 //
 // On the wire each envelope is one length-prefixed frame: a 4-byte
 // big-endian length followed by that many bytes of wire.Codec output. The
-// receive path decodes with wire.DecodeAny, dispatching on the frame's
-// leading version byte, so a future codec revision can interoperate with
-// current peers without negotiation.
+// receive path decodes with the same codec, which rejects a frame whose
+// leading version byte it does not speak.
 //
 // Each peer gets a dedicated sender goroutine draining a bounded pending
 // queue, so Send never blocks on the network. The sender dials lazily,
@@ -73,8 +72,8 @@ var _ Network = (*TCPNode)(nil)
 type TCPOptions struct {
 	// Observer, if non-nil, is called for every send attempt.
 	Observer Observer
-	// Codec frames outgoing envelopes. Nil selects wire.Binary. The
-	// receive path always accepts every known codec via wire.DecodeAny.
+	// Codec frames outgoing envelopes and decodes incoming ones. Nil
+	// selects wire.Binary.
 	Codec wire.Codec
 	// Counters, if non-nil, receives metrics.TransportSendFail and
 	// wire.bytes.
@@ -198,7 +197,7 @@ func (t *TCPNode) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return
 		}
-		env, err := wire.DecodeAny(payload)
+		env, err := t.codec.Decode(payload)
 		if err != nil {
 			// A frame that parses as a length but not as a message means
 			// the stream is damaged; resynchronizing is hopeless, so drop

@@ -7,8 +7,7 @@ import (
 )
 
 // benchMix is the protocol mix the benchmarks push through each codec: one
-// envelope per message type (see exemplars), which is also what the C17a
-// experiment measures.
+// envelope per message type (see exemplars).
 func benchMix() []msg.Envelope {
 	ms := exemplars()
 	envs := make([]msg.Envelope, len(ms))

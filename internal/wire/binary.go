@@ -93,6 +93,9 @@ func (Binary) Decode(data []byte) (msg.Envelope, error) {
 		if r.err != nil {
 			return msg.Envelope{}, r.err
 		}
+		if v == VersionGob {
+			return msg.Envelope{}, fmt.Errorf("wire: frame version 0x00 (gob) is no longer supported; the sender must upgrade to the binary codec")
+		}
 		return msg.Envelope{}, fmt.Errorf("wire: binary codec: frame version 0x%02x, want 0x%02x", v, VersionBinary)
 	}
 	var env msg.Envelope

@@ -46,17 +46,12 @@ func FuzzRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(got, env) {
 			t.Fatalf("round trip (%s):\n got %#v\nwant %#v", msg.Name(env.M), got, env)
 		}
-		// Version dispatch must agree with the direct decode.
-		any, err := DecodeAny(frame)
-		if err != nil || !reflect.DeepEqual(any, env) {
-			t.Fatalf("DecodeAny = (%#v, %v), want (%#v, nil)", any, err, env)
-		}
 	})
 }
 
-// FuzzDecodeAny feeds arbitrary bytes to the frame decoder: it must reject
-// or accept, never panic, over-allocate, or loop — a transport decodes
-// peer-controlled input.
+// FuzzDecodeAny feeds arbitrary bytes, whatever their version byte, to
+// Binary.Decode: it must reject or accept, never panic, over-allocate, or
+// loop — a transport decodes peer-controlled input.
 func FuzzDecodeAny(f *testing.F) {
 	env := msg.Envelope{From: 1, To: 2, M: exemplarUpdate()}
 	bin, _ := (Binary{}).Encode(&env, nil)
@@ -72,9 +67,9 @@ func FuzzDecodeAny(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := DecodeAny(data)
+		env, err := (Binary{}).Decode(data)
 		if err == nil && env.M == nil {
-			t.Fatalf("DecodeAny accepted a frame with no message: % x", data)
+			t.Fatalf("Decode accepted a frame with no message: % x", data)
 		}
 	})
 }

@@ -9,14 +9,12 @@
 // reserved so a gob frame from an old peer is rejected with a clear error
 // rather than misparsed.
 //
-// Every encoded frame begins with a one-byte format version, so a receiver
-// can decode a mixed stream without out-of-band negotiation: DecodeAny
-// dispatches on that byte. Unknown versions are an error, never a guess —
-// a future format bump is detected, not misparsed.
+// Every encoded frame begins with a one-byte format version, which
+// Binary.Decode checks before anything else. Unknown versions are an error,
+// never a guess — a future format bump is detected, not misparsed.
 package wire
 
 import (
-	"fmt"
 	"sync"
 
 	"backtrace/internal/msg"
@@ -41,7 +39,7 @@ const (
 // encoding performs no allocations. Decode must not retain data: envelopes
 // returned from Decode own their memory.
 type Codec interface {
-	// Name identifies the codec for flags, metrics, and logs.
+	// Name identifies the codec in metrics and logs.
 	Name() string
 	// Encode appends env's frame to buf and returns the result.
 	Encode(env *msg.Envelope, buf []byte) ([]byte, error)
@@ -49,38 +47,8 @@ type Codec interface {
 	Decode(data []byte) (msg.Envelope, error)
 }
 
-// Binary is the default codec: the versioned binary layout of this package.
+// Binary is the codec: the versioned binary layout of this package.
 type Binary struct{}
-
-// ByName returns the codec registered under name: "binary" (the empty
-// string selects the default, binary).
-func ByName(name string) (Codec, error) {
-	switch name {
-	case "", "binary":
-		return Binary{}, nil
-	case "gob":
-		return nil, fmt.Errorf("wire: the gob codec was removed; use binary")
-	default:
-		return nil, fmt.Errorf("wire: unknown codec %q (want binary)", name)
-	}
-}
-
-// DecodeAny decodes a frame produced by any known codec, dispatching on the
-// leading version byte. Transports use it on the receive path so peers
-// running different codecs interoperate during a migration.
-func DecodeAny(data []byte) (msg.Envelope, error) {
-	if len(data) == 0 {
-		return msg.Envelope{}, fmt.Errorf("wire: empty frame")
-	}
-	switch data[0] {
-	case VersionGob:
-		return msg.Envelope{}, fmt.Errorf("wire: frame version 0x00 (gob) is no longer supported; the sender must upgrade to the binary codec")
-	case VersionBinary:
-		return Binary{}.Decode(data)
-	default:
-		return msg.Envelope{}, fmt.Errorf("wire: unknown frame version 0x%02x", data[0])
-	}
-}
 
 // bufPool recycles encode buffers so the steady-state encode path does not
 // allocate. Buffers grow to the largest frame they have carried and are

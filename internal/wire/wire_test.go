@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"backtrace/internal/ids"
@@ -128,41 +129,29 @@ func TestRoundTripEveryType(t *testing.T) {
 	}
 }
 
-// TestDecodeAnyDispatch checks version dispatch: binary frames decode
-// through DecodeAny, the reserved gob byte (0x00) is rejected with a clear
-// error, and unknown versions fail.
-func TestDecodeAnyDispatch(t *testing.T) {
-	for _, c := range codecs(t) {
-		env := msg.Envelope{From: 1, To: 2, M: msg.LinkAck{Epoch: 1, Cum: 5, Inc: 1}}
-		frame, err := c.Encode(&env, GetBuffer())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeAny(frame)
-		if err != nil {
-			t.Fatalf("DecodeAny(%s frame): %v", c.Name(), err)
-		}
-		if !reflect.DeepEqual(got, env) {
-			t.Errorf("DecodeAny(%s frame) = %#v, want %#v", c.Name(), got, env)
-		}
-		PutBuffer(frame)
+// TestDecodeChecksVersionByte checks the version byte Binary.Decode reads first:
+// a binary frame decodes, the reserved gob byte (0x00) is rejected with an
+// error naming the removed format, and an unknown version fails.
+func TestDecodeChecksVersionByte(t *testing.T) {
+	bin := Binary{}
+	env := msg.Envelope{From: 1, To: 2, M: msg.LinkAck{Epoch: 1, Cum: 5, Inc: 1}}
+	frame, err := bin.Encode(&env, GetBuffer())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodeAny([]byte{VersionGob, 1, 2, 3}); err == nil {
-		t.Error("DecodeAny accepted a frame with the reserved gob version byte")
+	got, err := bin.Decode(frame)
+	if err != nil {
+		t.Fatalf("Decode(binary frame): %v", err)
 	}
-	if _, err := DecodeAny([]byte{0x42}); err == nil {
-		t.Error("DecodeAny accepted an unknown frame version")
+	if !reflect.DeepEqual(got, env) {
+		t.Errorf("Decode(binary frame) = %#v, want %#v", got, env)
 	}
-}
-
-// TestByNameRejectsGob pins the removal: requesting the retired codec by
-// name is a configuration error, not a silent fallback.
-func TestByNameRejectsGob(t *testing.T) {
-	if _, err := ByName("gob"); err == nil {
-		t.Fatal("ByName(\"gob\") succeeded after the codec's removal")
+	PutBuffer(frame)
+	if _, err := bin.Decode([]byte{VersionGob, 1, 2, 3}); err == nil || !strings.Contains(err.Error(), "gob") {
+		t.Errorf("Decode(gob frame) = %v, want an error naming the removed gob format", err)
 	}
-	if c, err := ByName(""); err != nil || c.Name() != "binary" {
-		t.Fatalf("ByName(\"\") = %v, %v; want the binary default", c, err)
+	if _, err := bin.Decode([]byte{0x42}); err == nil {
+		t.Error("Decode accepted an unknown frame version")
 	}
 }
 
@@ -218,9 +207,6 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	for name, data := range cases {
 		if _, err := (Binary{}).Decode(data); err == nil {
 			t.Errorf("%s: Decode accepted corrupt frame % x", name, data)
-		}
-		if _, err := DecodeAny(data); err == nil && len(data) > 0 && data[0] == VersionBinary {
-			t.Errorf("%s: DecodeAny accepted corrupt frame", name)
 		}
 	}
 }
