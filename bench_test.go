@@ -1,10 +1,10 @@
-// Benchmarks regenerating the paper-reproduction experiment series (see
-// DESIGN.md §3 and EXPERIMENTS.md). Each benchmark is the testing.B entry
-// point for one experiment; cmd/dgcbench prints the corresponding tables.
+// Wall-clock benchmarks of the local trace and of the site drivers, which
+// EXPERIMENTS.md C12 and C16 quote. The experiment tables themselves print
+// from the internal/experiments tests (go test ./internal/experiments -v).
 //
 // Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 package backtrace_test
 
 import (
@@ -16,186 +16,14 @@ import (
 	"time"
 
 	"backtrace"
-	"backtrace/internal/baseline"
 	"backtrace/internal/cluster"
-	"backtrace/internal/experiments"
 	"backtrace/internal/heap"
 	"backtrace/internal/ids"
-	"backtrace/internal/msg"
 	"backtrace/internal/refs"
 	"backtrace/internal/site"
 	"backtrace/internal/tracer"
 	"backtrace/internal/transport"
-	"backtrace/internal/workload"
 )
-
-// benchCluster builds the standard experiment cluster.
-func benchCluster(sites int, auto bool) *cluster.Cluster {
-	return cluster.New(cluster.Options{
-		NumSites: sites,
-		Site: site.Config{
-			SuspicionThreshold: 3,
-			BackThreshold:      7,
-			ThresholdBump:      4,
-			AutoBackTrace:      auto,
-		},
-	})
-}
-
-// BenchmarkBackTraceMessages (experiment C1) measures one complete back
-// trace over an n-site garbage ring: latency per trace and messages per
-// trace (paper: 2E+P small messages).
-func BenchmarkBackTraceMessages(b *testing.B) {
-	for _, n := range []int{2, 4, 8, 16, 32} {
-		b.Run(fmt.Sprintf("ring-%d", n), func(b *testing.B) {
-			var msgs int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				c := benchCluster(n, false)
-				c.BuildRing()
-				c.RunRounds(10) // suspect everything
-				before := c.Metrics().Get("msg.total")
-				var target backtrace.Ref
-				for _, o := range c.Site(1).Outrefs() {
-					if !o.Clean {
-						target = o.Target
-						break
-					}
-				}
-				b.StartTimer()
-
-				if _, ok := c.Site(1).StartBackTrace(target); !ok {
-					b.Fatal("trace did not start")
-				}
-				c.Settle()
-
-				b.StopTimer()
-				msgs += c.Metrics().Get("msg.total") - before
-				c.Close()
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/trace")
-			b.ReportMetric(float64(2*n+n-1), "paper-2E+P-1")
-		})
-	}
-}
-
-// BenchmarkCycleCollection (experiments F1/C2 end to end) measures the
-// full pipeline on an n-site garbage ring: distance growth, threshold
-// crossing, back trace, report phase, and reclamation.
-func BenchmarkCycleCollection(b *testing.B) {
-	for _, n := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("ring-%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				c := benchCluster(n, true)
-				c.BuildRing()
-				b.StartTimer()
-
-				if _, collected := c.CollectUntilStable(40); collected != n {
-					b.Fatalf("collected %d, want %d", collected, n)
-				}
-
-				b.StopTimer()
-				c.Close()
-				b.StartTimer()
-			}
-		})
-	}
-}
-
-// BenchmarkOutsets (experiment C3) compares the Section 5.1 and 5.2 inset
-// computations on the shapes the paper discusses.
-func BenchmarkOutsets(b *testing.B) {
-	shapes := []struct {
-		name  string
-		build func() (*heap.Heap, *refs.Table)
-	}{
-		{"fan", func() (*heap.Heap, *refs.Table) { return buildFan(50, 500) }},
-		{"chain", func() (*heap.Heap, *refs.Table) { return buildSuspectChain(500) }},
-		{"scc", func() (*heap.Heap, *refs.Table) { return buildSuspectSCC(500) }},
-	}
-	for _, sh := range shapes {
-		for _, algo := range []tracer.OutsetAlgorithm{tracer.AlgoIndependent, tracer.AlgoBottomUp} {
-			b.Run(fmt.Sprintf("%s/%s", sh.name, algo), func(b *testing.B) {
-				h, tbl := sh.build()
-				b.ResetTimer()
-				var visits int64
-				for i := 0; i < b.N; i++ {
-					res := new(tracer.Tracer).Run(h, tbl, 3, algo)
-					visits += res.Stats.OutsetVisits
-				}
-				b.ReportMetric(float64(visits)/float64(b.N), "objvisits/op")
-			})
-		}
-	}
-}
-
-func buildFan(k, tail int) (*heap.Heap, *refs.Table) {
-	h := heap.New(1)
-	tbl := refs.NewTable(1, 1<<20)
-	join := h.Alloc()
-	for i := 0; i < k; i++ {
-		head := h.Alloc()
-		tbl.AddSource(head.Obj, 2)
-		tbl.SetSourceDistance(head.Obj, 2, 100)
-		if err := h.AddField(head.Obj, join); err != nil {
-			panic(err)
-		}
-	}
-	prev := join
-	for i := 0; i < tail; i++ {
-		next := h.Alloc()
-		if err := h.AddField(prev.Obj, next); err != nil {
-			panic(err)
-		}
-		prev = next
-	}
-	addSuspectOutref(h, tbl, prev)
-	return h, tbl
-}
-
-func buildSuspectChain(n int) (*heap.Heap, *refs.Table) {
-	h := heap.New(1)
-	tbl := refs.NewTable(1, 1<<20)
-	var prev backtrace.Ref
-	for i := 0; i < n; i++ {
-		cur := h.Alloc()
-		tbl.AddSource(cur.Obj, 2)
-		tbl.SetSourceDistance(cur.Obj, 2, 100)
-		if i > 0 {
-			if err := h.AddField(prev.Obj, cur); err != nil {
-				panic(err)
-			}
-		}
-		prev = cur
-	}
-	addSuspectOutref(h, tbl, prev)
-	return h, tbl
-}
-
-func buildSuspectSCC(n int) (*heap.Heap, *refs.Table) {
-	h := heap.New(1)
-	tbl := refs.NewTable(1, 1<<20)
-	nodes := make([]backtrace.Ref, n)
-	for i := range nodes {
-		nodes[i] = h.Alloc()
-		tbl.AddSource(nodes[i].Obj, 2)
-		tbl.SetSourceDistance(nodes[i].Obj, 2, 100)
-	}
-	for i := range nodes {
-		if err := h.AddField(nodes[i].Obj, nodes[(i+1)%n]); err != nil {
-			panic(err)
-		}
-		if i%7 == 0 {
-			if err := h.AddField(nodes[i].Obj, nodes[(i+n/2)%n]); err != nil {
-				panic(err)
-			}
-		}
-	}
-	addSuspectOutref(h, tbl, nodes[n-1])
-	return h, tbl
-}
 
 func addSuspectOutref(h *heap.Heap, tbl *refs.Table, from backtrace.Ref) {
 	out := backtrace.MakeRef(2, 1)
@@ -245,118 +73,6 @@ func BenchmarkLocalTrace(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(n), "objects")
-		})
-	}
-}
-
-// BenchmarkCollectors (experiment C8) times each collector reclaiming the
-// same n-site garbage cycle.
-func BenchmarkCollectors(b *testing.B) {
-	const n = 4
-	b.Run("back-tracing", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			c := benchCluster(n, true)
-			c.BuildRing()
-			b.StartTimer()
-			c.CollectUntilStable(40)
-			b.StopTimer()
-			c.Close()
-			b.StartTimer()
-		}
-	})
-	mk := map[string]func(w *baseline.World) baseline.Collector{
-		"migration":   func(w *baseline.World) baseline.Collector { return baseline.NewMigration(w, 3) },
-		"hughes":      func(w *baseline.World) baseline.Collector { return baseline.NewHughes(w) },
-		"group-trace": func(w *baseline.World) baseline.Collector { return baseline.NewGroupTrace(w, 3) },
-	}
-	for _, name := range []string{"migration", "hughes", "group-trace"} {
-		build := mk[name]
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				w, _, err := baseline.FromSpec(workload.Ring(n))
-				if err != nil {
-					b.Fatal(err)
-				}
-				col := build(w)
-				b.StartTimer()
-				baseline.Run(w, col, 60)
-			}
-		})
-	}
-}
-
-// BenchmarkHypertext (intro workload) measures the end-to-end collection
-// of orphaned hypertext documents.
-func BenchmarkHypertext(b *testing.B) {
-	for _, docs := range []int{6, 12, 24} {
-		b.Run(fmt.Sprintf("docs-%d", docs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				row, err := experiments.Hypertext(docs, 6, 42)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if row.Garbage != row.Collected {
-					b.Fatalf("collected %d of %d", row.Collected, row.Garbage)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkOutsetAlgorithmEndToEnd runs the full hypertext collection with
-// each §5 algorithm, measuring the end-to-end difference the inset
-// computation makes.
-func BenchmarkOutsetAlgorithmEndToEnd(b *testing.B) {
-	for _, algo := range []tracer.OutsetAlgorithm{tracer.AlgoIndependent, tracer.AlgoBottomUp} {
-		b.Run(algo.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				c := cluster.New(cluster.Options{
-					NumSites: 6,
-					Site: site.Config{
-						SuspicionThreshold: 4,
-						BackThreshold:      10,
-						ThresholdBump:      4,
-						AutoBackTrace:      true,
-						OutsetAlgorithm:    algo,
-					},
-				})
-				if _, err := workload.Build(c, workload.HypertextWeb(workload.HypertextConfig{
-					Sites: 6, Docs: 12, PagesPerDoc: 6, CrossLinks: 12, LiveFrac: 0.5, Seed: 42,
-				})); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				c.CollectUntilStable(60)
-				b.StopTimer()
-				c.Close()
-				b.StartTimer()
-			}
-		})
-	}
-}
-
-// BenchmarkDistancePropagation (experiment C2) measures one collection
-// round on rings of growing size — the cost of the distance heuristic's
-// propagation machinery.
-func BenchmarkDistancePropagation(b *testing.B) {
-	for _, n := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("sites-%d", n), func(b *testing.B) {
-			c := cluster.New(cluster.Options{
-				NumSites: n,
-				Site: site.Config{
-					SuspicionThreshold: 3,
-					BackThreshold:      1 << 20,
-				},
-			})
-			defer c.Close()
-			c.BuildRing()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.RunRound()
-			}
 		})
 	}
 }
@@ -685,47 +401,4 @@ func BenchmarkSnapshotTrace(b *testing.B) {
 	b.ReportMetric(float64(snapshot)/1e6/float64(b.N), "snapshot-ms/op")
 	b.ReportMetric(float64(mark)/1e6/float64(b.N), "mark-ms/op")
 	b.ReportMetric(float64(outsets)/1e6/float64(b.N), "outsets-ms/op")
-}
-
-// BenchmarkReliableLinkOverhead measures what the
-// ack/retransmit session layer costs on a loss-free in-memory link: the
-// same message stream sent bare over the memnet versus wrapped in
-// transport.Reliable (sequence numbering, windowing, acks, dedup state).
-func BenchmarkReliableLinkOverhead(b *testing.B) {
-	payload := func(i int) msg.Message {
-		return msg.Report{Trace: ids.TraceID{Initiator: 1, Seq: uint64(i)}}
-	}
-	sink := transport.HandlerFunc(func(ids.SiteID, msg.Message) {})
-
-	b.Run("bare", func(b *testing.B) {
-		inner := transport.NewNet(transport.Options{})
-		defer inner.Close()
-		inner.Register(1, sink) // acks/replies need a registered sender site
-		inner.Register(2, sink)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			inner.Send(1, 2, payload(i))
-		}
-		if err := inner.Quiesce(60 * time.Second); err != nil {
-			b.Fatal(err)
-		}
-	})
-
-	b.Run("reliable", func(b *testing.B) {
-		inner := transport.NewNet(transport.Options{})
-		rel := transport.NewReliable(inner, transport.ReliableOptions{})
-		defer rel.Close()
-		rel.Register(1, sink) // the session's acks route back to site 1
-		rel.Register(2, sink)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rel.Send(1, 2, payload(i))
-		}
-		if err := rel.AwaitIdle(60 * time.Second); err != nil {
-			b.Fatal(err)
-		}
-		if err := inner.Quiesce(60 * time.Second); err != nil {
-			b.Fatal(err)
-		}
-	})
 }

@@ -72,3 +72,18 @@ func TestReplayRejectsWorldFlags(t *testing.T) {
 		t.Errorf("plain replay = %v:\n%s", err, out)
 	}
 }
+
+// TestExploreRejectsTransportFlags checks that the stepped world refuses
+// any batching value, a negative one included, rather than ignoring it.
+func TestExploreRejectsTransportFlags(t *testing.T) {
+	for _, flagArgs := range [][]string{
+		{"-batch", "4"},
+		{"-batch", "-3"},
+		{"-flush-interval", "-1ms"},
+	} {
+		args := append([]string{"-explore", "-seeds", "1"}, flagArgs...)
+		if _, err := capture(t, args...); err == nil {
+			t.Errorf("dgcsim %v accepted", args)
+		}
+	}
+}

@@ -6,16 +6,16 @@ import (
 	"time"
 )
 
-// TransportConfig is the transport knob set every command-line tool
-// (cmd/dgcnode, cmd/dgcsim, cmd/dgcbench) exposes with the same flag names
-// and defaults, so a batching setting reads identically across the
-// harness. Register the flags with RegisterFlags, then apply them with
-// Apply. Which codec frames the messages is not a knob: every tool builds
-// its network with wire.Binary.
+// TransportConfig is the transport knob set both command-line tools
+// (cmd/dgcnode, cmd/dgcsim) expose with the same flag names and defaults,
+// so a batching setting reads identically in each. Register the flags with
+// RegisterFlags, then check them with Validate (Apply, which writes them
+// into cluster options, checks them too). Which codec frames the messages
+// is not a knob: every tool builds its network with wire.Binary.
 type TransportConfig struct {
 	// Batch is the session layer's link batch size (transport.Reliable's
 	// LinkBatch); 0 disables batching. Stepped worlds (dgcsim -explore and
-	// -replay, dgcbench) reject it: see CheckStepped.
+	// -replay) reject it: see CheckStepped.
 	Batch int
 	// FlushInterval is the batcher flush cadence; 0 takes the default
 	// (1ms).
@@ -33,17 +33,18 @@ func (tc *TransportConfig) RegisterFlags(fs *flag.FlagSet) {
 }
 
 // CheckStepped rejects the batching flags for a stepped world (the model
-// checker, the experiment tables), which has no session layer to batch in.
+// checker), which has no session layer to batch in.
 func (tc TransportConfig) CheckStepped() error {
-	if tc.Batch > 0 || tc.FlushInterval > 0 {
+	if tc.Batch != 0 || tc.FlushInterval != 0 {
 		return fmt.Errorf("stepped worlds do not model the session-layer batcher yet, so -batch and " +
 			"-flush-interval are not accepted (ROADMAP.md: put the deployed stack under the model checker)")
 	}
 	return nil
 }
 
-// Apply validates the config and writes it into cluster options.
-func (tc TransportConfig) Apply(opts *Options) error {
+// Validate rejects a negative batch size or flush interval, and a flush
+// interval without batching.
+func (tc TransportConfig) Validate() error {
 	if tc.Batch < 0 {
 		return fmt.Errorf("transport config: -batch must be >= 0, got %d", tc.Batch)
 	}
@@ -52,6 +53,14 @@ func (tc TransportConfig) Apply(opts *Options) error {
 	}
 	if tc.FlushInterval > 0 && tc.Batch == 0 {
 		return fmt.Errorf("transport config: -flush-interval needs -batch > 0")
+	}
+	return nil
+}
+
+// Apply validates the config and writes it into cluster options.
+func (tc TransportConfig) Apply(opts *Options) error {
+	if err := tc.Validate(); err != nil {
+		return err
 	}
 	opts.Batch = tc.Batch
 	opts.FlushInterval = tc.FlushInterval

@@ -12,17 +12,17 @@ import (
 // BacktraceRow records the back-trace traffic one scheduling regime spent
 // collecting the same planted hub-and-petals garbage structure.
 type BacktraceRow struct {
-	Mode          string  `json:"mode"`
-	TracesStarted int64   `json:"traces_started"`
-	BackCalls     int64   `json:"back_calls"`
-	MemoHits      int64   `json:"memo_hits"`
-	Deferred      int64   `json:"deferred"`
-	PeakInflight  int64   `json:"peak_inflight"`
-	PeakBatch     int64   `json:"peak_batch"`
-	Cycles        int     `json:"cycles"`
-	Collected     bool    `json:"collected"`
-	TracesPerCyc  float64 `json:"traces_per_cycle"`
-	CallsPerCyc   float64 `json:"back_calls_per_cycle"`
+	Mode          string
+	TracesStarted int64
+	BackCalls     int64
+	MemoHits      int64
+	Deferred      int64
+	PeakInflight  int64
+	PeakBatch     int64
+	Cycles        int
+	Collected     bool
+	TracesPerCyc  float64
+	CallsPerCyc   float64
 }
 
 // BacktraceTraffic is experiment C18: the cost of the trace-storm regime

@@ -2,22 +2,19 @@ package experiments
 
 import "testing"
 
-// TestBacktraceExperimentGate runs the C18 experiment at the same
-// parameters CI uses (dgcbench -exp backtrace -check) and pushes the rows
-// through the gate: both regimes collect every planted cycle, and the
-// engine spends >=5x fewer traces and BackCall messages than the storm
-// baseline.
+// TestBacktraceExperimentGate runs the C18 experiment at the parameters
+// EXPERIMENTS.md publishes, pushes the rows through the CheckBacktrace
+// gate and logs the C18 table: both regimes collect every planted cycle,
+// and the engine spends >=5x fewer traces and BackCall messages than the
+// storm baseline.
 func TestBacktraceExperimentGate(t *testing.T) {
 	rows, err := BacktraceTraffic(4, 40, 12, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log("\n" + BacktraceTable(rows).String())
 	if err := CheckBacktrace(rows); err != nil {
 		t.Fatal(err)
-	}
-	for _, r := range rows {
-		t.Logf("%s: traces %d, backcalls %d, memo %d, deferred %d, peak batch %d, collected %v",
-			r.Mode, r.TracesStarted, r.BackCalls, r.MemoHits, r.Deferred, r.PeakBatch, r.Collected)
 	}
 }
 

@@ -5,12 +5,9 @@ import (
 	"time"
 
 	"backtrace/internal/baseline"
-	"backtrace/internal/cluster"
 	"backtrace/internal/heap"
 	"backtrace/internal/ids"
-	"backtrace/internal/metrics"
 	"backtrace/internal/refs"
-	"backtrace/internal/site"
 	"backtrace/internal/tracer"
 	"backtrace/internal/workload"
 )
@@ -424,82 +421,6 @@ func LocalityTable(rows []LocalityRow) *Table {
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{
 			r.Collector, fmt.Sprint(r.DisjointCollected), fmt.Sprint(r.DependentCollected), fmt.Sprint(r.RoundsRun),
-		})
-	}
-	return t
-}
-
-// --- end-to-end hypertext run (intro workload) ------------------------------
-
-// HypertextRow summarizes an end-to-end hypertext collection.
-type HypertextRow struct {
-	Docs        int
-	Objects     int
-	Garbage     int
-	Rounds      int
-	Collected   int
-	Traces      int64
-	TraceLive   int64
-	MsgTotal    int64
-	MsgBacktr   int64
-	ObjectsScan int64
-}
-
-// Hypertext runs the motivating workload end to end.
-func Hypertext(docs, sites int, seed int64) (HypertextRow, error) {
-	c := cluster.New(cluster.Options{
-		NumSites: sites,
-		Site: site.Config{
-			SuspicionThreshold: 4,
-			BackThreshold:      10,
-			ThresholdBump:      4,
-			AutoBackTrace:      true,
-		},
-	})
-	defer c.Close()
-	spec := workload.HypertextWeb(workload.HypertextConfig{
-		Sites:       sites,
-		Docs:        docs,
-		PagesPerDoc: 6,
-		CrossLinks:  docs,
-		LiveFrac:    0.5,
-		Seed:        seed,
-	})
-	refsOut, err := workload.Build(c, spec)
-	if err != nil {
-		return HypertextRow{}, err
-	}
-	garbage := c.GarbageCount()
-	c.Registry().Reset()
-	rounds, collected := c.CollectUntilStable(100)
-	snap := c.Metrics()
-	return HypertextRow{
-		Docs:        docs,
-		Objects:     len(refsOut),
-		Garbage:     garbage,
-		Rounds:      rounds,
-		Collected:   collected,
-		Traces:      snap.Get(metrics.BackTracesStarted),
-		TraceLive:   snap.Get(metrics.BackTracesLive),
-		MsgTotal:    snap.Get("msg.total"),
-		MsgBacktr:   snap.Get("msg.BackCall") + snap.Get("msg.BackReply") + snap.Get("msg.Report"),
-		ObjectsScan: snap.Get(metrics.ObjectsTraced),
-	}, nil
-}
-
-// HypertextTable renders Hypertext rows.
-func HypertextTable(rows []HypertextRow) *Table {
-	t := &Table{
-		Title:   "intro workload: hypertext webs (orphaned documents = distributed cycles)",
-		Header:  []string{"docs", "objects", "garbage", "rounds", "collected", "traces", "live traces", "backtr msgs", "all msgs"},
-		Caption: "back-trace traffic stays proportional to the garbage, not the web",
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(r.Docs), fmt.Sprint(r.Objects), fmt.Sprint(r.Garbage),
-			fmt.Sprint(r.Rounds), fmt.Sprint(r.Collected),
-			fmt.Sprint(r.Traces), fmt.Sprint(r.TraceLive),
-			fmt.Sprint(r.MsgBacktr), fmt.Sprint(r.MsgTotal),
 		})
 	}
 	return t

@@ -2,22 +2,19 @@ package experiments
 
 import "testing"
 
-// TestWireExperimentGate runs the C17 experiment and pushes the rows
-// through the same gate CI uses (dgcbench -exp wire -check): back traces
-// exactly 2E+P-1 with and without batching, the unbatched bytes within
-// their ceiling, and batching coalescing frames without changing
-// collection outcomes.
+// TestWireExperimentGate runs the C17 experiment at the parameters
+// EXPERIMENTS.md publishes, pushes the rows through the CheckWire gate and
+// logs the C17b table: back traces exactly 2E+P-1 with and without
+// batching, the unbatched bytes within their ceiling, and batching
+// coalescing frames without changing collection outcomes.
 func TestWireExperimentGate(t *testing.T) {
 	batchRows, err := WireBatch(6)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Log("\n" + WireBatchTable(batchRows).String())
 	if err := CheckWire(batchRows); err != nil {
 		t.Fatal(err)
-	}
-	for _, r := range batchRows {
-		t.Logf("%s: trace %d/%d, collected %d, frames %d for %d logical",
-			r.Setting, r.BackMsgs, r.Predicted, r.Collected, r.Frames, r.Logical)
 	}
 }
 
@@ -56,5 +53,18 @@ func TestCheckWireRejects(t *testing.T) {
 	divergent := []WireBatchRow{goodBatch[0], {Setting: "batched", BackMsgs: 17, Predicted: 17, Collected: 7, Logical: 58, Frames: 47}}
 	if err := CheckWire(divergent); err == nil {
 		t.Error("divergent collection outcome passed the gate")
+	}
+}
+
+// TestCheckWireRejectsUnbatchedFrameMismatch covers the one failure arm
+// TestCheckWireRejects leaves out: without batching, every logical message
+// is its own frame.
+func TestCheckWireRejectsUnbatchedFrameMismatch(t *testing.T) {
+	rows := []WireBatchRow{
+		{Setting: "unbatched", BackMsgs: 17, Predicted: 17, Collected: 8, Logical: 58, Frames: 57, Bytes: 426},
+		{Setting: "batched", BackMsgs: 17, Predicted: 17, Collected: 8, Logical: 58, Frames: 47},
+	}
+	if err := CheckWire(rows); err == nil {
+		t.Error("unbatched run with fewer frames than logical messages passed the gate")
 	}
 }
