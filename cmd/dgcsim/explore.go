@@ -50,7 +50,8 @@ func runExplore(cfg sim.Config, seeds int, scheduleOut string, verbose bool) err
 	shrunk := sim.Shrink(fail.Config, fail.Events)
 	fmt.Printf("shrunk to %d events\n", len(shrunk))
 	if scheduleOut != "" {
-		sched := sim.Schedule{Config: fail.Config, Events: shrunk}
+		sched := sim.Schedule{Config: fail.Config, Events: shrunk,
+			Digest: sim.Replay(fail.Config, shrunk).Digest}
 		if err := sched.WriteFile(scheduleOut); err != nil {
 			return err
 		}

@@ -12,7 +12,7 @@
 //	dgcsim -workload dense -sites 8 -parallel
 //	dgcsim -explore -seeds 200
 //	dgcsim -explore -seeds 50 -faults "crash@150:2,restart@300:2"
-//	dgcsim -explore -seeds 50 -skip-transfer-barrier -schedule-out failure.json
+//	dgcsim -explore -seeds 50 -faults skip-transfer-barrier -schedule-out failure.json
 //	dgcsim -explore -seeds 50 -faults skip-transfer-check -schedule-out failure.json
 //	dgcsim -replay failure.json
 package main
@@ -44,8 +44,8 @@ func main() {
 // replay rebuilds its world from the schedule's config block, so it rejects
 // them rather than silently ignoring them.
 var worldFlags = []string{
-	"seed", "sim-steps", "sim-sites", "faults", "skip-transfer-barrier",
-	"threshold", "back-threshold", "max-inflight-traces", "trace-batch", "memoize-live",
+	"seed", "sim-steps", "sim-sites", "faults", "threshold",
+	"back-threshold", "max-inflight-traces", "trace-batch", "memoize-live",
 }
 
 // dgcsim parses args and runs the chosen mode: a workload, a model-checker
@@ -74,8 +74,7 @@ func dgcsim(args []string) error {
 		seeds       = fs.Int("seeds", 200, "number of seeds to explore")
 		simSteps    = fs.Int("sim-steps", 0, "scheduler events per simulated run (0 = default)")
 		simSites    = fs.Int("sim-sites", 0, "sites per simulated run (0 = default)")
-		faults      = fs.String("faults", "", `fault schedule, e.g. "crash@150:2,restart@300:2,partition@200:1-3"; the clause skip-transfer-check plants a bug`)
-		skipBarrier = fs.Bool("skip-transfer-barrier", false, "UNSAFE: disable the Section 6.1.1 transfer barrier (regression-injection demo)")
+		faults      = fs.String("faults", "", `fault schedule, e.g. "crash@150:2,restart@300:2,partition@200:1-3"; the clauses skip-transfer-barrier and skip-transfer-check plant a bug`)
 		scheduleOut = fs.String("schedule-out", "failure.json", "where -explore writes the shrunk schedule of the first failure")
 		replay      = fs.String("replay", "", "replay a recorded schedule file instead of running a workload")
 	)
@@ -107,14 +106,13 @@ func dgcsim(args []string) error {
 		return runReplay(*replay, *verbose)
 	}
 	cfg := sim.Config{
-		Seed:                *seed,
-		Steps:               *simSteps,
-		Sites:               *simSites,
-		Faults:              *faults,
-		SkipTransferBarrier: *skipBarrier,
-		MaxInflightTraces:   knobs.MaxInflightTraces,
-		TraceBatch:          knobs.TraceBatch,
-		MemoizeLive:         knobs.MemoizeLive,
+		Seed:              *seed,
+		Steps:             *simSteps,
+		Sites:             *simSites,
+		Faults:            *faults,
+		MaxInflightTraces: knobs.MaxInflightTraces,
+		TraceBatch:        knobs.TraceBatch,
+		MemoizeLive:       knobs.MemoizeLive,
 	}
 	// The threshold flags default to the workload mode's T=3, T2=7; the
 	// simulator keeps its own defaults unless they are set.

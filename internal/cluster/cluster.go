@@ -10,13 +10,13 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
 	"backtrace/internal/obs"
+	"backtrace/internal/oracle"
 	"backtrace/internal/site"
 	"backtrace/internal/transport"
 	"backtrace/internal/wire"
@@ -388,66 +388,34 @@ func (c *Cluster) BuildRing() []ids.Ref {
 
 // --- global audits ------------------------------------------------------------
 
+// audits snapshots every site once.
+func (c *Cluster) audits() map[ids.SiteID]site.Audit {
+	audits := make(map[ids.SiteID]site.Audit, len(c.order))
+	for _, id := range c.order {
+		audits[id] = c.sites[id].AuditSnapshot()
+	}
+	return audits
+}
+
 // GlobalLive computes the set of objects reachable from any persistent or
 // application root anywhere in the cluster, following references across
 // sites. It is an omniscient auditor used to check safety (no live object
 // is ever collected) and completeness (all garbage eventually is).
 func (c *Cluster) GlobalLive() map[ids.Ref]struct{} {
-	snaps := make(map[ids.SiteID]site.Audit, len(c.order))
-	for _, id := range c.order {
-		snaps[id] = c.sites[id].AuditSnapshot()
-	}
-	live := make(map[ids.Ref]struct{})
-	var stack []ids.Ref
-	push := func(r ids.Ref) {
-		if r.IsZero() {
-			return
-		}
-		snap, ok := snaps[r.Site]
-		if !ok {
-			return
-		}
-		if _, exists := snap.Objects[r.Obj]; !exists {
-			return
-		}
-		if _, seen := live[r]; seen {
-			return
-		}
-		live[r] = struct{}{}
-		stack = append(stack, r)
-	}
-	for id, snap := range snaps {
-		for _, obj := range snap.PersistentRoots {
-			push(ids.MakeRef(id, obj))
-		}
-		for _, r := range snap.AppRoots {
-			push(r)
-		}
-	}
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, f := range snaps[r.Site].Objects[r.Obj] {
-			push(f)
-		}
-	}
-	return live
+	return globalLive(c.audits())
 }
 
 // GarbageCount returns the number of existing objects that are not
 // globally reachable — what a perfect collector would reclaim.
 func (c *Cluster) GarbageCount() int {
-	live := c.GlobalLive()
-	total := 0
-	for _, id := range c.order {
-		snap := c.sites[id].AuditSnapshot()
-		for obj := range snap.Objects {
-			if _, ok := live[ids.MakeRef(id, obj)]; !ok {
-				total++
-			}
-		}
-	}
-	return total
+	audits := c.audits()
+	return oracle.Garbage(audits, globalLive(audits))
+}
+
+// globalLive is what the roots of audits reach.
+func globalLive(audits map[ids.SiteID]site.Audit) map[ids.Ref]struct{} {
+	live, _ := oracle.Reach(audits, oracle.Roots(audits, true), nil)
+	return live
 }
 
 // CollectUntilStable runs rounds (with back tracing if enabled) until the
@@ -465,74 +433,9 @@ func (c *Cluster) CollectUntilStable(maxRounds int) (rounds, collected int) {
 	return rounds, collected
 }
 
-// InvariantViolations audits cross-site referential integrity at a
-// quiescent point (no in-flight messages):
-//
-//   - every remote reference field has an outref entry at its holder;
-//   - every outref's target object exists at the owner, and the owner's
-//     inref lists the holder as a source;
-//   - every inref source entry corresponds to a site that either holds an
-//     outref for it or is unreachable (stale entries are allowed to lag by
-//     an update message, but not at quiescence).
-//
-// It returns human-readable violation descriptions (empty = consistent).
-// Call it only when the network is quiet and no messages were dropped.
+// InvariantViolations audits cross-site referential integrity (see
+// oracle.Integrity). Call it only when the network is quiet and no messages
+// were dropped.
 func (c *Cluster) InvariantViolations() []string {
-	var out []string
-	snaps := make(map[ids.SiteID]site.Audit, len(c.order))
-	for _, id := range c.order {
-		snaps[id] = c.sites[id].AuditSnapshot()
-	}
-	for _, id := range c.order {
-		snap := snaps[id]
-		for obj, fields := range snap.Objects {
-			for _, f := range fields {
-				if f.IsZero() || f.Site == id {
-					continue
-				}
-				if _, ok := snap.Outrefs[f]; !ok {
-					out = append(out, fmt.Sprintf("site %v: object %v holds %v with no outref", id, obj, f))
-				}
-			}
-		}
-		for target := range snap.Outrefs {
-			owner, ok := snaps[target.Site]
-			if !ok {
-				out = append(out, fmt.Sprintf("site %v: outref to unknown site %v", id, target.Site))
-				continue
-			}
-			if _, exists := owner.Objects[target.Obj]; !exists {
-				out = append(out, fmt.Sprintf("site %v: outref %v targets a collected object", id, target))
-				continue
-			}
-			srcs, ok := owner.InrefSources[target.Obj]
-			if !ok {
-				out = append(out, fmt.Sprintf("site %v: outref %v has no inref at owner", id, target))
-				continue
-			}
-			found := false
-			for _, s := range srcs {
-				if s == id {
-					found = true
-					break
-				}
-			}
-			if !found {
-				out = append(out, fmt.Sprintf("site %v: outref %v not in owner's source list %v", id, target, srcs))
-			}
-		}
-		for obj, srcs := range snap.InrefSources {
-			for _, src := range srcs {
-				holder, ok := snaps[src]
-				if !ok {
-					continue
-				}
-				if _, held := holder.Outrefs[ids.MakeRef(id, obj)]; !held {
-					out = append(out, fmt.Sprintf("site %v: inref %v lists source %v which holds no outref", id, obj, src))
-				}
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
+	return oracle.Integrity(c.audits())
 }

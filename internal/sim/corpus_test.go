@@ -10,9 +10,9 @@ import (
 // TestReplayCorpus replays every schedule under testdata/schedules/ and
 // enforces its Expect annotation: "safety" schedules are caught-regression
 // witnesses that must trip the safety oracle; "clean" (or unannotated)
-// schedules must pass both oracles. Each schedule replays twice and must
-// produce the identical digest — the corpus doubles as a determinism
-// regression suite.
+// schedules must pass both oracles. Each schedule must replay, twice, to
+// the digest it records — the corpus doubles as a determinism and
+// behaviour regression suite.
 func TestReplayCorpus(t *testing.T) {
 	files, err := filepath.Glob("testdata/schedules/*.json")
 	if err != nil {
@@ -46,8 +46,13 @@ func TestReplayCorpus(t *testing.T) {
 			default:
 				t.Fatalf("unknown expect annotation %q", sched.Expect)
 			}
-			again := Replay(sched.Config, sched.Events)
-			if again.Digest != res.Digest {
+			if sched.Digest == "" {
+				t.Fatalf("schedule records no digest; it replays to %s", res.Digest)
+			}
+			if res.Digest != sched.Digest {
+				t.Fatalf("replay digest %s, schedule records %s", res.Digest, sched.Digest)
+			}
+			if again := Replay(sched.Config, sched.Events); again.Digest != res.Digest {
 				t.Fatalf("replaying twice gave different digests:\n  %s\n  %s", res.Digest, again.Digest)
 			}
 		})
@@ -95,7 +100,7 @@ func TestScheduleRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "sched.json")
-	s := Schedule{Config: res.Config, Expect: ExpectClean, Events: res.Events}
+	s := Schedule{Config: res.Config, Expect: ExpectClean, Digest: res.Digest, Events: res.Events}
 	if err := s.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +108,7 @@ func TestScheduleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != ScheduleVersion || got.Expect != ExpectClean {
+	if got.Version != ScheduleVersion || got.Expect != ExpectClean || got.Digest != res.Digest {
 		t.Fatalf("round trip lost metadata: %+v", got)
 	}
 	if len(got.Events) != len(res.Events) {
@@ -117,14 +122,15 @@ func TestScheduleRoundTrip(t *testing.T) {
 
 // TestReadScheduleRejectsUnknownKeys: a schedule whose config carries a key
 // this build does not know (here the retired "batch", "trace_workers",
-// "shards" and "codec") is rejected, naming the key, rather than replayed as
-// a different world than the file claims.
+// "shards", "codec" and "skip_transfer_barrier") is rejected, naming the
+// key, rather than replayed as a different world than the file claims.
 func TestReadScheduleRejectsUnknownKeys(t *testing.T) {
 	for _, tc := range []struct{ key, entry string }{
 		{`"batch"`, `"batch": true`},
 		{`"trace_workers"`, `"trace_workers": 4`},
 		{`"shards"`, `"shards": 4`},
 		{`"codec"`, `"codec": "binary"`},
+		{`"skip_transfer_barrier"`, `"skip_transfer_barrier": true`},
 	} {
 		path := filepath.Join(t.TempDir(), "sched.json")
 		data := `{"version": 1, "config": {"seed": 1, ` + tc.entry + `}, "events": []}`

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"backtrace/internal/ids"
+	"backtrace/internal/site"
 )
 
 // The fault-schedule DSL names faults to inject at fixed scheduler steps.
@@ -18,14 +19,16 @@ import (
 //	heal@400:1-3       restore that link at step 400
 //	drop@80:5          drop 5 pending link-head messages starting at step 80
 //	dup@90:3           duplicate 3 pending link-head messages starting at step 90
-//	skip-transfer-check  plant: owners forget unreceipted owner-sent transfers
+//	skip-transfer-barrier  plant: sites skip the Section 6.1.1 transfer barrier
+//	skip-transfer-check    plant: owners forget unreceipted owner-sent transfers
 //
 // A drop or dup due while nothing can be its victim waits for the first
-// step that has one. The plant is a deliberate bug the model checker must
-// catch (site.FaultSkipTransferCheck: an owner applies removals and
-// reconciliation drops from an update its receiver built before an
-// owner-sent transfer arrived). It takes no step, and the clause stays in
-// the config block, so a replay builds the same broken world.
+// step that has one. A plant is a deliberate bug the model checker must
+// catch: site.FaultSkipTransferBarrier, or site.FaultSkipTransferCheck (an
+// owner applies removals and reconciliation drops from an update its
+// receiver built before an owner-sent transfer arrived). It takes no step,
+// and the clause stays in the config block, so a replay builds the same
+// broken world.
 //
 // The DSL exists only for the generator: each clause is turned into concrete
 // schedule events as the run reaches its step, and those events — not the
@@ -39,17 +42,19 @@ type faultOp struct {
 	n    int        // burst size for drop/dup
 }
 
-// plantSkipTransferCheck is the DSL's planted-bug clause.
-const plantSkipTransferCheck = "skip-transfer-check"
+// plants maps each plant clause to the site fault it sets.
+var plants = map[string]site.Faults{
+	"skip-transfer-barrier": site.FaultSkipTransferBarrier,
+	"skip-transfer-check":   site.FaultSkipTransferCheck,
+}
 
-// plantedIn reports whether the DSL spec names the planted-bug clause.
-func plantedIn(spec string) bool {
+// plantedIn returns the site faults the DSL spec's plant clauses set.
+func plantedIn(spec string) site.Faults {
+	var f site.Faults
 	for _, c := range strings.Split(spec, ",") {
-		if strings.TrimSpace(c) == plantSkipTransferCheck {
-			return true
-		}
+		f |= plants[strings.TrimSpace(c)]
 	}
-	return false
+	return f
 }
 
 // ParseFaults parses the DSL into a step-ordered plan. An empty string is a
@@ -62,7 +67,7 @@ func ParseFaults(spec string) ([]faultOp, error) {
 	var plan []faultOp
 	for _, clause := range strings.Split(spec, ",") {
 		clause = strings.TrimSpace(clause)
-		if clause == plantSkipTransferCheck {
+		if _, plant := plants[clause]; plant {
 			continue
 		}
 		name, rest, ok := strings.Cut(clause, "@")

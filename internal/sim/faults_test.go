@@ -15,6 +15,8 @@ func TestParseFaultsErrors(t *testing.T) {
 		{"crash@120:2, restart@300:2", ""},
 		{"partition@200:1-3,heal@400:1-3", ""},
 		{"drop@80:5,dup@90:3", ""},
+		{"skip-transfer-barrier, crash@120:2", ""},
+		{"skip-transfer-check", ""},
 		{"crash:2", "missing @step"},
 		{"crash@120", "missing :arg"},
 		{"crash@x:2", "bad step"},

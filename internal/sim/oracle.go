@@ -7,10 +7,12 @@ import (
 
 	"backtrace/internal/ids"
 	"backtrace/internal/msg"
+	"backtrace/internal/oracle"
 	"backtrace/internal/site"
 )
 
-// The oracles check the two properties the paper claims (Section 1):
+// The oracles check the two properties the paper claims (Section 1), each
+// judged by internal/oracle over one audit of every site:
 //
 //   - Safety — "only garbage is collected". After EVERY scheduler event the
 //     safety oracle recomputes global reachability over the union heap (live
@@ -47,112 +49,6 @@ func (w *world) globalAudits() (map[ids.SiteID]site.Audit, error) {
 	return audits, nil
 }
 
-// globalLive computes the reachable reference set over the union heap and
-// reports dangling references discovered on live paths. Roots are: every
-// persistent root (live and checkpointed sites alike — persistence survives
-// crashes), every application root on live sites (mutator variables and
-// protocol retentions), and the payload of every in-flight RefTransfer
-// (the reference exists in the network even while no heap names it).
-func (w *world) globalLive(audits map[ids.SiteID]site.Audit) (map[ids.Ref]struct{}, []string) {
-	live := make(map[ids.Ref]struct{})
-	var dangling []string
-	var stack []ids.Ref
-	push := func(r ids.Ref, from string) {
-		if r.IsZero() {
-			return
-		}
-		a, known := audits[r.Site]
-		if !known {
-			return
-		}
-		if _, seen := live[r]; seen {
-			return
-		}
-		if _, exists := a.Objects[r.Obj]; !exists {
-			if _, lost := w.crashLost[r]; lost {
-				// The object died with a crash (volatile, not in the
-				// durable image); the dangling reference is the crash's
-				// doing, not an unsafe collection.
-				return
-			}
-			dangling = append(dangling,
-				fmt.Sprintf("safety: live reference %v (via %s) resolves to no object", r, from))
-			return
-		}
-		live[r] = struct{}{}
-		stack = append(stack, r)
-	}
-	for i := 1; i <= w.cfg.Sites; i++ {
-		id := ids.SiteID(i)
-		a := audits[id]
-		for _, obj := range a.PersistentRoots {
-			push(ids.MakeRef(id, obj), fmt.Sprintf("%v persistent root", id))
-		}
-		for _, r := range a.AppRoots {
-			push(r, fmt.Sprintf("%v app root", id))
-		}
-	}
-	for _, env := range w.cluster.Net().Pending() {
-		if rt, ok := env.M.(msg.RefTransfer); ok {
-			push(rt.Payload, fmt.Sprintf("in-flight transfer %v->%v", env.From, env.To))
-		}
-	}
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, f := range audits[r.Site].Objects[r.Obj] {
-			push(f, r.String())
-		}
-	}
-	return live, dangling
-}
-
-// persistentLive computes reachability from persistent roots alone over the
-// final union heap. After drain the agents have retired (every mutator
-// variable dropped, every in-flight transfer delivered and released), so
-// persistent roots are the only legitimate source of liveness; anything
-// else still holding an object is protocol retention the completeness
-// oracle must not credit.
-func (w *world) persistentLive() map[ids.Ref]struct{} {
-	live := make(map[ids.Ref]struct{})
-	audits, err := w.globalAudits()
-	if err != nil {
-		return live
-	}
-	var stack []ids.Ref
-	push := func(r ids.Ref) {
-		if r.IsZero() {
-			return
-		}
-		a, known := audits[r.Site]
-		if !known {
-			return
-		}
-		if _, seen := live[r]; seen {
-			return
-		}
-		if _, exists := a.Objects[r.Obj]; !exists {
-			return
-		}
-		live[r] = struct{}{}
-		stack = append(stack, r)
-	}
-	for i := 1; i <= w.cfg.Sites; i++ {
-		id := ids.SiteID(i)
-		for _, obj := range audits[id].PersistentRoots {
-			push(ids.MakeRef(id, obj))
-		}
-	}
-	for len(stack) > 0 {
-		r := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, f := range audits[r.Site].Objects[r.Obj] {
-			push(f)
-		}
-	}
-	return live
-}
-
 // safetySnapshot is one safety-oracle evaluation plus the cheap state
 // fingerprint the determinism digest folds in after every event.
 type safetySnapshot struct {
@@ -162,31 +58,37 @@ type safetySnapshot struct {
 }
 
 // safety runs the safety oracle; empty violations mean the cut is safe.
-// Deterministic: violations are sorted.
+// Deterministic: violations are sorted. It walks the union heap from every
+// persistent root (live and checkpointed sites alike — persistence survives
+// crashes), every application root on live sites (mutator variables and
+// protocol retentions), and the payload of every in-flight RefTransfer (the
+// reference exists in the network even while no heap names it). References
+// to objects a crash destroyed (crashLost) do not dangle.
 func (w *world) safety() safetySnapshot {
 	audits, err := w.globalAudits()
 	if err != nil {
 		return safetySnapshot{violations: []string{err.Error()}}
 	}
-	live, violations := w.globalLive(audits)
-	snap := safetySnapshot{live: len(live)}
-	for i := 1; i <= w.cfg.Sites; i++ {
-		id := ids.SiteID(i)
-		snap.objects += len(audits[id].Objects)
-		for _, obj := range audits[id].GarbageFlagged {
-			if _, isLive := live[ids.MakeRef(id, obj)]; isLive {
-				violations = append(violations,
-					fmt.Sprintf("safety: %v flagged Garbage by a back trace but globally reachable", ids.MakeRef(id, obj)))
-			}
+	roots := oracle.Roots(audits, true)
+	for _, env := range w.cluster.Net().Pending() {
+		if rt, ok := env.M.(msg.RefTransfer); ok {
+			roots = append(roots, oracle.Root{Ref: rt.Payload, Via: fmt.Sprintf("in-flight transfer %v->%v", env.From, env.To)})
 		}
 	}
+	live, violations := oracle.Reach(audits, roots, w.crashLost)
+	snap := safetySnapshot{live: len(live)}
+	for _, a := range audits {
+		snap.objects += len(a.Objects)
+	}
+	violations = append(violations, oracle.FlaggedLive(audits, live)...)
 	sort.Strings(violations)
 	snap.violations = violations
 	return snap
 }
 
-// completenessViolations runs the completeness oracle. Call it only after
-// drain: faults healed, crashed sites restored, network quiet.
+// completenessViolations runs the completeness oracle over one audit of
+// every site. Call it only after drain: faults healed, crashed sites
+// restored, network quiet.
 //
 // The paper's eventual-collection claim assumes reliable links, so the
 // oracle holds loss-free runs — no drop, no dup, no crash, no partition —
@@ -202,22 +104,30 @@ func (w *world) completenessViolations() []string {
 	if w.lossy {
 		return nil
 	}
+	audits, err := w.globalAudits()
+	if err != nil {
+		return []string{err.Error()}
+	}
 	var violations []string
-	persistent := w.persistentLive()
+	// After drain the agents have retired (every mutator variable dropped,
+	// every in-flight transfer delivered and released), so persistent roots
+	// are the only legitimate source of a planted cycle's liveness.
+	persistent, _ := oracle.Reach(audits, oracle.Roots(audits, false), nil)
 	for _, r := range w.rings {
 		if _, live := persistent[r]; live {
 			continue
 		}
-		if w.cluster.Site(r.Site).ContainsObject(r.Obj) {
+		if _, exists := audits[r.Site].Objects[r.Obj]; exists {
 			violations = append(violations,
 				fmt.Sprintf("completeness: planted cycle object %v not collected", r))
 		}
 	}
-	if g := w.cluster.GarbageCount(); g > 0 {
+	live, _ := oracle.Reach(audits, oracle.Roots(audits, true), nil)
+	if g := oracle.Garbage(audits, live); g > 0 {
 		violations = append(violations,
 			fmt.Sprintf("completeness: %d garbage objects survive a loss-free run", g))
 	}
-	for _, v := range w.cluster.InvariantViolations() {
+	for _, v := range oracle.Integrity(audits) {
 		violations = append(violations, "invariant: "+v)
 	}
 	sort.Strings(violations)

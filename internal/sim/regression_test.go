@@ -11,7 +11,7 @@ import (
 // reference to the suspect S2:o6 deep in the live chain), transfers it to
 // site 3 while unlinking the old path, and the back trace races the second
 // transfer hop. With the barrier the trace returns Live; with
-// Config.SkipTransferBarrier it flags the live chain Garbage.
+// the skip-transfer-barrier plant it flags the live chain Garbage.
 func witnessEvents() []Event {
 	r1 := ids.MakeRef(2, 6)   // the suspect: deep chain object owned by site 2
 	bait := ids.MakeRef(1, 6) // site 1's bait container pointing at r1
@@ -58,7 +58,7 @@ func witnessEvents() []Event {
 func TestInjectedRegressionCaught(t *testing.T) {
 	events := witnessEvents()
 
-	broken := Replay(Config{SkipTransferBarrier: true}, events)
+	broken := Replay(Config{Faults: "skip-transfer-barrier"}, events)
 	if len(broken.SafetyViolations) == 0 {
 		t.Fatal("skipping the transfer barrier was not caught as a safety violation")
 	}
@@ -73,7 +73,7 @@ func TestInjectedRegressionCaught(t *testing.T) {
 // at most 30 events that still trips the safety oracle under the injected
 // regression and still passes on the correct system.
 func TestShrinkWitness(t *testing.T) {
-	cfg := Config{SkipTransferBarrier: true}
+	cfg := Config{Faults: "skip-transfer-barrier"}
 	events := witnessEvents()
 	shrunk := Shrink(cfg, events)
 
@@ -130,14 +130,14 @@ func TestTransferCheckPlantCaught(t *testing.T) {
 			t.Fatal(err)
 		}
 		planted := sched.Config
-		planted.Faults = plantSkipTransferCheck
+		planted.Faults = "skip-transfer-check"
 		if res := Replay(planted, sched.Events); len(res.SafetyViolations) == 0 {
 			t.Errorf("%s: skipping the transfer check was not caught", name)
 		}
 	}
 
 	var first *Result
-	if _, err := Explore(Config{Seed: 1, Faults: plantSkipTransferCheck}, 40, func(_ int64, res *Result) {
+	if _, err := Explore(Config{Seed: 1, Faults: "skip-transfer-check"}, 40, func(_ int64, res *Result) {
 		if first == nil && len(res.SafetyViolations) > 0 {
 			first = res
 		}

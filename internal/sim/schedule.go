@@ -99,7 +99,10 @@ type Schedule struct {
 	// "clean") for a run both oracles must pass, "safety" for a run the
 	// safety oracle must fail (a caught-regression witness). TestReplayCorpus
 	// enforces it.
-	Expect string  `json:"expect,omitempty"`
+	Expect string `json:"expect,omitempty"`
+	// Digest is the Result.Digest the events replay to; TestReplayCorpus
+	// fails when a corpus file replays to any other.
+	Digest string  `json:"digest,omitempty"`
 	Events []Event `json:"events"`
 }
 

@@ -37,9 +37,6 @@ type Config struct {
 	// site. The completeness oracle requires them all collected by the end
 	// of the run.
 	Rings int `json:"rings"`
-	// SkipTransferBarrier disables the Section 6.1.1 transfer barrier in
-	// every site — the injected regression the model checker must catch.
-	SkipTransferBarrier bool `json:"skip_transfer_barrier,omitempty"`
 	// Faults is the fault-schedule DSL (see faults.go). Its timed clauses
 	// drive generation only; its planted-bug clauses also shape the world a
 	// replay builds.
@@ -82,20 +79,6 @@ func (c Config) WithDefaults() Config {
 		c.Rings = 2
 	}
 	return c
-}
-
-// faults maps the planted-bug switches — the skip_transfer_barrier key
-// and the fault DSL's skip-transfer-check clause — onto the site's fault
-// set.
-func (c Config) faults() site.Faults {
-	var f site.Faults
-	if c.SkipTransferBarrier {
-		f |= site.FaultSkipTransferBarrier
-	}
-	if plantedIn(c.Faults) {
-		f |= site.FaultSkipTransferCheck
-	}
-	return f
 }
 
 // quantum is how far virtual time advances per scheduler event.
@@ -207,7 +190,7 @@ func newWorld(cfg Config) *world {
 			AutoBackTrace:      true,
 			CallTimeout:        simCallTimeout,
 			ReportTimeout:      simReportTimeout,
-			Faults:             cfg.faults(),
+			Faults:             plantedIn(cfg.Faults),
 			MaxInflightTraces:  cfg.MaxInflightTraces,
 			TraceBatch:         cfg.TraceBatch,
 			MemoizeLive:        cfg.MemoizeLive,

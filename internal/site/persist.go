@@ -1,7 +1,6 @@
 package site
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
 	"fmt"
@@ -46,28 +45,24 @@ const snapshotVersion = 1
 var checkpointMagic = []byte("DGCK")
 
 // checkpointFormatGob is the only payload encoding so far: a gob-encoded
-// snapshotRec. Checkpoints written before the frame existed start directly
-// with the gob stream; decodeSnapshot still reads those.
+// snapshotRec.
 const checkpointFormatGob = 0x01
 
-// decodeSnapshot reads a checkpoint stream — framed or legacy bare-gob —
-// into a snapshotRec and validates the record version.
+// decodeSnapshot reads a framed checkpoint stream into a snapshotRec and
+// validates the frame and the record version.
 func decodeSnapshot(r io.Reader) (snapshotRec, error) {
-	br := bufio.NewReader(r)
-	if head, err := br.Peek(len(checkpointMagic)); err == nil && bytes.Equal(head, checkpointMagic) {
-		if _, err := br.Discard(len(checkpointMagic)); err != nil {
-			return snapshotRec{}, fmt.Errorf("checkpoint: %w", err)
-		}
-		format, err := br.ReadByte()
-		if err != nil {
-			return snapshotRec{}, fmt.Errorf("checkpoint: read format byte: %w", err)
-		}
-		if format != checkpointFormatGob {
-			return snapshotRec{}, fmt.Errorf("checkpoint: unsupported payload format 0x%02x", format)
-		}
+	head := make([]byte, len(checkpointMagic)+1)
+	if _, err := io.ReadFull(r, head); err != nil {
+		return snapshotRec{}, fmt.Errorf("checkpoint: read frame: %w", err)
+	}
+	if !bytes.Equal(head[:len(checkpointMagic)], checkpointMagic) {
+		return snapshotRec{}, fmt.Errorf("checkpoint: no %s frame", checkpointMagic)
+	}
+	if format := head[len(checkpointMagic)]; format != checkpointFormatGob {
+		return snapshotRec{}, fmt.Errorf("checkpoint: unsupported payload format 0x%02x", format)
 	}
 	var rec snapshotRec
-	if err := gob.NewDecoder(br).Decode(&rec); err != nil {
+	if err := gob.NewDecoder(r).Decode(&rec); err != nil {
 		return snapshotRec{}, fmt.Errorf("checkpoint: decode: %w", err)
 	}
 	if rec.Version != snapshotVersion {

@@ -243,8 +243,8 @@ func TestCrashRecoveryCollectsCycle(t *testing.T) {
 }
 
 // TestCheckpointFraming pins the checkpoint file frame: magic + format byte
-// ahead of the payload, an unknown format byte rejected, and checkpoints
-// written before the frame existed (bare gob streams) still restoring.
+// ahead of the payload, an unknown format byte rejected, and a bare gob
+// stream (the payload without the frame) rejected.
 func TestCheckpointFraming(t *testing.T) {
 	_, b, _, _ := buildPersistPair(t)
 	var buf bytes.Buffer
@@ -265,22 +265,12 @@ func TestCheckpointFraming(t *testing.T) {
 		t.Fatal("restore accepted an unknown checkpoint payload format")
 	}
 
-	// Legacy checkpoint: the payload without the frame. Both Restore and
-	// DecodeCheckpointAudit must fall back to bare-gob decoding.
-	legacy := framed[len(checkpointMagic)+1:]
-	b2, err := Restore(Config{Network: net2, SuspicionThreshold: 3, BackThreshold: 7},
-		bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy checkpoint restore: %v", err)
+	// A bare gob stream has no frame; both readers reject it.
+	bare := framed[len(checkpointMagic)+1:]
+	if _, err := Restore(Config{Network: net2}, bytes.NewReader(bare)); err == nil {
+		t.Fatal("restore accepted a bare gob checkpoint")
 	}
-	if b2.ID() != 2 || b2.NumObjects() != b.NumObjects() {
-		t.Fatal("legacy restore produced a different site")
-	}
-	id, audit, err := DecodeCheckpointAudit(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy checkpoint audit: %v", err)
-	}
-	if id != 2 || len(audit.Objects) != b.NumObjects() {
-		t.Fatal("legacy audit decode differs")
+	if _, _, err := DecodeCheckpointAudit(bytes.NewReader(bare)); err == nil {
+		t.Fatal("DecodeCheckpointAudit accepted a bare gob checkpoint")
 	}
 }

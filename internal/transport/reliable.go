@@ -44,17 +44,9 @@ type ReliableOptions struct {
 	// to 64.
 	Window int
 	// RetransmitInitial is the first ack deadline after a (re)transmission.
-	// Defaults to 15ms.
+	// Defaults to 15ms. The retransmission scan runs every third of it, at
+	// least 1ms apart.
 	RetransmitInitial time.Duration
-	// RetransmitMax caps the exponential backoff. Defaults to 500ms.
-	RetransmitMax time.Duration
-	// RetransmitJitter is the fraction of the backoff added as uniform
-	// random extra delay, de-synchronizing retransmission bursts across
-	// links. Defaults to 0.25.
-	RetransmitJitter float64
-	// Tick is the granularity of the retransmission scan. Defaults to a
-	// third of RetransmitInitial (at least 1ms).
-	Tick time.Duration
 	// Seed seeds the jitter source, making retransmission schedules
 	// reproducible. Zero selects a fixed default.
 	Seed int64
@@ -85,24 +77,20 @@ type ReliableOptions struct {
 	Observer Observer
 }
 
+// retransmitMax caps a link's exponential backoff; retransmitJitter is the
+// fraction of the backoff added as uniform random extra delay,
+// de-synchronizing retransmission bursts across links.
+const (
+	retransmitMax    = 500 * time.Millisecond
+	retransmitJitter = 0.25
+)
+
 func (o ReliableOptions) withDefaults() ReliableOptions {
 	if o.Window <= 0 {
 		o.Window = 64
 	}
 	if o.RetransmitInitial <= 0 {
 		o.RetransmitInitial = 15 * time.Millisecond
-	}
-	if o.RetransmitMax <= 0 {
-		o.RetransmitMax = 500 * time.Millisecond
-	}
-	if o.RetransmitJitter <= 0 {
-		o.RetransmitJitter = 0.25
-	}
-	if o.Tick <= 0 {
-		o.Tick = o.RetransmitInitial / 3
-		if o.Tick < time.Millisecond {
-			o.Tick = time.Millisecond
-		}
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -574,7 +562,7 @@ func (r *Reliable) armLocked(sl *sendLink, now time.Time) {
 }
 
 func (r *Reliable) jitteredLocked(d time.Duration) time.Duration {
-	return d + time.Duration(r.opts.RetransmitJitter*r.rng.Float64()*float64(d))
+	return d + time.Duration(retransmitJitter*r.rng.Float64()*float64(d))
 }
 
 // receive demultiplexes one frame arriving at self's inner handler.
@@ -812,11 +800,12 @@ func (r *Reliable) peerRestarted(self, from ids.SiteID, inc uint64) {
 // ones that made it) and the link's backoff doubles up to the cap.
 func (r *Reliable) retransmitLoop() {
 	defer r.wg.Done()
+	tick := max(r.opts.RetransmitInitial/3, time.Millisecond)
 	for {
 		select {
 		case <-r.done:
 			return
-		case <-r.clk.NewTimer(r.opts.Tick).C:
+		case <-r.clk.NewTimer(tick).C:
 		}
 		r.retransmitDue(r.clk.Now())
 	}
@@ -861,10 +850,7 @@ func (r *Reliable) retransmitDue(now time.Time) {
 			}
 			r.count(metrics.LinkRetransmits, int64(len(sl.inflight)))
 		}
-		sl.backoff *= 2
-		if sl.backoff > r.opts.RetransmitMax {
-			sl.backoff = r.opts.RetransmitMax
-		}
+		sl.backoff = min(2*sl.backoff, retransmitMax)
 		sl.retryAt = now.Add(r.jitteredLocked(sl.backoff))
 	}
 	r.mu.Unlock()
