@@ -43,21 +43,19 @@ func main() {
 	}
 }
 
-// run parses the command line, checks the transport flags once, and
-// starts the demo or the node.
+// run parses the command line and starts the demo or the node.
 func run(args []string) error {
 	fs := flag.NewFlagSet("dgcnode", flag.ExitOnError)
 	var (
-		demo     = fs.Bool("demo", false, "run all sites in-process over TCP loopback")
-		nSites   = fs.Int("sites", 3, "number of sites (demo mode)")
-		selfID   = fs.Uint("site", 0, "this node's site id (node mode)")
-		peers    = fs.String("peers", "", "comma-separated id=host:port list (node mode)")
-		drive    = fs.Bool("drive", false, "this node builds the demo graph and drives rounds (node mode)")
-		period   = fs.Duration("trace-every", 2*time.Second, "local trace period (node mode)")
-		runFor   = fs.Duration("run-for", 30*time.Second, "how long a non-driving node runs")
-		reliable = fs.Bool("reliable", false, "interpose the ack/retransmit session layer over TCP")
-		debug    = fs.String("debug-addr", "", "serve /metrics (Prometheus), /healthz, and /spans on this address (empty = off)")
-		linger   = fs.Duration("linger", 0, "keep the debug endpoint up this long after the demo completes (demo mode)")
+		demo   = fs.Bool("demo", false, "run all sites in-process over TCP loopback")
+		nSites = fs.Int("sites", 3, "number of sites (demo mode)")
+		selfID = fs.Uint("site", 0, "this node's site id (node mode)")
+		peers  = fs.String("peers", "", "comma-separated id=host:port list (node mode)")
+		drive  = fs.Bool("drive", false, "this node builds the demo graph and drives rounds (node mode)")
+		period = fs.Duration("trace-every", 2*time.Second, "local trace period (node mode)")
+		runFor = fs.Duration("run-for", 30*time.Second, "how long a non-driving node runs")
+		debug  = fs.String("debug-addr", "", "serve /metrics (Prometheus), /healthz, and /spans on this address (empty = off)")
+		linger = fs.Duration("linger", 0, "keep the debug endpoint up this long after the demo completes (demo mode)")
 	)
 	var tcfg cluster.TransportConfig
 	tcfg.RegisterFlags(fs)
@@ -65,17 +63,11 @@ func run(args []string) error {
 	knobs.RegisterInboxFlag(fs)
 	knobs.RegisterFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse exits on a bad flag
-	if err := tcfg.Validate(); err != nil {
-		return err
-	}
-
-	// Batching lives in the session layer, so -batch implies -reliable.
-	useReliable := *reliable || tcfg.Batch > 0
 
 	if *demo || *selfID == 0 {
-		return runDemo(*nSites, useReliable, tcfg, knobs, *debug, *linger)
+		return runDemo(*nSites, tcfg.Reliable, knobs, *debug, *linger)
 	}
-	return runNode(ids.SiteID(*selfID), *peers, *drive, *period, *runFor, useReliable, tcfg, knobs, *debug)
+	return runNode(ids.SiteID(*selfID), *peers, *drive, *period, *runFor, tcfg.Reliable, knobs, *debug)
 }
 
 // startDebugServer serves the observability endpoints on addr and returns
@@ -110,7 +102,7 @@ func siteConfig(knobs site.Config, id ids.SiteID, network transport.Network, cou
 // runDemo brings up n sites over loopback TCP (optionally under the
 // reliable session layer) and collects a distributed cycle end to end.
 // knobs carries the command-line collector knobs (see siteConfig).
-func runDemo(n int, reliable bool, tcfg cluster.TransportConfig, knobs site.Config, debugAddr string, linger time.Duration) error {
+func runDemo(n int, reliable bool, knobs site.Config, debugAddr string, linger time.Duration) error {
 	counters := &metrics.Counters{}
 	spans := backtrace.NewSpanCollector(backtrace.SpanCollectorOptions{})
 	if debugAddr != "" {
@@ -144,10 +136,8 @@ func runDemo(n int, reliable bool, tcfg cluster.TransportConfig, knobs site.Conf
 		var network transport.Network = node
 		if reliable {
 			network = backtrace.NewReliable(node, backtrace.ReliableOptions{
-				Seed:          int64(i),
-				Counters:      counters,
-				BatchMax:      tcfg.Batch,
-				FlushInterval: tcfg.FlushInterval,
+				Seed:     int64(i),
+				Counters: counters,
 			})
 		}
 		networks = append(networks, network)
@@ -267,7 +257,7 @@ func tcpLink(sites map[ids.SiteID]*site.Site, from, target backtrace.Ref) error 
 
 // runNode runs one site as its own process.
 func runNode(self ids.SiteID, peerList string, drive bool, period, runFor time.Duration,
-	reliable bool, tcfg cluster.TransportConfig, knobs site.Config, debugAddr string) error {
+	reliable bool, knobs site.Config, debugAddr string) error {
 	addrs, err := parsePeers(peerList)
 	if err != nil {
 		return err
@@ -296,10 +286,8 @@ func runNode(self ids.SiteID, peerList string, drive bool, period, runFor time.D
 	var network transport.Network = node
 	if reliable {
 		network = backtrace.NewReliable(node, backtrace.ReliableOptions{
-			Seed:          int64(self),
-			Counters:      counters,
-			BatchMax:      tcfg.Batch,
-			FlushInterval: tcfg.FlushInterval,
+			Seed:     int64(self),
+			Counters: counters,
 		})
 	}
 	defer network.Close()

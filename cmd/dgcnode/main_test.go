@@ -48,7 +48,7 @@ func TestRunDemoSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP demo skipped in -short mode")
 	}
-	if err := runDemo(2, false, cluster.TransportConfig{}, site.Config{InboxSize: 4}, "", 0); err != nil { // small inbox: mailbox path over TCP
+	if err := runDemo(2, false, site.Config{InboxSize: 4}, "", 0); err != nil { // small inbox: mailbox path over TCP
 		t.Fatal(err)
 	}
 }
@@ -57,7 +57,7 @@ func TestRunDemoReliableSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP demo skipped in -short mode")
 	}
-	if err := runDemo(2, true, cluster.TransportConfig{}, site.Config{}, "", 0); err != nil {
+	if err := runDemo(2, true, site.Config{}, "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -68,7 +68,7 @@ func TestRunDemoShardedSmoke(t *testing.T) {
 	}
 	// Mailbox executors must collect the same demo cycle over real TCP.
 	// (The name is from when this ran with hash-partitioned heaps.)
-	if err := runDemo(2, false, cluster.TransportConfig{}, site.Config{InboxSize: 4}, "", 0); err != nil {
+	if err := runDemo(2, false, site.Config{InboxSize: 4}, "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -77,25 +77,11 @@ func TestRunDemoBatchedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP demo skipped in -short mode")
 	}
-	// The binary codec plus link-level batching must collect the demo
-	// cycle end to end.
-	tcfg := cluster.TransportConfig{Batch: 8}
-	if err := runDemo(2, true, tcfg, site.Config{}, "", 0); err != nil {
+	// The node workloads' shape over real TCP: the binary codec, the
+	// batching session layer and mailbox executors of the default
+	// parallel inbox size must collect the demo cycle end to end.
+	if err := runDemo(2, true, site.Config{InboxSize: cluster.DefaultInboxSize}, "", 0); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRunRejectsBadTransportFlags: -batch and -flush-interval go through
-// the same check cluster.TransportConfig.Apply runs, before any socket
-// opens, rather than being ignored.
-func TestRunRejectsBadTransportFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-demo", "-sites", "2", "-batch", "-3"},
-		{"-demo", "-sites", "2", "-flush-interval", "5ms"},
-	} {
-		if err := run(args); err == nil {
-			t.Errorf("dgcnode %v: accepted", args)
-		}
 	}
 }
 

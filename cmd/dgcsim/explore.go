@@ -50,8 +50,12 @@ func runExplore(cfg sim.Config, seeds int, scheduleOut string, verbose bool) err
 	shrunk := sim.Shrink(fail.Config, fail.Events)
 	fmt.Printf("shrunk to %d events\n", len(shrunk))
 	if scheduleOut != "" {
-		sched := sim.Schedule{Config: fail.Config, Events: shrunk,
-			Digest: sim.Replay(fail.Config, shrunk).Digest}
+		res := sim.Replay(fail.Config, shrunk)
+		sched := sim.Schedule{Config: fail.Config, Expect: sim.ExpectCompleteness,
+			Events: shrunk, Digest: res.Digest}
+		if len(res.SafetyViolations) > 0 {
+			sched.Expect = sim.ExpectSafety
+		}
 		if err := sched.WriteFile(scheduleOut); err != nil {
 			return err
 		}
@@ -62,9 +66,9 @@ func runExplore(cfg sim.Config, seeds int, scheduleOut string, verbose bool) err
 }
 
 // runReplay is `dgcsim -replay file`: execute a recorded schedule and report
-// the oracle outcome. When the schedule carries an expect annotation the exit
-// status reflects whether the outcome matched it; otherwise any violation is
-// a nonzero exit.
+// the oracle outcome. The exit status reflects whether the outcome matched
+// the schedule's expect annotation (Schedule.Check); without one, any
+// violation is a nonzero exit.
 func runReplay(path string, verbose bool) error {
 	sched, err := sim.ReadScheduleFile(path)
 	if err != nil {
@@ -82,24 +86,16 @@ func runReplay(path string, verbose bool) error {
 		fmt.Println("violation:", v)
 	}
 
-	switch sched.Expect {
-	case sim.ExpectSafety:
-		if len(res.SafetyViolations) == 0 {
-			fmt.Println("FAIL: schedule expects a safety violation, run was clean")
-			return exitError{1}
-		}
-		fmt.Println("ok: safety violation reproduced as expected")
-		return nil
-	case sim.ExpectClean, "":
-		if res.Failed() {
-			fmt.Println("FAIL: schedule expects a clean run")
-			return exitError{1}
-		}
-		fmt.Println("ok: clean run")
-		return nil
-	default:
-		return fmt.Errorf("schedule %s: unknown expect annotation %q", path, sched.Expect)
+	if err := sched.Check(res); err != nil {
+		fmt.Println("FAIL:", err)
+		return exitError{1}
 	}
+	if res.Failed() {
+		fmt.Printf("ok: %s violation reproduced as expected\n", sched.Expect)
+	} else {
+		fmt.Println("ok: clean run")
+	}
+	return nil
 }
 
 // die prints the error unless it is a bare exit request, then exits.

@@ -91,7 +91,7 @@ func dgcsim(args []string) error {
 			*latency, *jitter, *drop, *algo, *parallel, knobs, tcfg,
 			*verbose, *events, *dotPath, *traceOut)
 	}
-	// The simulation is stepped, so it has no session-layer batcher.
+	// The simulation is stepped, so it has no session layer.
 	if err := tcfg.CheckStepped(); err != nil {
 		return err
 	}
@@ -161,6 +161,7 @@ func run(kind string, sites, objects, docs int, seed int64, rounds int,
 	opts := cluster.Options{
 		NumSites: sites,
 		Codec:    wire.Binary{},
+		Reliable: tcfg.Reliable,
 		Parallel: parallel,
 		Latency:  latency,
 		Jitter:   jitter,
@@ -174,9 +175,6 @@ func run(kind string, sites, objects, docs int, seed int64, rounds int,
 	opts.Site.AutoBackTrace = true
 	opts.Site.CallTimeout = 500 * time.Millisecond
 	opts.Site.ReportTimeout = 2 * time.Second
-	if err := tcfg.Apply(&opts); err != nil {
-		return err
-	}
 	c := cluster.New(opts)
 	defer c.Close()
 

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -73,17 +74,31 @@ func TestReplayRejectsWorldFlags(t *testing.T) {
 	}
 }
 
-// TestExploreRejectsTransportFlags checks that the stepped world refuses
-// any batching value, a negative one included, rather than ignoring it.
+// TestExploreRejectsTransportFlags checks that the stepped worlds refuse
+// the session layer, naming the flag, rather than ignoring it.
 func TestExploreRejectsTransportFlags(t *testing.T) {
-	for _, flagArgs := range [][]string{
-		{"-batch", "4"},
-		{"-batch", "-3"},
-		{"-flush-interval", "-1ms"},
+	for _, args := range [][]string{
+		{"-explore", "-seeds", "1", "-reliable"},
+		{"-replay", "../../internal/sim/testdata/schedules/invalidation-during-back-trace.json", "-reliable"},
 	} {
-		args := append([]string{"-explore", "-seeds", "1"}, flagArgs...)
-		if _, err := capture(t, args...); err == nil {
-			t.Errorf("dgcsim %v accepted", args)
+		if _, err := capture(t, args...); err == nil || !strings.Contains(err.Error(), "-reliable") {
+			t.Errorf("dgcsim %v = %v, want an error naming -reliable", args, err)
 		}
+	}
+}
+
+// TestExploreWitnessReplays checks that the shrunk failure -explore writes
+// replays to its own outcome: the planted skip-transfer-check bug fails
+// seed 5 (exit 1), and replaying the written schedule exits 0.
+func TestExploreWitnessReplays(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "failure.json")
+	out, err := capture(t, "-explore", "-seed", "5", "-seeds", "1",
+		"-faults", "skip-transfer-check", "-schedule-out", path)
+	if ee, ok := err.(exitError); !ok || ee.code != 1 {
+		t.Fatalf("explore = %v, want exit 1 on the planted bug:\n%s", err, out)
+	}
+	out, err = capture(t, "-replay", path)
+	if err != nil || !strings.Contains(out, "reproduced as expected") {
+		t.Errorf("replay of the written witness = %v:\n%s", err, out)
 	}
 }

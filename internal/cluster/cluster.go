@@ -42,22 +42,18 @@ type Options struct {
 	// Reliable interposes a transport.Reliable session layer between the
 	// sites and the memnet, giving exactly-once in-order delivery over
 	// whatever loss, duplication, and reordering the options above inject.
-	// Retransmission is time-driven, so Reliable forces asynchronous mode.
+	// The session layer is the collector's only message batcher: each
+	// link's messages travel in LinkBatch frames of up to 8, flushed every
+	// millisecond. Per-type protocol counts (msg.BackCall, …) are unchanged
+	// and wire.frames shrinks; msg.total also counts the session layer's
+	// standalone LinkAck frames. Retransmission and flushing are
+	// time-driven, so Reliable forces asynchronous mode.
 	Reliable bool
 	// Codec, if non-nil, round-trips every message through this wire
 	// codec at the network boundary, so in-process runs exercise the same
 	// serialization the TCP transport uses (frame bytes counted under
 	// wire.bytes). Nil hands messages over in memory, the fast test path.
 	Codec wire.Codec
-	// Batch, when positive, turns on link-level batching in the session
-	// layer: up to Batch messages per peer coalesce into one LinkBatch
-	// frame per flush. It implies Reliable (the batcher lives there) and
-	// is the collector's only message batcher. Per-type protocol counts
-	// (msg.BackCall, …) are unchanged and wire.frames shrinks; msg.total
-	// also counts the session layer's standalone LinkAck frames.
-	Batch int
-	// FlushInterval overrides the batcher's flush cadence (default 1ms).
-	FlushInterval time.Duration
 	// Parallel runs collection rounds with one goroutine per site instead
 	// of stepping sites serially. It forces asynchronous delivery and,
 	// unless Site.InboxSize says otherwise, gives every site a mailbox of
@@ -97,9 +93,6 @@ func New(opts Options) *Cluster {
 	if opts.Parallel && opts.Site.InboxSize == 0 {
 		opts.Site.InboxSize = DefaultInboxSize
 	}
-	if opts.Batch > 0 {
-		opts.Reliable = true // the batcher is part of the session layer
-	}
 	// Retransmission timers and mailbox dispatchers need real delivery.
 	stepped := !opts.Async && !opts.Reliable && !opts.Parallel && opts.Site.InboxSize <= 0 &&
 		opts.Latency == 0 && opts.Jitter == 0 &&
@@ -126,8 +119,6 @@ func New(opts Options) *Cluster {
 			Seed:              opts.Seed,
 			Clock:             opts.Site.Clock,
 			Counters:          counters,
-			BatchMax:          opts.Batch,
-			FlushInterval:     opts.FlushInterval,
 		})
 		network = rel
 	}

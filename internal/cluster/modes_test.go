@@ -24,7 +24,7 @@ func TestAllOptionCombinations(t *testing.T) {
 	}
 	for _, sched := range schedulers {
 		for _, algo := range []tracer.OutsetAlgorithm{tracer.AlgoBottomUp, tracer.AlgoIndependent} {
-			// "plain": no link batching; the oracle test alternates Batch: 8.
+			// "plain": no session layer; the oracle test alternates Reliable.
 			t.Run("plain/"+sched.name+"/"+algo.String(), func(t *testing.T) {
 				opts := defaultOpts(3)
 				opts.Site.MaxInflightTraces = sched.maxInflight

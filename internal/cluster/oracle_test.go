@@ -57,13 +57,9 @@ func TestCollectorMatchesReachabilityOracle(t *testing.T) {
 		})
 		want := specReachable(spec)
 
-		batch := 0
-		if iter%2 == 0 {
-			batch = 8 // alternate the session layer's link batching
-		}
 		c := cluster.New(cluster.Options{
 			NumSites: sites,
-			Batch:    batch,
+			Reliable: iter%2 == 0, // alternate the batching session layer
 			Site: site.Config{
 				SuspicionThreshold: 3,
 				BackThreshold:      7,

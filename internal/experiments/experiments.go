@@ -1,5 +1,6 @@
 // Package experiments implements the paper-reproduction experiment suite
-// indexed in DESIGN.md (rows C1–C5, C7–C9, C11, C13, C17b and C18). Each
+// indexed in DESIGN.md (rows C1–C5, C7–C9, C11, C13, C17b and C18; C13's
+// span-tree columns print in the C1 table). Each
 // experiment builds its workload, runs the collector (and baselines where
 // relevant), and returns printable rows. The package's tests are the one
 // harness: each runs its experiment at the parameters EXPERIMENTS.md
@@ -15,6 +16,7 @@ import (
 	"backtrace/internal/cluster"
 	"backtrace/internal/ids"
 	"backtrace/internal/metrics"
+	"backtrace/internal/obs"
 	"backtrace/internal/site"
 	"backtrace/internal/wire"
 	"backtrace/internal/workload"
@@ -75,85 +77,131 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// --- C1: message complexity 2E+P ------------------------------------------
+// --- C1: message complexity 2E+P (with C13's span-tree columns) -----------
 
-// MessagesRow is one row of the message-complexity experiment.
+// traceWindow is the cluster's typed metrics registry before and after one
+// back trace.
+type traceWindow struct{ before, after obs.Snapshot }
+
+// delta is how much counter name grew over the window.
+func (w traceWindow) delta(name string) int64 { return w.after.Get(name) - w.before.Get(name) }
+
+// oneBackTrace builds spec on c, runs rounds until the garbage is
+// suspected, starts one back trace from the first suspected outref in site
+// order, and settles the cluster: the single-trace measurement of C1 and
+// C17b.
+func oneBackTrace(c *cluster.Cluster, spec workload.Spec) (traceWindow, error) {
+	if _, err := workload.Build(c, spec); err != nil {
+		return traceWindow{}, err
+	}
+	c.RunRounds(10)
+	w := traceWindow{before: c.Metrics()}
+	started := false
+	for _, s := range c.Sites() {
+		for _, o := range s.Outrefs() {
+			if !o.Clean {
+				_, started = s.StartBackTrace(o.Target)
+				break
+			}
+		}
+		if started {
+			break
+		}
+	}
+	if !started {
+		return traceWindow{}, fmt.Errorf("no suspected outref on %s", spec.Name)
+	}
+	c.Settle()
+	w.after = c.Metrics()
+	return w, nil
+}
+
+// MessagesRow is one row of the message-complexity experiment. The counts
+// are typed registry diffs over one back trace; the participant count and
+// the crossing count W are read off the trace's assembled span tree rather
+// than trusted from the workload spec (C13).
 type MessagesRow struct {
-	Workload    string
-	Sites       int // P: participant sites
-	InterSite   int // E: inter-site references traversed
-	BackCalls   int64
-	BackReplies int64
-	Reports     int64
-	Total       int64
-	Predicted   int64 // 2E + (P-1): the initiator reports to itself locally
+	Workload     string
+	Sites        int // P: participant sites
+	InterSite    int // E: inter-site references traversed
+	BackCalls    int64
+	BackReplies  int64
+	Reports      int64
+	Total        int64
+	Predicted    int64 // 2E + (P-1): the initiator reports to itself locally
+	Crossings    int   // W: BackCalls handled, summed over the span tree's participant spans
+	PredictedW   int64 // 2W + (P-1)
+	Participants int   // closed participant spans in the trace's span tree
+	RTTSamples   int64 // backtrace.rtt_seconds observations for the trace
 }
 
 // MessagesPerTrace measures the messages one back trace sends over garbage
 // cycles of various shapes, against the paper's 2E+P bound (Section 4.6).
 // Our implementation delivers the initiator's own report locally, so the
-// wire prediction is 2E + (P-1).
+// wire prediction is 2E + (P-1). A site sends one BackCall per destination
+// for all the steps one call fans out to, so the exact count is 2W+P−1,
+// with W one per (handled call, destination site) pair; on a ring every
+// hop crosses a distinct site pair, so W = E.
 func MessagesPerTrace(specs []workload.Spec) ([]MessagesRow, error) {
 	var rows []MessagesRow
 	for _, spec := range specs {
-		c := clusterFor(spec.Sites, false)
-		refs, err := workload.Build(c, spec)
+		row, err := messagesRow(spec)
 		if err != nil {
-			c.Close()
-			return nil, err
+			return nil, fmt.Errorf("messages: %w", err)
 		}
-		// Propagate distances until everything on the cycle is suspected.
-		c.RunRounds(10)
-		before := c.Metrics()
-
-		// Start one back trace from a suspected outref of site 1 (any
-		// cycle member works; pick deterministically).
-		started := false
-		for _, s := range c.Sites() {
-			for _, o := range s.Outrefs() {
-				if !o.Clean {
-					if _, ok := s.StartBackTrace(o.Target); ok {
-						started = true
-					}
-					break
-				}
-			}
-			if started {
-				break
-			}
-		}
-		if !started {
-			c.Close()
-			return nil, fmt.Errorf("messages: no suspected outref in %s", spec.Name)
-		}
-		c.Settle()
-		after := c.Metrics()
-
-		e := spec.InterSiteEdges()
-		p := spec.SitesTouched()
-		row := MessagesRow{
-			Workload:    spec.Name,
-			Sites:       p,
-			InterSite:   e,
-			BackCalls:   after.Get("msg.BackCall") - before.Get("msg.BackCall"),
-			BackReplies: after.Get("msg.BackReply") - before.Get("msg.BackReply"),
-			Reports:     after.Get("msg.Report") - before.Get("msg.Report"),
-			Predicted:   int64(2*e + p - 1),
-		}
-		row.Total = row.BackCalls + row.BackReplies + row.Reports
 		rows = append(rows, row)
-		_ = refs
-		c.Close()
 	}
 	return rows, nil
+}
+
+// messagesRow runs one MessagesPerTrace measurement.
+func messagesRow(spec workload.Spec) (MessagesRow, error) {
+	c := clusterFor(spec.Sites, false)
+	defer c.Close()
+	w, err := oneBackTrace(c, spec)
+	if err != nil {
+		return MessagesRow{}, err
+	}
+	e := spec.InterSiteEdges()
+	p := spec.SitesTouched()
+	row := MessagesRow{
+		Workload:    spec.Name,
+		Sites:       p,
+		InterSite:   e,
+		BackCalls:   w.delta("msg.BackCall"),
+		BackReplies: w.delta("msg.BackReply"),
+		Reports:     w.delta("msg.Report"),
+		Predicted:   int64(2*e + p - 1),
+		RTTSamples: w.after.Histograms[obs.MetricBackTraceRTT].Count -
+			w.before.Histograms[obs.MetricBackTraceRTT].Count,
+	}
+	row.Total = row.BackCalls + row.BackReplies + row.Reports
+
+	// Read P and W off the span tree the collector assembled for the
+	// garbage trace (distance propagation may have run earlier Live traces,
+	// so pick the complete garbage-verdict tree).
+	for _, tree := range c.Spans().Trees() {
+		if tree.Root != nil && tree.Complete() && tree.Root.Verdict == 0 /* garbage */ {
+			row.Participants = len(tree.Participants)
+			row.Crossings = 0
+			for _, sp := range tree.Participants {
+				row.Crossings += sp.Hops
+			}
+		}
+	}
+	row.PredictedW = int64(2*row.Crossings + p - 1)
+	return row, nil
 }
 
 // MessagesTable renders MessagesPerTrace rows.
 func MessagesTable(rows []MessagesRow) *Table {
 	t := &Table{
-		Title:   "C1: back-trace message complexity (paper: 2E+P)",
-		Header:  []string{"workload", "P(sites)", "E(refs)", "calls", "replies", "reports", "total", "2E+P-1"},
-		Caption: "one back trace per workload; initiator's own report is local, hence P-1 report messages",
+		Title: "C1: back-trace message complexity (paper: 2E+P)",
+		Header: []string{"workload", "P(sites)", "E(refs)", "calls", "replies",
+			"reports", "total", "2E+P-1", "span W", "2W+P-1", "span-participants", "rtt-samples"},
+		Caption: "one back trace per workload; counts are typed registry diffs, and P and W " +
+			"(BackCalls handled) are read off the assembled span tree; the initiator's own " +
+			"report is local, hence P-1 report messages",
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{
@@ -161,6 +209,8 @@ func MessagesTable(rows []MessagesRow) *Table {
 			fmt.Sprint(r.Sites), fmt.Sprint(r.InterSite),
 			fmt.Sprint(r.BackCalls), fmt.Sprint(r.BackReplies), fmt.Sprint(r.Reports),
 			fmt.Sprint(r.Total), fmt.Sprint(r.Predicted),
+			fmt.Sprint(r.Crossings), fmt.Sprint(r.PredictedW),
+			fmt.Sprint(r.Participants), fmt.Sprint(r.RTTSamples),
 		})
 	}
 	return t

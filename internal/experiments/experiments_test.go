@@ -219,36 +219,43 @@ func TestOverlapShape(t *testing.T) {
 	t.Log("\n" + OverlapTable(rows).String())
 }
 
+// messagesRowFor runs the C1 measurement on one workload.
+func messagesRowFor(t *testing.T, spec workload.Spec) MessagesRow {
+	t.Helper()
+	rows, err := MessagesPerTrace([]workload.Spec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows[0]
+}
+
 // TestTelemetryParallelEdgesGroupCalls: on a site pair crossed by k
 // parallel references, the k back steps that cross it in one direction
 // share one BackCall, so W < E; the span tree's handled-call count agrees
 // with the BackCall counter and the trace costs exactly 2W+P−1.
 func TestTelemetryParallelEdgesGroupCalls(t *testing.T) {
-	row, err := TelemetryComplexity(workload.ParallelPair(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := messagesRowFor(t, workload.ParallelPair(4))
 	if row.InterSite != 5 || row.Sites != 2 {
 		t.Fatalf("pair-4 has E = %d, P = %d; want 5, 2", row.InterSite, row.Sites)
 	}
 	if row.Crossings != 2 || int64(row.Crossings) != row.BackCalls {
 		t.Errorf("span tree W = %d, BackCalls = %d; want both 2", row.Crossings, row.BackCalls)
 	}
-	if row.Total != row.Predicted || row.Total != 5 {
-		t.Errorf("total = %d, 2W+P-1 = %d, want 5 (2E+P-1 would be %d)", row.Total, row.Predicted, row.PaperBound)
+	if row.Total != row.PredictedW || row.Total != 5 {
+		t.Errorf("total = %d, 2W+P-1 = %d, want 5 (2E+P-1 would be %d)", row.Total, row.PredictedW, row.Predicted)
 	}
 	if row.Participants != 2 {
 		t.Errorf("span tree has %d participants, want 2", row.Participants)
 	}
 }
 
+// TestTelemetryComplexityMatchesPaperFormula checks C13's columns of the
+// C1 table: the typed registry diffs and the span tree's participant and
+// crossing counts agree with 2W+P−1 on rings, where W = E.
 func TestTelemetryComplexityMatchesPaperFormula(t *testing.T) {
-	var rows []TelemetryRow
+	var rows []MessagesRow
 	for _, n := range []int{3, 6, 12} {
-		row, err := TelemetryComplexity(workload.Ring(n))
-		if err != nil {
-			t.Fatal(err)
-		}
+		row := messagesRowFor(t, workload.Ring(n))
 		rows = append(rows, row)
 		// n-site ring: E = W = n, P = n → n calls, n replies, n-1 reports,
 		// 3n-1 total (17 on the 6-site ring).
@@ -256,9 +263,9 @@ func TestTelemetryComplexityMatchesPaperFormula(t *testing.T) {
 			t.Errorf("%s: counts = calls %d replies %d reports %d, want %d/%d/%d",
 				row.Workload, row.BackCalls, row.BackReplies, row.Reports, n, n, n-1)
 		}
-		if row.Total != row.Predicted || row.Total != row.PaperBound || row.Total != int64(3*n-1) {
+		if row.Total != row.PredictedW || row.Total != row.Predicted || row.Total != int64(3*n-1) {
 			t.Errorf("%s: total = %d, 2W+P-1 = %d, 2E+P-1 = %d, want %d",
-				row.Workload, row.Total, row.Predicted, row.PaperBound, 3*n-1)
+				row.Workload, row.Total, row.PredictedW, row.Predicted, 3*n-1)
 		}
 		if row.Crossings != row.InterSite {
 			t.Errorf("%s: span tree W = %d, want E = %d on a ring", row.Workload, row.Crossings, row.InterSite)
@@ -274,16 +281,13 @@ func TestTelemetryComplexityMatchesPaperFormula(t *testing.T) {
 	}
 	// The parallel pair's W < E is TestTelemetryParallelEdgesGroupCalls's;
 	// here it completes the table, still at exactly 2W+P-1.
-	pair, err := TelemetryComplexity(workload.ParallelPair(4))
-	if err != nil {
-		t.Fatal(err)
+	pair := messagesRowFor(t, workload.ParallelPair(4))
+	if pair.Total != pair.PredictedW {
+		t.Errorf("%s: total = %d, 2W+P-1 = %d", pair.Workload, pair.Total, pair.PredictedW)
 	}
-	if pair.Total != pair.Predicted {
-		t.Errorf("%s: total = %d, 2W+P-1 = %d", pair.Workload, pair.Total, pair.Predicted)
-	}
-	tbl := TelemetryTable(append(rows, pair)).String()
+	tbl := MessagesTable(append(rows, pair)).String()
 	if !strings.Contains(tbl, "registry") {
-		t.Error("table missing title")
+		t.Error("table missing its registry caption")
 	}
 	t.Log("\n" + tbl)
 }

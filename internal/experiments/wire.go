@@ -28,26 +28,25 @@ type WireBatchRow struct {
 	Bytes     int64 // full run: wire.bytes (binary codec)
 }
 
-// WireBatch re-runs the C13 measurement under the binary codec with and
-// without the session layer's link batching (cluster.Options.Batch).
-// Batching must be invisible to the protocol — the controlled back trace
-// still costs exactly 2E+P−1 messages and the full collection reclaims the
-// same objects — while physical frames drop below the logical count. The
-// batched runs are timer-driven, so their frame counts vary run to run.
+// WireBatch re-runs the C1 measurement under the binary codec without and
+// with the session layer (cluster.Options.Reliable), which batches each
+// link's messages into LinkBatch frames. Batching must be invisible to the
+// protocol — the controlled back trace still costs exactly 2E+P−1
+// messages and the full collection reclaims the same objects — while
+// physical frames drop below the logical count. The batched runs are
+// timer-driven, so their frame counts vary run to run.
 func WireBatch(sites int) ([]WireBatchRow, error) {
 	settings := []struct {
-		name  string
-		batch int
-	}{{"unbatched", 0}, {"batched", 8}}
+		name     string
+		reliable bool
+	}{{"unbatched", false}, {"batched", true}}
 	rows := make([]WireBatchRow, 0, len(settings))
 	for _, set := range settings {
-		row, err := wireTraceWindow(sites, set.name, set.batch)
+		row, err := wireTraceWindow(sites, set.name, set.reliable)
 		if err != nil {
 			return nil, err
 		}
-		if err := wireFullCollection(&row, set.batch); err != nil {
-			return nil, err
-		}
+		wireFullCollection(&row, set.reliable)
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -55,12 +54,12 @@ func WireBatch(sites int) ([]WireBatchRow, error) {
 
 // wireTraceWindow runs the controlled single-trace measurement: a garbage
 // ring, one back trace, message counts diffed over the trace window.
-func wireTraceWindow(sites int, name string, batch int) (WireBatchRow, error) {
+func wireTraceWindow(sites int, name string, reliable bool) (WireBatchRow, error) {
 	spec := workload.Ring(sites)
 	c := cluster.New(cluster.Options{
 		NumSites: sites,
 		Codec:    wire.Binary{},
-		Batch:    batch,
+		Reliable: reliable,
 		Site: site.Config{
 			SuspicionThreshold: 3,
 			BackThreshold:      7,
@@ -68,45 +67,22 @@ func wireTraceWindow(sites int, name string, batch int) (WireBatchRow, error) {
 		},
 	})
 	defer c.Close()
-	if _, err := workload.Build(c, spec); err != nil {
-		return WireBatchRow{}, err
+	w, err := oneBackTrace(c, spec)
+	if err != nil {
+		return WireBatchRow{}, fmt.Errorf("wire batch (%s): %w", name, err)
 	}
-	c.RunRounds(10)
-	before := c.Metrics()
-
-	started := false
-	for _, s := range c.Sites() {
-		for _, o := range s.Outrefs() {
-			if !o.Clean {
-				if _, ok := s.StartBackTrace(o.Target); ok {
-					started = true
-				}
-				break
-			}
-		}
-		if started {
-			break
-		}
-	}
-	if !started {
-		return WireBatchRow{}, fmt.Errorf("wire batch: no suspected outref on the %d-site ring (%s)", sites, name)
-	}
-	c.Settle()
-	after := c.Metrics()
-
 	e := spec.InterSiteEdges()
 	p := spec.SitesTouched()
 	// The window carries only back-trace traffic, so the session layer's
 	// retransmitted copies (counted per leaf, like first sends) are
 	// subtracted: the bound is on what the protocol sends, not on how
 	// often the link resends it.
-	delta := func(name string) int64 { return after.Get(name) - before.Get(name) }
 	return WireBatchRow{
 		Setting:   name,
 		Sites:     p,
 		InterSite: e,
-		BackMsgs: delta("msg.BackCall") + delta("msg.BackReply") + delta("msg.Report") -
-			delta(metrics.LinkRetransmits),
+		BackMsgs: w.delta("msg.BackCall") + w.delta("msg.BackReply") + w.delta("msg.Report") -
+			w.delta(metrics.LinkRetransmits),
 		Predicted: int64(2*e + p - 1),
 	}, nil
 }
@@ -114,11 +90,11 @@ func wireTraceWindow(sites int, name string, batch int) (WireBatchRow, error) {
 // wireFullCollection fills in the physical-traffic half of a row: two
 // interleaved garbage rings collected to stability, so sites emit several
 // same-destination messages per step and batching has work to do.
-func wireFullCollection(row *WireBatchRow, batch int) error {
+func wireFullCollection(row *WireBatchRow, reliable bool) {
 	c := cluster.New(cluster.Options{
 		NumSites: 4,
 		Codec:    wire.Binary{},
-		Batch:    batch,
+		Reliable: reliable,
 		Site: site.Config{
 			SuspicionThreshold: 3,
 			BackThreshold:      7,
@@ -135,7 +111,6 @@ func wireFullCollection(row *WireBatchRow, batch int) error {
 	row.Logical = snap.Get("msg.total")
 	row.Frames = snap.Get("wire.frames")
 	row.Bytes = snap.Get("wire.bytes")
-	return nil
 }
 
 // WireBatchTable renders the batching rows.
@@ -144,7 +119,7 @@ func WireBatchTable(rows []WireBatchRow) *Table {
 		Title: "C17b: link batching vs the 2E+P-1 bound (binary codec, ring)",
 		Header: []string{"setting", "P(sites)", "E(refs)", "trace-msgs", "2E+P-1",
 			"collected", "logical-total", "frames", "bytes"},
-		Caption: "batched = cluster.Options{Batch: 8}, the session layer's LinkBatch, " +
+		Caption: "batched = cluster.Options{Reliable: true}, the session layer's LinkBatch, " +
 			"timer-driven (its counts vary run to run); trace-msgs excludes retransmitted " +
 			"copies and equals 2E+P-1 in both rows; logical-total (msg.total, per leaf) " +
 			"also counts the session layer's LinkAck frames, so the rows differ; " +

@@ -64,8 +64,8 @@ func (c *Counters) Max(name string, v int64) {
 	c.Registry().Gauge(name, "").Max(v)
 }
 
-// Message counter names. Counts are LOGICAL: a session-layer wrapper
-// (LinkData, LinkBatch) is unwrapped and each leaf message is counted once
+// Message counter names. Counts are LOGICAL: the session-layer wrapper
+// (LinkBatch) is unwrapped and each leaf message is counted once
 // under its type ("msg.BackCall") and under the total ("msg.total"), so the
 // per-type counts behind the paper's 2E+P-1 accounting do not depend on how
 // the session layer frames them. A standalone LinkAck is a leaf too, so a
@@ -174,16 +174,17 @@ const (
 	// message is requeued and retried with backoff, so a nonzero count
 	// with full delivery means the redial path healed the link.
 	TransportSendFail = "transport.send_fail"
-	// LinkRetransmits counts LinkData frames retransmitted after an ack
-	// deadline passed.
+	// LinkRetransmits counts messages retransmitted (in LinkBatch frames)
+	// after an ack deadline passed; first transmissions are not counted.
 	LinkRetransmits = "link.retransmit"
-	// LinkDupDropped counts received LinkData frames discarded as
-	// duplicates (already delivered or already buffered).
+	// LinkDupDropped counts received messages discarded as duplicates
+	// (already delivered or already buffered).
 	LinkDupDropped = "link.dup_dropped"
-	// LinkStaleDropped counts frames discarded for carrying an epoch older
-	// than the link's current session.
+	// LinkStaleDropped counts messages discarded for carrying an epoch
+	// older than the link's current session.
 	LinkStaleDropped = "link.stale_epoch_dropped"
-	// LinkAcksSent counts LinkAck frames sent by receivers.
+	// LinkAcksSent counts the cumulative acks receivers sent, piggybacked
+	// on a LinkBatch or standalone as a LinkAck.
 	LinkAcksSent = "link.acks_sent"
 	// LinkResets counts link session resets (site restarts announced via
 	// LinkReset, and resets applied on receiving one).
@@ -192,7 +193,7 @@ const (
 	// session reset — traffic addressed to a dead incarnation, which the
 	// protocol tolerates as message loss.
 	LinkResetDropped = "link.reset_dropped"
-	// LinkReorderBuffered counts frames that arrived ahead of a gap and
+	// LinkReorderBuffered counts messages that arrived ahead of a gap and
 	// were held in the receiver's reorder buffer.
 	LinkReorderBuffered = "link.reorder_buffered"
 )

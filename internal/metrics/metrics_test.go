@@ -80,7 +80,7 @@ func TestObserveMessageEveryType(t *testing.T) {
 	for _, leaf := range leaves {
 		var c Counters
 		c.ObserveMessage(msg.Envelope{M: leaf}, false)
-		c.ObserveMessage(msg.Envelope{M: msg.LinkBatch{Items: []msg.Message{leaf, msg.LinkData{Payload: leaf}}}}, false)
+		c.ObserveMessage(msg.Envelope{M: msg.LinkBatch{Items: []msg.Message{leaf, msg.LinkBatch{Items: []msg.Message{leaf}}}}}, false)
 		want := map[string]int64{WireFrames: 2, MsgTotal: 3, MsgName(leaf): 3}
 		got := c.Registry().Snapshot().Counters
 		if len(got) != len(want) {

@@ -219,21 +219,8 @@ type Report struct {
 	GarbageSuspects []uint32
 }
 
-// LinkData is a session-layer frame of the reliable link layer
-// (transport.Reliable): one protocol message stamped with the sender's
-// session epoch and a per-link sequence number. Sequence numbers start at 1
-// for each (link, epoch) pair and increase by one per frame, which lets the
-// receiver deduplicate, reorder, and acknowledge cumulatively — restoring
-// the in-order delivery relation R1 of the Section 6.4 safety proof over a
-// lossy transport.
-type LinkData struct {
-	Epoch   uint64
-	Seq     uint64
-	Payload Message
-}
-
-// LinkAck cumulatively acknowledges a link session: every LinkData frame of
-// epoch Epoch with sequence number <= Cum has been received (delivered or
+// LinkAck cumulatively acknowledges a link session: every message of epoch
+// Epoch with sequence number <= Cum has been received (delivered or
 // buffered). The sender drops acknowledged frames from its retransmission
 // window.
 //
@@ -247,13 +234,16 @@ type LinkAck struct {
 	Inc   uint64
 }
 
-// LinkBatch coalesces a run of consecutive LinkData frames for one link
-// into a single physical frame, optionally piggybacking the sender's
-// pending cumulative acknowledgment for the reverse direction. Items[i]
-// carries the payload of sequence number Base+i of epoch Epoch; the
-// receiver processes the items in ascending sequence order, so the frame is
-// exactly equivalent to the individual LinkData frames it replaces and the
-// in-order relation R1 is preserved.
+// LinkBatch is the data frame of the reliable link layer
+// (transport.Reliable): a run of consecutive protocol messages for one
+// link, stamped with the sender's session epoch, optionally piggybacking
+// the sender's pending cumulative acknowledgment for the reverse direction.
+// Items[i] carries the message of sequence number Base+i of epoch Epoch.
+// Sequence numbers start at 1 for each (link, epoch) pair and increase by
+// one per message, which lets the receiver deduplicate, reorder, and
+// acknowledge cumulatively; it processes the items in ascending sequence
+// order, restoring the in-order delivery relation R1 of the Section 6.4
+// safety proof over a lossy transport.
 //
 // AckEpoch/AckCum/AckInc mirror a LinkAck for the reverse link when
 // AckEpoch is nonzero (epochs start at 1, so zero means "no ack attached").
@@ -285,7 +275,6 @@ func (Update) isMessage()      {}
 func (BackCall) isMessage()    {}
 func (BackReply) isMessage()   {}
 func (Report) isMessage()      {}
-func (LinkData) isMessage()    {}
 func (LinkAck) isMessage()     {}
 func (LinkBatch) isMessage()   {}
 func (LinkReset) isMessage()   {}
@@ -300,20 +289,17 @@ var (
 	_ Message = BackCall{}
 	_ Message = BackReply{}
 	_ Message = Report{}
-	_ Message = LinkData{}
 	_ Message = LinkAck{}
 	_ Message = LinkBatch{}
 	_ Message = LinkReset{}
 )
 
 // Leaves calls fn for every protocol message inside m, descending through
-// the LinkData and LinkBatch wrappers in delivery order. For a bare
+// the LinkBatch wrapper in delivery order. For a bare
 // protocol message it calls fn(m) once; the message counters use it to
 // count what the session layer framed.
 func Leaves(m Message, fn func(Message)) {
 	switch mm := m.(type) {
-	case LinkData:
-		Leaves(mm.Payload, fn)
 	case LinkBatch:
 		for _, item := range mm.Items {
 			Leaves(item, fn)
@@ -343,8 +329,6 @@ func Name(m Message) string {
 		return "BackReply"
 	case Report:
 		return "Report"
-	case LinkData:
-		return "LinkData"
 	case LinkAck:
 		return "LinkAck"
 	case LinkBatch:

@@ -36,7 +36,7 @@ func TestLeavesDescendsWrappers(t *testing.T) {
 		Epoch: 1, Base: 5,
 		Items: []Message{
 			Update{Holds: []ids.ObjID{1, 2}},
-			LinkData{Epoch: 1, Seq: 6, Payload: BackCall{Trace: ids.TraceID{Initiator: 1, Seq: 9}, Steps: []BackStep{{Outref: 3}}}},
+			LinkBatch{Epoch: 1, Base: 6, Items: []Message{BackCall{Trace: ids.TraceID{Initiator: 1, Seq: 9}, Steps: []BackStep{{Outref: 3}}}}},
 			Report{Outcome: VerdictLive},
 		},
 	}
@@ -54,12 +54,10 @@ func TestLeavesDescendsWrappers(t *testing.T) {
 }
 
 func TestNameCoversEveryMessageType(t *testing.T) {
-	r := ids.MakeRef(2, 17)
 	all := []Message{
 		RefTransfer{}, Insert{}, InsertAck{}, ReleasePin{}, Update{},
 		BackCall{}, BackReply{}, Report{},
-		LinkBatch{},
-		LinkData{Payload: ReleasePin{Target: r}}, LinkAck{}, LinkReset{},
+		LinkBatch{}, LinkAck{}, LinkReset{},
 	}
 	seen := make(map[string]bool)
 	for _, m := range all {

@@ -8,9 +8,9 @@ import (
 )
 
 // TestReplayCorpus replays every schedule under testdata/schedules/ and
-// enforces its Expect annotation: "safety" schedules are caught-regression
-// witnesses that must trip the safety oracle; "clean" (or unannotated)
-// schedules must pass both oracles. Each schedule must replay, twice, to
+// enforces its Expect annotation (Schedule.Check): "safety" schedules are
+// caught-regression witnesses that must trip the safety oracle; "clean" (or
+// unannotated) schedules must pass both oracles and apply every event. Each schedule must replay, twice, to
 // the digest it records — the corpus doubles as a determinism and
 // behaviour regression suite.
 func TestReplayCorpus(t *testing.T) {
@@ -31,20 +31,11 @@ func TestReplayCorpus(t *testing.T) {
 			}
 			res := Replay(sched.Config, sched.Events)
 			results[name] = res
-			switch sched.Expect {
-			case ExpectSafety:
-				if len(res.SafetyViolations) == 0 {
-					t.Fatal("expected a safety violation, run was clean")
-				}
-			case ExpectClean, "":
-				if res.Failed() {
-					t.Fatalf("expected a clean run, got: %v", res.Violations())
-				}
-				if res.Skipped != 0 {
-					t.Fatalf("clean corpus schedule skipped %d events", res.Skipped)
-				}
-			default:
-				t.Fatalf("unknown expect annotation %q", sched.Expect)
+			if err := sched.Check(res); err != nil {
+				t.Fatal(err)
+			}
+			if !res.Failed() && res.Skipped != 0 {
+				t.Fatalf("clean corpus schedule skipped %d events", res.Skipped)
 			}
 			if sched.Digest == "" {
 				t.Fatalf("schedule records no digest; it replays to %s", res.Digest)

@@ -97,8 +97,8 @@ type Schedule struct {
 	Config  Config `json:"config"`
 	// Expect states the oracle outcome the schedule reproduces: "" (or
 	// "clean") for a run both oracles must pass, "safety" for a run the
-	// safety oracle must fail (a caught-regression witness). TestReplayCorpus
-	// enforces it.
+	// safety oracle must fail (a caught-regression witness), "completeness"
+	// for a run only the completeness oracle fails. Check enforces it.
 	Expect string `json:"expect,omitempty"`
 	// Digest is the Result.Digest the events replay to; TestReplayCorpus
 	// fails when a corpus file replays to any other.
@@ -108,9 +108,32 @@ type Schedule struct {
 
 // Expectation values for Schedule.Expect.
 const (
-	ExpectClean  = "clean"
-	ExpectSafety = "safety"
+	ExpectClean        = "clean"
+	ExpectSafety       = "safety"
+	ExpectCompleteness = "completeness"
 )
+
+// Check reports whether a replay of the schedule had the outcome its Expect
+// annotation states.
+func (s Schedule) Check(res *Result) error {
+	switch s.Expect {
+	case ExpectSafety:
+		if len(res.SafetyViolations) == 0 {
+			return fmt.Errorf("schedule expects a safety violation, run was clean")
+		}
+	case ExpectCompleteness:
+		if len(res.SafetyViolations) > 0 || len(res.CompletenessViolations) == 0 {
+			return fmt.Errorf("schedule expects a completeness violation only, got: %v", res.Violations())
+		}
+	case ExpectClean, "":
+		if res.Failed() {
+			return fmt.Errorf("schedule expects a clean run, got: %v", res.Violations())
+		}
+	default:
+		return fmt.Errorf("unknown expect annotation %q", s.Expect)
+	}
+	return nil
+}
 
 // WriteFile serializes the schedule as indented JSON.
 func (s Schedule) WriteFile(path string) error {

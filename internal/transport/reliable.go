@@ -20,13 +20,19 @@ import (
 // and tolerates outright loss only through the Section 4.6 timeout rule: a
 // lost Call or Report makes the trace conservatively assume Live, costing a
 // whole re-suspicion round per dropped packet. Reliable removes that cost
-// on lossy substrates: every protocol message is wrapped in a LinkData
-// frame carrying a per-link (source, destination) monotone sequence number
-// and the sender's session epoch. Receivers acknowledge cumulatively,
-// deduplicate, and buffer out-of-order frames so handlers see every message
-// exactly once, in send order — R1 restored. Senders keep a bounded
-// in-flight window and retransmit unacknowledged frames on exponential
-// backoff with jitter.
+// on lossy substrates: every protocol message gets a per-link (source,
+// destination) monotone sequence number, and runs of consecutive messages
+// travel in LinkBatch frames stamped with the sender's session epoch.
+// Receivers acknowledge cumulatively, deduplicate, and buffer out-of-order
+// messages so handlers see every message exactly once, in send order — R1
+// restored. Senders keep a bounded in-flight window and retransmit
+// unacknowledged messages on exponential backoff with jitter.
+//
+// Sending batches: a message joins its link's unsent tail, and the tail
+// goes out as LinkBatch frames of up to BatchMax messages at the next flush
+// tick (every flushInterval) or as soon as BatchMax messages have
+// accumulated. The cumulative ack a receiver owes rides the next batch
+// toward that peer, or goes out alone as a LinkAck at the next flush tick.
 //
 // Site crashes are handled with incarnation epochs: a restarted site (see
 // internal/site/persist.go) calls NotifyRestart, which bumps its epoch,
@@ -54,19 +60,10 @@ type ReliableOptions struct {
 	// Defaults to 1. After a crash, pass the persisted incarnation + 1 via
 	// NotifyRestart instead.
 	Epoch uint64
-	// BatchMax, when positive, turns on link-level batching: messages for
-	// the same peer coalesce at the sender into one LinkBatch frame of up
-	// to BatchMax payloads, flushed every FlushInterval (or immediately
-	// when a batch fills). Acks the receiver owes are piggybacked on the
-	// next data batch toward that peer instead of sent as standalone
-	// LinkAck frames. Batching trades up to one FlushInterval of latency
-	// for far fewer envelopes on the wire; logical message counts and
-	// per-link FIFO order are unchanged.
+	// BatchMax is the largest LinkBatch: the most messages for one peer
+	// that travel in one frame. A link's unsent tail flushes as soon as it
+	// holds BatchMax messages. Defaults to 8.
 	BatchMax int
-	// FlushInterval is the batcher's flush cadence. Defaults to 1ms when
-	// BatchMax is set; it should stay well below RetransmitInitial so
-	// first transmissions never look like losses.
-	FlushInterval time.Duration
 	// Clock supplies retransmission deadlines and the scan cadence. Nil
 	// means the wall clock.
 	Clock clock.Clock
@@ -79,10 +76,13 @@ type ReliableOptions struct {
 
 // retransmitMax caps a link's exponential backoff; retransmitJitter is the
 // fraction of the backoff added as uniform random extra delay,
-// de-synchronizing retransmission bursts across links.
+// de-synchronizing retransmission bursts across links. flushInterval is the
+// batcher's cadence, well below the retransmit timer so first
+// transmissions never look like losses.
 const (
 	retransmitMax    = 500 * time.Millisecond
 	retransmitJitter = 0.25
+	flushInterval    = time.Millisecond
 )
 
 func (o ReliableOptions) withDefaults() ReliableOptions {
@@ -95,8 +95,8 @@ func (o ReliableOptions) withDefaults() ReliableOptions {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.BatchMax > 0 && o.FlushInterval <= 0 {
-		o.FlushInterval = time.Millisecond
+	if o.BatchMax <= 0 {
+		o.BatchMax = 8
 	}
 	if o.Epoch == 0 {
 		o.Epoch = 1
@@ -132,7 +132,7 @@ type sendLink struct {
 	epoch    uint64
 	nextSeq  uint64      // next sequence number to assign
 	inflight []linkFrame // in the window, unacknowledged; ascending, contiguous seq
-	unsent   int         // batching: trailing inflight frames not yet transmitted
+	unsent   int         // trailing inflight frames not yet transmitted
 	pending  []msg.Message
 	backoff  time.Duration
 	retryAt  time.Time
@@ -171,7 +171,7 @@ type Reliable struct {
 	sends       map[linkKey]*sendLink
 	recvs       map[linkKey]*recvLink
 	handlers    map[ids.SiteID]Handler
-	ackPending  map[linkKey]msg.LinkAck // batching: acks owed, awaiting piggyback or flush
+	ackPending  map[linkKey]msg.LinkAck // acks owed, awaiting piggyback or flush
 	rng         *rand.Rand
 	outstanding int           // frames in flight or queued across all links
 	idle        chan struct{} // non-nil while an AwaitIdle waits; closed at zero
@@ -187,8 +187,8 @@ var (
 )
 
 // NewReliable wraps inner with a reliable session layer and starts its
-// retransmission scanner. Close the returned layer, not the inner network
-// (Close closes both).
+// flush ticker and retransmission scanner. Close the returned layer, not
+// the inner network (Close closes both).
 func NewReliable(inner Network, opts ReliableOptions) *Reliable {
 	opts = opts.withDefaults()
 	r := &Reliable{
@@ -203,17 +203,11 @@ func NewReliable(inner Network, opts ReliableOptions) *Reliable {
 		rng:         rand.New(rand.NewSource(opts.Seed)),
 		done:        make(chan struct{}),
 	}
-	r.wg.Add(1)
+	r.wg.Add(2)
 	go r.retransmitLoop()
-	if r.batching() {
-		r.wg.Add(1)
-		go r.flushLoop()
-	}
+	go r.flushLoop()
 	return r
 }
-
-// batching reports whether link-level batching is enabled.
-func (r *Reliable) batching() bool { return r.opts.BatchMax > 0 }
 
 // Register implements Network: h receives the deduplicated, reordered
 // payload stream for site.
@@ -233,9 +227,9 @@ func (r *Reliable) Register(site ids.SiteID, h Handler) {
 // number and retransmitted until acknowledged; if the in-flight window is
 // full it queues at the sender. Send never blocks on the receiver.
 //
-// With batching enabled the message is not transmitted here: it joins the
-// link's unsent tail and goes out in a LinkBatch at the next flush (or
-// immediately once BatchMax messages have accumulated).
+// The message is not transmitted here: it joins the link's unsent tail and
+// goes out in a LinkBatch at the next flush (or at once when the tail
+// reaches BatchMax messages).
 func (r *Reliable) Send(from, to ids.SiteID, m msg.Message) {
 	env := msg.Envelope{From: from, To: to, M: m}
 	r.mu.Lock()
@@ -247,34 +241,27 @@ func (r *Reliable) Send(from, to ids.SiteID, m msg.Message) {
 	key := linkKey{from, to}
 	sl := r.sendLinkLocked(from, to)
 	r.outstanding++
-	var out []msg.Message
+	var out []outFrame
 	if len(sl.inflight) < r.opts.Window {
-		seq := sl.nextSeq
+		sl.inflight = append(sl.inflight, linkFrame{seq: sl.nextSeq, m: m})
 		sl.nextSeq++
-		sl.inflight = append(sl.inflight, linkFrame{seq: seq, m: m})
 		if len(sl.inflight) == 1 {
 			r.armLocked(sl, r.clk.Now())
 		}
-		if r.batching() {
-			sl.unsent++
-			if sl.unsent >= r.opts.BatchMax {
-				out = r.flushLinkLocked(key, sl)
-			}
-		} else {
-			out = append(out, msg.LinkData{Epoch: sl.epoch, Seq: seq, Payload: m})
+		sl.unsent++
+		if sl.unsent >= r.opts.BatchMax {
+			out = r.flushLinkLocked(nil, key, sl)
 		}
 	} else {
 		sl.pending = append(sl.pending, m)
 	}
 	r.mu.Unlock()
 	r.observe(env, false)
-	for _, f := range out {
-		r.inner.Send(from, to, f)
-	}
+	r.sendFrames(out)
 }
 
-// Close implements Network: it stops the retransmission scanner and closes
-// the inner network.
+// Close implements Network: it stops the flush ticker and the
+// retransmission scanner and closes the inner network.
 func (r *Reliable) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -427,35 +414,55 @@ func (r *Reliable) gaugeMax(name string, v int64) {
 	}
 }
 
-// flushLinkLocked drains a link's unsent tail into LinkBatch frames of at
-// most BatchMax payloads each, piggybacking any ack owed to the same peer
-// onto the first one. The caller holds r.mu and sends the returned frames
-// after unlocking.
-func (r *Reliable) flushLinkLocked(key linkKey, sl *sendLink) []msg.Message {
-	if sl.unsent == 0 {
-		return nil
+// outFrame is a physical frame for the inner network, built under r.mu and
+// sent after it is released.
+type outFrame struct {
+	key linkKey
+	m   msg.Message
+}
+
+// sendFrames hands frames to the inner network. The caller does not hold
+// r.mu.
+func (r *Reliable) sendFrames(out []outFrame) {
+	for _, f := range out {
+		r.inner.Send(f.key.from, f.key.to, f.m)
 	}
-	frames := sl.inflight[len(sl.inflight)-sl.unsent:]
-	var out []msg.Message
-	for start := 0; start < len(frames); start += r.opts.BatchMax {
-		end := start + r.opts.BatchMax
-		if end > len(frames) {
-			end = len(frames)
-		}
-		chunk := frames[start:end]
+}
+
+// appendBatchesLocked appends a run of consecutive frames to out as
+// LinkBatch frames of at most BatchMax payloads each; the first carries ack
+// when ack.Epoch is nonzero. The caller holds r.mu.
+func (r *Reliable) appendBatchesLocked(out []outFrame, key linkKey, epoch uint64, frames []linkFrame, ack msg.LinkAck) []outFrame {
+	for len(frames) > 0 {
+		chunk := frames[:min(len(frames), r.opts.BatchMax)]
+		frames = frames[len(chunk):]
 		items := make([]msg.Message, len(chunk))
 		for i, f := range chunk {
 			items[i] = f.m
 		}
-		b := msg.LinkBatch{Epoch: sl.epoch, Base: chunk[0].seq, Items: items}
-		if ack, owed := r.ackPending[key]; owed {
-			b.AckEpoch, b.AckCum, b.AckInc = ack.Epoch, ack.Cum, ack.Inc
-			delete(r.ackPending, key)
-			r.count(metrics.LinkAcksSent, 1)
-		}
-		r.gaugeMax(metrics.WireBatchSize, int64(len(items)))
-		out = append(out, b)
+		out = append(out, outFrame{key, msg.LinkBatch{
+			Epoch: epoch, Base: chunk[0].seq, Items: items,
+			AckEpoch: ack.Epoch, AckCum: ack.Cum, AckInc: ack.Inc,
+		}})
+		ack = msg.LinkAck{}
 	}
+	return out
+}
+
+// flushLinkLocked appends a link's unsent tail to out as LinkBatch frames,
+// piggybacking any ack owed to the same peer onto the first one. The
+// caller holds r.mu and sends the frames after unlocking.
+func (r *Reliable) flushLinkLocked(out []outFrame, key linkKey, sl *sendLink) []outFrame {
+	if sl.unsent == 0 {
+		return out
+	}
+	ack, owed := r.ackPending[key]
+	if owed {
+		delete(r.ackPending, key)
+		r.count(metrics.LinkAcksSent, 1)
+	}
+	out = r.appendBatchesLocked(out, key, sl.epoch, sl.inflight[len(sl.inflight)-sl.unsent:], ack)
+	r.gaugeMax(metrics.WireBatchSize, int64(min(sl.unsent, r.opts.BatchMax)))
 	sl.unsent = 0
 	r.count(metrics.WireFlushes, 1)
 	return out
@@ -465,10 +472,6 @@ func (r *Reliable) flushLinkLocked(key linkKey, sl *sendLink) []msg.Message {
 // nothing to piggyback on. Links flush in deterministic (from, to) order so
 // a virtual-clock run replays identically.
 func (r *Reliable) flushAll() {
-	type outFrame struct {
-		key linkKey
-		m   msg.Message
-	}
 	var out []outFrame
 	r.mu.Lock()
 	if r.closed {
@@ -492,9 +495,7 @@ func (r *Reliable) flushAll() {
 	})
 	for _, key := range keys {
 		if sl := r.sends[key]; sl != nil {
-			for _, m := range r.flushLinkLocked(key, sl) {
-				out = append(out, outFrame{key, m})
-			}
+			out = r.flushLinkLocked(out, key, sl)
 		}
 		if ack, owed := r.ackPending[key]; owed {
 			// No data went toward this peer: the ack travels alone.
@@ -504,19 +505,17 @@ func (r *Reliable) flushAll() {
 		}
 	}
 	r.mu.Unlock()
-	for _, f := range out {
-		r.inner.Send(f.key.from, f.key.to, f.m)
-	}
+	r.sendFrames(out)
 }
 
-// flushLoop drives the batcher at FlushInterval cadence.
+// flushLoop drives the batcher at flushInterval cadence.
 func (r *Reliable) flushLoop() {
 	defer r.wg.Done()
 	for {
 		select {
 		case <-r.done:
 			return
-		case <-r.clk.NewTimer(r.opts.FlushInterval).C:
+		case <-r.clk.NewTimer(flushInterval).C:
 		}
 		r.flushAll()
 	}
@@ -568,8 +567,6 @@ func (r *Reliable) jitteredLocked(d time.Duration) time.Duration {
 // receive demultiplexes one frame arriving at self's inner handler.
 func (r *Reliable) receive(self, from ids.SiteID, m msg.Message) {
 	switch f := m.(type) {
-	case msg.LinkData:
-		r.receiveData(self, from, f)
 	case msg.LinkBatch:
 		r.receiveBatch(self, from, f)
 	case msg.LinkAck:
@@ -587,11 +584,24 @@ func (r *Reliable) receive(self, from ids.SiteID, m msg.Message) {
 	}
 }
 
-// receiveData runs the receiver side of the session: epoch checks, dedup,
-// reorder buffering, in-order delivery, and a cumulative ack. The inner
-// network invokes handlers serially per link, so per-link state is never
-// processed concurrently.
-func (r *Reliable) receiveData(self, from ids.SiteID, f msg.LinkData) {
+// receiveBatch unpacks a LinkBatch: its piggybacked ack first (opening the
+// window before new data arrives on the reverse path), then each payload in
+// sequence order.
+func (r *Reliable) receiveBatch(self, from ids.SiteID, b msg.LinkBatch) {
+	if b.AckEpoch != 0 {
+		r.receiveAck(self, from, msg.LinkAck{Epoch: b.AckEpoch, Cum: b.AckCum, Inc: b.AckInc})
+	}
+	for i, item := range b.Items {
+		r.receiveItem(self, from, b.Epoch, b.Base+uint64(i), item)
+	}
+}
+
+// receiveItem runs the receiver side of the session for one message of
+// sequence number seq in session epoch: epoch checks, dedup, reorder
+// buffering, in-order delivery, and a cumulative ack owed to the sender.
+// The inner network invokes handlers serially per link, so per-link state
+// is never processed concurrently.
+func (r *Reliable) receiveItem(self, from ids.SiteID, epoch, seq uint64, payload msg.Message) {
 	key := linkKey{from, self}
 	r.mu.Lock()
 	if r.closed {
@@ -600,11 +610,11 @@ func (r *Reliable) receiveData(self, from ids.SiteID, f msg.LinkData) {
 	}
 	rl := r.recvs[key]
 	if rl == nil {
-		rl = &recvLink{epoch: f.Epoch, expected: 1, buffer: make(map[uint64]msg.Message)}
+		rl = &recvLink{epoch: epoch, expected: 1, buffer: make(map[uint64]msg.Message)}
 		r.recvs[key] = rl
 	}
 	switch {
-	case f.Epoch < rl.epoch:
+	case epoch < rl.epoch:
 		// Stale traffic from a previous session: never deliver, never ack.
 		// If it was addressed to this site's dead incarnation, tell the
 		// sender about the restart.
@@ -615,20 +625,20 @@ func (r *Reliable) receiveData(self, from ids.SiteID, f msg.LinkData) {
 			r.inner.Send(self, from, msg.LinkReset{Epoch: inc})
 		}
 		return
-	case f.Epoch > rl.epoch:
+	case epoch > rl.epoch:
 		// The sender opened a new session (e.g. after a restart).
-		rl.epoch = f.Epoch
+		rl.epoch = epoch
 		rl.expected = 1
 		rl.buffer = make(map[uint64]msg.Message)
 	}
 	rl.restarted = false
 	var deliver []msg.Message
 	switch {
-	case f.Seq < rl.expected:
-		// Duplicate of a delivered frame; re-ack so the sender stops.
+	case seq < rl.expected:
+		// Duplicate of a delivered message; re-ack so the sender stops.
 		r.count(metrics.LinkDupDropped, 1)
-	case f.Seq == rl.expected:
-		deliver = append(deliver, f.Payload)
+	case seq == rl.expected:
+		deliver = append(deliver, payload)
 		rl.expected++
 		for {
 			p, ok := rl.buffer[rl.expected]
@@ -640,27 +650,23 @@ func (r *Reliable) receiveData(self, from ids.SiteID, f msg.LinkData) {
 			rl.expected++
 		}
 	default: // ahead of a gap
-		if _, ok := rl.buffer[f.Seq]; ok {
+		if _, ok := rl.buffer[seq]; ok {
 			r.count(metrics.LinkDupDropped, 1)
 		} else if len(rl.buffer) < 4*r.opts.Window {
-			rl.buffer[f.Seq] = f.Payload
+			rl.buffer[seq] = payload
 			r.count(metrics.LinkReorderBuffered, 1)
 		}
-		// Over the buffer bound the frame is dropped; the sender
+		// Over the buffer bound the message is dropped; the sender
 		// retransmits it after the gap fills.
 	}
 	inc := r.incarnation[self]
 	if inc == 0 {
 		inc = r.opts.Epoch
 	}
-	ack := msg.LinkAck{Epoch: rl.epoch, Cum: rl.expected - 1, Inc: inc}
-	batching := r.batching()
-	if batching {
-		// Acks are cumulative, so the latest one supersedes anything
-		// already owed; it rides the next data batch toward the peer, or
-		// goes out alone at the next flush tick.
-		r.ackPending[linkKey{self, from}] = ack
-	}
+	// Acks are cumulative, so the latest one supersedes anything already
+	// owed; it rides the next data batch toward the peer, or goes out
+	// alone at the next flush tick.
+	r.ackPending[linkKey{self, from}] = msg.LinkAck{Epoch: rl.epoch, Cum: rl.expected - 1, Inc: inc}
 	h := r.handlers[self]
 	r.mu.Unlock()
 
@@ -669,29 +675,13 @@ func (r *Reliable) receiveData(self, from ids.SiteID, f msg.LinkData) {
 			h.Deliver(from, p)
 		}
 	}
-	if !batching {
-		r.count(metrics.LinkAcksSent, 1)
-		r.inner.Send(self, from, ack)
-	}
-}
-
-// receiveBatch unpacks a LinkBatch: its piggybacked ack first (opening the
-// window before new data arrives on the reverse path), then each payload in
-// sequence order through the ordinary LinkData machinery.
-func (r *Reliable) receiveBatch(self, from ids.SiteID, b msg.LinkBatch) {
-	if b.AckEpoch != 0 {
-		r.receiveAck(self, from, msg.LinkAck{Epoch: b.AckEpoch, Cum: b.AckCum, Inc: b.AckInc})
-	}
-	for i, item := range b.Items {
-		r.receiveData(self, from, msg.LinkData{Epoch: b.Epoch, Seq: b.Base + uint64(i), Payload: item})
-	}
 }
 
 // receiveAck drops acknowledged frames from the window and promotes queued
-// messages into the space opened.
+// messages into the space opened; they join the unsent tail for the next
+// flush.
 func (r *Reliable) receiveAck(self, from ids.SiteID, a msg.LinkAck) {
 	key := linkKey{self, from}
-	var out []msg.Message
 	r.mu.Lock()
 	sl := r.sends[key]
 	if sl == nil || r.closed {
@@ -728,27 +718,16 @@ func (r *Reliable) receiveAck(self, from ids.SiteID, a msg.LinkAck) {
 	if progressed {
 		r.noteIdleLocked()
 		for len(sl.pending) > 0 && len(sl.inflight) < r.opts.Window {
-			m := sl.pending[0]
-			sl.pending = sl.pending[1:]
-			seq := sl.nextSeq
+			sl.inflight = append(sl.inflight, linkFrame{seq: sl.nextSeq, m: sl.pending[0]})
 			sl.nextSeq++
-			sl.inflight = append(sl.inflight, linkFrame{seq: seq, m: m})
-			if r.batching() {
-				// Promoted frames join the unsent tail; the flusher
-				// batches them instead of one LinkData per frame here.
-				sl.unsent++
-			} else {
-				out = append(out, msg.LinkData{Epoch: sl.epoch, Seq: seq, Payload: m})
-			}
+			sl.pending = sl.pending[1:]
+			sl.unsent++
 		}
 		if len(sl.inflight) > 0 {
 			r.armLocked(sl, r.clk.Now())
 		}
 	}
 	r.mu.Unlock()
-	for _, m := range out {
-		r.inner.Send(self, from, m)
-	}
 }
 
 // receiveReset handles a peer's restart announcement.
@@ -812,11 +791,7 @@ func (r *Reliable) retransmitLoop() {
 }
 
 func (r *Reliable) retransmitDue(now time.Time) {
-	type resend struct {
-		key   linkKey
-		frame msg.Message
-	}
-	var out []resend
+	var out []outFrame
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -826,35 +801,15 @@ func (r *Reliable) retransmitDue(now time.Time) {
 		if len(sl.inflight) == 0 || now.Before(sl.retryAt) {
 			continue
 		}
-		if r.batching() {
-			// Resend the whole window as chunked batches. The tail that
-			// was never transmitted goes out with it, so clear the unsent
-			// mark (first transmissions are not counted as retransmits).
-			for start := 0; start < len(sl.inflight); start += r.opts.BatchMax {
-				end := start + r.opts.BatchMax
-				if end > len(sl.inflight) {
-					end = len(sl.inflight)
-				}
-				chunk := sl.inflight[start:end]
-				items := make([]msg.Message, len(chunk))
-				for i, f := range chunk {
-					items[i] = f.m
-				}
-				out = append(out, resend{key, msg.LinkBatch{Epoch: sl.epoch, Base: chunk[0].seq, Items: items}})
-			}
-			r.count(metrics.LinkRetransmits, int64(len(sl.inflight)-sl.unsent))
-			sl.unsent = 0
-		} else {
-			for _, f := range sl.inflight {
-				out = append(out, resend{key, msg.LinkData{Epoch: sl.epoch, Seq: f.seq, Payload: f.m}})
-			}
-			r.count(metrics.LinkRetransmits, int64(len(sl.inflight)))
-		}
+		// Resend the whole window. The tail that was never transmitted
+		// goes out with it, so clear the unsent mark (first transmissions
+		// are not counted as retransmits).
+		out = r.appendBatchesLocked(out, key, sl.epoch, sl.inflight, msg.LinkAck{})
+		r.count(metrics.LinkRetransmits, int64(len(sl.inflight)-sl.unsent))
+		sl.unsent = 0
 		sl.backoff = min(2*sl.backoff, retransmitMax)
 		sl.retryAt = now.Add(r.jitteredLocked(sl.backoff))
 	}
 	r.mu.Unlock()
-	for _, s := range out {
-		r.inner.Send(s.key.from, s.key.to, s.frame)
-	}
+	r.sendFrames(out)
 }

@@ -14,15 +14,20 @@ import (
 	"backtrace/internal/wire"
 )
 
-// chaosReliable builds a Reliable layer over a memnet with the given fault
-// probabilities and registers collectors for sites 1..n.
-func chaosReliable(t *testing.T, opts Options, n int) (*Reliable, *Net, map[ids.SiteID]*collector, *metrics.Counters) {
+// chaosReliable builds a Reliable layer with the given largest batch (0
+// takes the default) over a memnet with the given fault probabilities,
+// registers collectors for sites 1..n, and counts the physical envelopes
+// entering the memnet by type.
+func chaosReliable(t *testing.T, opts Options, batch, n int) (*Reliable, *Net, map[ids.SiteID]*collector, *metrics.Counters, *envelopeTally) {
 	t.Helper()
+	tally := &envelopeTally{}
+	opts.Observer = tally.observe
 	counters := &metrics.Counters{}
 	inner := NewNet(opts)
 	r := NewReliable(inner, ReliableOptions{
 		Seed:              7,
-		RetransmitInitial: 2 * time.Millisecond,
+		RetransmitInitial: 5 * time.Millisecond,
+		BatchMax:          batch,
 		Counters:          counters,
 	})
 	t.Cleanup(r.Close)
@@ -32,7 +37,7 @@ func chaosReliable(t *testing.T, opts Options, n int) (*Reliable, *Net, map[ids.
 		cols[id] = &collector{self: id}
 		r.Register(id, cols[id])
 	}
-	return r, inner, cols, counters
+	return r, inner, cols, counters, tally
 }
 
 // settleReliable waits for every sent frame to be acknowledged and every
@@ -51,13 +56,13 @@ func settleReliable(t *testing.T, r *Reliable, inner *Net) {
 // the session layer: under 30% loss plus duplication plus reordering, every
 // message reaches its handler exactly once, in per-link send order.
 func TestReliableExactlyOnceInOrderUnderChaos(t *testing.T) {
-	r, inner, cols, counters := chaosReliable(t, Options{
+	r, inner, cols, counters, tally := chaosReliable(t, Options{
 		DropProb:    0.3,
 		DupProb:     0.3,
 		ReorderProb: 0.3,
 		Seed:        42,
 		Jitter:      200 * time.Microsecond,
-	}, 3)
+	}, 0, 3)
 
 	const perLink = 400
 	// Interleave two links from site 1 so per-link order is tested with
@@ -90,6 +95,55 @@ func TestReliableExactlyOnceInOrderUnderChaos(t *testing.T) {
 	}
 	if counters.Registry().Snapshot().Get(metrics.LinkAcksSent) == 0 {
 		t.Error("no acks recorded")
+	}
+	if tal := tally.snapshot(); tal.batches == 0 {
+		t.Error("no LinkBatch frames on the wire")
+	}
+}
+
+// TestReliableBatchingExactlyOnceUnderChaos re-runs the acceptance assertion
+// with batches eight times the default: one lost, duplicated or reordered
+// LinkBatch now carries up to 64 messages, and every message still reaches
+// its handler exactly once, in per-link send order.
+func TestReliableBatchingExactlyOnceUnderChaos(t *testing.T) {
+	r, inner, cols, counters, tally := chaosReliable(t, Options{
+		DropProb:    0.3,
+		DupProb:     0.3,
+		ReorderProb: 0.3,
+		Seed:        42,
+		Jitter:      200 * time.Microsecond,
+	}, 64, 3)
+
+	const perLink = 400
+	for i := uint64(1); i <= perLink; i++ {
+		r.Send(1, 2, ping(i))
+		r.Send(1, 3, ping(i))
+	}
+	settleReliable(t, r, inner)
+
+	for _, to := range []ids.SiteID{2, 3} {
+		got := cols[to].snapshot()
+		if len(got) != perLink {
+			t.Fatalf("site %v: delivered %d messages, want exactly %d", to, len(got), perLink)
+		}
+		for i, env := range got {
+			if pingSeq(env.M) != uint64(i+1) {
+				t.Fatalf("site %v: out of order at %d: seq %d", to, i, pingSeq(env.M))
+			}
+		}
+	}
+	snap := counters.Registry().Snapshot()
+	if snap.Get(metrics.LinkRetransmits) == 0 {
+		t.Error("no retransmissions recorded under 30% loss")
+	}
+	if tal := tally.snapshot(); tal.batches == 0 {
+		t.Error("no LinkBatch frames on the wire")
+	}
+	if snap.Get(metrics.WireFlushes) == 0 {
+		t.Error("no batch flushes counted")
+	}
+	if got := snap.Get(metrics.WireBatchSize); got <= 8 {
+		t.Errorf("largest flushed batch %d, want more than the default 8", got)
 	}
 }
 
@@ -147,7 +201,7 @@ func TestReliablePassthroughUnwrapped(t *testing.T) {
 // peers open a fresh epoch, stale frames from the old session are rejected,
 // and new traffic flows exactly once.
 func TestReliableRestartResetsSession(t *testing.T) {
-	r, inner, cols, counters := chaosReliable(t, Options{}, 2)
+	r, inner, cols, counters, _ := chaosReliable(t, Options{}, 0, 2)
 
 	for i := uint64(1); i <= 5; i++ {
 		r.Send(1, 2, ping(i))
@@ -179,7 +233,7 @@ func TestReliableRestartResetsSession(t *testing.T) {
 	// A stale frame from site 1's pre-restart session (epoch 1) must be
 	// rejected, not delivered: the receiver's session is now at a higher
 	// epoch.
-	inner.Send(1, 2, msg.LinkData{Epoch: 1, Seq: 2, Payload: ping(99)})
+	inner.Send(1, 2, msg.LinkBatch{Epoch: 1, Base: 2, Items: []msg.Message{ping(99)}})
 	settleReliable(t, r, inner)
 
 	got := cols[2].snapshot()
@@ -202,7 +256,7 @@ func TestReliableRestartResetsSession(t *testing.T) {
 func TestReliableRestartDropsQueuedTraffic(t *testing.T) {
 	// Only site 1 is up: site 2 is "down" (unregistered), so frames toward
 	// it vanish in the inner network and sit unacknowledged in the window.
-	r, inner, _, counters := chaosReliable(t, Options{}, 1)
+	r, inner, _, counters, _ := chaosReliable(t, Options{}, 0, 1)
 
 	for i := uint64(1); i <= 7; i++ {
 		r.Send(1, 2, ping(i))
@@ -231,7 +285,7 @@ func TestReliableRestartDropsQueuedTraffic(t *testing.T) {
 // partition, no restart) is healed purely by retransmission — nothing is
 // lost and nothing is duplicated.
 func TestReliableCrashRetransmitHealsWithoutReset(t *testing.T) {
-	r, inner, cols, _ := chaosReliable(t, Options{}, 2)
+	r, inner, cols, _, _ := chaosReliable(t, Options{}, 0, 2)
 
 	inner.Partition(1, 2)
 	for i := uint64(1); i <= 20; i++ {
@@ -258,7 +312,7 @@ func TestReliableCrashRetransmitHealsWithoutReset(t *testing.T) {
 // TestReliableAwaitIdleReportsStuckFrames: with the link cut, AwaitIdle
 // times out and says how many frames are unacknowledged.
 func TestReliableAwaitIdleReportsStuckFrames(t *testing.T) {
-	r, inner, _, _ := chaosReliable(t, Options{}, 2)
+	r, inner, _, _, _ := chaosReliable(t, Options{}, 0, 2)
 	inner.Partition(1, 2)
 	r.Send(1, 2, ping(1))
 	err := r.AwaitIdle(20 * time.Millisecond)
@@ -282,31 +336,6 @@ func TestReliableCloseIsIdempotent(t *testing.T) {
 	if c.count() != 0 {
 		t.Error("send after close was delivered")
 	}
-}
-
-// batchedReliable builds a batching Reliable over a memnet, with an inner
-// observer counting physical envelopes by type.
-func batchedReliable(t *testing.T, opts Options, batch int, n int) (*Reliable, *Net, map[ids.SiteID]*collector, *metrics.Counters, *envelopeTally) {
-	t.Helper()
-	tally := &envelopeTally{}
-	opts.Observer = tally.observe
-	counters := &metrics.Counters{}
-	inner := NewNet(opts)
-	r := NewReliable(inner, ReliableOptions{
-		Seed:              7,
-		RetransmitInitial: 5 * time.Millisecond,
-		FlushInterval:     time.Millisecond,
-		BatchMax:          batch,
-		Counters:          counters,
-	})
-	t.Cleanup(r.Close)
-	cols := make(map[ids.SiteID]*collector, n)
-	for i := 1; i <= n; i++ {
-		id := ids.SiteID(i)
-		cols[id] = &collector{self: id}
-		r.Register(id, cols[id])
-	}
-	return r, inner, cols, counters, tally
 }
 
 // envelopeTally counts the physical envelopes entering the inner network.
@@ -343,53 +372,11 @@ func (e *envelopeTally) snapshot() envelopeTally {
 		standaloneAcks: e.standaloneAcks, piggybackedAcks: e.piggybackedAcks}
 }
 
-// TestReliableBatchingExactlyOnceUnderChaos re-runs the session layer's
-// acceptance assertion with link-level batching on: 30% loss plus
-// duplication plus reordering, and every message still reaches its handler
-// exactly once, in per-link send order.
-func TestReliableBatchingExactlyOnceUnderChaos(t *testing.T) {
-	r, inner, cols, counters, tally := batchedReliable(t, Options{
-		DropProb:    0.3,
-		DupProb:     0.3,
-		ReorderProb: 0.3,
-		Seed:        42,
-		Jitter:      200 * time.Microsecond,
-	}, 8, 3)
-
-	const perLink = 400
-	for i := uint64(1); i <= perLink; i++ {
-		r.Send(1, 2, ping(i))
-		r.Send(1, 3, ping(i))
-	}
-	settleReliable(t, r, inner)
-
-	for _, to := range []ids.SiteID{2, 3} {
-		got := cols[to].snapshot()
-		if len(got) != perLink {
-			t.Fatalf("site %v: delivered %d messages, want exactly %d", to, len(got), perLink)
-		}
-		for i, env := range got {
-			if pingSeq(env.M) != uint64(i+1) {
-				t.Fatalf("site %v: out of order at %d: seq %d", to, i, pingSeq(env.M))
-			}
-		}
-	}
-	if counters.Registry().Snapshot().Get(metrics.LinkRetransmits) == 0 {
-		t.Error("no retransmissions recorded under 30% loss")
-	}
-	if tal := tally.snapshot(); tal.batches == 0 {
-		t.Error("no LinkBatch frames on the wire with batching enabled")
-	}
-	if counters.Registry().Snapshot().Get(metrics.WireFlushes) == 0 {
-		t.Error("no batch flushes counted")
-	}
-}
-
 // TestReliableBatchingCoalescesFrames: on a clean link, a burst of sends
 // coalesces into far fewer physical envelopes than messages, without losing
 // or reordering anything.
 func TestReliableBatchingCoalescesFrames(t *testing.T) {
-	r, inner, cols, counters, tally := batchedReliable(t, Options{}, 16, 2)
+	r, inner, cols, counters, tally := chaosReliable(t, Options{}, 16, 2)
 
 	const total = 320
 	for i := uint64(1); i <= total; i++ {
@@ -431,8 +418,6 @@ func TestReliableBatchingPiggybacksAcks(t *testing.T) {
 	r := NewReliable(inner, ReliableOptions{
 		Seed:              7,
 		RetransmitInitial: time.Minute, // never fires: only explicit flushes transmit
-		FlushInterval:     time.Millisecond,
-		BatchMax:          8,
 		Clock:             vc,
 		Counters:          &metrics.Counters{},
 	})

@@ -24,9 +24,9 @@
 // reorder buffering, and incarnation epochs that reset link sessions
 // across site crashes. It upgrades a lossy, duplicating, or reordering
 // substrate to the exactly-once in-order delivery the protocol assumes.
-// With ReliableOptions.BatchMax set it also batches: messages to the same
-// peer coalesce into one LinkBatch frame per flush tick, with the acks the
-// receiver owes piggybacked on reverse-direction batches.
+// It batches: messages to the same peer coalesce into LinkBatch frames of
+// up to ReliableOptions.BatchMax per flush tick, with the acks the receiver
+// owes piggybacked on reverse-direction batches.
 package transport
 
 import (

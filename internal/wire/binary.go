@@ -23,7 +23,7 @@ import (
 // are all below 64 is one uvarint bitmask. A message never carries what its
 // link already names: a back step's caller frame and outref belong to the
 // sender, a result's caller frame to the receiver, so neither carries a
-// site id. Wrapper messages (LinkData, LinkBatch) nest the inner message
+// site id. The wrapper message (LinkBatch) nests the inner message
 // encoding recursively.
 //
 // The layout has no per-frame type dictionary or field names — the tag byte
@@ -43,13 +43,13 @@ import (
 // sequence numbers on RefTransfer and Update, which are gone. Tags 5, 17
 // and 18 are the Update, BackCall and BackReply layouts that named each
 // held outref twice and repeated site ids the link names; their
-// successors are 22-24.
+// successors are 22-24. Tag 10 (LinkData, one message per session-layer
+// frame) is retired: the session layer always sends LinkBatch.
 const (
 	tagRefTransfer = 1
 	tagInsert      = 2
 	tagInsertAck   = 3
 	tagReleasePin  = 4
-	tagLinkData    = 10
 	tagLinkAck     = 11
 	tagLinkReset   = 12
 	tagLinkBatch   = 13
@@ -69,8 +69,8 @@ const (
 )
 
 // maxNest bounds wrapper recursion when decoding. Legitimate traffic nests
-// one level (a LinkData or LinkBatch around protocol messages); the bound exists so a corrupt or adversarial frame cannot
-// recurse unboundedly.
+// one level (a LinkBatch around protocol messages); the bound exists so a
+// corrupt or adversarial frame cannot recurse unboundedly.
 const maxNest = 8
 
 // Name implements Codec.
@@ -235,13 +235,6 @@ func appendMessage(buf []byte, m msg.Message) ([]byte, error) {
 		buf = append(buf, tagReport)
 		buf = appendTrace(buf, mm.Trace)
 		buf = appendVerdict(buf, mm.Outcome, mm.GarbageSuspects)
-	case msg.LinkData:
-		buf = append(buf, tagLinkData)
-		buf = binary.AppendUvarint(buf, mm.Epoch)
-		buf = binary.AppendUvarint(buf, mm.Seq)
-		if buf, err = appendMessage(buf, mm.Payload); err != nil {
-			return nil, err
-		}
 	case msg.LinkAck:
 		buf = append(buf, tagLinkAck)
 		buf = binary.AppendUvarint(buf, mm.Epoch)
@@ -471,12 +464,6 @@ func (r *reader) message(depth int) msg.Message {
 		rep := msg.Report{Trace: r.trace()}
 		rep.Outcome, rep.GarbageSuspects = r.verdict()
 		return rep
-	case tagLinkData:
-		return msg.LinkData{
-			Epoch:   r.uvarint(),
-			Seq:     r.uvarint(),
-			Payload: r.message(depth + 1),
-		}
 	case tagLinkAck:
 		return msg.LinkAck{Epoch: r.uvarint(), Cum: r.uvarint(), Inc: r.uvarint()}
 	case tagLinkReset:

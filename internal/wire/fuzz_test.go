@@ -12,16 +12,17 @@ import (
 // FuzzRoundTrip checks decode(encode(m)) == m for every message type under
 // the binary codec. The fuzzer drives a structured generator: tag selects
 // the message type (an index into allTags, wrapped into range), seed the
-// field values, so coverage spans all twelve types — including nested
-// wrappers and back-trace vectors of zero to four entries.
+// field values, so coverage spans all eleven types — including nested
+// batches and back-trace vectors of zero to four entries.
 func FuzzRoundTrip(f *testing.F) {
 	for i, tag := range allTags {
 		f.Add(int64(i+1), uint8(i))
 		switch tag {
-		case tagUpdate, tagBackCall, tagBackReply:
+		case tagUpdate, tagBackCall, tagBackReply, tagLinkBatch:
 			// The delta-coded and bitmask layouts get more seeds, so
 			// unsorted lists, backward seqs and both participant forms
-			// are in the corpus from the start.
+			// are in the corpus from the start; so does LinkBatch, the
+			// one frame that carries data, so nested items are too.
 			for seed := int64(100); seed < 108; seed++ {
 				f.Add(seed, uint8(i))
 			}
@@ -90,7 +91,7 @@ func retiredTagFrames() [][]byte {
 	for _, m := range append(deltaVectors(), backTraceVectors()...) {
 		env := msg.Envelope{From: 1, To: 2, M: m}
 		frame, _ := (Binary{}).Encode(&env, nil)
-		for _, retired := range []byte{5, 17, 18, 20, 21} {
+		for _, retired := range []byte{5, 10, 17, 18, 20, 21} {
 			old := append([]byte(nil), frame...)
 			old[3] = retired // after the version byte and one-byte from and to
 			out = append(out, old)

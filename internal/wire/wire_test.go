@@ -36,7 +36,6 @@ func exemplars() []msg.Message {
 			Outcome:         msg.VerdictGarbage,
 			GarbageSuspects: []uint32{1, 4},
 		},
-		msg.LinkData{Epoch: 3, Seq: 1 << 17, Payload: msg.ReleasePin{Target: ids.MakeRef(1, 2)}},
 		msg.LinkAck{Epoch: 3, Cum: 900, Inc: 2},
 		msg.LinkReset{Epoch: 12},
 		msg.LinkBatch{
@@ -187,6 +186,9 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 		// site-level piggyback Batch (9) around one LinkReset.
 		"retired tag":   {VersionBinary, 1, 2, 6, 1, 1, 1, 1, 1, 2, 0, 2, 1},
 		"retired tag 9": {VersionBinary, 1, 2, 9, 1, tagLinkReset, 1},
+		// A tag-10 LinkData (epoch 1, seq 1) around one LinkReset: the
+		// session layer sends only LinkBatch now.
+		"retired tag 10": {VersionBinary, 1, 2, 10, 1, 1, tagLinkReset, 1},
 		// The layouts that repeated what the link names: an empty tag-5
 		// Update, a one-step tag-17 BackCall and a one-result tag-18
 		// BackReply; and the tag-20/21 sequence-numbered forms.
@@ -214,7 +216,7 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 func TestDecodeRejectsDeepNesting(t *testing.T) {
 	inner := msg.Message(msg.LinkReset{Epoch: 1})
 	for i := 0; i < maxNest+2; i++ {
-		inner = msg.LinkData{Payload: inner}
+		inner = msg.LinkBatch{Items: []msg.Message{inner}}
 	}
 	env := msg.Envelope{From: 1, To: 2, M: inner}
 	frame, err := (Binary{}).Encode(&env, nil)
@@ -226,12 +228,11 @@ func TestDecodeRejectsDeepNesting(t *testing.T) {
 	}
 }
 
-// allTags lists the live message tags; LinkBatch comes last so a LinkData
-// payload can draw from every tag but it.
+// allTags lists the live message tags.
 var allTags = []int{
 	tagRefTransfer, tagInsert, tagInsertAck, tagReleasePin, tagUpdate,
-	tagBackCall, tagBackReply, tagReport, tagLinkData, tagLinkAck,
-	tagLinkReset, tagLinkBatch,
+	tagBackCall, tagBackReply, tagReport, tagLinkAck, tagLinkReset,
+	tagLinkBatch,
 }
 
 // randMessage builds a random message of the given tag; depth bounds
@@ -341,12 +342,6 @@ func randMessage(rng *rand.Rand, tag, depth int) msg.Message {
 		return rep
 	case tagReport:
 		return msg.Report{Trace: trace(), Outcome: msg.Verdict(rng.Intn(2)), GarbageSuspects: u32s()}
-	case tagLinkData:
-		return msg.LinkData{
-			Epoch:   rng.Uint64() >> rng.Intn(64),
-			Seq:     rng.Uint64() >> rng.Intn(64),
-			Payload: randMessage(rng, allTags[rng.Intn(len(allTags)-1)], depth+1),
-		}
 	case tagLinkAck:
 		return msg.LinkAck{Epoch: rng.Uint64() >> rng.Intn(64), Cum: rng.Uint64() >> rng.Intn(64), Inc: rng.Uint64() >> rng.Intn(64)}
 	case tagLinkReset:
