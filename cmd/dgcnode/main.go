@@ -9,11 +9,11 @@
 //	dgcnode -demo -sites 3
 //
 // Node mode runs ONE site as its own OS process; peers are listed
-// explicitly. One node (the one with -drive) builds the demo graph by
-// exchanging references with its peers and drives collection rounds; the
-// others just run local traces periodically:
+// explicitly. Each node serves its peers and runs a local trace every
+// -trace-every for -run-for, printing its table sizes. Node mode builds no
+// structure of its own; the demo graph exists only in demo mode:
 //
-//	dgcnode -site 1 -peers 1=:7001,2=host2:7002,3=host3:7003 -drive &
+//	dgcnode -site 1 -peers 1=:7001,2=host2:7002,3=host3:7003 &
 //	dgcnode -site 2 -peers 1=host1:7001,2=:7002,3=host3:7003 &
 //	dgcnode -site 3 -peers 1=host1:7001,2=host2:7002,3=:7003 &
 package main
@@ -51,9 +51,8 @@ func run(args []string) error {
 		nSites = fs.Int("sites", 3, "number of sites (demo mode)")
 		selfID = fs.Uint("site", 0, "this node's site id (node mode)")
 		peers  = fs.String("peers", "", "comma-separated id=host:port list (node mode)")
-		drive  = fs.Bool("drive", false, "this node builds the demo graph and drives rounds (node mode)")
 		period = fs.Duration("trace-every", 2*time.Second, "local trace period (node mode)")
-		runFor = fs.Duration("run-for", 30*time.Second, "how long a non-driving node runs")
+		runFor = fs.Duration("run-for", 30*time.Second, "how long a node runs (node mode)")
 		debug  = fs.String("debug-addr", "", "serve /metrics (Prometheus), /healthz, and /spans on this address (empty = off)")
 		linger = fs.Duration("linger", 0, "keep the debug endpoint up this long after the demo completes (demo mode)")
 	)
@@ -67,7 +66,7 @@ func run(args []string) error {
 	if *demo || *selfID == 0 {
 		return runDemo(*nSites, tcfg.Reliable, knobs, *debug, *linger)
 	}
-	return runNode(ids.SiteID(*selfID), *peers, *drive, *period, *runFor, tcfg.Reliable, knobs, *debug)
+	return runNode(ids.SiteID(*selfID), *peers, *period, *runFor, tcfg.Reliable, knobs, *debug)
 }
 
 // startDebugServer serves the observability endpoints on addr and returns
@@ -131,7 +130,6 @@ func runDemo(n int, reliable bool, knobs site.Config, debugAddr string, linger t
 		if err != nil {
 			return err
 		}
-		node.SetCounters(counters)
 		nodes[id] = node
 		var network transport.Network = node
 		if reliable {
@@ -256,7 +254,7 @@ func tcpLink(sites map[ids.SiteID]*site.Site, from, target backtrace.Ref) error 
 }
 
 // runNode runs one site as its own process.
-func runNode(self ids.SiteID, peerList string, drive bool, period, runFor time.Duration,
+func runNode(self ids.SiteID, peerList string, period, runFor time.Duration,
 	reliable bool, knobs site.Config, debugAddr string) error {
 	addrs, err := parsePeers(peerList)
 	if err != nil {
@@ -282,7 +280,6 @@ func runNode(self ids.SiteID, peerList string, drive bool, period, runFor time.D
 	if err != nil {
 		return err
 	}
-	node.SetCounters(counters)
 	var network transport.Network = node
 	if reliable {
 		network = backtrace.NewReliable(node, backtrace.ReliableOptions{
@@ -298,15 +295,6 @@ func runNode(self ids.SiteID, peerList string, drive bool, period, runFor time.D
 		return err
 	}
 	fmt.Printf("site %v listening on %s\n", self, addr)
-
-	if drive {
-		// Give peers a moment to come up, then build a ring spanning all
-		// configured sites: this node allocates its member and asks each
-		// peer implicitly via reference transfers.
-		time.Sleep(2 * time.Second)
-		fmt.Println("driving: building is only supported between objects this node owns;")
-		fmt.Println("run collection rounds and watch peers' logs for activity")
-	}
 
 	deadline := time.Now().Add(runFor)
 	ticker := time.NewTicker(period)

@@ -48,7 +48,9 @@ func TestRunDemoSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP demo skipped in -short mode")
 	}
-	if err := runDemo(2, false, site.Config{InboxSize: 4}, "", 0); err != nil { // small inbox: mailbox path over TCP
+	// A small inbox: mailbox executors must collect the demo cycle over
+	// real TCP.
+	if err := runDemo(2, false, site.Config{InboxSize: 4}, "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,17 +60,6 @@ func TestRunDemoReliableSmoke(t *testing.T) {
 		t.Skip("TCP demo skipped in -short mode")
 	}
 	if err := runDemo(2, true, site.Config{}, "", 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunDemoShardedSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TCP demo skipped in -short mode")
-	}
-	// Mailbox executors must collect the same demo cycle over real TCP.
-	// (The name is from when this ran with hash-partitioned heaps.)
-	if err := runDemo(2, false, site.Config{InboxSize: 4}, "", 0); err != nil {
 		t.Fatal(err)
 	}
 }

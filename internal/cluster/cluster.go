@@ -115,10 +115,9 @@ func New(opts Options) *Cluster {
 	var rel *transport.Reliable
 	if opts.Reliable {
 		rel = transport.NewReliable(net, transport.ReliableOptions{
-			RetransmitInitial: 3 * time.Millisecond,
-			Seed:              opts.Seed,
-			Clock:             opts.Site.Clock,
-			Counters:          counters,
+			Seed:     opts.Seed,
+			Clock:    opts.Site.Clock,
+			Counters: counters,
 		})
 		network = rel
 	}

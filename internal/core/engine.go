@@ -18,8 +18,13 @@
 // the site. The local steps a site asks of its inrefs' source sites travel
 // as BackCall messages and come back as BackReply messages — one call per
 // destination site for everything one handled call (or trace start) fans
-// out to, each carrying one BackStep per inter-site reference. A trace
-// therefore costs two messages per (handled call, destination site)
+// out to, each carrying one BackStep per inter-site reference. The results
+// of a call's steps meet in a reply join, which is sent back as one
+// BackReply once the last has returned. A trace starts from one or more
+// suspected outrefs (a batch, sharing one trace id and its visit marks),
+// and its outermost calls return into the same kind of join at the
+// initiator, whose last result starts the report phase. A trace therefore
+// costs two messages per (handled call, destination site)
 // crossing plus one report per participant: 2W+P, which is the paper's
 // 2E+P (Section 4.6) whenever every hop crosses a distinct site pair. A
 // site that applies messages in bursts can widen the grouping to the
@@ -132,8 +137,8 @@ type frame struct {
 	onInref  ids.ObjID
 	onOutref ids.Ref
 	pending  int
-	// suspect is the batch suspect index this frame works on behalf of
-	// (always 0 in a single-suspect trace).
+	// suspect is the index of the trace's suspect this frame works on
+	// behalf of (always 0 in a one-suspect trace).
 	suspect uint32
 	// deps accumulates, in ascending order, the suspects whose visit marks
 	// this frame's Garbage verdict relied on (revisit answers, Section
@@ -155,26 +160,27 @@ type frame struct {
 	deadline     time.Time
 }
 
-// ret is where a back step returns its verdict: entry `entry` of the
-// BackReply answering a remote caller's BackCall (reply set; frame is the
-// caller's seq on that site) or of a batch root (batch set), else the frame
-// with seq frame on this site — seq 0 being the outermost call of a
-// single-suspect trace.
+// ret is where a back step returns its verdict: entry `entry` of a reply
+// join (reply set; frame is the caller's seq on the calling site), else the
+// frame with seq frame on this site.
 type ret struct {
 	frame uint64
 	reply *pendingReply
-	batch *batchRoot
 	entry int
 }
 
-// pendingReply is the BackReply to one handled BackCall; it is sent when
-// the last of the call's steps has returned. sites backs the results'
-// participant lists, which outlive the frames they were collected in.
+// pendingReply is a reply join: it collects the results of several back
+// steps and acts once the last has returned. The join of a handled BackCall
+// is sent back as its BackReply. A trace's root join (root set) sits at the
+// initiator with one entry per suspect, and the last entry resolves the
+// trace (Section 4.5). sites backs the results' participant lists, which
+// outlive the frames they were collected in.
 type pendingReply struct {
 	to      ids.SiteID
 	msg     msg.BackReply
 	pending int
 	sites   []ids.SiteID
+	root    *traceState
 }
 
 // outMsg is one message waiting to ship. A BackCall or BackReply waits as an
@@ -214,8 +220,8 @@ type queuedReply struct {
 	shipped bool
 }
 
-// inrefMark / outrefMark record one visit mark together with the batch
-// suspect that owns it, so the report phase can flag selectively.
+// inrefMark / outrefMark record one visit mark together with the suspect
+// that owns it, so the report phase can flag selectively.
 type inrefMark struct {
 	obj     ids.ObjID
 	suspect uint32
@@ -250,23 +256,6 @@ type traceState struct {
 	hops    int
 	// retiring is set while the record sits in Engine.idle.
 	retiring bool
-}
-
-// batchRoot is the initiator-side state of a multi-suspect batched trace:
-// one trace id, several suspected outrefs, one verdict per suspect. Each
-// suspect's outermost call returns to its entry of the root; when all have
-// answered, the demotion fixpoint decides which Garbage verdicts are
-// trustworthy and one report phase resolves the whole batch (Section 4.5).
-type batchRoot struct {
-	ts      *traceState
-	results []msg.Verdict
-	done    []bool
-	// deps[i] holds, ascending, the suspects suspect i's verdict relied on.
-	deps    [][]uint32
-	pending int
-	// participants accumulates, ascending, the union of every suspect
-	// subtree's participant set for the report phase.
-	participants []ids.SiteID
 }
 
 // Engine is one site's back-tracing engine.
@@ -608,76 +597,45 @@ func (e *Engine) ShouldStart(target ids.Ref) bool {
 	return !e.MemoizedLive(target)
 }
 
-// StartTrace initiates a back trace from a suspected outref on this site
-// (Section 4: "we start a back trace from an outref rather than an inref").
-// It returns the trace id and false if the outref is missing or clean.
-func (e *Engine) StartTrace(target ids.Ref) (ids.TraceID, bool) {
-	o, ok := e.cfg.Table.Outref(target)
-	if !ok || o.IsClean(e.cfg.Threshold) {
-		return ids.NilTrace, false
-	}
-	defer e.flush()
-	e.nextTrace++
-	t := ids.TraceID{Initiator: e.cfg.Site, Seq: e.nextTrace}
-	e.ctr.started.Inc()
-	// The initiator is itself a participant: open its activity before the
-	// outermost call so even a synchronous completion emits a span pair.
-	ts := e.trace(t)
-	e.ensureActivity(ts)
-	// The outermost call: caller is the nil frame on this site.
-	e.stepLocal(ts, ret{}, target, 0)
-	e.maybeEndActivity(ts)
-	return t, true
-}
-
-// StartBatchTrace initiates one back trace carrying several suspected
-// outrefs whose insets overlap. The trace shares one id (and hence one set
-// of visit marks) across all suspects: the first suspect to reach a shared
-// ioref explores it, later suspects' subtrees stop at the existing mark
-// with a recorded dependency, and a single report phase resolves the whole
-// batch — a Garbage verdict flags every ioref visited on behalf of a
-// garbage-confirmed suspect (Section 4.5), a Live verdict resolves only the
-// suspects actually proven reachable.
-//
-// Suspects that are missing or clean are dropped; with zero viable
-// suspects no trace starts, and with exactly one the call degenerates to
-// StartTrace.
-func (e *Engine) StartBatchTrace(targets []ids.Ref) (ids.TraceID, bool) {
+// StartTrace initiates one back trace from one or more suspected outrefs
+// on this site (Section 4: "we start a back trace from an outref rather
+// than an inref"); the paper's trace is the one-suspect case. Suspects that
+// are missing or clean are dropped, and with none left no trace starts. The
+// suspects share one trace id, and hence one set of visit marks: the first
+// suspect to reach a shared ioref explores it, and a later suspect's
+// subtree stops at the existing mark with a dependency on the first. Each
+// suspect's outermost call returns to its entry of the trace's root join;
+// one report phase resolves them all (resolveTrace).
+func (e *Engine) StartTrace(targets ...ids.Ref) (ids.TraceID, bool) {
 	viable := make([]ids.Ref, 0, len(targets))
 	for _, target := range targets {
 		if o, ok := e.cfg.Table.Outref(target); ok && !o.IsClean(e.cfg.Threshold) {
 			viable = append(viable, target)
 		}
 	}
-	switch len(viable) {
-	case 0:
+	if len(viable) == 0 {
 		return ids.NilTrace, false
-	case 1:
-		return e.StartTrace(viable[0])
 	}
 	defer e.flush()
 	e.nextTrace++
 	t := ids.TraceID{Initiator: e.cfg.Site, Seq: e.nextTrace}
 	e.ctr.started.Inc()
-	e.ctr.batchSize.Max(int64(len(viable)))
-	ts := e.trace(t)
-	b := &batchRoot{
-		ts:           ts,
-		results:      make([]msg.Verdict, len(viable)),
-		done:         make([]bool, len(viable)),
-		deps:         make([][]uint32, len(viable)),
-		pending:      len(viable),
-		participants: []ids.SiteID{e.cfg.Site},
+	if len(viable) > 1 {
+		e.ctr.batchSize.Max(int64(len(viable)))
 	}
-	// The batch root counts as an open frame so the initiator's activity
-	// (and root span) stays open until the batch resolves.
+	ts := e.trace(t)
+	root := &pendingReply{
+		msg:     msg.BackReply{Trace: t, Results: make([]msg.BackResult, len(viable))},
+		pending: len(viable),
+		root:    ts,
+	}
+	// The initiator is itself a participant, and the root counts as an open
+	// frame, so its activity (and root span) stays open until the trace
+	// resolves, even when that happens synchronously.
 	e.ensureActivity(ts)
 	ts.frames++
 	for i, target := range viable {
-		// Each suspect's outermost call returns to its entry of the root;
-		// overlap shows up as an immediate revisit answer with a
-		// dependency on the first-visiting suspect.
-		e.stepLocal(ts, ret{batch: b, entry: i}, target, uint32(i))
+		e.stepLocal(ts, ret{reply: root, entry: i}, target, uint32(i))
 	}
 	e.maybeEndActivity(ts)
 	return t, true
@@ -719,8 +677,8 @@ func (e *Engine) HandleBackReply(from ids.SiteID, r msg.BackReply) {
 
 // HandleReport processes the report phase at a participant (Section 4.5):
 // on Garbage, flag the inrefs the trace visited here; on Live, clear the
-// visit marks. For a batched trace the report's garbage-suspect set
-// restricts flagging to marks owned by suspects confirmed garbage.
+// visit marks. When only some of a trace's suspects were confirmed garbage,
+// the report lists them, and flagging is restricted to the marks they own.
 func (e *Engine) HandleReport(from ids.SiteID, r msg.Report) {
 	if ts, ok := e.traces[r.Trace]; ok {
 		defer e.flush()
@@ -729,9 +687,8 @@ func (e *Engine) HandleReport(from ids.SiteID, r msg.Report) {
 }
 
 // finishTraceLocally clears the trace's visit marks and, on a Garbage
-// outcome, flags the visited inrefs. garbage is the batch form's set of
-// garbage-confirmed suspects; empty means the single-suspect form, which
-// flags every visited inref.
+// outcome, flags the visited inrefs: those owned by the suspects in
+// garbage, or every one when garbage is empty (all suspects confirmed).
 func (e *Engine) finishTraceLocally(ts *traceState, outcome msg.Verdict, garbage []uint32) {
 	if !ts.marked {
 		return
@@ -784,25 +741,25 @@ func (e *Engine) stepLocal(ts *traceState, r ret, target ids.Ref, suspect uint32
 	o, ok := e.cfg.Table.Outref(target)
 	if !ok {
 		// "its ioref must have been deleted by the garbage collector".
-		e.replyTo(r, ts, msg.VerdictGarbage, e.self, nil)
+		e.replyTo(r, msg.VerdictGarbage, e.self, nil)
 		return
 	}
 	if o.IsClean(e.cfg.Threshold) {
-		e.replyTo(r, ts, msg.VerdictLive, e.self, nil)
+		e.replyTo(r, msg.VerdictLive, e.self, nil)
 		return
 	}
 	if e.cfg.MemoizeLive {
 		if g, ok := e.memoOut[target]; ok && g == e.gen {
 			// Proven Live at this generation: answer without fanning out.
 			e.ctr.memoHits.Inc()
-			e.replyTo(r, ts, msg.VerdictLive, e.self, nil)
+			e.replyTo(r, msg.VerdictLive, e.self, nil)
 			return
 		}
 	}
 	if owner, already := o.MarkVisited(ts.id, suspect); already {
-		// Already visited by this trace: avoid loops and revisits. In a
-		// batched trace the answer leans on the owning suspect's verdict.
-		e.replyTo(r, ts, msg.VerdictGarbage, e.self, revisitDeps(owner, suspect))
+		// Already visited by this trace: avoid loops and revisits. The
+		// answer leans on the verdict of the suspect that owns the mark.
+		e.replyTo(r, msg.VerdictGarbage, e.self, revisitDeps(owner, suspect))
 		return
 	}
 	e.markHeld(ts)
@@ -843,22 +800,22 @@ func (e *Engine) stepLocal(ts *traceState, r ret, target ids.Ref, suspect uint32
 func (e *Engine) stepRemote(ts *traceState, r ret, inrefObj ids.ObjID, suspect uint32) {
 	in, ok := e.cfg.Table.Inref(inrefObj)
 	if !ok {
-		e.replyTo(r, ts, msg.VerdictGarbage, e.self, nil)
+		e.replyTo(r, msg.VerdictGarbage, e.self, nil)
 		return
 	}
 	if in.IsClean(e.cfg.Threshold) {
-		e.replyTo(r, ts, msg.VerdictLive, e.self, nil)
+		e.replyTo(r, msg.VerdictLive, e.self, nil)
 		return
 	}
 	if e.cfg.MemoizeLive {
 		if g, ok := e.memoIn[inrefObj]; ok && g == e.gen {
 			e.ctr.memoHits.Inc()
-			e.replyTo(r, ts, msg.VerdictLive, e.self, nil)
+			e.replyTo(r, msg.VerdictLive, e.self, nil)
 			return
 		}
 	}
 	if owner, already := in.MarkVisited(ts.id, suspect); already {
-		e.replyTo(r, ts, msg.VerdictGarbage, e.self, revisitDeps(owner, suspect))
+		e.replyTo(r, msg.VerdictGarbage, e.self, revisitDeps(owner, suspect))
 		return
 	}
 	e.markHeld(ts)
@@ -986,10 +943,9 @@ func insertSorted[T cmp.Ordered](set []T, v T) []T {
 	return slices.Insert(set, i, v)
 }
 
-// completeFrame finishes a frame with the given verdict, replying to the
-// caller or — for the outermost frame — running the report phase, and
-// releases the frame. A proven-Live completion whose generation is still
-// current memoizes the frame's ioref.
+// completeFrame finishes a frame with the given verdict, replying to its
+// caller, and releases the frame. A proven-Live completion whose generation
+// is still current memoizes the frame's ioref.
 func (e *Engine) completeFrame(f *frame, verdict msg.Verdict) {
 	delete(e.frames, f.seq)
 	e.unindexFrame(f)
@@ -1008,83 +964,61 @@ func (e *Engine) completeFrame(f *frame, verdict msg.Verdict) {
 	}
 	// replyTo only reads the frame's lists, copying what it keeps, so the
 	// frame can be released once it returns.
-	e.replyTo(f.ret, ts, verdict, f.participants, deps)
+	e.replyTo(f.ret, verdict, f.participants, deps)
 	*f = frame{participants: f.participants[:0], deps: f.deps[:0]}
 	e.freeFrames = append(e.freeFrames, f)
 	e.maybeEndActivity(ts)
 }
 
-// replyTo delivers a call's result where r points: into the BackReply
-// being assembled for a remote caller (sent once its last step returns),
-// to a frame on this site, or — for the outermost call — into the report
-// phase. participants and deps are only read; whatever outlives the call
-// is copied.
-func (e *Engine) replyTo(r ret, ts *traceState, verdict msg.Verdict, participants []ids.SiteID, deps []uint32) {
-	switch p := r.reply; {
-	case p != nil:
-		n := len(p.sites)
-		p.sites = append(p.sites, participants...)
-		p.msg.Results[r.entry] = msg.BackResult{
-			Caller:       r.frame,
-			Result:       verdict,
-			Participants: p.sites[n:len(p.sites):len(p.sites)],
-			Deps:         slices.Clone(deps),
-		}
-		p.pending--
-		if p.pending == 0 {
-			e.sendReply(p.to, p.msg)
-		}
-	case r.batch != nil:
-		e.applyBatchReply(r.batch, r.entry, verdict, participants, deps)
-	case r.frame == 0:
-		e.finishAtInitiator(ts, verdict, slices.Clone(participants), nil)
-	default:
+// replyTo delivers a call's result where r points: into a reply join,
+// which once complete is sent to the remote caller or, for a trace's root,
+// resolves the trace; or to a frame on this site. participants and deps are
+// only read; whatever outlives the call is copied.
+func (e *Engine) replyTo(r ret, verdict msg.Verdict, participants []ids.SiteID, deps []uint32) {
+	p := r.reply
+	if p == nil {
 		e.applyReply(r.frame, verdict, participants, deps)
-	}
-}
-
-// applyBatchReply folds one suspect's outermost result into its batch
-// root; the last reply resolves the batch.
-func (e *Engine) applyBatchReply(b *batchRoot, i int, result msg.Verdict, participants []ids.SiteID, deps []uint32) {
-	if b.done[i] {
 		return
 	}
-	for _, p := range participants {
-		b.participants = insertSorted(b.participants, p)
+	n := len(p.sites)
+	p.sites = append(p.sites, participants...)
+	p.msg.Results[r.entry] = msg.BackResult{
+		Caller:       r.frame,
+		Result:       verdict,
+		Participants: p.sites[n:len(p.sites):len(p.sites)],
+		Deps:         slices.Clone(deps),
 	}
-	b.results[i] = result
-	b.done[i] = true
-	if result == msg.VerdictGarbage {
-		for _, d := range deps {
-			if d != uint32(i) {
-				b.deps[i] = insertSorted(b.deps[i], d)
-			}
-		}
+	p.pending--
+	if p.pending > 0 {
+		return
 	}
-	b.pending--
-	if b.pending == 0 {
-		e.resolveBatch(b)
+	if p.root != nil {
+		e.resolveTrace(p.root, p.msg.Results)
+		return
 	}
+	e.sendReply(p.to, p.msg)
 }
 
-// resolveBatch decides the final per-suspect verdicts of a batched trace
-// and runs its report phase. A suspect's Garbage verdict is trustworthy
-// only if every suspect it (transitively) depended on for a revisit answer
-// is also Garbage — the fixpoint demotes the rest to Live, which is always
-// safe (the suspect stays suspected and retries later, Section 4.3).
-func (e *Engine) resolveBatch(b *batchRoot) {
-	garbage := make([]bool, len(b.results))
-	for i := range garbage {
-		garbage[i] = b.results[i] == msg.VerdictGarbage
+// resolveTrace decides the final verdict of each suspect from its root
+// entry and runs the report phase. A suspect's Garbage verdict is
+// trustworthy only if every suspect it (transitively) depended on for a
+// revisit answer is also Garbage; the fixpoint demotes the rest to Live,
+// which is always safe (the suspect stays suspected and retries later,
+// Section 4.3). The participants are this site and the union of every
+// suspect's subtree.
+func (e *Engine) resolveTrace(ts *traceState, results []msg.BackResult) {
+	garbage := make([]bool, len(results))
+	for i, res := range results {
+		garbage[i] = res.Result == msg.VerdictGarbage
 	}
 	for changed := true; changed; {
 		changed = false
-		for i := range garbage {
+		for i, res := range results {
 			if !garbage[i] {
 				continue
 			}
-			for _, d := range b.deps[i] {
-				if int(d) >= len(garbage) || !garbage[d] {
+			for _, d := range res.Deps {
+				if int(d) != i && (int(d) >= len(garbage) || !garbage[d]) {
 					garbage[i] = false
 					changed = true
 					break
@@ -1092,25 +1026,32 @@ func (e *Engine) resolveBatch(b *batchRoot) {
 			}
 		}
 	}
-	var gs []uint32
-	for i, g := range garbage {
-		if g {
-			gs = append(gs, uint32(i))
+	participants := []ids.SiteID{e.cfg.Site}
+	var survivors []uint32
+	for i, res := range results {
+		for _, p := range res.Participants {
+			participants = insertSorted(participants, p)
+		}
+		if garbage[i] {
+			survivors = append(survivors, uint32(i))
 		}
 	}
 	outcome := msg.VerdictLive
-	if len(gs) > 0 {
+	if len(survivors) > 0 {
 		outcome = msg.VerdictGarbage
 	}
-	b.ts.frames-- // release the batch root's hold on the activity
-	e.finishAtInitiator(b.ts, outcome, b.participants, gs)
-	e.maybeEndActivity(b.ts)
+	if len(survivors) == len(results) {
+		survivors = nil // every suspect is garbage: flag every mark
+	}
+	ts.frames-- // release the root's hold on the activity
+	e.finishAtInitiator(ts, outcome, participants, survivors)
+	e.maybeEndActivity(ts)
 }
 
 // finishAtInitiator runs the report phase (Section 4.5): deliver the
 // outcome to every participant. The initiator's own marks are processed
-// inline; remote participants get Report messages. garbage is a batch's
-// set of garbage-confirmed suspects (nil for a single-suspect trace).
+// inline; remote participants get Report messages. garbage lists the
+// suspects confirmed garbage when only some were; nil flags every mark.
 func (e *Engine) finishAtInitiator(ts *traceState, outcome msg.Verdict, participants []ids.SiteID, garbage []uint32) {
 	if outcome == msg.VerdictGarbage {
 		e.ctr.garbage.Inc()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"backtrace/internal/ids"
@@ -19,7 +20,7 @@ func (r *rig) enableMemo() {
 // TestBatchTraceMixedVerdicts: one batched trace carries a garbage suspect
 // and a live suspect. The garbage suspect's cycle must be flagged, the live
 // suspect's cone must stay unflagged, and the single report phase must
-// resolve both (the batch form's GarbageSuspects set restricts flagging).
+// resolve both (the Report lists the garbage suspect, restricting flagging).
 func TestBatchTraceMixedVerdicts(t *testing.T) {
 	r := newRig(t, 1, 2, 3)
 	// Garbage 2-cycle through suspect A = (2,1)@1:
@@ -35,7 +36,7 @@ func TestBatchTraceMixedVerdicts(t *testing.T) {
 	r.addSuspectInref(3, 9, 1, 1) // clean: distance 1 <= threshold
 	r.addOutref(3, ids.MakeRef(1, 2), 40, 9)
 
-	tr, started := r.engines[1].StartBatchTrace([]ids.Ref{ids.MakeRef(2, 1), ids.MakeRef(3, 1)})
+	tr, started := r.engines[1].StartTrace(ids.MakeRef(2, 1), ids.MakeRef(3, 1))
 	if !started {
 		t.Fatal("batch trace did not start")
 	}
@@ -57,6 +58,65 @@ func TestBatchTraceMixedVerdicts(t *testing.T) {
 	}
 	if got := r.metric(metrics.BackTracesStarted); got != 1 {
 		t.Errorf("traces started = %d, want 1 for the whole batch", got)
+	}
+	if len(r.reports) != 2 {
+		t.Fatalf("reports = %+v, want one each to sites 2 and 3", r.reports)
+	}
+	for _, rep := range r.reports {
+		if rep.Outcome != msg.VerdictGarbage || !slices.Equal(rep.GarbageSuspects, []uint32{0}) {
+			t.Errorf("report = %+v, want Garbage listing suspect 0 only", rep)
+		}
+	}
+	for s, e := range r.engines {
+		if e.ActiveFrames() != 0 || e.PendingMarks() != 0 {
+			t.Errorf("site %v: frames=%d marks=%d left", s, e.ActiveFrames(), e.PendingMarks())
+		}
+	}
+}
+
+// TestBatchTraceAllGarbageReportsNoSuspects: when every suspect of a batched
+// trace is confirmed garbage, the Report lists none, exactly like a
+// one-suspect trace's, and every participant still flags every inref the
+// trace visited there.
+func TestBatchTraceAllGarbageReportsNoSuspects(t *testing.T) {
+	r := newRig(t, 1, 2, 3)
+	// Two garbage 2-cycles from site 1: suspect A = (2,1)@1 through site 2
+	// and suspect B = (3,1)@1 through site 3.
+	r.addSuspectInref(1, 1, 40, 2)
+	r.addOutref(1, ids.MakeRef(2, 1), 41, 1)
+	r.addSuspectInref(2, 1, 40, 1)
+	r.addOutref(2, ids.MakeRef(1, 1), 41, 1)
+	r.addSuspectInref(1, 2, 40, 3)
+	r.addOutref(1, ids.MakeRef(3, 1), 41, 2)
+	r.addSuspectInref(3, 1, 40, 1)
+	r.addOutref(3, ids.MakeRef(1, 2), 41, 1)
+
+	if _, started := r.engines[1].StartTrace(ids.MakeRef(2, 1), ids.MakeRef(3, 1)); !started {
+		t.Fatal("batch trace did not start")
+	}
+	if got := r.metric(metrics.BackTraceBatchSize); got != 2 {
+		t.Fatalf("batch size = %d, want 2", got)
+	}
+	r.pump()
+
+	if len(r.done) != 1 || r.done[0].outcome != msg.VerdictGarbage {
+		t.Fatalf("completions = %+v, want one Garbage", r.done)
+	}
+	if len(r.reports) != 2 {
+		t.Fatalf("reports = %+v, want one each to sites 2 and 3", r.reports)
+	}
+	for _, rep := range r.reports {
+		if rep.Outcome != msg.VerdictGarbage || rep.GarbageSuspects != nil {
+			t.Errorf("report = %+v, want Garbage with no suspect list", rep)
+		}
+	}
+	for _, in := range []struct {
+		site ids.SiteID
+		obj  ids.ObjID
+	}{{1, 1}, {1, 2}, {2, 1}, {3, 1}} {
+		if !r.flaggedGarbage(in.site, in.obj) {
+			t.Errorf("inref %v@%v not flagged", in.obj, in.site)
+		}
 	}
 	for s, e := range r.engines {
 		if e.ActiveFrames() != 0 || e.PendingMarks() != 0 {
@@ -86,7 +146,7 @@ func TestBatchTraceDependentSuspectDemoted(t *testing.T) {
 	r.addSuspectInref(2, 7, 1, 1)
 	r.addOutref(2, ids.MakeRef(1, 2), 40, 7)
 
-	_, started := r.engines[1].StartBatchTrace([]ids.Ref{ids.MakeRef(2, 1), ids.MakeRef(2, 2)})
+	_, started := r.engines[1].StartTrace(ids.MakeRef(2, 1), ids.MakeRef(2, 2))
 	if !started {
 		t.Fatal("batch trace did not start")
 	}
@@ -112,19 +172,27 @@ func TestBatchTraceDependentSuspectDemoted(t *testing.T) {
 	}
 }
 
-// TestBatchTraceSingleViableDegenerates: a batch whose other suspects are
-// missing or clean behaves exactly like StartTrace on the one viable
-// suspect — no batch bookkeeping, same verdict.
+// TestBatchTraceSingleViableDegenerates: StartTrace drops missing and clean
+// suspects (one suspect alone: TestStartTraceOnCleanOrMissingOutref). With
+// none left no trace starts; a batch whose other suspects are missing or
+// clean runs as the one-suspect trace on the viable one — no batch size
+// recorded, same verdict.
 func TestBatchTraceSingleViableDegenerates(t *testing.T) {
 	r := newRig(t, 1, 2)
 	r.buildRing(2, 40)
-	r.addOutref(1, ids.MakeRef(2, 5), 2) // clean: filtered out
+	r.addOutref(1, ids.MakeRef(2, 5), 2) // clean: distance 2 <= 4
+	if _, ok := r.engines[1].StartTrace(ids.MakeRef(2, 5), ids.MakeRef(2, 99)); ok {
+		t.Fatal("trace started from only clean and missing outrefs")
+	}
+	if got := r.metric(metrics.BackTracesStarted); got != 0 {
+		t.Fatalf("traces started = %d, want 0", got)
+	}
 
-	_, started := r.engines[1].StartBatchTrace([]ids.Ref{
+	_, started := r.engines[1].StartTrace(
 		ids.MakeRef(2, 5),  // clean
 		ids.MakeRef(2, 99), // missing
 		ids.MakeRef(2, 1),  // the ring suspect
-	})
+	)
 	if !started {
 		t.Fatal("degenerate batch did not start")
 	}

@@ -100,7 +100,7 @@ func TestGroupedLiveStepShortCircuitsOnlyItsFrame(t *testing.T) {
 	r.addSuspectInref(2, 13, 40, 1)
 
 	suspects := []ids.Ref{ids.MakeRef(2, 11), ids.MakeRef(2, 12), ids.MakeRef(2, 13)}
-	if _, ok := r.engines[1].StartBatchTrace(suspects); !ok {
+	if _, ok := r.engines[1].StartTrace(suspects...); !ok {
 		t.Fatal("batch trace did not start")
 	}
 	call := popMessage[msg.BackCall](r, 1, 2)

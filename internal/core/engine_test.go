@@ -21,6 +21,7 @@ type rig struct {
 	queue    []msg.Envelope
 	counters *metrics.Counters
 	done     []completion
+	reports  []msg.Report
 	now      time.Time
 }
 
@@ -99,6 +100,7 @@ func (r *rig) deliver(env msg.Envelope) {
 	case msg.BackReply:
 		e.HandleBackReply(env.From, m)
 	case msg.Report:
+		r.reports = append(r.reports, m)
 		e.HandleReport(env.From, m)
 	default:
 		r.t.Fatalf("rig: unexpected message %s", msg.Name(env.M))

@@ -208,11 +208,11 @@ type BackResult struct {
 // (Section 4.5). On Garbage the participant flags the inrefs visited by the
 // trace; on Live it clears the trace's visited marks.
 //
-// For a multi-suspect batched trace, GarbageSuspects lists the suspects
-// confirmed garbage: the participant flags only the inrefs whose visit
-// marks those suspects own, and clears everything else. An empty list with
-// a Garbage outcome is the single-suspect form and flags every visited
-// inref (a batch resolves Garbage only when some suspect is garbage).
+// When a Garbage trace confirmed only some of its suspects, GarbageSuspects
+// lists them: the participant flags only the inrefs whose visit marks those
+// suspects own, and clears everything else. An empty list with a Garbage
+// outcome means every suspect was confirmed (always so for a one-suspect
+// trace) and flags every visited inref; a Live report lists none.
 type Report struct {
 	Trace           ids.TraceID
 	Outcome         Verdict

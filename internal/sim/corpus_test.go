@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"backtrace/internal/metrics"
 )
 
 // TestReplayCorpus replays every schedule under testdata/schedules/ and
@@ -64,6 +66,18 @@ func TestReplayCorpus(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("no crash hit an active back trace; contexts: %+v", res.FaultCtx)
+		}
+	})
+	t.Run("batched-memoized-traces batches and hits the memo", func(t *testing.T) {
+		res, ok := results["batched-memoized-traces.json"]
+		if !ok {
+			t.Fatal("corpus is missing batched-memoized-traces.json")
+		}
+		if got := res.Metrics.Get(metrics.BackTraceBatchSize); got < 2 {
+			t.Fatalf("peak batch size %d, want a multi-suspect trace (>= 2)", got)
+		}
+		if got := res.Metrics.Get(metrics.BackTraceMemoHits); got < 1 {
+			t.Fatalf("memo hits %d, want at least 1", got)
 		}
 	})
 	t.Run("partition-during-report cuts an in-flight report", func(t *testing.T) {

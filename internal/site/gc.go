@@ -534,7 +534,7 @@ func (s *Site) drainAdmissionsLocked() {
 func (s *Site) startAdmittedLocked(targets []ids.Ref) (ids.TraceID, bool) {
 	s.inflight++
 	s.cfg.Counters.Max(metrics.BackTraceInflight, int64(s.inflight))
-	t, ok := s.engine.StartBatchTrace(targets)
+	t, ok := s.engine.StartTrace(targets...)
 	if !ok {
 		s.inflight--
 		return t, false

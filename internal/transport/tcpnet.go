@@ -52,6 +52,10 @@ type TCPNode struct {
 	self  ids.SiteID
 	addrs map[ids.SiteID]string
 	codec wire.Codec
+	// obs and counters are fixed at construction, so they are read without
+	// the lock.
+	obs      Observer
+	counters *metrics.Counters
 
 	mu       sync.Mutex
 	handler  Handler
@@ -59,8 +63,6 @@ type TCPNode struct {
 	accepted map[net.Conn]struct{}
 	ln       net.Listener
 	closed   bool
-	obs      Observer
-	counters *metrics.Counters
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -119,14 +121,6 @@ func (t *TCPNode) Register(site ids.SiteID, h Handler) {
 	}
 	t.mu.Lock()
 	t.handler = h
-	t.mu.Unlock()
-}
-
-// SetCounters installs a counter set; dial and encode failures are then
-// recorded under metrics.TransportSendFail.
-func (t *TCPNode) SetCounters(c *metrics.Counters) {
-	t.mu.Lock()
-	t.counters = c
 	t.mu.Unlock()
 }
 
@@ -268,20 +262,14 @@ func (t *TCPNode) observe(env msg.Envelope, dropped bool) {
 }
 
 func (t *TCPNode) countSendFail() {
-	t.mu.Lock()
-	c := t.counters
-	t.mu.Unlock()
-	if c != nil {
-		c.Inc(metrics.TransportSendFail)
+	if t.counters != nil {
+		t.counters.Inc(metrics.TransportSendFail)
 	}
 }
 
 func (t *TCPNode) countBytes(n int) {
-	t.mu.Lock()
-	c := t.counters
-	t.mu.Unlock()
-	if c != nil {
-		c.Add(metrics.WireBytes, int64(n))
+	if t.counters != nil {
+		t.counters.Add(metrics.WireBytes, int64(n))
 	}
 }
 

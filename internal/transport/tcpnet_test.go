@@ -196,13 +196,12 @@ func TestTCPListenerRestartFlushesQueue(t *testing.T) {
 		1: "127.0.0.1:0",
 		2: "127.0.0.1:0",
 	}
-	n1, err := NewTCPNode(1, addrs, nil)
+	counters := &metrics.Counters{}
+	n1, err := NewTCPNodeOpts(1, addrs, TCPOptions{Counters: counters})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n1.Close()
-	counters := &metrics.Counters{}
-	n1.SetCounters(counters)
 	n1.Register(1, &collector{self: 1})
 	a1, err := n1.Listen()
 	if err != nil {
