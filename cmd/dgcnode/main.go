@@ -60,7 +60,6 @@ func run(args []string) error {
 	tcfg.RegisterFlags(fs)
 	var knobs site.Config
 	knobs.RegisterInboxFlag(fs)
-	knobs.RegisterFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse exits on a bad flag
 
 	if *demo || *selfID == 0 {

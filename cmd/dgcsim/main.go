@@ -44,8 +44,7 @@ func main() {
 // replay rebuilds its world from the schedule's config block, so it rejects
 // them rather than silently ignoring them.
 var worldFlags = []string{
-	"seed", "sim-steps", "sim-sites", "faults", "threshold",
-	"back-threshold", "max-inflight-traces", "trace-batch", "memoize-live",
+	"seed", "sim-steps", "sim-sites", "faults", "threshold", "back-threshold",
 }
 
 // dgcsim parses args and runs the chosen mode: a workload, a model-checker
@@ -81,7 +80,6 @@ func dgcsim(args []string) error {
 	var tcfg cluster.TransportConfig
 	tcfg.RegisterFlags(fs)
 	var knobs site.Config
-	knobs.RegisterFlags(fs)
 	fs.IntVar(&knobs.SuspicionThreshold, "threshold", 3, "suspicion threshold T (-explore: 2 unless set)")
 	fs.IntVar(&knobs.BackThreshold, "back-threshold", 7, "back threshold T2 (-explore: T+2 unless set)")
 	fs.Parse(args)
@@ -106,13 +104,10 @@ func dgcsim(args []string) error {
 		return runReplay(*replay, *verbose)
 	}
 	cfg := sim.Config{
-		Seed:              *seed,
-		Steps:             *simSteps,
-		Sites:             *simSites,
-		Faults:            *faults,
-		MaxInflightTraces: knobs.MaxInflightTraces,
-		TraceBatch:        knobs.TraceBatch,
-		MemoizeLive:       knobs.MemoizeLive,
+		Seed:   *seed,
+		Steps:  *simSteps,
+		Sites:  *simSites,
+		Faults: *faults,
 	}
 	// The threshold flags default to the workload mode's T=3, T2=7; the
 	// simulator keeps its own defaults unless they are set.
@@ -126,7 +121,7 @@ func dgcsim(args []string) error {
 }
 
 // run builds the workload on a cluster whose sites take their thresholds
-// and scheduler knobs from knobs, and collects it.
+// from knobs, and collects it.
 func run(kind string, sites, objects, docs int, seed int64, rounds int,
 	latency, jitter time.Duration, drop float64, algoName string, parallel bool,
 	knobs site.Config, tcfg cluster.TransportConfig, verbose bool, eventTail int, dotPath, traceOut string) error {
@@ -219,11 +214,8 @@ func run(kind string, sites, objects, docs int, seed int64, rounds int,
 	get := c.Metrics().Get
 	fmt.Printf("\nback traces: %d started, %d garbage, %d live\n",
 		get("backtrace.started"), get("backtrace.outcome.garbage"), get("backtrace.outcome.live"))
-	if knobs.MaxInflightTraces > 0 || knobs.TraceBatch > 1 || knobs.MemoizeLive {
-		fmt.Printf("scheduler:   peak inflight %d, peak batch %d, %d deferred, %d memo hits\n",
-			get("backtrace.inflight"), get("backtrace.batch_size"),
-			get("backtrace.deferred"), get("backtrace.memo_hits"))
-	}
+	fmt.Printf("scheduler:   peak inflight %d, peak batch %d, %d deferred\n",
+		get("backtrace.inflight"), get("backtrace.batch_size"), get("backtrace.deferred"))
 	fmt.Printf("messages:    %d total (BackCall %d, BackReply %d, Report %d, Update %d, dropped %d)\n",
 		get("msg.total"), get("msg.BackCall"), get("msg.BackReply"),
 		get("msg.Report"), get("msg.Update"), get("msg.dropped"))

@@ -59,8 +59,7 @@ func TestReplayRejectsWorldFlags(t *testing.T) {
 	for _, flagArgs := range [][]string{
 		{"-threshold", "3"},
 		{"-back-threshold", "6"},
-		{"-trace-batch", "4"},
-		{"-memoize-live"},
+		{"-sim-sites", "4"},
 		{"-sim-steps", "100"},
 	} {
 		args := append([]string{"-replay", schedule}, flagArgs...)

@@ -10,17 +10,16 @@ import (
 // under every combination of the optional features (trace scheduler,
 // outset algorithm) and asserts identical collection semantics:
 // the options change costs, never outcomes. The scheduler axis compares the
-// paper's trigger as configured by default ("fixed": no admission cap, one
-// trace per suspect, no memo) with the configuration the benchmark runs
-// ("scheduled": cap 4, batches of 8, Live memo).
+// paper's trigger ("fixed": one trace per suspect, under a cap no run
+// reaches) with the site's default, which the benchmark runs ("scheduled":
+// cap 4, batches of 8).
 func TestAllOptionCombinations(t *testing.T) {
 	schedulers := []struct {
 		name               string
 		maxInflight, batch int
-		memoizeLive        bool
 	}{
-		{"fixed", 0, 0, false},
-		{"scheduled", 4, 8, true},
+		{"fixed", 1 << 20, 1},
+		{"scheduled", 0, 0},
 	}
 	for _, sched := range schedulers {
 		for _, algo := range []tracer.OutsetAlgorithm{tracer.AlgoBottomUp, tracer.AlgoIndependent} {
@@ -29,7 +28,6 @@ func TestAllOptionCombinations(t *testing.T) {
 				opts := defaultOpts(3)
 				opts.Site.MaxInflightTraces = sched.maxInflight
 				opts.Site.TraceBatch = sched.batch
-				opts.Site.MemoizeLive = sched.memoizeLive
 				opts.Site.OutsetAlgorithm = algo
 				c := New(opts)
 				defer c.Close()

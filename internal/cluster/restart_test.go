@@ -14,9 +14,8 @@ import (
 // and still take part in collecting the cycle.
 func TestRestartKeepsSiteConfig(t *testing.T) {
 	opts := defaultOpts(3)
-	opts.Site.MaxInflightTraces = 4
-	opts.Site.TraceBatch = 8
-	opts.Site.MemoizeLive = true
+	opts.Site.MaxInflightTraces = 2
+	opts.Site.TraceBatch = 3
 	c := New(opts)
 	defer c.Close()
 
@@ -39,17 +38,17 @@ func TestRestartKeepsSiteConfig(t *testing.T) {
 
 	type knobs struct {
 		t, t2, bump, inflight, batch int
-		memo, auto                   bool
+		auto                         bool
 	}
 	knobsOf := func(cfg site.Config) knobs {
 		return knobs{cfg.SuspicionThreshold, cfg.BackThreshold, cfg.ThresholdBump,
-			cfg.MaxInflightTraces, cfg.TraceBatch, cfg.MemoizeLive, cfg.AutoBackTrace}
+			cfg.MaxInflightTraces, cfg.TraceBatch, cfg.AutoBackTrace}
 	}
 	after := restored.Config()
 	if knobsOf(after) != knobsOf(before) {
 		t.Fatalf("restored knobs %+v, want %+v", knobsOf(after), knobsOf(before))
 	}
-	if after.MaxInflightTraces != 4 || after.TraceBatch != 8 || !after.MemoizeLive {
+	if after.MaxInflightTraces != 2 || after.TraceBatch != 3 {
 		t.Fatalf("restored knobs %+v lost the cluster's scheduler settings", knobsOf(after))
 	}
 	if after.Counters.Registry() != c.Registry() {

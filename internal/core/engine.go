@@ -86,14 +86,6 @@ type Config struct {
 	Inset func(target ids.Ref) []ids.ObjID
 	// Now is the clock (injectable for tests). Defaults to time.Now.
 	Now func() time.Time
-	// MemoizeLive enables generation-stamped Live-verdict memoization:
-	// when a frame completes Live (proven, not assumed by timeout), the
-	// ioref it was active on is recorded against the current local-trace
-	// commit generation, and later back steps through it answer Live
-	// without fanning out — until BumpGeneration (a commit installed new
-	// distances and back information) or a Section 6.4 clean event
-	// invalidates the entry.
-	MemoizeLive bool
 	// Counters receives engine metrics; may be nil.
 	Counters *metrics.Counters
 	// Completed, if non-nil, is invoked at the initiator when one of its
@@ -145,13 +137,6 @@ type frame struct {
 	// 4.4); forwarded in the reply so the initiator can run the demotion
 	// fixpoint.
 	deps []uint32
-	// gen is the commit generation at frame creation; a Live completion
-	// is memoized only if the generation has not moved since, so a
-	// concurrent CommitLocalTrace invalidates the proof automatically.
-	gen uint64
-	// noMemo suppresses memoization for verdicts assumed rather than
-	// proven (timeout expiry, Section 4.6).
-	noMemo bool
 	// participants accumulates, in ascending order, the sites reached in
 	// this frame's subtree, always including this site. It starts in
 	// partBuf: P is at most a handful of sites in every shape.
@@ -282,14 +267,6 @@ type Engine struct {
 	idle       []*traceState
 	freeTraces []*traceState
 
-	// gen is the local-trace commit generation (bumped by CommitLocalTrace
-	// via BumpGeneration); memoIn/memoOut record the generation at which an
-	// ioref was last proven Live. An entry is valid only while its stamp
-	// equals gen, so a commit invalidates every cached verdict at once.
-	gen     uint64
-	memoIn  map[ids.ObjID]uint64
-	memoOut map[ids.Ref]uint64
-
 	// out holds the messages waiting to ship, in send order. calls holds
 	// their BackCalls, one per (destination, trace), so later steps join
 	// them; replies holds the BackReplies a hold keeps, one per (caller
@@ -309,8 +286,8 @@ type Engine struct {
 
 // counters are the engine's metric instruments, resolved once.
 type counters struct {
-	started, calls, garbage, live, flagged, memoHits *obs.Counter
-	batchSize                                        *obs.Gauge
+	started, calls, garbage, live, flagged *obs.Counter
+	batchSize                              *obs.Gauge
 }
 
 // NewEngine creates an engine for a site.
@@ -330,15 +307,12 @@ func NewEngine(cfg Config) *Engine {
 			garbage:   reg.Counter(metrics.BackTracesGarbage, ""),
 			live:      reg.Counter(metrics.BackTracesLive, ""),
 			flagged:   reg.Counter(metrics.InrefsFlagged, ""),
-			memoHits:  reg.Counter(metrics.BackTraceMemoHits, ""),
 			batchSize: reg.Gauge(metrics.BackTraceBatchSize, ""),
 		},
 		frames:   make(map[uint64]*frame),
 		byInref:  make(map[ids.ObjID][]uint64),
 		byOutref: make(map[ids.Ref][]uint64),
 		traces:   make(map[ids.TraceID]*traceState),
-		memoIn:   make(map[ids.ObjID]uint64),
-		memoOut:  make(map[ids.Ref]uint64),
 		self:     []ids.SiteID{cfg.Site},
 	}
 }
@@ -559,8 +533,8 @@ func (e *Engine) SeedTraceSeq(n uint64) {
 
 // Eligible reports whether an outref satisfies the distance policy for
 // triggering a back trace: it exists, it is suspected, and its distance has
-// crossed its personal back threshold (Section 4.3). It considers neither
-// traces already in flight nor memoized verdicts; ShouldStart adds both.
+// crossed its personal back threshold (Section 4.3). It does not consider
+// traces already in flight; ShouldStart does.
 func (e *Engine) Eligible(target ids.Ref) bool {
 	o, ok := e.cfg.Table.Outref(target)
 	if !ok || o.IsClean(e.cfg.Threshold) {
@@ -569,32 +543,11 @@ func (e *Engine) Eligible(target ids.Ref) bool {
 	return o.Distance > o.BackThreshold
 }
 
-// MemoizedLive reports whether the outref was proven Live at the current
-// commit generation; a true result counts a memo hit, since the caller is
-// expected to skip the trace it was about to start.
-func (e *Engine) MemoizedLive(target ids.Ref) bool {
-	if !e.cfg.MemoizeLive {
-		return false
-	}
-	if g, ok := e.memoOut[target]; ok && g == e.gen {
-		e.ctr.memoHits.Inc()
-		return true
-	}
-	return false
-}
-
 // ShouldStart reports whether a back trace should be triggered from the
-// given outref: it is eligible per the distance policy, no trace from this
-// engine is already active on it (Section 4.3), and it is not memoized
-// Live at the current generation.
+// given outref: it is eligible per the distance policy and no trace from
+// this engine is already active on it (Section 4.3).
 func (e *Engine) ShouldStart(target ids.Ref) bool {
-	if !e.Eligible(target) {
-		return false
-	}
-	if len(e.byOutref[target]) != 0 {
-		return false
-	}
-	return !e.MemoizedLive(target)
+	return e.Eligible(target) && len(e.byOutref[target]) == 0
 }
 
 // StartTrace initiates one back trace from one or more suspected outrefs
@@ -748,14 +701,6 @@ func (e *Engine) stepLocal(ts *traceState, r ret, target ids.Ref, suspect uint32
 		e.replyTo(r, msg.VerdictLive, e.self, nil)
 		return
 	}
-	if e.cfg.MemoizeLive {
-		if g, ok := e.memoOut[target]; ok && g == e.gen {
-			// Proven Live at this generation: answer without fanning out.
-			e.ctr.memoHits.Inc()
-			e.replyTo(r, msg.VerdictLive, e.self, nil)
-			return
-		}
-	}
 	if owner, already := o.MarkVisited(ts.id, suspect); already {
 		// Already visited by this trace: avoid loops and revisits. The
 		// answer leans on the verdict of the suspect that owns the mark.
@@ -807,13 +752,6 @@ func (e *Engine) stepRemote(ts *traceState, r ret, inrefObj ids.ObjID, suspect u
 		e.replyTo(r, msg.VerdictLive, e.self, nil)
 		return
 	}
-	if e.cfg.MemoizeLive {
-		if g, ok := e.memoIn[inrefObj]; ok && g == e.gen {
-			e.ctr.memoHits.Inc()
-			e.replyTo(r, msg.VerdictLive, e.self, nil)
-			return
-		}
-	}
 	if owner, already := in.MarkVisited(ts.id, suspect); already {
 		e.replyTo(r, msg.VerdictGarbage, e.self, revisitDeps(owner, suspect))
 		return
@@ -852,7 +790,7 @@ func (e *Engine) newFrame(ts *traceState, r ret, suspect uint32) *frame {
 		f.participants = f.partBuf[:0]
 	}
 	e.nextFrame++
-	f.seq, f.ts, f.ret, f.suspect, f.gen = e.nextFrame, ts, r, suspect, e.gen
+	f.seq, f.ts, f.ret, f.suspect = e.nextFrame, ts, r, suspect
 	f.participants = append(f.participants, e.cfg.Site)
 	if e.cfg.CallTimeout > 0 {
 		f.deadline = e.cfg.Now().Add(e.cfg.CallTimeout)
@@ -944,20 +882,12 @@ func insertSorted[T cmp.Ordered](set []T, v T) []T {
 }
 
 // completeFrame finishes a frame with the given verdict, replying to its
-// caller, and releases the frame. A proven-Live completion whose generation
-// is still current memoizes the frame's ioref.
+// caller, and releases the frame.
 func (e *Engine) completeFrame(f *frame, verdict msg.Verdict) {
 	delete(e.frames, f.seq)
 	e.unindexFrame(f)
 	ts := f.ts
 	ts.frames--
-	if verdict == msg.VerdictLive && e.cfg.MemoizeLive && !f.noMemo && f.gen == e.gen {
-		if f.local {
-			e.memoOut[f.onOutref] = e.gen
-		} else {
-			e.memoIn[f.onInref] = e.gen
-		}
-	}
 	var deps []uint32
 	if verdict == msg.VerdictGarbage && len(f.deps) > 0 {
 		deps = f.deps
@@ -1084,36 +1014,16 @@ func (e *Engine) markHeld(ts *traceState) {
 	}
 }
 
-// --- memoization generations (tentpole layer 2) -----------------------------
-
-// BumpGeneration advances the local-trace commit generation, invalidating
-// every memoized Live verdict at once: the commit installed new distances
-// and back information, so cached proofs may rest on edges that no longer
-// exist. The site calls this from CommitLocalTrace.
-func (e *Engine) BumpGeneration() {
-	e.gen++
-	if len(e.memoIn) > 0 {
-		e.memoIn = make(map[ids.ObjID]uint64)
-	}
-	if len(e.memoOut) > 0 {
-		e.memoOut = make(map[ids.Ref]uint64)
-	}
-}
-
 // --- the clean rule (Section 6.4) ----------------------------------------------
 
 // NotifyCleanedInref implements the clean rule for an inref: every trace
-// with a call active on it returns Live, oldest frame first. The ioref's
-// cached Live verdict (if any) is dropped too — its cleanliness now
-// answers directly, and the Section 6.4 clean events are the memo's point
-// invalidations between generation bumps.
+// with a call active on it returns Live, oldest frame first.
 func (e *Engine) NotifyCleanedInref(obj ids.ObjID) {
 	defer e.flush()
 	// Completing a frame removes it from the list and creates no frames.
 	for seqs := e.byInref[obj]; len(seqs) > 0; seqs = e.byInref[obj] {
 		e.completeFrame(e.frames[seqs[0]], msg.VerdictLive)
 	}
-	delete(e.memoIn, obj)
 }
 
 // NotifyCleanedOutref implements the clean rule for an outref.
@@ -1122,7 +1032,6 @@ func (e *Engine) NotifyCleanedOutref(target ids.Ref) {
 	for seqs := e.byOutref[target]; len(seqs) > 0; seqs = e.byOutref[target] {
 		e.completeFrame(e.frames[seqs[0]], msg.VerdictLive)
 	}
-	delete(e.memoOut, target)
 }
 
 // --- timeouts (Section 4.6) ------------------------------------------------------
@@ -1146,8 +1055,6 @@ func (e *Engine) CheckTimeouts() {
 				if e.cfg.OnTimeout != nil {
 					e.cfg.OnTimeout(f.ts.id)
 				}
-				// Assumed Live, not proven (Section 4.6): never memoized.
-				f.noMemo = true
 				e.completeFrame(f, msg.VerdictLive)
 			}
 		}

@@ -9,14 +9,6 @@ import (
 	"backtrace/internal/msg"
 )
 
-// enableMemo flips Live-verdict memoization on for every engine in the rig.
-// Tests run in package core, so they reach the config directly.
-func (r *rig) enableMemo() {
-	for _, e := range r.engines {
-		e.cfg.MemoizeLive = true
-	}
-}
-
 // TestBatchTraceMixedVerdicts: one batched trace carries a garbage suspect
 // and a live suspect. The garbage suspect's cycle must be flagged, the live
 // suspect's cone must stay unflagged, and the single report phase must
@@ -208,14 +200,15 @@ func TestBatchTraceSingleViableDegenerates(t *testing.T) {
 	}
 }
 
-// memoRigLayout builds the shared live cone used by the memoization tests:
+// TestLiveConeRetracedInFull: a second trace through a cone another trace
+// already proved Live explores it again, since the engine caches no Live
+// verdict. What spares a live cone repeated traces is the back threshold
+// each visit raises by δ (Section 4.3).
 //
 //	trace 1 (site 2): out(7,1)@2 {inset 1} → in1@2 ←3 → out(2,1)@3 {inset 9} → in9@3 clean → Live
 //	trace 2 (site 4): out(8,1)@4 {inset 6} → in6@4 ←2 → out(4,6)@2 {inset 1} → in1@2 …
-//
-// After trace 1, in1@2 is memoized Live, so trace 2 short-circuits at site 2
-// without calling site 3.
-func memoRigLayout(r *rig) {
+func TestLiveConeRetracedInFull(t *testing.T) {
+	r := newRig(t, 2, 3, 4)
 	r.addSuspectInref(2, 1, 40, 3)
 	r.addOutref(2, ids.MakeRef(7, 1), 41, 1)
 	r.addSuspectInref(3, 9, 1, 2)
@@ -223,14 +216,6 @@ func memoRigLayout(r *rig) {
 	r.addSuspectInref(4, 6, 40, 2)
 	r.addOutref(4, ids.MakeRef(8, 1), 41, 6)
 	r.addOutref(2, ids.MakeRef(4, 6), 41, 1)
-}
-
-// TestMemoizedLiveShortCircuits: a second trace through an ioref proven
-// Live at the current generation answers from the memo without fanning out.
-func TestMemoizedLiveShortCircuits(t *testing.T) {
-	r := newRig(t, 2, 3, 4)
-	r.enableMemo()
-	memoRigLayout(r)
 
 	if _, ok := r.engines[2].StartTrace(ids.MakeRef(7, 1)); !ok {
 		t.Fatal("no first trace")
@@ -251,73 +236,11 @@ func TestMemoizedLiveShortCircuits(t *testing.T) {
 	if len(r.done) != 2 || r.done[1].outcome != msg.VerdictLive {
 		t.Fatalf("second trace = %+v, want Live", r.done)
 	}
-	if got := r.metric("msg.BackCall") - calls; got != 1 {
-		t.Fatalf("second trace sent %d BackCalls, want 1 (memo short-circuit at site 2)", got)
-	}
-	if r.metric(metrics.BackTraceMemoHits) == 0 {
-		t.Fatal("memo hit counter not incremented")
-	}
-	// ShouldStart skips a memoized suspect outright.
-	if r.engines[2].ShouldStart(ids.MakeRef(7, 1)) {
-		t.Fatal("ShouldStart ignored the memoized Live verdict")
-	}
-}
-
-// TestMemoInvalidatedByGenerationBump: a local-trace commit (modeled by
-// BumpGeneration) stales every memo entry, so the next trace re-proves
-// liveness with a full traversal.
-func TestMemoInvalidatedByGenerationBump(t *testing.T) {
-	r := newRig(t, 2, 3, 4)
-	r.enableMemo()
-	memoRigLayout(r)
-
-	r.engines[2].StartTrace(ids.MakeRef(7, 1))
-	r.pump()
-	r.engines[4].StartTrace(ids.MakeRef(8, 1))
-	r.pump()
-	calls := r.metric("msg.BackCall") // 1 + 1 with the memo hit
-
-	// Both sites commit a local trace: new generation, stale memos.
-	r.engines[2].BumpGeneration()
-	r.engines[4].BumpGeneration()
-
-	if _, ok := r.engines[4].StartTrace(ids.MakeRef(8, 1)); !ok {
-		t.Fatal("no third trace")
-	}
-	r.pump()
-	if got := r.done[len(r.done)-1].outcome; got != msg.VerdictLive {
-		t.Fatalf("third trace outcome = %v, want Live", got)
-	}
 	if got := r.metric("msg.BackCall") - calls; got != 2 {
-		t.Fatalf("post-commit trace sent %d BackCalls, want 2 (full traversal, memo stale)", got)
+		t.Fatalf("second trace sent %d BackCalls, want 2 (site4→site2, site2→site3)", got)
 	}
-}
-
-// TestMemoInvalidatedByCleanEvent: a §6.4 clean event on a memoized inref
-// deletes exactly that entry, so the next trace re-traverses through it
-// even though no commit happened.
-func TestMemoInvalidatedByCleanEvent(t *testing.T) {
-	r := newRig(t, 2, 3, 4)
-	r.enableMemo()
-	memoRigLayout(r)
-
-	r.engines[2].StartTrace(ids.MakeRef(7, 1))
-	r.pump()
-	calls := r.metric("msg.BackCall")
-
-	// The point invalidation: in1@2's memo entry dies with the clean event;
-	// site 4 commits so its own suspect memo does not mask the retry.
-	r.engines[2].NotifyCleanedInref(1)
-	r.engines[4].BumpGeneration()
-
-	if _, ok := r.engines[4].StartTrace(ids.MakeRef(8, 1)); !ok {
-		t.Fatal("no retry trace")
-	}
-	r.pump()
-	if got := r.done[len(r.done)-1].outcome; got != msg.VerdictLive {
-		t.Fatalf("retry outcome = %v, want Live", got)
-	}
-	if got := r.metric("msg.BackCall") - calls; got != 2 {
-		t.Fatalf("retry sent %d BackCalls, want 2 (site4→site2, site2→site3)", got)
+	in, _ := r.tables[2].Inref(1)
+	if want := rigT2 + 2*rigBump; in.BackThreshold != want {
+		t.Fatalf("in1@2 back threshold = %d after two visits, want %d", in.BackThreshold, want)
 	}
 }

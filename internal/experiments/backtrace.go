@@ -15,7 +15,6 @@ type BacktraceRow struct {
 	Mode          string
 	TracesStarted int64
 	BackCalls     int64
-	MemoHits      int64
 	Deferred      int64
 	PeakInflight  int64
 	PeakBatch     int64
@@ -26,9 +25,8 @@ type BacktraceRow struct {
 }
 
 // BacktraceTraffic is experiment C18: the cost of the trace-storm regime
-// versus the trace-traffic engine (multi-suspect batching, Live-verdict
-// memoization, and the in-flight admission cap) on a workload built to
-// trigger storms.
+// versus the trace-traffic engine (multi-suspect batching and the in-flight
+// admission cap) on a workload built to trigger storms.
 //
 // The planted garbage is a hub-and-petals structure: one garbage chain of
 // `hub` objects strung across every site, and `petals` cycles that each run
@@ -42,15 +40,15 @@ type BacktraceRow struct {
 //
 // A live chain of `liveDepth` cross-site hops hangs from a root alongside,
 // deep enough that its tail hops are suspects too: the traces it triggers
-// prove Live, which is what the memoization layer short-circuits.
+// prove Live, and each raises the back thresholds of the iorefs it visits
+// by δ (Section 4.3).
 //
-// The baseline row runs the trigger with the scheduler knobs off: one trace
-// per suspect, no cap, no batching, no memo — a storm of duplicate
-// traversals of the same cone.
-// The engine row runs MaxInflightTraces=1, TraceBatch=petals, MemoizeLive
-// on. Both must collect every planted cycle; the engine must get there
-// with ≥5x fewer traces and ≥5x fewer BackCall messages per collected
-// cycle (the CheckBacktrace gate).
+// The baseline row runs the paper's trigger: one trace per suspect
+// (TraceBatch=1) under a cap no run reaches — a storm of duplicate
+// traversals of the same cone. The engine row runs MaxInflightTraces=1,
+// TraceBatch=petals. Both must collect every planted cycle; the engine
+// must get there with ≥5x fewer traces and ≥5x fewer BackCall messages per
+// collected cycle (the CheckBacktrace gate).
 func BacktraceTraffic(sites, hub, petals, liveDepth int) ([]BacktraceRow, error) {
 	var rows []BacktraceRow
 	for _, mode := range []string{"baseline", "engine"} {
@@ -63,10 +61,13 @@ func BacktraceTraffic(sites, hub, petals, liveDepth int) ([]BacktraceRow, error)
 				AutoBackTrace:      true,
 			},
 		}
-		if mode == "engine" {
+		switch mode {
+		case "baseline":
+			opts.Site.MaxInflightTraces = 1 << 20
+			opts.Site.TraceBatch = 1
+		case "engine":
 			opts.Site.MaxInflightTraces = 1
 			opts.Site.TraceBatch = petals
-			opts.Site.MemoizeLive = true
 		}
 		c := cluster.New(opts)
 
@@ -116,7 +117,6 @@ func BacktraceTraffic(sites, hub, petals, liveDepth int) ([]BacktraceRow, error)
 			Mode:          mode,
 			TracesStarted: snap.Get(metrics.BackTracesStarted),
 			BackCalls:     snap.Get("msg.BackCall"),
-			MemoHits:      snap.Get(metrics.BackTraceMemoHits),
 			Deferred:      snap.Get(metrics.BackTraceDeferred),
 			PeakInflight:  snap.Get(metrics.BackTraceInflight),
 			PeakBatch:     snap.Get(metrics.BackTraceBatchSize),
@@ -137,9 +137,9 @@ func BacktraceTraffic(sites, hub, petals, liveDepth int) ([]BacktraceRow, error)
 func BacktraceTable(rows []BacktraceRow) *Table {
 	t := &Table{
 		Title: "C18: back-trace traffic engine vs trace-storm baseline " +
-			"(batching + memoization + admission cap)",
+			"(batching + admission cap)",
 		Header: []string{"mode", "traces", "backcalls", "traces/cyc", "calls/cyc",
-			"memo", "deferred", "peak batch", "collected"},
+			"deferred", "peak batch", "collected"},
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{
@@ -148,7 +148,6 @@ func BacktraceTable(rows []BacktraceRow) *Table {
 			fmt.Sprint(r.BackCalls),
 			fmt.Sprintf("%.2f", r.TracesPerCyc),
 			fmt.Sprintf("%.2f", r.CallsPerCyc),
-			fmt.Sprint(r.MemoHits),
 			fmt.Sprint(r.Deferred),
 			fmt.Sprint(r.PeakBatch),
 			fmt.Sprint(r.Collected),

@@ -208,8 +208,9 @@ const (
 	// traces initiated by a site (a gauge recorded with Max; bounded by
 	// Config.MaxInflightTraces when the admission controller is on).
 	BackTraceInflight = "backtrace.inflight"
-	// BackTraceMemoHits counts back steps (and trigger scans) answered Live
-	// from the generation-stamped memo without fanning out.
+	// BackTraceMemoHits names a counter nothing registers: the engine caches
+	// no Live verdict, so no step is answered from a memo. The name stays
+	// because the benchmark reads it, as zero.
 	BackTraceMemoHits = "backtrace.memo_hits"
 	// BackTraceBatchSize is the high-water mark of suspects carried by one
 	// batched trace (recorded with Max).

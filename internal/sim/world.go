@@ -41,17 +41,6 @@ type Config struct {
 	// drive generation only; its planted-bug clauses also shape the world a
 	// replay builds.
 	Faults string `json:"faults,omitempty"`
-	// MaxInflightTraces caps concurrent back traces per site; 0 means no
-	// cap. The scheduler's deferral and admission decisions are
-	// deterministic, so schedules replay exactly.
-	MaxInflightTraces int `json:"max_inflight_traces,omitempty"`
-	// TraceBatch groups up to this many overlapping suspects into one
-	// multi-suspect back trace; 0 or 1 keeps single-suspect traces.
-	TraceBatch int `json:"trace_batch,omitempty"`
-	// MemoizeLive turns on generation-stamped Live-verdict memoization, so
-	// the model checker exercises the memo short-circuit and its
-	// commit-generation invalidation against the safety oracle.
-	MemoizeLive bool `json:"memoize_live,omitempty"`
 }
 
 // WithDefaults returns the config a run actually uses: every unset field
@@ -191,9 +180,6 @@ func newWorld(cfg Config) *world {
 			CallTimeout:        simCallTimeout,
 			ReportTimeout:      simReportTimeout,
 			Faults:             plantedIn(cfg.Faults),
-			MaxInflightTraces:  cfg.MaxInflightTraces,
-			TraceBatch:         cfg.TraceBatch,
-			MemoizeLive:        cfg.MemoizeLive,
 			Observer:           w.spans,
 		},
 	})

@@ -191,12 +191,8 @@ func (s *Site) CommitLocalTrace() TraceReport {
 	// 4. Install the new back information (the Section 6.2 atomic swap),
 	// reset the transfer-barrier marks that the new information
 	// supersedes, and replay barriers that arrived during the trace on
-	// the new copy. The commit also advances the engine's memoization
-	// generation: cached Live verdicts were proven against the old
-	// distances and back information, so they expire here (tentpole
-	// layer 2's invalidation point).
+	// the new copy.
 	s.back = res.Back
-	s.engine.BumpGeneration()
 	s.table.ResetBarriers()
 	for _, obj := range s.pendingBarrierInrefs {
 		s.rebarrierInrefLocked(obj)
@@ -393,12 +389,10 @@ func (s *Site) TriggerBackTraces() int {
 // triggerBackTracesLocked is the trigger scan, the one path by which back
 // traces start automatically: it walks the outref table round-robin from
 // where the previous scan stopped, takes the suspects ShouldStart admits
-// (eligible, no trace from this engine already active on them, not
-// memoized Live) and not already parked, groups them into multi-suspect
-// batches by inset overlap, and starts batches while the admission cap
-// allows — parking the overflow in the distance-priority queue instead of
-// flooding the network. With no cap and no batching it starts one trace
-// per eligible suspect.
+// (eligible, no trace from this engine already active on them) and not
+// already parked, groups them into multi-suspect batches by inset overlap,
+// and starts batches while the admission cap allows — parking the overflow
+// in the distance-priority queue instead of flooding the network.
 func (s *Site) triggerBackTracesLocked() int {
 	outs := s.table.Outrefs()
 	// Resume round-robin: rotate the sorted scan so it starts just after
@@ -427,7 +421,7 @@ func (s *Site) triggerBackTracesLocked() int {
 	// per slot. SliceStable keeps the round-robin order within a size class.
 	sort.SliceStable(groups, func(i, j int) bool { return len(groups[i]) > len(groups[j]) })
 	for _, group := range groups {
-		if s.cfg.MaxInflightTraces > 0 && s.inflight >= s.cfg.MaxInflightTraces {
+		if s.inflight >= s.cfg.MaxInflightTraces {
 			for _, target := range group {
 				s.enqueuePendingLocked(target)
 			}
@@ -444,7 +438,7 @@ func (s *Site) triggerBackTracesLocked() int {
 
 // groupSuspectsLocked groups candidate suspects whose insets overlap (per
 // the installed back information) into batches of at most Config.TraceBatch
-// (single suspects when it is zero or one).
+// (single suspects when it is one).
 // Two suspects land in one group when they share an inref in their insets —
 // their back-trace cones meet at that inref, so one trace's visit marks
 // cover both (Section 4.5).
@@ -511,7 +505,7 @@ func (s *Site) drainAdmissionsLocked() {
 		return s.pendingTraces[i].seq < s.pendingTraces[j].seq
 	})
 	for len(s.pendingTraces) > 0 {
-		if s.cfg.MaxInflightTraces > 0 && s.inflight >= s.cfg.MaxInflightTraces {
+		if s.inflight >= s.cfg.MaxInflightTraces {
 			return
 		}
 		p := s.pendingTraces[0]

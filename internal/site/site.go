@@ -91,19 +91,22 @@ type Config struct {
 	// as initiator. Suspects beyond the cap are parked in a
 	// distance-priority admission queue and started as completions free
 	// slots; trigger scans resume round-robin where the previous scan
-	// stopped, so one commit cannot flood the network. Zero means no cap.
+	// stopped, so one commit cannot flood the network. Zero or less takes
+	// the default, 4.
 	MaxInflightTraces int
-	// TraceBatch, when above one, groups up to that many suspected
-	// outrefs whose insets overlap (per the installed back information)
-	// into one multi-suspect batched trace at trigger time, so a garbage
-	// cycle with many suspected entry points is resolved by one trace
-	// instead of one per suspect. Zero or one keeps one trace per
-	// suspect.
+	// TraceBatch groups up to that many suspected outrefs whose insets
+	// overlap (per the installed back information) into one multi-suspect
+	// batched trace at trigger time, so a garbage cycle with many
+	// suspected entry points is resolved by one trace instead of one per
+	// suspect. One keeps one trace per suspect; zero or less takes the
+	// default, 8.
 	TraceBatch int
-	// MemoizeLive enables generation-stamped Live-verdict memoization in
-	// the back-tracing engine: iorefs proven Live answer later back steps
-	// without fanning out until the next trace commit (or a Section 6.4
-	// clean event) invalidates the cached verdict.
+	// MemoizeLive is accepted and ignored: the engine caches no Live
+	// verdict. The back threshold a visit raises by δ already keeps live
+	// suspects from being traced again and again (Section 4.3), and a
+	// cached Live relayed around a cycle of five or more sites kept it
+	// from ever being collected (docs/ALGORITHM.md). The field stays
+	// because existing configurations set it.
 	MemoizeLive bool
 	// InboxSize, when positive, runs the site as a mailbox executor:
 	// Deliver enqueues into a bounded inbox of this capacity (blocking
@@ -168,6 +171,12 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OutsetAlgorithm == 0 {
 		c.OutsetAlgorithm = tracer.AlgoBottomUp
+	}
+	if c.MaxInflightTraces <= 0 {
+		c.MaxInflightTraces = 4
+	}
+	if c.TraceBatch <= 0 {
+		c.TraceBatch = 8
 	}
 	if c.Counters == nil {
 		c.Counters = &metrics.Counters{}
@@ -335,8 +344,6 @@ func New(cfg Config) *Site {
 		"high-water mark of concurrently in-flight back traces initiated by this site")
 	reg.Gauge(metrics.BackTraceBatchSize,
 		"high-water mark of suspects carried by one multi-suspect back trace")
-	reg.Counter(metrics.BackTraceMemoHits,
-		"back steps and trigger scans answered from a memoized Live verdict")
 	reg.Counter(metrics.BackTraceJoined,
 		"suspects joined to an active back trace instead of starting one (the scheduler never joins: always zero)")
 	reg.Counter(metrics.BackTraceDeferred,
@@ -347,7 +354,6 @@ func New(cfg Config) *Site {
 		ThresholdBump: cfg.ThresholdBump,
 		CallTimeout:   cfg.CallTimeout,
 		ReportTimeout: cfg.ReportTimeout,
-		MemoizeLive:   cfg.MemoizeLive,
 		Now:           s.clk.Now,
 		Send:          func(to ids.SiteID, m msg.Message) { s.cfg.Network.Send(s.cfg.ID, to, m) },
 		Table:         s.table,

@@ -475,7 +475,6 @@ func TestTraceEngineInstrumentsDeclared(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"\nbacktrace_inflight 0\n",
-		"\nbacktrace_memo_hits 0\n",
 		"\nbacktrace_batch_size 0\n",
 		"\nbacktrace_joined 0\n",
 		"\nbacktrace_deferred 0\n",

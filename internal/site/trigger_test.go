@@ -32,7 +32,9 @@ func TestTriggerAdmission(t *testing.T) {
 		check       func(t *testing.T, s *Site, rep TraceReport, started func() []ids.Ref)
 	}{
 		{
-			name: "no cap, no batch",
+			name:        "no cap, no batch",
+			maxInflight: 1 << 20, // a cap no run reaches
+			batch:       1,
 			holders: []holder{
 				{20, []int{1}}, {25, []int{2}}, {30, []int{3}},
 			},
