@@ -39,9 +39,9 @@ type Result struct {
 	// CompletenessViolations is non-empty if, after the drain, planted
 	// cycles survived (or, for loss-free runs, any garbage at all).
 	CompletenessViolations []string
-	// Digest fingerprints the run: every event-log line, the final global
-	// audit, and every emitted span. Two runs are the same interleaving iff
-	// their digests match.
+	// Digest fingerprints the run: every event-log line, the wire bytes of
+	// every message delivered, the final global audit, and every emitted
+	// span. Two runs are the same interleaving iff their digests match.
 	Digest string
 	// Log is the human-readable per-event log the digest hashes.
 	Log []string
@@ -93,11 +93,13 @@ type runner struct {
 }
 
 func newRunner(w *world) *runner {
-	return &runner{
+	r := &runner{
 		w:    w,
 		res:  &Result{Config: w.cfg, ViolationStep: -1},
 		hash: sha256.New(),
 	}
+	w.digest = r.hash
+	return r
 }
 
 // Run generates and executes one seeded run: at each step the scheduler

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"hash"
 	"time"
 
 	"backtrace/internal/clock"
@@ -118,6 +119,9 @@ type world struct {
 	// scopes the completeness oracle (the paper assumes reliable links, so
 	// unlimited-loss runs only promise planted-cycle collection).
 	lossy bool
+	// digest receives the wire bytes of every message delivered once the
+	// run starts (nil while the world is built); see wireTap.
+	digest hash.Hash
 }
 
 // recorder implements obs.Observer, collecting every span and typed event
@@ -132,6 +136,30 @@ type recorder struct {
 
 func (r *recorder) OnEvent(e obs.Event) { r.events = append(r.events, e) }
 func (r *recorder) OnSpan(sp obs.Span)  { r.spans = append(r.spans, sp) }
+
+// wireTap is registered on the network in place of site id. It folds the
+// wire.Binary encoding of every message delivered to the site into the run
+// digest, then hands the message to the site: two runs that differ only in
+// what a message carries digest differently.
+type wireTap struct {
+	w  *world
+	id ids.SiteID
+}
+
+func (t wireTap) Deliver(from ids.SiteID, m msg.Message) {
+	if h := t.w.digest; h != nil {
+		frame, err := wire.Binary{}.Encode(&msg.Envelope{From: from, To: t.id, M: m}, wire.GetBuffer())
+		if err != nil {
+			fmt.Fprintf(h, "encode %v: %v\n", t.id, err)
+		} else {
+			h.Write(frame)
+			wire.PutBuffer(frame)
+		}
+	}
+	t.w.cluster.Site(t.id).Deliver(from, m)
+}
+
+func (t wireTap) PeerRestarted(peer ids.SiteID) { t.w.cluster.Site(t.id).PeerRestarted(peer) }
 
 // newWorld builds the deterministic initial state:
 //
@@ -183,6 +211,9 @@ func newWorld(cfg Config) *world {
 			Observer:           w.spans,
 		},
 	})
+	for i := 1; i <= cfg.Sites; i++ {
+		w.cluster.Net().Register(ids.SiteID(i), wireTap{w, ids.SiteID(i)})
+	}
 
 	for i := 1; i <= cfg.Sites; i++ {
 		id := ids.SiteID(i)
@@ -338,6 +369,7 @@ func (w *world) restart(s ids.SiteID) error {
 		return fmt.Errorf("sim: restart %v: %w", s, err)
 	}
 	w.cluster.ReplaceSite(s, ns)
+	w.cluster.Net().Register(s, wireTap{w, s}) // Restore registered ns itself
 	w.cluster.Net().Restart(s)
 	delete(w.checkpoints, s)
 	w.crashed[s] = false
