@@ -206,7 +206,7 @@ const (
 	BackTraceCalls    = "backtrace.calls"
 	// BackTraceInflight is the high-water mark of concurrently in-flight
 	// traces initiated by a site (a gauge recorded with Max; bounded by
-	// Config.MaxInflightTraces when the admission controller is on).
+	// Config.MaxInflightTraces).
 	BackTraceInflight = "backtrace.inflight"
 	// BackTraceMemoHits names a counter nothing registers: the engine caches
 	// no Live verdict, so no step is answered from a memo. The name stays

@@ -460,7 +460,7 @@ func TestTCPEndToEndCycleCollection(t *testing.T) {
 // TestTraceEngineInstrumentsDeclared pins the /metrics contract the CI
 // smoke scrape greps for: site.New declares the trace-traffic instruments
 // and the local trace's mark/outsets split up front, so they render (at
-// zero) before any trace runs and with the engine knobs off.
+// zero) before any trace runs.
 func TestTraceEngineInstrumentsDeclared(t *testing.T) {
 	net := transport.NewNet(transport.Options{Stepped: true})
 	t.Cleanup(net.Close)
