@@ -219,8 +219,8 @@ func run(kind string, sites, objects, docs int, seed int64, rounds int,
 	fmt.Printf("messages:    %d total (BackCall %d, BackReply %d, Report %d, Update %d, dropped %d)\n",
 		get("msg.total"), get("msg.BackCall"), get("msg.BackReply"),
 		get("msg.Report"), get("msg.Update"), get("msg.dropped"))
-	fmt.Printf("wire:        %d frames, %d bytes, %d batch flushes\n",
-		get("wire.frames"), get("wire.bytes"), get("wire.flushes"))
+	fmt.Printf("wire:        %d frames, %d bytes, %d batch flushes, %d full updates, %d distance entries\n",
+		get("wire.frames"), get("wire.bytes"), get("wire.flushes"), get("update.full"), get("update.distances"))
 	fmt.Printf("local GC:    %d traces, %d objects scanned, %d collected\n",
 		get("localtrace.runs"), get("localtrace.objects"), get("localtrace.collected"))
 	fmt.Printf("outsets:     %d unions (%d memoized), peak back info %d pairs\n",

@@ -140,7 +140,7 @@ func WireBatchTable(rows []WireBatchRow) *Table {
 // carrying a fact twice fails it: the unbatched two-ring collection is
 // deterministic and sends exactly this many bytes. The codec's own budget
 // on a synthetic mix is a wire package test.
-const maxUnbatchedBytes = 426
+const maxUnbatchedBytes = 423
 
 // CheckWire enforces the CI gate for C17: batching must leave the logical
 // back-trace cost at exactly 2E+P−1 and strictly reduce physical frames

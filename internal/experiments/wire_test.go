@@ -22,7 +22,7 @@ func TestWireExperimentGate(t *testing.T) {
 // experiment cannot silently pass CI.
 func TestCheckWireRejects(t *testing.T) {
 	goodBatch := []WireBatchRow{
-		{Setting: "unbatched", BackMsgs: 17, Predicted: 17, Collected: 8, Logical: 58, Frames: 58, Bytes: 426},
+		{Setting: "unbatched", BackMsgs: 17, Predicted: 17, Collected: 8, Logical: 58, Frames: 58, Bytes: 423},
 		{Setting: "batched", BackMsgs: 17, Predicted: 17, Collected: 8, Logical: 58, Frames: 47},
 	}
 	if err := CheckWire(goodBatch); err != nil {
@@ -34,7 +34,7 @@ func TestCheckWireRejects(t *testing.T) {
 	}
 
 	wordy := []WireBatchRow{goodBatch[0], goodBatch[1]}
-	wordy[0].Bytes = 427
+	wordy[0].Bytes = 424
 	if err := CheckWire(wordy); err == nil {
 		t.Error("unbatched collection over its byte ceiling passed the gate")
 	}
@@ -61,7 +61,7 @@ func TestCheckWireRejects(t *testing.T) {
 // is its own frame.
 func TestCheckWireRejectsUnbatchedFrameMismatch(t *testing.T) {
 	rows := []WireBatchRow{
-		{Setting: "unbatched", BackMsgs: 17, Predicted: 17, Collected: 8, Logical: 58, Frames: 57, Bytes: 426},
+		{Setting: "unbatched", BackMsgs: 17, Predicted: 17, Collected: 8, Logical: 58, Frames: 57, Bytes: 423},
 		{Setting: "batched", BackMsgs: 17, Predicted: 17, Collected: 8, Logical: 58, Frames: 47},
 	}
 	if err := CheckWire(rows); err == nil {

@@ -252,6 +252,14 @@ const (
 	IncrementalDirtySeeds = "localtrace.incremental.dirty_seeds"
 )
 
+// Update-message counter names: how many Updates went out in full form
+// (every held outref listed) and how many distance entries all of them
+// carried. The rest of the Updates sent (msg.Update) were partial.
+const (
+	UpdatesFull     = "update.full"
+	UpdateDistances = "update.distances"
+)
+
 // OwnerTransfersPending is a gauge of the owner-sent reference transfers
 // whose receiver has not yet receipted them (summed over the sites sharing
 // a registry). It returns to zero once every receipt has arrived.

@@ -123,17 +123,26 @@ type DistanceUpdate struct {
 
 // Update is sent to each target site after a local trace: Removals lists
 // objects whose outref the sender dropped (the receiver removes the sender
-// from those inrefs' source lists), and Distances carries new distance
+// from those inrefs' source lists), and Distances carries distance
 // estimates for outrefs the sender retained (Sections 2 and 3).
 //
-// Holds lists the other objects at the receiver for which the sender still
-// has an outref: the ones its trace did not reach, kept by a pin, a barrier
-// or an application root. Each held outref is listed once, so the sender's
-// complete hold set is the objects of Distances together with Holds. The
-// hold set makes updates idempotent: the receiver reconciles its source
-// lists against it, so a lost earlier update heals at the next one (the
-// fault-tolerant reference listing of [ML94] that the paper builds on). An
-// update that also lists a distance's object in Holds means the same.
+// An Update is full or partial. A full Update (Partial false, the zero
+// value) lists the sender's whole hold set at the receiver: Distances
+// carries every outref its trace reached, and Holds the other ones, kept by
+// a pin, a barrier or an application root. Each held outref is listed
+// once. The hold set makes full updates idempotent: the receiver
+// reconciles its source lists against it, so a lost earlier update heals at
+// the next full one (the fault-tolerant reference listing of [ML94] that
+// the paper builds on). An update that also lists a distance's object in
+// Holds means the same.
+//
+// A partial Update omits what the receiver already has: its Distances
+// carry only the estimates that differ from the last ones the sender sent
+// this receiver, and it has no Holds. The receiver applies its removals and
+// distances and skips reconciliation. A sender sends a full Update as its
+// first to a peer after either of them (re)started, whenever it holds
+// nothing at the peer, and on every eighth update to the peer, so a lost
+// update heals within eight of the sender's local traces.
 //
 // An owner that sent the sender one of its objects ignores a removal or
 // reconciliation drop of that object until the sender's receipt for the
@@ -144,11 +153,8 @@ type Update struct {
 	Removals  []ids.ObjID
 	Distances []DistanceUpdate
 	Holds     []ids.ObjID
+	Partial   bool
 }
-
-// HoldsAny reports whether the update lists any held outref, in Distances
-// or in Holds.
-func (u *Update) HoldsAny() bool { return len(u.Distances) > 0 || len(u.Holds) > 0 }
 
 // BackCall carries the back steps one handled call (or one trace start)
 // asks of a single source site (Section 4.4): every inref the sender's

@@ -150,6 +150,11 @@ type Outref struct {
 	// Distance is the estimated distance propagated by local traces
 	// (Section 3).
 	Distance int
+	// Sent is the distance last sent to the target's owner in an Update,
+	// zero when none stands (a traced outref's distance is at least one).
+	// A partial Update carries only the distances that differ from it; a
+	// commit zeroes it when its trace does not reach the outref.
+	Sent int
 	// Pins counts insert-barrier holds: while positive, the outref is
 	// retained and clean regardless of distance (Section 6.1.2).
 	Pins int

@@ -211,16 +211,19 @@ func (s *Site) CommitLocalTrace() TraceReport {
 	s.cfg.Counters.Max(metrics.BackInfoPeak, entries)
 
 	// 5. Build one update message per target site: source-list removals
-	// for trimmed outrefs, distances for the retained ones this trace
-	// reached (Sections 2–3), and the other retained ones as holds, so the
-	// update lists every held outref once, for idempotent reconciliation.
+	// for trimmed outrefs and distances for the retained ones this trace
+	// reached (Sections 2–3). A full update also lists the other retained
+	// ones as holds, so it names every held outref once, for idempotent
+	// reconciliation; a partial one carries only the distances that differ
+	// from the last ones sent (see fullUpdateLocked for which is which).
 	// Peers we owe farewell updates to (no outrefs left) get a few empty
 	// updates so a lost removal heals.
 	updates := make(map[ids.SiteID]*msg.Update)
+	held := make(map[ids.SiteID]bool)
 	ensure := func(site ids.SiteID) *msg.Update {
 		u, ok := updates[site]
 		if !ok {
-			u = &msg.Update{}
+			u = &msg.Update{Partial: !s.fullUpdateLocked(site)}
 			updates[site] = u
 		}
 		return u
@@ -231,14 +234,19 @@ func (s *Site) CommitLocalTrace() TraceReport {
 	}
 	for _, o := range s.table.Outrefs() {
 		u := ensure(o.Target.Site)
-		if _, traced := res.OutrefDist[o.Target]; traced {
-			u.Distances = append(u.Distances, msg.DistanceUpdate{
-				Obj:      o.Target.Obj,
-				Distance: o.Distance,
-			})
-		} else {
-			u.Holds = append(u.Holds, o.Target.Obj)
+		held[o.Target.Site] = true
+		if _, traced := res.OutrefDist[o.Target]; !traced {
+			o.Sent = 0
+			if !u.Partial {
+				u.Holds = append(u.Holds, o.Target.Obj)
+			}
+			continue
 		}
+		if u.Partial && o.Sent == o.Distance {
+			continue
+		}
+		u.Distances = append(u.Distances, msg.DistanceUpdate{Obj: o.Target.Obj, Distance: o.Distance})
+		o.Sent = o.Distance
 	}
 	for peer := range s.farewell {
 		ensure(peer)
@@ -253,10 +261,23 @@ func (s *Site) CommitLocalTrace() TraceReport {
 			continue
 		}
 		u := updates[siteID]
+		if !held[siteID] {
+			// Nothing held at the peer: the full form carries no more
+			// than the partial one, and its reconciliation heals a lost
+			// removal before the farewells stop.
+			u.Partial = false
+		}
 		s.send(siteID, *u)
 		rep.UpdatesSent++
+		s.ctrUpdateDists.Add(int64(len(u.Distances)))
+		if u.Partial {
+			s.sinceFull[siteID]++
+		} else {
+			s.sinceFull[siteID] = 0
+			s.ctrUpdatesFull.Inc()
+		}
 		switch {
-		case u.HoldsAny():
+		case held[siteID]:
 			s.farewell[siteID] = 3
 		default:
 			n, owed := s.farewell[siteID]
@@ -316,11 +337,25 @@ func (s *Site) CommitLocalTrace() TraceReport {
 	return rep
 }
 
+// fullUpdateEvery is how often an Update to one peer is full: after a full
+// one, the next fullUpdateEvery-1 are partial. It bounds how many local
+// traces a lost partial update goes unhealed.
+const fullUpdateEvery = 8
+
+// fullUpdateLocked reports whether this site's next Update to peer must be
+// full: the first since this site or the peer (re)started, and every
+// fullUpdateEvery'th after that. The full ones heal what a lost partial
+// left out.
+func (s *Site) fullUpdateLocked(peer ids.SiteID) bool {
+	n, ok := s.sinceFull[peer]
+	return !ok || n >= fullUpdateEvery-1
+}
+
 // handleUpdate processes a peer's post-trace update message: drop the
-// sender from the source lists of removed references, reconcile against
-// the sender's hold set — the objects of Distances and Holds — (healing
-// any previously lost update), and install new distances. Cleanliness
-// transitions fire the clean rule.
+// sender from the source lists of removed references, install new
+// distances, and, for a full update, reconcile against the sender's hold
+// set — the objects of Distances and Holds — (healing any previously lost
+// update). Cleanliness transitions fire the clean rule.
 //
 // An object with an owner-sent transfer to the sender that the sender has
 // not yet receipted keeps the sender as a source whatever the update says:
@@ -339,6 +374,11 @@ func (s *Site) handleUpdate(from ids.SiteID, m msg.Update) {
 	}, s.cfg.SuspicionThreshold)
 	for _, obj := range cleaned {
 		s.engine.NotifyCleanedInref(obj)
+	}
+	if m.Partial {
+		// A partial update names only what changed: there is no hold set
+		// to reconcile against.
+		return
 	}
 	// Reconciliation: any inref still listing the sender for an object
 	// the sender no longer holds an outref to must lose that source. Every

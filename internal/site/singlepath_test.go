@@ -13,13 +13,17 @@ import (
 )
 
 // scriptRun is what one run of the mutation script observed: every commit's
-// report (cost counters aside) and every site's audit after each round.
+// report (cost counters aside), every site's inref source table (with the
+// sources' distances) after each commit's messages were delivered, and
+// every site's audit after each round.
 type scriptRun struct {
 	reports []TraceReport
+	sources []map[ids.ObjID]map[ids.SiteID]int
 	audits  []Audit
 	// traces and fallbacks total the sites' localtrace.runs and
-	// localtrace.incremental.fallbacks counters.
-	traces, fallbacks int64
+	// localtrace.incremental.fallbacks counters; fulls and dists their
+	// update.full and update.distances counters.
+	traces, fallbacks, fulls, dists int64
 }
 
 // runMutationScript drives three sites through a seeded script of the legal
@@ -27,8 +31,8 @@ type scriptRun struct {
 // removal, dropped roots — with a round of local traces (back traces on)
 // after every burst. The script's choices depend only on the seed and on
 // state every configuration shares, so two runs diverge only if a committed
-// trace differed.
-func runMutationScript(t *testing.T, seed int64, incremental bool) scriptRun {
+// trace differed. With fullUpdates every Update a site sends is full.
+func runMutationScript(t *testing.T, seed int64, incremental, fullUpdates bool) scriptRun {
 	t.Helper()
 	net := transport.NewNet(transport.Options{Stepped: true})
 	defer net.Close()
@@ -128,6 +132,11 @@ func runMutationScript(t *testing.T, seed int64, incremental bool) scriptRun {
 		}
 		net.DeliverAll()
 		for _, s := range sites {
+			if fullUpdates {
+				s.mu.Lock()
+				clear(s.sinceFull)
+				s.mu.Unlock()
+			}
 			rep := s.RunLocalTrace()
 			if rep.Stats.Incremental || rep.Stats.FallbackReason != tracer.FullTrace {
 				t.Fatalf("trace reported Incremental=%v FallbackReason=%q, want a full trace",
@@ -138,6 +147,9 @@ func runMutationScript(t *testing.T, seed int64, incremental bool) scriptRun {
 			rep.Stats = tracer.Stats{}
 			run.reports = append(run.reports, rep)
 			net.DeliverAll()
+			for _, s := range sites {
+				run.sources = append(run.sources, sourceView(s))
+			}
 		}
 		for _, s := range sites {
 			run.audits = append(run.audits, s.AuditSnapshot())
@@ -147,6 +159,8 @@ func runMutationScript(t *testing.T, seed int64, incremental bool) scriptRun {
 		snap := s.Metrics()
 		run.traces += snap.Get(metrics.LocalTraces)
 		run.fallbacks += snap.Get(metrics.IncrementalFallbacks)
+		run.fulls += snap.Get(metrics.UpdatesFull)
+		run.dists += snap.Get(metrics.UpdateDistances)
 	}
 	return run
 }
@@ -158,7 +172,7 @@ func runMutationScript(t *testing.T, seed int64, incremental bool) scriptRun {
 // one incremental fallback per local trace.
 func TestSinglePathCommitsSameTraces(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		want := runMutationScript(t, seed, false)
+		want := runMutationScript(t, seed, false, false)
 		collected, backTraces := 0, 0
 		for _, rep := range want.reports {
 			collected += rep.Collected
@@ -169,7 +183,7 @@ func TestSinglePathCommitsSameTraces(t *testing.T) {
 				seed, collected, backTraces)
 		}
 		for _, incremental := range []bool{false, true} {
-			got := runMutationScript(t, seed, incremental)
+			got := runMutationScript(t, seed, incremental, false)
 			ctx := fmt.Sprintf("seed %d incremental=%v", seed, incremental)
 			if !reflect.DeepEqual(got.reports, want.reports) {
 				t.Fatalf("%s: trace reports diverge\n got %+v\nwant %+v", ctx, got.reports, want.reports)

@@ -265,6 +265,10 @@ type Site struct {
 	// farewell counts down the empty update messages still owed to peers
 	// we no longer hold outrefs for, so a lost removal update heals.
 	farewell map[ids.SiteID]int
+	// sinceFull counts, per peer, the partial updates sent since the last
+	// full one; a peer without an entry gets a full update next (this
+	// site's first to it, or its first since the peer restarted).
+	sinceFull map[ids.SiteID]int
 
 	// --- observability state (guarded by mu, like everything above) ---
 
@@ -295,6 +299,10 @@ type Site struct {
 	// gaugeTransfers is site.owner_transfers_pending; each site adds its
 	// own changes, so a shared registry reads the sum over its sites.
 	gaugeTransfers *obs.Gauge
+	// ctrUpdatesFull and ctrUpdateDists count the full updates and the
+	// distance entries this site sends.
+	ctrUpdatesFull *obs.Counter
+	ctrUpdateDists *obs.Counter
 }
 
 // pendingTrace is one parked suspect in the admission queue.
@@ -319,6 +327,7 @@ func New(cfg Config) *Site {
 		transfers:      make(map[ids.SiteID]*transferLog),
 		restarting:     make(map[ids.SiteID]int),
 		farewell:       make(map[ids.SiteID]int),
+		sinceFull:      make(map[ids.SiteID]int),
 		pendingSet:     make(map[ids.Ref]struct{}),
 		partStart:      make(map[ids.TraceID]time.Time),
 		traceQueueWait: make(map[ids.TraceID]time.Duration),
@@ -338,6 +347,10 @@ func New(cfg Config) *Site {
 		"inbox depth observed at the most recent enqueue")
 	s.gaugeTransfers = reg.Gauge(metrics.OwnerTransfersPending,
 		"owner-sent reference transfers whose receiver has not yet receipted them")
+	s.ctrUpdatesFull = reg.Counter(metrics.UpdatesFull,
+		"Update messages sent in full form (every held outref listed)")
+	s.ctrUpdateDists = reg.Counter(metrics.UpdateDistances,
+		"distance entries carried by the Update messages sent")
 	// Declare the trace-traffic instruments up front so scrapes see them
 	// at zero even before the first back trace (or with the engine off).
 	reg.Gauge(metrics.BackTraceInflight,

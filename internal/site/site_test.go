@@ -458,9 +458,9 @@ func TestTCPEndToEndCycleCollection(t *testing.T) {
 }
 
 // TestTraceEngineInstrumentsDeclared pins the /metrics contract the CI
-// smoke scrape greps for: site.New declares the trace-traffic instruments
-// and the local trace's mark/outsets split up front, so they render (at
-// zero) before any trace runs.
+// smoke scrape greps for: site.New declares the trace-traffic instruments,
+// the local trace's mark/outsets split and the Update counters up front,
+// so they render (at zero) before any trace runs.
 func TestTraceEngineInstrumentsDeclared(t *testing.T) {
 	net := transport.NewNet(transport.Options{Stepped: true})
 	t.Cleanup(net.Close)
@@ -480,6 +480,8 @@ func TestTraceEngineInstrumentsDeclared(t *testing.T) {
 		"\nbacktrace_deferred 0\n",
 		"\nlocaltrace_mark_seconds_count 0\n",
 		"\nlocaltrace_outsets_seconds_count 0\n",
+		"\nupdate_full 0\n",
+		"\nupdate_distances 0\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", strings.TrimSpace(want))

@@ -113,10 +113,10 @@ func (s *Site) takeFreshLocked(holder ids.SiteID, obj ids.ObjID) bool {
 
 // PeerRestarted tells the site that peer came back as a new incarnation.
 // The site voids its record of owner-sent transfers to peer: whatever they
-// carried died with the old incarnation's variables. The session layer
-// calls it before it opens a session to the new incarnation
-// (transport.PeerRestartHandler); the stepped simulation's restart calls
-// it through the in-memory network.
+// carried died with the old incarnation's variables. Its next Update to
+// peer is full. The session layer calls it before it opens a session to
+// the new incarnation (transport.PeerRestartHandler); the stepped
+// simulation's restart calls it through the in-memory network.
 //
 // With an inbox, messages the dead incarnation sent may still be queued
 // behind the news. Until the dispatcher reaches a marker queued here, the
@@ -135,6 +135,9 @@ func (s *Site) PeerRestarted(peer ids.SiteID) {
 // voidPeerLocked is PeerRestarted's work under the site lock; the caller
 // queues the marker after it, outside the lock.
 func (s *Site) voidPeerLocked(peer ids.SiteID) {
+	// The new incarnation may hold older distances than this site last
+	// sent (its checkpoint's), or none: the next update to it is full.
+	delete(s.sinceFull, peer)
 	if l := s.transfers[peer]; l != nil {
 		for _, n := range l.pending {
 			s.transfersPending -= n

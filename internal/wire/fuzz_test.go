@@ -12,13 +12,13 @@ import (
 // FuzzRoundTrip checks decode(encode(m)) == m for every message type under
 // the binary codec. The fuzzer drives a structured generator: tag selects
 // the message type (an index into allTags, wrapped into range), seed the
-// field values, so coverage spans all eleven types — including nested
-// batches and back-trace vectors of zero to four entries.
+// field values, so coverage spans all eleven types and both Update forms —
+// including nested batches and back-trace vectors of zero to four entries.
 func FuzzRoundTrip(f *testing.F) {
 	for i, tag := range allTags {
 		f.Add(int64(i+1), uint8(i))
 		switch tag {
-		case tagUpdate, tagBackCall, tagBackReply, tagLinkBatch:
+		case tagUpdate, tagUpdateDelta, tagBackCall, tagBackReply, tagLinkBatch:
 			// The delta-coded and bitmask layouts get more seeds, so
 			// unsorted lists, backward seqs and both participant forms
 			// are in the corpus from the start; so does LinkBatch, the

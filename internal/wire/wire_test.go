@@ -63,6 +63,16 @@ func deltaVectors() []msg.Message {
 		},
 		msg.Update{Distances: []msg.DistanceUpdate{{Obj: 100, Distance: 4}, {Obj: 101, Distance: 4}, {Obj: 130, Distance: 6}}},
 		msg.Update{Holds: []ids.ObjID{300, 200, 100}},
+		// Partial Updates (tag 25): removals and changed distances, no
+		// holds, including the empty one a site sends when nothing changed.
+		msg.Update{
+			Removals:  []ids.ObjID{9, 3, 1 << 40},
+			Distances: []msg.DistanceUpdate{{Obj: 70, Distance: 4}, {Obj: 1 << 63, Distance: -1}, {Obj: 0, Distance: 2}},
+			Partial:   true,
+		},
+		msg.Update{Distances: []msg.DistanceUpdate{{Obj: 100, Distance: 4}}, Partial: true},
+		msg.Update{Removals: []ids.ObjID{5}, Partial: true},
+		msg.Update{Partial: true},
 	}
 }
 
@@ -125,6 +135,16 @@ func TestRoundTripEveryType(t *testing.T) {
 				t.Errorf("%s round trip %s:\n got %#v\nwant %#v", c.Name(), msg.Name(m), got, env)
 			}
 		}
+	}
+}
+
+// TestEncodeRejectsPartialHolds: the partial Update layout has no holds
+// field, so encoding a partial Update that lists holds is an error rather
+// than a silent drop of the holds.
+func TestEncodeRejectsPartialHolds(t *testing.T) {
+	env := msg.Envelope{From: 1, To: 2, M: msg.Update{Holds: []ids.ObjID{4}, Partial: true}}
+	if _, err := (Binary{}).Encode(&env, nil); err == nil {
+		t.Fatal("Encode accepted a partial Update with holds")
 	}
 }
 
@@ -206,6 +226,24 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	for i, frame := range retiredTagFrames() {
 		cases[fmt.Sprintf("retired tag %d, payload %d", frame[3], i)] = frame
 	}
+	// Every truncation of a partial Update, from its bare tag on.
+	partial := msg.Envelope{From: 3, To: 9, M: msg.Update{
+		Removals:  []ids.ObjID{9, 1 << 40},
+		Distances: []msg.DistanceUpdate{{Obj: 70, Distance: 4}, {Obj: 1 << 33, Distance: 1 << 30}},
+		Partial:   true,
+	}}
+	pframe, err := (Binary{}).Encode(&partial, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pframe[3] != tagUpdateDelta {
+		t.Fatalf("partial Update encoded under tag %d, want %d", pframe[3], tagUpdateDelta)
+	}
+	for n := 4; n < len(pframe); n++ {
+		cases[fmt.Sprintf("partial update truncated to %d bytes", n)] = pframe[:n]
+	}
+	// A bomb length in a partial Update's distance count.
+	cases["partial bomb length"] = []byte{VersionBinary, 1, 2, tagUpdateDelta, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
 	for name, data := range cases {
 		if _, err := (Binary{}).Decode(data); err == nil {
 			t.Errorf("%s: Decode accepted corrupt frame % x", name, data)
@@ -231,7 +269,7 @@ func TestDecodeRejectsDeepNesting(t *testing.T) {
 // allTags lists the live message tags.
 var allTags = []int{
 	tagRefTransfer, tagInsert, tagInsertAck, tagReleasePin, tagUpdate,
-	tagBackCall, tagBackReply, tagReport, tagLinkAck, tagLinkReset,
+	tagUpdateDelta, tagBackCall, tagBackReply, tagReport, tagLinkAck, tagLinkReset,
 	tagLinkBatch,
 }
 
@@ -308,8 +346,11 @@ func randMessage(rng *rand.Rand, tag, depth int) msg.Message {
 		return msg.InsertAck{Target: ref()}
 	case tagReleasePin:
 		return msg.ReleasePin{Target: ref()}
-	case tagUpdate:
-		u := msg.Update{Removals: objs(), Holds: objs()}
+	case tagUpdate, tagUpdateDelta:
+		u := msg.Update{Removals: objs(), Partial: tag == tagUpdateDelta}
+		if !u.Partial {
+			u.Holds = objs()
+		}
 		if n := rng.Intn(4); n > 0 {
 			u.Distances = make([]msg.DistanceUpdate, n)
 			for i := range u.Distances {
