@@ -303,14 +303,17 @@ func BenchmarkMillionObjectTrace(b *testing.B) {
 }
 
 // BenchmarkSnapshotTrace (experiment C16) times the local trace a site
-// actually runs: TraceSnapshot patches the shadow copy from the dirty set,
-// then the marker traces the copy; snapshot-ms times the patch of the heap
-// and ioref tables, and mark-ms and outsets-ms split the trace as
-// tracer.Stats does. The heap is one hypertext-edit site: a root
-// directory over 100 tables of contents, each over 499
-// pages chained page to page and citing 5 remote documents, plus 8 garbage
-// documents (a table of contents and 32 pages pointing back at it, the last
-// citing a remote document) held only by suspected inrefs. Every iteration
+// actually runs: the cut takes a frozen heap view (heap.Snapshot, the page
+// directory and roots) and patches the ioref tables' shadow from their
+// dirty sets, then the marker traces the cut; snapshot-ms times the cut,
+// mark-ms and outsets-ms split the trace as tracer.Stats does, and
+// copied-pages counts the pages the edits' write barrier cloned because
+// the previous view held them (the edits themselves are untimed). The heap
+// is one hypertext-edit site: a root directory over 100 tables of
+// contents, each over 499 pages chained page to page and citing 5 remote
+// documents, plus 8 garbage documents (a table of contents and 32 pages
+// pointing back at it, the last citing a remote document) held only by
+// suspected inrefs. Every iteration
 // first applies, untimed, a batch of 200 link edits between random pages,
 // the benchmark mutator's edit: add a link, and once 256 are outstanding
 // remove the oldest one as well.
@@ -366,7 +369,8 @@ func BenchmarkSnapshotTrace(b *testing.B) {
 		link(last, cite())
 	}
 	var tr tracer.Tracer
-	tr.Run(h.TraceSnapshot(), tbl.TraceSnapshot(), 3, tracer.AlgoBottomUp)
+	tr.Run(h.Snapshot(), tbl.TraceSnapshot(), 3, tracer.AlgoBottomUp)
+	copied := h.PagesCopied()
 
 	var added [][2]backtrace.Ref
 	var snapshot, mark, outsets time.Duration
@@ -388,7 +392,7 @@ func BenchmarkSnapshotTrace(b *testing.B) {
 		}
 		b.StartTimer()
 		t0 := time.Now()
-		hs, ts := h.TraceSnapshot(), tbl.TraceSnapshot()
+		hs, ts := h.Snapshot(), tbl.TraceSnapshot()
 		snapshot += time.Since(t0)
 		res := tr.Run(hs, ts, 3, tracer.AlgoBottomUp)
 		if len(res.Dead) != 0 {
@@ -401,4 +405,5 @@ func BenchmarkSnapshotTrace(b *testing.B) {
 	b.ReportMetric(float64(snapshot)/1e6/float64(b.N), "snapshot-ms/op")
 	b.ReportMetric(float64(mark)/1e6/float64(b.N), "mark-ms/op")
 	b.ReportMetric(float64(outsets)/1e6/float64(b.N), "outsets-ms/op")
+	b.ReportMetric(float64(h.PagesCopied()-copied)/float64(b.N), "copied-pages/op")
 }

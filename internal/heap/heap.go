@@ -11,9 +11,17 @@
 // recycled — remote outrefs name them — so a long-lived site's ids keep
 // climbing while its directory follows the live ids.
 //
-// A Heap is not safe for concurrent use: the owning Site's lock guards it,
-// and the trace snapshot it hands out belongs to the site's trace mutex,
-// which is what lets the local trace read it through SlotFields off-lock.
+// Snapshot hands out frozen views that share pages with the live heap.
+// Every page carries the epoch of the heap that may write it in place;
+// Snapshot advances the epoch, so the first write to an older page swaps it
+// in the live directory for a private clone, and the page the view holds is
+// never written again. A cut therefore costs O(pages) pointer copies, and a
+// page written while a view is alive costs one extra version per view.
+//
+// A Heap is not safe for concurrent use: the owning Site's lock guards it.
+// A view is a Heap of its own that nothing writes, so the local trace and
+// the checkpoint read it off the site lock, through SlotFields and
+// EachObject.
 package heap
 
 import (
@@ -27,11 +35,11 @@ import (
 
 // PageBits sets the page size, PageSlots slots of 32 bytes. The trace only
 // needs a page to span many cache lines; memory wants it small, because a
-// site pays a page for every id window holding a live object, twice (live
-// heap and trace snapshot) plus a page of marks. At 256 slots (8 KB) a
-// ring-churn site, 1 000 objects with ids spread by garbage churn, stays
-// near its map-based footprint; 4 096-slot pages would add megabytes across
-// a cluster.
+// site pays a page for every id window holding a live object, plus a page
+// of marks, and a page written while a view is alive is copied whole. At
+// 256 slots (8 KB) a ring-churn site, 1 000 objects with ids spread by
+// garbage churn, stays near its map-based footprint; 4 096-slot pages would
+// add megabytes across a cluster.
 const (
 	PageBits  = 8
 	PageSlots = 1 << PageBits
@@ -51,11 +59,12 @@ type slot struct {
 	live   bool
 }
 
-// page is PageSlots consecutive slots and the count of live ones among
-// them.
+// page is PageSlots consecutive slots, the count of live ones among them,
+// and the epoch of the heap that may write it in place.
 type page struct {
 	slots [PageSlots]slot
 	n     int
+	epoch uint64
 }
 
 // clone copies the page, packing the fields of its objects into one array
@@ -100,22 +109,11 @@ type Heap struct {
 	// outrefs live and clean.
 	appRoots map[ids.Ref]int
 
-	// --- trace-snapshot write barrier (see TraceSnapshot) ---
-
-	// Every mutation records what it touched in the dirty sets, so
-	// TraceSnapshot patches its shadow copy in O(dirty) instead of deep
-	// copying the heap. dirtyObjs names objects whose existence or fields
-	// may differ from the shadow copy (allocated, deleted, or field-mutated
-	// since the last snapshot); dirtyPersist and dirtyAppRoots are the same
-	// for root status.
-	dirtyObjs     map[ids.ObjID]struct{}
-	dirtyPersist  map[ids.ObjID]struct{}
-	dirtyAppRoots map[ids.Ref]struct{}
-	// snap is the shadow copy maintained by TraceSnapshot: a second Heap
-	// that mirrors this one as of the last snapshot. It shares no pages or
-	// field arrays with the live heap, so a local trace may read it
-	// off-lock while mutators keep writing here.
-	snap *Heap
+	// epoch is what this heap's own pages carry; Snapshot advances it, so
+	// every page a view may share is older. copied counts the pages the
+	// write barrier cloned.
+	epoch  uint64
+	copied int
 }
 
 // New creates an empty heap for the given site.
@@ -124,9 +122,6 @@ func New(site ids.SiteID) *Heap {
 		site:            site,
 		persistentRoots: make(map[ids.ObjID]struct{}),
 		appRoots:        make(map[ids.Ref]int),
-		dirtyObjs:       make(map[ids.ObjID]struct{}),
-		dirtyPersist:    make(map[ids.ObjID]struct{}),
-		dirtyAppRoots:   make(map[ids.Ref]struct{}),
 	}
 }
 
@@ -162,9 +157,9 @@ func (h *Heap) put(obj ids.ObjID, fields []ids.Ref, size int32) {
 	for pn-h.base >= len(h.pages) {
 		h.pages = append(h.pages, nil)
 	}
-	p := h.pages[pn-h.base]
+	p := h.writable(pn)
 	if p == nil {
-		p = new(page)
+		p = &page{epoch: h.epoch}
 		h.pages[pn-h.base] = p
 	}
 	s := &p.slots[obj&pageMask]
@@ -183,9 +178,11 @@ func (h *Heap) remove(obj ids.ObjID) {
 	if p == nil || !p.slots[obj&pageMask].live {
 		return
 	}
-	p.slots[obj&pageMask] = slot{}
 	h.count--
-	if p.n--; p.n > 0 {
+	if p.n > 1 {
+		p = h.writable(pn)
+		p.slots[obj&pageMask] = slot{}
+		p.n--
 		return
 	}
 	h.pages[pn-h.base] = nil
@@ -198,12 +195,33 @@ func (h *Heap) remove(obj ids.ObjID) {
 	}
 }
 
+// writable returns page pn for writing in place, or nil. A page from an
+// older epoch may be shared with a view, so it is first swapped in the
+// directory for a clone of this epoch.
+func (h *Heap) writable(pn int) *page {
+	p := h.page(pn)
+	if p != nil && p.epoch != h.epoch {
+		p = p.clone()
+		p.epoch = h.epoch
+		h.pages[pn-h.base] = p
+		h.copied++
+	}
+	return p
+}
+
+// mut returns obj's live slot for writing, or nil.
+func (h *Heap) mut(obj ids.ObjID) *slot {
+	if h.get(obj) == nil {
+		return nil
+	}
+	return &h.writable(int(obj >> PageBits)).slots[obj&pageMask]
+}
+
 // SlotFields returns obj's fields, and whether the heap holds obj. It
 // returns the heap's own field array, so it is legal only while nothing
-// mutates the heap: on the snapshot TraceSnapshot returned, which belongs
-// to the local trace until the next TraceSnapshot (the owning site's trace
-// mutex orders the two) and so needs no site lock, or on a heap nobody else
-// is using. The caller must not modify the fields.
+// mutates the heap: on a view Snapshot returned, which nothing writes and
+// so needs no site lock, or under the lock that guards the heap. The caller
+// must not modify the fields.
 func (h *Heap) SlotFields(obj ids.ObjID) ([]ids.Ref, bool) {
 	s := h.get(obj)
 	if s == nil {
@@ -218,13 +236,6 @@ func (h *Heap) PageSpan() (base, n int) { return h.base, len(h.pages) }
 
 // HasPage reports whether the heap holds a page numbered pn.
 func (h *Heap) HasPage(pn int) bool { return h.page(pn) != nil }
-
-// clearDirty empties the dirty sets.
-func (h *Heap) clearDirty() {
-	clear(h.dirtyObjs)
-	clear(h.dirtyPersist)
-	clear(h.dirtyAppRoots)
-}
 
 // Site returns the owning site's identifier.
 func (h *Heap) Site() ids.SiteID { return h.site }
@@ -250,10 +261,8 @@ func (h *Heap) create(fields []ids.Ref, size int, root bool) ids.Ref {
 	h.next++
 	id := ids.ObjID(h.next)
 	h.put(id, fields, int32(size))
-	h.dirtyObjs[id] = struct{}{}
 	if root {
 		h.persistentRoots[id] = struct{}{}
-		h.dirtyPersist[id] = struct{}{}
 	}
 	return ids.MakeRef(h.site, id)
 }
@@ -265,14 +274,12 @@ func (h *Heap) MarkPersistentRoot(obj ids.ObjID) error {
 		return fmt.Errorf("heap %v: mark root: no object %v", h.site, obj)
 	}
 	h.persistentRoots[obj] = struct{}{}
-	h.dirtyPersist[obj] = struct{}{}
 	return nil
 }
 
 // UnmarkPersistentRoot removes root status from a local object.
 func (h *Heap) UnmarkPersistentRoot(obj ids.ObjID) {
 	delete(h.persistentRoots, obj)
-	h.dirtyPersist[obj] = struct{}{}
 }
 
 // PersistentRoots returns the local persistent roots in ascending order.
@@ -328,12 +335,11 @@ func (h *Heap) EachObject(fn func(obj ids.ObjID, fields []ids.Ref, size int, roo
 // AddField appends a reference field to a local object (reference
 // creation: "copying a reference z into object y", Section 6.1).
 func (h *Heap) AddField(obj ids.ObjID, target ids.Ref) error {
-	s := h.get(obj)
+	s := h.mut(obj)
 	if s == nil {
 		return fmt.Errorf("heap %v: add field: no object %v", h.site, obj)
 	}
 	s.fields = append(s.fields, target)
-	h.dirtyObjs[obj] = struct{}{}
 	return nil
 }
 
@@ -348,19 +354,18 @@ func (h *Heap) RemoveField(obj ids.ObjID, target ids.Ref) (bool, error) {
 	if i < 0 {
 		return false, nil
 	}
+	s = h.mut(obj)
 	s.fields = slices.Delete(s.fields, i, i+1)
-	h.dirtyObjs[obj] = struct{}{}
 	return true, nil
 }
 
 // ClearFields removes every reference field of obj.
 func (h *Heap) ClearFields(obj ids.ObjID) error {
-	s := h.get(obj)
+	s := h.mut(obj)
 	if s == nil {
 		return fmt.Errorf("heap %v: clear fields: no object %v", h.site, obj)
 	}
 	s.fields = nil
-	h.dirtyObjs[obj] = struct{}{}
 	return nil
 }
 
@@ -369,8 +374,6 @@ func (h *Heap) ClearFields(obj ids.ObjID) error {
 func (h *Heap) Delete(obj ids.ObjID) {
 	h.remove(obj)
 	delete(h.persistentRoots, obj)
-	h.dirtyObjs[obj] = struct{}{}
-	h.dirtyPersist[obj] = struct{}{}
 }
 
 // Install recreates an object under a specific identifier (checkpoint
@@ -387,94 +390,38 @@ func (h *Heap) Install(id ids.ObjID, fields []ids.Ref, size int, root bool) erro
 		return fmt.Errorf("heap %v: install: object %v already exists", h.site, id)
 	}
 	h.put(id, slices.Clone(fields), int32(size))
-	h.dirtyObjs[id] = struct{}{}
 	if root {
 		h.persistentRoots[id] = struct{}{}
-		h.dirtyPersist[id] = struct{}{}
 	}
 	h.SetNextID(id)
 	return nil
 }
 
-// Snapshot returns a deep copy of the heap: objects (with copied field
-// arrays), persistent roots, application roots, and the allocation
-// high-water mark. It copies page by page, so the copy's fields lie in id
-// order. The copy shares nothing with the original, so a local trace can
-// read it off the site lock while mutators keep modifying the live heap.
-// Sites reach it only through TraceSnapshot, whose first cut it is; tests
-// also use it as an independent copy to run their reference trace on.
+// Snapshot returns a frozen view of the heap: a copy of the page directory,
+// the persistent and application roots, and the allocation high-water mark,
+// sharing every page with the live heap. It advances the live heap's epoch,
+// so the live heap clones a page before its first write to it and the view
+// never changes; nothing retained, nothing to reset. The view may be read
+// off the lock that guards the live heap (the local trace marks it, the
+// checkpoint encodes it), and is an independent Heap: writes to it clone
+// pages too.
 func (h *Heap) Snapshot() *Heap {
-	cp := New(h.site)
-	cp.next, cp.base, cp.count = h.next, h.base, h.count
-	cp.pages = make([]*page, len(h.pages))
-	cp.persistentRoots, cp.appRoots = maps.Clone(h.persistentRoots), maps.Clone(h.appRoots)
-	for j, p := range h.pages {
-		if p != nil {
-			cp.pages[j] = p.clone()
-		}
+	h.epoch++
+	return &Heap{
+		site:            h.site,
+		next:            h.next,
+		base:            h.base,
+		pages:           slices.Clone(h.pages),
+		count:           h.count,
+		persistentRoots: maps.Clone(h.persistentRoots),
+		appRoots:        maps.Clone(h.appRoots),
+		epoch:           h.epoch,
 	}
-	return cp
 }
 
-// TraceSnapshot returns a read-only snapshot of the heap. The first call
-// deep-copies the whole heap; subsequent calls patch the retained shadow copy from the dirty sets, in
-// O(dirty), so an idle heap snapshots in O(1) regardless of size.
-//
-// The returned heap is the shadow copy itself: it shares no pages or field
-// arrays with the live heap (an off-lock trace may read it while mutators
-// write here), but it is patched in place by the NEXT TraceSnapshot call —
-// the caller must be done with it by then. The site's trace mutex provides
-// exactly that serialization, and is what makes SlotFields legal on it.
-func (h *Heap) TraceSnapshot() *Heap {
-	if h.snap == nil {
-		h.snap = h.Snapshot()
-		h.clearDirty()
-		return h.snap
-	}
-	h.patchSnapshot()
-	return h.snap
-}
-
-// patchSnapshot brings the shadow copy up to date from the dirty sets,
-// leaving it exactly what Snapshot would copy. The shadow is owned
-// exclusively by the snapshot lineage (the site's trace mutex).
-func (h *Heap) patchSnapshot() {
-	snap := h.snap
-	snap.next = h.next
-	for obj := range h.dirtyObjs {
-		ls, ss := h.get(obj), snap.get(obj)
-		switch {
-		case ls == nil:
-			snap.remove(obj)
-		case ss == nil || ss.size != ls.size || !slices.Equal(ss.fields, ls.fields):
-			snap.put(obj, slices.Clone(ls.fields), ls.size)
-		}
-	}
-	for obj := range h.dirtyPersist {
-		if _, ok := h.persistentRoots[obj]; ok {
-			snap.persistentRoots[obj] = struct{}{}
-		} else {
-			delete(snap.persistentRoots, obj)
-		}
-	}
-	for r := range h.dirtyAppRoots {
-		if n := h.appRoots[r]; n > 0 {
-			snap.appRoots[r] = n
-		} else {
-			delete(snap.appRoots, r)
-		}
-	}
-	h.clearDirty()
-}
-
-// ResetTraceSnapshot discards the shadow copy so the next TraceSnapshot is
-// a fresh deep copy. Used when a trace built on the snapshot lineage was
-// abandoned (the dirty sets it consumed are gone) and after wholesale state
-// replacement.
-func (h *Heap) ResetTraceSnapshot() {
-	h.snap = nil
-	h.clearDirty()
-}
+// PagesCopied returns how many pages the write barrier has cloned since the
+// heap was created: one for each page first written after a Snapshot.
+func (h *Heap) PagesCopied() int { return h.copied }
 
 // NextID returns the allocation high-water mark (for checkpointing).
 func (h *Heap) NextID() ids.ObjID { return ids.ObjID(h.next) }
@@ -494,10 +441,7 @@ func (h *Heap) Adopt(fields []ids.Ref, size int) ids.Ref {
 
 // AddAppRoot records that a mutator variable on this site holds the given
 // reference (local or remote). Multiple holds are counted.
-func (h *Heap) AddAppRoot(r ids.Ref) {
-	h.appRoots[r]++
-	h.dirtyAppRoots[r] = struct{}{}
-}
+func (h *Heap) AddAppRoot(r ids.Ref) { h.appRoots[r]++ }
 
 // RemoveAppRoot releases one mutator-variable hold on the reference. It
 // reports whether a hold existed.
@@ -511,7 +455,6 @@ func (h *Heap) RemoveAppRoot(r ids.Ref) bool {
 	} else {
 		h.appRoots[r] = n - 1
 	}
-	h.dirtyAppRoots[r] = struct{}{}
 	return true
 }
 

@@ -2,6 +2,7 @@ package heap
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -125,26 +126,41 @@ func checkAgainstModel(t *testing.T, ctx string, h *Heap, m *model) {
 	}
 }
 
-// checkShadow checks a TraceSnapshot against the model and that it shares
-// no field array with the live heap.
-func checkShadow(t *testing.T, ctx string, live, snap *Heap, m *model) {
+// clone deep-copies the model: the state a view frozen now must keep.
+func (m *model) clone() *model {
+	cp := &model{objs: make(map[ids.ObjID]modelObj, len(m.objs)), appRoots: maps.Clone(m.appRoots), next: m.next, deleted: slices.Clone(m.deleted)}
+	for id, o := range m.objs {
+		o.fields = slices.Clone(o.fields)
+		cp.objs[id] = o
+	}
+	return cp
+}
+
+// frozen is a view and the deep copy of the model taken when it was
+// frozen.
+type frozen struct {
+	view *Heap
+	m    *model
+	at   string
+}
+
+// checkViews checks every view against the model it was frozen with.
+func checkViews(t *testing.T, ctx string, views []frozen) {
 	t.Helper()
-	checkAgainstModel(t, ctx+" (snapshot)", snap, m)
-	for id := range m.objs {
-		lf, _ := live.SlotFields(id)
-		sf, _ := snap.SlotFields(id)
-		if len(lf) > 0 && &lf[0] == &sf[0] {
-			t.Fatalf("%s: snapshot shares object %v's field array with the live heap", ctx, id)
-		}
+	for _, f := range views {
+		checkAgainstModel(t, fmt.Sprintf("%s: view frozen at %s", ctx, f.at), f.view, f.m)
 	}
 }
 
 // TestHeapModel drives the paged store with random allocation, field,
 // deletion, reinstallation and root operations against a plain-map model,
-// checking the live heap after every step and the trace snapshot after
-// every TraceSnapshot. Each run then empties the directory's first page —
-// the page is freed in the live heap and, at the next snapshot, in the
-// shadow — and re-enters it with Install, as a checkpoint restore does.
+// checking the live heap after every step. It keeps up to three frozen
+// views alive across the mutations and checks each, after every step,
+// against a deep copy of the model taken when it was frozen: a write to the
+// live heap must never reach a page or field array a view holds. Each run
+// then empties the directory's first page — the page is freed in the live
+// heap and in the next view, while an older view keeps it — and re-enters
+// it with Install, as a checkpoint restore does.
 //
 // The subtests keep the names they had when the store was split into N
 // hash partitions. shards=N now scales the id gaps the run opens with
@@ -296,18 +312,31 @@ func runHeapModel(t *testing.T, shards int, seed int64) {
 		}
 	}
 
-	for i := 0; i < 1500; i++ {
-		op := rng.Intn(17)
-		if op == 16 {
-			checkShadow(t, fmt.Sprintf("step %d", i), h, h.TraceSnapshot(), m)
-			continue
+	var views []frozen
+	freeze := func(at string) *Heap {
+		v := h.Snapshot()
+		if len(views) == 3 {
+			i := rng.Intn(3)
+			views = slices.Delete(views, i, i+1)
 		}
-		step(op)
-		checkAgainstModel(t, fmt.Sprintf("step %d op %d", i, op), h, m)
+		views = append(views, frozen{view: v, m: m.clone(), at: at})
+		return v
+	}
+	for i := 0; i < 1500; i++ {
+		ctx := fmt.Sprintf("step %d", i)
+		if op := rng.Intn(17); op == 16 {
+			freeze(ctx)
+		} else {
+			step(op)
+			ctx += fmt.Sprintf(" op %d", op)
+		}
+		checkAgainstModel(t, ctx, h, m)
+		checkViews(t, ctx, views)
 	}
 
-	// Empty the directory's first page and snapshot: the page must be gone
-	// from the live heap and the shadow. Then reinstall two of its ids.
+	// Empty the directory's first page and freeze a view: the page must be
+	// gone from the live heap and the new view, and stay in the views that
+	// hold it. Then reinstall two of its ids.
 	pn, n := h.PageSpan()
 	if n == 0 {
 		t.Fatal("setup: the heap holds no page")
@@ -325,8 +354,8 @@ func runHeapModel(t *testing.T, shards int, seed int64) {
 		m.deleted = append(m.deleted, id)
 	}
 	checkAgainstModel(t, "page emptied", h, m)
-	snap := h.TraceSnapshot()
-	checkShadow(t, "page emptied", h, snap, m)
+	snap := freeze("page emptied")
+	checkViews(t, "page emptied", views)
 	if h.HasPage(pn) || snap.HasPage(pn) {
 		t.Fatal("an emptied page was not freed")
 	}
@@ -339,14 +368,16 @@ func runHeapModel(t *testing.T, shards int, seed int64) {
 		m.deleted = slices.DeleteFunc(m.deleted, func(d ids.ObjID) bool { return d == id })
 	}
 	checkAgainstModel(t, "page re-entered", h, m)
-	snap = h.TraceSnapshot()
-	checkShadow(t, "page re-entered", h, snap, m)
-	if !snap.HasPage(pn) {
-		t.Fatal("the re-entered page is missing from the snapshot")
+	checkViews(t, "page re-entered", views)
+	if snap.HasPage(pn) {
+		t.Fatal("the re-entered page reached a view frozen before it")
+	}
+	if snap = freeze("page re-entered"); !snap.HasPage(pn) {
+		t.Fatal("the re-entered page is missing from the view")
 	}
 
-	// Deleted and reinstalled between snapshots with the same fields but
-	// another size, an object must reach the shadow with its new size.
+	// Deleted and reinstalled between views with the same fields but
+	// another size, an object must reach the next view with its new size.
 	id := page[0]
 	o := m.objs[id]
 	h.Delete(id)
@@ -355,5 +386,6 @@ func runHeapModel(t *testing.T, shards int, seed int64) {
 		t.Fatal(err)
 	}
 	m.objs[id] = o
-	checkShadow(t, "size changed", h, h.TraceSnapshot(), m)
+	freeze("size changed")
+	checkViews(t, "size changed", views)
 }

@@ -100,9 +100,9 @@ func TestFieldsOfMatchesGet(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotEquivalence checks that the deep copy reproduces the
-// live heap exactly and that the patched trace snapshot matches a fresh
-// deep copy.
+// TestShardedSnapshotEquivalence checks that a view reproduces the live
+// heap exactly, keeps doing so for the heap it was frozen from while the
+// live heap changes, and that the next view matches the changed heap.
 func TestShardedSnapshotEquivalence(t *testing.T) {
 	h := New(1)
 	root := h.AllocRoot()
@@ -117,17 +117,20 @@ func TestShardedSnapshotEquivalence(t *testing.T) {
 		prev = o
 	}
 	h.AddAppRoot(ids.Ref{Site: 2, Obj: 5})
-	sameState(t, "deep copy", h.Snapshot(), h)
+	old := h.Snapshot()
+	sameState(t, "view", old, h)
+	was := modelOf(old)
 
-	h.TraceSnapshot()
 	mutated := h.Alloc()
 	mustAddField(t, h, 1, mutated)
 	h.Delete(9)
-	snap := h.TraceSnapshot()
+	h.AddAppRoot(mutated)
+	checkAgainstModel(t, "old view", old, was)
+	snap := h.Snapshot()
 	if !snap.Contains(mutated.Obj) || snap.Contains(9) {
-		t.Fatalf("patched snapshot missed the allocation or the deletion")
+		t.Fatalf("the next view missed the allocation or the deletion")
 	}
-	sameState(t, "patched snapshot", snap, h.Snapshot())
+	sameState(t, "next view", snap, h)
 }
 
 // sameState fails unless got holds exactly want's objects, fields, roots
@@ -156,22 +159,32 @@ func mustAddField(t *testing.T, h *Heap, obj ids.ObjID, target ids.Ref) {
 	}
 }
 
-// TestMaxShardDirtyRatio checks the write barrier's dirty set: empty right
-// after a snapshot, and naming exactly the mutated object after one
-// mutation.
+// TestMaxShardDirtyRatio checks the write barrier: a view copies no page,
+// the first write after it copies exactly the written page (the view keeps
+// the old one), and further writes to that page copy nothing more.
 func TestMaxShardDirtyRatio(t *testing.T) {
 	h := New(1)
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 2*PageSlots; i++ {
 		h.Alloc()
 	}
-	h.TraceSnapshot()
-	if n := len(h.dirtyObjs) + len(h.dirtyPersist) + len(h.dirtyAppRoots); n != 0 {
-		t.Fatalf("%d dirty entries right after snapshot, want 0", n)
+	v := h.Snapshot()
+	if n := h.PagesCopied(); n != 0 {
+		t.Fatalf("%d pages copied right after a view, want 0", n)
 	}
+	before := v.page(0)
 	if err := h.AddField(4, ids.Ref{Site: 2, Obj: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if want := map[ids.ObjID]struct{}{4: {}}; !reflect.DeepEqual(h.dirtyObjs, want) {
-		t.Fatalf("dirty set %v after one mutation, want %v", h.dirtyObjs, want)
+	if err := h.AddField(5, ids.Ref{Site: 2, Obj: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if n := h.PagesCopied(); n != 1 {
+		t.Fatalf("%d pages copied after two writes to one page, want 1", n)
+	}
+	if v.page(0) != before || h.page(0) == before || h.page(1) != v.page(1) {
+		t.Fatal("the write did not swap exactly the written page in the live directory")
+	}
+	if f, _ := v.SlotFields(4); len(f) != 0 {
+		t.Fatalf("the view sees the write: fields %v", f)
 	}
 }

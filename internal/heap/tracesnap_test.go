@@ -1,6 +1,8 @@
 package heap
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,7 +12,8 @@ import (
 
 // sameTracerView fails the test unless snap presents exactly the
 // tracer-visible state of live: object set, per-object fields (in order),
-// persistent roots, and application roots.
+// persistent roots, and application roots. A view shares the field arrays
+// of every page the live heap has not written since.
 func sameTracerView(t *testing.T, live, snap *Heap) {
 	t.Helper()
 	liveObjs, snapObjs := live.Objects(), snap.Objects()
@@ -24,9 +27,6 @@ func sameTracerView(t *testing.T, live, snap *Heap) {
 		lo, so := slotOf(live, obj), slotOf(snap, obj)
 		if !slices.Equal(lo.fields, so.fields) || lo.size != so.size {
 			t.Fatalf("obj %v: live %v (size %d) snap %v (size %d)", obj, lo.fields, lo.size, so.fields, so.size)
-		}
-		if len(lo.fields) > 0 && &lo.fields[0] == &so.fields[0] {
-			t.Fatalf("obj %v: snapshot shares the live field array", obj)
 		}
 	}
 	lp, sp := live.PersistentRoots(), snap.PersistentRoots()
@@ -52,9 +52,19 @@ func sameTracerView(t *testing.T, live, snap *Heap) {
 	}
 }
 
+// modelOf deep-copies the state h presents into a model.
+func modelOf(h *Heap) *model {
+	m := &model{objs: map[ids.ObjID]modelObj{}, appRoots: maps.Clone(h.appRoots), next: h.NextID()}
+	h.EachObject(func(id ids.ObjID, fields []ids.Ref, size int, root bool) {
+		m.objs[id] = modelObj{fields: slices.Clone(fields), size: size, root: root}
+	})
+	return m
+}
+
 // TestTraceSnapshotEquivalence drives a randomized mutation sequence and
-// checks after every round that the patched shadow snapshot is
-// indistinguishable from a fresh deep copy.
+// checks after every round that a fresh view is indistinguishable from the
+// live heap, and that the views of the last three rounds still present the
+// heap as it was when each was frozen.
 func TestTraceSnapshotEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -65,7 +75,7 @@ func TestTraceSnapshotEquivalence(t *testing.T) {
 			objs = append(objs, h.AllocRoot())
 		}
 
-		var prev *Heap
+		var views []frozen
 		for round := 0; round < 12; round++ {
 			for step := 0; step < 30; step++ {
 				switch rng.Intn(8) {
@@ -113,20 +123,21 @@ func TestTraceSnapshotEquivalence(t *testing.T) {
 					}
 				}
 			}
-			snap := h.TraceSnapshot()
-			if round > 0 && snap != prev {
-				t.Fatalf("seed %d round %d: snapshot not patched in place", seed, round)
-			}
-			prev = snap
+			checkViews(t, fmt.Sprintf("seed %d round %d", seed, round), views)
+			snap := h.Snapshot()
 			sameTracerView(t, h, snap)
+			views = append(views, frozen{view: snap, m: modelOf(h), at: fmt.Sprintf("round %d", round)})
+			if len(views) > 3 {
+				views = views[1:]
+			}
 		}
 	}
 }
 
-// TestTraceSnapshotCancellingOps checks that operations undone before the
-// snapshot leave it equal to the live heap, and that a field removed and
-// added back — same multiset, new order — reaches the snapshot in the live
-// order.
+// TestTraceSnapshotCancellingOps checks that operations undone between two
+// views leave the second equal to the live heap and the first unchanged,
+// and that a field removed and added back — same multiset, new order —
+// reaches the second view in the live order.
 func TestTraceSnapshotCancellingOps(t *testing.T) {
 	h := New(1)
 	a := h.AllocRoot()
@@ -137,7 +148,8 @@ func TestTraceSnapshotCancellingOps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h.TraceSnapshot()
+	first := h.Snapshot()
+	was := modelOf(h)
 
 	// Edge added then removed again.
 	remote := ids.Ref{Site: 9, Obj: 4}
@@ -167,24 +179,96 @@ func TestTraceSnapshotCancellingOps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := h.TraceSnapshot()
+	snap := h.Snapshot()
 	sameTracerView(t, h, snap)
+	checkAgainstModel(t, "first view", first, was)
 	if snap.Contains(gone.Obj) {
-		t.Fatal("object allocated and deleted between snapshots is in the snapshot")
+		t.Fatal("object allocated and deleted between views is in the view")
+	}
+	if f, _ := snap.SlotFields(a.Obj); !slices.Equal(f, []ids.Ref{c, b}) {
+		t.Fatalf("a's fields in the second view are %v, want [%v %v]", f, c, b)
 	}
 }
 
-// TestTraceSnapshotReset checks that ResetTraceSnapshot makes the next
-// snapshot a fresh deep copy.
+// TestTraceSnapshotReset checks that an abandoned view needs no reset: the
+// next view after one that was dropped unread presents the live heap and
+// shares every page the live heap has not written since.
 func TestTraceSnapshotReset(t *testing.T) {
 	h := New(1)
 	h.AllocRoot()
-	old := h.TraceSnapshot()
-	h.Alloc()
-	h.ResetTraceSnapshot()
-	snap := h.TraceSnapshot()
-	if snap == old {
-		t.Fatal("snapshot after reset reused the old shadow copy")
+	for i := 0; i < PageSlots; i++ {
+		h.Alloc()
 	}
+	_ = h.Snapshot() // abandoned
+	h.Alloc()
+	if err := h.AddField(1, ids.Ref{Site: 2, Obj: 1}); err != nil {
+		t.Fatal(err)
+	}
+	snap := h.Snapshot()
 	sameTracerView(t, h, snap)
+	base, n := h.PageSpan()
+	for pn := base; pn < base+n; pn++ {
+		if snap.page(pn) != h.page(pn) {
+			t.Fatalf("the view does not share page %d with the live heap", pn)
+		}
+	}
+}
+
+// TestSnapshotIdleCopiesNoPage checks that a view of an idle heap copies
+// no page: its allocations do not grow with the heap's pages, and the
+// write barrier clones none.
+func TestSnapshotIdleCopiesNoPage(t *testing.T) {
+	allocs := func(pages int) float64 {
+		h := New(1)
+		h.AllocRoot()
+		h.AddAppRoot(ids.Ref{Site: 2, Obj: 1})
+		for h.Len() < pages*PageSlots {
+			h.Alloc()
+		}
+		n := testing.AllocsPerRun(100, func() { _ = h.Snapshot() })
+		if c := h.PagesCopied(); c != 0 {
+			t.Fatalf("%d pages: idle views copied %d pages", pages, c)
+		}
+		return n
+	}
+	small, large := allocs(2), allocs(64)
+	if large != small || large >= 64 {
+		t.Fatalf("a view allocates %v times over 2 pages and %v over 64, want the same few", small, large)
+	}
+}
+
+// TestSnapshotWritesCopyPages checks that writes to k distinct pages after
+// a view copy exactly k pages, however many writes each page takes, and
+// that the live heap and the view then share every other page.
+func TestSnapshotWritesCopyPages(t *testing.T) {
+	const pages = 16
+	h := New(1)
+	for h.Len() < pages*PageSlots {
+		h.Alloc()
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k <= pages; k += 5 {
+		v := h.Snapshot()
+		before := h.PagesCopied()
+		written := rng.Perm(pages)[:k]
+		for _, pn := range written {
+			for w := 0; w < 3; w++ {
+				obj := ids.ObjID(pn<<PageBits + rng.Intn(PageSlots))
+				if obj == ids.NoObj {
+					obj++
+				}
+				if err := h.AddField(obj, ids.Ref{Site: 2, Obj: obj}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if got := h.PagesCopied() - before; got != k {
+			t.Fatalf("writes to %d pages copied %d", k, got)
+		}
+		for pn := 0; pn < pages; pn++ {
+			if shared := v.page(pn) == h.page(pn); shared == slices.Contains(written, pn) {
+				t.Fatalf("k=%d: page %d shared=%v after writes to %v", k, pn, shared, written)
+			}
+		}
+	}
 }

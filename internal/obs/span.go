@@ -23,6 +23,11 @@ const (
 	// mark and the outset pass that follows it (seconds).
 	MetricLocalTraceMark    = "localtrace.mark_seconds"
 	MetricLocalTraceOutsets = "localtrace.outsets_seconds"
+	// MetricLocalTraceCut and MetricCheckpointCut time how long the
+	// consistent cut under a local trace or a checkpoint holds the site
+	// lock (seconds).
+	MetricLocalTraceCut = "localtrace.cut_seconds"
+	MetricCheckpointCut = "checkpoint.cut_seconds"
 	// MetricMailboxQueueDelay is the latency histogram of the time an
 	// inbound message spends queued in a site mailbox before dispatch.
 	MetricMailboxQueueDelay = "mailbox.queue_delay_seconds"

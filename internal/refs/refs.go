@@ -269,9 +269,8 @@ type Table struct {
 func NewTable(site ids.SiteID, backThreshold int) *Table {
 	t := &Table{site: site, defaultBackThreshold: backThreshold}
 	t.in.inrefs = make(map[ids.ObjID]*Inref)
-	t.in.dirty = make(map[ids.ObjID]struct{})
 	t.out.outrefs = make(map[ids.Ref]*Outref)
-	t.out.dirty = make(map[ids.Ref]struct{})
+	t.clearDirty()
 	return t
 }
 
@@ -583,9 +582,9 @@ func (t *Table) Snapshot() *Table {
 	return cp
 }
 
-// TraceSnapshot returns a read-only snapshot of the tables, mirroring
-// heap.TraceSnapshot: the first call deep-copies, later calls patch the
-// retained shadow copy from the dirty sets, in O(dirty). The snapshot is
+// TraceSnapshot returns a read-only snapshot of the tables: the first call
+// deep-copies, later calls patch the retained shadow copy from the dirty
+// sets, in O(dirty). The snapshot is
 // faithful only for what the tracer reads — inref existence, source
 // distances, garbage flags, and outref existence; tracer-invisible fields
 // (Barrier, Pins, outref Distance) may be stale in patched entries. The
@@ -622,7 +621,6 @@ func (t *Table) patchSnapshot() {
 			snap.in.sortedValid = false
 		}
 	}
-	clear(t.in.dirty)
 
 	if len(t.out.dirty) > 0 {
 		// Only membership changes dirty an outref, and a patched entry is a
@@ -636,13 +634,16 @@ func (t *Table) patchSnapshot() {
 			delete(snap.out.outrefs, target)
 		}
 	}
-	clear(t.out.dirty)
+	t.clearDirty()
 }
 
-// clearDirty empties both dirty sets.
+// clearDirty empties both dirty sets. It replaces the maps rather than
+// clearing them: a cleared map keeps the buckets of its largest size (the
+// whole graph, while a site is built), and every later range over it walks
+// them all.
 func (t *Table) clearDirty() {
-	clear(t.in.dirty)
-	clear(t.out.dirty)
+	t.in.dirty = make(map[ids.ObjID]struct{})
+	t.out.dirty = make(map[ids.Ref]struct{})
 }
 
 // ResetTraceSnapshot discards the shadow copy so the next TraceSnapshot is

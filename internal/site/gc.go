@@ -50,14 +50,17 @@ func (s *Site) RunLocalTrace() TraceReport {
 // replayed onto the new copy (Section 6.2).
 //
 // There is one path. Under a short critical section the site cuts a
-// copy-on-write snapshot of the heap and ioref tables: the retained shadow
-// copy patched with the dirty set, O(changes) rather than O(heap). The
-// computation then runs OUTSIDE the site lock on that snapshot, which shares
-// no structures with the live state (traceMu guarantees the previous trace
-// is done with it). This is exactly what Section 6.2's double buffering
-// buys: the live state may keep changing during the computation, because
-// back traces still use the old back information, garbage stays garbage (no
-// root or message can name an unreachable object), and barriers that fire
+// consistent view: a frozen heap view (heap.Snapshot, a copy of the page
+// directory and the roots that shares every page; the live heap clones a
+// page before its first write to it) and the ioref tables' shadow copy
+// patched with their dirty sets. The cut costs O(pages) pointer copies plus
+// the changed ioref rows, and localtrace.cut_seconds times it. The
+// computation then runs OUTSIDE the site lock on that view, which no writer
+// touches (traceMu guarantees the previous trace is done with the table
+// shadow). This is exactly what Section 6.2's double buffering buys: the
+// live state may keep changing during the computation, because back traces
+// still use the old back information, garbage stays garbage (no root or
+// message can name an unreachable object), and barriers that fire
 // meanwhile are recorded (s.tracing) and replayed at commit.
 func (s *Site) BeginLocalTrace() {
 	s.traceMu.Lock()
@@ -65,7 +68,8 @@ func (s *Site) BeginLocalTrace() {
 	s.localTraceT0 = s.clk.Now()
 
 	s.mu.Lock()
-	h := s.heap.TraceSnapshot()
+	cut := s.clk.Now()
+	h := s.heap.Snapshot()
 	tbl := s.table.TraceSnapshot()
 	epoch := s.traceEpoch
 	// Open the trace window: barriers applied from here to the commit are
@@ -74,6 +78,7 @@ func (s *Site) BeginLocalTrace() {
 	s.pending = nil
 	s.pendingBarrierInrefs = nil
 	s.pendingBarrierOutrefs = nil
+	s.histTraceCut.ObserveDuration(s.clk.Now().Sub(cut))
 	s.mu.Unlock()
 
 	res := s.tracer.Run(h, tbl, s.cfg.SuspicionThreshold, s.cfg.OutsetAlgorithm)
@@ -84,10 +89,9 @@ func (s *Site) BeginLocalTrace() {
 		// The state this result was computed from was replaced wholesale
 		// while we traced: drop the result rather than install conclusions
 		// about a heap that no longer exists. traceMu makes this
-		// unreachable for ordinary Begin/Commit interleavings. The
-		// snapshot consumed the dirty sets but its result was dropped, so
-		// forget both lineages: the next snapshot is a fresh deep copy.
-		s.heap.ResetTraceSnapshot()
+		// unreachable for ordinary Begin/Commit interleavings. The table
+		// snapshot consumed its dirty sets but the result was dropped, so
+		// forget its lineage: the next one is a fresh deep copy.
 		s.table.ResetTraceSnapshot()
 		return
 	}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 
 	"backtrace/internal/ids"
@@ -130,24 +129,26 @@ type snapshotRec struct {
 // plausibly have consumed.
 const traceSeqRestartSkip = 1 << 20
 
-// WriteCheckpoint serializes the site's durable state. It takes the site
-// write lock, which excludes every mutator and handler and so yields a
-// consistent cut. Encoding happens after the lock is released.
+// WriteCheckpoint serializes the site's durable state. Under the site lock
+// it takes a consistent cut: a frozen heap view (heap.Snapshot, O(pages)
+// pointer copies; the live heap clones a page before writing it) and the
+// ioref rows. checkpoint.cut_seconds times that hold. The objects are then
+// read from the view and encoded after the lock is released, so mutators,
+// handlers and local traces run while the checkpoint is written.
 func (s *Site) WriteCheckpoint(w io.Writer) error {
 	s.mu.Lock()
+	cut := s.clk.Now()
+	h := s.heap.Snapshot()
 	rec := snapshotRec{
 		Version:       snapshotVersion,
 		Site:          s.cfg.ID,
-		NextObj:       s.heap.NextID(),
+		NextObj:       h.NextID(),
 		SuspThreshold: s.cfg.SuspicionThreshold,
 	}
 	if sn, ok := s.cfg.Network.(transport.SessionNetwork); ok {
 		rec.Incarnation = sn.Incarnation(s.cfg.ID)
 	}
 	rec.NextTrace = s.engine.TraceSeq()
-	s.heap.EachObject(func(obj ids.ObjID, fields []ids.Ref, size int, root bool) {
-		rec.Objects = append(rec.Objects, objectRec{ID: obj, Fields: slices.Clone(fields), Size: size, Root: root})
-	})
 	for _, in := range s.table.Inrefs() {
 		ir := inrefRec{Obj: in.Obj, Garbage: in.Garbage, BackThreshold: in.BackThreshold}
 		for _, src := range in.SourceSites() {
@@ -162,11 +163,18 @@ func (s *Site) WriteCheckpoint(w io.Writer) error {
 			BackThreshold: o.BackThreshold,
 		})
 	}
+	s.histCkptCut.ObserveDuration(s.clk.Now().Sub(cut))
 	s.mu.Unlock()
 
 	if _, err := w.Write(append(append([]byte(nil), checkpointMagic...), checkpointFormatGob)); err != nil {
 		return fmt.Errorf("site %v: write checkpoint header: %w", s.cfg.ID, err)
 	}
+	// The view's field arrays are never written again, so the record
+	// borrows them.
+	rec.Objects = make([]objectRec, 0, h.Len())
+	h.EachObject(func(obj ids.ObjID, fields []ids.Ref, size int, root bool) {
+		rec.Objects = append(rec.Objects, objectRec{ID: obj, Fields: fields, Size: size, Root: root})
+	})
 	if err := gob.NewEncoder(w).Encode(rec); err != nil {
 		return fmt.Errorf("site %v: encode checkpoint: %w", s.cfg.ID, err)
 	}

@@ -3,9 +3,12 @@ package site
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"backtrace/internal/heap"
 	"backtrace/internal/ids"
 	"backtrace/internal/msg"
 	"backtrace/internal/transport"
@@ -91,6 +94,98 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if !o.Clean {
 			t.Errorf("restored outref %v not clean", o.Target)
 		}
+	}
+}
+
+// gateWriter blocks its first Write until release is closed, announcing on
+// entered that it got there.
+type gateWriter struct {
+	entered, release chan struct{}
+	once             sync.Once
+	buf              bytes.Buffer
+}
+
+func (w *gateWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.entered)
+		<-w.release
+	})
+	return w.buf.Write(p)
+}
+
+// TestCheckpointCutReleasesLock checks that WriteCheckpoint holds the site
+// lock only for its cut: while the checkpoint's writer is blocked, a
+// mutator allocates, links and drops a variable, and a full local trace
+// sweeps objects on pages the cut holds. The restored image must still be
+// the state at the cut.
+func TestCheckpointCutReleasesLock(t *testing.T) {
+	_, b, _, refs := buildPersistPair(t)
+	// A live chain over three pages and unrooted garbage beside it, so the
+	// trace below writes pages the checkpoint's view holds.
+	prev := refs[1]
+	var chain []ids.Ref
+	for i := 0; i < 3*heap.PageSlots; i++ {
+		o := b.NewObject()
+		if i%2 == 1 {
+			continue // garbage
+		}
+		if err := b.AddReference(prev.Obj, o); err != nil {
+			t.Fatal(err)
+		}
+		chain = append(chain, o)
+		prev = o
+	}
+	held := b.NewHeldObject()
+	want := b.AuditSnapshot()
+
+	w := &gateWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	errc := make(chan error, 1)
+	go func() { errc <- b.WriteCheckpoint(w) }()
+	select {
+	case <-w.entered:
+	case err := <-errc:
+		t.Fatalf("WriteCheckpoint returned %v before writing", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("WriteCheckpoint never wrote")
+	}
+
+	done := make(chan TraceReport)
+	go func() {
+		o := b.NewObject()
+		if err := b.AddReference(chain[0].Obj, o); err != nil {
+			t.Error(err)
+		}
+		b.DropAppRoot(held)
+		done <- b.RunLocalTrace()
+	}()
+	select {
+	case rep := <-done:
+		if rep.Collected == 0 {
+			t.Fatal("the local trace swept nothing: the test writes no page the cut holds")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("mutator and local trace blocked while the checkpoint was being written: the site lock is held")
+	}
+	close(w.release)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if b.ContainsObject(held.Obj) {
+		t.Fatal("the dropped variable's object survived the trace")
+	}
+
+	net2 := transport.NewNet(transport.Options{Stepped: true})
+	defer net2.Close()
+	b2, err := Restore(Config{Network: net2, SuspicionThreshold: 3, BackThreshold: 7}, &w.buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := b2.AuditSnapshot()
+	want.AppRoots = nil // volatile: not checkpointed
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored image differs from the state at the cut:\n got %d objects, roots %v, outrefs %v, inrefs %v, flagged %v\nwant %d objects, roots %v, outrefs %v, inrefs %v, flagged %v",
+			len(got.Objects), got.PersistentRoots, got.Outrefs, got.InrefSources, got.GarbageFlagged,
+			len(want.Objects), want.PersistentRoots, want.Outrefs, want.InrefSources, want.GarbageFlagged)
 	}
 }
 

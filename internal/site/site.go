@@ -14,23 +14,26 @@
 // Mutable collector state is guarded by one RWMutex, but — unlike the
 // original single-mutex design — the heavy phases no longer run inside it:
 //
-//   - The heap and the ioref tables are one partition each, with one
-//     write-barrier dirty set and one copy-on-write trace snapshot per
-//     table, as in the paper, where a site is one unit. The site lock is
+//   - The heap and the ioref tables are one partition each, as in the
+//     paper, where a site is one unit: the heap with copy-on-write pages,
+//     each table with one write-barrier dirty set and one shadow copy
+//     for the trace. The site lock is
 //     their only lock: every mutator operation and every message handler
 //     is a short critical section under the write lock, so each mutator
 //     step is atomic with respect to the collector's steps, matching the
 //     paper's model.
 //   - The local trace has one path (BeginLocalTrace). A short critical
 //     section cuts a copy-on-write snapshot of the heap and ioref tables
-//     — the retained shadow copies patched from their dirty sets — and
-//     the computation (tracer.Tracer:
+//     — a frozen heap view sharing the live heap's pages, and the tables'
+//     shadow copies patched from their dirty sets — and the computation
+//     (tracer.Tracer:
 //     the paged ascending-distance forward mark, then the outset pass)
 //     runs entirely OUTSIDE the lock on that snapshot. The Section 6.2
 //     double-buffered back information makes the off-lock computation
 //     safe: back traces keep using the old copy, and transfer barriers
 //     that fire meanwhile are recorded and replayed onto the new copy at
-//     commit.
+//     commit. A checkpoint cuts a heap view the same way and encodes it
+//     off the lock.
 //   - Read-only introspection (counters, heap size, fields, distances)
 //     takes only the read lock. Nothing holding only the read lock writes
 //     to the heap or the tables, so Inrefs, Outrefs and
@@ -294,6 +297,8 @@ type Site struct {
 	histLocalDur *obs.Histogram
 	histMark     *obs.Histogram
 	histOutsets  *obs.Histogram
+	histTraceCut *obs.Histogram
+	histCkptCut  *obs.Histogram
 	histQueue    *obs.Histogram
 	gaugeDepth   *obs.Gauge
 	// gaugeTransfers is site.owner_transfers_pending; each site adds its
@@ -341,6 +346,10 @@ func New(cfg Config) *Site {
 		"wall-clock duration of a local trace's forward mark", nil)
 	s.histOutsets = reg.Histogram(obs.MetricLocalTraceOutsets,
 		"wall-clock duration of a local trace's outset pass", nil)
+	s.histTraceCut = reg.Histogram(obs.MetricLocalTraceCut,
+		"time a local trace's consistent cut holds the site lock", nil)
+	s.histCkptCut = reg.Histogram(obs.MetricCheckpointCut,
+		"time a checkpoint's consistent cut holds the site lock", nil)
 	s.histQueue = reg.Histogram(obs.MetricMailboxQueueDelay,
 		"time inbound messages spent queued in a site mailbox", nil)
 	s.gaugeDepth = reg.Gauge(obs.MetricMailboxDepth,

@@ -459,8 +459,9 @@ func TestTCPEndToEndCycleCollection(t *testing.T) {
 
 // TestTraceEngineInstrumentsDeclared pins the /metrics contract the CI
 // smoke scrape greps for: site.New declares the trace-traffic instruments,
-// the local trace's mark/outsets split and the Update counters up front,
-// so they render (at zero) before any trace runs.
+// the local trace's mark/outsets split, the lock-hold histograms of the
+// local trace's and the checkpoint's cuts, and the Update counters up
+// front, so they render (at zero) before any trace runs.
 func TestTraceEngineInstrumentsDeclared(t *testing.T) {
 	net := transport.NewNet(transport.Options{Stepped: true})
 	t.Cleanup(net.Close)
@@ -480,6 +481,8 @@ func TestTraceEngineInstrumentsDeclared(t *testing.T) {
 		"\nbacktrace_deferred 0\n",
 		"\nlocaltrace_mark_seconds_count 0\n",
 		"\nlocaltrace_outsets_seconds_count 0\n",
+		"\nlocaltrace_cut_seconds_count 0\n",
+		"\ncheckpoint_cut_seconds_count 0\n",
 		"\nupdate_full 0\n",
 		"\nupdate_distances 0\n",
 	} {

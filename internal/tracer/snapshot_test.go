@@ -10,18 +10,38 @@ import (
 	"backtrace/internal/refs"
 )
 
-// The site traces the incremental copy-on-write snapshot: shadow copies of
-// the heap and tables patched from their dirty sets, O(changes) per trace,
-// traced by one Tracer whose mark table is reused from trace to trace. The
-// tests below hold that lineage to the reference trace of an independent
-// deep copy of the same state.
+// The site traces a copy-on-write cut: a frozen heap view that shares its
+// pages with the live heap until the live heap writes them, and the
+// tables' shadow copy patched from their dirty sets, traced by one Tracer
+// whose mark table is reused from trace to trace. The tests below hold
+// that lineage to the reference trace of an independent deep copy of the
+// same state.
+
+// deepCopy copies h's objects and roots into a heap that shares nothing
+// with it.
+func deepCopy(h *heap.Heap) *heap.Heap {
+	cp := heap.New(h.Site())
+	h.EachObject(func(obj ids.ObjID, fields []ids.Ref, size int, root bool) {
+		if err := cp.Install(obj, fields, size, root); err != nil {
+			panic(err)
+		}
+	})
+	for _, r := range h.AppRoots() {
+		cp.AddAppRoot(r)
+	}
+	cp.SetNextID(h.NextID())
+	return cp
+}
 
 // checkSnapshotLineage runs rounds of random mutations on one heap/table
-// pair and, after each, traces their TraceSnapshots with one long-lived
-// Tracer. Every result and every heap object's mark must match the
-// reference trace of a deep copy. Rounds divisible by idleEvery (when
-// positive) mutate nothing, so the snapshot is patched from empty dirty
-// sets. Dead objects are swept after each trace, as the site's commit does.
+// pair and, after each, cuts a heap view and a table snapshot, mutates the
+// live pair again as a mutator running beside the trace would, and only
+// then traces the cut with one long-lived Tracer. Every result and every
+// heap object's mark must match the reference trace of a deep copy taken
+// at the cut. Rounds divisible by idleEvery (when positive) mutate
+// nothing, so the table snapshot is patched from empty dirty sets and the
+// view copies no page. Dead objects are swept after each trace, as the
+// site's commit does.
 func checkSnapshotLineage(t *testing.T, seed int64, rounds, idleEvery int) {
 	t.Helper()
 	const threshold = 2
@@ -35,15 +55,18 @@ func checkSnapshotLineage(t *testing.T, seed int64, rounds, idleEvery int) {
 		objs = append(objs, h.AllocRoot())
 	}
 	for round := 0; round < rounds; round++ {
-		if idleEvery <= 0 || round == 0 || round%idleEvery != 0 {
-			for step := 0; step < 15; step++ {
+		idle := idleEvery > 0 && round > 0 && round%idleEvery == 0
+		mutate := func() {
+			for step := 0; !idle && step < 15; step++ {
 				mutateState(rng, h, tbl, &objs, threshold)
 			}
 		}
-		want, wantMarks := referenceTrace(h.Snapshot(), tbl.Snapshot(), threshold, AlgoBottomUp)
+		mutate()
+		want, wantMarks := referenceTrace(deepCopy(h), tbl.Snapshot(), threshold, AlgoBottomUp)
 
-		sh := h.TraceSnapshot()
-		got := tr.Run(sh, tbl.TraceSnapshot(), threshold, AlgoBottomUp)
+		sh, st := h.Snapshot(), tbl.TraceSnapshot()
+		mutate()
+		got := tr.Run(sh, st, threshold, AlgoBottomUp)
 		ctx := fmt.Sprintf("seed %d round %d", seed, round)
 		sameResult(t, ctx, got, want)
 		for _, obj := range heapObjects(sh) {
@@ -71,8 +94,9 @@ func TestIncrementalEquivalence(t *testing.T) {
 }
 
 // TestParallelIncrementalEquivalence does the same with every fifth round
-// idle, so the snapshot is also patched from empty dirty sets. (The name is
-// from when the heap was split into partitions patched in parallel.)
+// idle, so the table snapshot is also patched from empty dirty sets. (The
+// name is from when the heap was split into partitions patched in
+// parallel.)
 func TestParallelIncrementalEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -93,7 +117,7 @@ func TestIncrementalFallbackReasons(t *testing.T) {
 	var tr Tracer
 	check := func(what string, threshold int, algo OutsetAlgorithm) {
 		t.Helper()
-		st := tr.Run(h.TraceSnapshot(), tbl.TraceSnapshot(), threshold, algo).Stats
+		st := tr.Run(h.Snapshot(), tbl.TraceSnapshot(), threshold, algo).Stats
 		if st.Incremental || st.FallbackReason != FullTrace {
 			t.Fatalf("%s: Incremental=%v FallbackReason=%q, want a full trace", what, st.Incremental, st.FallbackReason)
 		}
@@ -121,7 +145,7 @@ func TestSparseIDMarkPages(t *testing.T) {
 	tbl := refs.NewTable(1, threshold+2)
 	var tr Tracer
 	trace := func() *Result {
-		res := tr.Run(h.TraceSnapshot(), tbl.TraceSnapshot(), threshold, AlgoBottomUp)
+		res := tr.Run(h.Snapshot(), tbl.TraceSnapshot(), threshold, AlgoBottomUp)
 		for _, obj := range res.Dead {
 			h.Delete(obj)
 		}
