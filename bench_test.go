@@ -31,10 +31,6 @@ func addSuspectOutref(h *heap.Heap, tbl *refs.Table, from backtrace.Ref) {
 		panic(err)
 	}
 	tbl.EnsureOutref(out)
-	if o, ok := tbl.Outref(out); ok {
-		o.Distance = 100
-		o.Barrier = false
-	}
 }
 
 // BenchmarkLocalTrace measures the forward mark + outset computation on
@@ -63,11 +59,12 @@ func BenchmarkLocalTrace(b *testing.B) {
 				tbl.SetSourceDistance(refsArr[n/2+i].Obj, 2, 100)
 				addSuspectOutref(h, tbl, refsArr[n-1-i])
 			}
+			cut := tbl.Cut()
 			var tr tracer.Tracer
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res := tr.Run(h, tbl, 3, tracer.AlgoBottomUp)
+				res := tr.Run(h, cut, 3, tracer.AlgoBottomUp)
 				if len(res.Dead) != 0 {
 					b.Fatal("unexpected garbage")
 				}
@@ -282,19 +279,20 @@ func BenchmarkMillionObjectTrace(b *testing.B) {
 		addSuspectOutref(h, tbl, objs[live-1-i])
 	}
 
-	baseline := new(tracer.Tracer).Run(h, tbl, 3, tracer.AlgoBottomUp)
+	cut := tbl.Cut()
+	baseline := new(tracer.Tracer).Run(h, cut, 3, tracer.AlgoBottomUp)
 	if baseline.Stats.ObjectsTraced != int64(live) {
 		b.Fatalf("traced %d, want %d", baseline.Stats.ObjectsTraced, live)
 	}
 	var tr tracer.Tracer
-	tr.Run(h, tbl, 3, tracer.AlgoBottomUp)
-	if !tracer.EqualResults(tr.Run(h, tbl, 3, tracer.AlgoBottomUp), baseline) {
+	tr.Run(h, cut, 3, tracer.AlgoBottomUp)
+	if !tracer.EqualResults(tr.Run(h, cut, 3, tracer.AlgoBottomUp), baseline) {
 		b.Fatal("a reused mark table's trace diverges from a fresh one's")
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := tr.Run(h, tbl, 3, tracer.AlgoBottomUp)
+		res := tr.Run(h, cut, 3, tracer.AlgoBottomUp)
 		if len(res.Dead) != objects-live {
 			b.Fatalf("dead %d, want %d", len(res.Dead), objects-live)
 		}
@@ -304,8 +302,8 @@ func BenchmarkMillionObjectTrace(b *testing.B) {
 
 // BenchmarkSnapshotTrace (experiment C16) times the local trace a site
 // actually runs: the cut takes a frozen heap view (heap.Snapshot, the page
-// directory and roots) and patches the ioref tables' shadow from their
-// dirty sets, then the marker traces the cut; snapshot-ms times the cut,
+// directory and roots) and copies the ioref rows the trace reads
+// (refs.Table.Cut), then the marker traces the cut; snapshot-ms times the cut,
 // mark-ms and outsets-ms split the trace as tracer.Stats does, and
 // copied-pages counts the pages the edits' write barrier cloned because
 // the previous view held them (the edits themselves are untimed). The heap
@@ -369,7 +367,7 @@ func BenchmarkSnapshotTrace(b *testing.B) {
 		link(last, cite())
 	}
 	var tr tracer.Tracer
-	tr.Run(h.Snapshot(), tbl.TraceSnapshot(), 3, tracer.AlgoBottomUp)
+	tr.Run(h.Snapshot(), tbl.Cut(), 3, tracer.AlgoBottomUp)
 	copied := h.PagesCopied()
 
 	var added [][2]backtrace.Ref
@@ -392,7 +390,7 @@ func BenchmarkSnapshotTrace(b *testing.B) {
 		}
 		b.StartTimer()
 		t0 := time.Now()
-		hs, ts := h.Snapshot(), tbl.TraceSnapshot()
+		hs, ts := h.Snapshot(), tbl.Cut()
 		snapshot += time.Since(t0)
 		res := tr.Run(hs, ts, 3, tracer.AlgoBottomUp)
 		if len(res.Dead) != 0 {

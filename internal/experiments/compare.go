@@ -27,11 +27,12 @@ type InsetRow struct {
 	Elapsed  time.Duration
 }
 
-// insetShape builds a single-site heap+table for the inset experiments.
+// insetShape is a single-site heap and the cut of its tables for the inset
+// experiments.
 type insetShape struct {
 	name string
 	h    *heap.Heap
-	tbl  *refs.Table
+	cut  refs.Cut
 	ni   int
 	objs int
 }
@@ -64,11 +65,7 @@ func buildInsetShapes(scale int) []insetShape {
 		out := ids.MakeRef(2, 1)
 		h.AddField(prev.Obj, out)
 		tbl.EnsureOutref(out)
-		if o, ok := tbl.Outref(out); ok {
-			o.Distance = 100
-			o.Barrier = false
-		}
-		shapes = append(shapes, insetShape{name: fmt.Sprintf("fan-%d", k), h: h, tbl: tbl, ni: k, objs: h.Len()})
+		shapes = append(shapes, insetShape{name: fmt.Sprintf("fan-%d", k), h: h, cut: tbl.Cut(), ni: k, objs: h.Len()})
 	}
 
 	// chain: every element has its own suspected inref.
@@ -89,11 +86,7 @@ func buildInsetShapes(scale int) []insetShape {
 		out := ids.MakeRef(2, 1)
 		h.AddField(prev.Obj, out)
 		tbl.EnsureOutref(out)
-		if o, ok := tbl.Outref(out); ok {
-			o.Distance = 100
-			o.Barrier = false
-		}
-		shapes = append(shapes, insetShape{name: fmt.Sprintf("chain-%d", n), h: h, tbl: tbl, ni: n, objs: n})
+		shapes = append(shapes, insetShape{name: fmt.Sprintf("chain-%d", n), h: h, cut: tbl.Cut(), ni: n, objs: n})
 	}
 
 	// scc: one strongly connected component with inrefs on every node.
@@ -116,11 +109,7 @@ func buildInsetShapes(scale int) []insetShape {
 		out := ids.MakeRef(2, 1)
 		h.AddField(nodes[n-1].Obj, out)
 		tbl.EnsureOutref(out)
-		if o, ok := tbl.Outref(out); ok {
-			o.Distance = 100
-			o.Barrier = false
-		}
-		shapes = append(shapes, insetShape{name: fmt.Sprintf("scc-%d", n), h: h, tbl: tbl, ni: n, objs: n})
+		shapes = append(shapes, insetShape{name: fmt.Sprintf("scc-%d", n), h: h, cut: tbl.Cut(), ni: n, objs: n})
 	}
 	return shapes
 }
@@ -132,7 +121,7 @@ func InsetComparison(scale int) []InsetRow {
 	for _, sh := range buildInsetShapes(scale) {
 		for _, algo := range []tracer.OutsetAlgorithm{tracer.AlgoIndependent, tracer.AlgoBottomUp} {
 			start := time.Now()
-			res := new(tracer.Tracer).Run(sh.h, sh.tbl, 3, algo)
+			res := new(tracer.Tracer).Run(sh.h, sh.cut, 3, algo)
 			rows = append(rows, InsetRow{
 				Shape:    sh.name,
 				Algo:     algo,

@@ -13,15 +13,14 @@
 // is pinned by the insert barrier (Section 6.1.2) or held by a mutator
 // variable. Otherwise it is *suspected*.
 //
-// Each of the two tables has one sorted-order cache, one dirty set and one
-// copy-on-write trace snapshot. A Table is not safe for concurrent use: the
-// owning Site's lock guards it, and the trace snapshot it hands out belongs
-// to the site's trace mutex.
+// Each of the two tables has one sorted-order cache. A local trace reads
+// neither table: it reads a Cut, the rows it needs copied out under the
+// owning Site's lock. A Table is not safe for concurrent use: that lock
+// guards it.
 package refs
 
 import (
 	"cmp"
-	"maps"
 	"math"
 	"slices"
 
@@ -204,15 +203,11 @@ type inrefTable struct {
 	sorted      []*Inref
 	sortedValid bool
 
-	// dirty names the inrefs whose tracer-visible state may differ from
-	// the shadow copy (see Table.TraceSnapshot).
-	dirty map[ids.ObjID]struct{}
-
 	// bySource indexes the inrefs by source site: bySource[q] holds every
 	// object whose source list names q. AddSource, RemoveSource,
 	// RemoveInref and SetSource maintain it, so an update from q reconciles
 	// only the inrefs that list q (EachSourceOf) instead of scanning the
-	// table. Trace snapshots leave it empty: the tracer never reads it.
+	// table.
 	bySource map[ids.SiteID]map[ids.ObjID]struct{}
 }
 
@@ -244,7 +239,6 @@ type outrefTable struct {
 	outrefs     map[ids.Ref]*Outref
 	sorted      []*Outref
 	sortedValid bool
-	dirty       map[ids.Ref]struct{}
 }
 
 // Table holds one site's inref and outref tables.
@@ -256,12 +250,6 @@ type Table struct {
 	// defaultBackThreshold initializes the BackThreshold of new iorefs
 	// (the paper's T2, Section 4.3).
 	defaultBackThreshold int
-
-	// snap is the shadow copy TraceSnapshot maintains. in.dirty and
-	// out.dirty collect the entries whose tracer-visible state may differ
-	// from it. Tracer-invisible fields (Barrier, Pins, outref Distance,
-	// BackThreshold, Visited) are not tracked.
-	snap *Table
 }
 
 // NewTable creates empty tables for a site. backThreshold is the initial
@@ -270,7 +258,6 @@ func NewTable(site ids.SiteID, backThreshold int) *Table {
 	t := &Table{site: site, defaultBackThreshold: backThreshold}
 	t.in.inrefs = make(map[ids.ObjID]*Inref)
 	t.out.outrefs = make(map[ids.Ref]*Outref)
-	t.clearDirty()
 	return t
 }
 
@@ -296,7 +283,6 @@ func (t *Table) EnsureInref(obj ids.ObjID) *Inref {
 		}
 		t.in.inrefs[obj] = in
 		t.in.sortedValid = false
-		t.in.dirty[obj] = struct{}{}
 	}
 	return in
 }
@@ -309,7 +295,6 @@ func (t *Table) AddSource(obj ids.ObjID, src ids.SiteID) *Inref {
 	if _, ok := in.Sources[src]; !ok {
 		in.Sources[src] = 1
 		t.in.indexSource(src, obj)
-		t.in.dirty[obj] = struct{}{}
 	}
 	return in
 }
@@ -332,7 +317,6 @@ func (t *Table) SetSourceDistance(obj ids.ObjID, src ids.SiteID, dist int) {
 		return
 	}
 	in.Sources[src] = dist
-	t.in.dirty[obj] = struct{}{}
 }
 
 // UpdateSourceDistances applies n distance changes reported by src — the
@@ -356,7 +340,6 @@ func (t *Table) UpdateSourceDistances(src ids.SiteID, n int, at func(i int) (ids
 			continue
 		}
 		in.Sources[src] = dist
-		t.in.dirty[obj] = struct{}{}
 		if turnedClean(in, src, old, dist, threshold) {
 			cleaned = append(cleaned, obj)
 		}
@@ -392,12 +375,10 @@ func (t *Table) RemoveSource(obj ids.ObjID, src ids.SiteID) (removedInref bool) 
 	if _, had := in.Sources[src]; had {
 		delete(in.Sources, src)
 		t.in.unindexSource(src, obj)
-		t.in.dirty[obj] = struct{}{}
 	}
 	if len(in.Sources) == 0 {
 		delete(t.in.inrefs, obj)
 		t.in.sortedValid = false
-		t.in.dirty[obj] = struct{}{}
 		return true
 	}
 	return false
@@ -414,19 +395,17 @@ func (t *Table) RemoveInref(obj ids.ObjID) {
 	}
 	delete(t.in.inrefs, obj)
 	t.in.sortedValid = false
-	t.in.dirty[obj] = struct{}{}
 }
 
 // FlagGarbage sets the inref's garbage flag (a back trace confirmed it
-// garbage in its report phase, Section 4.5). Routed through the table so
-// the trace snapshot sees the root disappear.
+// garbage in its report phase, Section 4.5); the next Cut leaves the inref
+// out of its roots.
 func (t *Table) FlagGarbage(obj ids.ObjID) {
 	in, ok := t.in.inrefs[obj]
 	if !ok || in.Garbage {
 		return
 	}
 	in.Garbage = true
-	t.in.dirty[obj] = struct{}{}
 }
 
 // Inrefs returns all inrefs ordered by object identifier. The slice is a
@@ -486,7 +465,6 @@ func (t *Table) EnsureOutref(target ids.Ref) (o *Outref, created bool) {
 		t.out.outrefs[target] = o
 		created = true
 		t.out.sortedValid = false
-		t.out.dirty[target] = struct{}{}
 	}
 	return o, created
 }
@@ -498,7 +476,6 @@ func (t *Table) RemoveOutref(target ids.Ref) {
 	}
 	delete(t.out.outrefs, target)
 	t.out.sortedValid = false
-	t.out.dirty[target] = struct{}{}
 }
 
 // Outrefs returns all outrefs ordered by target reference. The slice is a
@@ -540,118 +517,45 @@ func (t *Table) Unpin(target ids.Ref) {
 	}
 }
 
-// copyInref returns a copy of in's tracer-visible state, with its own
-// source list.
-func copyInref(in *Inref) *Inref {
-	return &Inref{
-		Obj:           in.Obj,
-		Sources:       maps.Clone(in.Sources),
-		Barrier:       in.Barrier,
-		Garbage:       in.Garbage,
-		BackThreshold: in.BackThreshold,
-	}
+// Root is one inref as a local trace reads it: the local object and the
+// inref's distance.
+type Root struct {
+	Obj      ids.ObjID
+	Distance int
 }
 
-// copyOutref returns a copy of o without its Visited marks.
-func copyOutref(o *Outref) *Outref {
-	return &Outref{
-		Target:        o.Target,
-		Distance:      o.Distance,
-		Pins:          o.Pins,
-		Barrier:       o.Barrier,
-		BackThreshold: o.BackThreshold,
-	}
+// Cut is what a local trace reads of the tables, copied out so that the
+// trace can run off the site lock while the tables keep changing: the
+// roots (every inref not flagged garbage, ascending by object) and the
+// outref targets (ascending). The Section 6.2 double buffering needs no
+// more: the trace seeds its mark from the roots, and it reads the outrefs
+// only to see which exist.
+type Cut struct {
+	Roots   []Root
+	Outrefs []ids.Ref
 }
 
-// Snapshot returns a deep copy of both tables — TraceSnapshot's first cut,
-// and the tests' independent reference. Everything the tracer reads is
-// copied — source lists with distances, barrier and garbage flags, pins,
-// distances, back thresholds. The per-trace Visited marks are deliberately
-// NOT carried over: they belong to the live table (the back-tracing engine
-// mutates them under the site lock) and the tracer never reads them.
-func (t *Table) Snapshot() *Table {
-	cp := NewTable(t.site, t.defaultBackThreshold)
-	cp.in.inrefs = make(map[ids.ObjID]*Inref, len(t.in.inrefs))
-	for obj, in := range t.in.inrefs {
-		cp.in.inrefs[obj] = copyInref(in)
+// Cut copies the rows a local trace reads, in O(inrefs + outrefs).
+func (t *Table) Cut() Cut {
+	c := Cut{
+		Roots:   make([]Root, 0, len(t.in.inrefs)),
+		Outrefs: make([]ids.Ref, 0, len(t.out.outrefs)),
 	}
-	cp.out.outrefs = make(map[ids.Ref]*Outref, len(t.out.outrefs))
-	for target, o := range t.out.outrefs {
-		cp.out.outrefs[target] = copyOutref(o)
-	}
-	return cp
-}
-
-// TraceSnapshot returns a read-only snapshot of the tables: the first call
-// deep-copies, later calls patch the retained shadow copy from the dirty
-// sets, in O(dirty). The snapshot is
-// faithful only for what the tracer reads — inref existence, source
-// distances, garbage flags, and outref existence; tracer-invisible fields
-// (Barrier, Pins, outref Distance) may be stale in patched entries. The
-// returned table is patched in place by the next call; the site's trace
-// mutex serializes.
-func (t *Table) TraceSnapshot() *Table {
-	if t.snap == nil {
-		t.snap = t.Snapshot()
-		t.clearDirty()
-		return t.snap
-	}
-	t.patchSnapshot()
-	return t.snap
-}
-
-// patchSnapshot brings the shadow tables up to date from the live tables'
-// dirty sets. The shadow is owned by the snapshot lineage.
-func (t *Table) patchSnapshot() {
-	snap := t.snap
-	for obj := range t.in.dirty {
-		liveIn, liveOK := t.in.inrefs[obj]
-		snapIn, snapOK := snap.in.inrefs[obj]
-		switch {
-		case liveOK && snapOK:
-			// Patch the existing struct in place: the snapshot's sorted
-			// cache holds pointers, so replacing the struct would leave a
-			// stale entry behind without invalidating the cache.
-			*snapIn = *copyInref(liveIn)
-		case liveOK:
-			snap.in.inrefs[obj] = copyInref(liveIn)
-			snap.in.sortedValid = false
-		case snapOK:
-			delete(snap.in.inrefs, obj)
-			snap.in.sortedValid = false
+	for _, in := range t.Inrefs() {
+		if !in.Garbage {
+			c.Roots = append(c.Roots, Root{Obj: in.Obj, Distance: in.Distance()})
 		}
 	}
-
-	if len(t.out.dirty) > 0 {
-		// Only membership changes dirty an outref, and a patched entry is a
-		// new struct: either way the shadow's sorted cache is stale.
-		snap.out.sortedValid = false
+	for _, o := range t.Outrefs() {
+		c.Outrefs = append(c.Outrefs, o.Target)
 	}
-	for target := range t.out.dirty {
-		if liveO, ok := t.out.outrefs[target]; ok {
-			snap.out.outrefs[target] = copyOutref(liveO)
-		} else {
-			delete(snap.out.outrefs, target)
-		}
-	}
-	t.clearDirty()
+	return c
 }
 
-// clearDirty empties both dirty sets. It replaces the maps rather than
-// clearing them: a cleared map keeps the buckets of its largest size (the
-// whole graph, while a site is built), and every later range over it walks
-// them all.
-func (t *Table) clearDirty() {
-	t.in.dirty = make(map[ids.ObjID]struct{})
-	t.out.dirty = make(map[ids.Ref]struct{})
-}
-
-// ResetTraceSnapshot discards the shadow copy so the next TraceSnapshot is
-// a fresh deep copy (used after an abandoned trace consumed the dirty
-// sets).
-func (t *Table) ResetTraceSnapshot() {
-	t.snap = nil
-	t.clearDirty()
+// HasOutref reports whether the cut lists an outref for target.
+func (c Cut) HasOutref(target ids.Ref) bool {
+	_, ok := slices.BinarySearchFunc(c.Outrefs, target, ids.Ref.Compare)
+	return ok
 }
 
 // ResetBarriers clears the transfer-barrier clean marks on every ioref;

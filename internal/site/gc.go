@@ -50,14 +50,14 @@ func (s *Site) RunLocalTrace() TraceReport {
 // replayed onto the new copy (Section 6.2).
 //
 // There is one path. Under a short critical section the site cuts a
-// consistent view: a frozen heap view (heap.Snapshot, a copy of the page
-// directory and the roots that shares every page; the live heap clones a
-// page before its first write to it) and the ioref tables' shadow copy
-// patched with their dirty sets. The cut costs O(pages) pointer copies plus
-// the changed ioref rows, and localtrace.cut_seconds times it. The
+// consistent view, as WriteCheckpoint does: a frozen heap view
+// (heap.Snapshot, a copy of the page directory and the roots that shares
+// every page; the live heap clones a page before its first write to it) and
+// the ioref rows the trace reads (refs.Table.Cut: each root inref's
+// distance, and the outref targets). The cut costs O(pages) pointer copies
+// plus O(iorefs) row copies, and localtrace.cut_seconds times it. The
 // computation then runs OUTSIDE the site lock on that view, which no writer
-// touches (traceMu guarantees the previous trace is done with the table
-// shadow). This is exactly what Section 6.2's double buffering buys: the
+// touches. This is exactly what Section 6.2's double buffering buys: the
 // live state may keep changing during the computation, because back traces
 // still use the old back information, garbage stays garbage (no root or
 // message can name an unreachable object), and barriers that fire
@@ -70,7 +70,7 @@ func (s *Site) BeginLocalTrace() {
 	s.mu.Lock()
 	cut := s.clk.Now()
 	h := s.heap.Snapshot()
-	tbl := s.table.TraceSnapshot()
+	tbl := s.table.Cut()
 	epoch := s.traceEpoch
 	// Open the trace window: barriers applied from here to the commit are
 	// recorded for replay onto the new back information.
@@ -89,10 +89,7 @@ func (s *Site) BeginLocalTrace() {
 		// The state this result was computed from was replaced wholesale
 		// while we traced: drop the result rather than install conclusions
 		// about a heap that no longer exists. traceMu makes this
-		// unreachable for ordinary Begin/Commit interleavings. The table
-		// snapshot consumed its dirty sets but the result was dropped, so
-		// forget its lineage: the next one is a fresh deep copy.
-		s.table.ResetTraceSnapshot()
+		// unreachable for ordinary Begin/Commit interleavings.
 		return
 	}
 	s.installPendingLocked(res)

@@ -16,19 +16,17 @@
 //
 //   - The heap and the ioref tables are one partition each, as in the
 //     paper, where a site is one unit: the heap with copy-on-write pages,
-//     each table with one write-barrier dirty set and one shadow copy
-//     for the trace. The site lock is
-//     their only lock: every mutator operation and every message handler
-//     is a short critical section under the write lock, so each mutator
-//     step is atomic with respect to the collector's steps, matching the
-//     paper's model.
+//     and the two ioref tables. The site lock is their only lock: every
+//     mutator operation and every message handler is a short critical
+//     section under the write lock, so each mutator step is atomic with
+//     respect to the collector's steps, matching the paper's model.
 //   - The local trace has one path (BeginLocalTrace). A short critical
-//     section cuts a copy-on-write snapshot of the heap and ioref tables
-//     — a frozen heap view sharing the live heap's pages, and the tables'
-//     shadow copies patched from their dirty sets — and the computation
-//     (tracer.Tracer:
-//     the paged ascending-distance forward mark, then the outset pass)
-//     runs entirely OUTSIDE the lock on that snapshot. The Section 6.2
+//     section cuts the heap and the ioref tables — a frozen heap view
+//     sharing the live heap's pages, and a refs.Cut, the ioref rows the
+//     trace reads (root inref distances, outref targets) copied out — and
+//     the computation (tracer.Tracer: the paged ascending-distance forward
+//     mark, then the outset pass) runs entirely OUTSIDE the lock on that
+//     cut. The Section 6.2
 //     double-buffered back information makes the off-lock computation
 //     safe: back traces keep using the old copy, and transfer barriers
 //     that fire meanwhile are recorded and replayed onto the new copy at
@@ -119,11 +117,11 @@ type Config struct {
 	// stepped replays. Sites with an inbox must be Close()d.
 	InboxSize int
 	// Incremental is accepted and ignored: every local trace is the same
-	// full mark over the copy-on-write snapshot. A dirty-set remark can
-	// only absorb changes that lower distances, while every ioref on a
-	// garbage cycle gains distance each round, so on any site collecting
-	// a cycle it never ran (docs/ALGORITHM.md). The field stays because
-	// existing configurations set it.
+	// full mark over the cut. A dirty-set remark can only absorb changes
+	// that lower distances, while every ioref on a garbage cycle gains
+	// distance each round, so on any site collecting a cycle it never ran
+	// (docs/ALGORITHM.md). The field stays because existing
+	// configurations set it.
 	Incremental bool
 	// Clock supplies every timestamp the site takes: span start/end times,
 	// mailbox queue-delay accounting, and the engine's timeout deadlines.

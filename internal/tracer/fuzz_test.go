@@ -71,8 +71,8 @@ func FuzzOutsetAlgorithmsAgree(f *testing.F) {
 		}
 
 		indTr, buTr := new(Tracer), new(Tracer)
-		ind := indTr.Run(h, tbl, threshold, AlgoIndependent)
-		bu := buTr.Run(h, tbl, threshold, AlgoBottomUp)
+		ind := indTr.Run(h, tbl.Cut(), threshold, AlgoIndependent)
+		bu := buTr.Run(h, tbl.Cut(), threshold, AlgoBottomUp)
 
 		sameMarks(t, "mark phases", h, indTr, buTr)
 		if !reflect.DeepEqual(ind.OutrefDist, bu.OutrefDist) {

@@ -67,7 +67,7 @@ func lower(p *int64, v int64) bool {
 }
 
 // mark runs the forward mark into t.marks and returns its result.
-func (t *Tracer) mark(h *heap.Heap, tbl *refs.Table) *markResult {
+func (t *Tracer) mark(h *heap.Heap, tbl refs.Cut) *markResult {
 	marks := &t.marks
 	marks.reset(h)
 	site := h.Site()
@@ -91,10 +91,8 @@ func (t *Tracer) mark(h *heap.Heap, tbl *refs.Table) *markResult {
 			res.outrefDist[r] = 1
 		}
 	}
-	for _, in := range tbl.Inrefs() {
-		if !in.Garbage {
-			seed(in.Obj, in.Distance())
-		}
+	for _, rt := range tbl.Roots {
+		seed(rt.Obj, rt.Distance)
 	}
 	slices.SortFunc(stack, func(a, b ids.ObjID) int { return cmp.Compare(marks.load(b), marks.load(a)) })
 
@@ -124,7 +122,7 @@ func (t *Tracer) mark(h *heap.Heap, tbl *refs.Table) *markResult {
 	}
 
 	for r := range res.outrefDist {
-		if _, ok := tbl.Outref(r); !ok {
+		if !tbl.HasOutref(r) {
 			res.missingOutrefs = append(res.missingOutrefs, r)
 		}
 	}

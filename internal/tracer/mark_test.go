@@ -119,7 +119,7 @@ func TestParallelEquivalence(t *testing.T) {
 					mutateState(rng, h, tbl, &objs, threshold)
 				}
 				want, wantMarks := referenceTrace(h, tbl, threshold, algo)
-				got := tr.Run(h, tbl, threshold, algo)
+				got := tr.Run(h, tbl.Cut(), threshold, algo)
 				ctx := fmt.Sprintf("seed %d round %d algo %v", seed, round, algo)
 				sameResult(t, ctx, got, want)
 				for _, obj := range heapObjects(h) {

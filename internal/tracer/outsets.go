@@ -11,8 +11,9 @@ import (
 // outsetEnv bundles what both outset algorithms need to classify graph
 // nodes during the computation of back information (Section 5).
 type outsetEnv struct {
-	h   *heap.Heap
-	tbl *refs.Table
+	h *heap.Heap
+	// roots are the inrefs not flagged garbage, ascending by object.
+	roots []refs.Root
 	// marks is the forward mark's table (distance+1 per object, zero when
 	// unmarked); outrefDist its outref distances.
 	marks      *markTable
@@ -51,14 +52,11 @@ func (e *outsetEnv) suspectedOutref(r ids.Ref) bool {
 
 // suspectedInrefs returns the inrefs for which outsets must be computed:
 // distance beyond the threshold and not flagged garbage, ordered by object.
-func (e *outsetEnv) suspectedInrefs() []*refs.Inref {
-	var out []*refs.Inref
-	for _, in := range e.tbl.Inrefs() {
-		if in.Garbage {
-			continue
-		}
-		if in.Distance() > e.threshold {
-			out = append(out, in)
+func (e *outsetEnv) suspectedInrefs() []refs.Root {
+	var out []refs.Root
+	for _, rt := range e.roots {
+		if rt.Distance > e.threshold {
+			out = append(out, rt)
 		}
 	}
 	return out

@@ -117,7 +117,8 @@ func forwardMark(h *heap.Heap, tbl *refs.Table) (map[ids.ObjID]int, *markResult)
 // the mark of every reached object. Only the Section 5 outset pass is
 // shared with production — the two outset algorithms are checked against
 // each other elsewhere — and it reads the marks through a mark table built
-// from the map, as Tracer.Run hands it its own.
+// from the map, as Tracer.Run hands it its own, and its roots straight from
+// the live table rather than from a refs.Cut.
 func referenceTrace(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlgorithm) (*Result, map[ids.ObjID]int) {
 	marked, mr := forwardMark(h, tbl)
 	var marks markTable
@@ -125,7 +126,13 @@ func referenceTrace(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlg
 	for obj, d := range marked {
 		*marks.at(obj) = int64(d) + 1
 	}
-	outsets, _ := computeOutsets(&outsetEnv{h: h, tbl: tbl, marks: &marks, outrefDist: mr.outrefDist, threshold: threshold}, algo)
+	var roots []refs.Root
+	for _, in := range tbl.Inrefs() {
+		if !in.Garbage {
+			roots = append(roots, refs.Root{Obj: in.Obj, Distance: in.Distance()})
+		}
+	}
+	outsets, _ := computeOutsets(&outsetEnv{h: h, roots: roots, marks: &marks, outrefDist: mr.outrefDist, threshold: threshold}, algo)
 	res := &Result{
 		OutrefDist: mr.outrefDist,
 		Missing:    mr.missingOutrefs,

@@ -10,12 +10,12 @@ import (
 	"backtrace/internal/refs"
 )
 
-// The site traces a copy-on-write cut: a frozen heap view that shares its
-// pages with the live heap until the live heap writes them, and the
-// tables' shadow copy patched from their dirty sets, traced by one Tracer
-// whose mark table is reused from trace to trace. The tests below hold
-// that lineage to the reference trace of an independent deep copy of the
-// same state.
+// The site traces a cut: a frozen heap view that shares its pages with the
+// live heap until the live heap writes them, and a refs.Cut, the ioref rows
+// the trace reads copied out, traced by one Tracer whose mark table is
+// reused from trace to trace. The tests below hold that lineage to the
+// reference trace of an independent deep copy of the heap and the live
+// table, taken at the cut.
 
 // deepCopy copies h's objects and roots into a heap that shares nothing
 // with it.
@@ -34,12 +34,11 @@ func deepCopy(h *heap.Heap) *heap.Heap {
 }
 
 // checkSnapshotLineage runs rounds of random mutations on one heap/table
-// pair and, after each, cuts a heap view and a table snapshot, mutates the
-// live pair again as a mutator running beside the trace would, and only
-// then traces the cut with one long-lived Tracer. Every result and every
-// heap object's mark must match the reference trace of a deep copy taken
-// at the cut. Rounds divisible by idleEvery (when positive) mutate
-// nothing, so the table snapshot is patched from empty dirty sets and the
+// pair and, after each, cuts a heap view and the table, mutates the live
+// pair again as a mutator running beside the trace would, and only then
+// traces the cut with one long-lived Tracer. Every result and every heap
+// object's mark must match the reference trace of the state at the cut.
+// Rounds divisible by idleEvery (when positive) mutate nothing, so the
 // view copies no page. Dead objects are swept after each trace, as the
 // site's commit does.
 func checkSnapshotLineage(t *testing.T, seed int64, rounds, idleEvery int) {
@@ -62,9 +61,9 @@ func checkSnapshotLineage(t *testing.T, seed int64, rounds, idleEvery int) {
 			}
 		}
 		mutate()
-		want, wantMarks := referenceTrace(deepCopy(h), tbl.Snapshot(), threshold, AlgoBottomUp)
+		want, wantMarks := referenceTrace(deepCopy(h), tbl, threshold, AlgoBottomUp)
 
-		sh, st := h.Snapshot(), tbl.TraceSnapshot()
+		sh, st := h.Snapshot(), tbl.Cut()
 		mutate()
 		got := tr.Run(sh, st, threshold, AlgoBottomUp)
 		ctx := fmt.Sprintf("seed %d round %d", seed, round)
@@ -83,8 +82,8 @@ func checkSnapshotLineage(t *testing.T, seed int64, rounds, idleEvery int) {
 	}
 }
 
-// TestIncrementalEquivalence holds the incremental snapshot lineage to the
-// reference trace.
+// TestIncrementalEquivalence holds the cut lineage to the reference trace.
+// (The name is from when a trace could remark incrementally.)
 func TestIncrementalEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -94,9 +93,8 @@ func TestIncrementalEquivalence(t *testing.T) {
 }
 
 // TestParallelIncrementalEquivalence does the same with every fifth round
-// idle, so the table snapshot is also patched from empty dirty sets. (The
-// name is from when the heap was split into partitions patched in
-// parallel.)
+// idle, so the cut follows no mutation. (The name is from when the heap was
+// split into partitions patched in parallel.)
 func TestParallelIncrementalEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -117,7 +115,7 @@ func TestIncrementalFallbackReasons(t *testing.T) {
 	var tr Tracer
 	check := func(what string, threshold int, algo OutsetAlgorithm) {
 		t.Helper()
-		st := tr.Run(h.Snapshot(), tbl.TraceSnapshot(), threshold, algo).Stats
+		st := tr.Run(h.Snapshot(), tbl.Cut(), threshold, algo).Stats
 		if st.Incremental || st.FallbackReason != FullTrace {
 			t.Fatalf("%s: Incremental=%v FallbackReason=%q, want a full trace", what, st.Incremental, st.FallbackReason)
 		}
@@ -145,7 +143,7 @@ func TestSparseIDMarkPages(t *testing.T) {
 	tbl := refs.NewTable(1, threshold+2)
 	var tr Tracer
 	trace := func() *Result {
-		res := tr.Run(h.Snapshot(), tbl.TraceSnapshot(), threshold, AlgoBottomUp)
+		res := tr.Run(h.Snapshot(), tbl.Cut(), threshold, AlgoBottomUp)
 		for _, obj := range res.Dead {
 			h.Delete(obj)
 		}

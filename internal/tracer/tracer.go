@@ -110,15 +110,16 @@ type Tracer struct {
 // Run performs a local trace of the heap at the given suspicion threshold:
 // the distance-ordered forward mark of Sections 2–3 followed by the
 // Section 5 computation of back information with the selected algorithm.
-// It does not modify the heap or the tables but requires that nothing else
-// mutates them meanwhile; the site guarantees this by tracing a snapshot of
-// both while the live state keeps changing — the off-lock local trace
+// It reads the ioref tables only through tbl, the rows a Cut copied out.
+// It does not modify the heap but requires that nothing else mutates it
+// meanwhile; the site guarantees this by tracing a frozen heap view and a
+// cut while the live state keeps changing — the off-lock local trace
 // enabled by the Section 6.2 double buffering.
-func (t *Tracer) Run(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAlgorithm) *Result {
+func (t *Tracer) Run(h *heap.Heap, tbl refs.Cut, threshold int, algo OutsetAlgorithm) *Result {
 	start := time.Now()
 	mr := t.mark(h, tbl)
 	markEnd := time.Now()
-	outsets, ost := computeOutsets(&outsetEnv{h: h, tbl: tbl, marks: &t.marks, outrefDist: mr.outrefDist, threshold: threshold}, algo)
+	outsets, ost := computeOutsets(&outsetEnv{h: h, roots: tbl.Roots, marks: &t.marks, outrefDist: mr.outrefDist, threshold: threshold}, algo)
 
 	res := &Result{
 		Dead:       mr.dead,
@@ -135,7 +136,7 @@ func (t *Tracer) Run(h *heap.Heap, tbl *refs.Table, threshold int, algo OutsetAl
 			FallbackReason:  FullTrace,
 		},
 	}
-	res.Untraced, res.Stats.SuspectedOutrefs = outrefSummary(tbl, mr.outrefDist, threshold)
+	res.Untraced, res.Stats.SuspectedOutrefs = outrefSummary(tbl.Outrefs, mr.outrefDist, threshold)
 	res.Stats.MarkDuration = markEnd.Sub(start)
 	res.Stats.OutsetsDuration = time.Since(markEnd)
 	res.Stats.Duration = res.Stats.MarkDuration + res.Stats.OutsetsDuration
@@ -152,11 +153,11 @@ func computeOutsets(env *outsetEnv, algo OutsetAlgorithm) (map[ids.ObjID][]ids.R
 }
 
 // outrefSummary lists the outrefs a trace did not reach (ascending, the
-// table's order) and counts the reached ones that are suspected.
-func outrefSummary(tbl *refs.Table, outrefDist map[ids.Ref]int, threshold int) (untraced []ids.Ref, suspected int) {
-	for _, o := range tbl.Outrefs() {
-		if _, ok := outrefDist[o.Target]; !ok {
-			untraced = append(untraced, o.Target)
+// cut's order) and counts the reached ones that are suspected.
+func outrefSummary(outrefs []ids.Ref, outrefDist map[ids.Ref]int, threshold int) (untraced []ids.Ref, suspected int) {
+	for _, r := range outrefs {
+		if _, ok := outrefDist[r]; !ok {
+			untraced = append(untraced, r)
 		}
 	}
 	for _, d := range outrefDist {

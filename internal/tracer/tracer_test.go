@@ -79,7 +79,7 @@ func TestMarkSweepBasics(t *testing.T) {
 	f.edge(a, b)
 
 	tr := new(Tracer)
-	res := tr.Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := tr.Run(f.h, f.tbl.Cut(), 2, AlgoBottomUp)
 	if !isLive(tr, f.h, root.Obj) || !isLive(tr, f.h, a.Obj) || !isLive(tr, f.h, b.Obj) {
 		t.Fatal("reachable objects not marked")
 	}
@@ -102,7 +102,7 @@ func TestInrefIsRoot(t *testing.T) {
 	f.inref(a, 2, 1)
 
 	tr := new(Tracer)
-	tr.Run(f.h, f.tbl, 2, AlgoBottomUp)
+	tr.Run(f.h, f.tbl.Cut(), 2, AlgoBottomUp)
 	if !isLive(tr, f.h, a.Obj) || !isLive(tr, f.h, b.Obj) {
 		t.Fatal("objects reachable from inref must survive")
 	}
@@ -121,7 +121,7 @@ func TestGarbageFlaggedInrefIsNotRoot(t *testing.T) {
 	in.Garbage = true
 
 	tr := new(Tracer)
-	res := tr.Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := tr.Run(f.h, f.tbl.Cut(), 2, AlgoBottomUp)
 	if isLive(tr, f.h, a.Obj) || isLive(tr, f.h, b.Obj) {
 		t.Fatal("objects behind a garbage-flagged inref must die (Section 4.5)")
 	}
@@ -142,7 +142,7 @@ func TestAppRootsAreRoots(t *testing.T) {
 	f.h.AddAppRoot(remote) // mutator variable holds a remote ref
 
 	tr := new(Tracer)
-	res := tr.Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := tr.Run(f.h, f.tbl.Cut(), 2, AlgoBottomUp)
 	if !isClean(tr, f.h, a.Obj, 2) || !isClean(tr, f.h, b.Obj, 2) {
 		t.Fatal("objects held by application roots must be clean (Section 6.3)")
 	}
@@ -169,7 +169,7 @@ func TestDistancePropagation(t *testing.T) {
 	root := f.rootObj()
 	f.edge(root, s)
 
-	res := new(Tracer).Run(f.h, f.tbl, 0, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl.Cut(), 0, AlgoBottomUp)
 	if d := res.OutrefDist[r]; d != 2 {
 		t.Fatalf("outref r distance = %d, want 1+min(1,3)=2", d)
 	}
@@ -185,7 +185,7 @@ func TestDistanceSaturation(t *testing.T) {
 	r := ids.MakeRef(3, 1)
 	f.edge(a, r)
 
-	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl.Cut(), 2, AlgoBottomUp)
 	if d := res.OutrefDist[r]; d != refs.DistInfinity {
 		t.Fatalf("distance = %d, want saturation at infinity", d)
 	}
@@ -199,7 +199,7 @@ func TestUntracedOutrefsListed(t *testing.T) {
 	stale := ids.MakeRef(3, 9)
 	f.tbl.EnsureOutref(stale) // no object references it at all
 
-	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl.Cut(), 2, AlgoBottomUp)
 	want := refSlice(ids.MakeRef(2, 5), ids.MakeRef(3, 9))
 	if !reflect.DeepEqual(res.Untraced, want) {
 		t.Fatalf("Untraced = %v, want %v", res.Untraced, want)
@@ -214,7 +214,7 @@ func TestMissingOutrefDetected(t *testing.T) {
 	if err := f.h.AddField(root.Obj, r); err != nil {
 		t.Fatal(err)
 	}
-	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl.Cut(), 2, AlgoBottomUp)
 	if len(res.Missing) != 1 || res.Missing[0] != r {
 		t.Fatalf("Missing = %v, want [%v]", res.Missing, r)
 	}
@@ -238,11 +238,11 @@ func TestPhantomMarkNeverSuspected(t *testing.T) {
 			f.h.Delete(gone.Obj)
 
 			tr := new(Tracer)
-			res := tr.Run(f.h, f.tbl, 2, algo)
+			res := tr.Run(f.h, f.tbl.Cut(), 2, algo)
 			if tr.marks.load(gone.Obj) == 0 {
 				t.Fatal("setup: the mark did not reach the absent id")
 			}
-			env := &outsetEnv{h: f.h, tbl: f.tbl, marks: &tr.marks, outrefDist: res.OutrefDist, threshold: 2}
+			env := &outsetEnv{h: f.h, roots: f.tbl.Cut().Roots, marks: &tr.marks, outrefDist: res.OutrefDist, threshold: 2}
 			if env.suspectedObj(gone.Obj) {
 				t.Fatal("an id absent from the heap is suspected")
 			}
@@ -283,7 +283,7 @@ func TestFigure2Insets(t *testing.T) {
 			f.edge(b, c)
 			f.edge(b, d)
 
-			res := new(Tracer).Run(f.h, f.tbl, 2, algo)
+			res := new(Tracer).Run(f.h, f.tbl.Cut(), 2, algo)
 			if got := res.Back.Inset(c); !reflect.DeepEqual(got, []ids.ObjID{a.Obj, b.Obj}) {
 				t.Errorf("inset of c = %v, want [a b] = [%v %v]", got, a.Obj, b.Obj)
 			}
@@ -323,7 +323,7 @@ func TestFigure4SharedTail(t *testing.T) {
 			f.edge(y, z)
 			f.edge(y, d)
 
-			res := new(Tracer).Run(f.h, f.tbl, 2, algo)
+			res := new(Tracer).Run(f.h, f.tbl.Cut(), 2, algo)
 			if got := res.Back.Inset(c); !reflect.DeepEqual(got, []ids.ObjID{a.Obj, b.Obj}) {
 				t.Errorf("inset of c = %v, want {a,b}", got)
 			}
@@ -352,7 +352,7 @@ func TestFigure4BackEdgeSCC(t *testing.T) {
 			f.edge(z, x) // back edge forming the SCC
 			f.edge(x, c)
 
-			res := new(Tracer).Run(f.h, f.tbl, 2, algo)
+			res := new(Tracer).Run(f.h, f.tbl.Cut(), 2, algo)
 			if got := res.Back.Outset(x.Obj); !reflect.DeepEqual(got, refSlice(c)) {
 				t.Errorf("outset of x = %v, want {c}", got)
 			}
@@ -382,7 +382,7 @@ func TestOutsetStopsAtCleanObjects(t *testing.T) {
 	f.edge(sus, mid)
 	f.inref(sus, 2, 10) // suspected at threshold 2
 
-	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl.Cut(), 2, AlgoBottomUp)
 	if got := res.Back.Outset(sus.Obj); len(got) != 0 {
 		t.Fatalf("outset = %v, want empty (path goes through clean object)", got)
 	}
@@ -403,7 +403,7 @@ func TestSuspectedInrefWithCleanObjectHasEmptyOutset(t *testing.T) {
 	f.edge(a, r)
 	f.inref(a, 2, 10)
 
-	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl.Cut(), 2, AlgoBottomUp)
 	if got := res.Back.Outset(a.Obj); len(got) != 0 {
 		t.Fatalf("outset = %v, want empty", got)
 	}
@@ -433,7 +433,7 @@ func TestOutsetSharingInChainAndSCC(t *testing.T) {
 		f.inref(o, 2, 10+i)
 	}
 
-	res := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(f.h, f.tbl.Cut(), 2, AlgoBottomUp)
 	first := res.Back.Outset(objs[0].Obj)
 	if len(first) != 1 || first[0] != r {
 		t.Fatalf("outset of chain head = %v, want {r}", first)
@@ -472,8 +472,8 @@ func TestIndependentRetracesButBottomUpDoesNot(t *testing.T) {
 	r := ids.MakeRef(2, 5)
 	f.edge(prev, r)
 
-	ind := new(Tracer).Run(f.h, f.tbl, 2, AlgoIndependent)
-	bu := new(Tracer).Run(f.h, f.tbl, 2, AlgoBottomUp)
+	ind := new(Tracer).Run(f.h, f.tbl.Cut(), 2, AlgoIndependent)
+	bu := new(Tracer).Run(f.h, f.tbl.Cut(), 2, AlgoBottomUp)
 	if ind.Stats.OutsetRetraced == 0 {
 		t.Error("independent algorithm reported zero retraced objects on a shared tail")
 	}
@@ -526,8 +526,8 @@ func TestOutsetAlgorithmsAgreeOnRandomGraphs(t *testing.T) {
 		h, tbl := buildRandomSite(rng, nObjs, rng.Intn(3*nObjs), rng.Intn(nObjs+1), rng.Intn(10))
 		threshold := rng.Intn(6)
 		indTr, buTr := new(Tracer), new(Tracer)
-		ind := indTr.Run(h, tbl, threshold, AlgoIndependent)
-		bu := buTr.Run(h, tbl, threshold, AlgoBottomUp)
+		ind := indTr.Run(h, tbl.Cut(), threshold, AlgoIndependent)
+		bu := buTr.Run(h, tbl.Cut(), threshold, AlgoBottomUp)
 
 		if len(ind.Back.Outsets) != len(bu.Back.Outsets) {
 			t.Fatalf("iter %d: outset counts differ: %d vs %d", iter, len(ind.Back.Outsets), len(bu.Back.Outsets))
@@ -550,7 +550,7 @@ func TestBackInfoInsetsMatchOutsets(t *testing.T) {
 	for iter := 0; iter < 100; iter++ {
 		nObjs := 1 + rng.Intn(30)
 		h, tbl := buildRandomSite(rng, nObjs, rng.Intn(3*nObjs), rng.Intn(nObjs+1), rng.Intn(8))
-		res := new(Tracer).Run(h, tbl, rng.Intn(5), AlgoBottomUp)
+		res := new(Tracer).Run(h, tbl.Cut(), rng.Intn(5), AlgoBottomUp)
 		// Every (inref, outref) pair must appear in both views.
 		pairs := 0
 		for in, outs := range res.Back.Outsets {
@@ -584,7 +584,7 @@ func TestEmptyBackInfo(t *testing.T) {
 func TestRunOnEmptySite(t *testing.T) {
 	h := heap.New(1)
 	tbl := refs.NewTable(1, 100)
-	res := new(Tracer).Run(h, tbl, 2, AlgoBottomUp)
+	res := new(Tracer).Run(h, tbl.Cut(), 2, AlgoBottomUp)
 	if len(res.Dead) != 0 || res.Stats.ObjectsTraced != 0 || res.Back.Entries() != 0 {
 		t.Fatal("empty site produced non-empty trace result")
 	}
